@@ -1,13 +1,16 @@
 // Ablation — trial hot path, broken down by pipeline stage. Runs the
 // end-to-end scenario under the obs span recorder and reports the mean
-// wall time of each traced stage (profile, residue_decay, scrape,
-// reconstruct, score) as benchmark counters, so the CI JSON artifact
+// wall time of each traced stage (profile, board_acquire, victim_input,
+// launch, find_victim, resolve, residue_decay, scrape, identify,
+// reconstruct, score) as benchmark counters, plus stage_unattributed_ms,
+// the per-trial time no top-level stage explains, so the CI JSON artifact
 // (BENCH_trial_hotpath.json) carries a per-stage breakdown a plain
 // end-to-end number hides: a scrape regression and a scoring regression
 // look identical from the outside, but not here. The untraced twin of
 // the same loop pins the cost of the tracing gate itself.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -15,6 +18,7 @@
 
 #include "attack/profile_cache.h"
 #include "obs/trace.h"
+#include "util/monotime.h"
 
 namespace {
 
@@ -50,9 +54,11 @@ void BM_TrialTraced(benchmark::State& state) {
 
   obs::Trace::enable(/*per_thread_capacity=*/std::size_t{1} << 20);
   obs::Trace::clear();
+  const std::uint64_t loop_start_ns = util::monotonic_ns();
   for (auto _ : state) {
     benchmark::DoNotOptimize(attack::run_scenario(cfg, &cache));
   }
+  const std::uint64_t loop_ns = util::monotonic_ns() - loop_start_ns;
   obs::Trace::disable();
 
   // Mean duration per stage occurrence. Dividing each stage by its own
@@ -63,12 +69,16 @@ void BM_TrialTraced(benchmark::State& state) {
     std::uint64_t spans = 0;
   };
   std::map<std::string, Stage> stages;
+  std::uint64_t top_level_ns = 0;  // nested stages carry a '/' in their name
   for (const obs::ThreadTrace& thread : obs::Trace::snapshot()) {
     for (const obs::TraceSpan& span : thread.spans) {
       if (std::string_view{span.category} != "trial") continue;
       Stage& stage = stages[span.name];
       stage.total_ns += span.dur_ns;
       stage.spans += 1;
+      if (std::string_view{span.name}.find('/') == std::string_view::npos) {
+        top_level_ns += span.dur_ns;
+      }
     }
   }
   obs::Trace::clear();
@@ -77,6 +87,10 @@ void BM_TrialTraced(benchmark::State& state) {
         static_cast<double>(stage.total_ns) / 1e6 /
         static_cast<double>(stage.spans));
   }
+  // Loop time per trial that no top-level stage span explains.
+  state.counters["stage_unattributed_ms"] = benchmark::Counter(
+      static_cast<double>(loop_ns - std::min(loop_ns, top_level_ns)) / 1e6 /
+      static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_TrialTraced)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -18,10 +18,12 @@ AttackOrchestrator::AttackOrchestrator(dbg::SystemDebugger& debugger,
 
 std::optional<PsEntry> AttackOrchestrator::find_victim(
     std::string_view cmd_substring) {
+  TRACE_SPAN("trial", "find_victim");
   return poller_.find(cmd_substring);
 }
 
 ResolvedTarget AttackOrchestrator::resolve(os::Pid pid) {
+  TRACE_SPAN("trial", "resolve");
   AddressResolver resolver{debugger_};
   return resolver.resolve_heap(pid);
 }
@@ -72,12 +74,15 @@ AttackReport AttackOrchestrator::attack_physical_scan(dram::PhysAddr base,
   report.devmem_reads = scan.devmem_reads;
   report.residue_bytes = scan.bytes.size();
 
-  if (const auto best = signatures_.identify(scan.bytes)) {
-    report.identified_model = *best;
-    const auto matches = signatures_.scan(scan.bytes);
-    report.signature_hits = matches.front().hits;
+  {
+    TRACE_SPAN("trial", "identify");
+    if (const auto best = signatures_.identify(scan.bytes)) {
+      report.identified_model = *best;
+      const auto matches = signatures_.scan(scan.bytes);
+      report.signature_hits = matches.front().hits;
+    }
+    report.deep_match = SignatureDb::identify_deep(scan.bytes);
   }
-  report.deep_match = SignatureDb::identify_deep(scan.bytes);
 
   if (report.model_identified()) {
     if (const auto profile = profiles_.find(report.identified_model)) {
@@ -97,12 +102,15 @@ AttackReport AttackOrchestrator::analyze(ScrapedDump dump) {
   report.residue_bytes = dump.bytes.size();
   report.pages_unmapped = dump.pages_unmapped;
 
-  const auto matches = signatures_.scan(dump.bytes);
-  if (!matches.empty()) {
-    report.identified_model = matches.front().model_name;
-    report.signature_hits = matches.front().hits;
+  {
+    TRACE_SPAN("trial", "identify");
+    const auto matches = signatures_.scan(dump.bytes);
+    if (!matches.empty()) {
+      report.identified_model = matches.front().model_name;
+      report.signature_hits = matches.front().hits;
+    }
+    report.deep_match = SignatureDb::identify_deep(dump.bytes);
   }
-  report.deep_match = SignatureDb::identify_deep(dump.bytes);
 
   {
     TRACE_SPAN("trial", "reconstruct");

@@ -104,11 +104,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   std::unique_ptr<VictimBoardPool::Board> pooled;
   std::optional<os::PetaLinuxSystem> local_board;
   std::optional<vitis::VitisAiRuntime> local_runtime;
-  if (profile_cache != nullptr) {
-    pooled = profile_cache->victim_boards().acquire(config);
-  } else {
-    local_board.emplace(config.system);
-    local_runtime.emplace(*local_board);
+  {
+    TRACE_SPAN("trial", "board_acquire");
+    if (profile_cache != nullptr) {
+      pooled = profile_cache->victim_boards().acquire(config);
+    } else {
+      local_board.emplace(config.system);
+      local_runtime.emplace(*local_board);
+    }
   }
   os::PetaLinuxSystem& board = pooled ? pooled->system : *local_board;
   vitis::VitisAiRuntime& runtime = pooled ? pooled->runtime : *local_runtime;
@@ -126,13 +129,19 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   board.add_user(config.victim_uid, "victim");
   board.add_user(config.attacker_uid, "attacker");
 
-  result.victim_input = profile_cache != nullptr
-                            ? *profile_cache->victim_input(config)
-                            : make_victim_input(config);
+  {
+    TRACE_SPAN("trial", "victim_input");
+    result.victim_input = profile_cache != nullptr
+                              ? *profile_cache->victim_input(config)
+                              : make_victim_input(config);
+  }
 
   board.advance_time(8 * 3600 + 43 * 60);  // paper: victim starts at 12:33
-  const vitis::VictimRun victim = runtime.launch(
-      config.victim_uid, config.model_name, result.victim_input, "pts/1");
+  const vitis::VictimRun victim = [&] {
+    TRACE_SPAN("trial", "launch");
+    return runtime.launch(config.victim_uid, config.model_name,
+                          result.victim_input, "pts/1");
+  }();
   result.victim_top_class = victim.top_class;
 
   // ---- attack --------------------------------------------------------------

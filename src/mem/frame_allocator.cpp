@@ -8,34 +8,51 @@ namespace msa::mem {
 PageFrameAllocator::PageFrameAllocator(dram::DramModel& dram,
                                        FrameAllocatorConfig config)
     : dram_{dram}, config_{config}, prng_{config.seed} {
-  init();
+  validate(config_);
+  frames_.assign(config_.frame_count, FrameInfo{});
+  free_list_.reserve(config_.frame_count);
+  refill_free_list();
 }
 
-void PageFrameAllocator::init() {
-  if (config_.frame_count == 0) {
+void PageFrameAllocator::validate(const FrameAllocatorConfig& config) const {
+  if (config.frame_count == 0) {
     throw std::invalid_argument("PageFrameAllocator: empty pool");
   }
+  const dram::PhysAddr pool_start = frame_to_phys(config.first_pfn);
   const dram::PhysAddr pool_end =
-      frame_to_phys(config_.first_pfn + config_.frame_count);
-  if (!dram_.config().contains(frame_to_phys(config_.first_pfn),
-                               pool_end - frame_to_phys(config_.first_pfn))) {
+      frame_to_phys(config.first_pfn + config.frame_count);
+  if (!dram_.config().contains(pool_start, pool_end - pool_start)) {
     throw std::invalid_argument("PageFrameAllocator: pool outside DRAM window");
   }
-  frames_.assign(config_.frame_count, FrameInfo{});
-  free_list_.clear();
-  free_list_.reserve(config_.frame_count);
-  // Push descending so LIFO pop_back hands out ascending PFNs first — the
-  // deterministic low-to-high layout the paper's profiling step relies on.
-  for (std::uint64_t i = config_.frame_count; i-- > 0;) {
+}
+
+void PageFrameAllocator::refill_free_list() {
+  // A fresh list holds the pool in descending PFN order (entry p is
+  // first_pfn + frame_count - 1 - p), so LIFO pop_back hands out
+  // ascending PFNs first — the deterministic low-to-high layout the
+  // paper's profiling step relies on.
+  for (std::uint64_t i = config_.frame_count - free_list_.size(); i-- > 0;) {
     free_list_.push_back(config_.first_pfn + i);
   }
-  stats_ = {};
+  pristine_prefix_ = free_list_.size();
 }
 
 void PageFrameAllocator::reset(FrameAllocatorConfig config) {
+  validate(config);
+  if (config.first_pfn == config_.first_pfn &&
+      config.frame_count == config_.frame_count) {
+    for (const std::size_t i : touched_) frames_[i] = FrameInfo{};
+    free_list_.resize(pristine_prefix_);
+  } else {
+    frames_.assign(config.frame_count, FrameInfo{});
+    free_list_.clear();
+    free_list_.reserve(config.frame_count);
+  }
+  touched_.clear();
   config_ = config;
   prng_ = util::Prng{config.seed};
-  init();
+  stats_ = {};
+  refill_free_list();
 }
 
 std::size_t PageFrameAllocator::index_of(Pfn pfn) const {
@@ -52,6 +69,9 @@ void PageFrameAllocator::scrub(Pfn pfn) {
 }
 
 std::optional<Pfn> PageFrameAllocator::allocate(std::int64_t owner_pid) {
+  if (owner_pid == 0) {
+    throw std::invalid_argument("PageFrameAllocator: owner pid 0 marks a free frame");
+  }
   if (free_list_.empty()) return std::nullopt;
 
   Pfn pfn;
@@ -62,9 +82,10 @@ std::optional<Pfn> PageFrameAllocator::allocate(std::int64_t owner_pid) {
       break;
     case PlacementPolicy::kSequentialFifo:
       // The free list is kept in push order; take from the oldest end.
-      // O(n) erase is fine at simulation scale.
+      // O(n) erase is fine at simulation scale. It shifts every entry.
       pfn = free_list_.front();
       free_list_.erase(free_list_.begin());
+      pristine_prefix_ = 0;
       break;
     case PlacementPolicy::kRandomized: {
       const std::size_t i =
@@ -72,13 +93,19 @@ std::optional<Pfn> PageFrameAllocator::allocate(std::int64_t owner_pid) {
       pfn = free_list_[i];
       free_list_[i] = free_list_.back();
       free_list_.pop_back();
+      pristine_prefix_ = std::min(pristine_prefix_, i);
       break;
     }
     default:
       throw std::logic_error("PageFrameAllocator: unknown placement policy");
   }
+  // free() pushes past the end, so entries below the shortest length the
+  // list has had since refill_free_list() are still fresh.
+  pristine_prefix_ = std::min(pristine_prefix_, free_list_.size());
 
-  auto& fi = frames_[index_of(pfn)];
+  const std::size_t index = index_of(pfn);
+  auto& fi = frames_[index];
+  if (!fi.ever_used) touched_.push_back(index);
   const bool dirty = fi.ever_used &&
                      dram_.any_nonzero(frame_to_phys(pfn), kPageSize);
   if (dirty) ++stats_.dirty_reuses;
@@ -110,10 +137,15 @@ const FrameInfo& PageFrameAllocator::info(Pfn pfn) const {
 }
 
 std::vector<Pfn> PageFrameAllocator::dirty_free_frames() const {
+  // Previously used frames are exactly the touched ones, and a free frame
+  // is one with no owner: walk those rather than the whole free list.
+  // Ascending PFN order is the scrubber's work order, so a budget short
+  // of the backlog always zeroes the same frames.
   std::vector<Pfn> out;
-  for (const Pfn pfn : free_list_) {
-    const auto& fi = frames_[pfn - config_.first_pfn];
-    if (fi.ever_used && dram_.any_nonzero(frame_to_phys(pfn), kPageSize)) {
+  for (const std::size_t i : touched_) {
+    const Pfn pfn = config_.first_pfn + i;
+    if (frames_[i].owner_pid == 0 &&
+        dram_.any_nonzero(frame_to_phys(pfn), kPageSize)) {
       out.push_back(pfn);
     }
   }

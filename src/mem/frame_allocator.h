@@ -66,7 +66,10 @@ class PageFrameAllocator {
   /// Reinitializes in place to exactly the state a freshly constructed
   /// allocator over the same DRAM would have (frame table, free-list
   /// order, PRNG, stats), reusing vector storage — the board-pooling
-  /// fast path for same-shape reuse.
+  /// fast path. With the pool's first_pfn and frame_count unchanged it
+  /// costs O(frames allocated since the last reset) under LIFO placement;
+  /// FIFO and randomized placement disturb the free list's head, so they
+  /// may rebuild it in full.
   void reset(FrameAllocatorConfig config);
 
   [[nodiscard]] const FrameAllocatorConfig& config() const noexcept {
@@ -74,8 +77,9 @@ class PageFrameAllocator {
   }
   [[nodiscard]] const FrameAllocatorStats& stats() const noexcept { return stats_; }
 
-  /// Allocates one frame for `owner_pid`. Returns std::nullopt when the
-  /// pool is exhausted.
+  /// Allocates one frame for `owner_pid`, which must be nonzero (0 marks
+  /// a free frame; throws std::invalid_argument). Returns std::nullopt
+  /// when the pool is exhausted.
   [[nodiscard]] std::optional<Pfn> allocate(std::int64_t owner_pid);
 
   /// Releases a frame. Precondition: currently allocated. Applies the
@@ -94,7 +98,8 @@ class PageFrameAllocator {
   }
 
   /// All frames currently free but previously used (i.e. carrying residue
-  /// if sanitize policy is kNone). Forensics/defense-evaluation helper.
+  /// if sanitize policy is kNone), ascending. Forensics/defense-evaluation
+  /// helper; costs O(frames allocated since the last reset).
   [[nodiscard]] std::vector<Pfn> dirty_free_frames() const;
 
   [[nodiscard]] static dram::PhysAddr frame_to_phys(Pfn pfn) noexcept {
@@ -105,7 +110,11 @@ class PageFrameAllocator {
   }
 
  private:
-  void init();
+  /// Throws std::invalid_argument unless `config`'s pool is nonempty and
+  /// inside the DRAM window.
+  void validate(const FrameAllocatorConfig& config) const;
+  /// Appends a fresh free list's entries past the current size.
+  void refill_free_list();
   [[nodiscard]] std::size_t index_of(Pfn pfn) const;
   void scrub(Pfn pfn);
 
@@ -113,6 +122,11 @@ class PageFrameAllocator {
   FrameAllocatorConfig config_;
   std::vector<Pfn> free_list_;     // back = next LIFO candidate
   std::vector<FrameInfo> frames_;  // indexed by pfn - first_pfn
+  // What reset() must undo: the frames_ indices that left FrameInfo{}
+  // (each frame allocated since the last reset, once), and how many
+  // leading free_list_ entries still hold their fresh values.
+  std::vector<std::size_t> touched_;
+  std::size_t pristine_prefix_ = 0;
   util::Prng prng_;
   FrameAllocatorStats stats_;
 };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "obs/trace.h"
 #include "util/crc32.h"
 #include "vitis/dpu_descriptor.h"
 #include "vitis/tensor.h"
@@ -72,35 +73,43 @@ HeapLayout DpuRunner::layout_for(const XModel& model, std::uint32_t image_width,
 RunResult DpuRunner::run(os::Pid pid, const XModel& model,
                          const img::Image& input) {
   const HeapLayout lay = layout_for(model, input.width(), input.height());
-  const mem::VirtAddr heap_start = system_.sbrk(pid, lay.total_bytes);
+  mem::VirtAddr heap_start = 0;
+  img::Image preprocessed;
+  {
+    TRACE_SPAN("launch", "stage");
+    heap_start = system_.sbrk(pid, lay.total_bytes);
 
-  // Stage every section through the page table.
-  system_.write_virt(pid, heap_start + lay.meta_off, meta_bytes(heap_start));
-  DpuDescriptor desc;
-  desc.input_va = heap_start + lay.image_off;
-  desc.input_width = input.width();
-  desc.input_height = input.height();
-  desc.output_va = heap_start + lay.output_off;
-  desc.output_len = model.num_classes();
-  desc.model_crc = util::crc32(model.name());
-  system_.write_virt(pid, heap_start + lay.descriptor_off, desc.encode());
-  system_.write_virt(pid, heap_start + lay.strings_off, staged_strings(model));
-  system_.write_virt(pid, heap_start + lay.xmodel_off, model.serialize());
-  system_.write_virt(pid, heap_start + lay.image_off, input.to_rgb_bytes());
+    // Stage every section through the page table.
+    system_.write_virt(pid, heap_start + lay.meta_off, meta_bytes(heap_start));
+    DpuDescriptor desc;
+    desc.input_va = heap_start + lay.image_off;
+    desc.input_width = input.width();
+    desc.input_height = input.height();
+    desc.output_va = heap_start + lay.output_off;
+    desc.output_len = model.num_classes();
+    desc.model_crc = util::crc32(model.name());
+    system_.write_virt(pid, heap_start + lay.descriptor_off, desc.encode());
+    system_.write_virt(pid, heap_start + lay.strings_off, staged_strings(model));
+    system_.write_virt(pid, heap_start + lay.xmodel_off, model.serialize());
+    system_.write_virt(pid, heap_start + lay.image_off, input.to_rgb_bytes());
 
-  // The DPU reads its input from device memory: read the image back out of
-  // the heap rather than using the caller's copy.
-  std::vector<std::uint8_t> staged(
-      static_cast<std::size_t>(input.width()) * input.height() * 3);
-  system_.read_virt(pid, heap_start + lay.image_off, staged);
-  const img::Image from_heap =
-      img::Image::from_rgb_bytes(staged, input.width(), input.height());
-  const img::Image preprocessed = img::resize_nearest(
-      from_heap, model.input_shape().w, model.input_shape().h);
+    // The DPU reads its input from device memory: read the image back out
+    // of the heap rather than using the caller's copy.
+    std::vector<std::uint8_t> staged(
+        static_cast<std::size_t>(input.width()) * input.height() * 3);
+    system_.read_virt(pid, heap_start + lay.image_off, staged);
+    const img::Image from_heap =
+        img::Image::from_rgb_bytes(staged, input.width(), input.height());
+    preprocessed = img::resize_nearest(from_heap, model.input_shape().w,
+                                       model.input_shape().h);
+  }
 
   RunResult result;
   result.layout = lay;
-  result.scores = model.infer(tensor_from_image(preprocessed));
+  {
+    TRACE_SPAN("launch", "infer");
+    result.scores = model.infer(tensor_from_image(preprocessed));
+  }
   result.top_class = static_cast<std::size_t>(
       std::max_element(result.scores.begin(), result.scores.end()) -
       result.scores.begin());

@@ -4,9 +4,129 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "img/score_kernels.h"
+#include "obs/trace.h"
+
+#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
+#define MSA_SIMD_SSE2 1
+#include <emmintrin.h>
+#elif defined(MSA_ENABLE_SIMD) && defined(__aarch64__) && defined(__ARM_NEON)
+#define MSA_SIMD_NEON 1
+#include <arm_neon.h>
+#endif
+
 namespace msa::vitis {
 
 namespace {
+
+constexpr std::size_t kLane = 8;  // int16 lanes per 128-bit vector
+
+std::size_t round_up_to_lane(std::size_t n) {
+  return (n + kLane - 1) / kLane * kLane;
+}
+
+/// Sign-extends `rows` weight rows of `len` int8s each into int16 rows
+/// of `row_len` (>= len), zero padded.
+std::vector<std::int16_t> widen_rows(const std::vector<std::int8_t>& w,
+                                     std::size_t rows, std::size_t len,
+                                     std::size_t row_len) {
+  std::vector<std::int16_t> out(rows * row_len, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(w.begin() + static_cast<std::ptrdiff_t>(r * len), len,
+                out.begin() + static_cast<std::ptrdiff_t>(r * row_len));
+  }
+  return out;
+}
+
+// out[r] = sum_k w[r*len + k] * x[k] for r < rows; len is a multiple of
+// kLane. Every product of two int8-range values fits pmaddwd's int16
+// inputs and each pairwise sum fits int32, so all three kernels compute
+// the same exact integer sums.
+void matvec_scalar(const std::int16_t* w, std::size_t rows, std::size_t len,
+                   const std::int16_t* x, std::int32_t* out) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int16_t* row = w + r * len;
+    std::int32_t acc = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      acc += static_cast<std::int32_t>(row[k]) * x[k];
+    }
+    out[r] = acc;
+  }
+}
+
+#if defined(MSA_SIMD_SSE2)
+
+__m128i madd_row(const std::int16_t* row, const std::int16_t* x,
+                 std::size_t len) noexcept {
+  __m128i acc = _mm_setzero_si128();
+  for (std::size_t k = 0; k < len; k += kLane) {
+    acc = _mm_add_epi32(
+        acc, _mm_madd_epi16(
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + k)),
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + k))));
+  }
+  return acc;
+}
+
+void matvec_sse2(const std::int16_t* w, std::size_t rows, std::size_t len,
+                 const std::int16_t* x, std::int32_t* out) noexcept {
+  std::size_t r = 0;
+  // Four rows per step: each row's four partial lanes are transposed and
+  // summed so one store writes four finished dot products.
+  for (; r + 4 <= rows; r += 4) {
+    const __m128i a0 = madd_row(w + r * len, x, len);
+    const __m128i a1 = madd_row(w + (r + 1) * len, x, len);
+    const __m128i a2 = madd_row(w + (r + 2) * len, x, len);
+    const __m128i a3 = madd_row(w + (r + 3) * len, x, len);
+    const __m128i s01 = _mm_add_epi32(_mm_unpacklo_epi32(a0, a1),
+                                      _mm_unpackhi_epi32(a0, a1));
+    const __m128i s23 = _mm_add_epi32(_mm_unpacklo_epi32(a2, a3),
+                                      _mm_unpackhi_epi32(a2, a3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
+                     _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
+                                   _mm_unpackhi_epi64(s01, s23)));
+  }
+  for (; r < rows; ++r) {
+    const __m128i a = madd_row(w + r * len, x, len);
+    const __m128i s = _mm_add_epi32(a, _mm_unpackhi_epi64(a, a));
+    out[r] = _mm_cvtsi128_si32(_mm_add_epi32(s, _mm_srli_si128(s, 4)));
+  }
+}
+
+#elif defined(MSA_SIMD_NEON)
+
+void matvec_neon(const std::int16_t* w, std::size_t rows, std::size_t len,
+                 const std::int16_t* x, std::int32_t* out) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int16_t* row = w + r * len;
+    int32x4_t acc = vdupq_n_s32(0);
+    for (std::size_t k = 0; k < len; k += kLane) {
+      const int16x8_t a = vld1q_s16(row + k);
+      const int16x8_t b = vld1q_s16(x + k);
+      acc = vmlal_s16(acc, vget_low_s16(a), vget_low_s16(b));
+      acc = vmlal_s16(acc, vget_high_s16(a), vget_high_s16(b));
+    }
+    out[r] = vaddvq_s32(acc);
+  }
+}
+
+#endif
+
+void matvec(const std::int16_t* w, std::size_t rows, std::size_t len,
+            const std::int16_t* x, std::int32_t* out) noexcept {
+#if defined(MSA_SIMD_SSE2)
+  if (img::simd_enabled()) {
+    matvec_sse2(w, rows, len, x, out);
+    return;
+  }
+#elif defined(MSA_SIMD_NEON)
+  if (img::simd_enabled()) {
+    matvec_neon(w, rows, len, x, out);
+    return;
+  }
+#endif
+  matvec_scalar(w, rows, len, x, out);
+}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
@@ -25,9 +145,17 @@ std::uint32_t get_u32(std::span<const std::uint8_t> blob, std::size_t& pos) {
   return v;
 }
 
-std::int8_t requantize(std::int32_t acc, std::uint32_t shift) {
+/// Flags are encoded as exactly 0 or 1, so a parsed container is always
+/// its own canonical encoding (XModel keeps the parsed bytes as such).
+bool get_flag(std::span<const std::uint8_t> blob, std::size_t& pos) {
+  const std::uint8_t v = blob[pos++];
+  if (v > 1) throw std::invalid_argument("xmodel: bad flag byte");
+  return v == 1;
+}
+
+std::int8_t requantize(std::int32_t acc, std::uint32_t shift, bool relu) {
   const std::int32_t scaled = acc >> shift;
-  return static_cast<std::int8_t>(std::clamp(scaled, -128, 127));
+  return static_cast<std::int8_t>(std::clamp(scaled, relu ? 0 : -128, 127));
 }
 
 }  // namespace
@@ -48,11 +176,17 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       weights_{std::move(weights)},
       bias_{std::move(bias)} {
   if (stride_ == 0 || k_ == 0) throw std::invalid_argument("Conv2d: bad geometry");
-  const std::size_t expect =
-      static_cast<std::size_t>(out_c_) * in_c_ * k_ * k_;
-  if (weights_.size() != expect || bias_.size() != out_c_) {
+  // Checked products: parsed residue may carry any geometry, and a
+  // wrapped size must not pass for the weight count.
+  std::size_t patch = 0;
+  std::size_t expect = 0;
+  if (__builtin_mul_overflow(std::size_t{in_c_}, std::size_t{k_} * k_, &patch) ||
+      __builtin_mul_overflow(patch, std::size_t{out_c_}, &expect) ||
+      weights_.size() != expect || bias_.size() != out_c_) {
     throw std::invalid_argument("Conv2d: parameter size mismatch");
   }
+  row_len_ = round_up_to_lane(patch);
+  wide_ = widen_rows(weights_, out_c_, patch, row_len_);
 }
 
 std::string Conv2d::name() const {
@@ -70,73 +204,50 @@ TensorShape Conv2d::output_shape(const TensorShape& in) const {
 }
 
 Tensor Conv2d::forward(const Tensor& in) const {
-  // Accumulator-plane formulation: for each (ic, ky, kx) tap, add the
-  // scalar-weighted input row into a reused int32 plane, then requantize
-  // the plane once per output channel. int32 addition is associative and
-  // commutative, so every output pixel receives exactly the same sum as
-  // the per-pixel gather loop — just in tap order instead of pixel order
-  // — while the inner loop becomes a dense multiply-accumulate the
-  // compiler can vectorize (no bounds checks, no out-of-line calls).
+  TRACE_SPAN("vitis", "conv2d");
   const TensorShape os = output_shape(in.shape());
   Tensor out{os};
   const auto& ish = in.shape();
-  const std::int8_t* src = in.data().data();
   std::int8_t* dst = out.data().data();
-  const std::size_t in_plane = static_cast<std::size_t>(ish.h) * ish.w;
   const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
-  std::vector<std::int32_t> acc(out_plane);
-  for (std::uint32_t oc = 0; oc < out_c_; ++oc) {
-    std::fill(acc.begin(), acc.end(), bias_[oc]);
-    const std::int8_t* wbase =
-        weights_.data() + static_cast<std::size_t>(oc) * in_c_ * k_ * k_;
-    for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
-      const std::int8_t* plane = src + static_cast<std::size_t>(ic) * in_plane;
-      for (std::uint32_t ky = 0; ky < k_; ++ky) {
-        // iy = oy*stride + ky - pad must land in [0, ish.h); solve for
-        // the valid [oy0, oy1] range once instead of testing per pixel.
-        const std::int64_t off_y = static_cast<std::int64_t>(ky) - pad_;
-        const std::int64_t max_y = static_cast<std::int64_t>(ish.h) - 1 - off_y;
-        if (max_y < 0) continue;
-        const std::uint32_t oy0 =
-            off_y < 0 ? static_cast<std::uint32_t>((-off_y + stride_ - 1) /
-                                                   stride_)
-                      : 0;
-        const std::uint32_t oy1 = std::min(
-            static_cast<std::uint32_t>(max_y / stride_), os.h - 1);
-        for (std::uint32_t kx = 0; kx < k_; ++kx) {
-          const std::int64_t off_x = static_cast<std::int64_t>(kx) - pad_;
-          const std::int64_t max_x =
-              static_cast<std::int64_t>(ish.w) - 1 - off_x;
-          if (max_x < 0) continue;
-          const std::uint32_t ox0 =
-              off_x < 0 ? static_cast<std::uint32_t>((-off_x + stride_ - 1) /
-                                                     stride_)
-                        : 0;
-          const std::uint32_t ox1 = std::min(
-              static_cast<std::uint32_t>(max_x / stride_), os.w - 1);
-          if (ox0 > ox1 || oy0 > oy1) continue;
-          const std::int32_t w =
-              wbase[(static_cast<std::size_t>(ic) * k_ + ky) * k_ + kx];
-          if (w == 0) continue;
-          for (std::uint32_t oy = oy0; oy <= oy1; ++oy) {
-            const std::int8_t* in_row =
-                plane + (static_cast<std::int64_t>(oy) * stride_ + off_y) *
-                            ish.w;
-            std::int32_t* acc_row = acc.data() + static_cast<std::size_t>(oy) *
-                                                     os.w;
-            for (std::uint32_t ox = ox0; ox <= ox1; ++ox) {
-              acc_row[ox] +=
-                  w * in_row[static_cast<std::int64_t>(ox) * stride_ + off_x];
-            }
-          }
+  // A zero-bordered int16 copy of the input: every tap of every window
+  // is then an in-bounds read, and padding reads as zero.
+  const std::size_t ph = ish.h + 2 * static_cast<std::size_t>(pad_);
+  const std::size_t pw = ish.w + 2 * static_cast<std::size_t>(pad_);
+  std::vector<std::int16_t> padded(in_c_ * ph * pw, 0);
+  for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
+    for (std::uint32_t y = 0; y < ish.h; ++y) {
+      const auto row =
+          in.data().begin() +
+          static_cast<std::ptrdiff_t>(
+              (static_cast<std::size_t>(ic) * ish.h + y) * ish.w);
+      std::copy(row, row + ish.w,
+                padded.begin() + static_cast<std::ptrdiff_t>(
+                                     (ic * ph + y + pad_) * pw + pad_));
+    }
+  }
+  // The column's tail past in_c*k*k stays zero, matching the weight
+  // rows' padding.
+  std::vector<std::int16_t> col(row_len_, 0);
+  std::vector<std::int32_t> acc(out_c_);
+  std::size_t p = 0;  // output pixel index, oy * os.w + ox
+  for (std::uint32_t oy = 0; oy < os.h; ++oy) {
+    for (std::uint32_t ox = 0; ox < os.w; ++ox, ++p) {
+      // im2col gather in weight order [ic][ky][kx].
+      const std::int16_t* window =
+          padded.data() + (static_cast<std::size_t>(oy) * pw + ox) * stride_;
+      std::int16_t* c = col.data();
+      for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
+        for (std::uint32_t ky = 0; ky < k_; ++ky, c += k_) {
+          std::copy_n(window + (static_cast<std::size_t>(ic) * ph + ky) * pw,
+                      k_, c);
         }
       }
-    }
-    std::int8_t* out_row = dst + static_cast<std::size_t>(oc) * out_plane;
-    for (std::size_t i = 0; i < out_plane; ++i) {
-      std::int8_t v = requantize(acc[i], requant_shift_);
-      if (relu_ && v < 0) v = 0;
-      out_row[i] = v;
+      matvec(wide_.data(), out_c_, row_len_, col.data(), acc.data());
+      for (std::uint32_t oc = 0; oc < out_c_; ++oc) {
+        dst[oc * out_plane + p] =
+            requantize(bias_[oc] + acc[oc], requant_shift_, relu_);
+      }
     }
   }
   return out;
@@ -184,6 +295,7 @@ TensorShape MaxPool2d::output_shape(const TensorShape& in) const {
 }
 
 Tensor MaxPool2d::forward(const Tensor& in) const {
+  TRACE_SPAN("vitis", "pool");
   const TensorShape os = output_shape(in.shape());
   Tensor out{os};
   const auto& ish = in.shape();
@@ -227,6 +339,7 @@ TensorShape GlobalAvgPool::output_shape(const TensorShape& in) const {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& in) const {
+  TRACE_SPAN("vitis", "pool");
   const auto& ish = in.shape();
   Tensor out{TensorShape{ish.c, 1, 1}};
   const std::int64_t area = static_cast<std::int64_t>(ish.h) * ish.w;
@@ -260,6 +373,8 @@ Dense::Dense(std::uint32_t in, std::uint32_t out, bool relu,
       bias_.size() != out_) {
     throw std::invalid_argument("Dense: parameter size mismatch");
   }
+  row_len_ = round_up_to_lane(in_);
+  wide_ = widen_rows(weights_, out_, in_, row_len_);
 }
 
 std::string Dense::name() const {
@@ -275,17 +390,14 @@ Tensor Dense::forward(const Tensor& in) const {
   if (in.shape().volume() != in_) {
     throw std::invalid_argument("Dense: input mismatch");
   }
+  TRACE_SPAN("vitis", "dense");
   Tensor out{TensorShape{out_, 1, 1}};
-  const auto& flat = in.data();
+  std::vector<std::int16_t> col(row_len_, 0);
+  std::copy(in.data().begin(), in.data().end(), col.begin());
+  std::vector<std::int32_t> acc(out_);
+  matvec(wide_.data(), out_, row_len_, col.data(), acc.data());
   for (std::uint32_t o = 0; o < out_; ++o) {
-    std::int32_t acc = bias_[o];
-    for (std::uint32_t i = 0; i < in_; ++i) {
-      acc += static_cast<std::int32_t>(weights_[static_cast<std::size_t>(o) * in_ + i]) *
-             flat[i];
-    }
-    std::int8_t v = requantize(acc, requant_shift_);
-    if (relu_ && v < 0) v = 0;
-    out.set(o, 0, 0, v);
+    out.data()[o] = requantize(bias_[o] + acc[o], requant_shift_, relu_);
   }
   return out;
 }
@@ -324,7 +436,7 @@ std::unique_ptr<Layer> deserialize_layer(std::span<const std::uint8_t> blob,
       const std::uint32_t stride = get_u32(blob, pos);
       const std::uint32_t pad = get_u32(blob, pos);
       if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated conv");
-      const bool relu = blob[pos++] != 0;
+      const bool relu = get_flag(blob, pos);
       const std::uint32_t shift = get_u32(blob, pos);
       const std::uint32_t n_w = get_u32(blob, pos);
       if (n_w > blob.size() || pos + n_w > blob.size()) {
@@ -358,7 +470,7 @@ std::unique_ptr<Layer> deserialize_layer(std::span<const std::uint8_t> blob,
       const std::uint32_t in = get_u32(blob, pos);
       const std::uint32_t out = get_u32(blob, pos);
       if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated dense");
-      const bool relu = blob[pos++] != 0;
+      const bool relu = get_flag(blob, pos);
       const std::uint32_t shift = get_u32(blob, pos);
       const std::uint32_t n_w = get_u32(blob, pos);
       if (n_w > blob.size() || pos + n_w > blob.size()) {

@@ -1,9 +1,15 @@
-// Quantized inference layers. Deliberately small and naive: the attack
-// does not depend on inference speed, only on the layers producing real
-// weight and activation buffers with deterministic content. Arithmetic is
-// int8 weights/activations with int32 accumulation and a per-layer
-// right-shift requantization, the standard fixed-point scheme DPU-class
-// accelerators use.
+// Quantized inference layers: int8 weights/activations with int32
+// accumulation and a per-layer right-shift requantization, the standard
+// fixed-point scheme DPU-class accelerators use.
+//
+// Conv2d and Dense both reduce to int16 x int16 -> int32 dot products:
+// Conv2d gathers each output pixel's in_c*k*k input patch into a reused
+// column (im2col, padding read as zeros), and both layers sign-extend
+// their weights to int16 once, at construction, with every row padded to
+// a multiple of 8. The dot product runs on SSE2 (pmaddwd) or NEON (vmlal)
+// under the MSA_ENABLE_SIMD build option and the img::set_simd_enabled()
+// runtime switch, with a scalar loop as the fallback. Integer addition is
+// exact in any order, so every path yields bit-identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +70,8 @@ class Conv2d final : public Layer {
   std::uint32_t requant_shift_;
   std::vector<std::int8_t> weights_;
   std::vector<std::int32_t> bias_;
+  std::size_t row_len_ = 0;             ///< in_c*k*k rounded up to 8
+  std::vector<std::int16_t> wide_;    ///< [out_c][row_len_], zero padded
 };
 
 class MaxPool2d final : public Layer {
@@ -117,6 +125,8 @@ class Dense final : public Layer {
   std::uint32_t requant_shift_;
   std::vector<std::int8_t> weights_;
   std::vector<std::int32_t> bias_;
+  std::size_t row_len_ = 0;             ///< in rounded up to 8
+  std::vector<std::int16_t> wide_;    ///< [out][row_len_], zero padded
 };
 
 /// Reads one serialized layer back (inverse of Layer::serialize).

@@ -3,11 +3,17 @@
 #include <array>
 #include <stdexcept>
 
+#include "obs/metrics.h"
 #include "util/crc32.h"
 
 namespace msa::vitis {
 
 namespace {
+
+obs::Counter& encodes_metric() {
+  static obs::Counter& c = obs::counter("vitis.xmodel_encodes");
+  return c;
+}
 
 constexpr std::array<std::uint8_t, 6> kMagic{'X', 'M', 'D', 'L', '1', '\0'};
 constexpr std::uint16_t kVersion = 1;
@@ -63,11 +69,21 @@ std::string get_string(std::span<const std::uint8_t> blob, std::size_t& pos) {
 XModel::XModel(std::string name, std::string framework, TensorShape input_shape,
                std::vector<std::string> aux_strings,
                std::vector<std::unique_ptr<Layer>> layers)
+    : XModel{std::move(name), std::move(framework), input_shape,
+             std::move(aux_strings), std::move(layers), {}} {
+  encoded_ = encode();
+}
+
+XModel::XModel(std::string name, std::string framework, TensorShape input_shape,
+               std::vector<std::string> aux_strings,
+               std::vector<std::unique_ptr<Layer>> layers,
+               std::vector<std::uint8_t> encoded)
     : name_{std::move(name)},
       framework_{std::move(framework)},
       input_shape_{input_shape},
       aux_strings_{std::move(aux_strings)},
-      layers_{std::move(layers)} {
+      layers_{std::move(layers)},
+      encoded_{std::move(encoded)} {
   if (name_.empty()) throw std::invalid_argument("XModel: empty name");
   if (layers_.empty()) throw std::invalid_argument("XModel: no layers");
   // Validate the layer chain composes.
@@ -100,7 +116,8 @@ std::vector<float> XModel::infer(const Tensor& input) const {
   return softmax(t);
 }
 
-std::vector<std::uint8_t> XModel::serialize() const {
+std::vector<std::uint8_t> XModel::encode() const {
+  encodes_metric().add();
   // Range-construct rather than insert into an empty vector: GCC 12's
   // -Wstringop-overflow misfires on the latter at -O2 and the build is
   // warning-clean under -Werror.
@@ -157,8 +174,11 @@ XModel XModel::deserialize_at(std::span<const std::uint8_t> blob,
   if (stored_crc != computed) throw std::invalid_argument("xmodel: CRC mismatch");
 
   if (consumed) *consumed = pos - offset;
-  return XModel{std::move(name), std::move(framework), in_shape, std::move(aux),
-                std::move(layers)};
+  std::vector<std::uint8_t> encoded(
+      blob.begin() + static_cast<std::ptrdiff_t>(offset),
+      blob.begin() + static_cast<std::ptrdiff_t>(pos));
+  return XModel{std::move(name), std::move(framework), in_shape,
+                std::move(aux),  std::move(layers),    std::move(encoded)};
 }
 
 XModel XModel::deserialize(const std::vector<std::uint8_t>& blob) {

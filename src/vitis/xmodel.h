@@ -58,8 +58,13 @@ class XModel {
   [[nodiscard]] std::vector<float> infer(const Tensor& input) const;
 
   /// Serialized container: magic, version, name, framework, aux strings,
-  /// input shape, layers (with parameters), trailing CRC-32.
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// input shape, layers (with parameters), trailing CRC-32. Encoded
+  /// once: a built model encodes at construction, and a parsed one keeps
+  /// the bytes it was parsed from (the encoding is canonical, so they are
+  /// the same bytes). Staging a cached model never re-encodes it.
+  [[nodiscard]] const std::vector<std::uint8_t>& serialize() const noexcept {
+    return encoded_;
+  }
 
   /// Parses a serialized container; validates magic and CRC. Requires the
   /// blob to be exactly one container.
@@ -78,11 +83,20 @@ class XModel {
   [[nodiscard]] static const std::array<std::uint8_t, 6>& magic() noexcept;
 
  private:
+  /// Adopts `encoded` as the container bytes instead of encoding.
+  XModel(std::string name, std::string framework, TensorShape input_shape,
+         std::vector<std::string> aux_strings,
+         std::vector<std::unique_ptr<Layer>> layers,
+         std::vector<std::uint8_t> encoded);
+
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+
   std::string name_;
   std::string framework_;
   TensorShape input_shape_;
   std::vector<std::string> aux_strings_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<std::uint8_t> encoded_;
 };
 
 }  // namespace msa::vitis

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "obs/metrics.h"
 #include "util/strings.h"
 #include "vitis/model_zoo.h"
 #include "vitis/runtime.h"
@@ -150,6 +151,22 @@ TEST(Runtime, ModelCacheReturnsSameInstance) {
   const XModel& a = rt.model("resnet50_pt");
   const XModel& b = rt.model("resnet50_pt");
   EXPECT_EQ(&a, &b);
+}
+
+TEST(Runtime, LaunchEncodesEachModelOnce) {
+  // The container is encoded when the cached model is built; every launch
+  // stages those bytes (the heap layout needs only their size).
+  obs::Counter& encodes = obs::counter("vitis.xmodel_encodes");
+  os::PetaLinuxSystem sys{os::SystemConfig::test_small()};
+  sys.add_user(1000, "victim");
+  VitisAiRuntime rt{sys};
+  const std::uint64_t before = encodes.value();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const VictimRun run = rt.launch(1000, "resnet50_pt",
+                                    img::make_test_image(64, 64, seed), "pts/1");
+    sys.terminate(run.pid);
+  }
+  EXPECT_EQ(encodes.value() - before, 1u);
 }
 
 TEST(Runtime, LaunchUnknownModelThrows) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <utility>
+
+#include "util/prng.h"
 
 namespace msa::mem {
 namespace {
@@ -210,6 +214,118 @@ TEST_P(AllocatorPolicySweep, AllocFreeAllInvariants) {
   // Every frame can be allocated again.
   for (int i = 0; i < 32; ++i) ASSERT_TRUE(a.allocate(8).has_value());
 }
+
+TEST(FrameAllocator, OwnerPidZeroRejected) {
+  // 0 marks a free frame, so an owner of 0 would read as a free frame.
+  Fixture f;
+  auto a = f.make();
+  EXPECT_THROW((void)a.allocate(0), std::invalid_argument);
+}
+
+// ---- reset() equals a fresh allocator ------------------------------------
+
+/// A seeded mix of allocations (each dirtying its frame) and frees.
+void churn(PageFrameAllocator& a, dram::DramModel& dram, std::uint64_t seed) {
+  util::Prng prng{seed};
+  std::vector<Pfn> held;
+  for (int step = 0; step < 200; ++step) {
+    if (!held.empty() && prng.below(3) == 0) {
+      const auto i = static_cast<std::size_t>(prng.below(held.size()));
+      a.free(held[i]);
+      held[i] = held.back();
+      held.pop_back();
+    } else if (const auto pfn = a.allocate(100 + step)) {
+      dram.fill_range(PageFrameAllocator::frame_to_phys(*pfn), 64, 0xA5);
+      held.push_back(*pfn);
+    }
+  }
+}
+
+void expect_same_stats(const FrameAllocatorStats& got,
+                       const FrameAllocatorStats& want) {
+  EXPECT_EQ(got.allocations, want.allocations);
+  EXPECT_EQ(got.frees, want.frees);
+  EXPECT_EQ(got.dirty_reuses, want.dirty_reuses);
+  EXPECT_EQ(got.frames_scrubbed, want.frames_scrubbed);
+  EXPECT_EQ(got.bytes_scrubbed, want.bytes_scrubbed);
+}
+
+/// Compares `got` with a fresh allocator over fresh DRAM: everything it
+/// exposes, then its allocations until one past exhaustion. `got`'s DRAM
+/// still holds the churn's residue, so a stale ever_used flag would show
+/// up as a dirty frame, a dirty reuse or a scrub.
+void expect_same_as_fresh(PageFrameAllocator& got,
+                          const FrameAllocatorConfig& config) {
+  dram::DramModel fresh_dram{dram::DramConfig::test_small()};
+  PageFrameAllocator want{fresh_dram, config};
+  EXPECT_EQ(got.free_frames(), want.free_frames());
+  EXPECT_EQ(got.used_frames(), want.used_frames());
+  EXPECT_EQ(got.dirty_free_frames(), want.dirty_free_frames());
+  expect_same_stats(got.stats(), want.stats());
+  const Pfn end = config.first_pfn + config.frame_count;
+  for (Pfn pfn = config.first_pfn; pfn < end; ++pfn) {
+    EXPECT_EQ(got.info(pfn).owner_pid, want.info(pfn).owner_pid) << pfn;
+    EXPECT_EQ(got.info(pfn).last_owner, want.info(pfn).last_owner) << pfn;
+    EXPECT_EQ(got.info(pfn).ever_used, want.info(pfn).ever_used) << pfn;
+  }
+  EXPECT_THROW((void)got.info(end), std::out_of_range);
+  for (std::uint64_t i = 0; i <= config.frame_count; ++i) {
+    EXPECT_EQ(got.allocate(7), want.allocate(7)) << "allocation " << i;
+  }
+  expect_same_stats(got.stats(), want.stats());
+}
+
+class AllocatorResetSweep
+    : public ::testing::TestWithParam<
+          std::tuple<SanitizePolicy, PlacementPolicy>> {
+ protected:
+  [[nodiscard]] FrameAllocatorConfig config(Pfn first, std::uint64_t frames,
+                                            std::uint64_t seed) const {
+    return FrameAllocatorConfig{.first_pfn = first,
+                                .frame_count = frames,
+                                .sanitize = std::get<0>(GetParam()),
+                                .placement = std::get<1>(GetParam()),
+                                .seed = seed};
+  }
+};
+
+TEST_P(AllocatorResetSweep, ResetAfterChurnEqualsFreshAllocator) {
+  Fixture f;
+  PageFrameAllocator a{f.dram, config(0x100, 64, 5)};
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    const FrameAllocatorConfig cfg = config(0x100, 64, 11 + round);
+    a.reset(cfg);
+    churn(a, f.dram, round);
+    a.reset(cfg);
+    expect_same_as_fresh(a, cfg);
+  }
+}
+
+TEST_P(AllocatorResetSweep, ResetToAnotherPoolEqualsFreshAllocator) {
+  Fixture f;
+  PageFrameAllocator a{f.dram, config(0x100, 64, 5)};
+  // Another first_pfn, a larger pool at the old first_pfn, then back to
+  // the original shape.
+  const std::pair<Pfn, std::uint64_t> pools[] = {
+      {0x180, 48}, {0x100, 96}, {0x100, 64}};
+  std::uint64_t seed = 20;
+  for (const auto& [first, frames] : pools) {
+    churn(a, f.dram, ++seed);
+    const FrameAllocatorConfig cfg = config(first, frames, seed);
+    a.reset(cfg);
+    expect_same_as_fresh(a, cfg);
+    a.reset(cfg);  // refill the pool the comparison exhausted
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, AllocatorResetSweep,
+    ::testing::Combine(::testing::Values(SanitizePolicy::kNone,
+                                         SanitizePolicy::kZeroOnFree,
+                                         SanitizePolicy::kZeroOnAlloc),
+                       ::testing::Values(PlacementPolicy::kSequentialLifo,
+                                         PlacementPolicy::kSequentialFifo,
+                                         PlacementPolicy::kRandomized)));
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, AllocatorPolicySweep,

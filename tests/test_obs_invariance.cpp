@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/grid.h"
@@ -103,6 +104,66 @@ TEST(ObsInvariance, TracedSweepSpansAreStrictlyNestedPerThread) {
   // 8 cells x (acquire + cell + trial) plus per-trial pipeline stages:
   // the sweep must have recorded a meaningful number of spans.
   EXPECT_GE(total, 8u * 3u);
+}
+
+TEST(ObsInvariance, NamedChildSpansCoverTheTrial) {
+  obs::Trace::enable();
+  obs::Trace::clear();
+  CampaignOptions options;
+  options.threads = 1;
+  options.trials_per_cell = 4;
+  CampaignRunner runner{options};
+  (void)runner.run(small_grid());
+  obs::Trace::disable();
+
+  // Spans on one thread nest strictly (see above), so sorting by start,
+  // longer first on ties, and keeping a stack of open spans gives each
+  // span its parent. Trials never nest, so a direct child of an open
+  // trial belongs to the last trial seen.
+  const auto is_trial = [](const obs::TraceSpan& s) {
+    return std::string_view{s.category} == "campaign" &&
+           std::string_view{s.name} == "trial";
+  };
+  struct TrialTime {
+    std::uint64_t trial_ns = 0;
+    std::uint64_t child_ns = 0;
+  };
+  std::vector<TrialTime> trials;
+  for (const obs::ThreadTrace& t : obs::Trace::snapshot()) {
+    EXPECT_EQ(t.dropped, 0u);
+    std::vector<obs::TraceSpan> spans = t.spans;
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::TraceSpan& a, const obs::TraceSpan& b) {
+                return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                                : a.dur_ns > b.dur_ns;
+              });
+    std::vector<const obs::TraceSpan*> open;
+    for (const obs::TraceSpan& s : spans) {
+      while (!open.empty() &&
+             open.back()->start_ns + open.back()->dur_ns <= s.start_ns) {
+        open.pop_back();
+      }
+      if (is_trial(s)) {
+        trials.push_back({s.dur_ns, 0});
+      } else if (!open.empty() && is_trial(*open.back())) {
+        trials.back().child_ns += s.dur_ns;
+      }
+      open.push_back(&s);
+    }
+  }
+  ASSERT_EQ(trials.size(), 8u * 4u);
+  // Judge the median trial, so one trial preempted inside untraced code
+  // on a shared machine cannot decide the result.
+  std::vector<double> coverage;
+  for (const TrialTime& t : trials) {
+    coverage.push_back(static_cast<double>(t.child_ns) /
+                       static_cast<double>(t.trial_ns));
+  }
+  const auto mid =
+      coverage.begin() + static_cast<std::ptrdiff_t>(coverage.size() / 2);
+  std::nth_element(coverage.begin(), mid, coverage.end());
+  EXPECT_GE(*mid, 0.95) << "direct children cover " << *mid
+                        << " of the median trial";
 }
 
 TEST(ObsInvariance, TracedSweepExportsParseableChromeJson) {

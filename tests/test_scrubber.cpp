@@ -71,6 +71,31 @@ TEST(Scrubber, ScrubsLowestPfnFirst) {
   EXPECT_EQ(dirty_after.front(), dirty_before[1]);  // lowest PFN gone
 }
 
+TEST(Scrubber, PartialScrubLeavesTheTopOfAnExitedHeap) {
+  // A LIFO victim's heap takes the pool's lowest frames in VA order, and
+  // terminate() frees them in reverse. The scrubber still walks
+  // dirty_free_frames() ascending, so a budget smaller than the backlog
+  // zeroes the low PFNs (heap start: metadata, descriptor, strings) and
+  // the residue that survives is the top of the heap.
+  Fixture f;
+  f.run_and_exit(8);
+  const mem::Pfn first = f.sys.config().pool_first_pfn;
+  const auto& heap = f.sys.terminated().back().heap_frames;
+  ASSERT_EQ(heap.size(), 8u);
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    ASSERT_EQ(mem::PageFrameAllocator::phys_to_frame(heap[i]), first + i);
+  }
+  ScrubberDaemon scrubber{f.sys, 3.0 * mem::kPageSize};
+  EXPECT_EQ(scrubber.run_for(1.0), 3u * mem::kPageSize);
+  const std::vector<mem::Pfn> want{first + 3, first + 4, first + 5, first + 6,
+                                   first + 7};
+  EXPECT_EQ(f.sys.allocator().dirty_free_frames(), want);
+  for (mem::Pfn pfn = first; pfn < first + 3; ++pfn) {
+    EXPECT_FALSE(f.sys.dram().any_nonzero(
+        mem::PageFrameAllocator::frame_to_phys(pfn), mem::kPageSize));
+  }
+}
+
 TEST(Scrubber, ScrubbedFrameReadsZero) {
   Fixture f;
   f.run_and_exit(1);

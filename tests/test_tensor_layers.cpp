@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+
+#include "img/score_kernels.h"
+#include "util/prng.h"
 
 namespace msa::vitis {
 namespace {
@@ -208,6 +213,134 @@ TEST(LayerSerialization, RoundTripsEveryKind) {
     }
   }
   EXPECT_EQ(pos, blob.size());
+}
+
+// ---- kernel equality against a naive gather ------------------------------
+
+/// Restores the process-wide SIMD toggle even when an assertion fails.
+struct SimdGuard {
+  explicit SimdGuard(bool enabled) { img::set_simd_enabled(enabled); }
+  ~SimdGuard() { img::set_simd_enabled(true); }
+};
+
+std::int8_t reference_requantize(std::int32_t acc, std::uint32_t shift,
+                                 bool relu) {
+  std::int32_t v = std::clamp(acc >> shift, -128, 127);
+  if (relu && v < 0) v = 0;
+  return static_cast<std::int8_t>(v);
+}
+
+std::vector<std::int8_t> random_int8s(util::Prng& prng, std::size_t n) {
+  std::vector<std::int8_t> v(n);
+  for (auto& x : v) x = static_cast<std::int8_t>(prng.below(256));
+  return v;
+}
+
+/// Per output pixel: bias plus every in-bounds weight x input product of
+/// its window; taps in the padding border add nothing.
+Tensor reference_conv(const Tensor& in, std::uint32_t out_c, std::uint32_t k,
+                      std::uint32_t stride, std::uint32_t pad, bool relu,
+                      std::uint32_t shift, const std::vector<std::int8_t>& w,
+                      const std::vector<std::int32_t>& bias) {
+  const TensorShape s = in.shape();
+  Tensor out{TensorShape{out_c, (s.h + 2 * pad - k) / stride + 1,
+                         (s.w + 2 * pad - k) / stride + 1}};
+  for (std::uint32_t oc = 0; oc < out_c; ++oc) {
+    for (std::uint32_t oy = 0; oy < out.shape().h; ++oy) {
+      for (std::uint32_t ox = 0; ox < out.shape().w; ++ox) {
+        std::int32_t acc = bias[oc];
+        for (std::uint32_t ic = 0; ic < s.c; ++ic) {
+          for (std::uint32_t ky = 0; ky < k; ++ky) {
+            for (std::uint32_t kx = 0; kx < k; ++kx) {
+              const std::int64_t iy = std::int64_t{oy} * stride + ky - pad;
+              const std::int64_t ix = std::int64_t{ox} * stride + kx - pad;
+              if (iy < 0 || ix < 0 || iy >= s.h || ix >= s.w) continue;
+              acc += w[((std::size_t{oc} * s.c + ic) * k + ky) * k + kx] *
+                     in.at(ic, static_cast<std::uint32_t>(iy),
+                           static_cast<std::uint32_t>(ix));
+            }
+          }
+        }
+        out.set(oc, oy, ox, reference_requantize(acc, shift, relu));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
+  util::Prng prng{0xC0DEULL};
+  int one_by_one = 0;
+  int unaligned = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint32_t k = std::array<std::uint32_t, 3>{1, 3, 5}[prng.below(3)];
+    const auto stride = static_cast<std::uint32_t>(prng.between(1, 3));
+    const auto pad = static_cast<std::uint32_t>(prng.between(0, 2));
+    const auto in_c = static_cast<std::uint32_t>(prng.between(1, 9));
+    const auto out_c = static_cast<std::uint32_t>(prng.between(1, 9));
+    // Every fourth case is the smallest legal input: a 1x1 output when
+    // the kernel outgrows the padding.
+    const std::uint32_t min_hw = k > 2 * pad ? k - 2 * pad : 1;
+    const std::uint64_t extra = trial % 4 == 0 ? 1 : 12;
+    const auto h = static_cast<std::uint32_t>(min_hw + prng.below(extra));
+    const auto w = static_cast<std::uint32_t>(min_hw + prng.below(extra));
+    const bool relu = prng.below(2) == 1;
+    const auto shift = static_cast<std::uint32_t>(prng.below(12));
+    const std::vector<std::int8_t> weights =
+        random_int8s(prng, std::size_t{out_c} * in_c * k * k);
+    std::vector<std::int32_t> bias(out_c);
+    for (auto& b : bias) b = static_cast<std::int32_t>(prng.below(2001)) - 1000;
+    Tensor in{TensorShape{in_c, h, w}};
+    in.data() = random_int8s(prng, in.size());
+
+    const Conv2d conv{in_c, out_c, k, stride, pad, relu, shift, weights, bias};
+    const Tensor want =
+        reference_conv(in, out_c, k, stride, pad, relu, shift, weights, bias);
+    one_by_one += want.shape().h * want.shape().w == 1;
+    unaligned += (in_c * k * k) % 8 != 0;
+    for (const bool simd : {true, false}) {
+      const SimdGuard guard{simd};
+      const Tensor got = conv.forward(in);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(got.data(), want.data())
+          << "k=" << k << " stride=" << stride << " pad=" << pad
+          << " in_c=" << in_c << " out_c=" << out_c << " " << h << "x" << w
+          << (simd ? " simd" : " scalar");
+    }
+  }
+  EXPECT_GT(one_by_one, 0);
+  EXPECT_GT(unaligned, 0);
+}
+
+TEST(LayerKernels, DenseMatchesNaiveDotSimdOnAndOff) {
+  util::Prng prng{0xDE45EULL};
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto in_n = static_cast<std::uint32_t>(prng.between(1, 70));
+    const auto out_n = static_cast<std::uint32_t>(prng.between(1, 13));
+    const bool relu = prng.below(2) == 1;
+    const auto shift = static_cast<std::uint32_t>(prng.below(12));
+    const std::vector<std::int8_t> weights =
+        random_int8s(prng, std::size_t{in_n} * out_n);
+    std::vector<std::int32_t> bias(out_n);
+    for (auto& b : bias) b = static_cast<std::int32_t>(prng.below(2001)) - 1000;
+    Tensor in{TensorShape{in_n, 1, 1}};
+    in.data() = random_int8s(prng, in.size());
+
+    Tensor want{TensorShape{out_n, 1, 1}};
+    for (std::uint32_t o = 0; o < out_n; ++o) {
+      std::int32_t acc = bias[o];
+      for (std::uint32_t i = 0; i < in_n; ++i) {
+        acc += weights[std::size_t{o} * in_n + i] * in.data()[i];
+      }
+      want.data()[o] = reference_requantize(acc, shift, relu);
+    }
+    const Dense dense{in_n, out_n, relu, shift, weights, bias};
+    for (const bool simd : {true, false}) {
+      const SimdGuard guard{simd};
+      EXPECT_EQ(dense.forward(in).data(), want.data())
+          << "in=" << in_n << " out=" << out_n << (simd ? " simd" : " scalar");
+    }
+  }
 }
 
 TEST(LayerSerialization, TruncatedBlobThrows) {

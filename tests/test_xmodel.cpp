@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <iterator>
 
+#include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/prng.h"
 #include "vitis/model_zoo.h"
 
@@ -165,6 +167,36 @@ TEST(XModel, HugeLengthFieldsRejectedNotAllocated) {
     }
   }
   SUCCEED();  // reaching here without bad_alloc is the assertion
+}
+
+TEST(XModel, ParsedModelKeepsItsBytesWithoutEncoding) {
+  const std::vector<std::uint8_t> blob =
+      make_zoo_model("resnet50_pt").serialize();
+  obs::Counter& encodes = obs::counter("vitis.xmodel_encodes");
+  const std::uint64_t before = encodes.value();
+  const XModel copy = XModel::deserialize(blob);
+  EXPECT_EQ(encodes.value(), before);
+  EXPECT_EQ(copy.serialize(), blob);
+}
+
+TEST(XModel, NonCanonicalFlagByteRejected) {
+  // A relu flag of 2 under a valid CRC: parsing refuses it, so a parsed
+  // container is always its own canonical encoding.
+  const XModel m = make_zoo_model("resnet50_pt");
+  std::vector<std::uint8_t> blob = m.serialize();
+  // The first conv's flag follows the header strings, the input shape,
+  // the layer count, the layer kind byte and five u32 geometry fields.
+  std::size_t flag = 6 + 2 + 4 + m.name().size() + 4 + m.framework().size() + 4;
+  for (const auto& s : m.aux_strings()) flag += 4 + s.size();
+  flag += 3 * 4 + 4 + 1 + 5 * 4;
+  ASSERT_EQ(blob[flag], 1);
+  blob[flag] = 2;
+  const std::uint32_t crc =
+      util::crc32(std::span<const std::uint8_t>{blob}.first(blob.size() - 4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  EXPECT_THROW((void)XModel::deserialize(blob), std::invalid_argument);
 }
 
 TEST(XModel, MagicIsStable) {
