@@ -5,7 +5,11 @@
 // degrades — and why prompt scraping is part of the threat model.
 #include "bench_common.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "dram/remanence.h"
+#include "util/monotime.h"
 
 namespace {
 
@@ -51,13 +55,52 @@ void BM_DecayApplication(benchmark::State& state) {
   const dram::RemanenceModel model{dram::RemanenceParams{
       .refresh_active = false, .retention_half_life_s = 2.0}};
   util::Prng prng{7};
+  dram::RemanenceScratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        model.apply(dram, 0x100000, 64 * 1024, 0.5, prng));
+        model.apply(dram, 0x100000, 64 * 1024, 0.5, prng, scratch));
   }
   state.SetBytesProcessed(64 * 1024 * state.iterations());
 }
 BENCHMARK(BM_DecayApplication);
+
+// The shape of one power-cycled sweep trial's decay: 14 freshly written
+// random 4 KiB pages (a victim heap), anti-cell fraction 0.1, a 5 s
+// delay (p ≈ 0.82), a fresh prng and one scratch shared across the
+// pages. ns_per_byte is the kernel cost perfbench reports as
+// dram.remanence_ns_per_byte.
+void BM_DecaySweepPages(benchmark::State& state) {
+  constexpr std::uint64_t kPages = 14;
+  constexpr std::uint64_t kPage = 4096;
+  constexpr dram::PhysAddr kBase = 0x200000;
+  dram::DramModel dram{dram::DramConfig::test_small()};
+  std::vector<std::uint8_t> pages(kPages * kPage);
+  util::Prng fill{11};
+  for (auto& b : pages) b = static_cast<std::uint8_t>(fill());
+  const dram::RemanenceModel model{dram::RemanenceParams{
+      .refresh_active = false,
+      .retention_half_life_s = 2.0,
+      .anti_cell_fraction = 0.1}};
+  std::uint64_t seed = 0;
+  std::uint64_t decay_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    dram.write_block(kBase, pages);
+    state.ResumeTiming();
+    const std::uint64_t start = util::monotonic_ns();
+    util::Prng prng{++seed ^ 0xDEC4FULL};
+    dram::RemanenceScratch scratch;
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      benchmark::DoNotOptimize(
+          model.apply(dram, kBase + i * kPage, kPage, 5.0, prng, scratch));
+    }
+    decay_ns += util::monotonic_ns() - start;
+  }
+  state.counters["ns_per_byte"] = benchmark::Counter(
+      static_cast<double>(decay_ns) /
+      static_cast<double>(kPages * kPage * state.iterations()));
+}
+BENCHMARK(BM_DecaySweepPages)->Unit(benchmark::kMicrosecond);
 
 void BM_ScenarioPowerCycled(benchmark::State& state) {
   attack::ScenarioConfig cfg = base_config();

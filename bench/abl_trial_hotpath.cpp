@@ -8,6 +8,11 @@
 // end-to-end number hides: a scrape regression and a scoring regression
 // look identical from the outside, but not here. The untraced twin of
 // the same loop pins the cost of the tracing gate itself.
+//
+// Iterations cycle reseeded trials exactly as CampaignRunner::score_cell
+// does, so every trial gets a fresh board seed and input image and the
+// victim-input memo cannot turn the loop into replays of one trial. The
+// power_cycled variant adds DRAM decay to residue_decay.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -17,46 +22,65 @@
 #include <string_view>
 
 #include "attack/profile_cache.h"
+#include "campaign/runner.h"
 #include "obs/trace.h"
 #include "util/monotime.h"
+#include "util/prng.h"
 
 namespace {
 
 using namespace msa;
 
 /// One representative success cell: baseline defense, 5 simulated
-/// seconds of scrubber+decay between termination and scrape, so every
-/// traced stage (including residue_decay) appears in the breakdown.
-attack::ScenarioConfig hotpath_config() {
+/// seconds between termination and scrape with the scrubber running (and
+/// DRAM decaying, if power-cycled), so every traced stage (including
+/// residue_decay) appears in the breakdown.
+attack::ScenarioConfig hotpath_config(bool power_cycled) {
   attack::ScenarioConfig cfg;
   cfg.system = os::SystemConfig::test_small();
   cfg.image_width = 48;
   cfg.image_height = 48;
   cfg.attack_delay_s = 5.0;
   cfg.scrubber_bytes_per_s = 512.0 * 1024;
+  cfg.power_cycled = power_cycled;
+  return cfg;
+}
+
+/// Trial `trial` of a cell at index 0, reseeded the way
+/// CampaignRunner::score_cell reseeds it under the default salt.
+attack::ScenarioConfig reseeded(attack::ScenarioConfig cfg,
+                                std::uint64_t trial) {
+  if (trial > 0) {
+    std::uint64_t stream = campaign::CampaignOptions{}.trial_salt + trial;
+    cfg.system.seed ^= util::splitmix64(stream);
+    cfg.image_seed ^= util::splitmix64(stream);
+  }
   return cfg;
 }
 
 void print_intro() {
   bench::print_header("Abl. trial hotpath",
                       "per-stage time breakdown from trace spans");
-  std::puts("TrialTraced: one cached-profile trial per iteration with the");
-  std::puts("span recorder on; stage_<name>_ms counters are the mean span");
-  std::puts("duration per stage, aggregated from the trace rings.");
+  std::puts("TrialTraced: one cached-profile, freshly reseeded trial per");
+  std::puts("iteration with the span recorder on; stage_<name>_ms counters");
+  std::puts("are the mean span duration per stage, aggregated from the trace");
+  std::puts("rings. /power_cycled adds DRAM decay to residue_decay.");
   std::puts("TrialUntraced: the identical loop with tracing disabled — the");
   std::puts("pair bounds the recorder's own overhead on the hot path.\n");
 }
 
-void BM_TrialTraced(benchmark::State& state) {
+void BM_TrialTraced(benchmark::State& state, bool power_cycled) {
   attack::ProfileCache cache;
-  const attack::ScenarioConfig cfg = hotpath_config();
+  const attack::ScenarioConfig cfg = hotpath_config(power_cycled);
   (void)attack::run_scenario(cfg, &cache);  // warm the profile cache
 
   obs::Trace::enable(/*per_thread_capacity=*/std::size_t{1} << 20);
   obs::Trace::clear();
+  std::uint64_t trial = 0;
   const std::uint64_t loop_start_ns = util::monotonic_ns();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attack::run_scenario(cfg, &cache));
+    benchmark::DoNotOptimize(
+        attack::run_scenario(reseeded(cfg, ++trial), &cache));
   }
   const std::uint64_t loop_ns = util::monotonic_ns() - loop_start_ns;
   obs::Trace::disable();
@@ -92,14 +116,21 @@ void BM_TrialTraced(benchmark::State& state) {
       static_cast<double>(loop_ns - std::min(loop_ns, top_level_ns)) / 1e6 /
       static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_TrialTraced)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_TrialTraced, baseline, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TrialTraced, power_cycled, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TrialUntraced(benchmark::State& state) {
   attack::ProfileCache cache;
-  const attack::ScenarioConfig cfg = hotpath_config();
+  const attack::ScenarioConfig cfg = hotpath_config(false);
   (void)attack::run_scenario(cfg, &cache);
+  std::uint64_t trial = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attack::run_scenario(cfg, &cache));
+    benchmark::DoNotOptimize(
+        attack::run_scenario(reseeded(cfg, ++trial), &cache));
   }
 }
 BENCHMARK(BM_TrialUntraced)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -19,20 +19,20 @@
 
 namespace msa::dram {
 
-/// Reusable buffers for the batched decay path: the 64 KiB chunk staging
-/// buffer (hoisted out of the per-chunk resize) and a block of raw PRNG
-/// words pre-drawn from the caller's generator. Buffered words persist
-/// across apply() calls that share the same scratch + prng, so a loop
-/// over many pages consumes the generator's stream in exactly the same
-/// draw order as the unbatched path; do not interleave other draws from
-/// that prng between such calls.
+/// Reusable buffers for RemanenceModel::apply: the chunk staging buffer
+/// and a window of raw PRNG words pre-drawn from the caller's generator.
+/// The window keeps at least one data word's worst case (128 draws)
+/// buffered; a refill moves the unconsumed tail to the front and draws
+/// the rest. Buffered words persist across apply() calls that share the
+/// same scratch + prng, so a loop over many pages consumes the
+/// generator's stream in exactly the per-bit draw order of one long
+/// call; do not interleave other draws from that prng between such
+/// calls. Nothing derived from a call's delay is cached here, so one
+/// scratch may serve calls with different delays.
 struct RemanenceScratch {
   std::vector<std::uint8_t> bytes;
   std::vector<std::uint64_t> words;
   std::size_t next_word = 0;
-  /// decay_probability memo (elapsed -> p), hoisted across same-delay calls.
-  double p_elapsed_s = -1.0;
-  double p = 0.0;
 };
 
 struct RemanenceParams {
@@ -48,7 +48,10 @@ struct RemanenceParams {
 
 class RemanenceModel {
  public:
-  explicit RemanenceModel(RemanenceParams params = {}) : params_{params} {}
+  /// Throws std::invalid_argument if anti_cell_fraction is NaN or
+  /// outside [0, 1], or if refresh is off and retention_half_life_s is
+  /// not finite and positive.
+  explicit RemanenceModel(RemanenceParams params = {});
 
   [[nodiscard]] const RemanenceParams& params() const noexcept { return params_; }
 
@@ -57,19 +60,15 @@ class RemanenceModel {
   [[nodiscard]] double decay_probability(double elapsed_s) const noexcept;
 
   /// Applies decay in place to [addr, addr+len). No-op when refresh is
-  /// active. Returns the number of bits flipped. Leaves `prng` in
-  /// exactly the state the per-bit draw loop would: flips are
-  /// bit-identical to the batched overload below.
-  std::uint64_t apply(DramModel& dram, PhysAddr addr, std::uint64_t len,
-                      double elapsed_s, util::Prng& prng) const;
-
-  /// Batched variant: PRNG words are bulk-drawn into `scratch` and
-  /// consumed in the same data-dependent per-bit order, flips are
-  /// applied with word-at-a-time XOR masks, and the chunk buffer is
-  /// reused across calls. The prng runs ahead of the draws actually
-  /// consumed (the surplus sits buffered in scratch), so callers that
-  /// keep drawing from the same prng afterwards must use the unbatched
-  /// overload instead.
+  /// active. Returns the number of bits flipped. Each bit, in address
+  /// order and low bit first, takes an anti-cell draw iff
+  /// 0 < anti_cell_fraction < 1, then a flip draw iff its stored value
+  /// differs from its discharge value and the decay probability is
+  /// below 1; a draw decides as util::Prng::uniform01() would. Draws
+  /// come from `scratch`'s buffered window, so the prng runs ahead of
+  /// the draws consumed: do not draw from it again while `scratch` is
+  /// in use.
+  /// Throws std::invalid_argument if `elapsed_s` is NaN.
   std::uint64_t apply(DramModel& dram, PhysAddr addr, std::uint64_t len,
                       double elapsed_s, util::Prng& prng,
                       RemanenceScratch& scratch) const;
