@@ -1,14 +1,17 @@
-// Ablation — store query latency, flat vs segmented. Builds synthetic
-// campaign stores of 1e4/1e5/1e6 trials (100 trials per cell), keeps a
-// flat copy and a compacted (sorted block-indexed segment) copy of each,
-// and times the artifact-to-answer path: open the store, read one cell
-// (or a ~1% cell range) through persist::StoreReader. On the flat copy
-// that is a full log replay; on the segmented copy the footer+index load
-// plus the few blocks that hold the requested cells. The bytes_read
-// counter (persist.log_bytes_read + persist.segment_bytes_read deltas
-// per iteration) pins WHY the segmented numbers stay flat as the store
+// Ablation — store query latency, flat vs segmented, and the
+// whole-store analysis path. Builds synthetic campaign stores of
+// 1e4/1e5/1e6 trials (100 trials per cell), keeps a flat copy and a
+// compacted (sorted block-indexed segment) copy of each, and times the
+// artifact-to-answer path: open the store, read one cell (or a ~1% cell
+// range) through persist::StoreReader. On the flat copy that is a full
+// log replay; on the segmented copy the footer+index load plus the few
+// blocks that hold the requested cells. The bytes_read counter
+// (persist.log_bytes_read + persist.segment_bytes_read deltas per
+// iteration) pins WHY the segmented numbers stay flat as the store
 // grows — the JSON artifact (BENCH_store_query.json) carries both the
-// latency and the touched-byte series.
+// latency and the touched-byte series. BM_LoadSweepFull and
+// BM_AnalyzeSweep time the two halves of a whole-store `stats`, and
+// BM_PermutationGate the grid-level test behind `diff` gating.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,10 +22,13 @@
 #include <vector>
 
 #include "campaign/axis.h"
+#include "campaign/gate.h"
+#include "campaign/stats.h"
 #include "obs/metrics.h"
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
 #include "persist/store_reader.h"
+#include "util/prng.h"
 
 namespace {
 
@@ -185,6 +191,52 @@ void BM_RangeSegmented(benchmark::State& state) {
   range_query(state, stores_for(std::uint64_t(state.range(0))).segmented);
 }
 
+/// Whole-store read: open a compacted store and load every cell and
+/// trial through load_sweep — the first half of `campaign_sweep stats`.
+void BM_LoadSweepFull(benchmark::State& state) {
+  const std::string& path =
+      stores_for(std::uint64_t(state.range(0))).segmented;
+  for (auto _ : state) {
+    persist::SweepData data = persist::load_sweep({path});
+    if (data.trials.size() != std::uint64_t(state.range(0))) {
+      state.SkipWithError("load_sweep returned the wrong trial count");
+      return;
+    }
+    benchmark::DoNotOptimize(data);
+  }
+  state.counters["trials_per_s"] = benchmark::Counter(
+      static_cast<double>(state.range(0)) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+/// The statistics alone over loaded data — the second half of `stats`.
+void BM_AnalyzeSweep(benchmark::State& state) {
+  const persist::SweepData data = persist::load_sweep(
+      {stores_for(std::uint64_t(state.range(0))).segmented});
+  for (auto _ : state) {
+    campaign::StatsReport report = campaign::analyze_sweep(data);
+    benchmark::DoNotOptimize(report);
+  }
+  state.counters["trials_per_s"] = benchmark::Counter(
+      static_cast<double>(state.range(0)) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+/// The grid-level gate of `diff --exit-on-significant`: a paired
+/// sign-flip permutation test over 10^4 cell deltas, 10^4 resamples.
+void BM_PermutationGate(benchmark::State& state) {
+  std::vector<double> deltas(10000);
+  util::Prng prng{11};
+  for (double& d : deltas) d = prng.uniform01() * 0.2 - 0.1;
+  for (auto _ : state) {
+    campaign::PermutationResult r =
+        campaign::paired_permutation_test(deltas, 7, 10000, true);
+    benchmark::DoNotOptimize(r);
+  }
+}
+
 BENCHMARK(BM_SingleCellFlat)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
@@ -197,6 +249,13 @@ BENCHMARK(BM_RangeFlat)
 BENCHMARK(BM_RangeSegmented)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadSweepFull)
+    ->Arg(100000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeSweep)
+    ->Arg(100000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PermutationGate)->Unit(benchmark::kMillisecond);
 
 void print_intro() {
   std::printf("==================================================================\n");
@@ -207,7 +266,10 @@ void print_intro() {
   std::puts("filter, over stores of 1e4/1e5/1e6 trials (100 per cell).");
   std::puts("bytes_read counts log + segment bytes actually touched per");
   std::puts("query; store_bytes is the on-disk footprint — flat queries");
-  std::puts("scale with the store, segmented queries with the answer.\n");
+  std::puts("scale with the store, segmented queries with the answer.");
+  std::puts("LoadSweepFull/AnalyzeSweep time the two halves of a whole-");
+  std::puts("store `stats` on the compacted copy; PermutationGate is the");
+  std::puts("10^4-cell x 10^4-resample grid test of `diff` gating.\n");
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "campaign/gate.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 #include "campaign/table.h"
 #include "util/prng.h"
@@ -54,20 +57,25 @@ PermutationResult paired_permutation_test(const std::vector<double>& deltas,
   // makes a grid of all-zero deltas come out at exactly p = 1.
   const double threshold =
       two_sided ? std::abs(r.observed_stat) : r.observed_stat;
+  // A clear bit negates its delta. Negation flips the sign bit and
+  // nothing else, so XOR-ing the bit's complement into bit 63 adds the
+  // same doubles in the same order as `bit ? d : -d`, without a branch
+  // that mispredicts on every other pair.
+  std::vector<std::uint64_t> delta_bits(deltas.size());
+  std::ranges::transform(deltas, delta_bits.begin(), [](double d) {
+    return std::bit_cast<std::uint64_t>(d);
+  });
   util::Prng prng{seed};
   std::uint64_t hits = 0;
   for (std::uint64_t it = 0; it < iterations; ++it) {
-    std::uint64_t bits = 0;
-    int available = 0;
     double s = 0.0;
-    for (const double d : deltas) {
-      if (available == 0) {
-        bits = prng();
-        available = 64;
+    for (std::size_t word = 0; word < delta_bits.size(); word += 64) {
+      std::uint64_t negate = ~prng();
+      const std::size_t end = std::min(delta_bits.size(), word + 64);
+      for (std::size_t i = word; i < end; ++i) {
+        s += std::bit_cast<double>(delta_bits[i] ^ (negate << 63));
+        negate >>= 1;
       }
-      s += (bits & 1u) != 0 ? d : -d;
-      bits >>= 1;
-      --available;
     }
     const double stat = s / n;
     if ((two_sided ? std::abs(stat) : stat) >= threshold) ++hits;

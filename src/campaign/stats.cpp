@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 
@@ -24,6 +25,32 @@ using table::str_cell;
 
 bool trial_full_success(const persist::TrialRecord& t) {
   return attack::is_full_success(t.model_identified, t.pixel_match);
+}
+
+/// The SweepData ordering analyze_sweep walks by: cells strictly
+/// ascending by index, trials strictly ascending by (cell, trial).
+void check_sweep_order(const persist::SweepData& data) {
+  const auto cell_out_of_order = std::adjacent_find(
+      data.cells.begin(), data.cells.end(),
+      [](const CellStats& a, const CellStats& b) { return a.index >= b.index; });
+  if (cell_out_of_order != data.cells.end()) {
+    throw std::invalid_argument(
+        "stats: cell " + std::to_string(std::next(cell_out_of_order)->index) +
+        " is out of order (cells must ascend by index, without duplicates)");
+  }
+  const auto trial_out_of_order = std::adjacent_find(
+      data.trials.begin(), data.trials.end(),
+      [](const persist::TrialRecord& a, const persist::TrialRecord& b) {
+        return a.key() >= b.key();
+      });
+  if (trial_out_of_order != data.trials.end()) {
+    const persist::TrialRecord& t = *std::next(trial_out_of_order);
+    throw std::invalid_argument(
+        "stats: trial (" + std::to_string(t.cell_index) + ", " +
+        std::to_string(t.trial) +
+        ") is out of order (trials must ascend by (cell, trial), without "
+        "duplicates)");
+  }
 }
 
 struct MarginalAccumulator {
@@ -64,21 +91,8 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
 }
 
 StatsReport analyze_sweep(const persist::SweepData& data) {
+  check_sweep_order(data);
   StatsReport report;
-
-  // Trials grouped per completed cell; the rest are orphans.
-  std::map<std::uint64_t, std::vector<const persist::TrialRecord*>> by_cell;
-  std::map<std::uint64_t, const CellStats*> cells;
-  for (const CellStats& cell : data.cells) cells.emplace(cell.index, &cell);
-  for (const persist::TrialRecord& trial : data.trials) {
-    if (cells.contains(trial.cell_index)) {
-      by_cell[trial.cell_index].push_back(&trial);
-      ++report.trials_analyzed;
-    } else {
-      ++report.orphan_trials;
-    }
-  }
-
   std::map<std::pair<std::string, std::string>, MarginalAccumulator> marginals;
   auto marginal = [&](const std::string& axis,
                       const std::string& value) -> MarginalAccumulator& {
@@ -89,25 +103,35 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
   };
   std::vector<std::string> axis_order;  // first-appearance axis order
 
+  // Both streams ascend, so each completed cell's trials are one
+  // contiguous run; trials between runs belong to no completed cell.
   report.cells.reserve(data.cells.size());
+  auto next = data.trials.begin();
+  std::vector<double> psnrs;
   for (const CellStats& cell : data.cells) {
-    const auto it = by_cell.find(cell.index);
-    if (it == by_cell.end()) {
+    const auto first = std::find_if(next, data.trials.end(), [&](const auto& t) {
+      return t.cell_index >= cell.index;
+    });
+    const auto last = std::find_if(first, data.trials.end(), [&](const auto& t) {
+      return t.cell_index != cell.index;
+    });
+    report.orphan_trials += static_cast<std::size_t>(first - next);
+    next = last;
+    if (first == last) {
       throw std::runtime_error(
           "stats: completed cell " + std::to_string(cell.index) +
           " has no trial records (incompatible or hand-edited store)");
     }
-    const std::vector<const persist::TrialRecord*>& trials = it->second;
 
     CellDistribution dist;
     dist.index = cell.index;
     dist.coords = cell.coords;
-    dist.trials = trials.size();
+    dist.trials = static_cast<std::size_t>(last - first);
+    report.trials_analyzed += dist.trials;
 
-    std::vector<double> psnrs;
-    psnrs.reserve(trials.size());
+    psnrs.clear();
     double psnr_sum = 0.0;
-    for (const persist::TrialRecord* t : trials) {
+    for (auto t = first; t != last; ++t) {
       if (trial_full_success(*t)) ++dist.successes;
       if (t->denied) ++dist.denials;
       psnrs.push_back(t->psnr);
@@ -135,6 +159,7 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
 
     report.cells.push_back(std::move(dist));
   }
+  report.orphan_trials += static_cast<std::size_t>(data.trials.end() - next);
 
   // Axis blocks in schema order (first appearance across cells — every
   // cell of one sweep shares the schema); values by first appearance

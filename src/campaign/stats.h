@@ -84,9 +84,12 @@ struct StatsReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Computes the report from loaded store data. Only completed cells are
-/// analyzed; their trial streams are complete by the store's durability
-/// contract. Throws std::runtime_error when a completed cell has no
+/// Computes the report from loaded store data in one pass. Only completed
+/// cells are analyzed; their trial streams are complete by the store's
+/// durability contract. Requires the order load_sweep produces — cells
+/// strictly ascending by index, trials strictly ascending by (cell,
+/// trial) — and throws std::invalid_argument naming the first record
+/// out of order. Throws std::runtime_error when a completed cell has no
 /// trial records at all (a store written by a pre-trial-stream tool).
 [[nodiscard]] StatsReport analyze_sweep(const persist::SweepData& data);
 

@@ -1,7 +1,9 @@
 #include "persist/campaign_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,6 +26,46 @@ std::uint64_t file_size_or_zero(const std::string& path) {
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
   return ec ? 0 : static_cast<std::uint64_t>(size);
+}
+
+/// Field-by-field equality, doubles by bit pattern: true exactly when
+/// encode_trial(a) == encode_trial(b), without encoding either.
+bool same_trial_bytes(const TrialRecord& a, const TrialRecord& b) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return a.cell_index == b.cell_index && a.trial == b.trial &&
+         a.denied == b.denied && a.model_identified == b.model_identified &&
+         bits(a.pixel_match) == bits(b.pixel_match) &&
+         bits(a.psnr) == bits(b.psnr) &&
+         bits(a.descriptor_pixel_match) == bits(b.descriptor_pixel_match) &&
+         a.denial_reason == b.denial_reason;
+}
+
+/// Merges `incoming` into `merged`, both ascending and key-unique by
+/// `key`. A key present in both keeps `merged`'s (earlier) copy: counted
+/// in `duplicates` when `same` holds, handed to `conflict` — which
+/// throws — when it does not.
+template <typename T, typename KeyFn, typename SameFn, typename ConflictFn>
+void merge_unique(std::vector<T>& merged, std::vector<T>& incoming, KeyFn key,
+                  SameFn same, std::size_t& duplicates, ConflictFn conflict) {
+  std::vector<T> out;
+  out.reserve(merged.size() + incoming.size());
+  auto a = merged.begin();
+  auto b = incoming.begin();
+  while (a != merged.end() && b != incoming.end()) {
+    if (key(*a) < key(*b)) {
+      out.push_back(std::move(*a++));
+    } else if (key(*b) < key(*a)) {
+      out.push_back(std::move(*b++));
+    } else {
+      if (!same(*a, *b)) conflict(key(*b));
+      ++duplicates;
+      out.push_back(std::move(*a++));
+      ++b;
+    }
+  }
+  std::move(a, merged.end(), std::back_inserter(out));
+  std::move(b, incoming.end(), std::back_inserter(out));
+  merged = std::move(out);
 }
 
 }  // namespace
@@ -399,16 +441,9 @@ SweepData load_sweep(const std::vector<std::string>& paths,
   }
 
   SweepData out;
-  // Keyed views with the encoded bytes kept alongside, so a duplicate is
-  // accepted only when it is the SAME bytes — the only duplicates a
-  // deterministic sweep can legally produce.
-  std::map<std::uint64_t,
-           std::pair<campaign::CellStats, std::vector<std::uint8_t>>>
-      cells;
-  std::map<std::pair<std::uint64_t, std::uint32_t>,
-           std::pair<TrialRecord, std::vector<std::uint8_t>>>
-      trials;
-
+  // Each store's contents arrive ascending and key-unique, so the union
+  // is a merge. A duplicate is accepted only when it is the SAME bytes —
+  // the only duplicates a deterministic sweep can legally produce.
   bool first = true;
   for (const std::string& path : paths) {
     StoreContents contents = StoreReader{path}.read_matching(filter);
@@ -428,48 +463,34 @@ SweepData load_sweep(const std::vector<std::string>& paths,
     }
     out.truncated_tail = out.truncated_tail || contents.truncated_tail;
 
-    for (campaign::CellStats& cell : contents.cells) {
-      if (cell.index >= contents.manifest.grid_cells) {
-        throw std::runtime_error("persist: cell index beyond grid in " + path);
-      }
-      std::vector<std::uint8_t> bytes = encode_cell(cell);
-      const std::uint64_t index = cell.index;
-      const auto it = cells.find(index);
-      if (it == cells.end()) {
-        cells.emplace(index, std::pair{std::move(cell), std::move(bytes)});
-      } else if (it->second.second == bytes) {
-        ++out.duplicate_cells;
-      } else {
-        throw std::runtime_error(
-            "persist: cell " + std::to_string(index) +
-            " has conflicting copies (corrupt store or mixed sweeps): " +
-            path);
-      }
+    const auto conflict = [&](const auto& what) {
+      throw std::runtime_error(
+          "persist: " + what +
+          " has conflicting copies (corrupt store or mixed sweeps): " + path);
+    };
+    merge_unique(
+        out.cells, contents.cells,
+        [](const campaign::CellStats& c) { return std::uint64_t{c.index}; },
+        [](const campaign::CellStats& a, const campaign::CellStats& b) {
+          return encode_cell(a) == encode_cell(b);
+        },
+        out.duplicate_cells,
+        [&](std::uint64_t index) {
+          conflict("cell " + std::to_string(index));
+        });
+    // Earlier stores' cells already passed this check, and a conflict
+    // cannot sit beyond the grid, so only this store can trip it.
+    if (!out.cells.empty() &&
+        out.cells.back().index >= contents.manifest.grid_cells) {
+      throw std::runtime_error("persist: cell index beyond grid in " + path);
     }
-    for (TrialRecord& trial : contents.trials) {
-      std::vector<std::uint8_t> bytes = encode_trial(trial);
-      const std::pair<std::uint64_t, std::uint32_t> key{trial.cell_index,
-                                                        trial.trial};
-      const auto it = trials.find(key);
-      if (it == trials.end()) {
-        trials.emplace(key, std::pair{std::move(trial), std::move(bytes)});
-      } else if (it->second.second == bytes) {
-        ++out.duplicate_trials;
-      } else {
-        throw std::runtime_error(
-            "persist: trial (" + std::to_string(key.first) + ", " +
-            std::to_string(key.second) +
-            ") has conflicting copies (corrupt store or mixed sweeps): " +
-            path);
-      }
-    }
-  }
-
-  out.cells.reserve(cells.size());
-  for (auto& [index, entry] : cells) out.cells.push_back(std::move(entry.first));
-  out.trials.reserve(trials.size());
-  for (auto& [key, entry] : trials) {
-    out.trials.push_back(std::move(entry.first));
+    merge_unique(
+        out.trials, contents.trials,
+        [](const TrialRecord& t) { return t.key(); }, same_trial_bytes,
+        out.duplicate_trials, [&](const TrialRecord::Key& key) {
+          conflict("trial (" + std::to_string(key.first) + ", " +
+                   std::to_string(key.second) + ")");
+        });
   }
   return out;
 }
@@ -598,12 +619,15 @@ std::pair<std::size_t, std::size_t> drain_units(
       const std::uint64_t index = cell.index;
       cells[index] = std::move(cell);
     }
-    unit->reader->for_each_group([&](const SegmentReader::TrialGroup& group) {
-      for (const TrialRecord& t : group.trials) {
+    std::vector<TrialRecord> block;
+    for (std::size_t b = 0; b < unit->reader->trial_block_count(); ++b) {
+      block.clear();
+      unit->reader->append_block_trials(b, block);
+      for (TrialRecord& t : block) {
         ++trial_records;
-        trials[{t.cell_index, t.trial}] = t;
+        trials[{t.cell_index, t.trial}] = std::move(t);
       }
-    });
+    }
   }
   return {trial_records - trials.size(), cell_records - cells.size()};
 }

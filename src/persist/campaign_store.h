@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "campaign/report.h"
@@ -86,6 +87,10 @@ struct TrialRecord {
   double psnr = 0.0;
   double descriptor_pixel_match = 0.0;
   std::string denial_reason;
+
+  /// The (cell, trial) identity every reader sorts and deduplicates by.
+  using Key = std::pair<std::uint64_t, std::uint32_t>;
+  [[nodiscard]] Key key() const noexcept { return {cell_index, trial}; }
 
   [[nodiscard]] static TrialRecord from_result(
       std::uint64_t cell_index, std::uint32_t trial,

@@ -58,12 +58,17 @@ std::uint64_t ByteReader::varint() {
   throw std::out_of_range("persist: unterminated varint");
 }
 
-std::string ByteReader::str() {
+std::span<const std::uint8_t> ByteReader::blob() {
   const std::uint64_t len = varint();
   need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  const std::span<const std::uint8_t> bytes = data_.subspan(pos_, len);
   pos_ += len;
-  return s;
+  return bytes;
+}
+
+std::string ByteReader::str() {
+  const std::span<const std::uint8_t> bytes = blob();
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 }  // namespace msa::persist

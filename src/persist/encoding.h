@@ -88,6 +88,10 @@ class ByteReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] std::uint64_t varint();
+  /// Varint byte length followed by that many bytes, returned as a view
+  /// into the reader's buffer (valid as long as that buffer is) — the
+  /// zero-copy counterpart of ByteWriter::str.
+  [[nodiscard]] std::span<const std::uint8_t> blob();
   [[nodiscard]] std::string str();
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -41,17 +40,8 @@ obs::Counter& segment_blocks_read_counter() {
 }
 
 void put_blob(ByteWriter& w, std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) {
-    w.varint(0);
-    return;
-  }
-  w.str(std::string_view{reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()});
-}
-
-std::vector<std::uint8_t> get_blob(ByteReader& r) {
-  const std::string s = r.str();
-  return {s.begin(), s.end()};
+  w.varint(bytes.size());
+  w.raw(bytes);
 }
 
 }  // namespace
@@ -273,8 +263,7 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
         sequence != info_.sequence) {
       seg_error(path_, "header does not match footer");
     }
-    const std::vector<std::uint8_t> manifest_bytes = get_blob(r);
-    info_.identity = decode_store_manifest(manifest_bytes);
+    info_.identity = decode_store_manifest(r.blob());
   }
 
   {
@@ -288,7 +277,8 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
       std::uint64_t prev_end = lo_offset;
       for (std::uint64_t i = 0; i < n; ++i) {
         BlockRef ref;
-        ref.first_key = get_blob(r);
+        const std::span<const std::uint8_t> key = r.blob();
+        ref.first_key.assign(key.begin(), key.end());
         ref.first = decode_cell_key(ref.first_key);
         ref.offset = r.varint();
         ref.frame_len = r.varint();
@@ -325,8 +315,7 @@ std::vector<campaign::CellStats> SegmentReader::cells() const {
     const std::uint64_t n = r.varint();
     if (n != block.count) seg_error(path_, "cell block count mismatch");
     for (std::uint64_t i = 0; i < n; ++i) {
-      const std::vector<std::uint8_t> bytes = get_blob(r);
-      out.push_back(decode_cell_v2(bytes));
+      out.push_back(decode_cell_v2(r.blob()));
     }
   }
   return out;
@@ -347,44 +336,44 @@ std::optional<std::size_t> SegmentReader::trial_block_for(
          1;
 }
 
-std::vector<SegmentReader::TrialGroup> SegmentReader::read_trial_block(
-    std::size_t block) const {
+void SegmentReader::append_block_trials(std::size_t block,
+                                        std::vector<TrialRecord>& out,
+                                        const KeyFilter& want) const {
   const BlockRef& ref = trial_blocks_.at(block);
   const std::vector<std::uint8_t> payload =
       read_frame_at(ref.offset, kSegTrialBlock);
   segment_blocks_read_counter().add();
   ByteReader r{payload};
   const std::uint64_t groups = r.varint();
-  std::vector<TrialGroup> out;
-  out.reserve(groups);
   std::uint64_t trials = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
-    TrialGroup group;
-    group.key = get_blob(r);
+    const std::span<const std::uint8_t> key = r.blob();
+    const bool keep = !want || want(key);
     const std::uint64_t n = r.varint();
-    group.trials.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      const std::vector<std::uint8_t> bytes = get_blob(r);
-      group.trials.push_back(decode_trial(bytes));
+      const std::span<const std::uint8_t> bytes = r.blob();
+      if (keep) out.push_back(decode_trial(bytes));
     }
     trials += n;
-    out.push_back(std::move(group));
   }
   if (trials != ref.count) seg_error(path_, "trial block count mismatch");
-  return out;
+}
+
+void SegmentReader::append_trials(std::vector<TrialRecord>& out) const {
+  for (std::size_t i = 0; i < trial_blocks_.size(); ++i) {
+    append_block_trials(i, out);
+  }
 }
 
 std::vector<TrialRecord> SegmentReader::trials_for_key(
     std::span<const std::uint8_t> key) const {
-  const std::optional<std::size_t> block = trial_block_for(key);
-  if (!block.has_value()) return {};
-  for (TrialGroup& group : read_trial_block(*block)) {
-    if (std::span<const std::uint8_t>{group.key}.size() == key.size() &&
-        std::equal(group.key.begin(), group.key.end(), key.begin())) {
-      return std::move(group.trials);
-    }
+  std::vector<TrialRecord> out;
+  if (const std::optional<std::size_t> block = trial_block_for(key)) {
+    append_block_trials(*block, out, [&](std::span<const std::uint8_t> k) {
+      return std::ranges::equal(k, key);
+    });
   }
-  return {};
+  return out;
 }
 
 std::optional<campaign::CellStats> SegmentReader::cell_for_key(
@@ -405,8 +394,7 @@ std::optional<campaign::CellStats> SegmentReader::cell_for_key(
   const std::uint64_t n = r.varint();
   if (n != block.count) seg_error(path_, "cell block count mismatch");
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::vector<std::uint8_t> bytes = get_blob(r);
-    campaign::CellStats cell = decode_cell_v2(bytes);
+    campaign::CellStats cell = decode_cell_v2(r.blob());
     const std::vector<std::uint8_t> cell_key = encode_cell_key(cell.coords);
     if (cell_key.size() == key.size() &&
         std::equal(cell_key.begin(), cell_key.end(), key.begin())) {
@@ -414,13 +402,6 @@ std::optional<campaign::CellStats> SegmentReader::cell_for_key(
     }
   }
   return std::nullopt;
-}
-
-void SegmentReader::for_each_group(
-    const std::function<void(const TrialGroup&)>& fn) const {
-  for (std::size_t i = 0; i < trial_blocks_.size(); ++i) {
-    for (const TrialGroup& group : read_trial_block(i)) fn(group);
-  }
 }
 
 }  // namespace msa::persist

@@ -114,16 +114,19 @@ class SegmentReader {
     return trial_blocks_.size();
   }
 
-  struct TrialGroup {
-    std::vector<std::uint8_t> key;  ///< encoded cell key
-    std::vector<TrialRecord> trials;
-  };
-  /// Decodes one trial block into its per-cell groups (key order).
-  [[nodiscard]] std::vector<TrialGroup> read_trial_block(
-      std::size_t block) const;
+  /// Decides, from a trial group's encoded cell key, whether its trials
+  /// load.
+  using KeyFilter = std::function<bool(std::span<const std::uint8_t>)>;
 
-  /// Streams every trial group in key order — the full-merge path.
-  void for_each_group(const std::function<void(const TrialGroup&)>& fn) const;
+  /// Appends the trials of trial block `block` to `out` in stored (key,
+  /// trial) order, each decoded once, straight from the block payload.
+  /// With `want`, only the groups whose key it accepts are decoded; the
+  /// rest are stepped over.
+  void append_block_trials(std::size_t block, std::vector<TrialRecord>& out,
+                           const KeyFilter& want = {}) const;
+
+  /// Every trial of the segment, key order — the full-merge path.
+  void append_trials(std::vector<TrialRecord>& out) const;
 
  private:
   struct BlockRef {

@@ -1,8 +1,12 @@
 #include "persist/store_reader.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "persist/record_io.h"
@@ -23,11 +27,71 @@ std::uint64_t file_size_or_zero(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
+/// Merge keys: (cell index, position within the cell).
+TrialRecord::Key trial_key(const TrialRecord& t) { return t.key(); }
+TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
+
+/// Orders `records` — every source concatenated in apply order — by
+/// `key`, keeping only the LAST copy of each key: the result of
+/// inserting them one by one into a last-wins map. The input splits into
+/// runs, each one cell's records in strictly ascending key order (a
+/// segment group, a completed cell's log trials). Runs of distinct cells
+/// never overlap, so ordered by first key they are concatenated by move;
+/// only a rewritten key pays for a stable sort.
+template <typename T, typename KeyFn>
+void sort_last_wins(std::vector<T>& records, KeyFn key) {
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < records.size();) {
+    std::size_t j = i + 1;
+    while (j < records.size() &&
+           key(records[j - 1]).first == key(records[j]).first &&
+           key(records[j - 1]) < key(records[j])) {
+      ++j;
+    }
+    runs.push_back({i, j});
+    i = j;
+  }
+  std::stable_sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return key(records[a.begin]) < key(records[b.begin]);
+  });
+  const bool disjoint =
+      std::adjacent_find(runs.begin(), runs.end(),
+                         [&](const Run& a, const Run& b) {
+                           return !(key(records[a.end - 1]) <
+                                    key(records[b.begin]));
+                         }) == runs.end();
+  if (disjoint) {
+    // Runs still in source order mean the records already are.
+    if (std::ranges::is_sorted(runs, {}, &Run::begin)) return;
+    std::vector<T> ordered;
+    ordered.reserve(records.size());
+    for (const Run& run : runs) {
+      std::move(records.begin() + static_cast<std::ptrdiff_t>(run.begin),
+                records.begin() + static_cast<std::ptrdiff_t>(run.end),
+                std::back_inserter(ordered));
+    }
+    records = std::move(ordered);
+    return;
+  }
+
+  std::stable_sort(records.begin(), records.end(),
+                   [&](const T& a, const T& b) { return key(a) < key(b); });
+  // Walked backwards, std::unique keeps each key's last-written copy.
+  const auto kept = std::unique(
+      records.rbegin(), records.rend(),
+      [&](const T& a, const T& b) { return key(a) == key(b); });
+  records.erase(records.begin(), kept.base());
+}
+
 }  // namespace
 
 StoreReader::StoreReader(const std::string& path) : path_{path} {
   // Log pass: manifest + the write-ahead tail (the whole store when no
-  // sidecar exists). Last-wins maps mirror the historical replay order.
+  // sidecar exists), kept in write order for the last-wins merge.
   bool saw_manifest = false;
   {
     RecordReader reader{path};
@@ -38,25 +102,15 @@ StoreReader::StoreReader(const std::string& path) : path_{path} {
           manifest_ = decode_store_manifest(rec->payload);
           saw_manifest = true;
           break;
-        case kRecTrial: {
-          TrialRecord t = decode_trial(rec->payload);
-          const std::pair<std::uint64_t, std::uint32_t> key{t.cell_index,
-                                                            t.trial};
-          log_trials_[key] = std::move(t);
+        case kRecTrial:
+          log_trials_.push_back(decode_trial(rec->payload));
           break;
-        }
-        case kRecCell: {
-          campaign::CellStats c = decode_cell_v1(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells_[index] = std::move(c);
+        case kRecCell:
+          log_cells_.push_back(decode_cell_v1(rec->payload));
           break;
-        }
-        case kRecCellV2: {
-          campaign::CellStats c = decode_cell_v2(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells_[index] = std::move(c);
+        case kRecCellV2:
+          log_cells_.push_back(decode_cell_v2(rec->payload));
           break;
-        }
         default:
           break;  // unknown record type: forward-compatible skip
       }
@@ -100,18 +154,14 @@ StoreReader::StoreReader(const std::string& path) : path_{path} {
 StoreReader::~StoreReader() = default;
 
 std::vector<campaign::CellStats> StoreReader::cells() const {
-  std::map<std::uint64_t, campaign::CellStats> merged;
+  std::vector<campaign::CellStats> merged;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    for (campaign::CellStats& cell : seg->cells()) {
-      const std::uint64_t index = cell.index;
-      merged[index] = std::move(cell);
-    }
+    std::vector<campaign::CellStats> cells = seg->cells();
+    std::move(cells.begin(), cells.end(), std::back_inserter(merged));
   }
-  for (const auto& [index, cell] : log_cells_) merged[index] = cell;
-  std::vector<campaign::CellStats> out;
-  out.reserve(merged.size());
-  for (auto& [index, cell] : merged) out.push_back(std::move(cell));
-  return out;
+  merged.insert(merged.end(), log_cells_.begin(), log_cells_.end());
+  sort_last_wins(merged, cell_key);
+  return merged;
 }
 
 std::optional<StoreReader::CellData> StoreReader::read_cell(
@@ -126,26 +176,21 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
       stats = std::move(cell);
     }
   }
-  for (const auto& [index, cell] : log_cells_) {
+  for (const campaign::CellStats& cell : log_cells_) {
     if (cell.coords == coords) stats = cell;
   }
   if (!stats.has_value()) return std::nullopt;
 
-  std::map<std::uint32_t, TrialRecord> trials;
-  for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    for (TrialRecord& t : seg->trials_for_key(key)) {
-      const std::uint32_t trial = t.trial;
-      trials[trial] = std::move(t);
-    }
-  }
-  for (const auto& [log_key, t] : log_trials_) {
-    if (log_key.first == stats->index) trials[log_key.second] = t;
-  }
-
   CellData out;
+  for (const std::unique_ptr<SegmentReader>& seg : segments_) {
+    std::vector<TrialRecord> trials = seg->trials_for_key(key);
+    std::move(trials.begin(), trials.end(), std::back_inserter(out.trials));
+  }
+  std::ranges::copy_if(
+      log_trials_, std::back_inserter(out.trials),
+      [&](const TrialRecord& t) { return t.cell_index == stats->index; });
+  sort_last_wins(out.trials, trial_key);
   out.stats = std::move(*stats);
-  out.trials.reserve(trials.size());
-  for (auto& [trial, t] : trials) out.trials.push_back(std::move(t));
   return out;
 }
 
@@ -154,34 +199,34 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
   out.manifest = manifest_;
   out.format = format_version();
   out.truncated_tail = truncated_tail_;
+  out.cells = cells();
 
-  std::vector<campaign::CellStats> matched;
-  std::set<std::uint64_t> selected;
-  for (campaign::CellStats& cell : cells()) {
-    if (!filter.empty() && !filter.matches(cell.coords)) continue;
-    selected.insert(cell.index);
-    matched.push_back(std::move(cell));
-  }
-
-  std::map<std::pair<std::uint64_t, std::uint32_t>, TrialRecord> trials;
+  std::vector<TrialRecord>& trials = out.trials;
   if (filter.empty()) {
-    // Full view: every segment group plus every log trial, orphans
+    // Full view: every segment trial plus every log trial, orphans
     // included — byte-equivalent to replaying the original flat log.
+    std::size_t total = log_trials_.size();
     for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-      seg->for_each_group([&](const SegmentReader::TrialGroup& group) {
-        for (const TrialRecord& t : group.trials) {
-          trials[{t.cell_index, t.trial}] = t;
-        }
-      });
+      total += seg->info().trial_count;
     }
-    for (const auto& [key, t] : log_trials_) trials[key] = t;
+    trials.reserve(total);
+    for (const std::unique_ptr<SegmentReader>& seg : segments_) {
+      seg->append_trials(trials);
+    }
+    trials.insert(trials.end(), log_trials_.begin(), log_trials_.end());
   } else {
+    std::erase_if(out.cells, [&](const campaign::CellStats& cell) {
+      return !filter.matches(cell.coords);
+    });
     // Indexed path: per segment, the set of blocks that can hold any
     // selected cell — each block read once even when it serves several.
     std::set<std::vector<std::uint8_t>> keys;
-    for (const campaign::CellStats& cell : matched) {
+    for (const campaign::CellStats& cell : out.cells) {
       keys.insert(encode_cell_key(cell.coords));
     }
+    const auto selected_key = [&](std::span<const std::uint8_t> key) {
+      return keys.contains({key.begin(), key.end()});
+    };
     for (const std::unique_ptr<SegmentReader>& seg : segments_) {
       std::set<std::size_t> blocks;
       for (const std::vector<std::uint8_t>& key : keys) {
@@ -189,24 +234,17 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
         if (block.has_value()) blocks.insert(*block);
       }
       for (const std::size_t block : blocks) {
-        for (SegmentReader::TrialGroup& group : seg->read_trial_block(block)) {
-          if (!keys.contains(group.key)) continue;
-          for (TrialRecord& t : group.trials) {
-            const std::pair<std::uint64_t, std::uint32_t> key{t.cell_index,
-                                                              t.trial};
-            trials[key] = std::move(t);
-          }
-        }
+        seg->append_block_trials(block, trials, selected_key);
       }
     }
-    for (const auto& [key, t] : log_trials_) {
-      if (selected.contains(key.first)) trials[key] = t;
-    }
+    // Cells ascend by index, so membership is a binary search.
+    std::ranges::copy_if(
+        log_trials_, std::back_inserter(trials), [&](const TrialRecord& t) {
+          return std::ranges::binary_search(out.cells, t.cell_index, {},
+                                            &campaign::CellStats::index);
+        });
   }
-
-  out.cells = std::move(matched);
-  out.trials.reserve(trials.size());
-  for (auto& [key, t] : trials) out.trials.push_back(std::move(t));
+  sort_last_wins(trials, trial_key);
   return out;
 }
 

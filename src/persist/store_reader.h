@@ -8,18 +8,18 @@
 //
 // Merge semantics: segments apply in ascending write sequence, then the
 // log tail on top — the same last-wins order as replaying the original
-// flat log. Cell-range queries (`read_cell`, a non-empty CellFilter in
+// flat log. Each segment group and each cell's log trials is a sorted
+// run, so the merge orders runs rather than records: disjoint runs are
+// concatenated by move, and only runs that rewrite a key are sorted. Cell-range queries (`read_cell`, a non-empty CellFilter in
 // `read_matching`) use the segments' first-key block index and read only
 // the blocks that can hold the requested cells; the log tail is always
 // scanned in full, but after compaction it is just the manifest record.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "persist/campaign_store.h"
@@ -89,11 +89,12 @@ class StoreReader {
   std::uint64_t store_bytes_ = 0;
   std::optional<LevelsManifest> levels_;
   std::vector<std::unique_ptr<SegmentReader>> segments_;  ///< ascending seq
-  // Log contents, loaded once at construction (after compaction the log
-  // is just the manifest record — this IS the "offset past the
-  // segments" resume: segment data is never replayed through the log).
-  std::map<std::uint64_t, campaign::CellStats> log_cells_;
-  std::map<std::pair<std::uint64_t, std::uint32_t>, TrialRecord> log_trials_;
+  // Log contents in write order, loaded once at construction (after
+  // compaction the log is just the manifest record — this IS the "offset
+  // past the segments" resume: segment data is never replayed through
+  // the log).
+  std::vector<campaign::CellStats> log_cells_;
+  std::vector<TrialRecord> log_trials_;
 };
 
 }  // namespace msa::persist

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "persist/manifest.h"
+#include "persist/store_codec.h"
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "campaign/grid.h"
@@ -517,6 +521,159 @@ TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {
   EXPECT_THROW((void)load_sweep({a, c}), std::runtime_error);
   // Strict shard-merge still rejects duplicates outright.
   EXPECT_THROW((void)merge_stores({a, b}), std::runtime_error);
+}
+
+/// Identity of the hand-written stores below: 16 cells of one axis.
+StoreManifest hand_manifest() {
+  StoreManifest m;
+  m.grid_fingerprint = 0xd0d0cafeu;
+  m.grid_cells = 16;
+  m.trials_per_cell = 3;
+  m.trial_salt = 9;
+  campaign::AxisSpec axis;
+  axis.name = "delay_s";
+  axis.kind = campaign::AxisKind::kDouble;
+  for (int i = 0; i < 16; ++i) {
+    axis.values.push_back(campaign::AxisValue::of_number(i));
+  }
+  m.axes = {std::move(axis)};
+  return m;
+}
+
+TrialRecord hand_trial(std::uint64_t cell, std::uint32_t trial) {
+  TrialRecord t;
+  t.cell_index = cell;
+  t.trial = trial;
+  t.model_identified = trial != 1;
+  t.pixel_match = 0.5 + 0.125 * trial;
+  t.psnr = 10.0 + static_cast<double>(cell);
+  t.descriptor_pixel_match = 0.25;
+  return t;
+}
+
+CellStats hand_cell(std::uint64_t index) {
+  CellStats c;
+  c.index = index;
+  c.coords = {{"delay_s", campaign::AxisValue::of_number(
+                              static_cast<double>(index))}};
+  c.trials = 3;
+  c.mean_psnr_db = 10.0 + static_cast<double>(index);
+  return c;
+}
+
+/// (Re)writes `path` as a store holding `cells` completed (3 trials each)
+/// plus `orphans`, (cell, trial) records of cells that never completed;
+/// the edit hooks may alter a record before it is written.
+void write_hand_store(
+    const std::string& path, const std::vector<std::uint64_t>& cells,
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& orphans = {},
+    const std::function<void(TrialRecord&)>& edit_trial = {},
+    const std::function<void(CellStats&)>& edit_cell = {}) {
+  std::filesystem::remove(path);
+  CampaignStore store{path, hand_manifest(), CampaignStore::Mode::kCreate};
+  for (const auto& [cell, trial] : orphans) {
+    store.append_trial(hand_trial(cell, trial));
+  }
+  for (const std::uint64_t c : cells) {
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      TrialRecord trial = hand_trial(c, t);
+      if (edit_trial) edit_trial(trial);
+      store.append_trial(trial);
+    }
+    CellStats stats = hand_cell(c);
+    if (edit_cell) edit_cell(stats);
+    store.complete_cell(stats);
+  }
+}
+
+TEST(CampaignStore, LoadSweepCountsDuplicatesAcrossSeveralStores) {
+  const std::string a = tmp_store("multi_a.store");
+  const std::string b = tmp_store("multi_b.store");
+  const std::string c = tmp_store("multi_c.store");
+  write_hand_store(a, {3, 0, 2, 1});
+  write_hand_store(b, {2, 3, 5, 4}, {{9, 0}});
+  write_hand_store(c, {7, 5, 0, 6}, {{9, 0}, {9, 1}});
+
+  // Every order of the same three stores yields the same union, and the
+  // same duplicates: cells 2, 3 (b) and 0, 5 (c) with their 3 trials
+  // each, plus orphan (9, 0) twice over.
+  for (const std::vector<std::string>& order :
+       {std::vector{a, b, c}, std::vector{c, b, a}, std::vector{b, c, a}}) {
+    const SweepData data = load_sweep(order);
+    EXPECT_EQ(data.duplicate_cells, 4u);
+    EXPECT_EQ(data.duplicate_trials, 4u * 3u + 1u);
+    ASSERT_EQ(data.cells.size(), 8u);
+    for (std::size_t i = 0; i < data.cells.size(); ++i) {
+      EXPECT_EQ(data.cells[i].index, i);
+    }
+    ASSERT_EQ(data.trials.size(), 8u * 3u + 2u);
+    for (std::size_t i = 0; i < 24; ++i) {
+      EXPECT_EQ(data.trials[i].cell_index, i / 3);
+      EXPECT_EQ(data.trials[i].trial, i % 3);
+      EXPECT_EQ(encode_trial(data.trials[i]),
+                encode_trial(hand_trial(i / 3, i % 3)));
+    }
+    EXPECT_EQ(data.trials[24].cell_index, 9u);
+    EXPECT_EQ(data.trials[25].trial, 1u);
+  }
+  // A store listed twice is all duplicates.
+  const SweepData twice = load_sweep({a, a});
+  EXPECT_EQ(twice.duplicate_cells, 4u);
+  EXPECT_EQ(twice.duplicate_trials, 12u);
+}
+
+TEST(CampaignStore, LoadSweepRejectsCopiesDifferingOnlyInDoubleBits) {
+  const double nan_a = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7ff8000000000002ULL);
+  const std::string base = tmp_store("bits_base.store");
+  const std::string other = tmp_store("bits_other.store");
+  const std::string twin = tmp_store("bits_twin.store");
+  struct Case {
+    double first;
+    double second;
+  };
+  // Equal under operator== or both NaN: only the bytes tell them apart.
+  for (const Case& k : {Case{0.0, -0.0}, Case{-0.0, 0.0}, Case{nan_a, nan_b},
+                        Case{nan_a, -nan_a}}) {
+    const auto set_trial = [](double v) {
+      return [v](TrialRecord& t) {
+        if (t.cell_index == 1 && t.trial == 2) t.descriptor_pixel_match = v;
+      };
+    };
+    write_hand_store(base, {0, 1}, {}, set_trial(k.first));
+    write_hand_store(other, {1, 2}, {}, set_trial(k.second));
+    write_hand_store(twin, {1, 2}, {}, set_trial(k.first));
+    try {
+      (void)load_sweep({base, other});
+      ADD_FAILURE() << "trial copies " << k.first << " / " << k.second
+                    << " were accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("trial (1, 2) has conflicting"),
+                std::string::npos)
+          << e.what();
+    }
+    // The same bits twice — NaN payload included — are a duplicate.
+    EXPECT_EQ(load_sweep({base, twin}).duplicate_trials, 3u);
+
+    const auto set_cell = [](double v) {
+      return [v](CellStats& c) {
+        if (c.index == 1) c.mean_pixel_match = v;
+      };
+    };
+    write_hand_store(base, {0, 1}, {}, {}, set_cell(k.first));
+    write_hand_store(other, {1, 2}, {}, {}, set_cell(k.second));
+    write_hand_store(twin, {1, 2}, {}, {}, set_cell(k.first));
+    try {
+      (void)load_sweep({base, other});
+      ADD_FAILURE() << "cell copies " << k.first << " / " << k.second
+                    << " were accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("cell 1 has conflicting"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(load_sweep({base, twin}).duplicate_cells, 1u);
+  }
 }
 
 TEST(CampaignStore, MergeRejectsDuplicateAndIncompleteShards) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace msa::util {
@@ -35,6 +37,44 @@ TEST(Crc32, ChunkBoundaryInvariance) {
   }
   const std::uint32_t whole = crc32(data);
   for (const std::size_t split : {1UL, 7UL, 500UL, 999UL}) {
+    Crc32 c;
+    c.update(std::span{data.data(), split});
+    c.update(std::span{data.data() + split, data.size() - split});
+    EXPECT_EQ(c.value(), whole) << "split at " << split;
+  }
+}
+
+/// Bit-serial CRC-32 straight from the polynomial: no tables at all.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> data(8 + 67);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 151 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::span<const std::uint8_t> bytes{data.data() + offset, len};
+      EXPECT_EQ(crc32(bytes), reference_crc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtEveryPointMatchesOneShot) {
+  std::vector<std::uint8_t> data(67);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(0xA5 ^ (i * 29));
+  }
+  const std::uint32_t whole = reference_crc32(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
     Crc32 c;
     c.update(std::span{data.data(), split});
     c.update(std::span{data.data() + split, data.size() - split});

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "campaign/runner.h"
 #include "campaign/stats.h"
 #include "persist/campaign_store.h"
+#include "util/prng.h"
 
 namespace msa::campaign {
 namespace {
@@ -80,6 +84,82 @@ TEST(PairedPermutation, TwoSidedIsSignSymmetric) {
       paired_permutation_test(negated, 5, 4000, true);
   EXPECT_EQ(pos.at_least_as_extreme, neg.at_least_as_extreme);
   EXPECT_EQ(pos.p_value, neg.p_value);
+}
+
+/// The sign-flip loop as first written (branch per pair), kept verbatim
+/// as the reference the branch-free kernel must match bit for bit.
+PermutationResult reference_permutation_test(const std::vector<double>& deltas,
+                                             std::uint64_t seed,
+                                             std::uint64_t iterations,
+                                             bool two_sided) {
+  PermutationResult r;
+  r.paired_cells = deltas.size();
+  r.iterations = iterations;
+  if (deltas.empty()) return r;
+
+  const double n = static_cast<double>(deltas.size());
+  double sum = 0.0;
+  for (const double d : deltas) sum += d;
+  r.observed_stat = sum / n;
+  if (iterations == 0) return r;
+
+  const double threshold =
+      two_sided ? std::abs(r.observed_stat) : r.observed_stat;
+  util::Prng prng{seed};
+  std::uint64_t hits = 0;
+  for (std::uint64_t it = 0; it < iterations; ++it) {
+    std::uint64_t bits = 0;
+    int available = 0;
+    double s = 0.0;
+    for (const double d : deltas) {
+      if (available == 0) {
+        bits = prng();
+        available = 64;
+      }
+      s += (bits & 1u) != 0 ? d : -d;
+      bits >>= 1;
+      --available;
+    }
+    const double stat = s / n;
+    if ((two_sided ? std::abs(stat) : stat) >= threshold) ++hits;
+  }
+  r.at_least_as_extreme = hits;
+  r.p_value = (static_cast<double>(hits) + 1.0) /
+              (static_cast<double>(iterations) + 1.0);
+  return r;
+}
+
+TEST(PairedPermutation, BranchFreeKernelMatchesReferenceLoop) {
+  std::mt19937_64 rng{0x9a7e};
+  std::uniform_real_distribution<double> delta{-0.3, 0.32};
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 10000u}) {
+    // Tiny, signed-zero and repeated deltas make the running sum's
+    // rounding — and so the tie-heavy ">=" count — order-sensitive.
+    std::vector<double> deltas(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (i % 5) {
+        case 0: deltas[i] = -0.0; break;
+        case 1: deltas[i] = 0.0; break;
+        case 2: deltas[i] = 1e-17 * static_cast<double>(i); break;
+        default: deltas[i] = delta(rng); break;
+      }
+    }
+    const std::uint64_t iterations = n >= 10000 ? 300 : 4000;
+    for (const bool two_sided : {false, true}) {
+      for (const std::uint64_t seed : {1ULL, 0xfeedULL}) {
+        const PermutationResult want =
+            reference_permutation_test(deltas, seed, iterations, two_sided);
+        const PermutationResult got =
+            paired_permutation_test(deltas, seed, iterations, two_sided);
+        EXPECT_EQ(got.at_least_as_extreme, want.at_least_as_extreme)
+            << "n=" << n << " two_sided=" << two_sided << " seed=" << seed;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_value),
+                  std::bit_cast<std::uint64_t>(want.p_value));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.observed_stat),
+                  std::bit_cast<std::uint64_t>(want.observed_stat));
+      }
+    }
+  }
 }
 
 TEST(GateSeed, DeterministicAndOrderSensitive) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -171,11 +173,14 @@ TEST(Segment, RoundTripPreservesEverything) {
   // A key the segment does not hold reads back empty, not an error.
   EXPECT_TRUE(reader.trials_for_key(encode_cell_key(synth_coords(99))).empty());
 
-  std::size_t streamed = 0;
-  reader.for_each_group([&](const SegmentReader::TrialGroup& group) {
-    streamed += group.trials.size();
-  });
-  EXPECT_EQ(streamed, 50u);
+  std::vector<TrialRecord> streamed;
+  reader.append_trials(streamed);
+  ASSERT_EQ(streamed.size(), 50u);
+  // Key order, then trial order: the segment is one ascending run here.
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].cell_index, i / 5);
+    EXPECT_EQ(streamed[i].trial, i % 5);
+  }
 }
 
 TEST(Segment, SingleCellQueryReadsOneBlockOfMany) {
@@ -226,7 +231,8 @@ TEST(Segment, TruncationAnywhereIsRejectedNotMisread) {
       // The constructor only validates footer + index; force every
       // block read too. Any damage must throw — never partial data.
       (void)reader.cells();
-      reader.for_each_group([](const SegmentReader::TrialGroup&) {});
+      std::vector<TrialRecord> trials;
+      reader.append_trials(trials);
       FAIL() << "truncation at " << cut << " of " << size
              << " was not detected";
     } catch (const std::runtime_error& e) {
@@ -372,6 +378,165 @@ TEST(Segment, TailerCountsSurviveCompaction) {
   const StoreTailer::Counts resumed = tailer.poll();
   EXPECT_EQ(resumed.trials, 300u);
   EXPECT_EQ(resumed.cells, 50u);
+}
+
+/// 4 defenses x 25 delays x 10 models = 1000 cells whose key order is
+/// NOT their index order: the string labels are listed out of
+/// lexicographic order and the delays descend, so a segment's groups come
+/// back permuted against the cell index and the merge must reorder them.
+StoreManifest scrambled_manifest(std::uint32_t trials_per_cell) {
+  StoreManifest m = synth_manifest(1, trials_per_cell);
+  m.axes.clear();
+  campaign::AxisSpec defense;
+  defense.name = "defense";
+  for (const char* d : {"zeta", "alpha", "mid", "beta"}) {
+    defense.values.push_back(campaign::AxisValue::of_string(d));
+  }
+  campaign::AxisSpec delay;
+  delay.name = "delay_s";
+  delay.kind = campaign::AxisKind::kDouble;
+  for (int i = 24; i >= 0; --i) {
+    delay.values.push_back(campaign::AxisValue::of_number(2.5 * i));
+  }
+  campaign::AxisSpec model;
+  model.name = "model";
+  for (const char* name : {"m9", "m1", "m5", "m0", "m7", "m2", "m8", "m3",
+                           "m6", "m4"}) {
+    model.values.push_back(campaign::AxisValue::of_string(name));
+  }
+  m.axes = {defense, delay, model};
+  m.grid_cells = 4 * 25 * 10;
+  return m;
+}
+
+/// Row-major coordinates of `index`, first axis outermost.
+std::vector<campaign::AxisCoordinate> scrambled_coords(const StoreManifest& m,
+                                                       std::uint64_t index) {
+  std::vector<campaign::AxisCoordinate> coords(m.axes.size());
+  for (std::size_t a = m.axes.size(); a-- > 0;) {
+    const std::vector<campaign::AxisValue>& values = m.axes[a].values;
+    coords[a] = {m.axes[a].name, values[index % values.size()]};
+    index /= values.size();
+  }
+  return coords;
+}
+
+/// Trial whose psnr carries `generation`, so a test can tell which copy
+/// of a rewritten (cell, trial) a reader returned.
+TrialRecord generation_trial(std::uint64_t cell, std::uint32_t trial,
+                             int generation) {
+  TrialRecord t = synth_trial(cell, trial);
+  t.psnr += 1000.0 * generation;
+  return t;
+}
+
+TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
+  const std::string path = tmp_path("overlap.store");
+  const StoreManifest manifest = synth_manifest(40, 6);
+  // Every write in order; replaying into last-wins maps is the reference.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, TrialRecord> want_trials;
+  std::map<std::uint64_t, campaign::CellStats> want_cells;
+  const auto write = [&](CampaignStore& store, std::uint64_t c,
+                         std::uint32_t first, std::uint32_t last,
+                         int generation) {
+    for (std::uint32_t t = first; t < last; ++t) {
+      const TrialRecord trial = generation_trial(c, t, generation);
+      store.append_trial(trial);
+      want_trials[{c, t}] = trial;
+    }
+    campaign::CellStats stats = synth_stats(c, 6);
+    stats.mean_psnr_db += 1000.0 * generation;
+    store.complete_cell(stats);
+    want_cells[c] = stats;
+  };
+  CompactOptions tiered;
+  tiered.max_level_bytes = 64 * 1024 * 1024;  // each flush stays its own
+  {
+    CampaignStore store{path, manifest, CampaignStore::Mode::kCreate};
+    for (std::uint64_t c = 0; c < 40; ++c) write(store, c, 0, 6, 0);
+  }
+  ASSERT_EQ(compact_store(path, tiered).segments_live, 1u);
+  {  // segment 2 rewrites trials 2..4 of cells 5..14
+    CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+    for (std::uint64_t c = 5; c < 15; ++c) write(store, c, 2, 5, 1);
+  }
+  ASSERT_EQ(compact_store(path, tiered).segments_live, 2u);
+  {  // the log tail rewrites cells 10..19 on top — cell 12 twice
+    CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+    for (std::uint64_t c = 10; c < 20; ++c) write(store, c, 0, 4, 2);
+    write(store, 12, 1, 3, 3);
+  }
+
+  const StoreContents contents = read_store(path);
+  EXPECT_EQ(contents.format, kSegmentedStoreFormat);
+  ASSERT_EQ(contents.trials.size(), want_trials.size());
+  std::size_t i = 0;
+  for (const auto& [key, want] : want_trials) {
+    const TrialRecord& got = contents.trials[i++];
+    EXPECT_EQ(got.cell_index, key.first);
+    EXPECT_EQ(got.trial, key.second);
+    EXPECT_EQ(got.psnr, want.psnr) << "cell " << key.first << " trial "
+                                   << key.second;
+  }
+  ASSERT_EQ(contents.cells.size(), want_cells.size());
+  i = 0;
+  for (const auto& [index, want] : want_cells) {
+    EXPECT_EQ(contents.cells[i].index, index);
+    EXPECT_EQ(contents.cells[i++].mean_psnr_db, want.mean_psnr_db);
+  }
+
+  // The single-cell and filtered paths resolve the same winners.
+  const StoreReader reader{path};
+  const std::optional<StoreReader::CellData> cell12 =
+      reader.read_cell(synth_coords(12));
+  ASSERT_TRUE(cell12.has_value());
+  ASSERT_EQ(cell12->trials.size(), 6u);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    EXPECT_EQ(cell12->trials[t].psnr, (want_trials[{12, t}].psnr));
+  }
+  const CellFilter filter{{CellFilter::parse_clause("delay_s=3,7,12,17")}};
+  const StoreContents filtered = reader.read_matching(filter);
+  ASSERT_EQ(filtered.trials.size(), 4u * 6u);
+  for (const TrialRecord& t : filtered.trials) {
+    EXPECT_EQ(t.psnr, (want_trials[{t.cell_index, t.trial}].psnr));
+  }
+}
+
+TEST(SegmentMerge, FlatAndCompactedStoresOf1e5TrialsGiveEqualStats) {
+  const StoreManifest manifest = scrambled_manifest(100);
+  const std::string flat = tmp_path("scrambled.store");
+  {
+    CampaignStore store{flat, manifest, CampaignStore::Mode::kCreate};
+    // Cells complete out of index order, as a threaded sweep's do, and
+    // every seventh cell's trials are streamed twice (a resume's
+    // bit-identical duplicates).
+    for (std::uint64_t k = 0; k < manifest.grid_cells; ++k) {
+      const std::uint64_t c = (k * 379) % manifest.grid_cells;
+      for (int copy = 0; copy < (c % 7 == 0 ? 2 : 1); ++copy) {
+        for (std::uint32_t t = 0; t < 100; ++t) {
+          store.append_trial(synth_trial(c, t));
+        }
+      }
+      campaign::CellStats stats = synth_stats(c, 100);
+      stats.coords = scrambled_coords(manifest, c);
+      store.complete_cell(stats);
+    }
+  }
+  const std::string compacted = tmp_path("scrambled_compacted.store");
+  std::filesystem::copy_file(flat, compacted);
+  ASSERT_EQ(compact_store(compacted).segments_live, 1u);
+
+  const StoreContents a = read_store(flat);
+  const StoreContents b = read_store(compacted);
+  ASSERT_EQ(a.trials.size(), 100000u);
+  ASSERT_EQ(b.trials.size(), a.trials.size());
+  for (std::size_t i = 0; i < a.trials.size(); ++i) {
+    ASSERT_EQ(encode_trial(a.trials[i]), encode_trial(b.trials[i])) << i;
+  }
+  EXPECT_EQ(stats_bytes(compacted), stats_bytes(flat));
+  const CellFilter filter{{CellFilter::parse_clause("defense=alpha,zeta"),
+                           CellFilter::parse_clause("model=m0,m9")}};
+  EXPECT_EQ(stats_bytes(compacted, filter), stats_bytes(flat, filter));
 }
 
 TEST(Segment, FreshCreateRefusesStaleSidecar) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "campaign/grid.h"
 #include "campaign/runner.h"
@@ -187,6 +189,57 @@ TEST(AnalyzeSweep, OrphanTrialsOfIncompleteCellsExcluded) {
   // A completed cell with no trial stream at all is a broken store.
   data.trials.clear();
   EXPECT_THROW((void)analyze_sweep(data), std::runtime_error);
+}
+
+TEST(AnalyzeSweep, UnsortedInputIsRejectedNamingTheRecord) {
+  SweepData data;
+  data.manifest.grid_cells = 8;
+  for (const std::uint64_t index : {2u, 5u}) {
+    CellStats cell;
+    cell.index = index;
+    cell.coords = {{"defense", AxisValue::of_string("baseline")}};
+    cell.trials = 2;
+    data.cells.push_back(cell);
+    for (std::uint32_t trial = 0; trial < 2; ++trial) {
+      TrialRecord t;
+      t.cell_index = index;
+      t.trial = trial;
+      data.trials.push_back(t);
+    }
+  }
+  ASSERT_NO_THROW((void)analyze_sweep(data));
+
+  const auto message = [](const SweepData& d) {
+    try {
+      (void)analyze_sweep(d);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no std::invalid_argument"};
+  };
+  SweepData swapped_trials = data;
+  std::swap(swapped_trials.trials[1], swapped_trials.trials[2]);
+  EXPECT_NE(message(swapped_trials).find("trial (2, 1) is out of order"),
+            std::string::npos)
+      << message(swapped_trials);
+
+  SweepData duplicate_trial = data;
+  duplicate_trial.trials[3].trial = 0;
+  EXPECT_NE(message(duplicate_trial).find("trial (5, 0) is out of order"),
+            std::string::npos)
+      << message(duplicate_trial);
+
+  SweepData swapped_cells = data;
+  std::swap(swapped_cells.cells[0], swapped_cells.cells[1]);
+  EXPECT_NE(message(swapped_cells).find("cell 2 is out of order"),
+            std::string::npos)
+      << message(swapped_cells);
+
+  SweepData duplicate_cell = data;
+  duplicate_cell.cells[1].index = 2;
+  EXPECT_NE(message(duplicate_cell).find("cell 2 is out of order"),
+            std::string::npos)
+      << message(duplicate_cell);
 }
 
 TEST(AnalyzeSweep, SingleTrialCellCollapsesPercentiles) {
