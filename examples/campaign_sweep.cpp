@@ -150,7 +150,7 @@ int usage(const char* argv0) {
       "               [--exit-on-significant [--metric M] [--direction D]\n"
       "                [--alpha A] [--min-effect E] [--permutations N]] A B\n"
       "                (A and B are each a store file or a workers dir)\n"
-      "       %s compact [--max-level-bytes N] STORE...\n"
+      "       %s compact STORE...\n"
       "       %s metrics [--format text|csv|json] [sweep flags...]\n"
       "       %s progress --workers-dir DIR [--once] [--interval-ms M]\n"
       "       %s axes\n"
@@ -162,9 +162,8 @@ int usage(const char* argv0) {
       "  --cells restricts stats/diff to cells matching every given\n"
       "  AXIS=VALUE[,VALUE...] clause (values by canonical label; on a\n"
       "  compacted store only the matching blocks are read)\n"
-      "  compact rewrites stores into sorted block-indexed segments; the\n"
-      "  default merges everything into one segment, --max-level-bytes N\n"
-      "  keeps a tiered shape where levels over N bytes merge downward\n"
+      "  compact rewrites each store into one sorted block-indexed\n"
+      "  segment; a store a live sweep has open is refused (exit 1)\n"
       "  --workers-dir is work-stealing mode (one process per --worker-id,\n"
       "  any number of machines over a shared filesystem); it excludes\n"
       "  --store/--resume/--shard/--cell-budget\n"
@@ -264,21 +263,6 @@ unsigned parse_positive(const char* argv0, const char* flag,
   const unsigned v = parse_unsigned(argv0, flag, s);
   if (v == 0) bad_number(argv0, flag, s);
   return v;
-}
-
-/// Byte counts (--max-level-bytes) go beyond unsigned range.
-std::uint64_t parse_u64(const char* argv0, const char* flag,
-                        const std::string& s) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    bad_number(argv0, flag, s);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) {
-    bad_number(argv0, flag, s);
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
 /// One "--cells AXIS=V1[,V2...]" occurrence; repeats AND together.
@@ -570,26 +554,18 @@ int run_diff(const char* argv0, int argc, char** argv) {
 }
 
 int run_compact(const char* argv0, int argc, char** argv) {
-  msa::persist::CompactOptions options;
   std::vector<std::string> stores;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--max-level-bytes") {
-      const char* v = i + 1 < argc ? argv[++i] : nullptr;
-      if (!v) return usage(argv0);
-      options.max_level_bytes = parse_u64(argv0, "--max-level-bytes", v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv0);
-    } else {
-      stores.push_back(arg);
-    }
+    if (!arg.empty() && arg[0] == '-') return usage(argv0);
+    stores.push_back(arg);
   }
   if (stores.empty()) return usage(argv0);
 
   for (const std::string& path : stores) {
     try {
       const msa::persist::CompactionResult result =
-          msa::persist::compact_store(path, options);
+          msa::persist::compact_store(path);
       std::fprintf(stderr,
                    "[campaign] compacted %s: %llu -> %llu bytes, "
                    "%zu segment(s) (%zu trial record(s), %zu cell "

@@ -8,15 +8,14 @@
 # come out byte-identical afterwards. Concretely:
 #
 #  - stats/diff in all three formats (text/CSV/JSON), plus a --cells
-#    slice of each, are captured from flat stores, the stores are
-#    compacted (side A default, side B with a tiny --max-level-bytes to
-#    force the tiered merge path), and every artifact is re-captured
-#    and cmp'd byte for byte.
+#    slice of each, are captured from flat stores, both stores are
+#    compacted, and every artifact is re-captured and cmp'd byte for
+#    byte.
 #  - the regression gate replays against the segmented stores with the
 #    same exit code, verdict line, and diff JSON as the flat originals.
-#  - a shard-0 sweep compacted mid-campaign, then resumed with shard 1
-#    and compacted again under a generous level cap, keeps multiple
-#    live segments AND still renders the exact single-process stats.
+#  - a budgeted sweep compacted mid-campaign, resumed to completion and
+#    compacted again, folds back into exactly one live segment AND
+#    still renders the exact single-process stats.
 #  - a copy of the checked-in v1 golden store upgraded through
 #    compaction still emits the pre-refactor golden stats bytes, and a
 #    second compact of it is a no-op (bytes_before == bytes_after).
@@ -74,10 +73,7 @@ grep -q "regression gate TRIPPED" "$tmp/before/gate_verdict.txt"
 cp "$tmp/flat_a.store" "$tmp/seg_a.store"
 cp "$tmp/flat_b.store" "$tmp/seg_b.store"
 timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/seg_a.store" 2> /dev/null
-# A deliberately tiny level cap drives side B through the tiered-merge
-# path (L0 overflows and cascades) instead of the single-shot flush.
-timeout "$SWEEP_TIMEOUT" "$BIN" compact --max-level-bytes 1024 \
-  "$tmp/seg_b.store" 2> /dev/null
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/seg_b.store" 2> /dev/null
 [ -f "$tmp/seg_a.store.levels" ]
 [ -f "$tmp/seg_b.store.levels" ]
 
@@ -89,30 +85,28 @@ for f in stats.text stats.csv stats.json stats_cells.txt \
 done
 echo "compact byte-identity: 11/11 artifacts identical after compaction"
 
-# --- mid-campaign compaction with a tiered tail -----------------------
+# --- mid-campaign compaction ----------------------------------------
 # The first half of the grid (--cell-budget, exit 3 = incomplete) is
-# swept and compacted (segment #1), the sweep resumes to completion and
-# a second compact under a generous cap flushes the new cells as their
-# own L0 segment — the store now answers from two segments plus an
-# empty log tail, and must render the exact single-process stats.
+# swept and compacted (segment #1), the sweep resumes to completion on
+# top of it, and a second compact folds segment and log into one new
+# segment — which must render the exact single-process stats.
 rc=0
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
-  --cell-budget 6 --store "$tmp/tiered.store" > /dev/null || rc=$?
+  --cell-budget 6 --store "$tmp/resumed.store" > /dev/null || rc=$?
 if [ "$rc" -ne 3 ]; then
   echo "budgeted sweep exited $rc, expected incomplete 3" >&2
   exit 1
 fi
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/tiered.store" 2> /dev/null
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" 2> /dev/null
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
-  --store "$tmp/tiered.store" --resume > /dev/null
-timeout "$SWEEP_TIMEOUT" "$BIN" compact \
-  --max-level-bytes $((64 * 1024 * 1024)) "$tmp/tiered.store" \
-  2> "$tmp/tiered_compact.txt"
-grep -q "2 segment(s)" "$tmp/tiered_compact.txt"
-timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/tiered.store" \
-  > "$tmp/tiered_stats.csv"
-cmp "$tmp/before/stats.csv" "$tmp/tiered_stats.csv"
-echo "tiered resume: 2 live segments, stats byte-identical to flat sweep"
+  --store "$tmp/resumed.store" --resume > /dev/null
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" \
+  2> "$tmp/resumed_compact.txt"
+grep -q " 1 segment(s)" "$tmp/resumed_compact.txt"
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
+  > "$tmp/resumed_stats.csv"
+cmp "$tmp/before/stats.csv" "$tmp/resumed_stats.csv"
+echo "compact -> resume -> compact: 1 live segment, stats byte-identical to flat sweep"
 
 # --- v1 golden upgraded through compaction ----------------------------
 # The oldest store format on record must ride through the segmented

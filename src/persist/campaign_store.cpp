@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <iterator>
 #include <map>
-#include <memory>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -21,12 +19,6 @@
 namespace msa::persist {
 
 namespace {
-
-std::uint64_t file_size_or_zero(const std::string& path) {
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
 
 /// Field-by-field equality, doubles by bit pattern: true exactly when
 /// encode_trial(a) == encode_trial(b), without encoding either.
@@ -244,6 +236,7 @@ CampaignStore::CampaignStore(const std::string& path,
         }
         return usable;
       }()},
+      lock_{path, FileLock::Kind::kShared},
       writer_{path, [&] {
                 if (!resuming_) return RecordWriter::Mode::kTruncate;
                 // One pass: validate manifest, reload completed cells,
@@ -304,19 +297,8 @@ std::uint64_t CampaignStore::scan_existing() {
   // O(trials).
   if (const std::optional<LevelsManifest> levels =
           read_levels_manifest(path_)) {
-    if (!(levels->identity == manifest_)) {
-      throw std::runtime_error(
-          "persist: levels manifest belongs to a different sweep (" +
-          describe_manifest_mismatch(levels->identity, manifest_) +
-          "): " + path_);
-    }
-    for (const SegmentRef& ref : levels->segments) {
-      const SegmentReader segment{segment_path(path_, ref)};
-      if (!(segment.info().identity == manifest_)) {
-        throw std::runtime_error("persist: segment " + ref.file +
-                                 " belongs to a different sweep: " + path_);
-      }
-      for (campaign::CellStats& cell : segment.cells()) {
+    for (const auto& segment : open_segments(path_, *levels, manifest_)) {
+      for (campaign::CellStats& cell : segment->cells()) {
         const std::uint64_t index = cell.index;
         completed_.emplace(index, std::move(cell));
       }
@@ -576,314 +558,79 @@ campaign::SweepReport merge_worker_stores(const std::vector<std::string>& paths)
   return report;
 }
 
-namespace {
+CompactionResult compact_store(const std::string& path) {
+  const FileLock lock{path, FileLock::Kind::kExclusive};
 
-/// In-flight unit of compaction: one live segment (existing or written
-/// this pass) that may still be merged into a deeper level.
-struct CompactUnit {
-  std::string path;
-  std::uint32_t level = 0;
-  std::uint64_t sequence = 0;
-  std::unique_ptr<SegmentReader> reader;
-};
-
-using CellMap = std::map<std::uint64_t, campaign::CellStats>;
-using TrialMap = std::map<std::pair<std::uint64_t, std::uint32_t>, TrialRecord>;
-
-std::vector<SegmentCell> to_segment_cells(CellMap cells, TrialMap trials) {
-  std::vector<SegmentCell> out;
-  out.reserve(cells.size());
-  for (auto& [index, stats] : cells) {
-    SegmentCell cell;
-    cell.stats = std::move(stats);
-    const auto lo = trials.lower_bound({index, 0});
-    const auto hi = trials.lower_bound({index + 1, 0});
-    for (auto it = lo; it != hi; ++it) {
-      cell.trials.push_back(std::move(it->second));
-    }
-    out.push_back(std::move(cell));
-  }
-  return out;
-}
-
-/// Drains `inputs` (ascending sequence = last-wins) into key maps,
-/// returning how many duplicate records the merge collapsed.
-std::pair<std::size_t, std::size_t> drain_units(
-    const std::vector<CompactUnit*>& inputs, CellMap& cells,
-    TrialMap& trials) {
-  std::size_t trial_records = 0;
-  std::size_t cell_records = 0;
-  for (const CompactUnit* unit : inputs) {
-    for (campaign::CellStats& cell : unit->reader->cells()) {
-      ++cell_records;
-      const std::uint64_t index = cell.index;
-      cells[index] = std::move(cell);
-    }
-    std::vector<TrialRecord> block;
-    for (std::size_t b = 0; b < unit->reader->trial_block_count(); ++b) {
-      block.clear();
-      unit->reader->append_block_trials(b, block);
-      for (TrialRecord& t : block) {
-        ++trial_records;
-        trials[{t.cell_index, t.trial}] = std::move(t);
-      }
-    }
-  }
-  return {trial_records - trials.size(), cell_records - cells.size()};
-}
-
-}  // namespace
-
-CompactionResult compact_store(const std::string& path,
-                               const CompactOptions& options) {
   CompactionResult result;
-
-  // ---- Load the current state: sidecar + segments + raw log pass.
-  std::optional<LevelsManifest> levels = read_levels_manifest(path);
-  std::vector<CompactUnit> units;
-  std::uint64_t next_sequence = 0;
-  if (levels.has_value()) {
-    for (const SegmentRef& ref : levels->segments) {
-      CompactUnit unit;
-      unit.path = segment_path(path, ref);
-      unit.level = ref.level;
-      unit.sequence = ref.sequence;
-      unit.reader = std::make_unique<SegmentReader>(unit.path);
-      next_sequence = std::max(next_sequence, ref.sequence);
-      units.push_back(std::move(unit));
-    }
-  }
-
   StoreManifest manifest;
-  bool saw_manifest = false;
-  CellMap log_cells;
-  TrialMap log_trials;
+  std::optional<LevelsManifest> levels;
   std::vector<Record> unknown;  // forward-compat: preserved verbatim
-  std::size_t trial_records = 0;
-  std::size_t cell_records = 0;
-  bool torn_tail = false;
+  StoreContents contents;
   {
-    RecordReader reader{path};
-    for (std::optional<Record> rec = reader.next(); rec.has_value();
-         rec = reader.next()) {
-      switch (rec->type) {
-        case kRecManifest: {
-          const StoreManifest m = decode_store_manifest(rec->payload);
-          if (saw_manifest && !(m == manifest)) {
-            throw std::runtime_error(
-                "persist: conflicting manifest records in " + path);
-          }
-          manifest = m;
-          saw_manifest = true;
-          break;
-        }
-        case kRecTrial: {
-          ++trial_records;
-          TrialRecord t = decode_trial(rec->payload);
-          log_trials[{t.cell_index, t.trial}] = std::move(t);
-          break;
-        }
-        case kRecCell: {
-          ++cell_records;
-          campaign::CellStats c = decode_cell_v1(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells[index] = std::move(c);
-          break;
-        }
-        case kRecCellV2: {
-          ++cell_records;
-          campaign::CellStats c = decode_cell_v2(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells[index] = std::move(c);
-          break;
-        }
-        default:
-          unknown.push_back(std::move(*rec));
-          break;
+    const StoreReader reader{path};
+    levels = reader.levels();
+    result.bytes_before = result.bytes_after = reader.store_bytes();
+    result.segments_live = levels ? levels->segments.size() : 0;
+    result.generation = levels ? levels->generation : 0;
+    // Nothing to fold in and nothing to merge: repeated compaction must
+    // be byte-stable.
+    if (!reader.log_has_data() && !reader.truncated_tail() &&
+        result.segments_live <= 1) {
+      return result;
+    }
+    manifest = reader.manifest();
+    unknown = reader.unknown_records();
+    contents = reader.read_all();
+    // Orphan trials (their cell never completed) drop: a resume re-runs
+    // and re-streams them. Cells ascend by index: a binary search.
+    std::erase_if(contents.trials, [&](const TrialRecord& t) {
+      return !std::ranges::binary_search(contents.cells, t.cell_index, {},
+                                         &campaign::CellStats::index);
+    });
+    result.trials_dropped = reader.trial_records() - contents.trials.size();
+    result.cells_dropped = reader.cell_records() - contents.cells.size();
+  }
+
+  // ---- One segment holding every completed cell and its trials; both
+  // lists ascend by cell index, so each cell's trials are the next run.
+  LevelsManifest out;
+  out.generation = (levels ? levels->generation : 0) + 1;
+  // Round-trip the identity through its encoding so a v1 manifest
+  // upgrades to the version the trimmed log will carry.
+  out.identity = decode_store_manifest(encode_store_manifest(manifest));
+  if (!contents.cells.empty()) {
+    std::vector<SegmentCell> cells(contents.cells.size());
+    auto trial = contents.trials.begin();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      cells[i].stats = std::move(contents.cells[i]);
+      const auto end = std::find_if(trial, contents.trials.end(),
+                                    [&](const TrialRecord& t) {
+                                      return t.cell_index !=
+                                             cells[i].stats.index;
+                                    });
+      cells[i].trials.assign(std::make_move_iterator(trial),
+                             std::make_move_iterator(end));
+      trial = end;
+    }
+    contents = {};
+
+    SegmentRef& ref = out.segments.emplace_back();  // level 0
+    ref.sequence = 1;
+    if (levels.has_value()) {
+      for (const SegmentRef& live : levels->segments) {
+        ref.sequence = std::max(ref.sequence, live.sequence + 1);
       }
     }
-    torn_tail = reader.truncated();
+    ref.file = segment_file_name(path, ref.sequence);
+    const std::string segment = segment_path(path, ref);
+    const SegmentInfo info = write_segment(segment, ref.level, ref.sequence,
+                                           manifest, std::move(cells));
+    ref.bytes = file_size_or_zero(segment);
+    ref.trials = info.trial_count;
+    ref.cells = info.cell_count;
   }
-  if (!saw_manifest) {
-    throw std::runtime_error("persist: store has no manifest record: " + path);
-  }
-  if (levels.has_value() && !(levels->identity == manifest)) {
-    throw std::runtime_error(
-        "persist: levels manifest does not match store (" +
-        describe_manifest_mismatch(levels->identity, manifest) + "): " + path);
-  }
-
-  result.bytes_before = file_size_or_zero(path) +
-                        file_size_or_zero(levels_manifest_path(path));
-  for (const CompactUnit& unit : units) {
-    result.bytes_before += unit.reader->file_bytes();
-  }
-
-  // ---- Drop superseded log records. A cell is "completed" if any tier
-  // holds its aggregate; orphan trials (their cell never completed) are
-  // re-run and re-streamed by a resume, so they drop here.
-  std::set<std::uint64_t> completed;
-  CellMap segment_cells;
-  for (const CompactUnit& unit : units) {
-    for (campaign::CellStats& cell : unit.reader->cells()) {
-      const std::uint64_t index = cell.index;
-      completed.insert(index);
-      segment_cells[index] = std::move(cell);
-    }
-  }
-  for (const auto& [index, cell] : log_cells) completed.insert(index);
-  for (auto it = log_trials.begin(); it != log_trials.end();) {
-    if (!completed.contains(it->first.first)) {
-      it = log_trials.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  result.trials_dropped = trial_records - log_trials.size();
-  result.cells_dropped = cell_records - log_cells.size();
-
-  const bool log_dirty = trial_records > 0 || cell_records > 0 || torn_tail;
-  bool changed = false;
-
-  // ---- Flush the log's data into a fresh level-0 segment. Trials of a
-  // cell completed in an older segment (crash-window duplicates) flush
-  // under that segment's aggregate — bit-identical, deduped on merge.
-  if (!log_cells.empty() || !log_trials.empty()) {
-    CellMap flush_cells = log_cells;
-    for (const auto& [key, t] : log_trials) {
-      if (!flush_cells.contains(key.first)) {
-        flush_cells[key.first] = segment_cells.at(key.first);
-      }
-    }
-    CompactUnit unit;
-    unit.level = 0;
-    unit.sequence = ++next_sequence;
-    unit.path = (std::filesystem::path(path).parent_path() /
-                 segment_file_name(path, unit.sequence))
-                    .string();
-    SegmentWriteOptions write_options;
-    write_options.block_bytes = options.block_bytes;
-    write_segment(unit.path, unit.level, unit.sequence, manifest,
-                  to_segment_cells(std::move(flush_cells),
-                                   std::move(log_trials)),
-                  write_options);
-    unit.reader = std::make_unique<SegmentReader>(unit.path);
-    units.push_back(std::move(unit));
-    ++result.segments_written;
-    changed = true;
-  }
-
-  // ---- Tier merge. Default (cap 0): everything into one sorted
-  // segment. Tiered (cap > 0): any level over the cap merges, together
-  // with the next level down, into a single deeper segment — young
-  // levels stay small and churn, old levels are rewritten rarely.
-  std::vector<std::string> obsolete;
-  const auto merge_into = [&](std::vector<std::size_t> input_indices,
-                              std::uint32_t out_level) {
-    std::vector<CompactUnit*> inputs;
-    inputs.reserve(input_indices.size());
-    for (const std::size_t i : input_indices) inputs.push_back(&units[i]);
-    std::sort(inputs.begin(), inputs.end(),
-              [](const CompactUnit* a, const CompactUnit* b) {
-                return a->sequence < b->sequence;
-              });
-    CellMap cells;
-    TrialMap trials;
-    const auto [dup_trials, dup_cells] = drain_units(inputs, cells, trials);
-    result.trials_dropped += dup_trials;
-    result.cells_dropped += dup_cells;
-
-    CompactUnit unit;
-    unit.level = out_level;
-    unit.sequence = ++next_sequence;
-    unit.path = (std::filesystem::path(path).parent_path() /
-                 segment_file_name(path, unit.sequence))
-                    .string();
-    SegmentWriteOptions write_options;
-    write_options.block_bytes = options.block_bytes;
-    write_segment(unit.path, unit.level, unit.sequence, manifest,
-                  to_segment_cells(std::move(cells), std::move(trials)),
-                  write_options);
-    unit.reader = std::make_unique<SegmentReader>(unit.path);
-    ++result.segments_written;
-    changed = true;
-
-    std::sort(input_indices.begin(), input_indices.end(),
-              std::greater<std::size_t>{});
-    for (const std::size_t i : input_indices) {
-      obsolete.push_back(units[i].path);
-      units.erase(units.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    units.push_back(std::move(unit));
-  };
-
-  if (options.max_level_bytes == 0) {
-    if (units.size() > 1) {
-      std::vector<std::size_t> all(units.size());
-      for (std::size_t i = 0; i < units.size(); ++i) all[i] = i;
-      std::uint32_t deepest = 1;
-      for (const CompactUnit& unit : units) {
-        deepest = std::max(deepest, unit.level);
-      }
-      merge_into(std::move(all), deepest);
-    }
-  } else {
-    for (bool merged = true; merged;) {
-      merged = false;
-      std::map<std::uint32_t, std::vector<std::size_t>> by_level;
-      std::map<std::uint32_t, std::uint64_t> level_bytes;
-      for (std::size_t i = 0; i < units.size(); ++i) {
-        by_level[units[i].level].push_back(i);
-        level_bytes[units[i].level] += units[i].reader->file_bytes();
-      }
-      for (const auto& [level, indices] : by_level) {
-        if (level_bytes[level] <= options.max_level_bytes) continue;
-        std::vector<std::size_t> inputs = indices;
-        const auto next = by_level.find(level + 1);
-        if (next != by_level.end()) {
-          inputs.insert(inputs.end(), next->second.begin(),
-                        next->second.end());
-        }
-        // A single oversized segment with nothing to merge against
-        // would only be relabeled deeper forever — leave it be.
-        if (inputs.size() < 2) continue;
-        merge_into(std::move(inputs), level + 1);
-        merged = true;
-        break;  // unit indices are stale; recompute the level map
-      }
-    }
-  }
-
-  // ---- Publish. No-op when nothing changed and the log is already
-  // clean: repeated compaction must be byte-stable.
-  if (!changed && !log_dirty) {
-    result.bytes_after = result.bytes_before;
-    result.segments_live = units.size();
-    result.generation = levels.has_value() ? levels->generation : 0;
-    return result;
-  }
-
-  if (!units.empty() || levels.has_value()) {
-    LevelsManifest out;
-    out.generation = (levels.has_value() ? levels->generation : 0) + 1;
-    out.identity = manifest;
-    // Round-trip the identity through its encoding so a v1 manifest
-    // upgrades to the version the trimmed log will carry.
-    out.identity = decode_store_manifest(encode_store_manifest(manifest));
-    for (const CompactUnit& unit : units) {
-      SegmentRef ref;
-      ref.file = std::filesystem::path(unit.path).filename().string();
-      ref.level = unit.level;
-      ref.sequence = unit.sequence;
-      ref.bytes = unit.reader->file_bytes();
-      ref.trials = unit.reader->info().trial_count;
-      ref.cells = unit.reader->info().cell_count;
-      out.segments.push_back(std::move(ref));
-    }
-    std::sort(out.segments.begin(), out.segments.end(),
-              [](const SegmentRef& a, const SegmentRef& b) {
-                return a.sequence < b.sequence;
-              });
+  result.segments_written = result.segments_live = out.segments.size();
+  if (!out.segments.empty() || levels.has_value()) {
     result.generation = out.generation;
     write_levels_manifest(path, out);
   }
@@ -906,35 +653,15 @@ CompactionResult compact_store(const std::string& path,
     fsync_parent_dir(path);
   }
 
-  // Obsolete segments last: the manifest no longer names them, so a
+  // Superseded segments last: the manifest no longer names them, so a
   // crash before this point merely leaves invisible debris (cleared by
-  // the stale-file sweep below, next compaction).
-  std::set<std::string> live;
-  for (const CompactUnit& unit : units) {
-    live.insert(std::filesystem::path(unit.path).filename().string());
-  }
-  {
-    const std::filesystem::path store{path};
-    const std::string base = store.filename().string();
-    std::filesystem::path dir = store.parent_path();
-    if (dir.empty()) dir = ".";
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.size() > base.size() && name.starts_with(base) &&
-          name.ends_with(".seg") && !live.contains(name)) {
-        std::filesystem::remove(entry.path(), ec);
-      }
-    }
-  }
-  fsync_parent_dir(path);
+  // the next compaction's sweep).
+  remove_segments_except(path, out.segments.empty() ? std::string{}
+                                                    : out.segments[0].file);
 
-  result.segments_live = units.size();
   result.bytes_after = file_size_or_zero(path) +
                        file_size_or_zero(levels_manifest_path(path));
-  for (const CompactUnit& unit : units) {
-    result.bytes_after += unit.reader->file_bytes();
-  }
+  for (const SegmentRef& ref : out.segments) result.bytes_after += ref.bytes;
   return result;
 }
 

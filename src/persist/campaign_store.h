@@ -166,6 +166,10 @@ class CampaignStore {
   unsigned cells_since_sync_ = 0;  ///< fsync batching counter
   bool resuming_ = false;
   bool manifest_on_disk_ = false;  ///< set by scan_existing()
+  // Shared lock on the log for the store's lifetime, taken before the
+  // resume scan reads it: compaction, which takes it exclusively, then
+  // cannot trim the log under a live writer.
+  FileLock lock_;
   // Writer last: constructed after the resume scan decided the append
   // point (kAppendClean skips RecordWriter's own recovery pass, so the
   // file is read exactly once on resume).
@@ -304,36 +308,27 @@ class StoreTailer {
 [[nodiscard]] campaign::SweepReport merge_worker_stores(
     const std::vector<std::string>& paths);
 
-/// Compaction tuning. The default (max_level_bytes = 0) merges the log
-/// and every existing segment into one sorted segment — the smallest,
-/// fastest-to-query store. A nonzero max_level_bytes keeps a tiered
-/// shape instead: the log always flushes to a fresh level-0 segment, and
-/// any level whose total bytes exceed the cap merges into the next level
-/// — repeated compactions of a growing store then rewrite only the
-/// young, small levels instead of the whole history every time.
-struct CompactOptions {
-  std::uint64_t max_level_bytes = 0;
-  /// Segment trial-block target (SegmentWriteOptions::block_bytes).
-  std::size_t block_bytes = 64 * 1024;
-};
-
-/// Compacts a store into segmented (v3) form, dropping superseded
-/// records a resumed or raced sweep leaves behind: duplicate trial
-/// records (same cell+trial; last wins), duplicate cell records (last
-/// wins), trial records of cells that never completed (a resume re-runs
-/// and re-streams them), and the torn log tail if any. The log's
-/// completed cells flush into a sorted block-indexed segment, levels
-/// merge per `options`, and the log is trimmed to its manifest record
-/// (it stays the write-ahead tier for future appends). Unknown record
-/// types are preserved verbatim in the log for forward compatibility.
+/// Compacts a store into one sorted block-indexed segment (format v3),
+/// dropping superseded records a resumed or raced sweep leaves behind:
+/// duplicate trial records (same cell+trial; last wins), duplicate cell
+/// records (last wins), trial records of cells that never completed (a
+/// resume re-runs and re-streams them), and the torn log tail if any.
+/// The store is read through one StoreReader — the same last-wins merge
+/// every analysis sees — so a store with several segments (written by an
+/// older tiered compaction) also folds down to one. The log is trimmed
+/// to its manifest record (it stays the write-ahead tier for future
+/// appends); unknown record types are preserved verbatim in it for
+/// forward compatibility.
 ///
-/// Crash-safe by write ordering: new segments are fsynced (file and
-/// directory) before the levels manifest names them, the manifest
+/// Crash-safe by write ordering: the new segment is fsynced (file and
+/// directory) before the levels manifest names it, the manifest
 /// replacement is atomic, the trimmed log replaces the old one only
 /// after a flush+fsync, and obsolete segment files are deleted last. A
 /// crash at any point leaves a readable store — at worst with invisible
 /// debris or bit-identical log/segment duplicates that the next
-/// compaction clears. Do not compact a store a live worker has open.
+/// compaction clears. A store a live CampaignStore holds open is
+/// refused: compaction takes the log's lock exclusively and throws
+/// "persist: store is open by a live writer" when it cannot.
 ///
 /// Compacting an already-compacted store with nothing new is a no-op
 /// (bytes_after == bytes_before, nothing dropped, generation unchanged).
@@ -346,7 +341,6 @@ struct CompactionResult {
   std::size_t segments_live = 0;     ///< segment files after compaction
   std::uint64_t generation = 0;      ///< levels-manifest generation after
 };
-[[nodiscard]] CompactionResult compact_store(const std::string& path,
-                                             const CompactOptions& options = {});
+[[nodiscard]] CompactionResult compact_store(const std::string& path);
 
 }  // namespace msa::persist

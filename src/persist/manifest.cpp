@@ -127,22 +127,28 @@ void write_levels_manifest(const std::string& store_path,
   fsync_parent_dir(path);
 }
 
-void remove_segment_files(const std::string& store_path) {
-  std::error_code ec;
-  std::filesystem::remove(levels_manifest_path(store_path), ec);
+void remove_segments_except(const std::string& store_path,
+                            const std::string& keep) {
   const std::filesystem::path store{store_path};
   const std::string base = store.filename().string();
   std::filesystem::path dir = store.parent_path();
   if (dir.empty()) dir = ".";
+  std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) return;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() > base.size() && name.starts_with(base) &&
-        name.ends_with(".seg")) {
+        name.ends_with(".seg") && name != keep) {
       std::filesystem::remove(entry.path(), ec);
     }
   }
   fsync_parent_dir(store_path);
+}
+
+void remove_segment_files(const std::string& store_path) {
+  std::error_code ec;
+  std::filesystem::remove(levels_manifest_path(store_path), ec);
+  remove_segments_except(store_path, {});
 }
 
 }  // namespace msa::persist

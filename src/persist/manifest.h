@@ -73,6 +73,11 @@ struct LevelsManifest {
 void write_levels_manifest(const std::string& store_path,
                            const LevelsManifest& manifest);
 
+/// Deletes every `<store>.g*.seg` sibling but the file named `keep` —
+/// compaction's sweep of the segments its new sidecar no longer names.
+void remove_segments_except(const std::string& store_path,
+                            const std::string& keep);
+
 /// Deletes `store_path`'s sidecar and every `<store>.g*.seg` sibling —
 /// the cleanup path for tests and tools that reset a store wholesale.
 void remove_segment_files(const std::string& store_path);

@@ -7,6 +7,8 @@
 
 #if !defined(_WIN32)
 #include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -82,10 +84,55 @@ void fsync_parent_dir(const std::string& file_path) {
 #endif
 }
 
-bool record_file_usable(const std::string& path) {
+std::uint64_t file_size_or_zero(const std::string& path) {
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  return !ec && size >= kRecordMagic.size();
+  return ec ? 0 : static_cast<std::uint64_t>(size);
+}
+
+bool record_file_usable(const std::string& path) {
+  return file_size_or_zero(path) >= kRecordMagic.size();
+}
+
+FileLock::FileLock(const std::string& path, Kind kind) {
+#if defined(_WIN32)
+  (void)path;
+  (void)kind;
+#else
+  const bool shared = kind == Kind::kShared;
+  for (;;) {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | (shared ? O_CREAT : 0),
+                 0666);
+    if (fd_ < 0) io_error("cannot open store", path);
+    int rc = 0;
+    do {
+      rc = ::flock(fd_, shared ? LOCK_SH : LOCK_EX | LOCK_NB);
+    } while (rc != 0 && errno == EINTR);
+    if (rc != 0) {
+      const int saved = errno;
+      ::close(fd_);
+      if (saved == EWOULDBLOCK) {
+        throw std::runtime_error("persist: store is open by a live writer: " +
+                                 path);
+      }
+      errno = saved;
+      io_error("cannot lock store", path);
+    }
+    struct stat locked {};
+    struct stat named {};
+    if (::fstat(fd_, &locked) == 0 && ::stat(path.c_str(), &named) == 0 &&
+        locked.st_dev == named.st_dev && locked.st_ino == named.st_ino) {
+      return;
+    }
+    ::close(fd_);  // the path was renamed over while we waited
+  }
+#endif
+}
+
+FileLock::~FileLock() {
+#if !defined(_WIN32)
+  if (fd_ >= 0) ::close(fd_);
+#endif
 }
 
 RecordReader::RecordReader(const std::string& path,

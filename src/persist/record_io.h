@@ -43,12 +43,39 @@ struct Record {
 /// std::runtime_error on a genuine I/O failure elsewhere.
 void fsync_parent_dir(const std::string& file_path);
 
+/// Size of the file at `path`, 0 when it does not exist.
+[[nodiscard]] std::uint64_t file_size_or_zero(const std::string& path);
+
 /// True when `path` exists and is at least magic-sized — i.e. worth
 /// opening for append-resume. A shorter file is the debris of a process
 /// killed between creating the file and writing the magic; resuming
 /// writers treat it as absent (start fresh) rather than throwing
 /// bad-magic forever, which would brick the path until manual cleanup.
 [[nodiscard]] bool record_file_usable(const std::string& path);
+
+/// Advisory flock(2) on a store log, held on a descriptor of its own
+/// for the object's lifetime: writers hold it shared, compaction
+/// exclusive, so a store is never compacted under a live writer. A lock
+/// won on a log that a compaction renamed a fresh file over meanwhile is
+/// taken again on the file the path names now. No-op on Windows.
+class FileLock {
+ public:
+  enum class Kind {
+    kShared,     ///< waits for the lock; creates `path` when absent
+    kExclusive,  ///< never waits: throws "persist: store is open by a
+                 ///< live writer: PATH" while anyone holds the lock
+  };
+
+  /// Throws std::runtime_error when `path` cannot be opened or locked.
+  FileLock(const std::string& path, Kind kind);
+  ~FileLock();
+
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  int fd_ = -1;
+};
 
 /// Sequential reader. Construct, call next() until it returns nullopt,
 /// then check truncated() to distinguish a clean EOF from a torn tail.

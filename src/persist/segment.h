@@ -46,7 +46,7 @@ inline constexpr std::uint64_t kSegmentFooterFrameBytes = 57;
 /// Identity and totals of one segment, from its header + footer.
 struct SegmentInfo {
   std::uint32_t format = kSegmentFormatVersion;
-  std::uint32_t level = 0;     ///< compaction tier (0 = freshest flush)
+  std::uint32_t level = 0;     ///< 0; older tiered compactions went deeper
   std::uint64_t sequence = 0;  ///< global write order; later wins on read
   StoreManifest identity;      ///< the owning store's manifest
   std::uint64_t trial_count = 0;

@@ -21,12 +21,6 @@ obs::Counter& log_bytes_read_counter() {
   return c;
 }
 
-std::uint64_t file_size_or_zero(const std::string& path) {
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
 /// Merge keys: (cell index, position within the cell).
 TrialRecord::Key trial_key(const TrialRecord& t) { return t.key(); }
 TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
@@ -36,10 +30,17 @@ TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
 /// inserting them one by one into a last-wins map. The input splits into
 /// runs, each one cell's records in strictly ascending key order (a
 /// segment group, a completed cell's log trials). Runs of distinct cells
-/// never overlap, so ordered by first key they are concatenated by move;
-/// only a rewritten key pays for a stable sort.
+/// never overlap, so ordered by cell they are concatenated by move; only
+/// a cell with several runs (a rewritten one) pays for a stable sort of
+/// its own records.
 template <typename T, typename KeyFn>
 void sort_last_wins(std::vector<T>& records, KeyFn key) {
+  const auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
+  if (std::adjacent_find(records.begin(), records.end(),
+                         [&](const T& a, const T& b) { return !less(a, b); }) ==
+      records.end()) {
+    return;  // already strictly ascending: nothing rewritten or reordered
+  }
   struct Run {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -49,47 +50,74 @@ void sort_last_wins(std::vector<T>& records, KeyFn key) {
     std::size_t j = i + 1;
     while (j < records.size() &&
            key(records[j - 1]).first == key(records[j]).first &&
-           key(records[j - 1]) < key(records[j])) {
+           less(records[j - 1], records[j])) {
       ++j;
     }
     runs.push_back({i, j});
     i = j;
   }
-  std::stable_sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-    return key(records[a.begin]) < key(records[b.begin]);
+  // Runs by cell, each cell's runs in source (apply) order.
+  const auto cell = [&](const Run& run) { return key(records[run.begin]).first; };
+  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return std::pair{cell(a), a.begin} < std::pair{cell(b), b.begin};
   });
-  const bool disjoint =
-      std::adjacent_find(runs.begin(), runs.end(),
-                         [&](const Run& a, const Run& b) {
-                           return !(key(records[a.end - 1]) <
-                                    key(records[b.begin]));
-                         }) == runs.end();
-  if (disjoint) {
-    // Runs still in source order mean the records already are.
-    if (std::ranges::is_sorted(runs, {}, &Run::begin)) return;
-    std::vector<T> ordered;
-    ordered.reserve(records.size());
-    for (const Run& run : runs) {
-      std::move(records.begin() + static_cast<std::ptrdiff_t>(run.begin),
-                records.begin() + static_cast<std::ptrdiff_t>(run.end),
+
+  std::vector<T> ordered;
+  ordered.reserve(records.size());
+  for (std::size_t r = 0; r < runs.size();) {
+    const std::size_t from = ordered.size();
+    std::size_t e = r;
+    for (; e < runs.size() && cell(runs[e]) == cell(runs[r]); ++e) {
+      std::move(records.begin() + static_cast<std::ptrdiff_t>(runs[e].begin),
+                records.begin() + static_cast<std::ptrdiff_t>(runs[e].end),
                 std::back_inserter(ordered));
     }
-    records = std::move(ordered);
-    return;
+    if (e - r > 1) {  // a rewritten cell
+      const auto group = ordered.begin() + static_cast<std::ptrdiff_t>(from);
+      std::stable_sort(group, ordered.end(), less);
+      // Walked backwards, std::unique keeps each key's last-written copy.
+      const auto kept = std::unique(
+          ordered.rbegin(), std::make_reverse_iterator(group),
+          [&](const T& a, const T& b) { return key(a) == key(b); });
+      ordered.erase(group, kept.base());
+    }
+    r = e;
   }
-
-  std::stable_sort(records.begin(), records.end(),
-                   [&](const T& a, const T& b) { return key(a) < key(b); });
-  // Walked backwards, std::unique keeps each key's last-written copy.
-  const auto kept = std::unique(
-      records.rbegin(), records.rend(),
-      [&](const T& a, const T& b) { return key(a) == key(b); });
-  records.erase(records.begin(), kept.base());
+  records = std::move(ordered);
 }
 
 }  // namespace
 
-StoreReader::StoreReader(const std::string& path) : path_{path} {
+std::vector<std::unique_ptr<SegmentReader>> open_segments(
+    const std::string& store_path, const LevelsManifest& levels,
+    const StoreManifest& identity) {
+  if (!(levels.identity == identity)) {
+    throw std::runtime_error(
+        "persist: levels manifest does not match store (" +
+        describe_manifest_mismatch(levels.identity, identity) +
+        "): " + store_path);
+  }
+  std::vector<std::unique_ptr<SegmentReader>> segments;
+  segments.reserve(levels.segments.size());
+  for (const SegmentRef& ref : levels.segments) {
+    auto seg = std::make_unique<SegmentReader>(segment_path(store_path, ref));
+    if (seg->info().sequence != ref.sequence) {
+      throw std::runtime_error("persist: segment " + ref.file +
+                               " does not carry its manifest sequence: " +
+                               store_path);
+    }
+    if (!(seg->info().identity == identity)) {
+      throw std::runtime_error(
+          "persist: segment " + ref.file + " is from a different sweep (" +
+          describe_manifest_mismatch(seg->info().identity, identity) +
+          "): " + store_path);
+    }
+    segments.push_back(std::move(seg));
+  }
+  return segments;
+}
+
+StoreReader::StoreReader(const std::string& path) {
   // Log pass: manifest + the write-ahead tail (the whole store when no
   // sidecar exists), kept in write order for the last-wins merge.
   bool saw_manifest = false;
@@ -98,10 +126,16 @@ StoreReader::StoreReader(const std::string& path) : path_{path} {
     for (std::optional<Record> rec = reader.next(); rec.has_value();
          rec = reader.next()) {
       switch (rec->type) {
-        case kRecManifest:
-          manifest_ = decode_store_manifest(rec->payload);
+        case kRecManifest: {
+          StoreManifest m = decode_store_manifest(rec->payload);
+          if (saw_manifest && !(m == manifest_)) {
+            throw std::runtime_error(
+                "persist: conflicting manifest records in " + path);
+          }
+          manifest_ = std::move(m);
           saw_manifest = true;
           break;
+        }
         case kRecTrial:
           log_trials_.push_back(decode_trial(rec->payload));
           break;
@@ -111,8 +145,9 @@ StoreReader::StoreReader(const std::string& path) : path_{path} {
         case kRecCellV2:
           log_cells_.push_back(decode_cell_v2(rec->payload));
           break;
-        default:
-          break;  // unknown record type: forward-compatible skip
+        default:  // unknown record type: forward-compatible skip
+          log_unknown_.push_back(std::move(*rec));
+          break;
       }
     }
     truncated_tail_ = reader.truncated();
@@ -126,32 +161,25 @@ StoreReader::StoreReader(const std::string& path) : path_{path} {
   levels_ = read_levels_manifest(path);
   if (!levels_.has_value()) return;
   store_bytes_ += file_size_or_zero(levels_manifest_path(path));
-  if (!(levels_->identity == manifest_)) {
-    throw std::runtime_error(
-        "persist: levels manifest does not match store (" +
-        describe_manifest_mismatch(levels_->identity, manifest_) +
-        "): " + path);
-  }
-  segments_.reserve(levels_->segments.size());
-  for (const SegmentRef& ref : levels_->segments) {
-    auto seg = std::make_unique<SegmentReader>(segment_path(path, ref));
-    if (seg->info().sequence != ref.sequence) {
-      throw std::runtime_error("persist: segment " + ref.file +
-                               " does not carry its manifest sequence: " +
-                               path);
-    }
-    if (!(seg->info().identity == manifest_)) {
-      throw std::runtime_error(
-          "persist: segment " + ref.file + " is from a different sweep (" +
-          describe_manifest_mismatch(seg->info().identity, manifest_) +
-          "): " + path);
-    }
+  segments_ = open_segments(path, *levels_, manifest_);
+  for (const std::unique_ptr<SegmentReader>& seg : segments_) {
     store_bytes_ += seg->file_bytes();
-    segments_.push_back(std::move(seg));
   }
 }
 
 StoreReader::~StoreReader() = default;
+
+std::uint64_t StoreReader::trial_records() const noexcept {
+  std::uint64_t total = log_trials_.size();
+  for (const auto& seg : segments_) total += seg->info().trial_count;
+  return total;
+}
+
+std::uint64_t StoreReader::cell_records() const noexcept {
+  std::uint64_t total = log_cells_.size();
+  for (const auto& seg : segments_) total += seg->info().cell_count;
+  return total;
+}
 
 std::vector<campaign::CellStats> StoreReader::cells() const {
   std::vector<campaign::CellStats> merged;
@@ -205,11 +233,7 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
   if (filter.empty()) {
     // Full view: every segment trial plus every log trial, orphans
     // included — byte-equivalent to replaying the original flat log.
-    std::size_t total = log_trials_.size();
-    for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-      total += seg->info().trial_count;
-    }
-    trials.reserve(total);
+    trials.reserve(trial_records());
     for (const std::unique_ptr<SegmentReader>& seg : segments_) {
       seg->append_trials(trials);
     }

@@ -1,16 +1,17 @@
 // Unified read path over a campaign store in any format: v1/v2 flat
 // logs and v3 segmented stores (log + levels sidecar + sorted segments)
 // behind one interface. Every consumer — stats, diff/gate, merge,
-// progress, resume — reads through this class, so the flat and segmented
-// views of the same data are identical by construction, which is what
-// keeps `stats`/`diff`/`gate` byte-identical before and after
+// progress, compaction — reads through this class, so the flat and
+// segmented views of the same data are identical by construction, which
+// is what keeps `stats`/`diff`/`gate` byte-identical before and after
 // compaction.
 //
 // Merge semantics: segments apply in ascending write sequence, then the
 // log tail on top — the same last-wins order as replaying the original
 // flat log. Each segment group and each cell's log trials is a sorted
-// run, so the merge orders runs rather than records: disjoint runs are
-// concatenated by move, and only runs that rewrite a key are sorted. Cell-range queries (`read_cell`, a non-empty CellFilter in
+// run, so the merge orders runs rather than records: runs of distinct
+// cells are concatenated by move, and only a rewritten cell's runs are
+// sorted. Cell-range queries (`read_cell`, a non-empty CellFilter in
 // `read_matching`) use the segments' first-key block index and read only
 // the blocks that can hold the requested cells; the log tail is always
 // scanned in full, but after compaction it is just the manifest record.
@@ -24,17 +25,27 @@
 
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
+#include "persist/record_io.h"
 #include "persist/segment.h"
 
 namespace msa::persist {
+
+/// The segments `levels` names, in its (ascending sequence) order, each
+/// opened at footer + index and checked against the store: the sidecar
+/// and every segment must carry `identity`, and each segment its
+/// manifest sequence. Throws std::runtime_error naming the mismatch.
+[[nodiscard]] std::vector<std::unique_ptr<SegmentReader>> open_segments(
+    const std::string& store_path, const LevelsManifest& levels,
+    const StoreManifest& identity);
 
 class StoreReader {
  public:
   /// Opens the log, the levels sidecar (if present) and every named
   /// segment's footer + index — but no data blocks. Throws
   /// std::runtime_error for a missing/misframed log, a store with no
-  /// manifest record, a damaged segment/sidecar, or a segment whose
-  /// identity does not match the log's.
+  /// manifest record or with conflicting ones, a damaged
+  /// segment/sidecar, or a segment whose identity does not match the
+  /// log's.
   explicit StoreReader(const std::string& path);
   ~StoreReader();
 
@@ -55,6 +66,24 @@ class StoreReader {
   /// Total on-disk footprint: log + sidecar + live segments.
   [[nodiscard]] std::uint64_t store_bytes() const noexcept {
     return store_bytes_;
+  }
+  /// The levels sidecar, nullopt for a flat store.
+  [[nodiscard]] const std::optional<LevelsManifest>& levels() const noexcept {
+    return levels_;
+  }
+  /// Trial and cell records as stored, before the last-wins merge: every
+  /// segment's plus the log tail's.
+  [[nodiscard]] std::uint64_t trial_records() const noexcept;
+  [[nodiscard]] std::uint64_t cell_records() const noexcept;
+  /// True when the log holds trial or cell records, not just its
+  /// manifest (and any unknown records).
+  [[nodiscard]] bool log_has_data() const noexcept {
+    return !log_cells_.empty() || !log_trials_.empty();
+  }
+  /// Log records of types this build does not know, in write order —
+  /// compaction carries them verbatim into the trimmed log.
+  [[nodiscard]] const std::vector<Record>& unknown_records() const noexcept {
+    return log_unknown_;
   }
 
   /// Every completed cell, ascending global index, duplicates last-wins.
@@ -83,7 +112,6 @@ class StoreReader {
   }
 
  private:
-  std::string path_;
   StoreManifest manifest_;
   bool truncated_tail_ = false;
   std::uint64_t store_bytes_ = 0;
@@ -95,6 +123,7 @@ class StoreReader {
   // the log).
   std::vector<campaign::CellStats> log_cells_;
   std::vector<TrialRecord> log_trials_;
+  std::vector<Record> log_unknown_;
 };
 
 }  // namespace msa::persist

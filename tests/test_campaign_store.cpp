@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "campaign/grid.h"
 #include "campaign/report.h"
 #include "campaign/runner.h"
+#include "campaign/stats.h"
 
 namespace msa::persist {
 namespace {
@@ -480,6 +482,119 @@ TEST(CampaignStore, CompactionDropsOrphanTrialsAndTornTail) {
                       CampaignStore::Mode::kResume};
   const SweepReport finished = resumer.run(grid, store);
   EXPECT_EQ(finished.to_csv(), golden.to_csv());
+}
+
+/// Every file of `path`'s store — log, sidecar, segments — by name.
+std::map<std::string, std::string> store_files(const std::string& path) {
+  const std::filesystem::path store{path};
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with(store.filename().string())) continue;
+    std::ifstream in{entry.path(), std::ios::binary};
+    files[name] = {std::istreambuf_iterator<char>{in}, {}};
+  }
+  return files;
+}
+
+TEST(CampaignStore, CompactionRefusesAStoreALiveWriterHasOpen) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(1, 2);
+  const std::string path = tmp_store("compact_live.store");
+  {
+    CampaignRunner runner{options};
+    CampaignStore store{path, manifest_for(grid, options),
+                        CampaignStore::Mode::kCreate};
+    (void)runner.run(grid, store);
+
+    // The writer could still append to the log compaction would trim.
+    const std::map<std::string, std::string> before = store_files(path);
+    try {
+      (void)compact_store(path);
+      FAIL() << "compacted a store a live writer holds";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(
+                    "persist: store is open by a live writer: " + path),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(store_files(path), before);
+  }
+  const CompactionResult result = compact_store(path);
+  EXPECT_EQ(result.segments_written, 1u);
+  EXPECT_EQ(read_store(path).cells.size(), 8u);
+}
+
+TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(1, 1);
+  const StoreManifest manifest = manifest_for(grid, options);
+  const std::string path = tmp_store("two_manifests.store");
+  {
+    CampaignRunner runner{options};
+    CampaignStore store{path, manifest, CampaignStore::Mode::kCreate};
+    (void)runner.run(grid, store);
+  }
+  StoreManifest other = manifest;
+  other.trial_salt += 1;
+  {
+    RecordWriter writer{path, RecordWriter::Mode::kAppendRecover};
+    writer.append(kRecManifest, encode_store_manifest(other));
+  }
+  const std::map<std::string, std::string> before = store_files(path);
+  const auto expect_named = [&](const std::function<void()>& read) {
+    try {
+      read();
+      FAIL() << "a log with two different manifests was read";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(
+                    "persist: conflicting manifest records in " + path),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([&] { (void)read_store(path); });
+  expect_named([&] { (void)load_sweep({path}); });
+  expect_named([&] { (void)merge_worker_stores({path}); });
+  expect_named([&] { (void)compact_store(path); });
+  EXPECT_EQ(store_files(path), before);
+  // Resume checks every manifest record against its own.
+  EXPECT_THROW((CampaignStore{path, manifest, CampaignStore::Mode::kResume}),
+               std::runtime_error);
+}
+
+TEST(CampaignStore, CompactionKeepsUnknownRecordTypesVerbatim) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(1, 1);
+  const StoreManifest manifest = manifest_for(grid, options);
+  const std::string path = tmp_store("unknown_records.store");
+  const std::vector<std::uint8_t> first = {0x00, 0xff, 0x10};
+  const std::vector<std::uint8_t> second = {};
+  {
+    CampaignRunner runner{options};
+    CampaignStore store{path, manifest, CampaignStore::Mode::kCreate};
+    (void)runner.run(grid, store);
+  }
+  {
+    RecordWriter writer{path, RecordWriter::Mode::kAppendRecover};
+    writer.append(0x7e, first);
+    writer.append(0x7f, second);
+  }
+  const std::string stats = campaign::analyze_sweep(load_sweep({path})).to_csv();
+
+  ASSERT_EQ(compact_store(path).segments_written, 1u);
+  std::vector<Record> log;
+  RecordReader reader{path};
+  while (std::optional<Record> rec = reader.next()) log.push_back(*rec);
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].type, kRecManifest);
+  EXPECT_EQ(decode_store_manifest(log[0].payload), manifest);
+  EXPECT_EQ(log[1].type, 0x7e);
+  EXPECT_EQ(log[1].payload, first);
+  EXPECT_EQ(log[2].type, 0x7f);
+  EXPECT_EQ(log[2].payload, second);
+  EXPECT_EQ(campaign::analyze_sweep(load_sweep({path})).to_csv(), stats);
 }
 
 TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {

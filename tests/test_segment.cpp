@@ -1,9 +1,9 @@
 // Segment-tier tests: the sorted block-indexed format itself (round
 // trip, index behavior, damage rejection), compaction identity at scale
-// (flat vs segmented views byte-identical, tiered shapes included), the
-// indexed read path actually touching only a cell's blocks, and the
-// machinery around it (tailer across a compaction, resume on a
-// segmented store).
+// (flat vs segmented views byte-identical, legacy multi-segment stores
+// included), the indexed read path actually touching only a cell's
+// blocks, and the machinery around it (tailer across a compaction,
+// resume on a segmented store).
 #include "persist/segment.h"
 
 #include <gtest/gtest.h>
@@ -116,10 +116,12 @@ void write_synth_store(const std::string& path, std::uint64_t cells,
   }
 }
 
+/// `cells` synthetic cells from index `first` on, as segment input.
 std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
-                                             std::uint32_t trials_per_cell) {
+                                             std::uint32_t trials_per_cell,
+                                             std::uint64_t first = 0) {
   std::vector<SegmentCell> out;
-  for (std::uint64_t c = 0; c < cells; ++c) {
+  for (std::uint64_t c = first; c < first + cells; ++c) {
     SegmentCell cell;
     cell.stats = synth_stats(c, trials_per_cell);
     for (std::uint32_t t = 0; t < trials_per_cell; ++t) {
@@ -128,6 +130,34 @@ std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
     out.push_back(std::move(cell));
   }
   return out;
+}
+
+/// A store as an older tiered compaction left it: a log holding only its
+/// manifest, and a sidecar naming two segments — `older` at level 1,
+/// then `newer` at level 0 with the later sequence, so `newer` wins
+/// wherever the two hold the same key.
+void write_two_segment_store(const std::string& path,
+                             const StoreManifest& manifest,
+                             std::vector<SegmentCell> older,
+                             std::vector<SegmentCell> newer) {
+  { CampaignStore log{path, manifest, CampaignStore::Mode::kCreate}; }
+  LevelsManifest levels;
+  levels.generation = 2;
+  levels.identity = manifest;
+  const auto add = [&](std::uint32_t level, std::vector<SegmentCell> cells) {
+    const std::uint64_t sequence = levels.segments.size() + 1;
+    const std::string file = segment_file_name(path, sequence);
+    const std::string segment =
+        (std::filesystem::path(path).parent_path() / file).string();
+    const SegmentInfo info =
+        write_segment(segment, level, sequence, manifest, std::move(cells));
+    levels.segments.push_back({file, level, sequence,
+                               std::filesystem::file_size(segment),
+                               info.trial_count, info.cell_count});
+  };
+  add(1, std::move(older));
+  add(0, std::move(newer));
+  write_levels_manifest(path, levels);
 }
 
 /// The three stats renderings at once — "byte-identical" means all of
@@ -288,49 +318,47 @@ TEST(Segment, CompactionKeepsStatsByteIdenticalAtScale) {
   EXPECT_EQ(stats_bytes(path), flat);
 }
 
-TEST(Segment, TieredCompactionKeepsMultipleSegmentsAndIdentity) {
-  const std::string path = tmp_path("tiered.store");
-  const StoreManifest manifest = synth_manifest(120, 10);
-  {
-    CampaignStore store{path, manifest, CampaignStore::Mode::kCreate};
-    for (std::uint64_t c = 0; c < 60; ++c) {
-      for (std::uint32_t t = 0; t < 10; ++t) {
-        store.append_trial(synth_trial(c, t));
-      }
-      store.complete_cell(synth_stats(c, 10));
-    }
-  }
-  // Generous cap: the first flush stays its own level-0 segment.
-  CompactOptions tiered;
-  tiered.max_level_bytes = 64 * 1024 * 1024;
-  EXPECT_EQ(compact_store(path, tiered).segments_live, 1u);
+TEST(Segment, LegacyTwoSegmentStoreCompactsToOneWithIdentity) {
+  // Cells 0..69 at level 1, cells 60..119 at level 0: the ten shared
+  // cells are bit-identical copies, as a resumed sweep would leave.
+  const std::string path = tmp_path("legacy_tiered.store");
+  write_two_segment_store(path, synth_manifest(120, 10),
+                          synth_segment_cells(70, 10),
+                          synth_segment_cells(60, 10, /*first=*/60));
+  ASSERT_EQ(StoreReader{path}.levels()->segments.size(), 2u);
 
-  {  // second half appends through a resume, then compacts again
-    CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
-    EXPECT_EQ(store.completed_count(), 60u);  // seeded from the segment
-    for (std::uint64_t c = 60; c < 120; ++c) {
-      for (std::uint32_t t = 0; t < 10; ++t) {
-        store.append_trial(synth_trial(c, t));
-      }
-      store.complete_cell(synth_stats(c, 10));
-    }
-  }
-  const CompactionResult second = compact_store(path, tiered);
-  EXPECT_EQ(second.segments_live, 2u);  // under the cap: no merge
-
-  // Two live segments + trimmed log must read identically to the same
-  // 120 cells written flat in one go.
-  const std::string flat = tmp_path("tiered_flat.store");
+  // Two live segments + a bare log read identically to the same 120
+  // cells written flat in one go.
+  const std::string flat = tmp_path("legacy_tiered_flat.store");
   write_synth_store(flat, 120, 10);
-  EXPECT_EQ(stats_bytes(path), stats_bytes(flat));
   const CellFilter filter{{CellFilter::parse_clause("delay_s=5,64,119")}};
-  EXPECT_EQ(stats_bytes(path, filter), stats_bytes(flat, filter));
+  const std::string want = stats_bytes(flat);
+  const std::string want_filtered = stats_bytes(flat, filter);
+  EXPECT_EQ(stats_bytes(path), want);
+  EXPECT_EQ(stats_bytes(path, filter), want_filtered);
 
-  // A small cap then merges everything down to one deeper segment.
-  CompactOptions tight;
-  tight.max_level_bytes = 1024;
-  EXPECT_EQ(compact_store(path, tight).segments_live, 1u);
-  EXPECT_EQ(stats_bytes(path), stats_bytes(flat));
+  // Compaction folds both into one level-0 segment and deletes them.
+  const CompactionResult result = compact_store(path);
+  EXPECT_EQ(result.segments_written, 1u);
+  EXPECT_EQ(result.segments_live, 1u);
+  EXPECT_EQ(result.trials_dropped, 10u * 10u);
+  EXPECT_EQ(result.cells_dropped, 10u);
+  EXPECT_EQ(result.generation, 3u);
+  const std::optional<LevelsManifest> levels = read_levels_manifest(path);
+  ASSERT_TRUE(levels.has_value());
+  ASSERT_EQ(levels->segments.size(), 1u);
+  EXPECT_EQ(levels->segments[0].level, 0u);
+  EXPECT_EQ(levels->segments[0].sequence, 3u);
+  std::size_t segment_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("legacy_tiered.store.g")) ++segment_files;
+  }
+  EXPECT_EQ(segment_files, 1u);
+
+  EXPECT_EQ(stats_bytes(path), want);
+  EXPECT_EQ(stats_bytes(path, filter), want_filtered);
 }
 
 TEST(Segment, IndexedCellReadTouchesFractionOfBigStore) {
@@ -436,35 +464,32 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   // Every write in order; replaying into last-wins maps is the reference.
   std::map<std::pair<std::uint64_t, std::uint32_t>, TrialRecord> want_trials;
   std::map<std::uint64_t, campaign::CellStats> want_cells;
-  const auto write = [&](CampaignStore& store, std::uint64_t c,
-                         std::uint32_t first, std::uint32_t last,
-                         int generation) {
+  const auto cell = [&](std::uint64_t c, std::uint32_t first,
+                        std::uint32_t last, int generation) {
+    SegmentCell out;
     for (std::uint32_t t = first; t < last; ++t) {
-      const TrialRecord trial = generation_trial(c, t, generation);
-      store.append_trial(trial);
-      want_trials[{c, t}] = trial;
+      out.trials.push_back(generation_trial(c, t, generation));
+      want_trials[{c, t}] = out.trials.back();
     }
-    campaign::CellStats stats = synth_stats(c, 6);
-    stats.mean_psnr_db += 1000.0 * generation;
-    store.complete_cell(stats);
-    want_cells[c] = stats;
+    out.stats = synth_stats(c, 6);
+    out.stats.mean_psnr_db += 1000.0 * generation;
+    want_cells[c] = out.stats;
+    return out;
   };
-  CompactOptions tiered;
-  tiered.max_level_bytes = 64 * 1024 * 1024;  // each flush stays its own
-  {
-    CampaignStore store{path, manifest, CampaignStore::Mode::kCreate};
-    for (std::uint64_t c = 0; c < 40; ++c) write(store, c, 0, 6, 0);
-  }
-  ASSERT_EQ(compact_store(path, tiered).segments_live, 1u);
-  {  // segment 2 rewrites trials 2..4 of cells 5..14
-    CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
-    for (std::uint64_t c = 5; c < 15; ++c) write(store, c, 2, 5, 1);
-  }
-  ASSERT_EQ(compact_store(path, tiered).segments_live, 2u);
+  std::vector<SegmentCell> older;
+  for (std::uint64_t c = 0; c < 40; ++c) older.push_back(cell(c, 0, 6, 0));
+  // The newer segment rewrites trials 2..4 of cells 5..14.
+  std::vector<SegmentCell> newer;
+  for (std::uint64_t c = 5; c < 15; ++c) newer.push_back(cell(c, 2, 5, 1));
+  write_two_segment_store(path, manifest, std::move(older), std::move(newer));
   {  // the log tail rewrites cells 10..19 on top — cell 12 twice
     CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
-    for (std::uint64_t c = 10; c < 20; ++c) write(store, c, 0, 4, 2);
-    write(store, 12, 1, 3, 3);
+    const auto write = [&](const SegmentCell& rewrite) {
+      for (const TrialRecord& t : rewrite.trials) store.append_trial(t);
+      store.complete_cell(rewrite.stats);
+    };
+    for (std::uint64_t c = 10; c < 20; ++c) write(cell(c, 0, 4, 2));
+    write(cell(12, 1, 3, 3));
   }
 
   const StoreContents contents = read_store(path);
