@@ -4,6 +4,7 @@
 #include <new>
 
 #include "os/proc_fs.h"
+#include "util/bytes.h"
 #include "util/log.h"
 #include "util/strings.h"
 
@@ -257,21 +258,15 @@ void PetaLinuxSystem::read_virt(Pid pid, mem::VirtAddr va,
 }
 
 void PetaLinuxSystem::write_virt32(Pid pid, mem::VirtAddr va, std::uint32_t value) {
-  std::uint8_t buf[4];
-  buf[0] = static_cast<std::uint8_t>(value & 0xFF);
-  buf[1] = static_cast<std::uint8_t>((value >> 8) & 0xFF);
-  buf[2] = static_cast<std::uint8_t>((value >> 16) & 0xFF);
-  buf[3] = static_cast<std::uint8_t>((value >> 24) & 0xFF);
-  write_virt(pid, va, buf);
+  util::ByteWriter buf;
+  buf.u32(value);
+  write_virt(pid, va, buf.bytes());
 }
 
 std::uint32_t PetaLinuxSystem::read_virt32(Pid pid, mem::VirtAddr va) const {
   std::uint8_t buf[4] = {};
   read_virt(pid, va, buf);
-  return static_cast<std::uint32_t>(buf[0]) |
-         (static_cast<std::uint32_t>(buf[1]) << 8) |
-         (static_cast<std::uint32_t>(buf[2]) << 16) |
-         (static_cast<std::uint32_t>(buf[3]) << 24);
+  return util::ByteReader{buf}.u32();
 }
 
 std::string PetaLinuxSystem::ps_ef() const {

@@ -10,11 +10,11 @@
 
 #include "attack/scenario.h"
 #include "campaign/axis.h"
-#include "persist/encoding.h"
 #include "persist/manifest.h"
 #include "persist/segment.h"
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 
@@ -65,7 +65,7 @@ void merge_unique(std::vector<T>& merged, std::vector<T>& incoming, KeyFn key,
 std::vector<std::uint8_t> encode_store_manifest(const StoreManifest& m) {
   // Always writes the CURRENT format — re-encoding a v1-loaded manifest
   // (compaction) upgrades the file to v2 with the synthesized schema.
-  ByteWriter w;
+  util::ByteWriter w;
   w.u32(kStoreFormatVersion);
   w.u64(m.grid_fingerprint);
   w.u64(m.grid_cells);
@@ -80,11 +80,11 @@ std::vector<std::uint8_t> encode_store_manifest(const StoreManifest& m) {
     w.varint(axis.values.size());
     for (const campaign::AxisValue& v : axis.values) encode_axis_value(w, v);
   }
-  return {w.bytes().begin(), w.bytes().end()};
+  return w.take();
 }
 
 StoreManifest decode_store_manifest(std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   const std::uint32_t version = r.u32();
   if (version == 0 || version > kStoreFormatVersion) {
     throw std::runtime_error("persist: unsupported store format version " +
@@ -103,13 +103,13 @@ StoreManifest decode_store_manifest(std::span<const std::uint8_t> payload) {
     m.axes = legacy_axis_schema();
     return m;
   }
-  const std::uint64_t axes = r.varint();
+  const std::uint64_t axes = r.count();
   m.axes.reserve(axes);
   for (std::uint64_t i = 0; i < axes; ++i) {
     campaign::AxisSpec spec;
     spec.name = r.str();
     spec.kind = static_cast<campaign::AxisKind>(r.u8());
-    const std::uint64_t values = r.varint();
+    const std::uint64_t values = r.count();
     spec.values.reserve(values);
     for (std::uint64_t j = 0; j < values; ++j) {
       spec.values.push_back(decode_axis_value(r));

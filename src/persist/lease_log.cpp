@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "persist/encoding.h"
+#include "util/bytes.h"
 #include "util/prng.h"
 
 namespace msa::persist {
@@ -54,13 +54,13 @@ constexpr std::uint8_t kRecLeaseComplete = 20;
 constexpr std::uint8_t kRecLeaseReset = 21;
 
 std::vector<std::uint8_t> encode_cell_index(std::uint64_t cell_index) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.varint(cell_index);
-  return {w.bytes().begin(), w.bytes().end()};
+  return w.take();
 }
 
 std::uint64_t decode_cell_index(std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   return r.varint();
 }
 

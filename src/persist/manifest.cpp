@@ -7,9 +7,9 @@
 #include <string_view>
 #include <utility>
 
-#include "persist/encoding.h"
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 
@@ -63,19 +63,15 @@ std::optional<LevelsManifest> read_levels_manifest(
   }
 
   LevelsManifest out;
-  ByteReader r{rec->payload};
+  util::ByteReader r{rec->payload};
   out.format = r.u32();
   if (out.format != kLevelsManifestFormatVersion) {
     levels_error(path,
                  "unsupported format version " + std::to_string(out.format));
   }
   out.generation = r.u64();
-  {
-    const std::string blob = r.str();
-    out.identity = decode_store_manifest(std::span<const std::uint8_t>{
-        reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()});
-  }
-  const std::uint64_t n = r.varint();
+  out.identity = decode_store_manifest(r.blob());
+  const std::uint64_t n = r.count();
   out.segments.reserve(n);
   std::uint64_t prev_sequence = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -97,15 +93,10 @@ std::optional<LevelsManifest> read_levels_manifest(
 
 void write_levels_manifest(const std::string& store_path,
                            const LevelsManifest& manifest) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.u32(manifest.format);
   w.u64(manifest.generation);
-  {
-    const std::vector<std::uint8_t> blob =
-        encode_store_manifest(manifest.identity);
-    w.str(std::string_view{reinterpret_cast<const char*>(blob.data()),
-                           blob.size()});
-  }
+  w.blob(encode_store_manifest(manifest.identity));
   w.varint(manifest.segments.size());
   for (const SegmentRef& ref : manifest.segments) {
     w.str(ref.file);

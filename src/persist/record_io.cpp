@@ -13,7 +13,7 @@
 #endif
 
 #include "obs/metrics.h"
-#include "persist/encoding.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/monotime.h"
 
@@ -183,7 +183,7 @@ std::optional<Record> RecordReader::next() {
     if (truncated_) crc_failure_counter().add();
     return std::nullopt;
   }
-  ByteReader hr{header};
+  util::ByteReader hr{header};
   const std::uint32_t body_len = hr.u32();
   const std::uint32_t stored_crc = hr.u32();
   if (body_len == 0 || body_len > kMaxRecordBody) {
@@ -269,7 +269,7 @@ void RecordWriter::append(std::uint8_t type,
   crc.update(std::span<const std::uint8_t>{&type, 1});
   crc.update(payload);
 
-  ByteWriter header;
+  util::ByteWriter header;
   header.u32(static_cast<std::uint32_t>(payload.size() + 1));
   header.u32(crc.value());
   if (std::fwrite(header.bytes().data(), 1, header.size(), file_) !=

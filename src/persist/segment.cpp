@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "persist/encoding.h"
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 
@@ -37,11 +37,6 @@ obs::Counter& segment_blocks_read_counter() {
 
 [[noreturn]] void seg_error(const std::string& path, const std::string& what) {
   throw std::runtime_error("persist: segment " + path + ": " + what);
-}
-
-void put_blob(ByteWriter& w, std::span<const std::uint8_t> bytes) {
-  w.varint(bytes.size());
-  w.raw(bytes);
 }
 
 }  // namespace
@@ -98,18 +93,18 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   };
 
   {
-    ByteWriter h;
+    util::ByteWriter h;
     h.u32(kSegmentFormatVersion);
     h.u32(level);
     h.u64(sequence);
-    put_blob(h, encode_store_manifest(identity));
+    h.blob(encode_store_manifest(identity));
     append(kSegHeader, h.bytes());
   }
 
   const auto flush_block = [&](std::uint8_t type, PendingBlock& block,
                                std::vector<WrittenBlock>& out) {
     if (block.entries.empty()) return;
-    ByteWriter w;
+    util::ByteWriter w;
     w.varint(block.entries.size());
     for (const std::vector<std::uint8_t>& entry : block.entries) {
       w.raw(entry);
@@ -125,17 +120,17 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   PendingBlock trial_block;
   for (const SegmentCell& cell : cells) {
     std::vector<std::uint8_t> key = encode_cell_key(cell.stats.coords);
-    ByteWriter g;
-    put_blob(g, key);
+    util::ByteWriter g;
+    g.blob(key);
     g.varint(cell.trials.size());
     for (const TrialRecord& trial : cell.trials) {
-      put_blob(g, encode_trial(trial));
+      g.blob(encode_trial(trial));
     }
     if (trial_block.entries.empty()) trial_block.first_key = key;
     trial_block.bytes += g.size();
     trial_block.count += cell.trials.size();
     info.trial_count += cell.trials.size();
-    trial_block.entries.emplace_back(g.bytes().begin(), g.bytes().end());
+    trial_block.entries.push_back(g.take());
     if (trial_block.bytes >= options.block_bytes) {
       flush_block(kSegTrialBlock, trial_block, trial_blocks);
     }
@@ -146,14 +141,14 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   // derivable, so entries are plain v2 cell payloads).
   PendingBlock cell_block;
   for (const SegmentCell& cell : cells) {
-    ByteWriter e;
-    put_blob(e, encode_cell(cell.stats));
+    util::ByteWriter e;
+    e.blob(encode_cell(cell.stats));
     if (cell_block.entries.empty()) {
       cell_block.first_key = encode_cell_key(cell.stats.coords);
     }
     cell_block.bytes += e.size();
     cell_block.count += 1;
-    cell_block.entries.emplace_back(e.bytes().begin(), e.bytes().end());
+    cell_block.entries.push_back(e.take());
     if (cell_block.bytes >= options.block_bytes) {
       flush_block(kSegCellBlock, cell_block, cell_blocks);
     }
@@ -162,11 +157,11 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
 
   const std::uint64_t index_offset = offset;
   {
-    ByteWriter idx;
+    util::ByteWriter idx;
     const auto put_refs = [&](const std::vector<WrittenBlock>& blocks) {
       idx.varint(blocks.size());
       for (const WrittenBlock& b : blocks) {
-        put_blob(idx, b.first_key);
+        idx.blob(b.first_key);
         idx.varint(b.offset);
         idx.varint(b.frame_len);
         idx.varint(b.count);
@@ -178,7 +173,7 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   }
 
   {
-    ByteWriter f;
+    util::ByteWriter f;
     f.u64(kSegmentFooterMagic);
     f.u32(kSegmentFormatVersion);
     f.u32(level);
@@ -234,7 +229,7 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
     if (payload.size() != kFooterPayloadBytes) {
       seg_error(path_, "footer payload has wrong size");
     }
-    ByteReader r{payload};
+    util::ByteReader r{payload};
     if (r.u64() != kSegmentFooterMagic) seg_error(path_, "bad footer magic");
     info_.format = r.u32();
     if (info_.format != kSegmentFormatVersion) {
@@ -255,7 +250,7 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
   {
     const std::vector<std::uint8_t> payload =
         read_frame_at(kRecordMagic.size(), kSegHeader);
-    ByteReader r{payload};
+    util::ByteReader r{payload};
     const std::uint32_t format = r.u32();
     const std::uint32_t level = r.u32();
     const std::uint64_t sequence = r.u64();
@@ -269,10 +264,10 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
   {
     const std::vector<std::uint8_t> payload =
         read_frame_at(index_offset, kSegIndex);
-    ByteReader r{payload};
+    util::ByteReader r{payload};
     const auto get_refs = [&](std::vector<BlockRef>& out,
                               std::uint64_t lo_offset) {
-      const std::uint64_t n = r.varint();
+      const std::uint64_t n = r.count();
       out.reserve(n);
       std::uint64_t prev_end = lo_offset;
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -311,7 +306,7 @@ std::vector<campaign::CellStats> SegmentReader::cells() const {
     const std::vector<std::uint8_t> payload =
         read_frame_at(block.offset, kSegCellBlock);
     segment_blocks_read_counter().add();
-    ByteReader r{payload};
+    util::ByteReader r{payload};
     const std::uint64_t n = r.varint();
     if (n != block.count) seg_error(path_, "cell block count mismatch");
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -343,7 +338,7 @@ void SegmentReader::append_block_trials(std::size_t block,
   const std::vector<std::uint8_t> payload =
       read_frame_at(ref.offset, kSegTrialBlock);
   segment_blocks_read_counter().add();
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   const std::uint64_t groups = r.varint();
   std::uint64_t trials = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
@@ -390,7 +385,7 @@ std::optional<campaign::CellStats> SegmentReader::cell_for_key(
   const std::vector<std::uint8_t> payload =
       read_frame_at(block.offset, kSegCellBlock);
   segment_blocks_read_counter().add();
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   const std::uint64_t n = r.varint();
   if (n != block.count) seg_error(path_, "cell block count mismatch");
   for (std::uint64_t i = 0; i < n; ++i) {

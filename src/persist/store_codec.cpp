@@ -12,7 +12,7 @@ namespace {
 constexpr std::uint8_t kTrialDenied = 1u << 0;
 constexpr std::uint8_t kTrialModelIdentified = 1u << 1;
 
-void encode_cell_counters(ByteWriter& w, const campaign::CellStats& c) {
+void encode_cell_counters(util::ByteWriter& w, const campaign::CellStats& c) {
   w.varint(c.trials);
   w.varint(c.full_successes);
   w.varint(c.model_identified);
@@ -23,7 +23,7 @@ void encode_cell_counters(ByteWriter& w, const campaign::CellStats& c) {
   w.str(c.first_denial_reason);
 }
 
-void decode_cell_counters(ByteReader& r, campaign::CellStats& c) {
+void decode_cell_counters(util::ByteReader& r, campaign::CellStats& c) {
   c.trials = static_cast<std::size_t>(r.varint());
   c.full_successes = static_cast<std::size_t>(r.varint());
   c.model_identified = static_cast<std::size_t>(r.varint());
@@ -36,7 +36,7 @@ void decode_cell_counters(ByteReader& r, campaign::CellStats& c) {
 
 }  // namespace
 
-void encode_axis_value(ByteWriter& w, const campaign::AxisValue& v) {
+void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v) {
   w.u8(static_cast<std::uint8_t>(v.kind));
   switch (v.kind) {
     case campaign::AxisKind::kString:
@@ -52,7 +52,7 @@ void encode_axis_value(ByteWriter& w, const campaign::AxisValue& v) {
   }
 }
 
-campaign::AxisValue decode_axis_value(ByteReader& r) {
+campaign::AxisValue decode_axis_value(util::ByteReader& r) {
   const std::uint8_t kind = r.u8();
   switch (kind) {
     case static_cast<std::uint8_t>(campaign::AxisKind::kString):
@@ -70,7 +70,7 @@ campaign::AxisValue decode_axis_value(ByteReader& r) {
 }
 
 std::vector<std::uint8_t> encode_trial(const TrialRecord& t) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.varint(t.cell_index);
   w.varint(t.trial);
   std::uint8_t flags = 0;
@@ -81,11 +81,11 @@ std::vector<std::uint8_t> encode_trial(const TrialRecord& t) {
   w.f64(t.psnr);
   w.f64(t.descriptor_pixel_match);
   w.str(t.denial_reason);
-  return {w.bytes().begin(), w.bytes().end()};
+  return w.take();
 }
 
 TrialRecord decode_trial(std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   TrialRecord t;
   t.cell_index = r.varint();
   t.trial = static_cast<std::uint32_t>(r.varint());
@@ -100,7 +100,7 @@ TrialRecord decode_trial(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_cell(const campaign::CellStats& c) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.varint(c.index);
   w.varint(c.coords.size());
   for (const campaign::AxisCoordinate& coord : c.coords) {
@@ -108,14 +108,14 @@ std::vector<std::uint8_t> encode_cell(const campaign::CellStats& c) {
     encode_axis_value(w, coord.value);
   }
   encode_cell_counters(w, c);
-  return {w.bytes().begin(), w.bytes().end()};
+  return w.take();
 }
 
 campaign::CellStats decode_cell_v2(std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   campaign::CellStats c;
   c.index = static_cast<std::size_t>(r.varint());
-  const std::uint64_t coords = r.varint();
+  const std::uint64_t coords = r.count();
   c.coords.reserve(coords);
   for (std::uint64_t i = 0; i < coords; ++i) {
     std::string axis = r.str();
@@ -127,7 +127,7 @@ campaign::CellStats decode_cell_v2(std::span<const std::uint8_t> payload) {
 }
 
 campaign::CellStats decode_cell_v1(std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
+  util::ByteReader r{payload};
   campaign::CellStats c;
   c.index = static_cast<std::size_t>(r.varint());
   c.coords.reserve(4);
@@ -149,19 +149,19 @@ std::vector<campaign::AxisSpec> legacy_axis_schema() {
 
 std::vector<std::uint8_t> encode_cell_key(
     const std::vector<campaign::AxisCoordinate>& coords) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.varint(coords.size());
   for (const campaign::AxisCoordinate& coord : coords) {
     w.str(coord.axis);
     encode_axis_value(w, coord.value);
   }
-  return {w.bytes().begin(), w.bytes().end()};
+  return w.take();
 }
 
 std::vector<campaign::AxisCoordinate> decode_cell_key(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r{bytes};
-  const std::uint64_t n = r.varint();
+  util::ByteReader r{bytes};
+  const std::uint64_t n = r.count();
   std::vector<campaign::AxisCoordinate> coords;
   coords.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

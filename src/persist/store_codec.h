@@ -12,7 +12,7 @@
 
 #include "campaign/report.h"
 #include "persist/campaign_store.h"
-#include "persist/encoding.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 
@@ -24,8 +24,8 @@ inline constexpr std::uint8_t kRecTrial = 2;
 inline constexpr std::uint8_t kRecCell = 3;    ///< v1: four named axis fields
 inline constexpr std::uint8_t kRecCellV2 = 4;  ///< v2: ordered axis coordinates
 
-void encode_axis_value(ByteWriter& w, const campaign::AxisValue& v);
-[[nodiscard]] campaign::AxisValue decode_axis_value(ByteReader& r);
+void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
+[[nodiscard]] campaign::AxisValue decode_axis_value(util::ByteReader& r);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_trial(const TrialRecord& t);
 [[nodiscard]] TrialRecord decode_trial(std::span<const std::uint8_t> payload);

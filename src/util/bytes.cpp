@@ -1,12 +1,12 @@
-#include "persist/encoding.h"
+#include "util/bytes.h"
 
 #include <stdexcept>
 
-namespace msa::persist {
+namespace msa::util {
 
 void ByteReader::need(std::size_t n) const {
   if (data_.size() - pos_ < n) {
-    throw std::out_of_range("persist: record payload shorter than expected");
+    throw std::invalid_argument("bytes: read past the end of the buffer");
   }
 }
 
@@ -50,12 +50,12 @@ std::uint64_t ByteReader::varint() {
     const std::uint8_t byte = data_[pos_++];
     // The 10th byte may only carry the single remaining bit.
     if (shift == 63 && byte > 1) {
-      throw std::out_of_range("persist: varint exceeds 64 bits");
+      throw std::invalid_argument("bytes: varint exceeds 64 bits");
     }
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) return v;
   }
-  throw std::out_of_range("persist: unterminated varint");
+  throw std::invalid_argument("bytes: unterminated varint");
 }
 
 std::span<const std::uint8_t> ByteReader::blob() {
@@ -66,9 +66,24 @@ std::span<const std::uint8_t> ByteReader::blob() {
   return bytes;
 }
 
+std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
+  need(n);
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
+std::uint64_t ByteReader::count() {
+  const std::uint64_t n = varint();
+  if (n > remaining()) {
+    throw std::invalid_argument("bytes: count exceeds the bytes left");
+  }
+  return n;
+}
+
 std::string ByteReader::str() {
   const std::span<const std::uint8_t> bytes = blob();
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-}  // namespace msa::persist
+}  // namespace msa::util

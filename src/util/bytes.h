@@ -1,11 +1,20 @@
-// Endian-safe binary encoding primitives for the on-disk record format.
-// All multi-byte integers are little-endian on disk regardless of host
-// byte order; doubles are serialized as their IEEE-754 bit pattern so a
-// value round-trips bit-exactly (including -0.0, subnormals, infinities
-// and NaN payloads — the campaign reports must be byte-identical whether
-// they were computed in RAM or reloaded from a store). Unsigned varints
-// use LEB128 (7 bits per byte, high bit = continuation), which keeps
-// small counts and cell indices at one byte.
+// The one little-endian byte codec. Every binary format in the tree
+// goes through it: the campaign store's records, segments and lease
+// logs, the XModel container and its layers, the DPU descriptor, and
+// the words staged into simulated memory. All multi-byte integers are
+// little-endian regardless of host byte order; doubles are serialized
+// as their IEEE-754 bit pattern so a value round-trips bit-exactly
+// (including -0.0, subnormals, infinities and NaN payloads — the
+// campaign reports must be byte-identical whether they were computed in
+// RAM or reloaded from a store). Unsigned varints use LEB128 (7 bits per
+// byte, high bit = continuation), which keeps small counts and cell
+// indices at one byte.
+//
+// Error contract: every ByteReader read is bounds-checked, and every
+// overrun, malformed varint or count() larger than the bytes left throws
+// std::invalid_argument and no other type. Decoders of untrusted bytes
+// (memory residue, peer lease logs) catch exactly that, so a truncated
+// or noisy input is a rejection, never a crash or a wild allocation.
 #pragma once
 
 #include <bit>
@@ -13,9 +22,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-namespace msa::persist {
+namespace msa::util {
 
 /// Append-only serialization buffer.
 class ByteWriter {
@@ -58,6 +68,13 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Varint byte length followed by the raw bytes — the mirror of
+  /// ByteReader::blob.
+  void blob(std::span<const std::uint8_t> bytes) {
+    varint(bytes.size());
+    raw(bytes);
+  }
+
   /// Raw bytes, no length prefix — for splicing an already-encoded,
   /// self-delimiting payload (a segment block entry) into a buffer.
   void raw(std::span<const std::uint8_t> bytes) {
@@ -68,15 +85,17 @@ class ByteWriter {
     return buf_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-  void clear() noexcept { buf_.clear(); }
+  /// Moves the encoded buffer out, leaving the writer empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
+    return std::move(buf_);
+  }
 
  private:
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked deserializer over a byte span. Overruns and malformed
-/// varints throw std::out_of_range — inside a CRC-validated record that
-/// means a format bug, not disk corruption, so throwing is correct.
+/// Bounds-checked deserializer over a byte span; see the error contract
+/// above.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) noexcept
@@ -93,11 +112,19 @@ class ByteReader {
   /// zero-copy counterpart of ByteWriter::str.
   [[nodiscard]] std::span<const std::uint8_t> blob();
   [[nodiscard]] std::string str();
+  /// The next `n` bytes, as a view into the reader's buffer.
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n);
+  /// Varint element count. Every element takes at least one byte, so a
+  /// count above remaining() is corrupt and is rejected before a caller
+  /// can reserve() it.
+  [[nodiscard]] std::uint64_t count();
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
   }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
+  /// Bytes consumed so far.
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
  private:
   void need(std::size_t n) const;
@@ -106,4 +133,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-}  // namespace msa::persist
+}  // namespace msa::util

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "util/bytes.h"
+
 namespace msa::util {
 
 namespace {
@@ -105,15 +107,9 @@ std::vector<std::uint8_t> parse_hex_dump(const std::string& text) {
 }
 
 std::vector<std::uint8_t> words_to_bytes_le(std::span<const std::uint32_t> words) {
-  std::vector<std::uint8_t> out;
-  out.reserve(words.size() * 4);
-  for (const std::uint32_t w : words) {
-    out.push_back(static_cast<std::uint8_t>(w & 0xFF));
-    out.push_back(static_cast<std::uint8_t>((w >> 8) & 0xFF));
-    out.push_back(static_cast<std::uint8_t>((w >> 16) & 0xFF));
-    out.push_back(static_cast<std::uint8_t>((w >> 24) & 0xFF));
-  }
-  return out;
+  ByteWriter out;
+  for (const std::uint32_t w : words) out.u32(w);
+  return out.take();
 }
 
 }  // namespace msa::util

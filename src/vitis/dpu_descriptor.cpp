@@ -1,58 +1,31 @@
 #include "vitis/dpu_descriptor.h"
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace msa::vitis {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t off) {
-  return static_cast<std::uint32_t>(b[off]) |
-         (static_cast<std::uint32_t>(b[off + 1]) << 8) |
-         (static_cast<std::uint32_t>(b[off + 2]) << 16) |
-         (static_cast<std::uint32_t>(b[off + 3]) << 24);
-}
-
-std::uint64_t get_u64(std::span<const std::uint8_t> b, std::size_t off) {
-  return static_cast<std::uint64_t>(get_u32(b, off)) |
-         (static_cast<std::uint64_t>(get_u32(b, off + 4)) << 32);
-}
+constexpr std::size_t kBodySize = DpuDescriptor::kEncodedSize - 4;  // CRC last
 
 }  // namespace
 
 std::vector<std::uint8_t> DpuDescriptor::encode() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kEncodedSize);
-  put_u32(out, kMagic);
-  put_u16(out, version);
-  put_u16(out, 0);  // reserved / alignment
-  put_u64(out, input_va);
-  put_u32(out, input_width);
-  put_u32(out, input_height);
-  put_u64(out, output_va);
-  put_u32(out, output_len);
-  put_u32(out, model_crc);
+  util::ByteWriter out;
+  out.u32(kMagic);
+  out.u16(version);
+  out.u16(0);  // reserved / alignment
+  out.u64(input_va);
+  out.u32(input_width);
+  out.u32(input_height);
+  out.u64(output_va);
+  out.u32(output_len);
+  out.u32(model_crc);
   // Pad to the fixed size minus the CRC word.
-  while (out.size() < kEncodedSize - 4) out.push_back(0);
-  put_u32(out, util::crc32(out));
-  return out;
+  while (out.size() < kBodySize) out.u8(0);
+  out.u32(util::crc32(out.bytes()));
+  return out.take();
 }
 
 std::optional<DpuDescriptor> DpuDescriptor::decode_at(
@@ -61,20 +34,20 @@ std::optional<DpuDescriptor> DpuDescriptor::decode_at(
     return std::nullopt;
   }
   const auto view = bytes.subspan(offset, kEncodedSize);
-  if (get_u32(view, 0) != kMagic) return std::nullopt;
-  const std::uint32_t stored_crc = get_u32(view, kEncodedSize - 4);
-  if (util::crc32(view.subspan(0, kEncodedSize - 4)) != stored_crc) {
-    return std::nullopt;
-  }
+  util::ByteReader in{view};
+  if (in.u32() != kMagic) return std::nullopt;
   DpuDescriptor d;
-  d.version = static_cast<std::uint16_t>(view[4] | (view[5] << 8));
+  d.version = in.u16();
+  (void)in.u16();  // reserved
+  d.input_va = in.u64();
+  d.input_width = in.u32();
+  d.input_height = in.u32();
+  d.output_va = in.u64();
+  d.output_len = in.u32();
+  d.model_crc = in.u32();
+  (void)in.bytes(kBodySize - in.position());  // padding
+  if (in.u32() != util::crc32(view.first(kBodySize))) return std::nullopt;
   if (d.version != 1) return std::nullopt;
-  d.input_va = get_u64(view, 8);
-  d.input_width = get_u32(view, 16);
-  d.input_height = get_u32(view, 20);
-  d.output_va = get_u64(view, 24);
-  d.output_len = get_u32(view, 32);
-  d.model_crc = get_u32(view, 36);
   return d;
 }
 

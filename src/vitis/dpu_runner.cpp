@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "vitis/dpu_descriptor.h"
 #include "vitis/tensor.h"
@@ -21,17 +22,13 @@ std::uint64_t align16(std::uint64_t v) { return (v + 15) & ~std::uint64_t{15}; }
 /// Fig. 12 dump begins "9102 0000 0000 0000" = little-endian 0x291, a
 /// chunk size) followed by plausible ARM64 heap pointers.
 std::vector<std::uint8_t> meta_bytes(mem::VirtAddr heap_base) {
-  std::vector<std::uint8_t> out(kMetaBytes, 0);
-  auto put_u64 = [&](std::size_t off, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out[off + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-    }
-  };
-  put_u64(8, 0x291);                    // chunk size | flags
-  put_u64(16, heap_base + 0x1f17108);   // fd-style pointer into the heap
-  put_u64(24, heap_base + 0x1f11270);   // bk-style pointer
-  return out;
+  util::ByteWriter out;
+  out.u64(0);                          // prev_size
+  out.u64(0x291);                      // chunk size | flags
+  out.u64(heap_base + 0x1f17108);      // fd-style pointer into the heap
+  out.u64(heap_base + 0x1f11270);      // bk-style pointer
+  while (out.size() < kMetaBytes) out.u8(0);
+  return out.take();
 }
 
 }  // namespace

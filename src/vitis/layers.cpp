@@ -128,29 +128,43 @@ void matvec(const std::int16_t* w, std::size_t rows, std::size_t len,
   matvec_scalar(w, rows, len, x, out);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> blob, std::size_t& pos) {
-  if (pos + 4 > blob.size()) throw std::invalid_argument("xmodel: truncated u32");
-  const std::uint32_t v = static_cast<std::uint32_t>(blob[pos]) |
-                          (static_cast<std::uint32_t>(blob[pos + 1]) << 8) |
-                          (static_cast<std::uint32_t>(blob[pos + 2]) << 16) |
-                          (static_cast<std::uint32_t>(blob[pos + 3]) << 24);
-  pos += 4;
-  return v;
-}
-
 /// Flags are encoded as exactly 0 or 1, so a parsed container is always
 /// its own canonical encoding (XModel keeps the parsed bytes as such).
-bool get_flag(std::span<const std::uint8_t> blob, std::size_t& pos) {
-  const std::uint8_t v = blob[pos++];
+bool get_flag(util::ByteReader& in) {
+  const std::uint8_t v = in.u8();
   if (v > 1) throw std::invalid_argument("xmodel: bad flag byte");
   return v == 1;
+}
+
+/// The parameter tail Conv2d and Dense share: a u32 weight count, the
+/// int8 weights, a u32 bias count, the int32 biases.
+void put_params(util::ByteWriter& out, const std::vector<std::int8_t>& weights,
+                const std::vector<std::int32_t>& bias) {
+  out.u32(static_cast<std::uint32_t>(weights.size()));
+  out.raw({reinterpret_cast<const std::uint8_t*>(weights.data()),
+           weights.size()});
+  out.u32(static_cast<std::uint32_t>(bias.size()));
+  for (const std::int32_t b : bias) out.u32(static_cast<std::uint32_t>(b));
+}
+
+struct Params {
+  std::vector<std::int8_t> weights;
+  std::vector<std::int32_t> bias;
+};
+
+Params get_params(util::ByteReader& in) {
+  Params p;
+  const std::span<const std::uint8_t> weights = in.bytes(in.u32());
+  p.weights.assign(weights.begin(), weights.end());
+  const std::uint32_t n_b = in.u32();
+  // Validate the length BEFORE sizing the vector: residue parsing must
+  // reject corrupted counts, not ask the allocator for 16 GiB.
+  if (static_cast<std::uint64_t>(n_b) * 4 > in.remaining()) {
+    throw std::invalid_argument("xmodel: truncated bias");
+  }
+  p.bias.resize(n_b);
+  for (std::int32_t& b : p.bias) b = static_cast<std::int32_t>(in.u32());
+  return p;
 }
 
 std::int8_t requantize(std::int32_t acc, std::uint32_t shift, bool relu) {
@@ -257,23 +271,16 @@ std::size_t Conv2d::param_bytes() const noexcept {
   return weights_.size() + bias_.size() * sizeof(std::int32_t);
 }
 
-void Conv2d::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(kind()));
-  put_u32(out, in_c_);
-  put_u32(out, out_c_);
-  put_u32(out, k_);
-  put_u32(out, stride_);
-  put_u32(out, pad_);
-  out.push_back(relu_ ? 1 : 0);
-  put_u32(out, requant_shift_);
-  put_u32(out, static_cast<std::uint32_t>(weights_.size()));
-  for (const std::int8_t w : weights_) {
-    out.push_back(static_cast<std::uint8_t>(w));
-  }
-  put_u32(out, static_cast<std::uint32_t>(bias_.size()));
-  for (const std::int32_t b : bias_) {
-    put_u32(out, static_cast<std::uint32_t>(b));
-  }
+void Conv2d::serialize(util::ByteWriter& out) const {
+  out.u8(static_cast<std::uint8_t>(kind()));
+  out.u32(in_c_);
+  out.u32(out_c_);
+  out.u32(k_);
+  out.u32(stride_);
+  out.u32(pad_);
+  out.u8(relu_ ? 1 : 0);
+  out.u32(requant_shift_);
+  put_params(out, weights_, bias_);
 }
 
 // ------------------------------------------------------------- MaxPool2d ---
@@ -326,10 +333,10 @@ Tensor MaxPool2d::forward(const Tensor& in) const {
   return out;
 }
 
-void MaxPool2d::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(kind()));
-  put_u32(out, k_);
-  put_u32(out, stride_);
+void MaxPool2d::serialize(util::ByteWriter& out) const {
+  out.u8(static_cast<std::uint8_t>(kind()));
+  out.u32(k_);
+  out.u32(stride_);
 }
 
 // --------------------------------------------------------- GlobalAvgPool ---
@@ -354,8 +361,8 @@ Tensor GlobalAvgPool::forward(const Tensor& in) const {
   return out;
 }
 
-void GlobalAvgPool::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(kind()));
+void GlobalAvgPool::serialize(util::ByteWriter& out) const {
+  out.u8(static_cast<std::uint8_t>(kind()));
 }
 
 // ------------------------------------------------------------------ Dense ---
@@ -406,90 +413,47 @@ std::size_t Dense::param_bytes() const noexcept {
   return weights_.size() + bias_.size() * sizeof(std::int32_t);
 }
 
-void Dense::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(kind()));
-  put_u32(out, in_);
-  put_u32(out, out_);
-  out.push_back(relu_ ? 1 : 0);
-  put_u32(out, requant_shift_);
-  put_u32(out, static_cast<std::uint32_t>(weights_.size()));
-  for (const std::int8_t w : weights_) {
-    out.push_back(static_cast<std::uint8_t>(w));
-  }
-  put_u32(out, static_cast<std::uint32_t>(bias_.size()));
-  for (const std::int32_t b : bias_) {
-    put_u32(out, static_cast<std::uint32_t>(b));
-  }
+void Dense::serialize(util::ByteWriter& out) const {
+  out.u8(static_cast<std::uint8_t>(kind()));
+  out.u32(in_);
+  out.u32(out_);
+  out.u8(relu_ ? 1 : 0);
+  out.u32(requant_shift_);
+  put_params(out, weights_, bias_);
 }
 
 // ---------------------------------------------------------- deserializer ---
 
-std::unique_ptr<Layer> deserialize_layer(std::span<const std::uint8_t> blob,
-                                         std::size_t& pos) {
-  if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated layer");
-  const auto kind = static_cast<LayerKind>(blob[pos++]);
+std::unique_ptr<Layer> deserialize_layer(util::ByteReader& in) {
+  const auto kind = static_cast<LayerKind>(in.u8());
   switch (kind) {
     case LayerKind::kConv2d: {
-      const std::uint32_t in_c = get_u32(blob, pos);
-      const std::uint32_t out_c = get_u32(blob, pos);
-      const std::uint32_t k = get_u32(blob, pos);
-      const std::uint32_t stride = get_u32(blob, pos);
-      const std::uint32_t pad = get_u32(blob, pos);
-      if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated conv");
-      const bool relu = get_flag(blob, pos);
-      const std::uint32_t shift = get_u32(blob, pos);
-      const std::uint32_t n_w = get_u32(blob, pos);
-      if (n_w > blob.size() || pos + n_w > blob.size()) {
-        throw std::invalid_argument("xmodel: truncated weights");
-      }
-      std::vector<std::int8_t> w(n_w);
-      for (std::uint32_t i = 0; i < n_w; ++i) {
-        w[i] = static_cast<std::int8_t>(blob[pos++]);
-      }
-      const std::uint32_t n_b = get_u32(blob, pos);
-      // Validate the length BEFORE sizing the vector: residue parsing must
-      // reject corrupted counts, not ask the allocator for 16 GiB.
-      if (static_cast<std::uint64_t>(n_b) * 4 > blob.size() - pos) {
-        throw std::invalid_argument("xmodel: truncated bias");
-      }
-      std::vector<std::int32_t> b(n_b);
-      for (std::uint32_t i = 0; i < n_b; ++i) {
-        b[i] = static_cast<std::int32_t>(get_u32(blob, pos));
-      }
+      const std::uint32_t in_c = in.u32();
+      const std::uint32_t out_c = in.u32();
+      const std::uint32_t k = in.u32();
+      const std::uint32_t stride = in.u32();
+      const std::uint32_t pad = in.u32();
+      const bool relu = get_flag(in);
+      const std::uint32_t shift = in.u32();
+      Params p = get_params(in);
       return std::make_unique<Conv2d>(in_c, out_c, k, stride, pad, relu, shift,
-                                      std::move(w), std::move(b));
+                                      std::move(p.weights), std::move(p.bias));
     }
     case LayerKind::kMaxPool2d: {
-      const std::uint32_t k = get_u32(blob, pos);
-      const std::uint32_t stride = get_u32(blob, pos);
+      const std::uint32_t k = in.u32();
+      const std::uint32_t stride = in.u32();
       return std::make_unique<MaxPool2d>(k, stride);
     }
     case LayerKind::kGlobalAvgPool:
       return std::make_unique<GlobalAvgPool>();
     case LayerKind::kDense: {
-      const std::uint32_t in = get_u32(blob, pos);
-      const std::uint32_t out = get_u32(blob, pos);
-      if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated dense");
-      const bool relu = get_flag(blob, pos);
-      const std::uint32_t shift = get_u32(blob, pos);
-      const std::uint32_t n_w = get_u32(blob, pos);
-      if (n_w > blob.size() || pos + n_w > blob.size()) {
-        throw std::invalid_argument("xmodel: truncated weights");
-      }
-      std::vector<std::int8_t> w(n_w);
-      for (std::uint32_t i = 0; i < n_w; ++i) {
-        w[i] = static_cast<std::int8_t>(blob[pos++]);
-      }
-      const std::uint32_t n_b = get_u32(blob, pos);
-      if (static_cast<std::uint64_t>(n_b) * 4 > blob.size() - pos) {
-        throw std::invalid_argument("xmodel: truncated bias");
-      }
-      std::vector<std::int32_t> b(n_b);
-      for (std::uint32_t i = 0; i < n_b; ++i) {
-        b[i] = static_cast<std::int32_t>(get_u32(blob, pos));
-      }
-      return std::make_unique<Dense>(in, out, relu, shift, std::move(w),
-                                     std::move(b));
+      const std::uint32_t n_in = in.u32();
+      const std::uint32_t n_out = in.u32();
+      const bool relu = get_flag(in);
+      const std::uint32_t shift = in.u32();
+      Params p = get_params(in);
+      return std::make_unique<Dense>(n_in, n_out, relu, shift,
+                                     std::move(p.weights), std::move(p.bias));
     }
   }
   throw std::invalid_argument("xmodel: unknown layer kind");

@@ -14,10 +14,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "util/bytes.h"
 #include "vitis/tensor.h"
 
 namespace msa::vitis {
@@ -40,7 +40,7 @@ class Layer {
   /// Bytes of parameters (weights + biases) this layer stages into DRAM.
   [[nodiscard]] virtual std::size_t param_bytes() const noexcept = 0;
   /// Appends the layer descriptor + parameters to an xmodel blob.
-  virtual void serialize(std::vector<std::uint8_t>& out) const = 0;
+  virtual void serialize(util::ByteWriter& out) const = 0;
 };
 
 class Conv2d final : public Layer {
@@ -58,7 +58,7 @@ class Conv2d final : public Layer {
   [[nodiscard]] TensorShape output_shape(const TensorShape& in) const override;
   [[nodiscard]] Tensor forward(const Tensor& in) const override;
   [[nodiscard]] std::size_t param_bytes() const noexcept override;
-  void serialize(std::vector<std::uint8_t>& out) const override;
+  void serialize(util::ByteWriter& out) const override;
 
   [[nodiscard]] const std::vector<std::int8_t>& weights() const noexcept {
     return weights_;
@@ -85,7 +85,7 @@ class MaxPool2d final : public Layer {
   [[nodiscard]] TensorShape output_shape(const TensorShape& in) const override;
   [[nodiscard]] Tensor forward(const Tensor& in) const override;
   [[nodiscard]] std::size_t param_bytes() const noexcept override { return 0; }
-  void serialize(std::vector<std::uint8_t>& out) const override;
+  void serialize(util::ByteWriter& out) const override;
 
  private:
   std::uint32_t k_, stride_;
@@ -100,7 +100,7 @@ class GlobalAvgPool final : public Layer {
   [[nodiscard]] TensorShape output_shape(const TensorShape& in) const override;
   [[nodiscard]] Tensor forward(const Tensor& in) const override;
   [[nodiscard]] std::size_t param_bytes() const noexcept override { return 0; }
-  void serialize(std::vector<std::uint8_t>& out) const override;
+  void serialize(util::ByteWriter& out) const override;
 };
 
 class Dense final : public Layer {
@@ -117,7 +117,7 @@ class Dense final : public Layer {
   [[nodiscard]] TensorShape output_shape(const TensorShape& in) const override;
   [[nodiscard]] Tensor forward(const Tensor& in) const override;
   [[nodiscard]] std::size_t param_bytes() const noexcept override;
-  void serialize(std::vector<std::uint8_t>& out) const override;
+  void serialize(util::ByteWriter& out) const override;
 
  private:
   std::uint32_t in_, out_;
@@ -130,9 +130,8 @@ class Dense final : public Layer {
 };
 
 /// Reads one serialized layer back (inverse of Layer::serialize).
-/// Advances `pos`. Throws std::invalid_argument on malformed input.
-[[nodiscard]] std::unique_ptr<Layer> deserialize_layer(
-    std::span<const std::uint8_t> blob, std::size_t& pos);
+/// Throws std::invalid_argument on malformed input.
+[[nodiscard]] std::unique_ptr<Layer> deserialize_layer(util::ByteReader& in);
 
 /// Softmax over a [C,1,1] logits tensor -> probabilities.
 [[nodiscard]] std::vector<float> softmax(const Tensor& logits);

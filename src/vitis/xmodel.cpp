@@ -1,9 +1,11 @@
 #include "vitis/xmodel.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace msa::vitis {
@@ -18,50 +20,15 @@ obs::Counter& encodes_metric() {
 constexpr std::array<std::uint8_t, 6> kMagic{'X', 'M', 'D', 'L', '1', '\0'};
 constexpr std::uint16_t kVersion = 1;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
+// Strings carry a u32 length, not the codec's varint one.
+void put_string(util::ByteWriter& out, const std::string& s) {
+  out.u32(static_cast<std::uint32_t>(s.size()));
+  out.raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> blob, std::size_t& pos) {
-  if (pos + 2 > blob.size()) throw std::invalid_argument("xmodel: truncated u16");
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      blob[pos] | (static_cast<std::uint16_t>(blob[pos + 1]) << 8));
-  pos += 2;
-  return v;
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> blob, std::size_t& pos) {
-  if (pos + 4 > blob.size()) throw std::invalid_argument("xmodel: truncated u32");
-  const std::uint32_t v = static_cast<std::uint32_t>(blob[pos]) |
-                          (static_cast<std::uint32_t>(blob[pos + 1]) << 8) |
-                          (static_cast<std::uint32_t>(blob[pos + 2]) << 16) |
-                          (static_cast<std::uint32_t>(blob[pos + 3]) << 24);
-  pos += 4;
-  return v;
-}
-
-std::string get_string(std::span<const std::uint8_t> blob, std::size_t& pos) {
-  const std::uint32_t len = get_u32(blob, pos);
-  if (len > blob.size() || pos + len > blob.size()) {
-    throw std::invalid_argument("xmodel: truncated string");
-  }
-  std::string s{blob.begin() + static_cast<std::ptrdiff_t>(pos),
-                blob.begin() + static_cast<std::ptrdiff_t>(pos + len)};
-  pos += len;
-  return s;
+std::string get_string(util::ByteReader& in) {
+  const std::span<const std::uint8_t> s = in.bytes(in.u32());
+  return {s.begin(), s.end()};
 }
 
 }  // namespace
@@ -118,67 +85,63 @@ std::vector<float> XModel::infer(const Tensor& input) const {
 
 std::vector<std::uint8_t> XModel::encode() const {
   encodes_metric().add();
-  // Range-construct rather than insert into an empty vector: GCC 12's
-  // -Wstringop-overflow misfires on the latter at -O2 and the build is
-  // warning-clean under -Werror.
-  std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
-  put_u16(out, kVersion);
+  util::ByteWriter out;
+  // Byte by byte: GCC 12's -Wstringop-overflow misfires at -O3 on a
+  // range insert into the empty buffer, and the build is -Werror clean.
+  for (const std::uint8_t m : kMagic) out.u8(m);
+  out.u16(kVersion);
   put_string(out, name_);
   put_string(out, framework_);
-  put_u32(out, static_cast<std::uint32_t>(aux_strings_.size()));
+  out.u32(static_cast<std::uint32_t>(aux_strings_.size()));
   for (const auto& s : aux_strings_) put_string(out, s);
-  put_u32(out, input_shape_.c);
-  put_u32(out, input_shape_.h);
-  put_u32(out, input_shape_.w);
-  put_u32(out, static_cast<std::uint32_t>(layers_.size()));
+  out.u32(input_shape_.c);
+  out.u32(input_shape_.h);
+  out.u32(input_shape_.w);
+  out.u32(static_cast<std::uint32_t>(layers_.size()));
   for (const auto& layer : layers_) layer->serialize(out);
-  put_u32(out, util::crc32(out));
-  return out;
+  out.u32(util::crc32(out.bytes()));
+  return out.take();
 }
 
 XModel XModel::deserialize_at(std::span<const std::uint8_t> blob,
                               std::size_t offset, std::size_t* consumed) {
-  std::size_t pos = offset;
-  if (blob.size() < offset || blob.size() - offset < kMagic.size() + 2 + 4) {
-    throw std::invalid_argument("xmodel: too short");
+  if (offset > blob.size()) throw std::invalid_argument("xmodel: too short");
+  const std::span<const std::uint8_t> at = blob.subspan(offset);
+  util::ByteReader in{at};
+  if (!std::ranges::equal(in.bytes(kMagic.size()), kMagic)) {
+    throw std::invalid_argument("xmodel: bad magic");
   }
-  for (const std::uint8_t m : kMagic) {
-    if (blob[pos++] != m) throw std::invalid_argument("xmodel: bad magic");
-  }
-  const std::uint16_t version = get_u16(blob, pos);
-  if (version != kVersion) throw std::invalid_argument("xmodel: bad version");
+  if (in.u16() != kVersion) throw std::invalid_argument("xmodel: bad version");
 
-  std::string name = get_string(blob, pos);
-  std::string framework = get_string(blob, pos);
-  const std::uint32_t n_aux = get_u32(blob, pos);
+  std::string name = get_string(in);
+  std::string framework = get_string(in);
+  const std::uint32_t n_aux = in.u32();
   if (n_aux > 1024) throw std::invalid_argument("xmodel: implausible aux count");
   std::vector<std::string> aux;
   aux.reserve(n_aux);
-  for (std::uint32_t i = 0; i < n_aux; ++i) aux.push_back(get_string(blob, pos));
+  for (std::uint32_t i = 0; i < n_aux; ++i) aux.push_back(get_string(in));
   TensorShape in_shape;
-  in_shape.c = get_u32(blob, pos);
-  in_shape.h = get_u32(blob, pos);
-  in_shape.w = get_u32(blob, pos);
-  const std::uint32_t n_layers = get_u32(blob, pos);
+  in_shape.c = in.u32();
+  in_shape.h = in.u32();
+  in_shape.w = in.u32();
+  const std::uint32_t n_layers = in.u32();
   if (n_layers > 1024) throw std::invalid_argument("xmodel: implausible layer count");
   std::vector<std::unique_ptr<Layer>> layers;
   layers.reserve(n_layers);
   for (std::uint32_t i = 0; i < n_layers; ++i) {
-    layers.push_back(deserialize_layer(blob, pos));
+    layers.push_back(deserialize_layer(in));
   }
 
-  // The container ends with a CRC-32 over everything since `offset`.
-  const std::uint32_t stored_crc = get_u32(blob, pos);
-  const std::uint32_t computed =
-      util::crc32(blob.subspan(offset, pos - 4 - offset));
-  if (stored_crc != computed) throw std::invalid_argument("xmodel: CRC mismatch");
+  // The container ends with a CRC-32 over everything before it.
+  const std::size_t body = in.position();
+  if (in.u32() != util::crc32(at.first(body))) {
+    throw std::invalid_argument("xmodel: CRC mismatch");
+  }
 
-  if (consumed) *consumed = pos - offset;
-  std::vector<std::uint8_t> encoded(
-      blob.begin() + static_cast<std::ptrdiff_t>(offset),
-      blob.begin() + static_cast<std::ptrdiff_t>(pos));
-  return XModel{std::move(name), std::move(framework), in_shape,
-                std::move(aux),  std::move(layers),    std::move(encoded)};
+  if (consumed) *consumed = in.position();
+  const std::span<const std::uint8_t> container = at.first(in.position());
+  return XModel{std::move(name), std::move(framework), in_shape, std::move(aux),
+                std::move(layers), {container.begin(), container.end()}};
 }
 
 XModel XModel::deserialize(const std::vector<std::uint8_t>& blob) {

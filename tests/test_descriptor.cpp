@@ -32,6 +32,24 @@ TEST(DpuDescriptor, EncodeDecodeRoundTrip) {
   EXPECT_EQ(*decoded, d);
 }
 
+TEST(DpuDescriptor, EncodeBytesArePinned) {
+  // Every field holds distinct bytes, so a swapped or mis-sized field
+  // changes the encoding.
+  vitis::DpuDescriptor d;
+  d.input_va = 0x0123456789abcdefULL;
+  d.input_width = 0x11223344u;
+  d.input_height = 0x55667788u;
+  d.output_va = 0xfedcba9876543210ULL;
+  d.output_len = 0x99aabbccu;
+  d.model_crc = 0xddeeff00u;
+  const std::vector<std::uint8_t> want{
+      0x44, 0x50, 0x55, 0x44, 0x01, 0x00, 0x00, 0x00, 0xef, 0xcd, 0xab, 0x89,
+      0x67, 0x45, 0x23, 0x01, 0x44, 0x33, 0x22, 0x11, 0x88, 0x77, 0x66, 0x55,
+      0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0xcc, 0xbb, 0xaa, 0x99,
+      0x00, 0xff, 0xee, 0xdd, 0x00, 0x00, 0x00, 0x00, 0x10, 0xee, 0x98, 0xfd};
+  EXPECT_EQ(d.encode(), want);
+}
+
 TEST(DpuDescriptor, DecodeRejectsBadMagic) {
   auto bytes = sample_descriptor().encode();
   bytes[0] = 'X';
@@ -49,6 +67,15 @@ TEST(DpuDescriptor, DecodeRejectsTruncation) {
   bytes.resize(bytes.size() - 1);
   EXPECT_FALSE(vitis::DpuDescriptor::decode_at(bytes, 0).has_value());
   EXPECT_FALSE(vitis::DpuDescriptor::decode_at(bytes, 40).has_value());
+  // Every strict prefix, each in its own allocation: nullopt, no throw.
+  const auto whole = sample_descriptor().encode();
+  for (std::size_t len = 0; len < whole.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(
+        whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(vitis::DpuDescriptor::decode_at(prefix, 0).has_value()) << len;
+  }
+  EXPECT_FALSE(
+      vitis::DpuDescriptor::decode_at(whole, whole.size() + 1).has_value());
 }
 
 TEST(DpuDescriptor, DecodeAtNonZeroOffset) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "campaign/grid.h"
 #include "campaign/runner.h"
 #include "persist/campaign_store.h"
+#include "persist/record_io.h"
 
 namespace msa::persist {
 namespace {
@@ -212,6 +214,44 @@ TEST(LeaseLog, EmptyDebrisFilesAreTreatedAsFresh) {
   { std::ofstream f{store, std::ios::binary}; }
   EXPECT_THROW((CampaignStore{store, manifest, CampaignStore::Mode::kResume}),
                std::runtime_error);
+}
+
+TEST(LeaseLog, CutShortPayloadsAreRejectedAsMalformed) {
+  // A CRC-valid frame whose payload is a strict prefix of a real one —
+  // not a torn tail, which the frame CRC catches — makes the scanner
+  // throw std::invalid_argument and no other type. Every record of a
+  // real log is cut at every length in turn.
+  const std::string dir = tmp_dir("cut_payload");
+  const StoreManifest manifest = manifest_for(small_grid());
+  const std::string path = LeaseScheduler::lease_path(dir, "w0");
+  {
+    LeaseLog log{path, manifest};
+    log.claim(300);  // a two-byte varint payload
+    log.complete(300);
+  }
+  std::vector<Record> records;
+  {
+    RecordReader reader{path};
+    while (std::optional<Record> rec = reader.next()) {
+      records.push_back(std::move(*rec));
+    }
+  }
+  ASSERT_EQ(records.size(), 3u);  // manifest, claim, complete
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::span<const std::uint8_t> payload = records[i].payload;
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+      {
+        RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+        for (std::size_t j = 0; j < i; ++j) {
+          writer.append(records[j].type, records[j].payload);
+        }
+        writer.append(records[i].type, payload.first(len));
+      }
+      LeaseDirScanner scanner{dir, "me.lease", manifest};
+      EXPECT_THROW(scanner.refresh(false), std::invalid_argument)
+          << "record " << i << " cut to " << len << " of " << payload.size();
+    }
+  }
 }
 
 TEST(LeaseLog, WrongSweepAndForeignFilesRejected) {

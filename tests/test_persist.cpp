@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -12,7 +13,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "persist/encoding.h"
+#include "persist/campaign_store.h"
+#include "persist/store_codec.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 namespace {
@@ -46,7 +49,7 @@ void flip_byte_at_end(const std::filesystem::path& path,
 }
 
 TEST(Encoding, FixedWidthRoundTrip) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.u8(0xab);
   w.u16(0xbeef);
   w.u32(0xdeadbeefu);
@@ -55,7 +58,7 @@ TEST(Encoding, FixedWidthRoundTrip) {
   w.f64(1.0 / 3.0);
   w.f64(std::numeric_limits<double>::infinity());
 
-  ByteReader r{w.bytes()};
+  util::ByteReader r{w.bytes()};
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0xbeef);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
@@ -71,14 +74,14 @@ TEST(Encoding, FixedWidthRoundTrip) {
 TEST(Encoding, NanPayloadSurvives) {
   const double weird_nan =
       std::bit_cast<double>(0x7ff8dead00000001ULL);  // NaN with payload
-  ByteWriter w;
+  util::ByteWriter w;
   w.f64(weird_nan);
-  ByteReader r{w.bytes()};
+  util::ByteReader r{w.bytes()};
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x7ff8dead00000001ULL);
 }
 
 TEST(Encoding, LittleEndianOnDisk) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.u32(0x01020304u);
   const auto bytes = w.bytes();
   ASSERT_EQ(bytes.size(), 4u);
@@ -98,33 +101,157 @@ TEST(Encoding, VarintRoundTripAndSizes) {
       {1u << 28, 5}, {1ULL << 56, 9}, {std::numeric_limits<std::uint64_t>::max(), 10},
   };
   for (const auto& c : cases) {
-    ByteWriter w;
+    util::ByteWriter w;
     w.varint(c.value);
     EXPECT_EQ(w.size(), c.encoded_bytes) << c.value;
-    ByteReader r{w.bytes()};
+    util::ByteReader r{w.bytes()};
     EXPECT_EQ(r.varint(), c.value);
     EXPECT_TRUE(r.done());
   }
 }
 
 TEST(Encoding, StringsWithEmbeddedNulsAndEmpty) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.str("");
   w.str(std::string_view{"a\0b", 3});
-  ByteReader r{w.bytes()};
+  util::ByteReader r{w.bytes()};
   EXPECT_EQ(r.str(), "");
   EXPECT_EQ(r.str(), (std::string{"a\0b", 3}));
 }
 
 TEST(Encoding, ReaderThrowsOnOverrun) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.u16(7);
-  ByteReader r{w.bytes()};
-  EXPECT_THROW((void)r.u32(), std::out_of_range);
+  util::ByteReader r{w.bytes()};
+  EXPECT_THROW((void)r.u32(), std::invalid_argument);
+  EXPECT_THROW((void)r.bytes(3), std::invalid_argument);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_EQ(r.bytes(2).size(), 2u);
+  EXPECT_TRUE(r.done());
   // Unterminated varint: every byte has the continuation bit set.
   const std::uint8_t bad[] = {0x80, 0x80};
-  ByteReader r2{bad};
-  EXPECT_THROW((void)r2.varint(), std::out_of_range);
+  util::ByteReader r2{bad};
+  EXPECT_THROW((void)r2.varint(), std::invalid_argument);
+  // An 11th varint byte's worth of bits does not fit in 64.
+  const std::uint8_t wide[] = {0xff, 0xff, 0xff, 0xff, 0xff,
+                               0xff, 0xff, 0xff, 0xff, 0x02};
+  util::ByteReader r3{wide};
+  EXPECT_THROW((void)r3.varint(), std::invalid_argument);
+  // A count of 3 needs at least 3 bytes after it.
+  const std::uint8_t three[] = {3, 1, 2, 3};
+  EXPECT_EQ(util::ByteReader{three}.count(), 3u);
+  util::ByteReader r4{std::span{three}.first(3)};
+  EXPECT_THROW((void)r4.count(), std::invalid_argument);
+}
+
+TEST(Encoding, WriterBlobMirrorsReaderBlobAndTakeEmptiesTheWriter) {
+  const std::uint8_t raw[] = {0, 1, 2, 0xff};
+  util::ByteWriter w;
+  w.blob(raw);
+  w.str(std::string_view{"\0\1\2\xff", 4});
+  util::ByteReader r{w.bytes()};
+  const std::span<const std::uint8_t> got = r.blob();
+  EXPECT_TRUE(std::ranges::equal(got, raw));
+  EXPECT_EQ(r.str(), (std::string{"\0\1\2\xff", 4}));
+  EXPECT_TRUE(r.done());
+  // blob and str write the same bytes for the same contents.
+  const std::vector<std::uint8_t> taken = w.take();
+  EXPECT_TRUE(std::equal(taken.begin(), taken.begin() + 5, taken.begin() + 5,
+                         taken.end()));
+  EXPECT_EQ(w.size(), 0u);
+}
+
+/// One axis of every kind, so every axis-value branch is on the wire.
+StoreManifest every_kind_manifest() {
+  StoreManifest m;
+  m.grid_fingerprint = 0x0123456789abcdefULL;
+  m.grid_cells = 16;
+  m.trials_per_cell = 3;
+  m.trial_salt = 99;
+  m.axes = {
+      {"defense", campaign::AxisKind::kString,
+       {campaign::AxisValue::of_string("baseline"),
+        campaign::AxisValue::of_string("zero_on_free")}},
+      {"scrubber", campaign::AxisKind::kEnum,
+       {campaign::AxisValue::of_enum("periodic")}},
+      {"delay_s", campaign::AxisKind::kDouble,
+       {campaign::AxisValue::of_number(0.5), campaign::AxisValue::of_number(-0.0)}},
+      {"power_cycled", campaign::AxisKind::kBool,
+       {campaign::AxisValue::of_bool(true), campaign::AxisValue::of_bool(false)}},
+  };
+  return m;
+}
+
+/// Every strict prefix of `whole`, each in its own allocation so the
+/// sanitizers see any read past its end, must make `decode` throw
+/// std::invalid_argument — no other exception type, no success.
+template <typename Decode>
+void expect_every_prefix_rejected(std::span<const std::uint8_t> whole,
+                                  Decode decode, const char* what) {
+  ASSERT_FALSE(whole.empty()) << what;
+  for (std::size_t len = 0; len < whole.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(whole.begin(), whole.begin() + len);
+    EXPECT_THROW((void)decode(prefix), std::invalid_argument)
+        << what << " prefix " << len << " of " << whole.size();
+  }
+}
+
+TEST(Encoding, EveryStrictPrefixOfARecordPayloadIsRejected) {
+  const StoreManifest manifest = every_kind_manifest();
+  expect_every_prefix_rejected(encode_store_manifest(manifest),
+                               decode_store_manifest, "manifest");
+
+  TrialRecord trial;
+  trial.cell_index = 300;
+  trial.trial = 7;
+  trial.denied = true;
+  trial.pixel_match = 0.25;
+  trial.psnr = 31.5;
+  trial.denial_reason = "firewall";
+  expect_every_prefix_rejected(encode_trial(trial), decode_trial, "trial");
+
+  campaign::CellStats cell;
+  cell.index = 5;
+  for (const campaign::AxisSpec& axis : manifest.axes) {
+    cell.coords.push_back({axis.name, axis.values.front()});
+  }
+  cell.trials = 3;
+  cell.first_denial_reason = "firewall";
+  expect_every_prefix_rejected(encode_cell(cell), decode_cell_v2, "cell");
+  expect_every_prefix_rejected(encode_cell_key(cell.coords), decode_cell_key,
+                               "cell key");
+}
+
+TEST(Encoding, HugeCountsAreRejectedBeforeAllocating) {
+  // Counts far beyond the payload once surfaced as std::length_error
+  // (2^62) or std::bad_alloc (2^40) from reserve(); every decoder must
+  // report them as malformed input instead.
+  for (const std::uint64_t huge : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    // A manifest's fixed fields, its axis count (a varint 0) dropped.
+    std::vector<std::uint8_t> fixed = encode_store_manifest(StoreManifest{});
+    ASSERT_EQ(fixed.back(), 0u);
+    fixed.pop_back();
+    util::ByteWriter axes;
+    axes.raw(fixed);
+    util::ByteWriter values;
+    values.raw(fixed);
+    values.varint(1);
+    values.str("delay_s");
+    values.u8(static_cast<std::uint8_t>(campaign::AxisKind::kDouble));
+    values.varint(huge);
+    axes.varint(huge);
+    EXPECT_THROW((void)decode_store_manifest(axes.bytes()), std::invalid_argument);
+    EXPECT_THROW((void)decode_store_manifest(values.bytes()), std::invalid_argument);
+
+    util::ByteWriter cell;
+    cell.varint(0);
+    cell.varint(huge);
+    EXPECT_THROW((void)decode_cell_v2(cell.bytes()), std::invalid_argument);
+
+    util::ByteWriter key;
+    key.varint(huge);
+    EXPECT_THROW((void)decode_cell_key(key.bytes()), std::invalid_argument);
+  }
 }
 
 TEST(RecordIo, RoundTripManyRecords) {
@@ -224,7 +351,7 @@ TEST(RecordIo, InsaneLengthPrefixIsCorruption) {
     writer.append(1, std::vector<std::uint8_t>{9});
   }
   // Hand-craft a frame whose length prefix claims ~4 GB.
-  ByteWriter bogus;
+  util::ByteWriter bogus;
   bogus.u32(0xfffffff0u);
   bogus.u32(0);
   std::ofstream app{path, std::ios::binary | std::ios::app};

@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +23,10 @@
 #include "obs/metrics.h"
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
+#include "persist/record_io.h"
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 namespace {
@@ -290,6 +293,51 @@ TEST(Segment, DamagedLevelsSidecarIsRejectedByName) {
         << e.what();
   }
   EXPECT_THROW((void)StoreReader{path}, std::runtime_error);
+}
+
+/// Rewrites the record file at `path` with the payload of its record
+/// `from_end` places before the last one replaced. The frames before it
+/// keep their offsets, and the new frame has a valid CRC.
+void replace_record_payload(const std::string& path, std::size_t from_end,
+                            std::span<const std::uint8_t> payload) {
+  std::vector<Record> records;
+  {
+    RecordReader reader{path};
+    while (std::optional<Record> rec = reader.next()) {
+      records.push_back(std::move(*rec));
+    }
+  }
+  ASSERT_LT(from_end, records.size());
+  records[records.size() - 1 - from_end].payload.assign(payload.begin(),
+                                                       payload.end());
+  RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+  for (const Record& rec : records) writer.append(rec.type, rec.payload);
+}
+
+TEST(Segment, HugeIndexAndSidecarCountsAreRejected) {
+  // Counts far beyond the payload once reached reserve() and surfaced as
+  // std::length_error or std::bad_alloc; both are malformed input.
+  const std::string segment = tmp_path("huge_count.seg");
+  write_segment(segment, 0, 1, synth_manifest(4, 2), synth_segment_cells(4, 2));
+  const std::string store = tmp_path("huge_count.store");
+  write_synth_store(store, 4, 2);
+  ASSERT_GT(compact_store(store).segments_live, 0u);
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    util::ByteWriter index;  // the trial-block count opens the index
+    index.varint(huge);
+    replace_record_payload(segment, 1, index.bytes());  // index, footer last
+    EXPECT_THROW((void)SegmentReader{segment}, std::invalid_argument) << huge;
+
+    util::ByteWriter levels;
+    levels.u32(kLevelsManifestFormatVersion);
+    levels.u64(1);
+    levels.blob(encode_store_manifest(synth_manifest(4, 2)));
+    levels.varint(huge);  // segment count
+    replace_record_payload(levels_manifest_path(store), 0, levels.bytes());
+    EXPECT_THROW((void)read_levels_manifest(store), std::invalid_argument)
+        << huge;
+  }
 }
 
 TEST(Segment, CompactionKeepsStatsByteIdenticalAtScale) {

@@ -181,7 +181,8 @@ TEST(Softmax, SumsToOneAndOrdersLogits) {
   EXPECT_GT(probs[0], probs[2]);
 }
 
-TEST(LayerSerialization, RoundTripsEveryKind) {
+/// One layer of every kind.
+std::vector<std::unique_ptr<Layer>> every_kind() {
   std::vector<std::unique_ptr<Layer>> layers;
   layers.push_back(std::make_unique<Conv2d>(
       2, 3, 3, 2, 1, true, 6, std::vector<std::int8_t>(2 * 3 * 9, 7),
@@ -191,13 +192,17 @@ TEST(LayerSerialization, RoundTripsEveryKind) {
   layers.push_back(std::make_unique<Dense>(
       3, 5, false, 4, std::vector<std::int8_t>(15, -3),
       std::vector<std::int32_t>(5, 9)));
+  return layers;
+}
 
-  std::vector<std::uint8_t> blob;
+TEST(LayerSerialization, RoundTripsEveryKind) {
+  const std::vector<std::unique_ptr<Layer>> layers = every_kind();
+  util::ByteWriter blob;
   for (const auto& l : layers) l->serialize(blob);
 
-  std::size_t pos = 0;
+  util::ByteReader reader{blob.bytes()};
   for (const auto& original : layers) {
-    const auto copy = deserialize_layer(blob, pos);
+    const auto copy = deserialize_layer(reader);
     EXPECT_EQ(copy->kind(), original->kind());
     EXPECT_EQ(copy->name(), original->name());
     EXPECT_EQ(copy->param_bytes(), original->param_bytes());
@@ -212,7 +217,7 @@ TEST(LayerSerialization, RoundTripsEveryKind) {
       }
     }
   }
-  EXPECT_EQ(pos, blob.size());
+  EXPECT_TRUE(reader.done());
 }
 
 // ---- kernel equality against a naive gather ------------------------------
@@ -344,18 +349,27 @@ TEST(LayerKernels, DenseMatchesNaiveDotSimdOnAndOff) {
 }
 
 TEST(LayerSerialization, TruncatedBlobThrows) {
-  Conv2d conv{1, 1, 1, 1, 0, false, 0, {1}, {0}};
-  std::vector<std::uint8_t> blob;
-  conv.serialize(blob);
-  blob.resize(blob.size() / 2);
-  std::size_t pos = 0;
-  EXPECT_THROW((void)deserialize_layer(blob, pos), std::invalid_argument);
+  // Every strict prefix of every kind's blob is rejected as malformed,
+  // with no other exception type; each prefix is its own allocation so
+  // the sanitizers see any read past it.
+  for (const auto& layer : every_kind()) {
+    util::ByteWriter blob;
+    layer->serialize(blob);
+    const std::span<const std::uint8_t> whole = blob.bytes();
+    for (std::size_t len = 0; len < whole.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(whole.begin(),
+                                             whole.begin() + len);
+      util::ByteReader reader{prefix};
+      EXPECT_THROW((void)deserialize_layer(reader), std::invalid_argument)
+          << layer->name() << " prefix " << len << " of " << whole.size();
+    }
+  }
 }
 
 TEST(LayerSerialization, UnknownKindThrows) {
-  std::vector<std::uint8_t> blob{0xEE};
-  std::size_t pos = 0;
-  EXPECT_THROW((void)deserialize_layer(blob, pos), std::invalid_argument);
+  const std::uint8_t blob[] = {0xEE};
+  util::ByteReader reader{blob};
+  EXPECT_THROW((void)deserialize_layer(reader), std::invalid_argument);
 }
 
 }  // namespace

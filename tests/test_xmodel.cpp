@@ -24,6 +24,32 @@ TEST(XModel, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(copy.serialize(), blob);  // canonical form is stable
 }
 
+TEST(XModel, BytesArePinnedForEveryZooModel) {
+  // Captured from the reference encoder: a symmetric encode/decode change
+  // would still round-trip, so pin the bytes themselves. The CRC is taken
+  // over the container minus its trailing CRC word; a CRC-32 over the
+  // whole container is the same residue constant for every valid one.
+  const struct {
+    const char* name;
+    std::size_t size;
+    std::uint32_t crc;
+  } pinned[] = {
+      {"resnet50_pt", 25091u, 0x61075b44u},
+      {"squeezenet_pt", 5799u, 0xc3551f8fu},
+      {"inception_v1_tf", 14626u, 0xf3bc37a7u},
+      {"mobilenet_v2_tf", 9958u, 0xc81d633au},
+      {"yolov3_tiny_tf", 6327u, 0x4ffa445cu},
+  };
+  ASSERT_EQ(zoo_model_names().size(), std::size(pinned));
+  for (const auto& p : pinned) {
+    const XModel m = make_zoo_model(p.name);
+    const std::span<const std::uint8_t> blob = m.serialize();
+    ASSERT_EQ(blob.size(), p.size) << p.name;
+    EXPECT_EQ(util::crc32(blob.first(blob.size() - 4)), p.crc) << p.name;
+    EXPECT_EQ(util::crc32(blob), 0x2144df1cu) << p.name;
+  }
+}
+
 TEST(XModel, DeserializedModelComputesIdentically) {
   const XModel original = make_zoo_model("squeezenet_pt");
   const XModel copy = XModel::deserialize(original.serialize());
@@ -145,6 +171,17 @@ TEST(XModel, FuzzedResidueNeverAllocatesWildly) {
       // expected rejection path
     }
   }
+  // Truncated residue: every strict prefix of the container is rejected
+  // with std::invalid_argument (EXPECT_THROW fails on any other type).
+  // Each prefix is its own allocation so the sanitizers see overreads.
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(
+        blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)XModel::deserialize_at(prefix, 0), std::invalid_argument)
+        << "prefix " << len << " of " << blob.size();
+  }
+  EXPECT_THROW((void)XModel::deserialize_at(blob, blob.size() + 1),
+               std::invalid_argument);
 }
 
 TEST(XModel, HugeLengthFieldsRejectedNotAllocated) {
