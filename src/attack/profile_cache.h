@@ -26,9 +26,8 @@
 // profile threw is discarded instead of parked.
 // Cache observability lives on the obs metrics registry: the counters
 // cache.profile_hits / cache.profile_misses / cache.twin_boards_built /
-// cache.twin_boards_reused aggregate process-wide, and the campaign
-// runner snapshots per-sweep deltas into SweepReport's never-serialized
-// telemetry fields.
+// cache.twin_boards_reused aggregate process-wide; one sweep's share is
+// the delta between snapshots taken around it.
 #pragma once
 
 #include <condition_variable>

@@ -54,17 +54,6 @@ struct CellStats {
 struct SweepReport {
   std::vector<CellStats> cells;
 
-  // Profile-cache telemetry for the run that produced this report
-  // (deltas, 0 when the cache was off). Deliberately NOT serialized by
-  // to_csv()/to_json(): reports stay byte-identical whether the cache
-  // was on or off, which the campaign determinism tests require. The
-  // counts themselves are schedule-invariant: the per-key once-latch
-  // makes misses == distinct profile keys scored this run.
-  std::uint64_t profile_cache_hits = 0;
-  std::uint64_t profile_cache_misses = 0;
-  std::uint64_t twin_boards_built = 0;
-  std::uint64_t twin_boards_reused = 0;
-
   [[nodiscard]] std::size_t total_trials() const noexcept;
   [[nodiscard]] std::size_t total_full_successes() const noexcept;
   [[nodiscard]] std::size_t total_denials() const noexcept;

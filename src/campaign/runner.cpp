@@ -107,42 +107,16 @@ SweepReport CampaignRunner::run(const GridBuilder& grid,
   return run(grid.build(), store, max_new_cells);
 }
 
-CampaignRunner::CacheCounterSnapshot CampaignRunner::cache_counters() {
-  // The profile cache publishes onto the process-wide metrics registry
-  // (attack/profile_cache.cpp); per-run report telemetry is the delta
-  // across a run() call. Reading relaxed counters while quiescent (run()
-  // snapshots before workers start and after they drain) is exact.
-  return CacheCounterSnapshot{
-      obs::counter("cache.profile_hits").value(),
-      obs::counter("cache.profile_misses").value(),
-      obs::counter("cache.twin_boards_built").value(),
-      obs::counter("cache.twin_boards_reused").value(),
-  };
-}
-
-void CampaignRunner::fill_cache_stats(SweepReport& report,
-                                      const CacheCounterSnapshot& before) {
-  const CacheCounterSnapshot now = cache_counters();
-  report.profile_cache_hits = now.hits - before.hits;
-  report.profile_cache_misses = now.misses - before.misses;
-  report.twin_boards_built = now.boards_built - before.boards_built;
-  report.twin_boards_reused = now.boards_reused - before.boards_reused;
-}
-
 SweepReport CampaignRunner::run(const std::vector<CampaignCell>& cells) {
   SweepReport report;
-  const CacheCounterSnapshot before = cache_counters();
   StaticCellSource source{cells};
   report.cells = execute(source, nullptr);
-  fill_cache_stats(report, before);
   return report;
 }
 
 SweepReport CampaignRunner::run(CellSource& source) {
   SweepReport report;
-  const CacheCounterSnapshot before = cache_counters();
   report.cells = execute(source, nullptr);
-  fill_cache_stats(report, before);
   std::sort(report.cells.begin(), report.cells.end(),
             [](const CellStats& a, const CellStats& b) {
               return a.index < b.index;
@@ -160,9 +134,7 @@ SweepReport CampaignRunner::run(CellSource& source,
         "runner");
   }
   SweepReport report;
-  const CacheCounterSnapshot before = cache_counters();
   report.cells = execute(source, &store);
-  fill_cache_stats(report, before);
   std::sort(report.cells.begin(), report.cells.end(),
             [](const CellStats& a, const CellStats& b) {
               return a.index < b.index;
@@ -207,10 +179,8 @@ SweepReport CampaignRunner::run(const std::vector<CampaignCell>& cells,
     pending_pos.resize(max_new_cells);
   }
 
-  const CacheCounterSnapshot before = cache_counters();
   StaticCellSource source{pending};
   std::vector<CellStats> stats = execute(source, &store);
-  fill_cache_stats(report, before);
   for (std::size_t j = 0; j < stats.size(); ++j) {
     report.cells[pending_pos[j]] = std::move(stats[j]);
   }

@@ -127,19 +127,6 @@ class CampaignRunner {
                                                 nullptr);
 
  private:
-  /// Snapshot of the four profile-cache counters on the obs metrics
-  /// registry (process-wide; the runner reports per-run deltas).
-  struct CacheCounterSnapshot {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t boards_built = 0;
-    std::uint64_t boards_reused = 0;
-  };
-  [[nodiscard]] static CacheCounterSnapshot cache_counters();
-  /// Copies the cache-counter delta accumulated since `before` into the
-  /// report's telemetry fields.
-  static void fill_cache_stats(SweepReport& report,
-                               const CacheCounterSnapshot& before);
   /// Pool execution over `source` into a stats vector indexed by claim
   /// slot; persists per-trial/per-cell records when `store` is non-null.
   [[nodiscard]] std::vector<CellStats> execute(CellSource& source,

@@ -5,9 +5,8 @@
 // unlike tracing there is no enable gate. A snapshot renders through
 // the campaign/table emitters (`campaign_sweep metrics --format ...`).
 //
-// Metrics never feed back into results: the sweep report path reads
-// counters only into the never-serialized telemetry fields, so reports
-// stay byte-identical whether anyone looks at the registry or not.
+// Metrics never feed back into results: no report reads the registry,
+// so reports stay byte-identical whether anyone looks at it or not.
 #pragma once
 
 #include <atomic>

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
 #include "campaign/grid.h"
 #include "campaign/report.h"
 #include "defense/presets.h"
+#include "obs/metrics.h"
 #include "util/log.h"
 
 namespace msa::campaign {
@@ -30,6 +32,29 @@ CampaignOptions make_options(unsigned threads, unsigned trials = 1) {
   options.threads = threads;
   options.trials_per_cell = trials;
   return options;
+}
+
+/// The cache.* registry counters' traffic during one run() call.
+struct CacheDelta {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t boards_built = 0;
+  std::uint64_t boards_reused = 0;
+};
+
+SweepReport run_counting(CampaignRunner& runner, const GridBuilder& grid,
+                         CacheDelta* delta) {
+  obs::Counter& hits = obs::counter("cache.profile_hits");
+  obs::Counter& misses = obs::counter("cache.profile_misses");
+  obs::Counter& built = obs::counter("cache.twin_boards_built");
+  obs::Counter& reused = obs::counter("cache.twin_boards_reused");
+  const CacheDelta before{hits.value(), misses.value(), built.value(),
+                          reused.value()};
+  SweepReport report = runner.run(grid);
+  *delta = {hits.value() - before.hits, misses.value() - before.misses,
+            built.value() - before.boards_built,
+            reused.value() - before.boards_reused};
+  return report;
 }
 
 /// Canonical label of one axis value on a cell ("<missing>" when the
@@ -168,17 +193,18 @@ TEST(CampaignRunner, CachedAndUncachedReportsAreByteIdentical) {
       CampaignOptions options = make_options(threads, 2);
       options.share_profiles = cache;
       CampaignRunner runner{options};
-      const SweepReport report = runner.run(grid);
+      CacheDelta delta;
+      const SweepReport report = run_counting(runner, grid, &delta);
       csv[cache][threads == 8] = report.to_csv();
       json[cache][threads == 8] = report.to_json();
-      // Telemetry reflects the mode: 8 cells x 2 trials = 16 lookups
+      // Cache traffic reflects the mode: 8 cells x 2 trials = 16 lookups
       // over 2 models x 1 board shape = 2 profile keys.
       if (cache) {
-        EXPECT_EQ(report.profile_cache_misses, 2u);
-        EXPECT_EQ(report.profile_cache_hits, 14u);
+        EXPECT_EQ(delta.misses, 2u);
+        EXPECT_EQ(delta.hits, 14u);
       } else {
-        EXPECT_EQ(report.profile_cache_misses, 0u);
-        EXPECT_EQ(report.profile_cache_hits, 0u);
+        EXPECT_EQ(delta.misses, 0u);
+        EXPECT_EQ(delta.hits, 0u);
       }
     }
   }
@@ -199,17 +225,18 @@ TEST(CampaignRunner, CacheCountersMatchGridShapeAndPersistAcrossRuns) {
   CampaignOptions options = make_options(4, 2);
   CampaignRunner runner{options};
 
-  const SweepReport first = runner.run(grid);
-  EXPECT_EQ(first.profile_cache_misses, 2u);
-  EXPECT_EQ(first.profile_cache_hits, 14u);
-  EXPECT_EQ(first.twin_boards_built + first.twin_boards_reused,
-            first.profile_cache_misses);
-  EXPECT_GE(first.twin_boards_built, 1u);
+  CacheDelta a;
+  const SweepReport first = run_counting(runner, grid, &a);
+  EXPECT_EQ(a.misses, 2u);
+  EXPECT_EQ(a.hits, 14u);
+  EXPECT_EQ(a.boards_built + a.boards_reused, a.misses);
+  EXPECT_GE(a.boards_built, 1u);
 
-  const SweepReport second = runner.run(grid);
-  EXPECT_EQ(second.profile_cache_misses, 0u);
-  EXPECT_EQ(second.profile_cache_hits, 16u);
-  EXPECT_EQ(second.twin_boards_built, 0u);
+  CacheDelta b;
+  const SweepReport second = run_counting(runner, grid, &b);
+  EXPECT_EQ(b.misses, 0u);
+  EXPECT_EQ(b.hits, 16u);
+  EXPECT_EQ(b.boards_built, 0u);
   EXPECT_EQ(first.to_csv(), second.to_csv());
 }
 
@@ -223,9 +250,10 @@ TEST(CampaignRunner, AslrDefensesAddProfileKeysDeterministically) {
       .models({"resnet50_pt"})
       .attack_delays_s({0.0, 5.0});
   CampaignRunner runner{make_options(8, 2)};
-  const SweepReport report = runner.run(grid);
-  EXPECT_EQ(report.profile_cache_misses, 3u);
-  EXPECT_EQ(report.profile_cache_hits, 6u * 2u - 3u);
+  CacheDelta delta;
+  (void)run_counting(runner, grid, &delta);
+  EXPECT_EQ(delta.misses, 3u);
+  EXPECT_EQ(delta.hits, 6u * 2u - 3u);
 }
 
 TEST(CampaignRunner, TrialZeroMatchesDirectScenarioRun) {

@@ -1,0 +1,196 @@
+// `campaign_sweep` exit codes, tested in-process through
+// cli::campaign_cli_main: every usage error exits 2 with a first stderr
+// line that names the flag or subcommand at fault, followed by the
+// usage; the runtime-failure, incomplete-sweep and success codes are
+// pinned alongside.
+#include "cli/campaign_cli.h"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+namespace msa::cli {
+namespace {
+
+struct CliRun {
+  int code = -1;
+  std::string out;
+  std::string err;
+
+  [[nodiscard]] std::string first_err_line() const {
+    return err.substr(0, err.find('\n'));
+  }
+};
+
+CliRun run_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "campaign_sweep");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  CliRun run;
+  run.code = campaign_cli_main(static_cast<int>(args.size()), argv.data());
+  run.out = testing::internal::GetCapturedStdout();
+  run.err = testing::internal::GetCapturedStderr();
+  return run;
+}
+
+/// A fresh per-process scratch directory, removed on destruction.
+struct ScratchDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("msa_cli_tests_" + std::to_string(::getpid()));
+  ScratchDir() {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+};
+
+struct Case {
+  std::vector<std::string> argv;
+  int code;
+  std::string first_line;  ///< substring of the first stderr line
+};
+
+/// One cell on the smallest legacy grid: baseline x resnet50 x delay 0 x
+/// no scrubber, one trial.
+const std::vector<std::string> kOneCell{
+    "--defenses", "baseline", "--models", "resnet50_pt", "--delays", "0",
+    "--scrubbers", "0", "--threads", "1", "--quiet"};
+
+std::vector<std::string> one_cell(std::vector<std::string> extra) {
+  std::vector<std::string> argv = kOneCell;
+  argv.insert(argv.end(), extra.begin(), extra.end());
+  return argv;
+}
+
+TEST(CampaignCli, ExitCodesAndFirstStderrLine) {
+  const ScratchDir scratch;
+  const std::string store = (scratch.path / "budget.store").string();
+  std::vector<Case> cases{
+      // Success, runtime failure, sweep incomplete.
+      {{"axes"}, 0, ""},
+      {{"merge", (scratch.path / "missing.store").string(), "--quiet"},
+       1,
+       "merge failed"},
+      {one_cell({"--delays", "0,5", "--store", store, "--cell-budget", "1"}),
+       3,
+       "cell budget reached"},
+
+      // The legacy grid flags are --axis aliases: bad values and repeats
+      // are usage errors, as for --axis itself.
+      {{"--defenses", "nope"}, 2, "--defenses: bad value 'nope'"},
+      {{"--models", "bogus"}, 2, "--models: bad value 'bogus'"},
+      {{"--delays", "1,1"}, 2, "--delays: bad value '1,1'"},
+      {{"--defenses", "baseline,baseline"}, 2, "--defenses: bad value"},
+      {{"--axis", "defense=nope"}, 2, "--axis: bad value 'defense=nope'"},
+      {{"--axis", "model=bogus"}, 2, "--axis: bad value 'model=bogus'"},
+      {{"--axis", "power_cycled=0,0"}, 2, "--axis: bad value"},
+
+      // Values the shell drills check: --axis names and values, the
+      // non-finite and negative --delays/--scrubbers.
+      {{"--axis", "nosuch=1"}, 2, "--axis: bad value 'nosuch=1'"},
+      {{"--axis", "power_cycled=yes"}, 2, "--axis: bad value"},
+      {{"--axis", "delay_s=5x"}, 2, "--axis: bad value"},
+      {{"--axis", "corrupt_fraction=1.5"}, 2, "--axis: bad value"},
+      {{"--axis", "power_cycled=1,1"}, 2, "--axis: bad value"},
+      {{"--axis", "power_cycled"}, 2, "--axis: bad value"},
+      {{"--axis", "=1"}, 2, "--axis: bad value '=1'"},
+      {{"--axis", "firewall=on"}, 2, "--axis: bad value"},
+      {{"--delays", "nan"}, 2, "--delays: bad value 'nan'"},
+      {{"--delays", "inf"}, 2, "--delays: bad value 'inf'"},
+      {{"--delays", "-1"}, 2, "--delays: bad value '-1'"},
+      {{"--delays", "-0.5"}, 2, "--delays: bad value '-0.5'"},
+      {{"--delays", "1e999"}, 2, "--delays: bad value '1e999'"},
+      {{"--scrubbers", "nan"}, 2, "--scrubbers: bad value 'nan'"},
+      {{"--scrubbers", "inf"}, 2, "--scrubbers: bad value 'inf'"},
+      {{"--scrubbers", "-1"}, 2, "--scrubbers: bad value '-1'"},
+      {{"--scrubbers", "-0.5"}, 2, "--scrubbers: bad value '-0.5'"},
+      {{"--scrubbers", "1e999"}, 2, "--scrubbers: bad value '1e999'"},
+
+      // diff gate flags, as the gate drill checks them.
+      {{"diff", "--exit-on-significant", "--alpha", "0", "A", "B"}, 2,
+       "--alpha: bad value '0'"},
+      {{"diff", "--exit-on-significant", "--alpha", "1", "A", "B"}, 2,
+       "--alpha: bad value '1'"},
+      {{"diff", "--exit-on-significant", "--alpha", "1.5", "A", "B"}, 2,
+       "--alpha: bad value '1.5'"},
+      {{"diff", "--exit-on-significant", "--alpha", "nan", "A", "B"}, 2,
+       "--alpha: bad value 'nan'"},
+      {{"diff", "--exit-on-significant", "--alpha", "-0.05", "A", "B"}, 2,
+       "--alpha: bad value '-0.05'"},
+      {{"diff", "--exit-on-significant", "--alpha", "", "A", "B"}, 2,
+       "--alpha: bad value ''"},
+      {{"diff", "--exit-on-significant", "--direction", "sideways", "A", "B"},
+       2,
+       "--direction: bad value 'sideways'"},
+      {{"diff", "--exit-on-significant", "--direction", "", "A", "B"}, 2,
+       "--direction: bad value ''"},
+      {{"diff", "--exit-on-significant", "--direction", "regress,improve",
+        "A", "B"},
+       2,
+       "--direction: bad value 'regress,improve'"},
+      {{"diff", "--exit-on-significant", "--metric", "psnr_p99", "A", "B"}, 2,
+       "--metric: bad value 'psnr_p99'"},
+      {{"diff", "--alpha", "0.01", "A", "B"}, 2,
+       "--alpha: requires --exit-on-significant"},
+      {{"diff", "A"}, 2, "diff: wants two sides A B, got 1"},
+
+      // Errors that once printed only the usage block.
+      {{"--threads"}, 2, "--threads: missing value N"},
+      {{"--csv"}, 2, "--csv: missing value PATH"},
+      {{"--format", "json"}, 2, "unknown flag '--format'"},
+      {{"stats", "--format", "xml", "S"}, 2, "--format: bad value 'xml'"},
+      {{"axes", "extra"}, 2, "axes: unexpected argument 'extra'"},
+      {{"stats"}, 2, "stats: wants --workers-dir DIR or STORE..."},
+
+      // Numbers and cross-flag rules.
+      {{"--threads", "0"}, 2, "--threads: bad value '0'"},
+      {{"--trials", "-1"}, 2, "--trials: bad value '-1'"},
+      {{"--shard", "2/2"}, 2, "--shard: bad value '2/2'"},
+      {{"--worker-id", "a b"}, 2, "--worker-id: bad value 'a b'"},
+      {{"--resume"}, 2, "--resume/--cell-budget: require --store"},
+      {{"compact"}, 2, "compact: wants STORE..."},
+      {{"progress"}, 2, "progress: wants --workers-dir DIR"},
+      {{"progress", "--workers-dir", (scratch.path / "none").string()}, 2,
+       "--workers-dir: bad value"},
+  };
+  for (const Case& c : cases) {
+    std::string label;
+    for (const std::string& arg : c.argv) label += " '" + arg + "'";
+    SCOPED_TRACE("campaign_sweep" + label);
+    const CliRun run = run_cli(c.argv);
+    EXPECT_EQ(run.code, c.code) << run.err;
+    EXPECT_NE(run.first_err_line().find(c.first_line), std::string::npos)
+        << run.err;
+    // A usage error is followed by the usage, and nothing reaches stdout.
+    if (c.code == 2) {
+      EXPECT_NE(run.err.find("\nusage: campaign_sweep"), std::string::npos);
+      EXPECT_EQ(run.out, "");
+    }
+  }
+}
+
+TEST(CampaignCli, AliasesApplyBeforeEveryAxisFlag) {
+  // --axis overrides an alias naming the same axis wherever it appears,
+  // so both orders sweep delay 5, as --delays 5 alone does.
+  const CliRun alone = run_cli(one_cell({"--delays", "5"}));
+  ASSERT_EQ(alone.code, 0) << alone.err;
+  EXPECT_NE(alone.out.find(",5,0,1,"), std::string::npos) << alone.out;
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--axis", "delay_s=5", "--delays", "60"},
+        std::vector<std::string>{"--delays", "60", "--axis", "delay_s=5"}}) {
+    const CliRun run = run_cli(one_cell(flags));
+    ASSERT_EQ(run.code, 0) << run.err;
+    EXPECT_EQ(run.out, alone.out);
+  }
+}
+
+}  // namespace
+}  // namespace msa::cli
