@@ -16,8 +16,8 @@
 #  - a budgeted sweep compacted mid-campaign, resumed to completion and
 #    compacted again, folds back into exactly one live segment AND
 #    still renders the exact single-process stats.
-#  - a copy of the checked-in v1 golden store upgraded through
-#    compaction still emits the pre-refactor golden stats bytes, and a
+#  - a copy of the checked-in golden store compacted into a segment
+#    still emits the pre-refactor golden stats bytes, and a
 #    second compact of it is a no-op (bytes_before == bytes_after).
 # shellcheck source=scripts/ci_lib.sh
 . "$(dirname "$0")/ci_lib.sh"
@@ -108,29 +108,30 @@ timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
 cmp "$tmp/before/stats.csv" "$tmp/resumed_stats.csv"
 echo "compact -> resume -> compact: 1 live segment, stats byte-identical to flat sweep"
 
-# --- v1 golden upgraded through compaction ----------------------------
-# The oldest store format on record must ride through the segmented
-# rewrite and still print the checked-in pre-refactor stats goldens.
-cp "$REPO/tests/data/golden_v1_4axis.store" "$tmp/v1.store"
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/v1.store" 2> /dev/null
-timeout "$SWEEP_TIMEOUT" "$BIN" stats "$tmp/v1.store" > "$tmp/v1_stats.txt"
-timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/v1.store" \
-  > "$tmp/v1_stats.csv"
-timeout "$SWEEP_TIMEOUT" "$BIN" stats --format json "$tmp/v1.store" \
-  > "$tmp/v1_stats.json"
-cmp "$REPO/tests/data/golden_v1_stats.txt" "$tmp/v1_stats.txt"
-cmp "$REPO/tests/data/golden_v1_stats.csv" "$tmp/v1_stats.csv"
-cmp "$REPO/tests/data/golden_v1_stats.json" "$tmp/v1_stats.json"
-# Re-compacting the upgraded store is a stable no-op.
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/v1.store" \
-  2> "$tmp/v1_recompact.txt"
-python3 - "$tmp/v1_recompact.txt" <<'EOF'
+# --- golden store through compaction ----------------------------------
+# The oldest sweep on record must ride through the segmented rewrite and
+# still print the checked-in pre-refactor stats goldens.
+cp "$REPO/tests/data/golden_4axis.store" "$tmp/golden.store"
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/golden.store" 2> /dev/null
+timeout "$SWEEP_TIMEOUT" "$BIN" stats "$tmp/golden.store" \
+  > "$tmp/golden_stats.txt"
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/golden.store" \
+  > "$tmp/golden_stats.csv"
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format json "$tmp/golden.store" \
+  > "$tmp/golden_stats.json"
+cmp "$REPO/tests/data/golden_v1_stats.txt" "$tmp/golden_stats.txt"
+cmp "$REPO/tests/data/golden_v1_stats.csv" "$tmp/golden_stats.csv"
+cmp "$REPO/tests/data/golden_v1_stats.json" "$tmp/golden_stats.json"
+# Re-compacting the compacted store is a stable no-op.
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/golden.store" \
+  2> "$tmp/golden_recompact.txt"
+python3 - "$tmp/golden_recompact.txt" <<'EOF'
 import re, sys
 line = open(sys.argv[1]).read()
 m = re.search(r"compacted .*: (\d+) -> (\d+) bytes", line)
 assert m, line
 assert m.group(1) == m.group(2), f"re-compact moved bytes: {line}"
-print("v1 golden: upgraded stats match goldens, re-compact is a no-op")
+print("golden store: compacted stats match goldens, re-compact is a no-op")
 EOF
 
 echo "ci_compact_sweep.sh: all compaction byte-identity checks passed"

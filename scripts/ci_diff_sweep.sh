@@ -4,8 +4,8 @@
 # a sharded copy of the same sweep must align by axis values with every
 # delta exactly zero, a cross-family diff must pair the shared axes, a
 # registry sweep over non-legacy axes (--axis) must flow through store,
-# stats, and diff with thread-count-invariant bytes, the checked-in v1
-# golden store must diff against a fresh v2 twin to exactly zero, and
+# stats, and diff with thread-count-invariant bytes, the checked-in
+# golden store must diff against a fresh twin to exactly zero, and
 # the grid-axis flags must reject non-finite/negative/unknown values.
 # shellcheck source=scripts/ci_lib.sh
 . "$(dirname "$0")/ci_lib.sh"
@@ -152,14 +152,14 @@ assert all(c["success_delta"] == 0 for c in d["cells"])
 print("generic-axis diff: 4/4 cells aligned, all deltas zero")
 EOF
 
-# --- v1 golden store: readable, diffs to zero against a fresh v2 twin -
-golden="$REPO/tests/data/golden_v1_4axis.store"
+# --- golden store: readable, diffs to zero against a fresh twin -------
+golden="$REPO/tests/data/golden_4axis.store"
 timeout "$SWEEP_TIMEOUT" "$BIN" --trials 2 --threads 2 --quiet \
   --defenses baseline,zero_on_free --models resnet50_pt \
-  --delays 0,5 --scrubbers 0 --store "$tmp/twin_v2.store" > /dev/null
+  --delays 0,5 --scrubbers 0 --store "$tmp/twin.store" > /dev/null
 timeout "$SWEEP_TIMEOUT" "$BIN" diff --format json \
-  "$golden" "$tmp/twin_v2.store" > "$tmp/diff_v1v2.json"
-python3 - "$tmp/diff_v1v2.json" <<'EOF'
+  "$golden" "$tmp/twin.store" > "$tmp/diff_golden.json"
+python3 - "$tmp/diff_golden.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["matched_cells"] == 4, d["matched_cells"]
@@ -170,7 +170,7 @@ for cell in d["cells"]:
     assert cell["p50_shift"] == 0 and cell["p90_shift"] == 0, cell
 for m in d["marginals"]:
     assert m["success_delta"] == 0 and m["mean_psnr_shift"] == 0, m
-print("v1 golden vs fresh v2 twin: 4/4 cells aligned, all deltas zero")
+print("golden store vs fresh twin: 4/4 cells aligned, all deltas zero")
 EOF
 
 # --- --axis validation: unknown axes / bad values / repeats exit 2 ----

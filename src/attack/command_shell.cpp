@@ -125,7 +125,9 @@ std::string CommandShell::cmd_grep(const std::vector<std::string>& args) {
     out += h.row_text;
     out += '\n';
   }
-  out += "(" + std::to_string(hits.size()) + " matching rows)";
+  out += '(';
+  out += std::to_string(hits.size());
+  out += " matching rows)";
   return out;
 }
 

@@ -121,7 +121,7 @@ std::vector<AxisDescriptor> build_registry() {
   std::vector<AxisDescriptor> axes;
 
   // --- the legacy four: their names are the store/stats/diff
-  // compatibility surface with v1 stores -------------------------------
+  // compatibility surface with the oldest stores -----------------------
   axes.push_back({
       "defense", AxisKind::kString, {},
       "defense preset applied to the victim board (defense::all_presets)",

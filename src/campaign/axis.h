@@ -142,8 +142,8 @@ struct AxisDescriptor {
                                            const AxisValue& value);
 
 /// Names of the four legacy axes (defense, model, delay_s, scrubber_Bps)
-/// in their historical grid order — the schema synthesized for a v1
-/// store and the default axes of a fresh GridBuilder.
+/// in their historical grid order — the default axes of a fresh
+/// GridBuilder.
 [[nodiscard]] const std::vector<std::string>& legacy_axis_names();
 
 }  // namespace msa::campaign

@@ -167,8 +167,8 @@ struct DiffReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Aligns two analyzed sweeps on the axes their schemas share (a v1
-/// store's legacy four against a v2 sweep's superset included). Throws
+/// Aligns two analyzed sweeps on the axes their schemas share (a
+/// legacy-four sweep against a superset included). Throws
 /// std::runtime_error when one side carries two cells with the same
 /// projected axis key — duplicate axis values in a grid, or a shared-axis
 /// subset too coarse to separate one side's cells — since either makes

@@ -8,8 +8,7 @@ namespace msa::campaign {
 
 GridBuilder::GridBuilder(attack::ScenarioConfig base) : base_{std::move(base)} {
   // The legacy four axes, each with its neutral value, so a fresh builder
-  // yields exactly one baseline cell and a sharded/resumed v1-era sweep
-  // keeps its historical axis order.
+  // yields exactly one baseline cell in the historical axis order.
   axes_.push_back({"defense", AxisKind::kString,
                    {AxisValue::of_string("baseline")}});
   axes_.push_back({"model", AxisKind::kString,
@@ -134,9 +133,9 @@ std::uint64_t GridBuilder::fingerprint() const noexcept {
     }
   };
 
-  // Scheme tag: v2 fingerprints can never collide with the old four-axis
-  // stream by construction, so a v1 store is only accepted through the
-  // manifest version gate, never by accident.
+  // Scheme tag, fixed forever: it feeds every fingerprint, so changing
+  // it would change the fingerprint of every existing store and make each
+  // one refuse resume and merge.
   mix_str("msa-axis-schema-v2");
 
   // Every registered axis's BASE value, swept or not. This is the

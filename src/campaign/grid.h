@@ -82,10 +82,7 @@ class GridBuilder {
   /// only in, say, power_cycled can never share a store path) plus the
   /// ordered swept-axis schema. Identical for every shard of the same
   /// sweep — it is the value a campaign store's manifest pins so
-  /// resume/merge can reject a store from a different experiment. The
-  /// scheme is versioned: v1 stores carry the old four-axis fingerprint
-  /// and are accepted on read via the manifest version gate, not by
-  /// fingerprint equality.
+  /// resume/merge can reject a store from a different experiment.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Validates every axis value list without materializing cells:

@@ -82,7 +82,7 @@ class CampaignRunner {
   /// with other workers, so the returned report is sorted by global cell
   /// index; it covers the cells THIS worker scored, and with a store the
   /// committed ones are durable — the cross-worker report comes from
-  /// persist::merge_worker_stores, byte-identical to a single-process
+  /// persist::merge_stores, byte-identical to a single-process
   /// run. Trial records stream into `store` as they finish; a cell's
   /// aggregate is persisted only when the source confirms this worker
   /// owns the completion (exactly-once against lease reclaims).

@@ -1,5 +1,5 @@
 // Store-backed sweep analysis: distributional statistics computed from
-// the per-trial record stream (persist::read_store / load_sweep), not
+// the per-trial record stream (persist::load_sweep), not
 // from the per-cell means the report carries. This is the `campaign_sweep
 // stats` subcommand's engine — percentiles need every trial, which only
 // the store has. All output is deterministic: cells ascend by global
@@ -38,8 +38,7 @@ struct WilsonInterval {
 /// Per-cell distribution over that cell's trial stream.
 struct CellDistribution {
   std::uint64_t index = 0;
-  /// Ordered axis coordinates, copied from the stored CellStats (a v1
-  /// store's cells decode with the synthesized legacy four).
+  /// Ordered axis coordinates, copied from the stored CellStats.
   std::vector<AxisCoordinate> coords;
 
   std::size_t trials = 0;

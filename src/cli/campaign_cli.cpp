@@ -335,19 +335,11 @@ int merge_main(const char* argv0, Args args) {
     }
     campaign::SweepReport report;
     try {
-      if (!workers_dir.empty()) {
-        stores = persist::list_store_files(workers_dir);
-        if (stores.empty()) {
-          std::fprintf(stderr, "merge failed: no *.store files in %s\n",
-                       workers_dir.c_str());
-          return 1;
-        }
-        // Worker stores may legally duplicate a cell (lease reclaimed,
-        // original worker resurrected); shard stores may not.
-        report = persist::merge_worker_stores(stores);
-      } else {
-        report = persist::merge_stores(stores);
+      if (!workers_dir.empty()) stores = persist::list_store_files(workers_dir);
+      if (stores.empty()) {  // only a workers dir can list none
+        throw std::runtime_error("no *.store files in " + workers_dir);
       }
+      report = persist::merge_stores(stores);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "merge failed: %s\n", e.what());
       return 1;
@@ -685,7 +677,7 @@ int run_sweep(const SweepFlags& f) {
                      static_cast<unsigned long long>(t.scans),
                      store.completed_count());
       }
-      report = persist::merge_worker_stores(
+      report = persist::merge_stores(
           persist::list_store_files(f.workers_dir));
       completed = shard_cells;
     } else if (f.store_path.empty()) {

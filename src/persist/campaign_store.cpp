@@ -4,7 +4,6 @@
 #include <bit>
 #include <filesystem>
 #include <iterator>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -39,6 +38,10 @@ bool same_trial_bytes(const TrialRecord& a, const TrialRecord& b) {
 template <typename T, typename KeyFn, typename SameFn, typename ConflictFn>
 void merge_unique(std::vector<T>& merged, std::vector<T>& incoming, KeyFn key,
                   SameFn same, std::size_t& duplicates, ConflictFn conflict) {
+  if (merged.empty()) {  // nothing to merge with: take it whole, no copy
+    merged = std::move(incoming);
+    return;
+  }
   std::vector<T> out;
   out.reserve(merged.size() + incoming.size());
   auto a = merged.begin();
@@ -63,8 +66,6 @@ void merge_unique(std::vector<T>& merged, std::vector<T>& incoming, KeyFn key,
 }  // namespace
 
 std::vector<std::uint8_t> encode_store_manifest(const StoreManifest& m) {
-  // Always writes the CURRENT format — re-encoding a v1-loaded manifest
-  // (compaction) upgrades the file to v2 with the synthesized schema.
   util::ByteWriter w;
   w.u32(kStoreFormatVersion);
   w.u64(m.grid_fingerprint);
@@ -86,33 +87,42 @@ std::vector<std::uint8_t> encode_store_manifest(const StoreManifest& m) {
 StoreManifest decode_store_manifest(std::span<const std::uint8_t> payload) {
   util::ByteReader r{payload};
   const std::uint32_t version = r.u32();
-  if (version == 0 || version > kStoreFormatVersion) {
+  if (version != kStoreFormatVersion) {
     throw std::runtime_error("persist: unsupported store format version " +
                              std::to_string(version));
   }
   StoreManifest m;
-  m.version = version;
   m.grid_fingerprint = r.u64();
   m.grid_cells = r.u64();
   m.trials_per_cell = r.u32();
   m.trial_salt = r.u64();
   m.shard_index = r.u32();
   m.shard_count = r.u32();
-  if (version == 1) {
-    // v1 manifests end here; the four-axis schema was implicit.
-    m.axes = legacy_axis_schema();
-    return m;
+  if (m.shard_count == 0 || m.shard_index >= m.shard_count) {
+    throw std::runtime_error("persist: manifest shard " +
+                             std::to_string(m.shard_index) + "/" +
+                             std::to_string(m.shard_count) + " out of range");
   }
   const std::uint64_t axes = r.count();
   m.axes.reserve(axes);
   for (std::uint64_t i = 0; i < axes; ++i) {
     campaign::AxisSpec spec;
     spec.name = r.str();
-    spec.kind = static_cast<campaign::AxisKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(campaign::AxisKind::kEnum)) {
+      throw std::runtime_error("persist: manifest axis '" + spec.name +
+                               "' has unknown kind " + std::to_string(kind));
+    }
+    spec.kind = static_cast<campaign::AxisKind>(kind);
     const std::uint64_t values = r.count();
     spec.values.reserve(values);
     for (std::uint64_t j = 0; j < values; ++j) {
-      spec.values.push_back(decode_axis_value(r));
+      campaign::AxisValue value = decode_axis_value(r);
+      if (value.kind != spec.kind) {
+        throw std::runtime_error("persist: manifest axis '" + spec.name +
+                                 "' holds a value of another kind");
+      }
+      spec.values.push_back(std::move(value));
     }
     m.axes.push_back(std::move(spec));
   }
@@ -129,7 +139,6 @@ std::string describe_manifest_mismatch(const StoreManifest& have,
              std::to_string(b);
     }
   };
-  field("version", have.version, want.version);
   field("grid_fingerprint", have.grid_fingerprint, want.grid_fingerprint);
   field("grid_cells", have.grid_cells, want.grid_cells);
   field("trials_per_cell", have.trials_per_cell, want.trials_per_cell);
@@ -274,10 +283,8 @@ std::uint64_t CampaignStore::scan_existing() {
             "persist: store belongs to a different sweep (" +
             describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
       }
-    } else if (rec->type == kRecCell || rec->type == kRecCellV2) {
-      campaign::CellStats cell = rec->type == kRecCellV2
-                                     ? decode_cell_v2(rec->payload)
-                                     : decode_cell_v1(rec->payload);
+    } else if (rec->type == kRecCell) {
+      campaign::CellStats cell = decode_cell(rec->payload);
       const std::uint64_t index = cell.index;
       completed_[index] = std::move(cell);
     }
@@ -314,7 +321,7 @@ void CampaignStore::append_trial(const TrialRecord& trial) {
 
 void CampaignStore::complete_cell(const campaign::CellStats& stats) {
   const std::lock_guard lock{mutex_};
-  writer_.append(kRecCellV2, encode_cell(stats));
+  writer_.append(kRecCell, encode_cell(stats));
   if (options_.fsync_every != 0 && ++cells_since_sync_ >= options_.fsync_every) {
     writer_.sync();
     cells_since_sync_ = 0;
@@ -354,66 +361,6 @@ void CampaignStore::sync() {
   const std::lock_guard lock{mutex_};
   writer_.sync();
   cells_since_sync_ = 0;
-}
-
-StoreContents read_store(const std::string& path) {
-  return StoreReader{path}.read_all();
-}
-
-campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
-  if (paths.empty()) {
-    throw std::runtime_error("persist: merge needs at least one store");
-  }
-
-  std::vector<StoreContents> stores;
-  stores.reserve(paths.size());
-  for (const std::string& path : paths) stores.push_back(read_store(path));
-
-  const StoreManifest& first = stores.front().manifest;
-  std::map<std::uint32_t, const std::string*> shards_seen;
-  std::map<std::uint64_t, campaign::CellStats> merged;
-  for (std::size_t i = 0; i < stores.size(); ++i) {
-    const StoreManifest& m = stores[i].manifest;
-    StoreManifest sweep_identity = m;
-    sweep_identity.shard_index = first.shard_index;
-    if (!(sweep_identity == first)) {
-      throw std::runtime_error(
-          "persist: store is from a different sweep: " + paths[i]);
-    }
-    if (m.shard_index >= m.shard_count) {
-      throw std::runtime_error("persist: shard index out of range: " +
-                               paths[i]);
-    }
-    const auto [it, inserted] = shards_seen.emplace(m.shard_index, &paths[i]);
-    if (!inserted) {
-      throw std::runtime_error("persist: duplicate shard " +
-                               std::to_string(m.shard_index) + ": " + paths[i] +
-                               " and " + *it->second);
-    }
-    for (campaign::CellStats& cell : stores[i].cells) {
-      if (cell.index >= m.grid_cells) {
-        throw std::runtime_error("persist: cell index beyond grid in " +
-                                 paths[i]);
-      }
-      const std::uint64_t index = cell.index;
-      if (!merged.emplace(index, std::move(cell)).second) {
-        throw std::runtime_error("persist: cell " + std::to_string(index) +
-                                 " reported by more than one store");
-      }
-    }
-  }
-
-  if (merged.size() != first.grid_cells) {
-    throw std::runtime_error(
-        "persist: merged stores cover " + std::to_string(merged.size()) +
-        " of " + std::to_string(first.grid_cells) +
-        " cells (incomplete shard? missing store?)");
-  }
-
-  campaign::SweepReport report;
-  report.cells.reserve(merged.size());
-  for (auto& [index, cell] : merged) report.cells.push_back(std::move(cell));
-  return report;
 }
 
 SweepData load_sweep(const std::vector<std::string>& paths,
@@ -507,8 +454,7 @@ StoreTailer::Counts StoreTailer::poll() {
       while (const auto rec = reader.next()) {
         switch (rec->type) {
           case kRecTrial: ++log_counts_.trials; break;
-          case kRecCell:
-          case kRecCellV2: ++log_counts_.cells; break;
+          case kRecCell: ++log_counts_.cells; break;
           default: break;  // manifest / future record types
         }
       }
@@ -545,13 +491,13 @@ SweepData load_sweep_path(const std::string& path, const CellFilter& filter) {
   return load_sweep({path}, filter);
 }
 
-campaign::SweepReport merge_worker_stores(const std::vector<std::string>& paths) {
+campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
   SweepData data = load_sweep(paths);
   if (data.cells.size() != data.manifest.grid_cells) {
     throw std::runtime_error(
-        "persist: worker stores cover " + std::to_string(data.cells.size()) +
+        "persist: merged stores cover " + std::to_string(data.cells.size()) +
         " of " + std::to_string(data.manifest.grid_cells) +
-        " cells (sweep still in flight? missing store?)");
+        " cells (missing shard or worker store? sweep still in flight?)");
   }
   campaign::SweepReport report;
   report.cells = std::move(data.cells);
@@ -562,7 +508,7 @@ CompactionResult compact_store(const std::string& path) {
   const FileLock lock{path, FileLock::Kind::kExclusive};
 
   CompactionResult result;
-  StoreManifest manifest;
+  LevelsManifest out;  // the sidecar this compaction writes
   std::optional<LevelsManifest> levels;
   std::vector<Record> unknown;  // forward-compat: preserved verbatim
   StoreContents contents;
@@ -578,7 +524,7 @@ CompactionResult compact_store(const std::string& path) {
         result.segments_live <= 1) {
       return result;
     }
-    manifest = reader.manifest();
+    out.identity = reader.manifest();
     unknown = reader.unknown_records();
     contents = reader.read_all();
     // Orphan trials (their cell never completed) drop: a resume re-runs
@@ -593,11 +539,7 @@ CompactionResult compact_store(const std::string& path) {
 
   // ---- One segment holding every completed cell and its trials; both
   // lists ascend by cell index, so each cell's trials are the next run.
-  LevelsManifest out;
   out.generation = (levels ? levels->generation : 0) + 1;
-  // Round-trip the identity through its encoding so a v1 manifest
-  // upgrades to the version the trimmed log will carry.
-  out.identity = decode_store_manifest(encode_store_manifest(manifest));
   if (!contents.cells.empty()) {
     std::vector<SegmentCell> cells(contents.cells.size());
     auto trial = contents.trials.begin();
@@ -624,7 +566,7 @@ CompactionResult compact_store(const std::string& path) {
     ref.file = segment_file_name(path, ref.sequence);
     const std::string segment = segment_path(path, ref);
     const SegmentInfo info = write_segment(segment, ref.level, ref.sequence,
-                                           manifest, std::move(cells));
+                                           out.identity, std::move(cells));
     ref.bytes = file_size_or_zero(segment);
     ref.trials = info.trial_count;
     ref.cells = info.cell_count;
@@ -643,7 +585,7 @@ CompactionResult compact_store(const std::string& path) {
     const std::string tmp = path + ".compact";
     {
       RecordWriter writer{tmp, RecordWriter::Mode::kTruncate};
-      writer.append(kRecManifest, encode_store_manifest(manifest));
+      writer.append(kRecManifest, encode_store_manifest(out.identity));
       for (const Record& rec : unknown) {
         writer.append(rec.type, rec.payload);
       }

@@ -30,33 +30,23 @@ struct ScenarioResult;
 
 namespace msa::persist {
 
-/// Current LOG format. v2 added the serialized axis schema to the
-/// manifest and the coordinate-carrying cell record (kRecCellV2); v1
-/// stores remain readable — decode synthesizes the legacy four-axis
-/// schema for them — but cannot be resumed by a v2 writer.
+/// The store format version every manifest record carries: the axis
+/// schema in the manifest, coordinate-carrying cell records. A segmented
+/// store (a `.levels` sidecar naming sorted segments, see
+/// persist/manifest.h) changes no log bytes, so flat and segmented stores
+/// of one sweep carry the same manifest and stay mergeable. Readers
+/// refuse any other version.
 inline constexpr std::uint32_t kStoreFormatVersion = 2;
-
-/// Effective format of a SEGMENTED store: a v2 write-ahead log plus a
-/// `.levels` sidecar naming sorted block-indexed segments (see
-/// persist/manifest.h). v3 changes no log bytes — the log manifest still
-/// encodes version 2, so flat and segmented stores of one sweep remain
-/// identity-equal and mergeable — which is why this is a separate
-/// constant rather than a bump of kStoreFormatVersion. Readers report it
-/// via StoreContents::format / StoreReader::format_version().
-inline constexpr std::uint32_t kSegmentedStoreFormat = 3;
 
 /// Identity of the sweep a store file belongs to.
 struct StoreManifest {
-  std::uint32_t version = kStoreFormatVersion;  ///< format the file was written in
   std::uint64_t grid_fingerprint = 0;  ///< campaign::GridBuilder::fingerprint
   std::uint64_t grid_cells = 0;        ///< FULL (unsharded) grid size
   std::uint32_t trials_per_cell = 0;
   std::uint64_t trial_salt = 0;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  /// Ordered swept-axis schema (GridBuilder::axis_schema). For a v1
-  /// store this is synthesized: the legacy four axes with empty value
-  /// lists (v1 never recorded the values; cells still carry them).
+  /// Ordered swept-axis schema (GridBuilder::axis_schema).
   std::vector<campaign::AxisSpec> axes;
 
   friend bool operator==(const StoreManifest&, const StoreManifest&) = default;
@@ -64,7 +54,10 @@ struct StoreManifest {
 
 /// On-disk encoding of the manifest payload — shared by campaign stores
 /// and lease logs (both pin the same sweep identity so a stray file from
-/// a different experiment is rejected).
+/// a different experiment is rejected). Decoding throws
+/// std::runtime_error naming the fault for a version other than
+/// kStoreFormatVersion, an unknown axis kind, a value whose kind differs
+/// from its axis, and shard coordinates outside 0 <= index < count.
 [[nodiscard]] std::vector<std::uint8_t> encode_store_manifest(
     const StoreManifest& m);
 [[nodiscard]] StoreManifest decode_store_manifest(
@@ -202,9 +195,6 @@ struct CellFilter {
 /// Read-only snapshot of a store file.
 struct StoreContents {
   StoreManifest manifest;
-  /// kSegmentedStoreFormat when a levels sidecar is present, else the
-  /// log manifest's version (1 or 2).
-  std::uint32_t format = 0;
   /// Completed cells sorted by global index (duplicates last-wins).
   std::vector<campaign::CellStats> cells;
   /// Trial stream sorted by (cell index, trial), deduplicated last-wins.
@@ -214,27 +204,10 @@ struct StoreContents {
   bool truncated_tail = false;
 };
 
-/// Loads everything readable from a store — log and, for a segmented
-/// store, its blocks — stopping cleanly at a torn log tail. Throws
-/// std::runtime_error for a missing/misframed file, a store with no
-/// manifest record, or a damaged segment/sidecar. (Convenience wrapper
-/// over StoreReader::read_all(); see persist/store_reader.h for the
-/// cell-range interface.)
-[[nodiscard]] StoreContents read_store(const std::string& path);
-
-/// Reassembles shard stores into the single-process sweep report, cells
-/// in grid order. Validates that every store belongs to the same sweep
-/// (equal fingerprint/grid/trials/salt/shard_count), shard indices are
-/// distinct, no cell is reported twice, and the union covers the full
-/// grid — throws std::runtime_error otherwise. A single complete
-/// unsharded store is the N=1 case.
-[[nodiscard]] campaign::SweepReport merge_stores(
-    const std::vector<std::string>& paths);
-
 /// Union of several stores from ONE sweep, with duplicates tolerated —
-/// the reader for lease-mode worker stores, where a reclaimed-then-
-/// resurrected lease can leave the same cell (bit-identical, because
-/// trials are deterministic) in two workers' stores. Stores must agree
+/// a reclaimed-then-resurrected lease can leave the same cell
+/// (bit-identical, because trials are deterministic) in two workers'
+/// stores, and a shard store may be listed twice. Stores must agree
 /// on fingerprint/grid/trials/salt (shard coordinates are NOT compared,
 /// so shard stores can be analyzed with the same call); a duplicated
 /// cell or trial whose bytes differ from the first copy throws — that is
@@ -301,14 +274,16 @@ class StoreTailer {
 [[nodiscard]] SweepData load_sweep_path(const std::string& path,
                                         const CellFilter& filter = {});
 
-/// Lease-mode merge: load_sweep over the worker stores plus the full-
-/// coverage check, yielding the report in grid order — byte-identical to
-/// the single-process run. Throws std::runtime_error when cells are
-/// missing (sweep still in flight or a worker store was lost).
-[[nodiscard]] campaign::SweepReport merge_worker_stores(
+/// Reassembles shard or lease-worker stores into the single-process
+/// sweep report, cells in grid order: load_sweep plus the full-coverage
+/// check. Throws std::runtime_error for everything load_sweep refuses
+/// (mixed sweeps, conflicting copies) and when cells are missing (a
+/// shard or worker store lost, or the sweep still in flight). A single
+/// complete unsharded store is the N=1 case.
+[[nodiscard]] campaign::SweepReport merge_stores(
     const std::vector<std::string>& paths);
 
-/// Compacts a store into one sorted block-indexed segment (format v3),
+/// Compacts a store into one sorted block-indexed segment,
 /// dropping superseded records a resumed or raced sweep leaves behind:
 /// duplicate trial records (same cell+trial; last wins), duplicate cell
 /// records (last wins), trial records of cells that never completed (a

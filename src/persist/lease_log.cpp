@@ -45,8 +45,9 @@ obs::Counter& peer_expiries_metric() {
 }
 
 // Lease-log record types. Deliberately disjoint from the campaign-store
-// types (1..3) so a lease file can never be misread as a store: read_store
-// skips these as unknown and then fails its "no manifest" check.
+// types (1..4) so a lease file can never be misread as a store:
+// StoreReader skips these as unknown and then fails its "no manifest"
+// check.
 constexpr std::uint8_t kRecLeaseManifest = 17;
 constexpr std::uint8_t kRecLeaseClaim = 18;
 constexpr std::uint8_t kRecLeaseRenew = 19;

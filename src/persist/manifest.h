@@ -1,12 +1,12 @@
 // Levels manifest: the sidecar that turns a flat store log into a
-// segmented (format v3) store. It names the live segment files and their
+// segmented store. It names the live segment files and their
 // compaction levels; the append-only `.store` log remains the write-ahead
 // tier that readers merge on top. The sidecar is itself a record-framed
 // file replaced atomically (tmp + fsync + rename + parent-dir fsync), so
 // at every instant exactly one generation is visible:
 //
 //   <name>.store          append-only log (WAL tier, always present)
-//   <name>.store.levels   this manifest (present iff the store is v3)
+//   <name>.store.levels   this manifest (present iff the store is segmented)
 //   <name>.store.gNNNNNN.seg   segments, named by write sequence
 //
 // Crash windows are safe by ordering: segments are durable before the
@@ -63,7 +63,7 @@ struct LevelsManifest {
                                        const SegmentRef& ref);
 
 /// The sidecar for `store_path`, or nullopt when none exists (a flat
-/// v1/v2 store). A present-but-corrupt sidecar throws — unlike a log
+/// store). A present-but-corrupt sidecar throws — unlike a log
 /// tail there is no legal torn state, because writes are atomic renames.
 [[nodiscard]] std::optional<LevelsManifest> read_levels_manifest(
     const std::string& store_path);

@@ -138,7 +138,7 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   flush_block(kSegTrialBlock, trial_block, trial_blocks);
 
   // Cell blocks: the aggregate records (coords embedded — the key is
-  // derivable, so entries are plain v2 cell payloads).
+  // derivable, so entries are plain cell payloads).
   PendingBlock cell_block;
   for (const SegmentCell& cell : cells) {
     util::ByteWriter e;
@@ -310,7 +310,7 @@ std::vector<campaign::CellStats> SegmentReader::cells() const {
     const std::uint64_t n = r.varint();
     if (n != block.count) seg_error(path_, "cell block count mismatch");
     for (std::uint64_t i = 0; i < n; ++i) {
-      out.push_back(decode_cell_v2(r.blob()));
+      out.push_back(decode_cell(r.blob()));
     }
   }
   return out;
@@ -389,7 +389,7 @@ std::optional<campaign::CellStats> SegmentReader::cell_for_key(
   const std::uint64_t n = r.varint();
   if (n != block.count) seg_error(path_, "cell block count mismatch");
   for (std::uint64_t i = 0; i < n; ++i) {
-    campaign::CellStats cell = decode_cell_v2(r.blob());
+    campaign::CellStats cell = decode_cell(r.blob());
     const std::vector<std::uint8_t> cell_key = encode_cell_key(cell.coords);
     if (cell_key.size() == key.size() &&
         std::equal(cell_key.begin(), cell_key.end(), key.begin())) {

@@ -111,7 +111,7 @@ std::vector<std::uint8_t> encode_cell(const campaign::CellStats& c) {
   return w.take();
 }
 
-campaign::CellStats decode_cell_v2(std::span<const std::uint8_t> payload) {
+campaign::CellStats decode_cell(std::span<const std::uint8_t> payload) {
   util::ByteReader r{payload};
   campaign::CellStats c;
   c.index = static_cast<std::size_t>(r.varint());
@@ -124,27 +124,6 @@ campaign::CellStats decode_cell_v2(std::span<const std::uint8_t> payload) {
   }
   decode_cell_counters(r, c);
   return c;
-}
-
-campaign::CellStats decode_cell_v1(std::span<const std::uint8_t> payload) {
-  util::ByteReader r{payload};
-  campaign::CellStats c;
-  c.index = static_cast<std::size_t>(r.varint());
-  c.coords.reserve(4);
-  c.coords.push_back({"defense", campaign::AxisValue::of_string(r.str())});
-  c.coords.push_back({"model", campaign::AxisValue::of_string(r.str())});
-  c.coords.push_back({"delay_s", campaign::AxisValue::of_number(r.f64())});
-  c.coords.push_back(
-      {"scrubber_Bps", campaign::AxisValue::of_number(r.f64())});
-  decode_cell_counters(r, c);
-  return c;
-}
-
-std::vector<campaign::AxisSpec> legacy_axis_schema() {
-  return {{"defense", campaign::AxisKind::kString, {}},
-          {"model", campaign::AxisKind::kString, {}},
-          {"delay_s", campaign::AxisKind::kDouble, {}},
-          {"scrubber_Bps", campaign::AxisKind::kDouble, {}}};
 }
 
 std::vector<std::uint8_t> encode_cell_key(

@@ -21,8 +21,9 @@ namespace msa::persist {
 // stay backward-readable.
 inline constexpr std::uint8_t kRecManifest = 1;
 inline constexpr std::uint8_t kRecTrial = 2;
-inline constexpr std::uint8_t kRecCell = 3;    ///< v1: four named axis fields
-inline constexpr std::uint8_t kRecCellV2 = 4;  ///< v2: ordered axis coordinates
+// Type 3 is reserved: it held an earlier cell layout and must never be
+// reused.
+inline constexpr std::uint8_t kRecCell = 4;  ///< ordered axis coordinates
 
 void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
 [[nodiscard]] campaign::AxisValue decode_axis_value(util::ByteReader& r);
@@ -30,21 +31,11 @@ void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
 [[nodiscard]] std::vector<std::uint8_t> encode_trial(const TrialRecord& t);
 [[nodiscard]] TrialRecord decode_trial(std::span<const std::uint8_t> payload);
 
-/// v2 cell record: ordered (axis, value) coordinates, then the counters.
+/// Cell record: ordered (axis, value) coordinates, then the counters.
 [[nodiscard]] std::vector<std::uint8_t> encode_cell(
     const campaign::CellStats& c);
-[[nodiscard]] campaign::CellStats decode_cell_v2(
+[[nodiscard]] campaign::CellStats decode_cell(
     std::span<const std::uint8_t> payload);
-/// v1 cell record: the four hard-coded axis fields, decoded into the
-/// equivalent coordinates so everything downstream of read is
-/// version-blind.
-[[nodiscard]] campaign::CellStats decode_cell_v1(
-    std::span<const std::uint8_t> payload);
-
-/// The schema a v1 writer implicitly used: the legacy four axes. Value
-/// lists stay empty — v1 manifests never recorded them; the cells carry
-/// the actual values.
-[[nodiscard]] std::vector<campaign::AxisSpec> legacy_axis_schema();
 
 /// Encoded sort key of a cell: its ordered (axis, value) coordinates.
 /// Encoding is deterministic, so equal keys are equal bytes — segment

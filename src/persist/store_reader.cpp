@@ -21,6 +21,16 @@ obs::Counter& log_bytes_read_counter() {
   return c;
 }
 
+/// Byte order over encoded cell keys that also takes a span, so a set
+/// of keys is probed without copying the probe into a vector.
+struct KeyBytesLess {
+  using is_transparent = void;
+  bool operator()(std::span<const std::uint8_t> a,
+                  std::span<const std::uint8_t> b) const {
+    return std::ranges::lexicographical_compare(a, b);
+  }
+};
+
 /// Merge keys: (cell index, position within the cell).
 TrialRecord::Key trial_key(const TrialRecord& t) { return t.key(); }
 TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
@@ -140,10 +150,7 @@ StoreReader::StoreReader(const std::string& path) {
           log_trials_.push_back(decode_trial(rec->payload));
           break;
         case kRecCell:
-          log_cells_.push_back(decode_cell_v1(rec->payload));
-          break;
-        case kRecCellV2:
-          log_cells_.push_back(decode_cell_v2(rec->payload));
+          log_cells_.push_back(decode_cell(rec->payload));
           break;
         default:  // unknown record type: forward-compatible skip
           log_unknown_.push_back(std::move(*rec));
@@ -225,7 +232,6 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
 StoreContents StoreReader::read_matching(const CellFilter& filter) const {
   StoreContents out;
   out.manifest = manifest_;
-  out.format = format_version();
   out.truncated_tail = truncated_tail_;
   out.cells = cells();
 
@@ -244,12 +250,12 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
     });
     // Indexed path: per segment, the set of blocks that can hold any
     // selected cell — each block read once even when it serves several.
-    std::set<std::vector<std::uint8_t>> keys;
+    std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
     for (const campaign::CellStats& cell : out.cells) {
       keys.insert(encode_cell_key(cell.coords));
     }
     const auto selected_key = [&](std::span<const std::uint8_t> key) {
-      return keys.contains({key.begin(), key.end()});
+      return keys.contains(key);
     };
     for (const std::unique_ptr<SegmentReader>& seg : segments_) {
       std::set<std::size_t> blocks;

@@ -1,6 +1,6 @@
-// Unified read path over a campaign store in any format: v1/v2 flat
-// logs and v3 segmented stores (log + levels sidecar + sorted segments)
-// behind one interface. Every consumer — stats, diff/gate, merge,
+// Unified read path over a campaign store, flat (the log alone) or
+// segmented (log + levels sidecar + sorted segments), behind one
+// interface. Every consumer — stats, diff/gate, merge,
 // progress, compaction — reads through this class, so the flat and
 // segmented views of the same data are identical by construction, which
 // is what keeps `stats`/`diff`/`gate` byte-identical before and after
@@ -56,10 +56,6 @@ class StoreReader {
     return manifest_;
   }
   [[nodiscard]] bool segmented() const noexcept { return levels_.has_value(); }
-  /// kSegmentedStoreFormat for a segmented store, else the log version.
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return segmented() ? kSegmentedStoreFormat : manifest_.version;
-  }
   [[nodiscard]] bool truncated_tail() const noexcept {
     return truncated_tail_;
   }
@@ -104,8 +100,8 @@ class StoreReader {
 
   /// The store restricted to cells matching `filter` (empty filter =
   /// everything, including orphan log trials — byte-equivalent to the
-  /// historical full read). Cells/trials sorted exactly like read_store:
-  /// ascending index, ascending (cell, trial).
+  /// historical full read). Cells ascend by index, trials by
+  /// (cell, trial).
   [[nodiscard]] StoreContents read_matching(const CellFilter& filter) const;
   [[nodiscard]] StoreContents read_all() const {
     return read_matching(CellFilter{});

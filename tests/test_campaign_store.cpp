@@ -3,6 +3,7 @@
 // must reproduce the uninterrupted single-process report exactly — and
 // crash recovery: a torn tail costs only the incomplete cell.
 #include "persist/campaign_store.h"
+#include "persist/store_reader.h"
 
 #include <gtest/gtest.h>
 
@@ -165,7 +166,7 @@ TEST(CampaignStore, TrialStreamReconstructsCellAggregates) {
     (void)runner.run(grid, store);
   }
 
-  const StoreContents contents = read_store(path);
+  const StoreContents contents = StoreReader{path}.read_all();
   EXPECT_FALSE(contents.truncated_tail);
   ASSERT_EQ(contents.cells.size(), 8u);
   ASSERT_EQ(contents.trials.size(), 8u * 3u);
@@ -420,7 +421,7 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
                         CampaignStore::Mode::kResume};
     (void)resumer.run(grid, store);
   }
-  const StoreContents before = read_store(path);
+  const StoreContents before = StoreReader{path}.read_all();
   ASSERT_EQ(before.cells.size(), 8u);
 
   const CompactionResult result = compact_store(path);
@@ -431,10 +432,10 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
   // dropped duplicates.)
   EXPECT_EQ(result.segments_written, 1u);
   EXPECT_EQ(result.segments_live, 1u);
-  EXPECT_EQ(read_store(path).format, kSegmentedStoreFormat);
+  EXPECT_TRUE(StoreReader{path}.segmented());
 
   // Identical view after compaction, and still a valid mergeable store.
-  const StoreContents after = read_store(path);
+  const StoreContents after = StoreReader{path}.read_all();
   EXPECT_FALSE(after.truncated_tail);
   ASSERT_EQ(after.cells.size(), before.cells.size());
   ASSERT_EQ(after.trials.size(), before.trials.size());
@@ -465,12 +466,12 @@ TEST(CampaignStore, CompactionDropsOrphanTrialsAndTornTail) {
   // Tear the last cell's completion record mid-frame: its trials become
   // orphans and the file ends in garbage.
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
-  ASSERT_TRUE(read_store(path).truncated_tail);
+  ASSERT_TRUE(StoreReader{path}.read_all().truncated_tail);
 
   const CompactionResult result = compact_store(path);
   EXPECT_EQ(result.cells_dropped, 0u);
   EXPECT_EQ(result.trials_dropped, 2u);  // the incomplete cell's 2 trials
-  const StoreContents after = read_store(path);
+  const StoreContents after = StoreReader{path}.read_all();
   EXPECT_FALSE(after.truncated_tail);
   EXPECT_EQ(after.cells.size(), 7u);
   EXPECT_EQ(after.trials.size(), 14u);  // only completed cells' trials
@@ -523,7 +524,7 @@ TEST(CampaignStore, CompactionRefusesAStoreALiveWriterHasOpen) {
   }
   const CompactionResult result = compact_store(path);
   EXPECT_EQ(result.segments_written, 1u);
-  EXPECT_EQ(read_store(path).cells.size(), 8u);
+  EXPECT_EQ(StoreReader{path}.read_all().cells.size(), 8u);
 }
 
 TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
@@ -554,9 +555,9 @@ TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
           << e.what();
     }
   };
-  expect_named([&] { (void)read_store(path); });
+  expect_named([&] { (void)StoreReader{path}.read_all(); });
   expect_named([&] { (void)load_sweep({path}); });
-  expect_named([&] { (void)merge_worker_stores({path}); });
+  expect_named([&] { (void)merge_stores({path}); });
   expect_named([&] { (void)compact_store(path); });
   EXPECT_EQ(store_files(path), before);
   // Resume checks every manifest record against its own.
@@ -615,9 +616,12 @@ TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {
   EXPECT_EQ(data.cells.size(), 8u);
   EXPECT_EQ(data.duplicate_cells, 8u);
   EXPECT_EQ(data.duplicate_trials, 8u);
-  const SweepReport merged = merge_worker_stores({a, b});
+  // Identical duplicates merge to the single-process report, however
+  // they are spread over the stores.
+  const SweepReport merged = merge_stores({a, b});
   CampaignRunner runner{options};
   EXPECT_EQ(merged.to_csv(), runner.run(grid).to_csv());
+  EXPECT_EQ(merge_stores({a, a}).to_csv(), merged.to_csv());
 
   // Conflicting bytes for the same key are corruption, never tolerated.
   const std::string c = tmp_store("dup_c.store");
@@ -634,8 +638,7 @@ TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {
     store.complete_cell(fake);
   }
   EXPECT_THROW((void)load_sweep({a, c}), std::runtime_error);
-  // Strict shard-merge still rejects duplicates outright.
-  EXPECT_THROW((void)merge_stores({a, b}), std::runtime_error);
+  EXPECT_THROW((void)merge_stores({a, c}), std::runtime_error);
 }
 
 /// Identity of the hand-written stores below: 16 cells of one axis.
@@ -805,7 +808,8 @@ TEST(CampaignStore, MergeRejectsDuplicateAndIncompleteShards) {
   }
   // Half the grid missing.
   EXPECT_THROW((void)merge_stores({path}), std::runtime_error);
-  // Same shard twice.
+  // Same shard twice: its copies are identical, but the other half of
+  // the grid is still missing.
   EXPECT_THROW((void)merge_stores({path, path}), std::runtime_error);
   EXPECT_THROW((void)merge_stores({}), std::runtime_error);
 }

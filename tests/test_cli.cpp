@@ -13,6 +13,9 @@
 
 #include <unistd.h>
 
+#include "persist/campaign_store.h"
+#include "persist/store_reader.h"
+
 namespace msa::cli {
 namespace {
 
@@ -73,12 +76,38 @@ std::vector<std::string> one_cell(std::vector<std::string> extra) {
 TEST(CampaignCli, ExitCodesAndFirstStderrLine) {
   const ScratchDir scratch;
   const std::string store = (scratch.path / "budget.store").string();
+  // Stores for the merge rows: a complete one-cell sweep, one shard of a
+  // two-cell sweep, and a copy of the complete store whose cell record
+  // was rewritten with different counters.
+  const std::string full = (scratch.path / "full.store").string();
+  const std::string shard = (scratch.path / "shard.store").string();
+  const std::string conflict = (scratch.path / "conflict.store").string();
+  ASSERT_EQ(run_cli(one_cell({"--store", full})).code, 0);
+  ASSERT_EQ(run_cli(one_cell({"--delays", "0,5", "--shard", "0/2", "--store",
+                              shard}))
+                .code,
+            0);
+  std::filesystem::copy_file(full, conflict);
+  {
+    const persist::StoreReader reader{full};
+    campaign::CellStats cell = reader.cells().front();
+    cell.mean_psnr_db += 1.0;
+    persist::CampaignStore rewrite{conflict, reader.manifest(),
+                                   persist::CampaignStore::Mode::kResume};
+    rewrite.complete_cell(cell);
+  }
   std::vector<Case> cases{
       // Success, runtime failure, sweep incomplete.
       {{"axes"}, 0, ""},
       {{"merge", (scratch.path / "missing.store").string(), "--quiet"},
        1,
        "merge failed"},
+      // Identical copies merge; a gap or a conflicting copy does not.
+      {{"merge", full, full, "--quiet"}, 0, ""},
+      {{"merge", shard, "--quiet"}, 1, "merged stores cover 1 of 2 cells"},
+      {{"merge", full, conflict, "--quiet"},
+       1,
+       "cell 0 has conflicting copies"},
       {one_cell({"--delays", "0,5", "--store", store, "--cell-budget", "1"}),
        3,
        "cell budget reached"},

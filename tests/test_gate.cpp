@@ -401,10 +401,10 @@ TEST(GateStoreLevel, VerdictInvariantAcrossThreadsAndShards) {
   (void)sweep(1, 0, 1, (dir / "b_t1.store").string(), false);
   std::filesystem::create_directories(dir / "b_shards");
   for (unsigned i = 0; i < 3; ++i) {
-    (void)sweep(2, i, 3,
-                (dir / "b_shards" / ("s" + std::to_string(i) + ".store"))
-                    .string(),
-                false);
+    std::string name = "s";
+    name += std::to_string(i);
+    name += ".store";
+    (void)sweep(2, i, 3, (dir / "b_shards" / name).string(), false);
   }
 
   const auto gate_against = [&](const std::vector<std::string>& stores) {

@@ -30,6 +30,7 @@
 #include "img/image.h"
 #include "img/score_kernels.h"
 #include "persist/campaign_store.h"
+#include "persist/store_reader.h"
 #include "util/prng.h"
 
 namespace msa {
@@ -96,13 +97,14 @@ void expect_bits_eq(double a, double b, const std::string& what) {
       << what << ": " << a << " vs " << b;
 }
 
-/// Full-contents comparison. read_store sorts cells by index and trials
+/// Full-contents comparison. StoreReader sorts cells by index and trials
 /// by (cell, trial), so record-arrival order (thread-dependent) never
 /// leaks into the comparison.
 void expect_stores_identical(const std::string& fresh_path) {
   const persist::StoreContents golden =
-      persist::read_store(data_path("golden_hotpath_vec.store"));
-  const persist::StoreContents fresh = persist::read_store(fresh_path);
+      persist::StoreReader{data_path("golden_hotpath_vec.store")}.read_all();
+  const persist::StoreContents fresh =
+      persist::StoreReader{fresh_path}.read_all();
 
   EXPECT_FALSE(golden.truncated_tail);
   EXPECT_FALSE(fresh.truncated_tail);

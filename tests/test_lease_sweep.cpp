@@ -131,7 +131,7 @@ TEST(LeaseSweep, ThreeWorkersMergeByteIdenticalToSingleProcess) {
     for (std::thread& t : workers) t.join();
   }
 
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_stores(stores_in(dir));
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
   EXPECT_EQ(merged.to_json(), golden.to_json());
 }
@@ -158,7 +158,7 @@ TEST(LeaseSweep, DeadWorkerLeasesAreReclaimedBySurvivor) {
 
   // The dead worker's store never materialized (it opened no store); the
   // survivor's store alone covers the grid.
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_stores(stores_in(dir));
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
 }
 
@@ -190,7 +190,7 @@ TEST(LeaseSweep, RestartedWorkerResumesAndFinishes) {
 
   // Second life, same id: resumes its own store, plans only the rest.
   run_worker(dir, "w0", grid, options, fast_expiry());
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_stores(stores_in(dir));
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
   EXPECT_EQ(merged.to_json(), golden.to_json());
 }

@@ -217,7 +217,7 @@ TEST(Encoding, EveryStrictPrefixOfARecordPayloadIsRejected) {
   }
   cell.trials = 3;
   cell.first_denial_reason = "firewall";
-  expect_every_prefix_rejected(encode_cell(cell), decode_cell_v2, "cell");
+  expect_every_prefix_rejected(encode_cell(cell), decode_cell, "cell");
   expect_every_prefix_rejected(encode_cell_key(cell.coords), decode_cell_key,
                                "cell key");
 }
@@ -246,11 +246,60 @@ TEST(Encoding, HugeCountsAreRejectedBeforeAllocating) {
     util::ByteWriter cell;
     cell.varint(0);
     cell.varint(huge);
-    EXPECT_THROW((void)decode_cell_v2(cell.bytes()), std::invalid_argument);
+    EXPECT_THROW((void)decode_cell(cell.bytes()), std::invalid_argument);
 
     util::ByteWriter key;
     key.varint(huge);
     EXPECT_THROW((void)decode_cell_key(key.bytes()), std::invalid_argument);
+  }
+}
+
+TEST(Encoding, ManifestDecodeRejectsInvalidFieldsByName) {
+  const std::vector<std::uint8_t> valid =
+      encode_store_manifest(every_kind_manifest());
+  ASSERT_EQ(decode_store_manifest(valid), every_kind_manifest());
+  // Byte offsets in the encoding: u32 version, u64 fingerprint, u64
+  // grid cells, u32 trials, u64 salt, u32 shard index at 32, u32 shard
+  // count at 36, the axis count at 40, then axis "defense": its name
+  // (length + 7 bytes) at 41, its kind at 49, its value count at 50 and
+  // its first value's kind at 51.
+  constexpr std::size_t kShardIndex = 32;
+  constexpr std::size_t kShardCount = 36;
+  constexpr std::size_t kAxisKind = 49;
+  constexpr std::size_t kValueKind = 51;
+  const auto kind = [](campaign::AxisKind k) {
+    return static_cast<std::uint8_t>(k);
+  };
+  ASSERT_EQ(valid[kShardCount], 1u);
+  ASSERT_EQ(valid[kAxisKind], kind(campaign::AxisKind::kString));
+  ASSERT_EQ(valid[kValueKind], kind(campaign::AxisKind::kString));
+
+  struct Case {
+    std::size_t offset;
+    std::uint8_t byte;
+    const char* message;
+  };
+  for (const Case& c : {
+           Case{0, 1, "unsupported store format version 1"},
+           Case{0, 3, "unsupported store format version 3"},
+           Case{kShardCount, 0, "manifest shard 0/0 out of range"},
+           Case{kShardIndex, 1, "manifest shard 1/1 out of range"},
+           Case{kAxisKind, 4, "axis 'defense' has unknown kind 4"},
+           Case{kAxisKind, 0xff, "axis 'defense' has unknown kind 255"},
+           Case{kAxisKind, kind(campaign::AxisKind::kEnum),
+                "axis 'defense' holds a value of another kind"},
+           Case{kValueKind, kind(campaign::AxisKind::kEnum),
+                "axis 'defense' holds a value of another kind"},
+       }) {
+    std::vector<std::uint8_t> bytes = valid;
+    bytes[c.offset] = c.byte;
+    try {
+      (void)decode_store_manifest(bytes);
+      ADD_FAILURE() << "accepted: " << c.message;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.message), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -540,8 +540,9 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
     write(cell(12, 1, 3, 3));
   }
 
-  const StoreContents contents = read_store(path);
-  EXPECT_EQ(contents.format, kSegmentedStoreFormat);
+  const StoreReader reader{path};
+  EXPECT_TRUE(reader.segmented());
+  const StoreContents contents = reader.read_all();
   ASSERT_EQ(contents.trials.size(), want_trials.size());
   std::size_t i = 0;
   for (const auto& [key, want] : want_trials) {
@@ -559,7 +560,6 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   }
 
   // The single-cell and filtered paths resolve the same winners.
-  const StoreReader reader{path};
   const std::optional<StoreReader::CellData> cell12 =
       reader.read_cell(synth_coords(12));
   ASSERT_TRUE(cell12.has_value());
@@ -599,8 +599,8 @@ TEST(SegmentMerge, FlatAndCompactedStoresOf1e5TrialsGiveEqualStats) {
   std::filesystem::copy_file(flat, compacted);
   ASSERT_EQ(compact_store(compacted).segments_live, 1u);
 
-  const StoreContents a = read_store(flat);
-  const StoreContents b = read_store(compacted);
+  const StoreContents a = StoreReader{flat}.read_all();
+  const StoreContents b = StoreReader{compacted}.read_all();
   ASSERT_EQ(a.trials.size(), 100000u);
   ASSERT_EQ(b.trials.size(), a.trials.size());
   for (std::size_t i = 0; i < a.trials.size(); ++i) {

@@ -1,21 +1,29 @@
-// Store format-compat tests against a CHECKED-IN v1 store (written by
-// the pre-axis-schema binary: v1 manifest, four named axis fields per
-// cell record). The contract: v2 readers load it, synthesize the legacy
-// four-axis schema, reproduce the pre-refactor stats output byte for
-// byte, diff it against a freshly-run v2 store with every delta exactly
-// zero, and compaction upgrades it in place to the current format.
+// Store compat tests against a CHECKED-IN store from the oldest sweeps:
+// the legacy four-axis schema with no value lists in its manifest, and
+// the fingerprint of the binary that wrote it. The contract: today's
+// reader loads it, reproduces that binary's stats output byte for byte
+// (tests/data/golden_v1_stats.*), diffs it against a freshly-run store
+// with every delta exactly zero, and compaction keeps all of that. A
+// store whose manifest carries any other format version is refused by
+// name on every read path.
 //
-// The fixture (tests/data/golden_v1_4axis.store and the three stats
-// goldens next to it) was produced by the PR-5 binary with:
+// The sweep was first written by the pre-axis-schema binary with:
 //   campaign_sweep --trials 2 --threads 2 --defenses baseline,zero_on_free
 //                  --models resnet50_pt --delays 0,5 --scrubbers 0
-//                  --store golden_v1_4axis.store
-// over the default 96x96 base scenario.
+// over the default 96x96 base scenario, in a format-1 log (a manifest
+// without axes, four named axis fields per cell record) that stats
+// goldens were taken from. tests/data/golden_4axis.store is that log
+// rewritten once into today's format, record for record: the manifest
+// re-encoded with the four legacy axes (names and kinds, no values), each
+// cell record re-encoded as an ordered-coordinate cell, and the trial
+// records copied verbatim.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "campaign/compare.h"
@@ -24,6 +32,10 @@
 #include "campaign/stats.h"
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
+#include "persist/record_io.h"
+#include "persist/store_codec.h"
+#include "persist/store_reader.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 namespace {
@@ -46,7 +58,7 @@ std::string tmp_copy_of_golden(const char* name) {
   // A previous run may have compacted this copy: drop its levels
   // sidecar and segments, or the fresh flat copy would mismatch them.
   remove_segment_files(path.string());
-  std::filesystem::copy_file(data_path("golden_v1_4axis.store"), path);
+  std::filesystem::copy_file(data_path("golden_4axis.store"), path);
   return path.string();
 }
 
@@ -64,16 +76,28 @@ campaign::GridBuilder golden_grid() {
   return grid;
 }
 
-TEST(StoreCompat, V1StoreLoadsWithSynthesizedLegacySchema) {
-  const StoreContents contents = read_store(data_path("golden_v1_4axis.store"));
+TEST(StoreCompat, GoldenStoreLoadsWithLegacyFourAxisSchema) {
+  // Only today's record types: one manifest, trials, cells.
+  RecordReader records{data_path("golden_4axis.store")};
+  std::size_t counts[3] = {0, 0, 0};
+  while (const std::optional<Record> rec = records.next()) {
+    if (rec->type == kRecManifest) ++counts[0];
+    if (rec->type == kRecTrial) ++counts[1];
+    if (rec->type == kRecCell) ++counts[2];
+  }
+  EXPECT_EQ(counts[0], 1u);
+  EXPECT_EQ(counts[1], 8u);
+  EXPECT_EQ(counts[2], 4u);
+
+  const StoreContents contents =
+      StoreReader{data_path("golden_4axis.store")}.read_all();
   EXPECT_FALSE(contents.truncated_tail);
-  EXPECT_EQ(contents.manifest.version, 1u);
   ASSERT_EQ(contents.manifest.axes.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(contents.manifest.axes[i].name,
               campaign::legacy_axis_names()[i]);
-    // v1 manifests never carried value lists; the synthesized schema has
-    // names and kinds only.
+    // The writer of the original log recorded no value lists; the
+    // rewritten manifest has names and kinds only.
     EXPECT_TRUE(contents.manifest.axes[i].values.empty());
   }
   ASSERT_EQ(contents.cells.size(), 4u);
@@ -90,7 +114,7 @@ TEST(StoreCompat, V1StoreLoadsWithSynthesizedLegacySchema) {
 }
 
 TEST(StoreCompat, V1StatsOutputIsByteIdenticalToPreRefactorBinary) {
-  const SweepData data = load_sweep({data_path("golden_v1_4axis.store")});
+  const SweepData data = load_sweep({data_path("golden_4axis.store")});
   const campaign::StatsReport report = campaign::analyze_sweep(data);
   EXPECT_EQ(report.to_text(), read_file(data_path("golden_v1_stats.txt")));
   EXPECT_EQ(report.to_csv(), read_file(data_path("golden_v1_stats.csv")));
@@ -100,9 +124,9 @@ TEST(StoreCompat, V1StatsOutputIsByteIdenticalToPreRefactorBinary) {
 }
 
 TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
-  // Re-run the golden grid with today's binary into a v2 store, then
-  // cross-version diff: every cell must pair on the legacy axes with
-  // every delta exactly zero (trial reseeding is format-independent).
+  // Re-run the golden grid with today's binary into a fresh store, then
+  // diff: every cell must pair on the legacy axes with every delta
+  // exactly zero (trial reseeding has not changed since the golden).
   const campaign::GridBuilder grid = golden_grid();
   campaign::CampaignOptions options;
   options.threads = 2;
@@ -117,20 +141,19 @@ TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
 
   const auto dir = std::filesystem::temp_directory_path() / "msa_compat_tests";
   std::filesystem::create_directories(dir);
-  const std::string v2_path = (dir / "fresh_v2.store").string();
-  std::filesystem::remove(v2_path);
+  const std::string fresh_path = (dir / "fresh.store").string();
+  std::filesystem::remove(fresh_path);
   {
     campaign::CampaignRunner runner{options};
-    CampaignStore store{v2_path, manifest, CampaignStore::Mode::kCreate};
+    CampaignStore store{fresh_path, manifest, CampaignStore::Mode::kCreate};
     (void)runner.run(grid, store);
   }
-  EXPECT_EQ(read_store(v2_path).manifest.version, kStoreFormatVersion);
 
-  const campaign::StatsReport v1 = campaign::analyze_sweep(
-      load_sweep({data_path("golden_v1_4axis.store")}));
-  const campaign::StatsReport v2 =
-      campaign::analyze_sweep(load_sweep({v2_path}));
-  const campaign::DiffReport diff = campaign::diff_sweeps(v1, v2);
+  const campaign::StatsReport golden = campaign::analyze_sweep(
+      load_sweep({data_path("golden_4axis.store")}));
+  const campaign::StatsReport fresh =
+      campaign::analyze_sweep(load_sweep({fresh_path}));
+  const campaign::DiffReport diff = campaign::diff_sweeps(golden, fresh);
 
   EXPECT_EQ(diff.shared_axes, campaign::legacy_axis_names());
   ASSERT_EQ(diff.cells.size(), 4u);
@@ -150,24 +173,51 @@ TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
   }
 }
 
-TEST(StoreCompat, V1StoreIsReadableButNotResumable) {
-  // A v2 writer's manifest (version 2, axes pinned) can never match a v1
-  // file's, so resuming a v1 store is refused rather than silently mixing
-  // formats in one file. read/merge/compact remain the upgrade path.
-  const std::string path = tmp_copy_of_golden("resume_refused.store");
+TEST(StoreCompat, VersionOneManifestIsRefusedByName) {
+  // A format-1 manifest record: the fixed identity fields and no axis
+  // schema. Every read path refuses it by its version.
   const campaign::GridBuilder grid = golden_grid();
+  util::ByteWriter v1;
+  v1.u32(1);
+  v1.u64(grid.fingerprint());
+  v1.u64(grid.full_size());
+  v1.u32(2);  // trials per cell
+  v1.u64(0);  // trial salt
+  v1.u32(0);  // shard index
+  v1.u32(1);  // shard count
+  const auto dir = std::filesystem::temp_directory_path() / "msa_compat_tests";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "version_one.store").string();
+  {
+    RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+    writer.append(kRecManifest, v1.bytes());
+  }
+
   StoreManifest manifest;
   manifest.grid_fingerprint = grid.fingerprint();
   manifest.grid_cells = grid.full_size();
   manifest.trials_per_cell = 2;
   manifest.axes = grid.axis_schema();
-  EXPECT_THROW(
-      (CampaignStore{path, manifest, CampaignStore::Mode::kResume}),
-      std::runtime_error);
+  const auto expect_refused = [](const std::function<void()>& read) {
+    try {
+      read();
+      ADD_FAILURE() << "a version-1 store was read";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(
+                    "persist: unsupported store format version 1"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] { (void)StoreReader{path}; });
+  expect_refused([&] {
+    (void)CampaignStore{path, manifest, CampaignStore::Mode::kResume};
+  });
+  expect_refused([&] { (void)merge_stores({path}); });
 }
 
-TEST(StoreCompat, CompactionUpgradesV1ToCurrentFormat) {
-  const std::string path = tmp_copy_of_golden("upgrade.store");
+TEST(StoreCompat, CompactedGoldenReproducesStatsGoldens) {
+  const std::string path = tmp_copy_of_golden("compacted.store");
   const std::string stats_before = campaign::analyze_sweep(
       load_sweep({path})).to_csv();
 
@@ -175,20 +225,21 @@ TEST(StoreCompat, CompactionUpgradesV1ToCurrentFormat) {
   EXPECT_EQ(result.cells_dropped, 0u);
   EXPECT_EQ(result.trials_dropped, 0u);
 
-  const StoreContents upgraded = read_store(path);
-  EXPECT_EQ(upgraded.manifest.version, kStoreFormatVersion);
-  EXPECT_EQ(upgraded.format, kSegmentedStoreFormat);
-  ASSERT_EQ(upgraded.cells.size(), 4u);
-  // The rewritten store reads back to the same report bytes — including
-  // the checked-in pre-refactor goldens, so a v1 store upgraded through
-  // segmented compaction still renders the exact historical output.
+  const StoreReader reader{path};
+  EXPECT_TRUE(reader.segmented());
+  EXPECT_EQ(reader.read_all().cells.size(), 4u);
+  // The compacted store reads back to the same report bytes — the
+  // checked-in goldens included.
   const campaign::StatsReport report =
       campaign::analyze_sweep(load_sweep({path}));
   EXPECT_EQ(report.to_csv(), stats_before);
   EXPECT_EQ(report.to_text(), read_file(data_path("golden_v1_stats.txt")));
   EXPECT_EQ(report.to_csv(), read_file(data_path("golden_v1_stats.csv")));
+  // The CLI terminates JSON output with one newline; to_json() does not.
+  EXPECT_EQ(report.to_json() + "\n",
+            read_file(data_path("golden_v1_stats.json")));
 
-  // Compacting the already-segmented upgrade is byte-stable.
+  // Compacting the already-segmented store is byte-stable.
   const CompactionResult again = compact_store(path);
   EXPECT_EQ(again.bytes_after, again.bytes_before);
   EXPECT_EQ(campaign::analyze_sweep(load_sweep({path})).to_csv(),
