@@ -9,6 +9,11 @@
 // look identical from the outside, but not here. The untraced twin of
 // the same loop pins the cost of the tracing gate itself.
 //
+// BM_ZooConvLayer/<model>/<layer> times Conv2d::forward alone for each
+// conv layer of the default grid's models, on the activation the layers
+// before it compute from a victim input, and reports the kernel's
+// gmacs_per_s and ns_per_output (per output byte).
+//
 // Iterations cycle reseeded trials exactly as CampaignRunner::score_cell
 // does, so every trial gets a fresh board seed and input image and the
 // victim-input memo cannot turn the loop into replays of one trial. The
@@ -20,12 +25,15 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "attack/profile_cache.h"
 #include "campaign/runner.h"
 #include "obs/trace.h"
 #include "util/monotime.h"
 #include "util/prng.h"
+#include "vitis/model_zoo.h"
+#include "vitis/tensor.h"
 
 namespace {
 
@@ -66,7 +74,8 @@ void print_intro() {
   std::puts("are the mean span duration per stage, aggregated from the trace");
   std::puts("rings. /power_cycled adds DRAM decay to residue_decay.");
   std::puts("TrialUntraced: the identical loop with tracing disabled — the");
-  std::puts("pair bounds the recorder's own overhead on the hot path.\n");
+  std::puts("pair bounds the recorder's own overhead on the hot path.");
+  std::puts("ZooConvLayer: one default-grid conv layer's forward pass.\n");
 }
 
 void BM_TrialTraced(benchmark::State& state, bool power_cycled) {
@@ -135,6 +144,61 @@ void BM_TrialUntraced(benchmark::State& state) {
 }
 BENCHMARK(BM_TrialUntraced)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+void BM_ZooConvLayer(benchmark::State& state, const vitis::Layer* conv,
+                     const vitis::Tensor* input) {
+  const vitis::TensorShape out = conv->output_shape(input->shape());
+  const double macs =
+      static_cast<double>(out.h) * out.w *
+      static_cast<double>(
+          dynamic_cast<const vitis::Conv2d&>(*conv).weights().size());
+  const std::uint64_t start_ns = util::monotonic_ns();
+  for (auto _ : state) benchmark::DoNotOptimize(conv->forward(*input));
+  const double ns = static_cast<double>(util::monotonic_ns() - start_ns);
+  const double iters = static_cast<double>(state.iterations());
+  // MACs per ns are GMAC/s.
+  state.counters["gmacs_per_s"] = benchmark::Counter(macs * iters / ns);
+  state.counters["ns_per_output"] = benchmark::Counter(
+      ns / (static_cast<double>(out.volume()) * iters));
+}
+
+/// Registers BM_ZooConvLayer for every conv layer of the default grid's
+/// models. The models and each layer's input live for the whole run.
+void register_zoo_conv_layers() {
+  struct ConvCase {
+    std::string name;
+    const vitis::Layer* conv;
+    vitis::Tensor input;
+  };
+  static std::vector<vitis::XModel> models;
+  static std::vector<ConvCase> convs;
+  for (const char* name : {"resnet50_pt", "squeezenet_pt"}) {
+    models.push_back(vitis::make_zoo_model(name));
+  }
+  for (const vitis::XModel& model : models) {
+    vitis::Tensor t = vitis::tensor_from_image(img::resize_nearest(
+        img::make_test_image(96, 96, 7), model.input_shape().w,
+        model.input_shape().h));
+    for (const auto& layer : model.layers()) {
+      if (layer->kind() == vitis::LayerKind::kConv2d) {
+        convs.push_back({model.name() + "/" + layer->name(), layer.get(), t});
+      }
+      t = layer->forward(t);
+    }
+  }
+  for (const ConvCase& c : convs) {
+    benchmark::RegisterBenchmark(("BM_ZooConvLayer/" + c.name).c_str(),
+                                 BM_ZooConvLayer, c.conv, &c.input)
+        ->Unit(benchmark::kMicrosecond);
+  }
+}
+
+/// Runs before the benchmarks: the intro, then the zoo layers'
+/// registration, which builds models and so waits for main().
+void setup() {
+  print_intro();
+  register_zoo_conv_layers();
+}
+
 }  // namespace
 
-MSA_BENCH_MAIN(print_intro)
+MSA_BENCH_MAIN(setup)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "img/score_kernels.h"
@@ -128,6 +129,281 @@ void matvec(const std::int16_t* w, std::size_t rows, std::size_t len,
   matvec_scalar(w, rows, len, x, out);
 }
 
+// ---- conv: 4 output channels x 8 output pixels per register block ----
+//
+// Weights are packed [channel block][k-pair q][channel j][2]: the int16
+// pair (w[2q], w[2q+1]) of channel 4*block+j, one 32-bit pmaddwd lane,
+// zero past the patch and past out_c. The column of one 8-pixel block is
+// [q][pixel][2], the same pairs of the pixel's patch. Each pair product
+// w0*x0 + w1*x1 of int8-range values fits int32, and every backend adds
+// the pairs with int32 wrap-around, so all three produce identical sums.
+
+constexpr std::size_t kBlockOc = 4;
+constexpr std::size_t kBlockPx = 8;
+/// int16s of packed weights per k-pair of a channel block.
+constexpr std::size_t kPackedPair = 2 * kBlockOc;
+
+struct ConvScratch {
+  std::vector<std::int16_t> padded;  ///< zero-bordered input, [c][ph][pw]
+  std::vector<std::size_t> taps;     ///< offset of each pair tap in padded
+  std::vector<std::size_t> windows;  ///< window offset of each output pixel
+  std::vector<std::int16_t> col;     ///< one block: [k-pair][pixel][2]
+};
+
+/// Per-thread scratch: forward() stays const, allocation-free once warm,
+/// and safe to call on one layer from many threads at once.
+thread_local ConvScratch t_conv;
+
+/// bias + acc with int32 wrap-around, as paddd computes it.
+std::int32_t wrapping_add(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                   static_cast<std::uint32_t>(b));
+}
+
+std::int8_t requantize(std::int32_t acc, std::uint32_t shift, bool relu) {
+  const std::int32_t scaled = acc >> shift;
+  return static_cast<std::int8_t>(std::clamp(scaled, relu ? 0 : -128, 127));
+}
+
+/// out[j][p] = requantize(bias[j] + sum_q w(j, q) . col(p, q)).
+void conv_block_scalar(const std::int16_t* w, const std::int16_t* col,
+                       std::size_t pairs, const std::int32_t* bias,
+                       std::uint32_t shift, bool relu,
+                       std::int8_t (*out)[kBlockPx]) noexcept {
+  std::uint32_t acc[kBlockOc][kBlockPx] = {};
+  for (std::size_t q = 0; q < pairs; ++q, w += kPackedPair, col += 2 * kBlockPx) {
+    for (std::size_t j = 0; j < kBlockOc; ++j) {
+      const std::int16_t* wj = w + 2 * j;
+      for (std::size_t p = 0; p < kBlockPx; ++p) {
+        acc[j][p] += static_cast<std::uint32_t>(wj[0] * col[2 * p] +
+                                                wj[1] * col[2 * p + 1]);
+      }
+    }
+  }
+  for (std::size_t j = 0; j < kBlockOc; ++j) {
+    for (std::size_t p = 0; p < kBlockPx; ++p) {
+      out[j][p] = requantize(
+          wrapping_add(bias[j], static_cast<std::int32_t>(acc[j][p])), shift,
+          relu);
+    }
+  }
+}
+
+#if defined(MSA_SIMD_SSE2)
+
+/// Adds pair products of 8 pixels with channel J's weight pair, taken
+/// from the block's four pairs `wq`, to the channel's two 4-pixel
+/// accumulators.
+template <int J>
+void madd_channel(__m128i wq, __m128i x_lo, __m128i x_hi, __m128i& acc_lo,
+                  __m128i& acc_hi) noexcept {
+  const __m128i w = _mm_shuffle_epi32(wq, J * 0x55);
+  acc_lo = _mm_add_epi32(acc_lo, _mm_madd_epi16(x_lo, w));
+  acc_hi = _mm_add_epi32(acc_hi, _mm_madd_epi16(x_hi, w));
+}
+
+/// bias add, arithmetic shift, saturate to int16, relu, saturate to
+/// int8: eight finished output bytes of one channel.
+void requant_store(__m128i lo, __m128i hi, std::int32_t bias, __m128i shift,
+                   bool relu, std::int8_t* out) noexcept {
+  const __m128i b = _mm_set1_epi32(bias);
+  __m128i v = _mm_packs_epi32(_mm_sra_epi32(_mm_add_epi32(lo, b), shift),
+                              _mm_sra_epi32(_mm_add_epi32(hi, b), shift));
+  if (relu) v = _mm_max_epi16(v, _mm_setzero_si128());
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm_packs_epi16(v, v));
+}
+
+void conv_block_sse2(const std::int16_t* w, const std::int16_t* col,
+                     std::size_t pairs, const std::int32_t* bias,
+                     std::uint32_t shift, bool relu,
+                     std::int8_t (*out)[kBlockPx]) noexcept {
+  __m128i a0 = _mm_setzero_si128(), b0 = a0, a1 = a0, b1 = a0;
+  __m128i a2 = a0, b2 = a0, a3 = a0, b3 = a0;
+  for (std::size_t q = 0; q < pairs; ++q, w += kPackedPair, col += 2 * kBlockPx) {
+    const __m128i x_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col));
+    const __m128i x_hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + kBlockPx));
+    const __m128i wq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+    madd_channel<0>(wq, x_lo, x_hi, a0, b0);
+    madd_channel<1>(wq, x_lo, x_hi, a1, b1);
+    madd_channel<2>(wq, x_lo, x_hi, a2, b2);
+    madd_channel<3>(wq, x_lo, x_hi, a3, b3);
+  }
+  const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
+  requant_store(a0, b0, bias[0], sh, relu, out[0]);
+  requant_store(a1, b1, bias[1], sh, relu, out[1]);
+  requant_store(a2, b2, bias[2], sh, relu, out[2]);
+  requant_store(a3, b3, bias[3], sh, relu, out[3]);
+}
+
+#elif defined(MSA_SIMD_NEON)
+
+void conv_block_neon(const std::int16_t* w, const std::int16_t* col,
+                     std::size_t pairs, const std::int32_t* bias,
+                     std::uint32_t shift, bool relu,
+                     std::int8_t (*out)[kBlockPx]) noexcept {
+  int32x4_t lo[kBlockOc];
+  int32x4_t hi[kBlockOc];
+  for (std::size_t j = 0; j < kBlockOc; ++j) lo[j] = hi[j] = vdupq_n_s32(0);
+  for (std::size_t q = 0; q < pairs; ++q, w += kPackedPair, col += 2 * kBlockPx) {
+    // val[0] holds the first tap of each pixel's pair, val[1] the second.
+    const int16x8x2_t x = vld2q_s16(col);
+    for (std::size_t j = 0; j < kBlockOc; ++j) {
+      const std::int16_t* wj = w + 2 * j;
+      lo[j] = vmlal_n_s16(lo[j], vget_low_s16(x.val[0]), wj[0]);
+      lo[j] = vmlal_n_s16(lo[j], vget_low_s16(x.val[1]), wj[1]);
+      hi[j] = vmlal_n_s16(hi[j], vget_high_s16(x.val[0]), wj[0]);
+      hi[j] = vmlal_n_s16(hi[j], vget_high_s16(x.val[1]), wj[1]);
+    }
+  }
+  const int32x4_t sh = vdupq_n_s32(-static_cast<std::int32_t>(shift));
+  for (std::size_t j = 0; j < kBlockOc; ++j) {
+    const int32x4_t b = vdupq_n_s32(bias[j]);
+    int16x8_t v = vcombine_s16(vqmovn_s32(vshlq_s32(vaddq_s32(lo[j], b), sh)),
+                               vqmovn_s32(vshlq_s32(vaddq_s32(hi[j], b), sh)));
+    if (relu) v = vmaxq_s16(v, vdupq_n_s16(0));
+    vst1_s8(out[j], vqmovn_s16(v));
+  }
+}
+
+#endif
+
+using ConvBlockFn = void (*)(const std::int16_t* w, const std::int16_t* col,
+                            std::size_t pairs, const std::int32_t* bias,
+                            std::uint32_t shift, bool relu,
+                            std::int8_t (*out)[kBlockPx]) noexcept;
+
+/// The block kernel for this forward pass, called through a pointer: the
+/// backend is chosen once, and the kernel keeps its registers to itself
+/// rather than being inlined into the gather loop.
+ConvBlockFn conv_block_for(bool simd) noexcept {
+#if defined(MSA_SIMD_SSE2)
+  if (simd) return conv_block_sse2;
+#elif defined(MSA_SIMD_NEON)
+  if (simd) return conv_block_neon;
+#else
+  (void)simd;
+#endif
+  return conv_block_scalar;
+}
+
+/// Zeros past the padded input, for the strided row loads below.
+constexpr std::size_t kPaddedSlack = 2 * kBlockPx;
+
+/// col[q][p][i] = padded[window[p] + taps[2q + i]]: pixel p's tap pair q.
+void gather_scalar(const std::int16_t* padded, const std::size_t* taps,
+                   std::size_t pairs, const std::size_t* window,
+                   std::int16_t* col) noexcept {
+  for (std::size_t tap = 0; tap < 2 * pairs; ++tap) {
+    const std::int16_t* src = padded + taps[tap];
+    std::int16_t* c = col + tap / 2 * 2 * kBlockPx + tap % 2;
+    for (std::size_t p = 0; p < kBlockPx; ++p) c[2 * p] = src[window[p]];
+  }
+}
+
+#if defined(MSA_SIMD_SSE2)
+
+/// p[0], p[stride], ..., p[7 * stride] for stride 1 or 2; reads up to
+/// p[15].
+__m128i load_strided(const std::int16_t* p, std::size_t stride) noexcept {
+  const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  if (stride == 1) return lo;
+  const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8));
+  // Sign-extend the even lanes to int32 and narrow them back; the values
+  // are int8, so the saturating pack is exact.
+  return _mm_packs_epi32(_mm_srai_epi32(_mm_slli_epi32(lo, 16), 16),
+                         _mm_srai_epi32(_mm_slli_epi32(hi, 16), 16));
+}
+
+/// gather_scalar for windows at src + p * stride, stride 1 or 2.
+void gather_row_sse2(const std::int16_t* src, const std::size_t* taps,
+                     std::size_t pairs, std::size_t stride,
+                     std::int16_t* col) noexcept {
+  for (std::size_t q = 0; q < pairs; ++q, col += 2 * kBlockPx) {
+    const __m128i a = load_strided(src + taps[2 * q], stride);
+    const __m128i b = load_strided(src + taps[2 * q + 1], stride);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(col), _mm_unpacklo_epi16(a, b));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(col + kBlockPx),
+                     _mm_unpackhi_epi16(a, b));
+  }
+}
+
+#elif defined(MSA_SIMD_NEON)
+
+/// gather_scalar for windows at src + p * stride, stride 1 or 2.
+void gather_row_neon(const std::int16_t* src, const std::size_t* taps,
+                     std::size_t pairs, std::size_t stride,
+                     std::int16_t* col) noexcept {
+  for (std::size_t q = 0; q < pairs; ++q, col += 2 * kBlockPx) {
+    const std::int16_t* a = src + taps[2 * q];
+    const std::int16_t* b = src + taps[2 * q + 1];
+    const int16x8x2_t ab =
+        stride == 1 ? vzipq_s16(vld1q_s16(a), vld1q_s16(b))
+                    : vzipq_s16(vld2q_s16(a).val[0], vld2q_s16(b).val[0]);
+    vst1q_s16(col, ab.val[0]);
+    vst1q_s16(col + kBlockPx, ab.val[1]);
+  }
+}
+
+#endif
+
+/// Fills one block's column. Windows evenly spaced at stride 1 or 2 (a
+/// block within one output row) load each tap's eight values as a
+/// vector; other blocks gather value by value.
+void gather_block(bool simd, const std::int16_t* padded,
+                  const std::size_t* taps, std::size_t pairs,
+                  const std::size_t* window, std::size_t stride,
+                  std::int16_t* col) noexcept {
+#if defined(MSA_SIMD_SSE2) || defined(MSA_SIMD_NEON)
+  if (simd && stride <= 2 &&
+      window[kBlockPx - 1] - window[0] == (kBlockPx - 1) * stride) {
+#if defined(MSA_SIMD_SSE2)
+    gather_row_sse2(padded + window[0], taps, pairs, stride, col);
+#else
+    gather_row_neon(padded + window[0], taps, pairs, stride, col);
+#endif
+    return;
+  }
+#else
+  (void)simd;
+  (void)stride;
+#endif
+  gather_scalar(padded, taps, pairs, window, col);
+}
+
+// ---- max-pool: elementwise signed-byte max ----
+
+/// MaxPool2d's per-thread row buffer.
+thread_local std::vector<std::int8_t> t_pool_row;
+
+/// dst[i] = max(dst[i], src[i]) for i < n, in ascending i, so src may be
+/// dst + 1 (a sliding-window max in place).
+void max_into(std::int8_t* dst, const std::int8_t* src, std::size_t n) noexcept {
+  std::size_t i = 0;
+#if defined(MSA_SIMD_SSE2)
+  if (img::simd_enabled()) {
+    // SSE2 has only an unsigned byte max: flipping the sign bit maps
+    // signed order onto unsigned order.
+    const __m128i flip = _mm_set1_epi8(static_cast<char>(0x80));
+    for (; i + 16 <= n; i += 16) {
+      const __m128i d = _mm_xor_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i)), flip);
+      const __m128i s = _mm_xor_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i)), flip);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                       _mm_xor_si128(_mm_max_epu8(d, s), flip));
+    }
+  }
+#elif defined(MSA_SIMD_NEON)
+  if (img::simd_enabled()) {
+    for (; i + 16 <= n; i += 16) {
+      vst1q_s8(dst + i, vmaxq_s8(vld1q_s8(dst + i), vld1q_s8(src + i)));
+    }
+  }
+#endif
+  for (; i < n; ++i) dst[i] = std::max(dst[i], src[i]);
+}
+
 /// Flags are encoded as exactly 0 or 1, so a parsed container is always
 /// its own canonical encoding (XModel keeps the parsed bytes as such).
 bool get_flag(util::ByteReader& in) {
@@ -167,9 +443,12 @@ Params get_params(util::ByteReader& in) {
   return p;
 }
 
-std::int8_t requantize(std::int32_t acc, std::uint32_t shift, bool relu) {
-  const std::int32_t scaled = acc >> shift;
-  return static_cast<std::int8_t>(std::clamp(scaled, relu ? 0 : -128, 127));
+/// Above 31 the scalar `acc >> shift` is undefined and psrad sign-fills,
+/// so residue-parsed layers must not get that far.
+void check_shift(std::uint32_t shift, const char* what) {
+  if (shift > 31) {
+    throw std::invalid_argument(std::string{what} + ": requant shift above 31");
+  }
 }
 
 }  // namespace
@@ -190,6 +469,7 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       weights_{std::move(weights)},
       bias_{std::move(bias)} {
   if (stride_ == 0 || k_ == 0) throw std::invalid_argument("Conv2d: bad geometry");
+  check_shift(requant_shift_, "Conv2d");
   // Checked products: parsed residue may carry any geometry, and a
   // wrapped size must not pass for the weight count.
   std::size_t patch = 0;
@@ -199,8 +479,22 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       weights_.size() != expect || bias_.size() != out_c_) {
     throw std::invalid_argument("Conv2d: parameter size mismatch");
   }
-  row_len_ = round_up_to_lane(patch);
-  wide_ = widen_rows(weights_, out_c_, patch, row_len_);
+  pairs_ = (patch + 1) / 2;
+  const std::size_t blocks = (std::size_t{out_c_} + kBlockOc - 1) / kBlockOc;
+  // Residue scans construct every layer they parse, so this runs per
+  // parse, not once per model: each channel row is copied pair by pair
+  // into its lane of the block.
+  packed_.assign(blocks * pairs_ * kPackedPair, 0);
+  for (std::size_t oc = 0; oc < out_c_; ++oc) {
+    const std::int8_t* row = weights_.data() + oc * patch;
+    std::int16_t* dst = packed_.data() + oc / kBlockOc * pairs_ * kPackedPair +
+                        oc % kBlockOc * 2;
+    for (std::size_t t = 0; t + 1 < patch; t += 2, dst += kPackedPair) {
+      dst[0] = row[t];
+      dst[1] = row[t + 1];
+    }
+    if (patch % 2 == 1) dst[0] = row[patch - 1];
+  }
 }
 
 std::string Conv2d::name() const {
@@ -224,43 +518,65 @@ Tensor Conv2d::forward(const Tensor& in) const {
   const auto& ish = in.shape();
   std::int8_t* dst = out.data().data();
   const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
+  ConvScratch& s = t_conv;
+  const bool simd = img::simd_enabled();
+  const ConvBlockFn kernel = conv_block_for(simd);
   // A zero-bordered int16 copy of the input: every tap of every window
   // is then an in-bounds read, and padding reads as zero.
   const std::size_t ph = ish.h + 2 * static_cast<std::size_t>(pad_);
   const std::size_t pw = ish.w + 2 * static_cast<std::size_t>(pad_);
-  std::vector<std::int16_t> padded(in_c_ * ph * pw, 0);
+  s.padded.assign(in_c_ * ph * pw + kPaddedSlack, 0);
   for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
     for (std::uint32_t y = 0; y < ish.h; ++y) {
-      const auto row =
-          in.data().begin() +
-          static_cast<std::ptrdiff_t>(
-              (static_cast<std::size_t>(ic) * ish.h + y) * ish.w);
-      std::copy(row, row + ish.w,
-                padded.begin() + static_cast<std::ptrdiff_t>(
-                                     (ic * ph + y + pad_) * pw + pad_));
+      const std::int8_t* row =
+          in.data().data() + (static_cast<std::size_t>(ic) * ish.h + y) * ish.w;
+      std::copy_n(row, ish.w, s.padded.data() + (ic * ph + y + pad_) * pw + pad_);
     }
   }
-  // The column's tail past in_c*k*k stays zero, matching the weight
-  // rows' padding.
-  std::vector<std::int16_t> col(row_len_, 0);
-  std::vector<std::int32_t> acc(out_c_);
-  std::size_t p = 0;  // output pixel index, oy * os.w + ox
-  for (std::uint32_t oy = 0; oy < os.h; ++oy) {
-    for (std::uint32_t ox = 0; ox < os.w; ++ox, ++p) {
-      // im2col gather in weight order [ic][ky][kx].
-      const std::int16_t* window =
-          padded.data() + (static_cast<std::size_t>(oy) * pw + ox) * stride_;
-      std::int16_t* c = col.data();
-      for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
-        for (std::uint32_t ky = 0; ky < k_; ++ky, c += k_) {
-          std::copy_n(window + (static_cast<std::size_t>(ic) * ph + ky) * pw,
-                      k_, c);
+  // Window-relative offset of each tap in weight order [ic][ky][kx]; an
+  // odd patch's last pair gets a dummy tap that meets a zero weight.
+  s.taps.assign(2 * pairs_, 0);
+  std::size_t t = 0;
+  for (std::size_t ic = 0; ic < in_c_; ++ic) {
+    for (std::size_t ky = 0; ky < k_; ++ky) {
+      for (std::size_t kx = 0; kx < k_; ++kx) s.taps[t++] = (ic * ph + ky) * pw + kx;
+    }
+  }
+  s.col.resize(pairs_ * 2 * kBlockPx);
+  std::int16_t* const col = s.col.data();
+  const std::int16_t* const padded = s.padded.data();
+  // Window offset of every output pixel, padded to whole blocks with the
+  // last pixel's window: lanes past the end gather real taps, and their
+  // outputs are dropped.
+  s.windows.clear();
+  for (std::size_t oy = 0; oy < os.h; ++oy) {
+    for (std::size_t ox = 0; ox < os.w; ++ox) {
+      s.windows.push_back((oy * pw + ox) * stride_);
+    }
+  }
+  s.windows.resize((out_plane + kBlockPx - 1) / kBlockPx * kBlockPx,
+                   s.windows.back());
+  const std::size_t blocks = (std::size_t{out_c_} + kBlockOc - 1) / kBlockOc;
+  for (std::size_t p0 = 0; p0 < out_plane; p0 += kBlockPx) {
+    const std::size_t n = std::min(kBlockPx, out_plane - p0);
+    const std::size_t* window = s.windows.data() + p0;
+    gather_block(simd, padded, s.taps.data(), pairs_, window, stride_, col);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      std::int32_t bias[kBlockOc] = {};
+      const std::size_t oc0 = b * kBlockOc;
+      const std::size_t chans = std::min(kBlockOc, std::size_t{out_c_} - oc0);
+      std::copy_n(bias_.data() + oc0, chans, bias);
+      std::int8_t res[kBlockOc][kBlockPx];
+      kernel(packed_.data() + b * pairs_ * kPackedPair, col, pairs_, bias,
+                 requant_shift_, relu_, res);
+      for (std::size_t j = 0; j < chans; ++j) {
+        std::int8_t* o = dst + (oc0 + j) * out_plane + p0;
+        // A whole block's constant-size copy is one 8-byte store.
+        if (n == kBlockPx) {
+          std::memcpy(o, res[j], kBlockPx);
+        } else {
+          std::memcpy(o, res[j], n);
         }
-      }
-      matvec(wide_.data(), out_c_, row_len_, col.data(), acc.data());
-      for (std::uint32_t oc = 0; oc < out_c_; ++oc) {
-        dst[oc * out_plane + p] =
-            requantize(bias_[oc] + acc[oc], requant_shift_, relu_);
       }
     }
   }
@@ -310,23 +626,25 @@ Tensor MaxPool2d::forward(const Tensor& in) const {
   std::int8_t* dst = out.data().data();
   const std::size_t in_plane = static_cast<std::size_t>(ish.h) * ish.w;
   const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
+  // Per output row: the max down each column of the k window rows, then
+  // the max across k neighbours in place, then every stride-th result.
+  std::vector<std::int8_t>& vmax = t_pool_row;
+  vmax.resize(ish.w);
   for (std::uint32_t c = 0; c < os.c; ++c) {
     const std::int8_t* plane = src + static_cast<std::size_t>(c) * in_plane;
-    std::int8_t* out_plane_p = dst + static_cast<std::size_t>(c) * out_plane;
-    for (std::uint32_t oy = 0; oy < os.h; ++oy) {
-      std::int8_t* out_row = out_plane_p + static_cast<std::size_t>(oy) * os.w;
+    std::int8_t* out_row = dst + static_cast<std::size_t>(c) * out_plane;
+    for (std::uint32_t oy = 0; oy < os.h; ++oy, out_row += os.w) {
+      const std::int8_t* rows =
+          plane + static_cast<std::size_t>(oy) * stride_ * ish.w;
+      std::copy_n(rows, ish.w, vmax.data());
+      for (std::uint32_t ky = 1; ky < k_; ++ky) {
+        max_into(vmax.data(), rows + static_cast<std::size_t>(ky) * ish.w, ish.w);
+      }
+      for (std::uint32_t kx = 1; kx < k_; ++kx) {
+        max_into(vmax.data(), vmax.data() + 1, ish.w - kx);
+      }
       for (std::uint32_t ox = 0; ox < os.w; ++ox) {
-        const std::int8_t* win =
-            plane + static_cast<std::size_t>(oy) * stride_ * ish.w +
-            static_cast<std::size_t>(ox) * stride_;
-        std::int8_t best = -128;
-        for (std::uint32_t ky = 0; ky < k_; ++ky) {
-          const std::int8_t* row = win + static_cast<std::size_t>(ky) * ish.w;
-          for (std::uint32_t kx = 0; kx < k_; ++kx) {
-            best = std::max(best, row[kx]);
-          }
-        }
-        out_row[ox] = best;
+        out_row[ox] = vmax[static_cast<std::size_t>(ox) * stride_];
       }
     }
   }
@@ -380,6 +698,7 @@ Dense::Dense(std::uint32_t in, std::uint32_t out, bool relu,
       bias_.size() != out_) {
     throw std::invalid_argument("Dense: parameter size mismatch");
   }
+  check_shift(requant_shift_, "Dense");
   row_len_ = round_up_to_lane(in_);
   wide_ = widen_rows(weights_, out_, in_, row_len_);
 }
@@ -404,7 +723,8 @@ Tensor Dense::forward(const Tensor& in) const {
   std::vector<std::int32_t> acc(out_);
   matvec(wide_.data(), out_, row_len_, col.data(), acc.data());
   for (std::uint32_t o = 0; o < out_; ++o) {
-    out.data()[o] = requantize(bias_[o] + acc[o], requant_shift_, relu_);
+    out.data()[o] =
+        requantize(wrapping_add(bias_[o], acc[o]), requant_shift_, relu_);
   }
   return out;
 }

@@ -1,15 +1,20 @@
 // Quantized inference layers: int8 weights/activations with int32
-// accumulation and a per-layer right-shift requantization, the standard
-// fixed-point scheme DPU-class accelerators use.
+// accumulation and a per-layer right-shift requantization (0..31), the
+// standard fixed-point scheme DPU-class accelerators use.
 //
-// Conv2d and Dense both reduce to int16 x int16 -> int32 dot products:
-// Conv2d gathers each output pixel's in_c*k*k input patch into a reused
-// column (im2col, padding read as zeros), and both layers sign-extend
-// their weights to int16 once, at construction, with every row padded to
-// a multiple of 8. The dot product runs on SSE2 (pmaddwd) or NEON (vmlal)
-// under the MSA_ENABLE_SIMD build option and the img::set_simd_enabled()
-// runtime switch, with a scalar loop as the fallback. Integer addition is
-// exact in any order, so every path yields bit-identical outputs.
+// Conv2d runs as a pixel-lane int16 GEMM. Its weights are packed once,
+// at construction, as (w[2q], w[2q+1]) tap pairs per output channel;
+// forward() gathers each block of 8 output pixels' patches into a
+// [pair][pixel][2] int16 column (padding read as zeros) and multiplies it
+// against 4 output channels at a time in registers, then requantizes the
+// 4x8 block into one 8-byte store per output plane. Its scratch is
+// thread_local, so forward() stays const and one layer may run on many
+// threads at once. Dense sign-extends its weight rows to int16 once and
+// runs a matrix-vector product. MaxPool2d takes column then row maxima
+// with a vector byte max. Every kernel runs on SSE2 or NEON under the
+// MSA_ENABLE_SIMD build option and the img::set_simd_enabled() runtime
+// switch, with a scalar loop as the fallback; integer arithmetic is exact
+// in any order, so every path yields bit-identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +51,8 @@ class Layer {
 class Conv2d final : public Layer {
  public:
   /// Weights are laid out [out_c][in_c][k][k]; bias per out channel.
+  /// Throws std::invalid_argument on a zero kernel or stride, a
+  /// parameter count that does not match, or requant_shift > 31.
   Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
          std::uint32_t stride, std::uint32_t pad, bool relu,
          std::uint32_t requant_shift, std::vector<std::int8_t> weights,
@@ -70,8 +77,10 @@ class Conv2d final : public Layer {
   std::uint32_t requant_shift_;
   std::vector<std::int8_t> weights_;
   std::vector<std::int32_t> bias_;
-  std::size_t row_len_ = 0;             ///< in_c*k*k rounded up to 8
-  std::vector<std::int16_t> wide_;    ///< [out_c][row_len_], zero padded
+  std::size_t pairs_ = 0;             ///< ceil(in_c*k*k / 2) tap pairs
+  /// [ceil(out_c/4)][pairs_][4][2]: tap pairs of 4 channels side by side,
+  /// zero padded past the patch and past out_c.
+  std::vector<std::int16_t> packed_;
 };
 
 class MaxPool2d final : public Layer {
@@ -106,6 +115,8 @@ class GlobalAvgPool final : public Layer {
 class Dense final : public Layer {
  public:
   /// Expects a [C,1,1] input; weights [out][in], bias per output.
+  /// Throws std::invalid_argument on a parameter count that does not
+  /// match or requant_shift > 31.
   Dense(std::uint32_t in, std::uint32_t out, bool relu,
         std::uint32_t requant_shift, std::vector<std::int8_t> weights,
         std::vector<std::int32_t> bias);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "util/crc32.h"
+
 namespace msa::img {
 namespace {
 
@@ -89,6 +93,50 @@ TEST(Image, FillRegionClampsFraction) {
 TEST(TestImage, DeterministicPerSeed) {
   EXPECT_EQ(make_test_image(16, 16, 5), make_test_image(16, 16, 5));
   EXPECT_NE(make_test_image(16, 16, 5), make_test_image(16, 16, 6));
+}
+
+/// make_test_image as first written, in double precision: the
+/// definition the integer form must reproduce byte for byte.
+Image reference_test_image(std::uint32_t width, std::uint32_t height,
+                           std::uint64_t seed) {
+  Image img{width, height};
+  util::Prng prng{seed};
+  const double fx = 255.0 / static_cast<double>(width);
+  const double fy = 255.0 / static_cast<double>(height);
+  Rgb* px = img.pixels().data();
+  for (std::uint32_t y = 0; y < height; ++y) {
+    for (std::uint32_t x = 0; x < width; ++x, ++px) {
+      const auto noise = static_cast<std::uint8_t>(prng.below(32));
+      Rgb& p = *px;
+      p.r = static_cast<std::uint8_t>(std::min(255.0, x * fx * 0.8 + noise));
+      p.g = static_cast<std::uint8_t>(std::min(255.0, y * fy * 0.8 + noise));
+      p.b = static_cast<std::uint8_t>(
+          std::min(255.0, (x * fx + y * fy) * 0.4 + noise));
+    }
+  }
+  return img;
+}
+
+TEST(Image, MakeTestImageBytesArePinned) {
+  // Every size up to 130x130, each at its own seed, plus several seeds
+  // at sizes whose gradients hit integers often (divisors of 204).
+  for (std::uint32_t w = 1; w <= 130; ++w) {
+    for (std::uint32_t h = 1; h <= 130; ++h) {
+      const std::uint64_t seed = w * 131 + h;
+      ASSERT_EQ(make_test_image(w, h, seed), reference_test_image(w, h, seed))
+          << w << "x" << h << " seed " << seed;
+    }
+  }
+  for (const std::uint64_t seed : {1ULL, 7ULL, 0xDEADBEEFULL, ~0ULL}) {
+    for (const std::uint32_t side : {1u, 12u, 17u, 51u, 96u, 102u, 128u}) {
+      ASSERT_EQ(make_test_image(side, side, seed),
+                reference_test_image(side, side, seed))
+          << side << "x" << side << " seed " << seed;
+    }
+  }
+  // The victim input of the default scenario geometry.
+  EXPECT_EQ(util::crc32(make_test_image(96, 96, 1).to_rgb_bytes()),
+            0x66EE8A17u);
 }
 
 TEST(Metrics, IdenticalImages) {

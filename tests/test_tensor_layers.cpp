@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "img/score_kernels.h"
 #include "util/prng.h"
@@ -315,6 +316,147 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
   }
   EXPECT_GT(one_by_one, 0);
   EXPECT_GT(unaligned, 0);
+
+  struct Case {
+    std::uint32_t in_c, out_c, k, stride, pad, side, shift;
+    bool extremes;  ///< int8 extremes only, biases of +-2^20
+  };
+  std::vector<Case> cases;
+  // Every zoo conv geometry (3x3, stride 2, pad 1): the 3-channel 64x64
+  // first layers (1024 output pixels), the detector's 32x32 second layer
+  // (256), and the classifiers' 16x16 (64) and 8x8 (16) layers; out_c
+  // runs over 8/12/16/24/32/48/64, not all multiples of the block.
+  for (const auto [in_c, out_c, side] :
+       std::vector<std::array<std::uint32_t, 3>>{
+           {3, 8, 64}, {3, 12, 64}, {3, 16, 64}, {16, 32, 32},
+           {8, 16, 16}, {8, 24, 16}, {12, 24, 16}, {16, 32, 16},
+           {16, 24, 8}, {24, 32, 8}, {24, 48, 8}, {32, 64, 8}}) {
+    cases.push_back({in_c, out_c, 3, 2, 1, side, 6, false});
+  }
+  for (const std::uint32_t shift : {0u, 8u, 16u, 31u}) {
+    cases.push_back({7, 9, 3, 1, 1, 11, shift, true});
+    cases.push_back({3, 5, 5, 2, 2, 13, shift, true});
+  }
+  for (const Case& c : cases) {
+    const auto extreme = [&prng] {
+      return static_cast<std::int8_t>(prng.below(2) == 0 ? -128 : 127);
+    };
+    std::vector<std::int8_t> weights =
+        random_int8s(prng, std::size_t{c.out_c} * c.in_c * c.k * c.k);
+    std::vector<std::int32_t> bias(c.out_c);
+    for (auto& b : bias) b = static_cast<std::int32_t>(prng.below(2001)) - 1000;
+    Tensor in{TensorShape{c.in_c, c.side, c.side}};
+    in.data() = random_int8s(prng, in.size());
+    if (c.extremes) {
+      for (auto& v : weights) v = extreme();
+      for (auto& v : in.data()) v = extreme();
+      for (auto& b : bias) b = prng.below(2) == 0 ? -(1 << 20) : (1 << 20);
+    }
+    for (const bool relu : {true, false}) {
+      const Conv2d conv{c.in_c, c.out_c, c.k,     c.stride,
+                        c.pad,  relu,    c.shift, weights,
+                        bias};
+      const Tensor want = reference_conv(in, c.out_c, c.k, c.stride, c.pad,
+                                         relu, c.shift, weights, bias);
+      for (const bool simd : {true, false}) {
+        const SimdGuard guard{simd};
+        EXPECT_EQ(conv.forward(in).data(), want.data())
+            << conv.name() << " on " << c.side << "x" << c.side << " shift "
+            << c.shift << (relu ? " relu" : "") << (simd ? " simd" : " scalar");
+      }
+    }
+  }
+}
+
+/// Window max over k x k at stride, as a plain loop.
+Tensor reference_pool(const Tensor& in, std::uint32_t k, std::uint32_t stride) {
+  const TensorShape s = in.shape();
+  Tensor out{TensorShape{s.c, (s.h - k) / stride + 1, (s.w - k) / stride + 1}};
+  for (std::uint32_t c = 0; c < s.c; ++c) {
+    for (std::uint32_t oy = 0; oy < out.shape().h; ++oy) {
+      for (std::uint32_t ox = 0; ox < out.shape().w; ++ox) {
+        std::int8_t best = -128;
+        for (std::uint32_t ky = 0; ky < k; ++ky) {
+          for (std::uint32_t kx = 0; kx < k; ++kx) {
+            best = std::max(best, in.at(c, oy * stride + ky, ox * stride + kx));
+          }
+        }
+        out.set(c, oy, ox, best);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LayerKernels, MaxPoolMatchesNaiveSimdOnAndOff) {
+  util::Prng prng{0x9001ULL};
+  int overlapping = 0;
+  int gapped = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto k = static_cast<std::uint32_t>(prng.between(1, 4));
+    const auto stride = static_cast<std::uint32_t>(prng.between(1, 3));
+    const auto c = static_cast<std::uint32_t>(prng.between(1, 20));
+    // Odd and even sides, some narrower than one vector and some wider
+    // than two.
+    const auto h = static_cast<std::uint32_t>(k + prng.below(40));
+    const auto w = static_cast<std::uint32_t>(k + prng.below(48));
+    Tensor in{TensorShape{c, h, w}};
+    in.data() = random_int8s(prng, in.size());
+    // Plant both extremes so saturation at either end is exercised.
+    in.data()[prng.below(in.size())] = -128;
+    in.data()[prng.below(in.size())] = 127;
+    if (trial % 5 == 0) std::fill(in.data().begin(), in.data().end(), -128);
+    overlapping += stride < k;
+    gapped += stride > k;
+
+    const MaxPool2d pool{k, stride};
+    const Tensor want = reference_pool(in, k, stride);
+    for (const bool simd : {true, false}) {
+      const SimdGuard guard{simd};
+      const Tensor got = pool.forward(in);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(got.data(), want.data())
+          << "k=" << k << " stride=" << stride << " " << in.shape().c << "x"
+          << in.shape().h << "x" << in.shape().w
+          << (simd ? " simd" : " scalar");
+    }
+  }
+  EXPECT_GT(overlapping, 0);
+  EXPECT_GT(gapped, 0);
+}
+
+TEST(LayerKernels, ConcurrentForwardIsIdentical) {
+  // One shared layer of each kind with per-thread scratch, driven from
+  // four threads at once on inputs of different sizes.
+  util::Prng prng{0x7EADULL};
+  const Conv2d conv{5, 11, 3, 1, 1, true, 7,
+                    random_int8s(prng, 11 * 5 * 9),
+                    std::vector<std::int32_t>(11, 300)};
+  const MaxPool2d pool{3, 2};
+  constexpr int kThreads = 4;
+  std::vector<Tensor> inputs;
+  std::vector<Tensor> want_conv;
+  std::vector<Tensor> want_pool;
+  for (int t = 0; t < kThreads; ++t) {
+    const auto side = static_cast<std::uint32_t>(9 + 13 * t);
+    Tensor in{TensorShape{5, side, side + 3}};
+    in.data() = random_int8s(prng, in.size());
+    want_conv.push_back(conv.forward(in));
+    want_pool.push_back(pool.forward(in));
+    inputs.push_back(std::move(in));
+  }
+  std::array<int, kThreads> mismatches{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        mismatches[t] += conv.forward(inputs[t]).data() != want_conv[t].data();
+        mismatches[t] += pool.forward(inputs[t]).data() != want_pool[t].data();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(LayerKernels, DenseMatchesNaiveDotSimdOnAndOff) {
@@ -364,6 +506,32 @@ TEST(LayerSerialization, TruncatedBlobThrows) {
           << layer->name() << " prefix " << len << " of " << whole.size();
     }
   }
+}
+
+TEST(LayerSerialization, RequantShiftAbove31Throws) {
+  // Offset of the u32 shift field: after the kind byte, five (conv) or
+  // two (dense) u32 geometry fields, and the relu flag.
+  const Conv2d conv{1, 1, 1, 1, 0, false, 31, {1}, {0}};
+  const Dense dense{1, 1, false, 31, {1}, {0}};
+  for (const auto& [layer, offset] :
+       std::vector<std::pair<const Layer*, std::size_t>>{{&conv, 22},
+                                                         {&dense, 10}}) {
+    util::ByteWriter blob;
+    layer->serialize(blob);
+    std::vector<std::uint8_t> bytes(blob.bytes().begin(), blob.bytes().end());
+    ASSERT_EQ(bytes[offset], 31);
+    util::ByteReader ok{bytes};
+    EXPECT_NO_THROW((void)deserialize_layer(ok)) << layer->name();
+    for (const std::uint8_t shift : {32, 255}) {
+      bytes[offset] = shift;
+      util::ByteReader reader{bytes};
+      EXPECT_THROW((void)deserialize_layer(reader), std::invalid_argument)
+          << layer->name() << " shift " << int{shift};
+    }
+  }
+  EXPECT_THROW((Conv2d{1, 1, 1, 1, 0, false, 32, {1}, {0}}),
+               std::invalid_argument);
+  EXPECT_THROW((Dense{1, 1, false, 32, {1}, {0}}), std::invalid_argument);
 }
 
 TEST(LayerSerialization, UnknownKindThrows) {
