@@ -1,10 +1,7 @@
 #include "img/image.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "img/score_kernels.h"
 
@@ -89,89 +86,21 @@ Image make_test_image(std::uint32_t width, std::uint32_t height,
   util::Prng prng{seed};
   // Low-frequency gradients give the image structure; PRNG noise gives it
   // texture so reconstruction errors are visible in metrics.
-  //
-  // Each channel is defined as floor(min(255.0, gradient + noise)) in
-  // double, with gradients whose exact values are rational: r = 204x/w,
-  // g = 204y/h, b = 102x/w + 102y/h. The double sum differs from the
-  // exact one by under 3e-13, while a rational that is not an integer
-  // lies at least 1/(wh) >= 2^-40 (~9e-13) from every integer (w*h
-  // pixels were just allocated). There the channel is exactly
-  // floor(rational) + noise, at most 203 + 31, which is what each row
-  // writes first. Only where the rational is an integer can rounding
-  // fall on either side, so those channels are then redone in double.
   const double fx = 255.0 / static_cast<double>(width);
   const double fy = 255.0 / static_cast<double>(height);
-  // Index arithmetic in 64 bits: 204 * x overflows 32 for wide images.
-  const std::uint64_t w = width;
-  const std::uint64_t h = height;
-  // Per column: red's floor, blue's column term x * fx, and the columns
-  // grouped by 102x mod w (a counting sort: residue r's columns are
-  // columns[first[r] .. first[r + 1])).
-  std::vector<std::uint8_t> red(width);
-  std::vector<double> x_fx(width);
-  std::vector<std::pair<std::uint32_t, double>> red_exact;  // x, x * fx * 0.8
-  std::vector<std::uint32_t> first(width + 1, 0);
-  std::vector<std::uint32_t> columns(width);
-  for (std::uint64_t x = 0; x < w; ++x) {
-    red[x] = static_cast<std::uint8_t>(204 * x / w);
-    x_fx[x] = x * fx;
-    if (204 * x % w == 0) {
-      red_exact.emplace_back(static_cast<std::uint32_t>(x), x * fx * 0.8);
-    }
-    ++first[102 * x % w + 1];
-  }
-  for (std::uint64_t r = 0; r < w; ++r) first[r + 1] += first[r];
-  std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
-  for (std::uint64_t x = 0; x < w; ++x) {
-    columns[next[102 * x % w]++] = static_cast<std::uint32_t>(x);
-  }
-  // Blue's numerator 102(xh + yw) over wh steps by 102h per column.
-  const std::uint64_t area = w * h;
-  const std::uint64_t step_q = 102 * h / area;
-  const std::uint64_t step_rem = 102 * h % area;
   Rgb* px = img.pixels().data();
-  for (std::uint64_t y = 0; y < h; ++y) {
-    const std::uint64_t green = 204 * y / h;
-    std::uint64_t blue_q = 102 * y * w / area;
-    std::uint64_t blue_rem = 102 * y * w % area;
-    Rgb* row = px + y * w;
-    for (std::uint64_t x = 0; x < w; ++x) {
+  for (std::uint32_t y = 0; y < height; ++y) {
+    Rgb* row = px + static_cast<std::size_t>(y) * width;
+    for (std::uint32_t x = 0; x < width; ++x) {
       const auto noise = static_cast<std::uint8_t>(prng.below(32));
-      row[x] = Rgb{static_cast<std::uint8_t>(red[x] + noise),
-                   static_cast<std::uint8_t>(green + noise),
-                   static_cast<std::uint8_t>(blue_q + noise)};
-      blue_q += step_q;
-      blue_rem += step_rem;
-      if (blue_rem >= area) {
-        blue_rem -= area;
-        ++blue_q;
-      }
-    }
-    // A pixel's noise is read back from its green byte, redone last.
-    const auto noise = [&](std::uint64_t x) {
-      return static_cast<std::uint8_t>(row[x].g - green);
-    };
-    for (const auto& [x, gradient] : red_exact) {
-      row[x].r = static_cast<std::uint8_t>(std::min(255.0, gradient + noise(x)));
-    }
-    // b is an integer where (102x mod w)h + (102y mod h)w is 0 or wh,
-    // that is where 102x mod w is `need / h`.
-    const std::uint64_t ry = 102 * y % h;
-    const std::uint64_t need = ry == 0 ? 0 : (h - ry) * w;
-    if (need % h == 0) {
-      const double y_fy = y * fy;
-      const std::uint64_t r = need / h;
-      for (std::uint32_t i = first[r]; i < first[r + 1]; ++i) {
-        const std::uint32_t x = columns[i];
-        row[x].b = static_cast<std::uint8_t>(
-            std::min(255.0, (x_fx[x] + y_fy) * 0.4 + noise(x)));
-      }
-    }
-    if (204 * y % h == 0) {
-      const double gradient = y * fy * 0.8;
-      for (std::uint64_t x = 0; x < w; ++x) {
-        row[x].g = static_cast<std::uint8_t>(std::min(255.0, gradient + noise(x)));
-      }
+      Rgb p;
+      p.r = static_cast<std::uint8_t>(
+          std::min(255.0, x * fx * 0.8 + noise));
+      p.g = static_cast<std::uint8_t>(
+          std::min(255.0, y * fy * 0.8 + noise));
+      p.b = static_cast<std::uint8_t>(
+          std::min(255.0, (x * fx + y * fy) * 0.4 + noise));
+      row[x] = p;
     }
   }
   return img;

@@ -347,15 +347,19 @@ void gather_row_neon(const std::int16_t* src, const std::size_t* taps,
 
 #endif
 
-/// Fills one block's column. Windows evenly spaced at stride 1 or 2 (a
-/// block within one output row) load each tap's eight values as a
-/// vector; other blocks gather value by value.
+/// Fills the column of a block of `n` pixels. A full block whose windows
+/// are evenly spaced at stride 1 or 2 loads each tap's eight values as a
+/// vector; other blocks gather value by value. In a full block every
+/// step between windows is at least `stride` (a row jump is longer), so
+/// first and last 7 strides apart means every step is one stride. A
+/// partial block repeats its last window, and those zero steps could
+/// offset a row jump.
 void gather_block(bool simd, const std::int16_t* padded,
                   const std::size_t* taps, std::size_t pairs,
-                  const std::size_t* window, std::size_t stride,
+                  const std::size_t* window, std::size_t n, std::size_t stride,
                   std::int16_t* col) noexcept {
 #if defined(MSA_SIMD_SSE2) || defined(MSA_SIMD_NEON)
-  if (simd && stride <= 2 &&
+  if (simd && n == kBlockPx && stride <= 2 &&
       window[kBlockPx - 1] - window[0] == (kBlockPx - 1) * stride) {
 #if defined(MSA_SIMD_SSE2)
     gather_row_sse2(padded + window[0], taps, pairs, stride, col);
@@ -366,6 +370,7 @@ void gather_block(bool simd, const std::int16_t* padded,
   }
 #else
   (void)simd;
+  (void)n;
   (void)stride;
 #endif
   gather_scalar(padded, taps, pairs, window, col);
@@ -560,7 +565,7 @@ Tensor Conv2d::forward(const Tensor& in) const {
   for (std::size_t p0 = 0; p0 < out_plane; p0 += kBlockPx) {
     const std::size_t n = std::min(kBlockPx, out_plane - p0);
     const std::size_t* window = s.windows.data() + p0;
-    gather_block(simd, padded, s.taps.data(), pairs_, window, stride_, col);
+    gather_block(simd, padded, s.taps.data(), pairs_, window, n, stride_, col);
     for (std::size_t b = 0; b < blocks; ++b) {
       std::int32_t bias[kBlockOc] = {};
       const std::size_t oc0 = b * kBlockOc;

@@ -96,7 +96,8 @@ TEST(TestImage, DeterministicPerSeed) {
 }
 
 /// make_test_image as first written, in double precision: the
-/// definition the integer form must reproduce byte for byte.
+/// definition any faster form (integer or table) must reproduce byte
+/// for byte.
 Image reference_test_image(std::uint32_t width, std::uint32_t height,
                            std::uint64_t seed) {
   Image img{width, height};

@@ -318,7 +318,7 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
   EXPECT_GT(unaligned, 0);
 
   struct Case {
-    std::uint32_t in_c, out_c, k, stride, pad, side, shift;
+    std::uint32_t in_c, out_c, k, stride, pad, h, w, shift;
     bool extremes;  ///< int8 extremes only, biases of +-2^20
   };
   std::vector<Case> cases;
@@ -331,11 +331,20 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
            {3, 8, 64}, {3, 12, 64}, {3, 16, 64}, {16, 32, 32},
            {8, 16, 16}, {8, 24, 16}, {12, 24, 16}, {16, 32, 16},
            {16, 24, 8}, {24, 32, 8}, {24, 48, 8}, {32, 64, 8}}) {
-    cases.push_back({in_c, out_c, 3, 2, 1, side, 6, false});
+    cases.push_back({in_c, out_c, 3, 2, 1, side, side, 6, false});
   }
   for (const std::uint32_t shift : {0u, 8u, 16u, 31u}) {
-    cases.push_back({7, 9, 3, 1, 1, 11, shift, true});
-    cases.push_back({3, 5, 5, 2, 2, 13, shift, true});
+    cases.push_back({7, 9, 3, 1, 1, 11, 11, shift, true});
+    cases.push_back({3, 5, 5, 2, 2, 13, 13, shift, true});
+  }
+  // Partial last blocks whose windows span a row jump: the lanes past
+  // the end repeat the last window, so the block's first and last
+  // windows can sit exactly 7 strides apart although the windows between
+  // them are not evenly spaced (6x5: windows 32,35,36,37,38,39,39,39).
+  for (const auto [k, pad, h, w] : std::vector<std::array<std::uint32_t, 4>>{
+           {3, 1, 6, 5}, {3, 1, 3, 2}, {3, 1, 5, 6}, {5, 2, 2, 2}}) {
+    cases.push_back({1, 1, k, 1, pad, h, w, 4, false});
+    cases.push_back({3, 6, k, 1, pad, h, w, 4, false});
   }
   for (const Case& c : cases) {
     const auto extreme = [&prng] {
@@ -345,7 +354,7 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
         random_int8s(prng, std::size_t{c.out_c} * c.in_c * c.k * c.k);
     std::vector<std::int32_t> bias(c.out_c);
     for (auto& b : bias) b = static_cast<std::int32_t>(prng.below(2001)) - 1000;
-    Tensor in{TensorShape{c.in_c, c.side, c.side}};
+    Tensor in{TensorShape{c.in_c, c.h, c.w}};
     in.data() = random_int8s(prng, in.size());
     if (c.extremes) {
       for (auto& v : weights) v = extreme();
@@ -361,7 +370,7 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
       for (const bool simd : {true, false}) {
         const SimdGuard guard{simd};
         EXPECT_EQ(conv.forward(in).data(), want.data())
-            << conv.name() << " on " << c.side << "x" << c.side << " shift "
+            << conv.name() << " on " << c.h << "x" << c.w << " shift "
             << c.shift << (relu ? " relu" : "") << (simd ? " simd" : " scalar");
       }
     }
