@@ -20,115 +20,6 @@ namespace msa::vitis {
 
 namespace {
 
-constexpr std::size_t kLane = 8;  // int16 lanes per 128-bit vector
-
-std::size_t round_up_to_lane(std::size_t n) {
-  return (n + kLane - 1) / kLane * kLane;
-}
-
-/// Sign-extends `rows` weight rows of `len` int8s each into int16 rows
-/// of `row_len` (>= len), zero padded.
-std::vector<std::int16_t> widen_rows(const std::vector<std::int8_t>& w,
-                                     std::size_t rows, std::size_t len,
-                                     std::size_t row_len) {
-  std::vector<std::int16_t> out(rows * row_len, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy_n(w.begin() + static_cast<std::ptrdiff_t>(r * len), len,
-                out.begin() + static_cast<std::ptrdiff_t>(r * row_len));
-  }
-  return out;
-}
-
-// out[r] = sum_k w[r*len + k] * x[k] for r < rows; len is a multiple of
-// kLane. Every product of two int8-range values fits pmaddwd's int16
-// inputs and each pairwise sum fits int32, so all three kernels compute
-// the same exact integer sums.
-void matvec_scalar(const std::int16_t* w, std::size_t rows, std::size_t len,
-                   const std::int16_t* x, std::int32_t* out) noexcept {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int16_t* row = w + r * len;
-    std::int32_t acc = 0;
-    for (std::size_t k = 0; k < len; ++k) {
-      acc += static_cast<std::int32_t>(row[k]) * x[k];
-    }
-    out[r] = acc;
-  }
-}
-
-#if defined(MSA_SIMD_SSE2)
-
-__m128i madd_row(const std::int16_t* row, const std::int16_t* x,
-                 std::size_t len) noexcept {
-  __m128i acc = _mm_setzero_si128();
-  for (std::size_t k = 0; k < len; k += kLane) {
-    acc = _mm_add_epi32(
-        acc, _mm_madd_epi16(
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + k)),
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + k))));
-  }
-  return acc;
-}
-
-void matvec_sse2(const std::int16_t* w, std::size_t rows, std::size_t len,
-                 const std::int16_t* x, std::int32_t* out) noexcept {
-  std::size_t r = 0;
-  // Four rows per step: each row's four partial lanes are transposed and
-  // summed so one store writes four finished dot products.
-  for (; r + 4 <= rows; r += 4) {
-    const __m128i a0 = madd_row(w + r * len, x, len);
-    const __m128i a1 = madd_row(w + (r + 1) * len, x, len);
-    const __m128i a2 = madd_row(w + (r + 2) * len, x, len);
-    const __m128i a3 = madd_row(w + (r + 3) * len, x, len);
-    const __m128i s01 = _mm_add_epi32(_mm_unpacklo_epi32(a0, a1),
-                                      _mm_unpackhi_epi32(a0, a1));
-    const __m128i s23 = _mm_add_epi32(_mm_unpacklo_epi32(a2, a3),
-                                      _mm_unpackhi_epi32(a2, a3));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
-                     _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
-                                   _mm_unpackhi_epi64(s01, s23)));
-  }
-  for (; r < rows; ++r) {
-    const __m128i a = madd_row(w + r * len, x, len);
-    const __m128i s = _mm_add_epi32(a, _mm_unpackhi_epi64(a, a));
-    out[r] = _mm_cvtsi128_si32(_mm_add_epi32(s, _mm_srli_si128(s, 4)));
-  }
-}
-
-#elif defined(MSA_SIMD_NEON)
-
-void matvec_neon(const std::int16_t* w, std::size_t rows, std::size_t len,
-                 const std::int16_t* x, std::int32_t* out) noexcept {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int16_t* row = w + r * len;
-    int32x4_t acc = vdupq_n_s32(0);
-    for (std::size_t k = 0; k < len; k += kLane) {
-      const int16x8_t a = vld1q_s16(row + k);
-      const int16x8_t b = vld1q_s16(x + k);
-      acc = vmlal_s16(acc, vget_low_s16(a), vget_low_s16(b));
-      acc = vmlal_s16(acc, vget_high_s16(a), vget_high_s16(b));
-    }
-    out[r] = vaddvq_s32(acc);
-  }
-}
-
-#endif
-
-void matvec(const std::int16_t* w, std::size_t rows, std::size_t len,
-            const std::int16_t* x, std::int32_t* out) noexcept {
-#if defined(MSA_SIMD_SSE2)
-  if (img::simd_enabled()) {
-    matvec_sse2(w, rows, len, x, out);
-    return;
-  }
-#elif defined(MSA_SIMD_NEON)
-  if (img::simd_enabled()) {
-    matvec_neon(w, rows, len, x, out);
-    return;
-  }
-#endif
-  matvec_scalar(w, rows, len, x, out);
-}
-
 // ---- conv: 4 output channels x 8 output pixels per register block ----
 //
 // Weights are packed [channel block][k-pair q][channel j][2]: the int16
@@ -290,14 +181,16 @@ ConvBlockFn conv_block_for(bool simd) noexcept {
 /// Zeros past the padded input, for the strided row loads below.
 constexpr std::size_t kPaddedSlack = 2 * kBlockPx;
 
-/// col[q][p][i] = padded[window[p] + taps[2q + i]]: pixel p's tap pair q.
+/// col[q][p][i] = padded[window[p] + taps[2q + i]]: pixel p's tap pair q,
+/// for the block's first n pixels. Lanes past n keep what an earlier block
+/// left there (int8-range values), and their outputs are dropped.
 void gather_scalar(const std::int16_t* padded, const std::size_t* taps,
-                   std::size_t pairs, const std::size_t* window,
+                   std::size_t pairs, const std::size_t* window, std::size_t n,
                    std::int16_t* col) noexcept {
   for (std::size_t tap = 0; tap < 2 * pairs; ++tap) {
     const std::int16_t* src = padded + taps[tap];
     std::int16_t* c = col + tap / 2 * 2 * kBlockPx + tap % 2;
-    for (std::size_t p = 0; p < kBlockPx; ++p) c[2 * p] = src[window[p]];
+    for (std::size_t p = 0; p < n; ++p) c[2 * p] = src[window[p]];
   }
 }
 
@@ -351,9 +244,7 @@ void gather_row_neon(const std::int16_t* src, const std::size_t* taps,
 /// are evenly spaced at stride 1 or 2 loads each tap's eight values as a
 /// vector; other blocks gather value by value. In a full block every
 /// step between windows is at least `stride` (a row jump is longer), so
-/// first and last 7 strides apart means every step is one stride. A
-/// partial block repeats its last window, and those zero steps could
-/// offset a row jump.
+/// first and last 7 strides apart means every step is one stride.
 void gather_block(bool simd, const std::int16_t* padded,
                   const std::size_t* taps, std::size_t pairs,
                   const std::size_t* window, std::size_t n, std::size_t stride,
@@ -370,10 +261,9 @@ void gather_block(bool simd, const std::int16_t* padded,
   }
 #else
   (void)simd;
-  (void)n;
   (void)stride;
 #endif
-  gather_scalar(padded, taps, pairs, window, col);
+  gather_scalar(padded, taps, pairs, window, n, col);
 }
 
 // ---- max-pool: elementwise signed-byte max ----
@@ -518,9 +408,12 @@ TensorShape Conv2d::output_shape(const TensorShape& in) const {
 
 Tensor Conv2d::forward(const Tensor& in) const {
   TRACE_SPAN("vitis", "conv2d");
-  const TensorShape os = output_shape(in.shape());
+  return run(in.data().data(), in.shape());
+}
+
+Tensor Conv2d::run(const std::int8_t* src, const TensorShape& ish) const {
+  const TensorShape os = output_shape(ish);
   Tensor out{os};
-  const auto& ish = in.shape();
   std::int8_t* dst = out.data().data();
   const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
   ConvScratch& s = t_conv;
@@ -531,11 +424,17 @@ Tensor Conv2d::forward(const Tensor& in) const {
   const std::size_t ph = ish.h + 2 * static_cast<std::size_t>(pad_);
   const std::size_t pw = ish.w + 2 * static_cast<std::size_t>(pad_);
   s.padded.assign(in_c_ * ph * pw + kPaddedSlack, 0);
-  for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
-    for (std::uint32_t y = 0; y < ish.h; ++y) {
-      const std::int8_t* row =
-          in.data().data() + (static_cast<std::size_t>(ic) * ish.h + y) * ish.w;
-      std::copy_n(row, ish.w, s.padded.data() + (ic * ph + y + pad_) * pw + pad_);
+  if (pad_ == 0) {
+    // No border: the rows stay contiguous, one widening copy.
+    std::copy_n(src, ish.volume(), s.padded.data());
+  } else {
+    for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
+      for (std::uint32_t y = 0; y < ish.h; ++y) {
+        const std::int8_t* row =
+            src + (static_cast<std::size_t>(ic) * ish.h + y) * ish.w;
+        std::copy_n(row, ish.w,
+                    s.padded.data() + (ic * ph + y + pad_) * pw + pad_);
+      }
     }
   }
   // Window-relative offset of each tap in weight order [ic][ky][kx]; an
@@ -550,17 +449,13 @@ Tensor Conv2d::forward(const Tensor& in) const {
   s.col.resize(pairs_ * 2 * kBlockPx);
   std::int16_t* const col = s.col.data();
   const std::int16_t* const padded = s.padded.data();
-  // Window offset of every output pixel, padded to whole blocks with the
-  // last pixel's window: lanes past the end gather real taps, and their
-  // outputs are dropped.
+  // Window offset of every output pixel.
   s.windows.clear();
   for (std::size_t oy = 0; oy < os.h; ++oy) {
     for (std::size_t ox = 0; ox < os.w; ++ox) {
       s.windows.push_back((oy * pw + ox) * stride_);
     }
   }
-  s.windows.resize((out_plane + kBlockPx - 1) / kBlockPx * kBlockPx,
-                   s.windows.back());
   const std::size_t blocks = (std::size_t{out_c_} + kBlockOc - 1) / kBlockOc;
   for (std::size_t p0 = 0; p0 < out_plane; p0 += kBlockPx) {
     const std::size_t n = std::min(kBlockPx, out_plane - p0);
@@ -690,61 +585,59 @@ void GlobalAvgPool::serialize(util::ByteWriter& out) const {
 
 // ------------------------------------------------------------------ Dense ---
 
+namespace {
+
+/// Dense's checks run before its conv is built, so a bad layer throws as
+/// "Dense: ..." and never reaches Conv2d's own checks.
+Conv2d dense_as_conv(std::uint32_t in, std::uint32_t out, bool relu,
+                     std::uint32_t requant_shift, std::vector<std::int8_t> weights,
+                     std::vector<std::int32_t> bias) {
+  if (weights.size() != static_cast<std::size_t>(in) * out || bias.size() != out) {
+    throw std::invalid_argument("Dense: parameter size mismatch");
+  }
+  check_shift(requant_shift, "Dense");
+  return Conv2d{in, out, 1, 1, 0, relu, requant_shift, std::move(weights),
+                std::move(bias)};
+}
+
+}  // namespace
+
 Dense::Dense(std::uint32_t in, std::uint32_t out, bool relu,
              std::uint32_t requant_shift, std::vector<std::int8_t> weights,
              std::vector<std::int32_t> bias)
-    : in_{in},
-      out_{out},
-      relu_{relu},
-      requant_shift_{requant_shift},
-      weights_{std::move(weights)},
-      bias_{std::move(bias)} {
-  if (weights_.size() != static_cast<std::size_t>(in_) * out_ ||
-      bias_.size() != out_) {
-    throw std::invalid_argument("Dense: parameter size mismatch");
-  }
-  check_shift(requant_shift_, "Dense");
-  row_len_ = round_up_to_lane(in_);
-  wide_ = widen_rows(weights_, out_, in_, row_len_);
-}
+    : conv_{dense_as_conv(in, out, relu, requant_shift, std::move(weights),
+                          std::move(bias))} {}
 
 std::string Dense::name() const {
-  return "dense_" + std::to_string(in_) + "->" + std::to_string(out_);
+  return "dense_" + std::to_string(conv_.in_c_) + "->" +
+         std::to_string(conv_.out_c_);
 }
 
 TensorShape Dense::output_shape(const TensorShape& in) const {
-  if (in.volume() != in_) throw std::invalid_argument("Dense: input mismatch");
-  return TensorShape{out_, 1, 1};
+  if (in.volume() != conv_.in_c_) {
+    throw std::invalid_argument("Dense: input mismatch");
+  }
+  return TensorShape{conv_.out_c_, 1, 1};
 }
 
 Tensor Dense::forward(const Tensor& in) const {
-  if (in.shape().volume() != in_) {
+  if (in.shape().volume() != conv_.in_c_) {
     throw std::invalid_argument("Dense: input mismatch");
   }
   TRACE_SPAN("vitis", "dense");
-  Tensor out{TensorShape{out_, 1, 1}};
-  std::vector<std::int16_t> col(row_len_, 0);
-  std::copy(in.data().begin(), in.data().end(), col.begin());
-  std::vector<std::int32_t> acc(out_);
-  matvec(wide_.data(), out_, row_len_, col.data(), acc.data());
-  for (std::uint32_t o = 0; o < out_; ++o) {
-    out.data()[o] =
-        requantize(wrapping_add(bias_[o], acc[o]), requant_shift_, relu_);
-  }
-  return out;
+  // A CHW tensor's bytes are already its flattened [in,1,1] column.
+  return conv_.run(in.data().data(), TensorShape{conv_.in_c_, 1, 1});
 }
 
-std::size_t Dense::param_bytes() const noexcept {
-  return weights_.size() + bias_.size() * sizeof(std::int32_t);
-}
+std::size_t Dense::param_bytes() const noexcept { return conv_.param_bytes(); }
 
 void Dense::serialize(util::ByteWriter& out) const {
   out.u8(static_cast<std::uint8_t>(kind()));
-  out.u32(in_);
-  out.u32(out_);
-  out.u8(relu_ ? 1 : 0);
-  out.u32(requant_shift_);
-  put_params(out, weights_, bias_);
+  out.u32(conv_.in_c_);
+  out.u32(conv_.out_c_);
+  out.u8(conv_.relu_ ? 1 : 0);
+  out.u32(conv_.requant_shift_);
+  put_params(out, conv_.weights(), conv_.bias());
 }
 
 // ---------------------------------------------------------- deserializer ---

@@ -9,12 +9,13 @@
 // against 4 output channels at a time in registers, then requantizes the
 // 4x8 block into one 8-byte store per output plane. Its scratch is
 // thread_local, so forward() stays const and one layer may run on many
-// threads at once. Dense sign-extends its weight rows to int16 once and
-// runs a matrix-vector product. MaxPool2d takes column then row maxima
-// with a vector byte max. Every kernel runs on SSE2 or NEON under the
-// MSA_ENABLE_SIMD build option and the img::set_simd_enabled() runtime
-// switch, with a scalar loop as the fallback; integer arithmetic is exact
-// in any order, so every path yields bit-identical outputs.
+// threads at once. Dense is a 1x1 Conv2d on its input viewed as [in,1,1]
+// and runs through the same packing and block kernel: there is no second
+// GEMM. MaxPool2d takes column then row maxima with a vector byte max.
+// Every kernel runs on SSE2 or NEON under the MSA_ENABLE_SIMD build
+// option and the img::set_simd_enabled() runtime switch, with a scalar
+// loop as the fallback; integer arithmetic is exact in any order, so
+// every path yields bit-identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,16 @@ class Conv2d final : public Layer {
   [[nodiscard]] const std::vector<std::int8_t>& weights() const noexcept {
     return weights_;
   }
+  [[nodiscard]] const std::vector<std::int32_t>& bias() const noexcept {
+    return bias_;
+  }
 
  private:
+  friend class Dense;
+
+  /// forward() without its trace span, on CHW data of shape `ish` at `src`.
+  [[nodiscard]] Tensor run(const std::int8_t* src, const TensorShape& ish) const;
+
   std::uint32_t in_c_, out_c_, k_, stride_, pad_;
   bool relu_;
   std::uint32_t requant_shift_;
@@ -114,9 +123,9 @@ class GlobalAvgPool final : public Layer {
 
 class Dense final : public Layer {
  public:
-  /// Expects a [C,1,1] input; weights [out][in], bias per output.
-  /// Throws std::invalid_argument on a parameter count that does not
-  /// match or requant_shift > 31.
+  /// Takes any input of volume `in`, read as [in,1,1]; weights
+  /// [out][in], bias per output. Throws std::invalid_argument on a
+  /// parameter count that does not match or requant_shift > 31.
   Dense(std::uint32_t in, std::uint32_t out, bool relu,
         std::uint32_t requant_shift, std::vector<std::int8_t> weights,
         std::vector<std::int32_t> bias);
@@ -131,13 +140,7 @@ class Dense final : public Layer {
   void serialize(util::ByteWriter& out) const override;
 
  private:
-  std::uint32_t in_, out_;
-  bool relu_;
-  std::uint32_t requant_shift_;
-  std::vector<std::int8_t> weights_;
-  std::vector<std::int32_t> bias_;
-  std::size_t row_len_ = 0;             ///< in rounded up to 8
-  std::vector<std::int16_t> wide_;    ///< [out][row_len_], zero padded
+  Conv2d conv_;  ///< in -> out, k=1, stride 1, no padding
 };
 
 /// Reads one serialized layer back (inverse of Layer::serialize).

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+
+#include "obs/trace.h"
 
 namespace msa::vitis {
 namespace {
@@ -76,6 +79,49 @@ TEST(ModelZoo, DifferentModelsProduceDifferentOutputs) {
   const img::Image in = img::make_test_image(64, 64, 5);
   EXPECT_NE(make_zoo_model("resnet50_pt").infer(tensor_from_image(in)),
             make_zoo_model("squeezenet_pt").infer(tensor_from_image(in)));
+}
+
+/// The trace span name each layer kind's forward() records.
+const char* span_name(LayerKind kind) {
+  switch (kind) {
+    case LayerKind::kConv2d:
+      return "conv2d";
+    case LayerKind::kMaxPool2d:
+    case LayerKind::kGlobalAvgPool:
+      return "pool";
+    case LayerKind::kDense:
+      return "dense";
+  }
+  return "?";
+}
+
+TEST(ModelZoo, TracedInferRecordsOneVitisSpanPerLayer) {
+  const img::Image image = img::make_test_image(64, 64, 5);
+  for (const auto& name : zoo_model_names()) {
+    const XModel m = make_zoo_model(name);
+    obs::Trace::clear();
+    obs::Trace::enable();
+    (void)m.infer(tensor_from_image(image));
+    obs::Trace::disable();
+    std::vector<obs::TraceSpan> spans;
+    for (const obs::ThreadTrace& t : obs::Trace::snapshot()) {
+      for (const obs::TraceSpan& s : t.spans) {
+        if (std::strcmp(s.category, "vitis") == 0) spans.push_back(s);
+      }
+    }
+    obs::Trace::clear();
+    // Spans are kept in close order; a nested span would close before
+    // its parent and so start before the previous span ended.
+    ASSERT_EQ(spans.size(), m.layers().size()) << name;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_STREQ(spans[i].name, span_name(m.layers()[i]->kind()))
+          << name << " layer " << i;
+      if (i > 0) {
+        EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns + spans[i - 1].dur_ns)
+            << name << " layer " << i << " nests in or overlaps layer " << i - 1;
+      }
+    }
+  }
 }
 
 class ZooSweep : public ::testing::TestWithParam<std::string> {};
