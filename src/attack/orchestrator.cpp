@@ -74,15 +74,7 @@ AttackReport AttackOrchestrator::attack_physical_scan(dram::PhysAddr base,
   report.devmem_reads = scan.devmem_reads;
   report.residue_bytes = scan.bytes.size();
 
-  {
-    TRACE_SPAN("trial", "identify");
-    if (const auto best = signatures_.identify(scan.bytes)) {
-      report.identified_model = *best;
-      const auto matches = signatures_.scan(scan.bytes);
-      report.signature_hits = matches.front().hits;
-    }
-    report.deep_match = SignatureDb::identify_deep(scan.bytes);
-  }
+  identify(report, scan.bytes);
 
   if (report.model_identified()) {
     if (const auto profile = profiles_.find(report.identified_model)) {
@@ -102,15 +94,7 @@ AttackReport AttackOrchestrator::analyze(ScrapedDump dump) {
   report.residue_bytes = dump.bytes.size();
   report.pages_unmapped = dump.pages_unmapped;
 
-  {
-    TRACE_SPAN("trial", "identify");
-    const auto matches = signatures_.scan(dump.bytes);
-    if (!matches.empty()) {
-      report.identified_model = matches.front().model_name;
-      report.signature_hits = matches.front().hits;
-    }
-    report.deep_match = SignatureDb::identify_deep(dump.bytes);
-  }
+  identify(report, dump.bytes);
 
   {
     TRACE_SPAN("trial", "reconstruct");
@@ -127,6 +111,17 @@ AttackReport AttackOrchestrator::analyze(ScrapedDump dump) {
     report.recovered_scores = recover_output_scores(dump);
   }
   return report;
+}
+
+void AttackOrchestrator::identify(AttackReport& report,
+                                  std::span<const std::uint8_t> bytes) const {
+  TRACE_SPAN("trial", "identify");
+  const auto matches = signatures_.scan(bytes);
+  if (!matches.empty()) {
+    report.identified_model = matches.front().model_name;
+    report.signature_hits = matches.front().hits;
+  }
+  report.deep_match = SignatureDb::identify_deep(bytes);
 }
 
 }  // namespace msa::attack

@@ -74,6 +74,9 @@ class AttackOrchestrator {
 
  private:
   AttackReport analyze(ScrapedDump dump);
+  /// Step 4a on scraped bytes: one signature scan names the model and
+  /// counts its hits, then the deep container probe runs.
+  void identify(AttackReport& report, std::span<const std::uint8_t> bytes) const;
 
   dbg::SystemDebugger& debugger_;
   SignatureDb signatures_;

@@ -157,7 +157,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
     if (config.post_mortem_scan) {
       // The attacker never saw the live process; the victim terminates,
       // then the pool is swept.
-      board.terminate(victim.pid);
+      {
+        TRACE_SPAN("trial", "terminate");
+        board.terminate(victim.pid);
+      }
       apply_post_termination(board, config);
       const auto profile = orchestrator.profiles().find(config.model_name);
       const std::uint64_t heap_guess = profile ? profile->heap_bytes : 1 << 20;
@@ -178,10 +181,13 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
       // Step 2: resolve while alive.
       const ResolvedTarget target = orchestrator.resolve(entry->pid);
       // Victim finishes and exits.
-      board.advance_time(60);
-      board.terminate(victim.pid);
-      if (!orchestrator.victim_terminated(entry->pid)) {
-        throw std::logic_error("scenario: victim still alive after terminate");
+      {
+        TRACE_SPAN("trial", "terminate");
+        board.advance_time(60);
+        board.terminate(victim.pid);
+        if (!orchestrator.victim_terminated(entry->pid)) {
+          throw std::logic_error("scenario: victim still alive after terminate");
+        }
       }
       apply_post_termination(board, config);
       // Steps 3-4.

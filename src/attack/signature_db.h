@@ -5,7 +5,13 @@
 // characteristic strings: the model name itself, its install path, and
 // framework-qualified names like "torchvision/resnet50". The SignatureDb
 // holds one needle set per model; scanning counts needle hits in the
-// scraped bytes and ranks candidates.
+// scraped bytes and ranks candidates. A scan visits the bytes once for
+// every needle of every model: add() indexes the distinct needles by
+// their first byte, and a position is compared only with the needles
+// that begin with its byte. Under MSA_ENABLE_SIMD and
+// img::simd_enabled() an SSE2 prefilter first drops, 16 positions at a
+// time, every position whose two bytes fall outside the needles' first-
+// and second-byte ranges. Both paths find the same offsets.
 //
 // Beyond strings, identify_deep() hunts for a serialized xmodel container
 // in the residue and parses it outright — recovering not just the model's
@@ -13,7 +19,9 @@
 // as ... weights" claim).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,11 +51,18 @@ struct DeepMatch {
 
 class SignatureDb {
  public:
-  /// Builds the database for every bundled zoo model.
+  SignatureDb() = default;
+  // Copies share the index. There is no move, so no db is left without
+  // one; a copy costs a reference count.
+  SignatureDb(const SignatureDb&) = default;
+  SignatureDb& operator=(const SignatureDb&) = default;
+
+  /// The database for every bundled zoo model. It is built once per
+  /// process; each call returns a copy, which shares the built index.
   [[nodiscard]] static SignatureDb for_zoo();
 
   void add(Signature sig);
-  [[nodiscard]] std::size_t size() const noexcept { return signatures_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return index_->names.size(); }
 
   /// Scans the residue; returns matches sorted by (distinct_needles, hits)
   /// descending. Models with zero hits are omitted.
@@ -58,13 +73,31 @@ class SignatureDb {
   [[nodiscard]] std::optional<std::string> identify(
       std::span<const std::uint8_t> bytes) const;
 
-  /// Scans for serialized xmodel containers and fully parses the first
-  /// valid one (weights and all). Returns nullopt when none parses.
+  /// Scans for serialized xmodel containers and validates each in full,
+  /// as XModel::deserialize_at would, without building it; reports the
+  /// first valid one. Returns nullopt when none parses.
   [[nodiscard]] static std::optional<DeepMatch> identify_deep(
       std::span<const std::uint8_t> bytes);
 
  private:
-  std::vector<Signature> signatures_;
+  /// Immutable once built and shared by copies of the db: add() builds
+  /// a new index, so a copy never allocates.
+  struct Index {
+    std::vector<std::string> names;
+    /// Per signature, the ids of its non-empty needles, repeats kept.
+    std::vector<std::vector<std::uint32_t>> signature_needles;
+    std::vector<std::string> needles;  ///< distinct non-empty needles, by id
+    /// Needle ids by first byte.
+    std::array<std::vector<std::uint32_t>, 256> by_lead;
+    /// Byte ranges of the needles' first and second bytes (the second
+    /// range is all bytes once a 1-byte needle is added).
+    std::uint8_t first_lo = 0xFF;
+    std::uint8_t first_hi = 0x00;
+    std::uint8_t second_lo = 0xFF;
+    std::uint8_t second_hi = 0x00;
+  };
+
+  std::shared_ptr<const Index> index_ = std::make_shared<const Index>();
 };
 
 }  // namespace msa::attack

@@ -90,6 +90,7 @@ CellStats CampaignRunner::score_cell(const CampaignCell& cell, unsigned trials,
       cfg.image_seed ^= util::splitmix64(stream);
     }
     const attack::ScenarioResult result = attack::run_scenario(cfg, profiles);
+    TRACE_SPAN("campaign", "record");
     if (on_trial) on_trial(trial, result);
     stats.accumulate(result);
   }

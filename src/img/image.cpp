@@ -1,16 +1,12 @@
 #include "img/image.h"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "img/score_kernels.h"
 
 namespace msa::img {
-
-// The scoring kernels fold over pixels() reinterpreted as a raw byte
-// span; that is only the RGB byte stream if Rgb stays a padding-free
-// 3-byte struct.
-static_assert(sizeof(Rgb) == 3);
 
 Image::Image(std::uint32_t width, std::uint32_t height, Rgb fill)
     : width_{width}, height_{height} {
@@ -49,26 +45,13 @@ Image Image::from_words(std::span<const std::uint32_t> words,
   return img;
 }
 
-std::vector<std::uint8_t> Image::to_rgb_bytes() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(pixels_.size() * 3);
-  for (const Rgb& p : pixels_) {
-    out.push_back(p.r);
-    out.push_back(p.g);
-    out.push_back(p.b);
-  }
-  return out;
-}
-
 Image Image::from_rgb_bytes(std::span<const std::uint8_t> bytes,
                             std::uint32_t width, std::uint32_t height) {
   if (bytes.size() < static_cast<std::size_t>(width) * height * 3) {
     throw std::invalid_argument("Image::from_rgb_bytes: not enough bytes");
   }
   Image img{width, height};
-  for (std::size_t i = 0; i < img.pixels_.size(); ++i) {
-    img.pixels_[i] = Rgb{bytes[3 * i], bytes[3 * i + 1], bytes[3 * i + 2]};
-  }
+  std::memcpy(img.pixels_.data(), bytes.data(), img.pixels_.size() * 3);
   return img;
 }
 
@@ -128,28 +111,22 @@ double pixel_match_fraction(const Image& a, const Image& b) {
   if (a.width() != b.width() || a.height() != b.height() || a.empty()) {
     return 0.0;
   }
-  const auto pa = a.pixels();
-  const auto pb = b.pixels();
   const std::size_t same = detail::match_count(
-      reinterpret_cast<const std::uint8_t*>(pa.data()),
-      reinterpret_cast<const std::uint8_t*>(pb.data()), pa.size());
-  return static_cast<double>(same) / static_cast<double>(pa.size());
+      a.rgb_bytes().data(), b.rgb_bytes().data(), a.pixel_count());
+  return static_cast<double>(same) / static_cast<double>(a.pixel_count());
 }
 
 double psnr_db(const Image& a, const Image& b) {
   if (a.width() != b.width() || a.height() != b.height() || a.empty()) {
     return -1.0;
   }
-  const auto pa = a.pixels();
-  const auto pb = b.pixels();
   // The u64 total of squared byte differences is <= 195075 * pixels,
   // far below 2^53 for any image we handle, so the double conversion is
   // exact and matches the old double-accumulation loop bit for bit.
-  const std::uint64_t se = detail::squared_error(
-      reinterpret_cast<const std::uint8_t*>(pa.data()),
-      reinterpret_cast<const std::uint8_t*>(pb.data()), pa.size() * 3);
-  const double mse =
-      static_cast<double>(se) / static_cast<double>(pa.size() * 3);
+  const std::span<const std::uint8_t> ba = a.rgb_bytes();
+  const std::uint64_t se =
+      detail::squared_error(ba.data(), b.rgb_bytes().data(), ba.size());
+  const double mse = static_cast<double>(se) / static_cast<double>(ba.size());
   if (mse == 0.0) return 99.0;
   return 10.0 * std::log10(255.0 * 255.0 / mse);
 }

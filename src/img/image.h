@@ -12,6 +12,7 @@
 
 namespace msa::img {
 
+/// Three packed bytes, so a pixel array is its RGB888 byte stream.
 struct Rgb {
   std::uint8_t r = 0;
   std::uint8_t g = 0;
@@ -31,6 +32,8 @@ struct Rgb {
                static_cast<std::uint8_t>(w & 0xFF)};
   }
 };
+
+static_assert(sizeof(Rgb) == 3);
 
 /// The corrupted-image sentinel the paper writes over the input (Fig. 4b).
 inline constexpr Rgb kCorruptPixel{0xFF, 0xFF, 0xFF};
@@ -63,7 +66,14 @@ class Image {
   /// in-memory form the victim's runtime stages into its heap. A fully
   /// corrupted (0xFFFFFF) image therefore reads back as unbroken FF bytes,
   /// reproducing the "FFFF FFFF" rows in the paper's Fig. 12 hexdump.
-  [[nodiscard]] std::vector<std::uint8_t> to_rgb_bytes() const;
+  /// rgb_bytes() is a view of the pixels themselves; to_rgb_bytes() copies.
+  [[nodiscard]] std::span<const std::uint8_t> rgb_bytes() const noexcept {
+    return {reinterpret_cast<const std::uint8_t*>(pixels_.data()),
+            pixels_.size() * 3};
+  }
+  [[nodiscard]] std::vector<std::uint8_t> to_rgb_bytes() const {
+    return {rgb_bytes().begin(), rgb_bytes().end()};
+  }
   [[nodiscard]] static Image from_rgb_bytes(std::span<const std::uint8_t> bytes,
                                             std::uint32_t width,
                                             std::uint32_t height);

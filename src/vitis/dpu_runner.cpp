@@ -31,6 +31,27 @@ std::vector<std::uint8_t> meta_bytes(mem::VirtAddr heap_base) {
   return out.take();
 }
 
+/// The staged input image read back out of the heap; one buffer per
+/// thread, reused run to run.
+thread_local std::vector<std::uint8_t> t_staged;
+
+HeapLayout layout_with(const XModel& model, std::size_t strings_bytes,
+                       std::uint32_t image_width, std::uint32_t image_height) {
+  HeapLayout lay;
+  lay.image_width = image_width;
+  lay.image_height = image_height;
+  lay.meta_off = 0;
+  lay.descriptor_off = kMetaBytes;
+  lay.strings_off = align16(lay.descriptor_off + DpuDescriptor::kEncodedSize);
+  lay.xmodel_off = align16(lay.strings_off + strings_bytes);
+  lay.image_off = align16(lay.xmodel_off + model.serialize().size());
+  lay.output_off = align16(
+      lay.image_off + static_cast<std::uint64_t>(image_width) * image_height * 3);
+  lay.total_bytes =
+      align16(lay.output_off + model.num_classes() * sizeof(float));
+  return lay;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> DpuRunner::staged_strings(const XModel& model) {
@@ -52,26 +73,16 @@ std::vector<std::uint8_t> DpuRunner::staged_strings(const XModel& model) {
 
 HeapLayout DpuRunner::layout_for(const XModel& model, std::uint32_t image_width,
                                  std::uint32_t image_height) {
-  HeapLayout lay;
-  lay.image_width = image_width;
-  lay.image_height = image_height;
-  lay.meta_off = 0;
-  lay.descriptor_off = kMetaBytes;
-  lay.strings_off = align16(lay.descriptor_off + DpuDescriptor::kEncodedSize);
-  lay.xmodel_off = align16(lay.strings_off + staged_strings(model).size());
-  lay.image_off = align16(lay.xmodel_off + model.serialize().size());
-  lay.output_off = align16(
-      lay.image_off + static_cast<std::uint64_t>(image_width) * image_height * 3);
-  lay.total_bytes =
-      align16(lay.output_off + model.num_classes() * sizeof(float));
-  return lay;
+  return layout_with(model, staged_strings(model).size(), image_width,
+                     image_height);
 }
 
 RunResult DpuRunner::run(os::Pid pid, const XModel& model,
                          const img::Image& input) {
-  const HeapLayout lay = layout_for(model, input.width(), input.height());
+  const std::vector<std::uint8_t> strings = staged_strings(model);
+  const HeapLayout lay =
+      layout_with(model, strings.size(), input.width(), input.height());
   mem::VirtAddr heap_start = 0;
-  img::Image preprocessed;
   {
     TRACE_SPAN("launch", "stage");
     heap_start = system_.sbrk(pid, lay.total_bytes);
@@ -86,26 +97,26 @@ RunResult DpuRunner::run(os::Pid pid, const XModel& model,
     desc.output_len = model.num_classes();
     desc.model_crc = util::crc32(model.name());
     system_.write_virt(pid, heap_start + lay.descriptor_off, desc.encode());
-    system_.write_virt(pid, heap_start + lay.strings_off, staged_strings(model));
+    system_.write_virt(pid, heap_start + lay.strings_off, strings);
     system_.write_virt(pid, heap_start + lay.xmodel_off, model.serialize());
-    system_.write_virt(pid, heap_start + lay.image_off, input.to_rgb_bytes());
+    system_.write_virt(pid, heap_start + lay.image_off, input.rgb_bytes());
 
     // The DPU reads its input from device memory: read the image back out
     // of the heap rather than using the caller's copy.
-    std::vector<std::uint8_t> staged(
-        static_cast<std::size_t>(input.width()) * input.height() * 3);
-    system_.read_virt(pid, heap_start + lay.image_off, staged);
-    const img::Image from_heap =
-        img::Image::from_rgb_bytes(staged, input.width(), input.height());
-    preprocessed = img::resize_nearest(from_heap, model.input_shape().w,
-                                       model.input_shape().h);
+    t_staged.resize(input.rgb_bytes().size());
+    system_.read_virt(pid, heap_start + lay.image_off, t_staged);
   }
+  const Tensor preprocessed = [&] {
+    TRACE_SPAN("launch", "preprocess");
+    return tensor_from_rgb_bytes(t_staged, input.width(), input.height(),
+                                 model.input_shape().w, model.input_shape().h);
+  }();
 
   RunResult result;
   result.layout = lay;
   {
     TRACE_SPAN("launch", "infer");
-    result.scores = model.infer(tensor_from_image(preprocessed));
+    result.scores = model.infer(preprocessed);
   }
   result.top_class = static_cast<std::size_t>(
       std::max_element(result.scores.begin(), result.scores.end()) -

@@ -318,25 +318,21 @@ void put_params(util::ByteWriter& out, const std::vector<std::int8_t>& weights,
   for (const std::int32_t b : bias) out.u32(static_cast<std::uint32_t>(b));
 }
 
-struct Params {
-  std::vector<std::int8_t> weights;
-  std::vector<std::int32_t> bias;
-};
-
-Params get_params(util::ByteReader& in) {
-  Params p;
-  const std::span<const std::uint8_t> weights = in.bytes(in.u32());
-  p.weights.assign(weights.begin(), weights.end());
+/// Reads put_params()'s tail as views into the container.
+void get_params(util::ByteReader& in, LayerRecord& r) {
+  r.weights = in.bytes(in.u32());
   const std::uint32_t n_b = in.u32();
-  // Validate the length BEFORE sizing the vector: residue parsing must
-  // reject corrupted counts, not ask the allocator for 16 GiB.
+  // Validate the length BEFORE anyone sizes a vector by it: residue
+  // parsing must reject corrupted counts, not ask the allocator for 16 GiB.
   if (static_cast<std::uint64_t>(n_b) * 4 > in.remaining()) {
     throw std::invalid_argument("xmodel: truncated bias");
   }
-  p.bias.resize(n_b);
-  for (std::int32_t& b : p.bias) b = static_cast<std::int32_t>(in.u32());
-  return p;
+  r.bias = in.bytes(std::size_t{n_b} * 4);
 }
+
+// The checks and shape rules of each layer kind, shared by the layer
+// classes and read_layer(), so a parsed record is checked exactly as
+// its layer's constructor would check it.
 
 /// Above 31 the scalar `acc >> shift` is undefined and psrad sign-fills,
 /// so residue-parsed layers must not get that far.
@@ -344,6 +340,63 @@ void check_shift(std::uint32_t shift, const char* what) {
   if (shift > 31) {
     throw std::invalid_argument(std::string{what} + ": requant shift above 31");
   }
+}
+
+/// Returns the patch size in_c*k*k.
+std::size_t check_conv(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
+                       std::uint32_t stride, std::uint32_t shift,
+                       std::size_t n_weights, std::size_t n_bias) {
+  if (stride == 0 || k == 0) throw std::invalid_argument("Conv2d: bad geometry");
+  check_shift(shift, "Conv2d");
+  // Checked products: parsed residue may carry any geometry, and a
+  // wrapped size must not pass for the weight count.
+  std::size_t patch = 0;
+  std::size_t expect = 0;
+  if (__builtin_mul_overflow(std::size_t{in_c}, std::size_t{k} * k, &patch) ||
+      __builtin_mul_overflow(patch, std::size_t{out_c}, &expect) ||
+      n_weights != expect || n_bias != out_c) {
+    throw std::invalid_argument("Conv2d: parameter size mismatch");
+  }
+  return patch;
+}
+
+void check_pool(std::uint32_t k, std::uint32_t stride) {
+  if (k == 0 || stride == 0) throw std::invalid_argument("MaxPool2d: bad geometry");
+}
+
+/// Dense's checks run before its conv is built, so a bad layer throws as
+/// "Dense: ..." and never reaches Conv2d's own checks.
+void check_dense(std::uint32_t in, std::uint32_t out, std::uint32_t shift,
+                 std::size_t n_weights, std::size_t n_bias) {
+  if (n_weights != static_cast<std::size_t>(in) * out || n_bias != out) {
+    throw std::invalid_argument("Dense: parameter size mismatch");
+  }
+  check_shift(shift, "Dense");
+}
+
+TensorShape conv_shape(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
+                       std::uint32_t stride, std::uint32_t pad,
+                       const TensorShape& in) {
+  if (in.c != in_c) throw std::invalid_argument("Conv2d: channel mismatch");
+  if (in.h + 2 * pad < k || in.w + 2 * pad < k) {
+    throw std::invalid_argument("Conv2d: input smaller than kernel");
+  }
+  return TensorShape{out_c, (in.h + 2 * pad - k) / stride + 1,
+                     (in.w + 2 * pad - k) / stride + 1};
+}
+
+TensorShape pool_shape(std::uint32_t k, std::uint32_t stride,
+                       const TensorShape& in) {
+  if (in.h < k || in.w < k) {
+    throw std::invalid_argument("MaxPool2d: input smaller than window");
+  }
+  return TensorShape{in.c, (in.h - k) / stride + 1, (in.w - k) / stride + 1};
+}
+
+TensorShape dense_shape(std::uint32_t in_c, std::uint32_t out_c,
+                        const TensorShape& in) {
+  if (in.volume() != in_c) throw std::invalid_argument("Dense: input mismatch");
+  return TensorShape{out_c, 1, 1};
 }
 
 }  // namespace
@@ -363,22 +416,12 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       requant_shift_{requant_shift},
       weights_{std::move(weights)},
       bias_{std::move(bias)} {
-  if (stride_ == 0 || k_ == 0) throw std::invalid_argument("Conv2d: bad geometry");
-  check_shift(requant_shift_, "Conv2d");
-  // Checked products: parsed residue may carry any geometry, and a
-  // wrapped size must not pass for the weight count.
-  std::size_t patch = 0;
-  std::size_t expect = 0;
-  if (__builtin_mul_overflow(std::size_t{in_c_}, std::size_t{k_} * k_, &patch) ||
-      __builtin_mul_overflow(patch, std::size_t{out_c_}, &expect) ||
-      weights_.size() != expect || bias_.size() != out_c_) {
-    throw std::invalid_argument("Conv2d: parameter size mismatch");
-  }
+  const std::size_t patch = check_conv(in_c_, out_c_, k_, stride_,
+                                       requant_shift_, weights_.size(),
+                                       bias_.size());
   pairs_ = (patch + 1) / 2;
   const std::size_t blocks = (std::size_t{out_c_} + kBlockOc - 1) / kBlockOc;
-  // Residue scans construct every layer they parse, so this runs per
-  // parse, not once per model: each channel row is copied pair by pair
-  // into its lane of the block.
+  // Each channel row is copied pair by pair into its lane of the block.
   packed_.assign(blocks * pairs_ * kPackedPair, 0);
   for (std::size_t oc = 0; oc < out_c_; ++oc) {
     const std::int8_t* row = weights_.data() + oc * patch;
@@ -398,12 +441,7 @@ std::string Conv2d::name() const {
 }
 
 TensorShape Conv2d::output_shape(const TensorShape& in) const {
-  if (in.c != in_c_) throw std::invalid_argument("Conv2d: channel mismatch");
-  if (in.h + 2 * pad_ < k_ || in.w + 2 * pad_ < k_) {
-    throw std::invalid_argument("Conv2d: input smaller than kernel");
-  }
-  return TensorShape{out_c_, (in.h + 2 * pad_ - k_) / stride_ + 1,
-                     (in.w + 2 * pad_ - k_) / stride_ + 1};
+  return conv_shape(in_c_, out_c_, k_, stride_, pad_, in);
 }
 
 Tensor Conv2d::forward(const Tensor& in) const {
@@ -503,7 +541,7 @@ void Conv2d::serialize(util::ByteWriter& out) const {
 
 MaxPool2d::MaxPool2d(std::uint32_t k, std::uint32_t stride)
     : k_{k}, stride_{stride} {
-  if (k_ == 0 || stride_ == 0) throw std::invalid_argument("MaxPool2d: bad geometry");
+  check_pool(k_, stride_);
 }
 
 std::string MaxPool2d::name() const {
@@ -511,10 +549,7 @@ std::string MaxPool2d::name() const {
 }
 
 TensorShape MaxPool2d::output_shape(const TensorShape& in) const {
-  if (in.h < k_ || in.w < k_) {
-    throw std::invalid_argument("MaxPool2d: input smaller than window");
-  }
-  return TensorShape{in.c, (in.h - k_) / stride_ + 1, (in.w - k_) / stride_ + 1};
+  return pool_shape(k_, stride_, in);
 }
 
 Tensor MaxPool2d::forward(const Tensor& in) const {
@@ -587,15 +622,10 @@ void GlobalAvgPool::serialize(util::ByteWriter& out) const {
 
 namespace {
 
-/// Dense's checks run before its conv is built, so a bad layer throws as
-/// "Dense: ..." and never reaches Conv2d's own checks.
 Conv2d dense_as_conv(std::uint32_t in, std::uint32_t out, bool relu,
                      std::uint32_t requant_shift, std::vector<std::int8_t> weights,
                      std::vector<std::int32_t> bias) {
-  if (weights.size() != static_cast<std::size_t>(in) * out || bias.size() != out) {
-    throw std::invalid_argument("Dense: parameter size mismatch");
-  }
-  check_shift(requant_shift, "Dense");
+  check_dense(in, out, requant_shift, weights.size(), bias.size());
   return Conv2d{in, out, 1, 1, 0, relu, requant_shift, std::move(weights),
                 std::move(bias)};
 }
@@ -614,10 +644,7 @@ std::string Dense::name() const {
 }
 
 TensorShape Dense::output_shape(const TensorShape& in) const {
-  if (in.volume() != conv_.in_c_) {
-    throw std::invalid_argument("Dense: input mismatch");
-  }
-  return TensorShape{conv_.out_c_, 1, 1};
+  return dense_shape(conv_.in_c_, conv_.out_c_, in);
 }
 
 Tensor Dense::forward(const Tensor& in) const {
@@ -642,39 +669,82 @@ void Dense::serialize(util::ByteWriter& out) const {
 
 // ---------------------------------------------------------- deserializer ---
 
-std::unique_ptr<Layer> deserialize_layer(util::ByteReader& in) {
-  const auto kind = static_cast<LayerKind>(in.u8());
-  switch (kind) {
-    case LayerKind::kConv2d: {
-      const std::uint32_t in_c = in.u32();
-      const std::uint32_t out_c = in.u32();
-      const std::uint32_t k = in.u32();
-      const std::uint32_t stride = in.u32();
-      const std::uint32_t pad = in.u32();
-      const bool relu = get_flag(in);
-      const std::uint32_t shift = in.u32();
-      Params p = get_params(in);
-      return std::make_unique<Conv2d>(in_c, out_c, k, stride, pad, relu, shift,
-                                      std::move(p.weights), std::move(p.bias));
-    }
-    case LayerKind::kMaxPool2d: {
-      const std::uint32_t k = in.u32();
-      const std::uint32_t stride = in.u32();
-      return std::make_unique<MaxPool2d>(k, stride);
-    }
+LayerRecord read_layer(util::ByteReader& in) {
+  LayerRecord r;
+  r.kind = static_cast<LayerKind>(in.u8());
+  switch (r.kind) {
+    case LayerKind::kConv2d:
+      r.in_c = in.u32();
+      r.out_c = in.u32();
+      r.k = in.u32();
+      r.stride = in.u32();
+      r.pad = in.u32();
+      r.relu = get_flag(in);
+      r.shift = in.u32();
+      get_params(in, r);
+      (void)check_conv(r.in_c, r.out_c, r.k, r.stride, r.shift,
+                       r.weights.size(), r.bias.size() / 4);
+      return r;
+    case LayerKind::kMaxPool2d:
+      r.k = in.u32();
+      r.stride = in.u32();
+      check_pool(r.k, r.stride);
+      return r;
     case LayerKind::kGlobalAvgPool:
-      return std::make_unique<GlobalAvgPool>();
-    case LayerKind::kDense: {
-      const std::uint32_t n_in = in.u32();
-      const std::uint32_t n_out = in.u32();
-      const bool relu = get_flag(in);
-      const std::uint32_t shift = in.u32();
-      Params p = get_params(in);
-      return std::make_unique<Dense>(n_in, n_out, relu, shift,
-                                     std::move(p.weights), std::move(p.bias));
-    }
+      return r;
+    case LayerKind::kDense:
+      r.in_c = in.u32();
+      r.out_c = in.u32();
+      r.relu = get_flag(in);
+      r.shift = in.u32();
+      get_params(in, r);
+      check_dense(r.in_c, r.out_c, r.shift, r.weights.size(), r.bias.size() / 4);
+      return r;
   }
   throw std::invalid_argument("xmodel: unknown layer kind");
+}
+
+TensorShape LayerRecord::output_shape(const TensorShape& in) const {
+  switch (kind) {
+    case LayerKind::kConv2d:
+      return conv_shape(in_c, out_c, k, stride, pad, in);
+    case LayerKind::kMaxPool2d:
+      return pool_shape(k, stride, in);
+    case LayerKind::kGlobalAvgPool:
+      return TensorShape{in.c, 1, 1};
+    case LayerKind::kDense:
+      return dense_shape(in_c, out_c, in);
+  }
+  throw std::invalid_argument("xmodel: unknown layer kind");
+}
+
+std::unique_ptr<Layer> make_layer(const LayerRecord& r) {
+  const auto weights = [&] {
+    return std::vector<std::int8_t>(r.weights.begin(), r.weights.end());
+  };
+  const auto bias = [&] {
+    std::vector<std::int32_t> out(r.bias.size() / 4);
+    util::ByteReader in{r.bias};
+    for (std::int32_t& b : out) b = static_cast<std::int32_t>(in.u32());
+    return out;
+  };
+  switch (r.kind) {
+    case LayerKind::kConv2d:
+      return std::make_unique<Conv2d>(r.in_c, r.out_c, r.k, r.stride, r.pad,
+                                      r.relu, r.shift, weights(), bias());
+    case LayerKind::kMaxPool2d:
+      return std::make_unique<MaxPool2d>(r.k, r.stride);
+    case LayerKind::kGlobalAvgPool:
+      return std::make_unique<GlobalAvgPool>();
+    case LayerKind::kDense:
+      return std::make_unique<Dense>(r.in_c, r.out_c, r.relu, r.shift,
+                                     weights(), bias());
+  }
+  throw std::invalid_argument("xmodel: unknown layer kind");
+}
+
+std::unique_ptr<Layer> deserialize_layer(util::ByteReader& in) {
+  return make_layer(read_layer(in));
 }
 
 std::vector<float> softmax(const Tensor& logits) {

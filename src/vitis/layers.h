@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -143,8 +144,37 @@ class Dense final : public Layer {
   Conv2d conv_;  ///< in -> out, k=1, stride 1, no padding
 };
 
-/// Reads one serialized layer back (inverse of Layer::serialize).
-/// Throws std::invalid_argument on malformed input.
+/// One serialized layer as a container holds it: its fields, and views
+/// of its parameter bytes in the container (valid while those bytes are).
+struct LayerRecord {
+  LayerKind kind{};
+  std::uint32_t in_c = 0;   ///< Dense: input volume
+  std::uint32_t out_c = 0;  ///< Dense: outputs
+  std::uint32_t k = 0;
+  std::uint32_t stride = 0;
+  std::uint32_t pad = 0;
+  bool relu = false;
+  std::uint32_t shift = 0;
+  std::span<const std::uint8_t> weights;  ///< int8 each
+  std::span<const std::uint8_t> bias;     ///< little-endian int32 each
+
+  /// The built layer's output_shape(), with the same checks.
+  [[nodiscard]] TensorShape output_shape(const TensorShape& in) const;
+  /// The built layer's param_bytes().
+  [[nodiscard]] std::size_t param_bytes() const noexcept {
+    return weights.size() + bias.size();
+  }
+};
+
+/// Reads one serialized layer (inverse of Layer::serialize) and makes
+/// every check its constructor would, in the same order, without
+/// building it. Throws std::invalid_argument on malformed input.
+[[nodiscard]] LayerRecord read_layer(util::ByteReader& in);
+
+/// Builds the layer a read_layer() record describes.
+[[nodiscard]] std::unique_ptr<Layer> make_layer(const LayerRecord& record);
+
+/// make_layer(read_layer(in)).
 [[nodiscard]] std::unique_ptr<Layer> deserialize_layer(util::ByteReader& in);
 
 /// Softmax over a [C,1,1] logits tensor -> probabilities.

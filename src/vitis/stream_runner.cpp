@@ -71,7 +71,7 @@ StreamRunResult StreamRunner::run(os::Pid pid, const XModel& model,
 
     // Stage the frame and its descriptor into the ring slot.
     system_.write_virt(pid, heap + lay.frame_slot_off(slot),
-                       frames[i].to_rgb_bytes());
+                       frames[i].rgb_bytes());
     DpuDescriptor desc;
     desc.input_va = heap + lay.frame_slot_off(slot);
     desc.input_width = w;
@@ -85,10 +85,8 @@ StreamRunResult StreamRunner::run(os::Pid pid, const XModel& model,
     std::vector<std::uint8_t> staged(
         static_cast<std::size_t>(lay.frame_bytes()));
     system_.read_virt(pid, heap + lay.frame_slot_off(slot), staged);
-    const img::Image from_heap = img::Image::from_rgb_bytes(staged, w, h);
-    const img::Image pre = img::resize_nearest(
-        from_heap, model.input_shape().w, model.input_shape().h);
-    const auto scores = model.infer(tensor_from_image(pre));
+    const auto scores = model.infer(tensor_from_rgb_bytes(
+        staged, w, h, model.input_shape().w, model.input_shape().h));
     result.top_classes.push_back(static_cast<std::size_t>(
         std::max_element(scores.begin(), scores.end()) - scores.begin()));
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -61,5 +62,17 @@ class Tensor {
 /// Quantizes an RGB image to a 3xHxW int8 tensor: channel value v maps to
 /// v - 128 (symmetric zero-point), matching typical DPU preprocessing.
 [[nodiscard]] Tensor tensor_from_image(const img::Image& image);
+
+/// The runtime's whole input preprocessing in one pass over row-major
+/// RGB888 bytes of a src_w x src_h image: nearest-neighbour resize to
+/// out_w x out_h and the quantization above. Equal to
+/// tensor_from_image(resize_nearest(Image::from_rgb_bytes(rgb, src_w,
+/// src_h), out_w, out_h)), and throws the std::invalid_argument that
+/// would: too few bytes, or a zero dimension.
+[[nodiscard]] Tensor tensor_from_rgb_bytes(std::span<const std::uint8_t> rgb,
+                                           std::uint32_t src_w,
+                                           std::uint32_t src_h,
+                                           std::uint32_t out_w,
+                                           std::uint32_t out_h);
 
 }  // namespace msa::vitis

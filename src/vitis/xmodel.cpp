@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "util/bytes.h"
@@ -26,9 +27,73 @@ void put_string(util::ByteWriter& out, const std::string& s) {
   out.raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
-std::string get_string(util::ByteReader& in) {
+std::string_view get_string(util::ByteReader& in) {
   const std::span<const std::uint8_t> s = in.bytes(in.u32());
-  return {s.begin(), s.end()};
+  return {reinterpret_cast<const char*>(s.data()), s.size()};
+}
+
+TensorShape shape_after(const std::unique_ptr<Layer>& layer,
+                        const TensorShape& in) {
+  return layer->output_shape(in);
+}
+
+TensorShape shape_after(const LayerRecord& layer, const TensorShape& in) {
+  return layer.output_shape(in);
+}
+
+/// What every model satisfies, built or parsed: a name, at least one
+/// layer, and a layer chain that composes from the input shape.
+template <typename Layers>
+void check_model(std::string_view name, TensorShape shape, const Layers& layers) {
+  if (name.empty()) throw std::invalid_argument("XModel: empty name");
+  if (layers.empty()) throw std::invalid_argument("XModel: no layers");
+  for (const auto& layer : layers) shape = shape_after(layer, shape);
+}
+
+/// A container read and checked in full, as views into its bytes.
+struct Container {
+  std::span<const std::uint8_t> bytes;  ///< the whole container, CRC included
+  std::string_view name;
+  std::string_view framework;
+  std::vector<std::string_view> aux;
+  TensorShape input;
+  std::vector<LayerRecord> layers;
+};
+
+/// The one container parser: reads the container at blob[offset] and
+/// makes every check a parsed model must pass, building nothing.
+Container read_container(std::span<const std::uint8_t> blob, std::size_t offset) {
+  if (offset > blob.size()) throw std::invalid_argument("xmodel: too short");
+  const std::span<const std::uint8_t> at = blob.subspan(offset);
+  util::ByteReader in{at};
+  if (!std::ranges::equal(in.bytes(kMagic.size()), kMagic)) {
+    throw std::invalid_argument("xmodel: bad magic");
+  }
+  if (in.u16() != kVersion) throw std::invalid_argument("xmodel: bad version");
+
+  Container c;
+  c.name = get_string(in);
+  c.framework = get_string(in);
+  const std::uint32_t n_aux = in.u32();
+  if (n_aux > 1024) throw std::invalid_argument("xmodel: implausible aux count");
+  c.aux.reserve(n_aux);
+  for (std::uint32_t i = 0; i < n_aux; ++i) c.aux.push_back(get_string(in));
+  c.input.c = in.u32();
+  c.input.h = in.u32();
+  c.input.w = in.u32();
+  const std::uint32_t n_layers = in.u32();
+  if (n_layers > 1024) throw std::invalid_argument("xmodel: implausible layer count");
+  c.layers.reserve(n_layers);
+  for (std::uint32_t i = 0; i < n_layers; ++i) c.layers.push_back(read_layer(in));
+
+  // The container ends with a CRC-32 over everything before it.
+  const std::size_t body = in.position();
+  if (in.u32() != util::crc32(at.first(body))) {
+    throw std::invalid_argument("xmodel: CRC mismatch");
+  }
+  c.bytes = at.first(in.position());
+  check_model(c.name, c.input, c.layers);
+  return c;
 }
 
 }  // namespace
@@ -51,11 +116,7 @@ XModel::XModel(std::string name, std::string framework, TensorShape input_shape,
       aux_strings_{std::move(aux_strings)},
       layers_{std::move(layers)},
       encoded_{std::move(encoded)} {
-  if (name_.empty()) throw std::invalid_argument("XModel: empty name");
-  if (layers_.empty()) throw std::invalid_argument("XModel: no layers");
-  // Validate the layer chain composes.
-  TensorShape s = input_shape_;
-  for (const auto& layer : layers_) s = layer->output_shape(s);
+  check_model(name_, input_shape_, layers_);
 }
 
 std::string XModel::install_path() const {
@@ -105,43 +166,25 @@ std::vector<std::uint8_t> XModel::encode() const {
 
 XModel XModel::deserialize_at(std::span<const std::uint8_t> blob,
                               std::size_t offset, std::size_t* consumed) {
-  if (offset > blob.size()) throw std::invalid_argument("xmodel: too short");
-  const std::span<const std::uint8_t> at = blob.subspan(offset);
-  util::ByteReader in{at};
-  if (!std::ranges::equal(in.bytes(kMagic.size()), kMagic)) {
-    throw std::invalid_argument("xmodel: bad magic");
-  }
-  if (in.u16() != kVersion) throw std::invalid_argument("xmodel: bad version");
-
-  std::string name = get_string(in);
-  std::string framework = get_string(in);
-  const std::uint32_t n_aux = in.u32();
-  if (n_aux > 1024) throw std::invalid_argument("xmodel: implausible aux count");
-  std::vector<std::string> aux;
-  aux.reserve(n_aux);
-  for (std::uint32_t i = 0; i < n_aux; ++i) aux.push_back(get_string(in));
-  TensorShape in_shape;
-  in_shape.c = in.u32();
-  in_shape.h = in.u32();
-  in_shape.w = in.u32();
-  const std::uint32_t n_layers = in.u32();
-  if (n_layers > 1024) throw std::invalid_argument("xmodel: implausible layer count");
+  const Container c = read_container(blob, offset);
   std::vector<std::unique_ptr<Layer>> layers;
-  layers.reserve(n_layers);
-  for (std::uint32_t i = 0; i < n_layers; ++i) {
-    layers.push_back(deserialize_layer(in));
-  }
+  layers.reserve(c.layers.size());
+  for (const LayerRecord& r : c.layers) layers.push_back(make_layer(r));
+  if (consumed) *consumed = c.bytes.size();
+  return XModel{std::string{c.name},
+                std::string{c.framework},
+                c.input,
+                {c.aux.begin(), c.aux.end()},
+                std::move(layers),
+                {c.bytes.begin(), c.bytes.end()}};
+}
 
-  // The container ends with a CRC-32 over everything before it.
-  const std::size_t body = in.position();
-  if (in.u32() != util::crc32(at.first(body))) {
-    throw std::invalid_argument("xmodel: CRC mismatch");
-  }
-
-  if (consumed) *consumed = in.position();
-  const std::span<const std::uint8_t> container = at.first(in.position());
-  return XModel{std::move(name), std::move(framework), in_shape, std::move(aux),
-                std::move(layers), {container.begin(), container.end()}};
+ContainerProbe XModel::probe_at(std::span<const std::uint8_t> blob,
+                                std::size_t offset) {
+  const Container c = read_container(blob, offset);
+  ContainerProbe probe{std::string{c.name}, 0, c.bytes.size()};
+  for (const LayerRecord& r : c.layers) probe.param_bytes += r.param_bytes();
+  return probe;
 }
 
 XModel XModel::deserialize(const std::vector<std::uint8_t>& blob) {

@@ -22,6 +22,13 @@
 
 namespace msa::vitis {
 
+/// What a validate-only walk of a serialized container reports.
+struct ContainerProbe {
+  std::string name;
+  std::size_t param_bytes = 0;  ///< the parsed model's param_bytes()
+  std::size_t length = 0;       ///< container bytes, CRC included
+};
+
 class XModel {
  public:
   XModel(std::string name, std::string framework, TensorShape input_shape,
@@ -77,6 +84,13 @@ class XModel {
   [[nodiscard]] static XModel deserialize_at(std::span<const std::uint8_t> blob,
                                              std::size_t offset,
                                              std::size_t* consumed = nullptr);
+
+  /// Validates the container at blob[offset] without building it: the
+  /// same parser, checks and errors as deserialize_at, so both accept
+  /// exactly the same inputs, but no layer is built and no parameter is
+  /// copied.
+  [[nodiscard]] static ContainerProbe probe_at(std::span<const std::uint8_t> blob,
+                                               std::size_t offset);
 
   /// The 6-byte container magic ("XMDL1\0"); exposed so forensic tooling
   /// (deep model identification from residue) can scan for it.

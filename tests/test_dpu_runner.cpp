@@ -4,7 +4,9 @@
 
 #include <cstring>
 
+#include "img/score_kernels.h"
 #include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/strings.h"
 #include "vitis/model_zoo.h"
 #include "vitis/runtime.h"
@@ -127,6 +129,35 @@ TEST(DpuRunner, DifferentImagesDifferentScores) {
   const RunResult b =
       runner2.run(pid2, f.model, img::make_test_image(64, 64, 99));
   EXPECT_NE(a.scores, b.scores);
+}
+
+TEST(DpuRunner, StagedHeapBytesArePinned) {
+  // The staged heap is the residue the attack reads, so pin all of it:
+  // metadata, descriptor, strings, container, input bytes and scores, on
+  // a seeded board, for an input that the runner has to resize.
+  const std::vector<std::pair<std::string, std::uint32_t>> expected = {
+      {"resnet50_pt", 0x0c030773u},     {"squeezenet_pt", 0x779ef720u},
+      {"inception_v1_tf", 0x71672255u}, {"mobilenet_v2_tf", 0x111c4515u},
+      {"yolov3_tiny_tf", 0x6f00a992u},
+  };
+  ASSERT_EQ(expected.size(), zoo_model_names().size());
+  for (const auto& [name, crc] : expected) {
+    for (const bool simd : {true, false}) {
+      img::set_simd_enabled(simd);
+      os::SystemConfig cfg = os::SystemConfig::test_small();
+      cfg.seed = 0x5EED;
+      os::PetaLinuxSystem sys{cfg};
+      const os::Pid pid = sys.spawn(1000, {"./" + name}, "pts/1");
+      DpuRunner runner{sys};
+      (void)runner.run(pid, make_zoo_model(name),
+                       img::make_test_image(100, 75, 21));
+      const os::Process& proc = sys.process(pid);
+      std::vector<std::uint8_t> heap(proc.brk() - proc.heap_base());
+      sys.read_virt(pid, proc.heap_base(), heap);
+      EXPECT_EQ(util::crc32(heap), crc) << name << " simd=" << simd;
+    }
+  }
+  img::set_simd_enabled(true);
 }
 
 TEST(Runtime, LaunchCreatesProcessWithPaperArgv) {

@@ -46,6 +46,65 @@ TEST(Tensor, FromImageQuantizes) {
   EXPECT_EQ(t.at(0, 0, 1), 72);     // r=200 -> 72
 }
 
+TEST(Tensor, FromRgbBytesEqualsResizeThenQuantize) {
+  struct Case {
+    std::uint32_t sw, sh, ow, oh;
+  };
+  const Case cases[] = {
+      {5, 3, 13, 11},     // upsample
+      {100, 75, 64, 64},  // downsample, non-divisible
+      {128, 96, 64, 64},  // downsample, divisible
+      {7, 5, 3, 4},       // down in x, up in y
+      {64, 64, 64, 64},   // equal size
+      {1, 1, 1, 1},
+      {1, 1, 5, 7},
+      {9, 1, 2, 3},
+  };
+  for (const Case& c : cases) {
+    const img::Image src = img::make_test_image(c.sw, c.sh, c.sw * 31 + c.oh);
+    const std::vector<std::uint8_t> rgb = src.to_rgb_bytes();
+    const Tensor want = tensor_from_image(img::resize_nearest(
+        img::Image::from_rgb_bytes(rgb, c.sw, c.sh), c.ow, c.oh));
+    const Tensor got = tensor_from_rgb_bytes(rgb, c.sw, c.sh, c.ow, c.oh);
+    EXPECT_EQ(got.shape(), want.shape()) << c.sw << "x" << c.sh;
+    EXPECT_EQ(got.data(), want.data()) << c.sw << "x" << c.sh << " -> "
+                                       << c.ow << "x" << c.oh;
+  }
+}
+
+TEST(Tensor, FromRgbBytesThrowsWhatTheUnfusedStepsThrow) {
+  const auto error = [](auto&& f) {
+    try {
+      f();
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"<no throw>"};
+  };
+  const std::vector<std::uint8_t> rgb(4 * 3 * 3, 0x40);
+  struct Case {
+    std::size_t bytes;
+    std::uint32_t sw, sh, ow, oh;
+  };
+  const Case cases[] = {{rgb.size(), 4, 3, 0, 8}, {rgb.size(), 4, 3, 8, 0},
+                        {rgb.size(), 0, 3, 8, 8}, {rgb.size(), 4, 0, 8, 8},
+                        {rgb.size() - 1, 4, 3, 8, 8}, {0, 0, 0, 0, 0}};
+  for (const Case& c : cases) {
+    const std::span<const std::uint8_t> bytes{rgb.data(), c.bytes};
+    const std::string want = error([&] {
+      (void)tensor_from_image(img::resize_nearest(
+          img::Image::from_rgb_bytes(bytes, c.sw, c.sh), c.ow, c.oh));
+    });
+    EXPECT_NE(want, "<no throw>");
+    EXPECT_EQ(error([&] {
+                (void)tensor_from_rgb_bytes(bytes, c.sw, c.sh, c.ow, c.oh);
+              }),
+              want)
+        << c.bytes << " bytes, " << c.sw << "x" << c.sh << " -> " << c.ow
+        << "x" << c.oh;
+  }
+}
+
 Conv2d identity_conv1x1() {
   // Single 1x1 kernel with weight 1, shift 0: passes channel 0 through.
   return Conv2d{1, 1, 1, 1, 0, /*relu=*/false, /*shift=*/0, {1}, {0}};

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <iterator>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/prng.h"
 #include "vitis/model_zoo.h"
@@ -234,6 +238,235 @@ TEST(XModel, NonCanonicalFlagByteRejected) {
     blob[blob.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
   EXPECT_THROW((void)XModel::deserialize(blob), std::invalid_argument);
+}
+
+/// Where a container's fields sit, found by walking its layout.
+struct FieldMap {
+  std::vector<std::size_t> u32s;   ///< lengths, counts, shapes, geometry, shifts
+  std::vector<std::size_t> flags;  ///< relu flag bytes
+  std::vector<std::size_t> kinds;  ///< layer kind bytes: where layers start
+  std::vector<std::size_t> ends;   ///< the end of every field
+  std::size_t layer_count = 0;     ///< the layer count field
+  std::size_t crc = 0;             ///< the CRC field: where layers end
+};
+
+FieldMap field_map(const std::vector<std::uint8_t>& blob) {
+  FieldMap f;
+  util::ByteReader in{blob};
+  const auto mark = [&] { f.ends.push_back(in.position()); };
+  const auto u32 = [&] {
+    f.u32s.push_back(in.position());
+    const std::uint32_t v = in.u32();
+    mark();
+    return v;
+  };
+  const auto bytes = [&](std::size_t n) {
+    (void)in.bytes(n);
+    mark();
+  };
+  const auto flag = [&] {
+    f.flags.push_back(in.position());
+    (void)in.u8();
+    mark();
+  };
+  bytes(6);  // magic
+  bytes(2);  // version
+  bytes(u32());  // name
+  bytes(u32());  // framework
+  for (std::uint32_t n = u32(); n > 0; --n) bytes(u32());
+  for (int i = 0; i < 3; ++i) (void)u32();  // input shape
+  f.layer_count = in.position();
+  for (std::uint32_t n = u32(); n > 0; --n) {
+    f.kinds.push_back(in.position());
+    const auto kind = static_cast<LayerKind>(in.u8());
+    mark();
+    const auto geometry = [&](int fields) {
+      for (int i = 0; i < fields; ++i) (void)u32();
+    };
+    const auto params = [&] {
+      flag();
+      (void)u32();  // shift
+      bytes(u32());  // weights
+      bytes(std::size_t{u32()} * 4);  // bias
+    };
+    switch (kind) {
+      case LayerKind::kConv2d:
+        geometry(5);
+        params();
+        break;
+      case LayerKind::kMaxPool2d:
+        geometry(2);
+        break;
+      case LayerKind::kGlobalAvgPool:
+        break;
+      case LayerKind::kDense:
+        geometry(2);
+        params();
+        break;
+    }
+  }
+  f.crc = in.position();
+  bytes(4);
+  EXPECT_TRUE(in.done());
+  return f;
+}
+
+/// Rewrites the CRC of the container at residue[off, off + len) over
+/// its (mutated) body, so a mutation gets past the CRC check.
+void reseal(std::vector<std::uint8_t>& residue, std::size_t off,
+            std::size_t len) {
+  const std::uint32_t crc = util::crc32(
+      std::span<const std::uint8_t>{residue}.subspan(off, len - 4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    residue[off + len - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+/// probe_at and deserialize_at must accept the same inputs, reject the
+/// rest with the same error, and agree on what they accept. Returns the
+/// parser's error, empty when it accepted.
+std::string probe_agrees_with_parser(std::span<const std::uint8_t> residue,
+                                     std::size_t off, const std::string& what) {
+  std::optional<XModel> model;
+  std::size_t consumed = 0;
+  std::string parse_error;
+  try {
+    model.emplace(XModel::deserialize_at(residue, off, &consumed));
+  } catch (const std::invalid_argument& e) {
+    parse_error = e.what();
+  }
+  std::optional<ContainerProbe> probe;
+  std::string probe_error;
+  try {
+    probe = XModel::probe_at(residue, off);
+  } catch (const std::invalid_argument& e) {
+    probe_error = e.what();
+  }
+  EXPECT_EQ(probe.has_value(), model.has_value()) << what;
+  EXPECT_EQ(probe_error, parse_error) << what;
+  if (probe && model) {
+    EXPECT_EQ(probe->name, model->name()) << what;
+    EXPECT_EQ(probe->param_bytes, model->param_bytes()) << what;
+    EXPECT_EQ(probe->length, consumed) << what;
+  }
+  return parse_error;
+}
+
+TEST(XModel, ProbeAcceptsExactlyWhatTheParserAccepts) {
+  util::Prng prng{0x9A0BE};
+  std::size_t accepted = 0;
+  std::set<std::string> errors;
+  const auto check = [&](std::span<const std::uint8_t> residue,
+                         std::size_t off, const std::string& what) {
+    const std::string error = probe_agrees_with_parser(residue, off, what);
+    if (error.empty()) {
+      ++accepted;
+    } else {
+      errors.insert(error);
+    }
+  };
+  for (const auto& name : zoo_model_names()) {
+    const std::vector<std::uint8_t> blob = make_zoo_model(name).serialize();
+    const FieldMap fields = field_map(blob);
+    // The container sits in residue: junk before it and after it.
+    std::vector<std::uint8_t> residue(37);
+    for (auto& b : residue) b = static_cast<std::uint8_t>(prng());
+    const std::size_t off = residue.size();
+    std::copy(blob.begin(), blob.end(), std::back_inserter(residue));
+    for (int i = 0; i < 64; ++i) {
+      residue.push_back(static_cast<std::uint8_t>(prng()));
+    }
+    check(residue, off, name + " intact");
+
+    const auto mutated = [&](auto&& mutate, const std::string& what) {
+      std::vector<std::uint8_t> r = residue;
+      mutate(r);
+      check(r, off, name + " " + what);
+      reseal(r, off, blob.size());
+      check(r, off, name + " " + what + " resealed");
+    };
+    // Every length, count, shape, geometry and shift field.
+    for (const std::size_t at : fields.u32s) {
+      std::uint32_t orig = 0;
+      for (int i = 3; i >= 0; --i) orig = orig << 8 | blob[at + i];
+      for (const std::uint32_t v :
+           {0u, 1u, orig - 1, orig + 1, 31u, 32u, 1024u, 1025u, 0x7FFFFFFFu,
+            0xFFFFFFFFu}) {
+        mutated(
+            [&](std::vector<std::uint8_t>& r) {
+              for (std::size_t i = 0; i < 4; ++i) {
+                r[off + at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+              }
+            },
+            "u32@" + std::to_string(at) + "=" + std::to_string(v));
+      }
+    }
+    for (const std::size_t at : fields.flags) {
+      for (const std::uint8_t v : {0, 1, 2, 0xFF}) {
+        mutated([&](std::vector<std::uint8_t>& r) { r[off + at] = v; },
+                "flag@" + std::to_string(at) + "=" + std::to_string(v));
+      }
+    }
+    for (const std::size_t at : fields.kinds) {
+      for (const std::uint8_t v : {0, 1, 2, 3, 4, 5, 0xFF}) {
+        mutated([&](std::vector<std::uint8_t>& r) { r[off + at] = v; },
+                "kind@" + std::to_string(at) + "=" + std::to_string(v));
+      }
+    }
+    for (std::size_t bit = 0; bit < 8 * 8; ++bit) {  // magic and version
+      mutated(
+          [&](std::vector<std::uint8_t>& r) {
+            r[off + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+          },
+          "bit " + std::to_string(bit));
+    }
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t bit = prng.below(blob.size() * 8);
+      mutated(
+          [&](std::vector<std::uint8_t>& r) {
+            r[off + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+          },
+          "bit " + std::to_string(bit));
+    }
+    // Broken (and unbroken) layer chains: each layer cut out, the layer
+    // count lowered to match, and the container resealed.
+    for (std::size_t l = 0; l < fields.kinds.size(); ++l) {
+      const std::size_t from = fields.kinds[l];
+      const std::size_t to =
+          l + 1 < fields.kinds.size() ? fields.kinds[l + 1] : fields.crc;
+      const auto at = [&](std::size_t i) {
+        return residue.begin() + static_cast<std::ptrdiff_t>(off + i);
+      };
+      std::vector<std::uint8_t> r(residue.begin(), at(from));
+      std::copy(at(to), residue.end(), std::back_inserter(r));
+      --r[off + fields.layer_count];  // zoo models have under 256 layers
+      reseal(r, off, blob.size() - (to - from));
+      check(r, off, name + " without layer " + std::to_string(l));
+    }
+    // Truncations: at every field boundary and inside the CRC.
+    for (const std::size_t end : fields.ends) {
+      for (const std::size_t cut : {end - 1, end}) {
+        const std::vector<std::uint8_t> r(
+            residue.begin(),
+            residue.begin() + static_cast<std::ptrdiff_t>(off + cut));
+        check(r, off, name + " cut at " + std::to_string(cut));
+      }
+    }
+  }
+  // The mutations reach every check, the layer parser's included.
+  EXPECT_GT(accepted, 100u);
+  for (const char* error :
+       {"xmodel: bad magic", "xmodel: bad version",
+        "xmodel: implausible aux count", "xmodel: implausible layer count",
+        "xmodel: bad flag byte", "xmodel: truncated bias",
+        "xmodel: unknown layer kind", "xmodel: CRC mismatch",
+        "bytes: read past the end of the buffer", "Conv2d: bad geometry",
+        "Conv2d: requant shift above 31", "Conv2d: parameter size mismatch",
+        "Conv2d: channel mismatch", "Conv2d: input smaller than kernel",
+        "MaxPool2d: bad geometry", "Dense: parameter size mismatch",
+        "Dense: requant shift above 31", "Dense: input mismatch"}) {
+    EXPECT_EQ(errors.count(error), 1u) << error;
+  }
 }
 
 TEST(XModel, MagicIsStable) {
