@@ -13,9 +13,10 @@
 #    byte.
 #  - the regression gate replays against the segmented stores with the
 #    same exit code, verdict line, and diff JSON as the flat originals.
-#  - a budgeted sweep compacted mid-campaign, resumed to completion and
-#    compacted again, folds back into exactly one live segment AND
-#    still renders the exact single-process stats.
+#  - a budgeted sweep compacted mid-campaign and resumed to completion
+#    renders the exact single-process stats from segment + log tail;
+#    compacted again, it folds back into exactly one live segment AND
+#    still renders them.
 #  - a copy of the checked-in golden store compacted into a segment
 #    still emits the pre-refactor golden stats bytes, and a
 #    second compact of it is a no-op (bytes_before == bytes_after).
@@ -89,7 +90,8 @@ echo "compact byte-identity: 11/11 artifacts identical after compaction"
 # The first half of the grid (--cell-budget, exit 3 = incomplete) is
 # swept and compacted (segment #1), the sweep resumes to completion on
 # top of it, and a second compact folds segment and log into one new
-# segment — which must render the exact single-process stats.
+# segment. Both the mixed store before that compact and the one
+# segment after it must render the exact single-process stats.
 rc=0
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
   --cell-budget 6 --store "$tmp/resumed.store" > /dev/null || rc=$?
@@ -100,13 +102,18 @@ fi
 timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" 2> /dev/null
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
   --store "$tmp/resumed.store" --resume > /dev/null
+# Segment #1 with the resumed half in the log on top: the mixed store
+# is read through the segment-plus-log merge before the second compact.
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
+  > "$tmp/mixed_stats.csv"
+cmp "$tmp/before/stats.csv" "$tmp/mixed_stats.csv"
 timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" \
   2> "$tmp/resumed_compact.txt"
 grep -q " 1 segment(s)" "$tmp/resumed_compact.txt"
 timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
   > "$tmp/resumed_stats.csv"
 cmp "$tmp/before/stats.csv" "$tmp/resumed_stats.csv"
-echo "compact -> resume -> compact: 1 live segment, stats byte-identical to flat sweep"
+echo "compact -> resume -> compact: segment+log and 1 live segment, stats byte-identical to flat sweep"
 
 # --- golden store through compaction ----------------------------------
 # The oldest sweep on record must ride through the segmented rewrite and

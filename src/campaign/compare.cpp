@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "campaign/table.h"
+#include "obs/trace.h"
 
 namespace msa::campaign {
 
@@ -81,13 +82,11 @@ std::map<AxisKey, const CellDistribution*> index_cells(
             "tool?) — axis alignment needs finite coordinates");
       }
     }
-    AxisKey key = project(c, shared, side);
-    const std::string label = key.label();
-    const auto [it, inserted] = out.emplace(std::move(key), &c);
+    const auto [it, inserted] = out.emplace(project(c, shared, side), &c);
     if (!inserted) {
       throw std::runtime_error(
           std::string("diff: sweep ") + side +
-          " has two cells with the same axis values (" + label +
+          " has two cells with the same axis values (" + it->first.label() +
           ") — alignment by axis is ambiguous");
     }
   }
@@ -144,8 +143,11 @@ double newcombe_p_value(std::size_t successes_a, std::size_t trials_a,
   double hi = 40.0;  // erfc(40/sqrt2) underflows to 0 — effectively p=0
   if (!excludes_zero_at(lo)) return 1.0;
   if (excludes_zero_at(hi)) return 0.0;
+  // lo always excludes zero and hi never does, so once the midpoint
+  // rounds onto either end every later step is a no-op: stop there.
   for (int i = 0; i < 80; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     (excludes_zero_at(mid) ? lo : hi) = mid;
   }
   return std::erfc(0.5 * (lo + hi) / std::sqrt(2.0));
@@ -197,6 +199,7 @@ DeltaInterval newcombe_interval(std::size_t successes_a, std::size_t trials_a,
 }
 
 DiffReport diff_sweeps(const StatsReport& a, const StatsReport& b) {
+  TRACE_SPAN("campaign", "diff_sweeps");
   const auto marginals_a = index_marginals(a, "A");
   const auto marginals_b = index_marginals(b, "B");
 

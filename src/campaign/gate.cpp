@@ -4,9 +4,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
+#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
+#define MSA_SIMD_SSE2 1
+#include <emmintrin.h>
+#endif
+
 #include "campaign/table.h"
+#include "img/score_kernels.h"
+#include "obs/trace.h"
 #include "util/prng.h"
 
 namespace msa::campaign {
@@ -35,6 +43,72 @@ double metric_orientation(DiffMetric metric) noexcept {
   return metric == DiffMetric::kDenialRate ? -1.0 : 1.0;
 }
 
+namespace {
+
+/// Resamples summed side by side by one kernel call.
+constexpr std::size_t kLanes = 8;
+
+/// The kLanes resample sums of one batch: lane l adds delta i negated
+/// when bit i % 64 of its word i / 64 (words[l * n_words + i / 64]) is
+/// CLEAR. A clear bit negates its delta; negation flips the sign bit and
+/// nothing else, so XOR-ing the bit's complement into bit 63 adds the
+/// same doubles in the same order as `bit ? d : -d`, without a branch
+/// that mispredicts on every other pair. Each lane adds its deltas in
+/// delta order, so every lane's sum is bit-identical to a one-resample
+/// loop's.
+void lane_sums_scalar(const std::vector<std::uint64_t>& delta_bits,
+                      const std::uint64_t* words, std::size_t n_words,
+                      double* sums) {
+  double s[kLanes] = {};
+  for (std::size_t word = 0; word < n_words; ++word) {
+    std::uint64_t negate[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      negate[l] = ~words[l * n_words + word];
+    }
+    const std::size_t end = std::min(delta_bits.size(), (word + 1) * 64);
+    for (std::size_t i = word * 64; i < end; ++i) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        s[l] += std::bit_cast<double>(delta_bits[i] ^ (negate[l] << 63));
+        negate[l] >>= 1;
+      }
+    }
+  }
+  std::copy(s, s + kLanes, sums);
+}
+
+#if defined(MSA_SIMD_SSE2)
+/// lane_sums_scalar as 4 x 2 doubles: lane pair (2k, 2k+1) lives in
+/// register k, low half first. _mm_add_pd rounds each half exactly as
+/// the scalar add does.
+void lane_sums_sse2(const std::vector<std::uint64_t>& delta_bits,
+                    const std::uint64_t* words, std::size_t n_words,
+                    double* sums) {
+  constexpr std::size_t kPairs = kLanes / 2;
+  __m128d s[kPairs];
+  for (__m128d& acc : s) acc = _mm_setzero_pd();
+  for (std::size_t word = 0; word < n_words; ++word) {
+    __m128i negate[kPairs];
+    for (std::size_t k = 0; k < kPairs; ++k) {
+      negate[k] = _mm_set_epi64x(
+          static_cast<long long>(~words[(2 * k + 1) * n_words + word]),
+          static_cast<long long>(~words[2 * k * n_words + word]));
+    }
+    const std::size_t end = std::min(delta_bits.size(), (word + 1) * 64);
+    for (std::size_t i = word * 64; i < end; ++i) {
+      const __m128i d = _mm_set1_epi64x(static_cast<long long>(delta_bits[i]));
+      for (std::size_t k = 0; k < kPairs; ++k) {
+        const __m128i flipped = _mm_xor_si128(d, _mm_slli_epi64(negate[k], 63));
+        s[k] = _mm_add_pd(s[k], _mm_castsi128_pd(flipped));
+        negate[k] = _mm_srli_epi64(negate[k], 1);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kPairs; ++k) _mm_storeu_pd(sums + 2 * k, s[k]);
+}
+#endif
+
+}  // namespace
+
 PermutationResult paired_permutation_test(const std::vector<double>& deltas,
                                           std::uint64_t seed,
                                           std::uint64_t iterations,
@@ -57,28 +131,34 @@ PermutationResult paired_permutation_test(const std::vector<double>& deltas,
   // makes a grid of all-zero deltas come out at exactly p = 1.
   const double threshold =
       two_sided ? std::abs(r.observed_stat) : r.observed_stat;
-  // A clear bit negates its delta. Negation flips the sign bit and
-  // nothing else, so XOR-ing the bit's complement into bit 63 adds the
-  // same doubles in the same order as `bit ? d : -d`, without a branch
-  // that mispredicts on every other pair.
   std::vector<std::uint64_t> delta_bits(deltas.size());
   std::ranges::transform(deltas, delta_bits.begin(), [](double d) {
     return std::bit_cast<std::uint64_t>(d);
   });
+  auto* lane_sums = &lane_sums_scalar;
+#if defined(MSA_SIMD_SSE2)
+  if (img::simd_enabled()) lane_sums = &lane_sums_sse2;
+#endif
+  // Batches of kLanes consecutive resamples: their words are drawn in
+  // stream order (resample by resample), so resample k sees the same
+  // bits as in a one-at-a-time loop. A short last batch leaves its
+  // unused lanes zero and ignores them.
+  const std::size_t n_words = (deltas.size() + 63) / 64;
+  std::vector<std::uint64_t> words(kLanes * n_words);
   util::Prng prng{seed};
   std::uint64_t hits = 0;
-  for (std::uint64_t it = 0; it < iterations; ++it) {
-    double s = 0.0;
-    for (std::size_t word = 0; word < delta_bits.size(); word += 64) {
-      std::uint64_t negate = ~prng();
-      const std::size_t end = std::min(delta_bits.size(), word + 64);
-      for (std::size_t i = word; i < end; ++i) {
-        s += std::bit_cast<double>(delta_bits[i] ^ (negate << 63));
-        negate >>= 1;
-      }
+  for (std::uint64_t it = 0; it < iterations; it += kLanes) {
+    const auto active = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kLanes, iterations - it));
+    for (std::uint64_t& w : std::span{words}.first(active * n_words)) {
+      w = prng();
     }
-    const double stat = s / n;
-    if ((two_sided ? std::abs(stat) : stat) >= threshold) ++hits;
+    double sums[kLanes];
+    lane_sums(delta_bits, words.data(), n_words, sums);
+    for (std::size_t l = 0; l < active; ++l) {
+      const double stat = sums[l] / n;
+      if ((two_sided ? std::abs(stat) : stat) >= threshold) ++hits;
+    }
   }
   r.at_least_as_extreme = hits;
   r.p_value = (static_cast<double>(hits) + 1.0) /
@@ -138,6 +218,7 @@ std::vector<double> per_cell_fdr(const DiffReport& diff, DiffMetric metric) {
 
 GateResult evaluate_gate(const DiffReport& diff, const GateSpec& spec,
                          std::uint64_t seed) {
+  TRACE_SPAN("campaign", "evaluate_gate");
   GateResult out;
   out.spec = spec;
   out.seed = seed;

@@ -8,6 +8,7 @@
 
 #include "attack/scenario.h"
 #include "campaign/table.h"
+#include "obs/trace.h"
 
 namespace msa::campaign {
 
@@ -76,21 +77,49 @@ WilsonInterval wilson_interval(std::size_t successes, std::size_t trials,
   return {std::max(0.0, center - half), std::min(1.0, center + half)};
 }
 
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
+namespace {
+
+/// Position of the nearest-rank q-th percentile in a sorted sample of
+/// `size` values: the smallest value with at least q% of the sample at
+/// or below it.
+std::size_t nearest_rank_index(std::size_t size, double q) {
+  if (size == 0) {
     throw std::invalid_argument("stats: percentile of an empty sample");
   }
-  if (q <= 0.0) return sorted.front();
-  if (q >= 100.0) return sorted.back();
-  // Nearest-rank: the smallest value with at least q% of the sample at
-  // or below it.
-  const double n = static_cast<double>(sorted.size());
-  const std::size_t rank =
-      static_cast<std::size_t>(std::ceil(q / 100.0 * n));
-  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+  if (q <= 0.0) return 0;
+  if (q >= 100.0) return size - 1;
+  const std::size_t rank = static_cast<std::size_t>(
+      std::ceil(q / 100.0 * static_cast<double>(size)));
+  return std::min(size - 1, rank == 0 ? 0 : rank - 1);
+}
+
+}  // namespace
+
+double percentile_sorted(const std::vector<double>& sorted, double q) {
+  return sorted[nearest_rank_index(sorted.size(), q)];
+}
+
+Percentiles select_percentiles(std::vector<double>& sample) {
+  // After selecting rank k, everything past k is >= it, so the next
+  // (higher) rank is selected among those alone — leaving k in place.
+  std::size_t from = 0;
+  const auto select = [&](double q) {
+    const std::size_t k = nearest_rank_index(sample.size(), q);
+    if (k >= from) {
+      std::nth_element(sample.begin() + static_cast<std::ptrdiff_t>(from),
+                       sample.begin() + static_cast<std::ptrdiff_t>(k),
+                       sample.end());
+      from = k + 1;
+    }
+    return sample[k];
+  };
+  const double p50 = select(50.0);
+  const double p90 = select(90.0);
+  return {p50, p90, select(99.0)};
 }
 
 StatsReport analyze_sweep(const persist::SweepData& data) {
+  TRACE_SPAN("campaign", "analyze_sweep");
   check_sweep_order(data);
   StatsReport report;
   std::map<std::pair<std::string, std::string>, MarginalAccumulator> marginals;
@@ -137,10 +166,10 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
       psnrs.push_back(t->psnr);
       psnr_sum += t->psnr;
     }
-    std::sort(psnrs.begin(), psnrs.end());
-    dist.p50_psnr = percentile_sorted(psnrs, 50.0);
-    dist.p90_psnr = percentile_sorted(psnrs, 90.0);
-    dist.p99_psnr = percentile_sorted(psnrs, 99.0);
+    const Percentiles psnr = select_percentiles(psnrs);
+    dist.p50_psnr = psnr.p50;
+    dist.p90_psnr = psnr.p90;
+    dist.p99_psnr = psnr.p99;
     dist.success_rate =
         static_cast<double>(dist.successes) / static_cast<double>(dist.trials);
     dist.success_ci = wilson_interval(dist.successes, dist.trials);

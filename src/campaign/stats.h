@@ -35,6 +35,20 @@ struct WilsonInterval {
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,
                                        double q);
 
+/// The three per-cell PSNR percentiles.
+struct Percentiles {
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+};
+
+/// Nearest-rank p50/p90/p99 of a non-empty sample by selection — three
+/// std::nth_element calls on increasing ranks, each over the part of the
+/// sample the previous one left above its rank — instead of a sort.
+/// Equal to percentile_sorted at 50/90/99 over the sorted sample.
+/// Reorders `sample`.
+[[nodiscard]] Percentiles select_percentiles(std::vector<double>& sample);
+
 /// Per-cell distribution over that cell's trial stream.
 struct CellDistribution {
   std::uint64_t index = 0;

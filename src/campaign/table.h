@@ -38,14 +38,36 @@ namespace msa::campaign::table {
 /// in README).
 [[nodiscard]] std::string json_double(double v);
 
-/// One table cell, pre-rendered per output format. The three forms may
-/// legitimately differ: a rate prints with fixed decimals in text but
-/// round-trip-exact in CSV, and JSON needs a typed token (quoted string,
-/// bare number, true/false, null).
+/// One table cell: a typed value, rendered in a format only when that
+/// format is emitted — a report prints one of text, CSV and JSON, so the
+/// other two are never formatted. The renderings may legitimately
+/// differ: a rate prints with fixed decimals in text but round-trip-exact
+/// in CSV, and JSON needs a typed token (quoted string, bare number,
+/// true/false, null). Build cells with the factories below.
 struct Cell {
-  std::string text;  ///< text-table rendering (padded on emit)
-  std::string csv;   ///< raw CSV field (escaped on emit)
-  std::string json;  ///< complete JSON token, already escaped/quoted
+  enum class Kind : std::uint8_t {
+    kEmpty,     ///< blank text/CSV field, JSON null
+    kString,    ///< `str`
+    kCount,     ///< `count`
+    kNumber,    ///< `value`; text at `decimals` fixed decimals when >= 0
+    kInterval,  ///< [`value`, `high`] at 3 decimals, as one string
+    kBool,      ///< `flag`: yes/no in text, true/false in CSV and JSON
+    kAxisBool,  ///< `flag`: 1/0 in text and CSV, true/false in JSON
+  };
+  Kind kind = Kind::kEmpty;
+  std::int8_t decimals = -1;
+  bool flag = false;
+  std::uint64_t count = 0;
+  double value = 0.0;
+  double high = 0.0;
+  std::string str;
+
+  /// Text-table rendering (padded on emit).
+  [[nodiscard]] std::string text() const;
+  /// Raw CSV field (escaped on emit).
+  [[nodiscard]] std::string csv() const;
+  /// Complete JSON token, already escaped/quoted.
+  [[nodiscard]] std::string json() const;
 };
 
 [[nodiscard]] Cell str_cell(const std::string& s);

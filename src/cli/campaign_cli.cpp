@@ -224,6 +224,12 @@ Flag cells_flag(persist::CellFilter& filter) {
           }};
 }
 
+/// --trace-out, shared by the sweep and the store subcommands.
+Flag trace_flag(std::string& out) {
+  return {"--trace-out", "FILE", "write pipeline spans as Chrome trace JSON",
+          text(out)};
+}
+
 /// The one value parser behind --axis and its four legacy aliases:
 /// typed, range-checked, duplicate-free values for the axis `name`.
 AxisFlag axis_values(const std::string& name, const std::string& list) {
@@ -246,6 +252,7 @@ AxisFlag axis_values(const std::string& name, const std::string& list) {
 /// the trailing newline the text and CSV renderings end with.
 template <typename Report>
 void print_report(const Report& report, OutputFormat format) {
+  TRACE_SPAN("campaign", "render");
   const std::string out = format == OutputFormat::kText ? report.to_text()
                           : format == OutputFormat::kCsv
                               ? report.to_csv()
@@ -253,13 +260,11 @@ void print_report(const Report& report, OutputFormat format) {
   std::fputs(out.c_str(), stdout);
 }
 
-void warn_torn_tail(const persist::SweepData& data, const std::string& what) {
-  if (data.truncated_tail) {
-    std::fprintf(stderr,
-                 "[campaign] warning: %s had a torn tail (crashed writer); "
-                 "its unflushed records were skipped\n",
-                 what.c_str());
-  }
+void warn_torn_tail(const std::string& what) {
+  std::fprintf(stderr,
+               "[campaign] warning: %s had a torn tail (crashed writer); "
+               "its unflushed records were skipped\n",
+               what.c_str());
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -268,6 +273,21 @@ bool write_file(const std::string& path, const std::string& content) {
   const bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
                   content.size();
   return std::fclose(f) == 0 && ok;
+}
+
+/// Starts recording spans when --trace-out names a file. Recording
+/// starts before any worker thread exists, so every thread's ring is
+/// live from its first span.
+void start_trace(const std::string& path) {
+  if (!path.empty()) obs::Trace::enable();
+}
+
+/// Writes the recorded spans to --trace-out's file, if one was named;
+/// false, after saying so on stderr, when it cannot be written.
+bool write_trace(const std::string& path) {
+  if (path.empty() || write_file(path, obs::Trace::chrome_json())) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
 }
 
 /// Writes the report CSV to --csv (else to stdout, unless `metrics`
@@ -355,27 +375,30 @@ int merge_main(const char* argv0, Args args) {
 int stats_main(const char* argv0, Args args) {
   OutputFormat format = OutputFormat::kText;
   std::string workers_dir;
+  std::string trace_out;
   std::vector<std::string> stores;
   persist::CellFilter filter;
   return invoke(argv0, {"stats", "[flags] (--workers-dir DIR | STORE...)",
     {format_flag(format), cells_flag(filter),
      {"--workers-dir", "DIR", "read every *.store of a workers dir",
-      text(workers_dir)}},
+      text(workers_dir)},
+     trace_flag(trace_out)},
     &stores, [&] {
     if (workers_dir.empty() == stores.empty()) {
       throw UsageError{"stats: wants --workers-dir DIR or STORE..., not both"};
     }
+    start_trace(trace_out);
     try {
       const persist::SweepData data =
           workers_dir.empty() ? persist::load_sweep(stores, filter)
                               : persist::load_sweep_path(workers_dir, filter);
       print_report(campaign::analyze_sweep(data), format);
-      warn_torn_tail(data, "a store");
+      if (data.truncated_tail) warn_torn_tail("a store");
     } catch (const std::exception& e) {
       std::fprintf(stderr, "stats failed: %s\n", e.what());
       return 1;
     }
-    return 0;
+    return write_trace(trace_out) ? 0 : 1;
   }}, args);
 }
 
@@ -385,6 +408,7 @@ int diff_main(const char* argv0, Args args) {
   const char* gate_flag = nullptr;  // the first gate-tuning flag given
   campaign::GateSpec spec;
   persist::CellFilter filter;
+  std::string trace_out;
   std::vector<std::string> sides;
   // Gate-tuning setters record that a tuning flag appeared.
   const auto tuning = [&gate_flag](const char* flag, auto set) {
@@ -421,7 +445,8 @@ int diff_main(const char* argv0, Args args) {
         want(spec.min_effect >= 0.0, "want a number >= 0");
       })},
      {"--permutations", "N", "gate resample count (default 10000)",
-      tuning("--permutations", at_least(1, spec.iterations))}},
+      tuning("--permutations", at_least(1, spec.iterations))},
+     trace_flag(trace_out)},
     &sides, [&] {
     if (sides.size() != 2) {
       throw UsageError{"diff: wants two sides A B, got " +
@@ -431,36 +456,50 @@ int diff_main(const char* argv0, Args args) {
       throw UsageError{std::string(gate_flag) +
                        ": requires --exit-on-significant"};
     }
+    start_trace(trace_out);
+    int rc = 0;
     try {
-      const persist::SweepData a = persist::load_sweep_path(sides[0], filter);
-      const persist::SweepData b = persist::load_sweep_path(sides[1], filter);
-      warn_torn_tail(a, sides[0]);
-      warn_torn_tail(b, sides[1]);
-      const campaign::DiffReport report = campaign::diff_sweeps(
-          campaign::analyze_sweep(a), campaign::analyze_sweep(b));
+      // One side's trial stream in memory at a time: only its analysis,
+      // fingerprint and torn-tail flag outlive the load.
+      struct Side {
+        campaign::StatsReport stats;
+        std::uint64_t fingerprint = 0;
+        bool truncated_tail = false;
+      };
+      const auto analyze = [&filter](const std::string& path) {
+        const persist::SweepData data = persist::load_sweep_path(path, filter);
+        return Side{campaign::analyze_sweep(data),
+                    data.manifest.grid_fingerprint, data.truncated_tail};
+      };
+      const Side a = analyze(sides[0]);
+      const Side b = analyze(sides[1]);
+      if (a.truncated_tail) warn_torn_tail(sides[0]);
+      if (b.truncated_tail) warn_torn_tail(sides[1]);
+      const campaign::DiffReport report =
+          campaign::diff_sweeps(a.stats, b.stats);
       print_report(report, format);
       if (gate_enabled) {
         const campaign::GateResult gate = campaign::evaluate_gate(
-            report, spec,
-            campaign::gate_seed(a.manifest.grid_fingerprint,
-                                b.manifest.grid_fingerprint));
+            report, spec, campaign::gate_seed(a.fingerprint, b.fingerprint));
         std::fprintf(stderr, "[campaign] %s\n", gate.verdict_line().c_str());
-        if (gate.tripped()) return 4;
+        if (gate.tripped()) rc = 4;
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "diff failed: %s\n", e.what());
       return 1;
     }
-    return 0;
+    return write_trace(trace_out) ? rc : 1;
   }}, args);
 }
 
 int compact_main(const char* argv0, Args args) {
+  std::string trace_out;
   std::vector<std::string> stores;
   return invoke(argv0, {"compact", "STORE...   (rewrite each store into one "
                         "sorted segment; a store in use is refused)",
-                        {}, &stores, [&] {
+                        {trace_flag(trace_out)}, &stores, [&] {
     if (stores.empty()) throw UsageError{"compact: wants STORE..."};
+    start_trace(trace_out);
     for (const std::string& path : stores) {
       try {
         const persist::CompactionResult result = persist::compact_store(path);
@@ -478,7 +517,7 @@ int compact_main(const char* argv0, Args args) {
         return 1;
       }
     }
-    return 0;
+    return write_trace(trace_out) ? 0 : 1;
   }}, args);
 }
 
@@ -580,9 +619,8 @@ int run_sweep(const SweepFlags& f) {
                      "--store/--resume/--shard/--cell-budget"};
   }
 
-  // Recording starts before the runner exists so every pool thread's
-  // ring is live from its first span; export happens after run() joins.
-  if (!f.trace_out.empty()) obs::Trace::enable();
+  // Export happens after run() joins.
+  start_trace(f.trace_out);
 
   attack::ScenarioConfig base;
   base.image_width = 96;
@@ -716,11 +754,7 @@ int run_sweep(const SweepFlags& f) {
 
   // The trace is written even when the cell budget cuts the sweep short:
   // a bounded invocation's spans are exactly what a CI drill inspects.
-  if (!f.trace_out.empty() &&
-      !write_file(f.trace_out, obs::Trace::chrome_json())) {
-    std::fprintf(stderr, "cannot write %s\n", f.trace_out.c_str());
-    return 1;
-  }
+  if (!write_trace(f.trace_out)) return 1;
 
   if (completed < shard_cells) {
     std::fprintf(stderr,
@@ -804,8 +838,7 @@ int sweep_main(const char* argv0, Args args, bool metrics_mode) {
       at_least(1, f.idle_backoff_ms)},
      {"--fsync-every", "K", "fsync the store every K records (default: flush)",
       at_least(1, f.fsync_every)},
-     {"--trace-out", "FILE", "write pipeline spans as Chrome trace JSON",
-      text(f.trace_out)},
+     trace_flag(f.trace_out),
      {"--csv", "PATH", "write the report CSV here instead of stdout",
       text(f.csv_path)},
      {"--json", "PATH", "also write the report as JSON", text(f.json_path)},

@@ -9,6 +9,7 @@
 
 #include "attack/scenario.h"
 #include "campaign/axis.h"
+#include "obs/trace.h"
 #include "persist/manifest.h"
 #include "persist/segment.h"
 #include "persist/store_codec.h"
@@ -365,6 +366,7 @@ void CampaignStore::sync() {
 
 SweepData load_sweep(const std::vector<std::string>& paths,
                      const CellFilter& filter) {
+  TRACE_SPAN("persist", "load_sweep");
   if (paths.empty()) {
     throw std::runtime_error("persist: load_sweep needs at least one store");
   }
@@ -505,6 +507,7 @@ campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
 }
 
 CompactionResult compact_store(const std::string& path) {
+  TRACE_SPAN("persist", "compact_store");
   const FileLock lock{path, FileLock::Kind::kExclusive};
 
   CompactionResult result;

@@ -331,43 +331,27 @@ std::optional<std::size_t> SegmentReader::trial_block_for(
          1;
 }
 
-void SegmentReader::append_block_trials(std::size_t block,
-                                        std::vector<TrialRecord>& out,
-                                        const KeyFilter& want) const {
+SegmentReader::TrialBlock SegmentReader::read_trial_block(
+    std::size_t block) const {
   const BlockRef& ref = trial_blocks_.at(block);
-  const std::vector<std::uint8_t> payload =
-      read_frame_at(ref.offset, kSegTrialBlock);
+  TrialBlock out;
+  out.payload = read_frame_at(ref.offset, kSegTrialBlock);
   segment_blocks_read_counter().add();
-  util::ByteReader r{payload};
-  const std::uint64_t groups = r.varint();
+  // Group entry: blob(cell key) varint(trial count) { blob(trial) }...
+  util::ByteReader r{out.payload};
+  const std::uint64_t groups = r.count();
+  out.groups.reserve(groups);
   std::uint64_t trials = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::span<const std::uint8_t> key = r.blob();
-    const bool keep = !want || want(key);
-    const std::uint64_t n = r.varint();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::span<const std::uint8_t> bytes = r.blob();
-      if (keep) out.push_back(decode_trial(bytes));
-    }
-    trials += n;
+    TrialGroup& group = out.groups.emplace_back();
+    group.key = r.blob();
+    group.count = r.varint();
+    const std::size_t begin = r.position();
+    for (std::uint64_t i = 0; i < group.count; ++i) (void)r.blob();
+    group.trials = std::span{out.payload}.subspan(begin, r.position() - begin);
+    trials += group.count;
   }
   if (trials != ref.count) seg_error(path_, "trial block count mismatch");
-}
-
-void SegmentReader::append_trials(std::vector<TrialRecord>& out) const {
-  for (std::size_t i = 0; i < trial_blocks_.size(); ++i) {
-    append_block_trials(i, out);
-  }
-}
-
-std::vector<TrialRecord> SegmentReader::trials_for_key(
-    std::span<const std::uint8_t> key) const {
-  std::vector<TrialRecord> out;
-  if (const std::optional<std::size_t> block = trial_block_for(key)) {
-    append_block_trials(*block, out, [&](std::span<const std::uint8_t> k) {
-      return std::ranges::equal(k, key);
-    });
-  }
   return out;
 }
 

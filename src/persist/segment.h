@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -94,12 +93,6 @@ class SegmentReader {
   /// no trial bytes are touched).
   [[nodiscard]] std::vector<campaign::CellStats> cells() const;
 
-  /// One cell's trials, located via the first-key index: reads exactly
-  /// one trial block. `key` is the encoded cell key (encode_cell_key);
-  /// empty result when the segment holds no such cell.
-  [[nodiscard]] std::vector<TrialRecord> trials_for_key(
-      std::span<const std::uint8_t> key) const;
-
   /// One cell's aggregate via the cell-block index: reads exactly one
   /// (small) cell block, nullopt when the segment holds no such cell.
   [[nodiscard]] std::optional<campaign::CellStats> cell_for_key(
@@ -114,19 +107,26 @@ class SegmentReader {
     return trial_blocks_.size();
   }
 
-  /// Decides, from a trial group's encoded cell key, whether its trials
-  /// load.
-  using KeyFilter = std::function<bool(std::span<const std::uint8_t>)>;
+  /// One cell's trials inside a trial block: its encoded cell key and
+  /// `count` encoded trial records (each a blob: varint length + bytes),
+  /// in stored trial order. Views into the owning TrialBlock's payload.
+  struct TrialGroup {
+    std::span<const std::uint8_t> key;
+    std::uint64_t count = 0;
+    std::span<const std::uint8_t> trials;
+  };
+  /// A trial block's payload with its groups located. The views stay
+  /// valid when the block is moved (the payload's buffer moves with it).
+  struct TrialBlock {
+    std::vector<std::uint8_t> payload;
+    std::vector<TrialGroup> groups;
+  };
 
-  /// Appends the trials of trial block `block` to `out` in stored (key,
-  /// trial) order, each decoded once, straight from the block payload.
-  /// With `want`, only the groups whose key it accepts are decoded; the
-  /// rest are stepped over.
-  void append_block_trials(std::size_t block, std::vector<TrialRecord>& out,
-                           const KeyFilter& want = {}) const;
-
-  /// Every trial of the segment, key order — the full-merge path.
-  void append_trials(std::vector<TrialRecord>& out) const;
+  /// Reads trial block `block` (CRC-checked), locates its groups and
+  /// checks their trial total against the index — no record is decoded.
+  /// StoreReader decodes each selected record once, straight into its
+  /// merged position.
+  [[nodiscard]] TrialBlock read_trial_block(std::size_t block) const;
 
  private:
   struct BlockRef {

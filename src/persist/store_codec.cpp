@@ -99,6 +99,12 @@ TrialRecord decode_trial(std::span<const std::uint8_t> payload) {
   return t;
 }
 
+TrialRecord::Key decode_trial_key(std::span<const std::uint8_t> payload) {
+  util::ByteReader r{payload};
+  const std::uint64_t cell = r.varint();
+  return {cell, static_cast<std::uint32_t>(r.varint())};
+}
+
 std::vector<std::uint8_t> encode_cell(const campaign::CellStats& c) {
   util::ByteWriter w;
   w.varint(c.index);

@@ -30,6 +30,10 @@ void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_trial(const TrialRecord& t);
 [[nodiscard]] TrialRecord decode_trial(std::span<const std::uint8_t> payload);
+/// Just the (cell, trial) key of an encoded trial — its two leading
+/// varints — for merging records before decoding them.
+[[nodiscard]] TrialRecord::Key decode_trial_key(
+    std::span<const std::uint8_t> payload);
 
 /// Cell record: ordered (axis, value) coordinates, then the counters.
 [[nodiscard]] std::vector<std::uint8_t> encode_cell(

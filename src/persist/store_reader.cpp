@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
+#include "util/bytes.h"
 
 namespace msa::persist {
 
@@ -35,66 +37,83 @@ struct KeyBytesLess {
 TrialRecord::Key trial_key(const TrialRecord& t) { return t.key(); }
 TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
 
-/// Orders `records` — every source concatenated in apply order — by
-/// `key`, keeping only the LAST copy of each key: the result of
-/// inserting them one by one into a last-wins map. The input splits into
-/// runs, each one cell's records in strictly ascending key order (a
-/// segment group, a completed cell's log trials). Runs of distinct cells
-/// never overlap, so ordered by cell they are concatenated by move; only
-/// a cell with several runs (a rewritten one) pays for a stable sort of
-/// its own records.
-template <typename T, typename KeyFn>
-void sort_last_wins(std::vector<T>& records, KeyFn key) {
-  const auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
-  if (std::adjacent_find(records.begin(), records.end(),
-                         [&](const T& a, const T& b) { return !less(a, b); }) ==
-      records.end()) {
-    return;  // already strictly ascending: nothing rewritten or reordered
-  }
-  struct Run {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < records.size();) {
-    std::size_t j = i + 1;
-    while (j < records.size() &&
-           key(records[j - 1]).first == key(records[j]).first &&
-           less(records[j - 1], records[j])) {
-      ++j;
-    }
-    runs.push_back({i, j});
-    i = j;
-  }
-  // Runs by cell, each cell's runs in source (apply) order.
-  const auto cell = [&](const Run& run) { return key(records[run.begin]).first; };
-  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-    return std::pair{cell(a), a.begin} < std::pair{cell(b), b.begin};
-  });
+/// `count` records from apply-order position `begin` on: one cell's, in
+/// strictly ascending key order.
+struct Run {
+  std::uint64_t cell = 0;
+  std::size_t begin = 0;
+  std::size_t count = 0;
+};
 
-  std::vector<T> ordered;
-  ordered.reserve(records.size());
-  for (std::size_t r = 0; r < runs.size();) {
-    const std::size_t from = ordered.size();
-    std::size_t e = r;
-    for (; e < runs.size() && cell(runs[e]) == cell(runs[r]); ++e) {
-      std::move(records.begin() + static_cast<std::ptrdiff_t>(runs[e].begin),
-                records.begin() + static_cast<std::ptrdiff_t>(runs[e].end),
-                std::back_inserter(ordered));
+/// Cuts records, fed by key in apply order (every source concatenated:
+/// segments by ascending sequence, then the log tail), into maximal runs
+/// — a new run starts wherever the cell changes or the key does not
+/// ascend. A segment group is one run, and so are a cell's log trials
+/// when they were streamed in trial order.
+class RunCutter {
+ public:
+  void add(TrialRecord::Key key) {
+    if (runs_.empty() || key.first != last_.first || !(last_ < key)) {
+      runs_.push_back({key.first, records_, 0});
     }
-    if (e - r > 1) {  // a rewritten cell
-      const auto group = ordered.begin() + static_cast<std::ptrdiff_t>(from);
-      std::stable_sort(group, ordered.end(), less);
+    ++runs_.back().count;
+    ++records_;
+    last_ = key;
+  }
+  [[nodiscard]] std::size_t records() const noexcept { return records_; }
+  /// The runs by cell, each cell's runs in apply order.
+  [[nodiscard]] std::vector<Run> by_cell() && {
+    std::ranges::stable_sort(runs_, {}, &Run::cell);
+    return std::move(runs_);
+  }
+
+ private:
+  std::vector<Run> runs_;
+  TrialRecord::Key last_{};
+  std::size_t records_ = 0;
+};
+
+/// The last-wins merge: the result of inserting every record, in apply
+/// order, into a map keyed by `key`. Runs of distinct cells never
+/// overlap, so with `runs` ordered by cell, `emit(run, out)` appends each
+/// run's records straight into their merged positions; only a cell with
+/// several runs (a rewritten one) is then stable-sorted, keeping each
+/// key's last-applied copy, within its own range.
+template <typename T, typename KeyFn, typename EmitFn>
+std::vector<T> merge_runs(const std::vector<Run>& runs, std::size_t records,
+                          KeyFn key, EmitFn emit) {
+  std::vector<T> out;
+  out.reserve(records);
+  for (std::size_t r = 0; r < runs.size();) {
+    const std::size_t from = out.size();
+    std::size_t e = r;
+    for (; e < runs.size() && runs[e].cell == runs[r].cell; ++e) {
+      emit(runs[e], out);
+    }
+    if (e - r > 1) {
+      const auto group = out.begin() + static_cast<std::ptrdiff_t>(from);
+      std::stable_sort(group, out.end(), [&](const T& a, const T& b) {
+        return key(a) < key(b);
+      });
       // Walked backwards, std::unique keeps each key's last-written copy.
       const auto kept = std::unique(
-          ordered.rbegin(), std::make_reverse_iterator(group),
+          out.rbegin(), std::make_reverse_iterator(group),
           [&](const T& a, const T& b) { return key(a) == key(b); });
-      ordered.erase(group, kept.base());
+      out.erase(group, kept.base());
     }
     r = e;
   }
-  records = std::move(ordered);
+  return out;
 }
+
+/// Trial records adjacent in apply order, from apply-order position
+/// `first` on: a segment group's encoded records, or log trials.
+struct Piece {
+  std::size_t first = 0;
+  std::size_t count = 0;
+  std::span<const std::uint8_t> encoded;  ///< `count` trial blobs
+  const TrialRecord* log = nullptr;       ///< set for log trials
+};
 
 }  // namespace
 
@@ -128,6 +147,7 @@ std::vector<std::unique_ptr<SegmentReader>> open_segments(
 }
 
 StoreReader::StoreReader(const std::string& path) {
+  TRACE_SPAN("persist", "store_open");
   // Log pass: manifest + the write-ahead tail (the whole store when no
   // sidecar exists), kept in write order for the last-wins merge.
   bool saw_manifest = false;
@@ -195,8 +215,108 @@ std::vector<campaign::CellStats> StoreReader::cells() const {
     std::move(cells.begin(), cells.end(), std::back_inserter(merged));
   }
   merged.insert(merged.end(), log_cells_.begin(), log_cells_.end());
-  sort_last_wins(merged, cell_key);
-  return merged;
+  RunCutter cutter;
+  for (const campaign::CellStats& cell : merged) cutter.add(cell_key(cell));
+  return merge_runs<campaign::CellStats>(
+      std::move(cutter).by_cell(), merged.size(), cell_key,
+      [&](const Run& run, std::vector<campaign::CellStats>& out) {
+        const auto first =
+            merged.begin() + static_cast<std::ptrdiff_t>(run.begin);
+        out.insert(out.end(), std::make_move_iterator(first),
+                   std::make_move_iterator(
+                       first + static_cast<std::ptrdiff_t>(run.count)));
+      });
+}
+
+std::vector<TrialRecord> StoreReader::merged_trials(
+    const std::vector<campaign::CellStats>* cells) const {
+  // One walk in apply order reads only each record's key and cuts the
+  // runs; records are decoded afterwards, once, in merged order. Block
+  // payloads live until then: the encoded form is about half the size
+  // of the decoded one.
+  std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
+  if (cells != nullptr) {
+    for (const campaign::CellStats& cell : *cells) {
+      keys.insert(encode_cell_key(cell.coords));
+    }
+  }
+  RunCutter cutter;
+  std::vector<Piece> pieces;
+  std::vector<SegmentReader::TrialBlock> blocks;
+  for (const std::unique_ptr<SegmentReader>& seg : segments_) {
+    // Under a selection, only the blocks that can hold a selected cell,
+    // each read once even when it serves several.
+    std::set<std::size_t> selected;
+    if (cells == nullptr) {
+      for (std::size_t b = 0; b < seg->trial_block_count(); ++b) {
+        selected.insert(selected.end(), b);
+      }
+    } else {
+      for (const std::vector<std::uint8_t>& key : keys) {
+        if (const std::optional<std::size_t> b = seg->trial_block_for(key)) {
+          selected.insert(*b);
+        }
+      }
+    }
+    for (const std::size_t b : selected) {
+      SegmentReader::TrialBlock& block =
+          blocks.emplace_back(seg->read_trial_block(b));
+      for (const SegmentReader::TrialGroup& group : block.groups) {
+        if (group.count == 0 ||
+            (cells != nullptr && !keys.contains(group.key))) {
+          continue;
+        }
+        pieces.push_back({cutter.records(), group.count, group.trials});
+        util::ByteReader r{group.trials};
+        for (std::uint64_t i = 0; i < group.count; ++i) {
+          cutter.add(decode_trial_key(r.blob()));
+        }
+      }
+    }
+  }
+  // Log trials on top; orphans (no completed cell) only in the full
+  // view. Cells ascend by index, so membership is a binary search.
+  const auto selected_cell = [&](const TrialRecord& t) {
+    return cells == nullptr ||
+           std::ranges::binary_search(*cells, t.cell_index, {},
+                                      &campaign::CellStats::index);
+  };
+  for (std::size_t i = 0; i < log_trials_.size();) {
+    if (!selected_cell(log_trials_[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    for (; j < log_trials_.size() && selected_cell(log_trials_[j]); ++j) {
+      cutter.add(log_trials_[j].key());
+    }
+    pieces.push_back({cutter.records() - (j - i), j - i, {}, &log_trials_[i]});
+    i = j;
+  }
+
+  const std::size_t records = cutter.records();
+  return merge_runs<TrialRecord>(
+      std::move(cutter).by_cell(), records, trial_key,
+      [&](const Run& run, std::vector<TrialRecord>& out) {
+        // The piece holding the run's first record; a run continues
+        // into the next piece when the cell's keys keep ascending.
+        auto piece = std::ranges::upper_bound(pieces, run.begin, {},
+                                              &Piece::first) - 1;
+        std::size_t skip = run.begin - piece->first;
+        for (std::size_t left = run.count; left > 0; ++piece, skip = 0) {
+          const std::size_t take = std::min(left, piece->count - skip);
+          if (piece->log != nullptr) {
+            out.insert(out.end(), piece->log + skip, piece->log + skip + take);
+          } else {
+            util::ByteReader r{piece->encoded};
+            for (std::size_t i = 0; i < skip; ++i) (void)r.blob();
+            for (std::size_t i = 0; i < take; ++i) {
+              out.push_back(decode_trial(r.blob()));
+            }
+          }
+          left -= take;
+        }
+      });
 }
 
 std::optional<StoreReader::CellData> StoreReader::read_cell(
@@ -217,64 +337,29 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
   if (!stats.has_value()) return std::nullopt;
 
   CellData out;
-  for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    std::vector<TrialRecord> trials = seg->trials_for_key(key);
-    std::move(trials.begin(), trials.end(), std::back_inserter(out.trials));
-  }
-  std::ranges::copy_if(
-      log_trials_, std::back_inserter(out.trials),
-      [&](const TrialRecord& t) { return t.cell_index == stats->index; });
-  sort_last_wins(out.trials, trial_key);
+  const std::vector<campaign::CellStats> selected{*stats};
+  out.trials = merged_trials(&selected);
   out.stats = std::move(*stats);
   return out;
 }
 
 StoreContents StoreReader::read_matching(const CellFilter& filter) const {
+  TRACE_SPAN("persist", "read_matching");
   StoreContents out;
   out.manifest = manifest_;
   out.truncated_tail = truncated_tail_;
   out.cells = cells();
 
-  std::vector<TrialRecord>& trials = out.trials;
   if (filter.empty()) {
     // Full view: every segment trial plus every log trial, orphans
     // included — byte-equivalent to replaying the original flat log.
-    trials.reserve(trial_records());
-    for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-      seg->append_trials(trials);
-    }
-    trials.insert(trials.end(), log_trials_.begin(), log_trials_.end());
+    out.trials = merged_trials(nullptr);
   } else {
     std::erase_if(out.cells, [&](const campaign::CellStats& cell) {
       return !filter.matches(cell.coords);
     });
-    // Indexed path: per segment, the set of blocks that can hold any
-    // selected cell — each block read once even when it serves several.
-    std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
-    for (const campaign::CellStats& cell : out.cells) {
-      keys.insert(encode_cell_key(cell.coords));
-    }
-    const auto selected_key = [&](std::span<const std::uint8_t> key) {
-      return keys.contains(key);
-    };
-    for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-      std::set<std::size_t> blocks;
-      for (const std::vector<std::uint8_t>& key : keys) {
-        const std::optional<std::size_t> block = seg->trial_block_for(key);
-        if (block.has_value()) blocks.insert(*block);
-      }
-      for (const std::size_t block : blocks) {
-        seg->append_block_trials(block, trials, selected_key);
-      }
-    }
-    // Cells ascend by index, so membership is a binary search.
-    std::ranges::copy_if(
-        log_trials_, std::back_inserter(trials), [&](const TrialRecord& t) {
-          return std::ranges::binary_search(out.cells, t.cell_index, {},
-                                            &campaign::CellStats::index);
-        });
+    out.trials = merged_trials(&out.cells);
   }
-  sort_last_wins(trials, trial_key);
   return out;
 }
 

@@ -9,12 +9,14 @@
 // Merge semantics: segments apply in ascending write sequence, then the
 // log tail on top — the same last-wins order as replaying the original
 // flat log. Each segment group and each cell's log trials is a sorted
-// run, so the merge orders runs rather than records: runs of distinct
-// cells are concatenated by move, and only a rewritten cell's runs are
-// sorted. Cell-range queries (`read_cell`, a non-empty CellFilter in
-// `read_matching`) use the segments' first-key block index and read only
-// the blocks that can hold the requested cells; the log tail is always
-// scanned in full, but after compaction it is just the manifest record.
+// run, so the merge orders runs rather than records: one walk reads
+// only each record's (cell, trial) key and cuts the runs, then every
+// record is decoded once, straight into its merged position, and only a
+// rewritten cell's runs are sorted. Cell-range queries (`read_cell`, a
+// non-empty CellFilter in `read_matching`) use the segments' first-key
+// block index and read only the blocks that can hold the requested
+// cells; the log tail is always scanned in full, but after compaction it
+// is just the manifest record.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +110,12 @@ class StoreReader {
   }
 
  private:
+  /// The last-wins trial stream of `cells` (ascending by index), or of
+  /// the whole store, orphan log trials included, when `cells` is null:
+  /// the one merge every trial read goes through.
+  [[nodiscard]] std::vector<TrialRecord> merged_trials(
+      const std::vector<campaign::CellStats>* cells) const;
+
   StoreManifest manifest_;
   bool truncated_tail_ = false;
   std::uint64_t store_bytes_ = 0;

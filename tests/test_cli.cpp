@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "obs/trace.h"
 #include "persist/campaign_store.h"
 #include "persist/store_reader.h"
 
@@ -204,6 +207,56 @@ TEST(CampaignCli, ExitCodesAndFirstStderrLine) {
       EXPECT_EQ(run.out, "");
     }
   }
+}
+
+TEST(CampaignCli, TraceOutOnStoreSubcommandsLeavesOutputUnchanged) {
+  const ScratchDir scratch;
+  const std::string a = (scratch.path / "a.store").string();
+  const std::string b = (scratch.path / "b.store").string();
+  ASSERT_EQ(run_cli(one_cell({"--delays", "0,5", "--store", a})).code, 0);
+  ASSERT_EQ(run_cli(one_cell({"--delays", "0,5", "--store", b})).code, 0);
+  const auto read = [](const std::filesystem::path& path) {
+    std::ifstream in{path};
+    return std::string{std::istreambuf_iterator<char>{in}, {}};
+  };
+  const std::string trace = (scratch.path / "trace.json").string();
+  const std::vector<std::vector<std::string>> commands{
+      {"stats", "--format", "csv", a},
+      {"diff", "--format", "json", "--exit-on-significant", a, b},
+      {"compact", a}};
+  const std::vector<std::vector<std::string>> spans{
+      {"store_open", "read_matching", "load_sweep", "analyze_sweep",
+       "render"},
+      {"load_sweep", "analyze_sweep", "diff_sweeps", "render",
+       "evaluate_gate"},
+      {"store_open", "compact_store"}};
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    SCOPED_TRACE(commands[i].front());
+    const CliRun plain = run_cli(commands[i]);
+    std::vector<std::string> traced = commands[i];
+    traced.insert(traced.begin() + 1, {"--trace-out", trace});
+    const CliRun run = run_cli(traced);
+    EXPECT_EQ(run.code, plain.code) << run.err;
+    EXPECT_EQ(run.out, plain.out);
+    // A second compact is a no-op and reports different byte counts.
+    if (commands[i].front() != "compact") {
+      EXPECT_EQ(run.err, plain.err);
+    }
+    const std::string json = read(trace);
+    for (const std::string& span : spans[i]) {
+      EXPECT_NE(json.find("\"name\":\"" + span + "\""), std::string::npos)
+          << span;
+    }
+    obs::Trace::disable();
+    obs::Trace::clear();
+  }
+  // An unwritable trace file is a runtime failure, after the report.
+  const std::string unwritable = (scratch.path / "no/such/dir.json").string();
+  const CliRun run = run_cli({"stats", "--trace-out", unwritable, b});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("cannot write"), std::string::npos) << run.err;
+  obs::Trace::disable();
+  obs::Trace::clear();
 }
 
 TEST(CampaignCli, AliasesApplyBeforeEveryAxisFlag) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -94,6 +95,39 @@ TEST(NewcombePValue, ConsistentWithIntervalFlagAtAlpha) {
   EXPECT_EQ(newcombe_p_value(3, 5, 3, 5), 1.0);
   // A full swing at decent n is significant far past alpha.
   EXPECT_LT(newcombe_p_value(0, 20, 20, 20), 1e-6);
+}
+
+/// newcombe_p_value's bisection as first written — always 80 steps —
+/// kept as the reference the early-exit loop must match bit for bit.
+double reference_newcombe_p_value(std::size_t sa, std::size_t ta,
+                                  std::size_t sb, std::size_t tb) {
+  if (ta == 0 || tb == 0) return 1.0;
+  const auto excludes_zero_at = [&](double z) {
+    return newcombe_interval(sa, ta, sb, tb, z).excludes_zero();
+  };
+  double lo = 1e-8;
+  double hi = 40.0;
+  if (!excludes_zero_at(lo)) return 1.0;
+  if (excludes_zero_at(hi)) return 0.0;
+  for (int i = 0; i < 80; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (excludes_zero_at(mid) ? lo : hi) = mid;
+  }
+  return std::erfc(0.5 * (lo + hi) / std::sqrt(2.0));
+}
+
+TEST(NewcombePValue, FixedPointExitMatchesEightyStepBisection) {
+  for (const std::size_t t : {1u, 7u, 100u, 200u}) {
+    for (std::size_t sa = 0; sa <= t; ++sa) {
+      for (std::size_t sb = 0; sb <= t; ++sb) {
+        const double want = reference_newcombe_p_value(sa, t, sb, t);
+        const double got = newcombe_p_value(sa, t, sb, t);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << sa << "/" << t << " vs " << sb << "/" << t;
+      }
+    }
+  }
 }
 
 TEST(BenjaminiHochberg, MatchesHandComputedAdjustment) {

@@ -18,6 +18,7 @@
 #include "campaign/grid.h"
 #include "campaign/runner.h"
 #include "campaign/stats.h"
+#include "img/score_kernels.h"
 #include "persist/campaign_store.h"
 #include "util/prng.h"
 
@@ -130,6 +131,7 @@ PermutationResult reference_permutation_test(const std::vector<double>& deltas,
 }
 
 TEST(PairedPermutation, BranchFreeKernelMatchesReferenceLoop) {
+  const bool simd_default = img::simd_enabled();
   std::mt19937_64 rng{0x9a7e};
   std::uniform_real_distribution<double> delta{-0.3, 0.32};
   for (const std::size_t n : {1u, 63u, 64u, 65u, 10000u}) {
@@ -144,19 +146,31 @@ TEST(PairedPermutation, BranchFreeKernelMatchesReferenceLoop) {
         default: deltas[i] = delta(rng); break;
       }
     }
-    const std::uint64_t iterations = n >= 10000 ? 300 : 4000;
-    for (const bool two_sided : {false, true}) {
-      for (const std::uint64_t seed : {1ULL, 0xfeedULL}) {
-        const PermutationResult want =
-            reference_permutation_test(deltas, seed, iterations, two_sided);
-        const PermutationResult got =
-            paired_permutation_test(deltas, seed, iterations, two_sided);
-        EXPECT_EQ(got.at_least_as_extreme, want.at_least_as_extreme)
-            << "n=" << n << " two_sided=" << two_sided << " seed=" << seed;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_value),
-                  std::bit_cast<std::uint64_t>(want.p_value));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.observed_stat),
-                  std::bit_cast<std::uint64_t>(want.observed_stat));
+    // Counts that are not a multiple of the kernel's 8 resample lanes
+    // end on a short batch.
+    const std::vector<std::uint64_t> counts =
+        n >= 10000 ? std::vector<std::uint64_t>{1, 9, 300}
+                   : std::vector<std::uint64_t>{1, 7, 9, 4000, 4001};
+    for (const std::uint64_t iterations : counts) {
+      for (const bool two_sided : {false, true}) {
+        for (const std::uint64_t seed : {1ULL, 0xfeedULL}) {
+          const PermutationResult want =
+              reference_permutation_test(deltas, seed, iterations, two_sided);
+          for (const bool simd : {true, false}) {
+            img::set_simd_enabled(simd);
+            const PermutationResult got =
+                paired_permutation_test(deltas, seed, iterations, two_sided);
+            EXPECT_EQ(got.at_least_as_extreme, want.at_least_as_extreme)
+                << "n=" << n << " iterations=" << iterations
+                << " two_sided=" << two_sided << " seed=" << seed
+                << " simd=" << simd;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_value),
+                      std::bit_cast<std::uint64_t>(want.p_value));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.observed_stat),
+                      std::bit_cast<std::uint64_t>(want.observed_stat));
+          }
+          img::set_simd_enabled(simd_default);
+        }
       }
     }
   }

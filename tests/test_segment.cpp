@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <random>
@@ -136,31 +138,40 @@ std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
 }
 
 /// A store as an older tiered compaction left it: a log holding only its
-/// manifest, and a sidecar naming two segments — `older` at level 1,
-/// then `newer` at level 0 with the later sequence, so `newer` wins
-/// wherever the two hold the same key.
-void write_two_segment_store(const std::string& path,
-                             const StoreManifest& manifest,
-                             std::vector<SegmentCell> older,
-                             std::vector<SegmentCell> newer) {
+/// manifest, and a sidecar naming `segments` in ascending sequence (and
+/// descending level), so a later segment wins wherever two hold the
+/// same key.
+void write_segment_store(const std::string& path,
+                         const StoreManifest& manifest,
+                         std::vector<std::vector<SegmentCell>> segments) {
   { CampaignStore log{path, manifest, CampaignStore::Mode::kCreate}; }
   LevelsManifest levels;
   levels.generation = 2;
   levels.identity = manifest;
-  const auto add = [&](std::uint32_t level, std::vector<SegmentCell> cells) {
-    const std::uint64_t sequence = levels.segments.size() + 1;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const auto level = static_cast<std::uint32_t>(segments.size() - 1 - i);
+    const std::uint64_t sequence = i + 1;
     const std::string file = segment_file_name(path, sequence);
     const std::string segment =
         (std::filesystem::path(path).parent_path() / file).string();
-    const SegmentInfo info =
-        write_segment(segment, level, sequence, manifest, std::move(cells));
+    const SegmentInfo info = write_segment(segment, level, sequence, manifest,
+                                           std::move(segments[i]));
     levels.segments.push_back({file, level, sequence,
                                std::filesystem::file_size(segment),
                                info.trial_count, info.cell_count});
-  };
-  add(1, std::move(older));
-  add(0, std::move(newer));
+  }
   write_levels_manifest(path, levels);
+}
+
+/// Two segments: `older` at level 1, then `newer` at level 0.
+void write_two_segment_store(const std::string& path,
+                             const StoreManifest& manifest,
+                             std::vector<SegmentCell> older,
+                             std::vector<SegmentCell> newer) {
+  std::vector<std::vector<SegmentCell>> segments;
+  segments.push_back(std::move(older));
+  segments.push_back(std::move(newer));
+  write_segment_store(path, manifest, std::move(segments));
 }
 
 /// The three stats renderings at once — "byte-identical" means all of
@@ -171,6 +182,45 @@ std::string stats_bytes(const std::string& path,
       campaign::analyze_sweep(load_sweep({path}, filter));
   return report.to_text() + "\x1e" + report.to_csv() + "\x1e" +
          report.to_json();
+}
+
+/// The decoded trials of every group in trial block `block` whose key
+/// `want` accepts, in stored order.
+template <typename KeyPred>
+void append_block(const SegmentReader& reader, std::size_t block,
+                  std::vector<TrialRecord>& out, KeyPred want) {
+  for (const SegmentReader::TrialGroup& group :
+       reader.read_trial_block(block).groups) {
+    if (!want(group.key)) continue;
+    util::ByteReader r{group.trials};
+    for (std::uint64_t i = 0; i < group.count; ++i) {
+      out.push_back(decode_trial(r.blob()));
+    }
+    EXPECT_TRUE(r.done());
+  }
+}
+
+/// Every trial of the segment, key order.
+std::vector<TrialRecord> all_trials(const SegmentReader& reader) {
+  std::vector<TrialRecord> out;
+  for (std::size_t b = 0; b < reader.trial_block_count(); ++b) {
+    append_block(reader, b, out, [](std::span<const std::uint8_t>) {
+      return true;
+    });
+  }
+  return out;
+}
+
+/// One cell's trials through the first-key index: one block read.
+std::vector<TrialRecord> trials_for_key(const SegmentReader& reader,
+                                        std::span<const std::uint8_t> key) {
+  std::vector<TrialRecord> out;
+  if (const std::optional<std::size_t> block = reader.trial_block_for(key)) {
+    append_block(reader, *block, out, [&](std::span<const std::uint8_t> k) {
+      return std::ranges::equal(k, key);
+    });
+  }
+  return out;
 }
 
 TEST(Segment, RoundTripPreservesEverything) {
@@ -195,7 +245,7 @@ TEST(Segment, RoundTripPreservesEverything) {
     EXPECT_EQ(cells[c].index, c);
     EXPECT_EQ(cells[c].coords, synth_coords(c));
     const std::vector<TrialRecord> trials =
-        reader.trials_for_key(encode_cell_key(synth_coords(c)));
+        trials_for_key(reader, encode_cell_key(synth_coords(c)));
     ASSERT_EQ(trials.size(), 5u);
     for (std::uint32_t t = 0; t < 5; ++t) {
       EXPECT_EQ(trials[t].trial, t);
@@ -204,10 +254,10 @@ TEST(Segment, RoundTripPreservesEverything) {
     }
   }
   // A key the segment does not hold reads back empty, not an error.
-  EXPECT_TRUE(reader.trials_for_key(encode_cell_key(synth_coords(99))).empty());
+  EXPECT_TRUE(
+      trials_for_key(reader, encode_cell_key(synth_coords(99))).empty());
 
-  std::vector<TrialRecord> streamed;
-  reader.append_trials(streamed);
+  const std::vector<TrialRecord> streamed = all_trials(reader);
   ASSERT_EQ(streamed.size(), 50u);
   // Key order, then trial order: the segment is one ascending run here.
   for (std::size_t i = 0; i < streamed.size(); ++i) {
@@ -231,7 +281,7 @@ TEST(Segment, SingleCellQueryReadsOneBlockOfMany) {
   const std::uint64_t blocks_before = blocks.value();
   const std::uint64_t bytes_before = bytes.value();
   const std::vector<TrialRecord> trials =
-      reader.trials_for_key(encode_cell_key(synth_coords(37)));
+      trials_for_key(reader, encode_cell_key(synth_coords(37)));
   ASSERT_EQ(trials.size(), 8u);
   EXPECT_EQ(blocks.value() - blocks_before, 1u);
   // One block out of >8: well under a quarter of the file.
@@ -264,8 +314,7 @@ TEST(Segment, TruncationAnywhereIsRejectedNotMisread) {
       // The constructor only validates footer + index; force every
       // block read too. Any damage must throw — never partial data.
       (void)reader.cells();
-      std::vector<TrialRecord> trials;
-      reader.append_trials(trials);
+      (void)all_trials(reader);
       FAIL() << "truncation at " << cut << " of " << size
              << " was not detected";
     } catch (const std::runtime_error& e) {
@@ -572,6 +621,133 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   ASSERT_EQ(filtered.trials.size(), 4u * 6u);
   for (const TrialRecord& t : filtered.trials) {
     EXPECT_EQ(t.psnr, (want_trials[{t.cell_index, t.trial}].psnr));
+  }
+}
+
+TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
+  // 1-3 segments, then a log tail that rewrites cells (some twice),
+  // streams orphan trials of cells that never complete, and ends torn.
+  // Every read path must equal a last-wins map replay of the writes.
+  constexpr std::uint64_t kCells = 24;
+  constexpr std::uint32_t kTrials = 6;
+  const StoreManifest manifest = synth_manifest(kCells, kTrials);
+  std::mt19937_64 rng{0x5e9};
+  const auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>{lo, hi}(rng);
+  };
+  for (int round = 0; round < 12; ++round) {
+    const std::string path = tmp_path("random_merge.store");
+    std::map<TrialRecord::Key, TrialRecord> want_trials;
+    std::map<std::uint64_t, campaign::CellStats> want_cells;
+    int generation = 0;
+    // Trials [first, last) of cell `c`, as one write of `generation`.
+    const auto make_cell = [&](std::uint64_t c, std::uint32_t first,
+                               std::uint32_t last) {
+      SegmentCell out;
+      for (std::uint32_t t = first; t < last; ++t) {
+        out.trials.push_back(generation_trial(c, t, generation));
+      }
+      out.stats = synth_stats(c, kTrials);
+      out.stats.mean_psnr_db += 1000.0 * generation;
+      return out;
+    };
+    const auto replay = [&](const SegmentCell& cell, bool completes) {
+      for (const TrialRecord& t : cell.trials) want_trials[t.key()] = t;
+      if (completes) want_cells[cell.stats.index] = cell.stats;
+    };
+    // Cell `c` in a random trial range, never empty.
+    const auto random_cell = [&](std::uint64_t c) {
+      const auto first = static_cast<std::uint32_t>(uniform(0, kTrials - 1));
+      const auto last =
+          static_cast<std::uint32_t>(uniform(first + 1, kTrials));
+      return make_cell(c, first, last);
+    };
+
+    std::vector<std::vector<SegmentCell>> segments(uniform(1, 3));
+    for (std::vector<SegmentCell>& segment : segments) {
+      ++generation;
+      for (std::uint64_t c = 0; c < kCells; ++c) {
+        if (uniform(0, 2) == 0) continue;  // a cell per segment, or none
+        segment.push_back(random_cell(c));
+        replay(segment.back(), true);
+      }
+    }
+    write_segment_store(path, manifest, segments);
+    {
+      CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+      for (int write = 0; write < 12; ++write) {
+        ++generation;
+        // Cells >= kCells - 4 never complete: their trials are orphans.
+        const std::uint64_t c = uniform(0, kCells - 1);
+        const SegmentCell cell = random_cell(c);
+        // Trials stream in any order; a cell's own writes stay distinct.
+        std::vector<TrialRecord> order = cell.trials;
+        std::shuffle(order.begin(), order.end(), rng);
+        for (const TrialRecord& t : order) store.append_trial(t);
+        const bool completes = c < kCells - 4;
+        if (completes) store.complete_cell(cell.stats);
+        replay(cell, completes);
+      }
+    }
+    {  // a torn tail: a frame cut short after the last intact record
+      std::ofstream log{path, std::ios::binary | std::ios::app};
+      const std::string torn(uniform(1, 12), '\x7f');
+      log.write(torn.data(), static_cast<std::streamsize>(torn.size()));
+    }
+
+    const StoreReader reader{path};
+    ASSERT_TRUE(reader.truncated_tail());
+    const auto expect_trials = [&](const std::vector<TrialRecord>& got,
+                                   const auto& wanted, const char* view) {
+      std::vector<TrialRecord> want;
+      for (const auto& [key, t] : want_trials) {
+        if (wanted(t.cell_index)) want.push_back(t);
+      }
+      ASSERT_EQ(got.size(), want.size()) << view << " round " << round;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(encode_trial(got[i]), encode_trial(want[i]))
+            << view << " round " << round << " record " << i;
+      }
+    };
+    const StoreContents all = reader.read_all();
+    ASSERT_EQ(all.cells.size(), want_cells.size());
+    std::size_t i = 0;
+    for (const auto& [index, want] : want_cells) {
+      EXPECT_EQ(encode_cell(all.cells[i++]), encode_cell(want));
+    }
+    expect_trials(all.trials, [](std::uint64_t) { return true; }, "read_all");
+
+    std::vector<std::uint64_t> picked;
+    std::string clause = "delay_s=";
+    for (std::uint64_t c = 0; c < kCells; ++c) {
+      if (uniform(0, 2) != 0) continue;
+      picked.push_back(c);
+      clause += (picked.size() > 1 ? "," : "") + std::to_string(c);
+    }
+    if (picked.empty()) {
+      picked.push_back(0);
+      clause += "0";
+    }
+    const StoreContents filtered =
+        reader.read_matching(CellFilter{{CellFilter::parse_clause(clause)}});
+    const auto in_filter = [&](std::uint64_t c) {
+      return want_cells.contains(c) && std::ranges::count(picked, c) > 0;
+    };
+    expect_trials(filtered.trials, in_filter, "read_matching");
+    EXPECT_EQ(filtered.cells.size(),
+              static_cast<std::size_t>(std::ranges::count_if(
+                  want_cells,
+                  [&](const auto& kv) { return in_filter(kv.first); })));
+
+    for (std::uint64_t c = 0; c < kCells; ++c) {
+      const std::optional<StoreReader::CellData> cell =
+          reader.read_cell(synth_coords(c));
+      ASSERT_EQ(cell.has_value(), want_cells.contains(c)) << "cell " << c;
+      if (!cell.has_value()) continue;
+      EXPECT_EQ(encode_cell(cell->stats), encode_cell(want_cells[c]));
+      expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
+                    "read_cell");
+    }
   }
 }
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -73,6 +76,30 @@ TEST(Percentile, NearestRank) {
   EXPECT_EQ(percentile_sorted(one, 50.0), 42.0);
   EXPECT_EQ(percentile_sorted(one, 99.0), 42.0);
   EXPECT_THROW((void)percentile_sorted({}, 50.0), std::invalid_argument);
+}
+
+TEST(Percentile, SelectionEqualsSortedReference) {
+  // Heavy ties, infinities and both zeros: any value a stored PSNR can
+  // take except NaN, which has no order for either path to agree on.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> pool{-inf, -3.5, -0.0, 0.0, 0.0, 1.0, 7.25,
+                                 7.25, 99.0, inf};
+  std::mt19937_64 rng{0x9e7c};
+  for (std::size_t n = 1; n <= 300; ++n) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<double> sample(n);
+      for (double& v : sample) v = pool[rng() % pool.size()];
+      std::vector<double> sorted = sample;
+      std::sort(sorted.begin(), sorted.end());
+      const Percentiles got = select_percentiles(sample);
+      // == on doubles: -0.0 and 0.0 tie, and either may be selected.
+      EXPECT_EQ(got.p50, percentile_sorted(sorted, 50.0)) << "n=" << n;
+      EXPECT_EQ(got.p90, percentile_sorted(sorted, 90.0)) << "n=" << n;
+      EXPECT_EQ(got.p99, percentile_sorted(sorted, 99.0)) << "n=" << n;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW((void)select_percentiles(empty), std::invalid_argument);
 }
 
 TEST(AnalyzeSweep, CellsAndMarginalsFromRealStore) {

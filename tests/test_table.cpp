@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -91,22 +93,74 @@ TEST(JsonDouble, SentinelsForNonFinite) {
 
 TEST(Cells, PerFormatRenderings) {
   const Cell s = str_cell("a\"b");
-  EXPECT_EQ(s.text, "a\"b");
-  EXPECT_EQ(s.csv, "a\"b");  // escaped at emit time, not here
-  EXPECT_EQ(s.json, "\"a\\\"b\"");
+  EXPECT_EQ(s.text(), "a\"b");
+  EXPECT_EQ(s.csv(), "a\"b");  // escaped at emit time, not here
+  EXPECT_EQ(s.json(), "\"a\\\"b\"");
 
   const Cell fixed3 = num_cell(1.0 / 3.0, 3);
-  EXPECT_EQ(fixed3.text, "0.333");
-  EXPECT_EQ(std::strtod(fixed3.csv.c_str(), nullptr), 1.0 / 3.0);
+  EXPECT_EQ(fixed3.text(), "0.333");
+  EXPECT_EQ(std::strtod(fixed3.csv().c_str(), nullptr), 1.0 / 3.0);
+  EXPECT_EQ(fixed3.json(), fixed3.csv());
+
+  const Cell n = count_cell(18446744073709551615ULL);
+  EXPECT_EQ(n.text(), "18446744073709551615");
+  EXPECT_EQ(n.csv(), n.text());
+  EXPECT_EQ(n.json(), n.text());
 
   const Cell b = bool_cell(true);
-  EXPECT_EQ(b.text, "yes");
-  EXPECT_EQ(b.csv, "true");
-  EXPECT_EQ(b.json, "true");
+  EXPECT_EQ(b.text(), "yes");
+  EXPECT_EQ(b.csv(), "true");
+  EXPECT_EQ(b.json(), "true");
+  EXPECT_EQ(bool_cell(false).text(), "no");
+  EXPECT_EQ(bool_cell(false).json(), "false");
+
+  // Axis bools print as the labels cell rows join marginals on.
+  for (const bool flag : {true, false}) {
+    const Cell axis = axis_value_cell(AxisValue::of_bool(flag));
+    EXPECT_EQ(axis.text(), flag ? "1" : "0");
+    EXPECT_EQ(axis.csv(), flag ? "1" : "0");
+    EXPECT_EQ(axis.json(), flag ? "true" : "false");
+  }
+
+  const Cell ci =
+      interval_cell(-0.0125, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ci.text(), "[-0.013,inf]");
+  EXPECT_EQ(ci.csv(), "[-0.013,inf]");
+  EXPECT_EQ(ci.json(), "\"[-0.013,inf]\"");
+  Table ci_table{{{"ci"}}};
+  ci_table.add_row({ci});
+  EXPECT_EQ(ci_table.to_csv(), "ci\n\"[-0.013,inf]\"\n");
+
+  const Cell p = pvalue_cell(0.031746031746031744);
+  EXPECT_EQ(p.text(), "0.0317");
+  EXPECT_EQ(p.csv(), "0.031746031746031744");
+  EXPECT_EQ(p.json(), "0.031746031746031744");
+  EXPECT_EQ(pvalue_cell(std::nan("")).json(), "null");
+  EXPECT_EQ(pvalue_cell(std::nan("")).text(), "nan");
 
   const Cell e = empty_cell();
-  EXPECT_EQ(e.csv, "");
-  EXPECT_EQ(e.json, "null");
+  EXPECT_EQ(e.text(), "");
+  EXPECT_EQ(e.csv(), "");
+  EXPECT_EQ(e.json(), "null");
+}
+
+TEST(Fixed, MatchesPrintfAtEveryMagnitude) {
+  std::mt19937_64 rng{0xf1eed};
+  std::vector<double> values{0.0,    -0.0,  0.125, 0.375,   2.5,   -2.5,
+                             0.0005, 1e-300, 1e22, 1e59,    -1e60, 1e300,
+                             99.995, 0.9995, 5e-324, 123456.5};
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+    values.push_back(std::ldexp(double(rng() >> 11), int(rng() % 80) - 60));
+  }
+  for (const double v : values) {
+    if (!std::isfinite(v)) continue;
+    for (const int decimals : {0, 1, 2, 3, 4}) {
+      char want[64];
+      std::snprintf(want, sizeof want, "%.*f", decimals, v);
+      EXPECT_EQ(fixed(v, decimals), want) << v << " at " << decimals;
+    }
+  }
 }
 
 Table two_column_fixture() {
