@@ -18,8 +18,10 @@
 #    compacted again, it folds back into exactly one live segment AND
 #    still renders them.
 #  - a copy of the checked-in golden store compacted into a segment
-#    still emits the pre-refactor golden stats bytes, and a
-#    second compact of it is a no-op (bytes_before == bytes_after).
+#    still emits the pre-refactor golden stats bytes, its segment,
+#    .levels sidecar and trimmed log match the CRC-32 pins in
+#    tests/data/golden_4axis.compacted.crc, and a second compact of it
+#    is a no-op (bytes_before == bytes_after).
 # shellcheck source=scripts/ci_lib.sh
 . "$(dirname "$0")/ci_lib.sh"
 
@@ -118,19 +120,38 @@ echo "compact -> resume -> compact: segment+log and 1 live segment, stats byte-i
 # --- golden store through compaction ----------------------------------
 # The oldest sweep on record must ride through the segmented rewrite and
 # still print the checked-in pre-refactor stats goldens.
-cp "$REPO/tests/data/golden_4axis.store" "$tmp/golden.store"
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/golden.store" 2> /dev/null
-timeout "$SWEEP_TIMEOUT" "$BIN" stats "$tmp/golden.store" \
+# The copy keeps its file name: segment file names embed it, and the
+# sidecar names the segment, so the CRC pins hold only under that name.
+mkdir -p "$tmp/golden"
+golden=$tmp/golden/golden_4axis.store
+cp "$REPO/tests/data/golden_4axis.store" "$golden"
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$golden" 2> /dev/null
+# A byte change fails here even when every stats artifact still matches.
+python3 -c '
+import sys, zlib
+pins, d = sys.argv[1], sys.argv[2]
+checked = 0
+for line in open(pins):
+    if not line.strip() or line.startswith("#"):
+        continue
+    name, want = line.split()
+    got = zlib.crc32(open(d + "/" + name, "rb").read())
+    assert got == int(want, 16), f"{name}: crc32 {got:08x} != pinned {want}"
+    checked += 1
+assert checked == 3, f"{pins}: {checked} pins, expected 3"
+print("golden store: compacted segment, .levels and log match their CRC-32 pins")
+' "$REPO/tests/data/golden_4axis.compacted.crc" "$tmp/golden"
+timeout "$SWEEP_TIMEOUT" "$BIN" stats "$golden" \
   > "$tmp/golden_stats.txt"
-timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/golden.store" \
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$golden" \
   > "$tmp/golden_stats.csv"
-timeout "$SWEEP_TIMEOUT" "$BIN" stats --format json "$tmp/golden.store" \
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format json "$golden" \
   > "$tmp/golden_stats.json"
 cmp "$REPO/tests/data/golden_v1_stats.txt" "$tmp/golden_stats.txt"
 cmp "$REPO/tests/data/golden_v1_stats.csv" "$tmp/golden_stats.csv"
 cmp "$REPO/tests/data/golden_v1_stats.json" "$tmp/golden_stats.json"
 # Re-compacting the compacted store is a stable no-op.
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/golden.store" \
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$golden" \
   2> "$tmp/golden_recompact.txt"
 python3 - "$tmp/golden_recompact.txt" <<'EOF'
 import re, sys

@@ -15,9 +15,12 @@
 BIN=${1:?usage: ci_lease_sweep.sh path/to/campaign_sweep}
 ci_require_bin "$BIN"
 
-# Enough cells x trials that the victim is still mid-sweep when killed;
-# delays include 60s so cell costs are heterogeneous like a real matrix.
-common=(--trials 3 --delays 0,5,60 --quiet)
+# Enough cells x trials that the victim is still mid-sweep when killed:
+# at 30 trials a cell a lone worker needs ~0.1-0.2 s for the grid, where
+# 3 trials let it finish in 20-30 ms, before the 10 ms poll below saw
+# its first claim. Delays include 60s so cell costs are heterogeneous
+# like a real matrix.
+common=(--trials 30 --delays 0,5,60 --quiet)
 # ~400ms of lease silence before survivors presume a peer dead: well
 # above one trial's duration (renewals land per trial), well below the
 # job timeout.

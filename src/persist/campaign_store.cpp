@@ -4,6 +4,7 @@
 #include <bit>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -21,7 +22,7 @@ namespace msa::persist {
 namespace {
 
 /// Field-by-field equality, doubles by bit pattern: true exactly when
-/// encode_trial(a) == encode_trial(b), without encoding either.
+/// the encodings of `a` and `b` are equal, without encoding either.
 bool same_trial_bytes(const TrialRecord& a, const TrialRecord& b) {
   const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   return a.cell_index == b.cell_index && a.trial == b.trial &&
@@ -317,7 +318,9 @@ std::uint64_t CampaignStore::scan_existing() {
 
 void CampaignStore::append_trial(const TrialRecord& trial) {
   const std::lock_guard lock{mutex_};
-  writer_.append(kRecTrial, encode_trial(trial));
+  trial_bytes_.clear();
+  encode_trial(trial, trial_bytes_);
+  writer_.append(kRecTrial, trial_bytes_.bytes());
 }
 
 void CampaignStore::complete_cell(const campaign::CellStats& stats) {
@@ -511,54 +514,36 @@ CompactionResult compact_store(const std::string& path) {
   const FileLock lock{path, FileLock::Kind::kExclusive};
 
   CompactionResult result;
-  LevelsManifest out;  // the sidecar this compaction writes
-  std::optional<LevelsManifest> levels;
-  std::vector<Record> unknown;  // forward-compat: preserved verbatim
-  StoreContents contents;
+  // The reader stays open until the new files are written: the merged
+  // trials and the unknown records are views into its log and blocks.
+  std::optional<StoreReader> reader;
+  StoreReader::EncodedContents contents;
   {
-    const StoreReader reader{path};
-    levels = reader.levels();
-    result.bytes_before = result.bytes_after = reader.store_bytes();
+    TRACE_SPAN("persist", "compact_read");
+    reader.emplace(path);
+    const std::optional<LevelsManifest>& levels = reader->levels();
+    result.bytes_before = result.bytes_after = reader->store_bytes();
     result.segments_live = levels ? levels->segments.size() : 0;
     result.generation = levels ? levels->generation : 0;
     // Nothing to fold in and nothing to merge: repeated compaction must
     // be byte-stable.
-    if (!reader.log_has_data() && !reader.truncated_tail() &&
+    if (!reader->log_has_data() && !reader->truncated_tail() &&
         result.segments_live <= 1) {
       return result;
     }
-    out.identity = reader.manifest();
-    unknown = reader.unknown_records();
-    contents = reader.read_all();
-    // Orphan trials (their cell never completed) drop: a resume re-runs
-    // and re-streams them. Cells ascend by index: a binary search.
-    std::erase_if(contents.trials, [&](const TrialRecord& t) {
-      return !std::ranges::binary_search(contents.cells, t.cell_index, {},
-                                         &campaign::CellStats::index);
-    });
-    result.trials_dropped = reader.trial_records() - contents.trials.size();
-    result.cells_dropped = reader.cell_records() - contents.cells.size();
+    // Orphan trials (their cell never completed) are left out: a resume
+    // re-runs and re-streams them.
+    contents = reader->read_encoded();
+    result.trials_dropped = reader->trial_records() - contents.trials.size();
+    result.cells_dropped = reader->cell_records() - contents.cells.size();
   }
+  const std::optional<LevelsManifest>& levels = reader->levels();
+  LevelsManifest out;  // the sidecar this compaction writes
+  out.identity = reader->manifest();
 
-  // ---- One segment holding every completed cell and its trials; both
-  // lists ascend by cell index, so each cell's trials are the next run.
+  // ---- One segment holding every completed cell and its trials.
   out.generation = (levels ? levels->generation : 0) + 1;
   if (!contents.cells.empty()) {
-    std::vector<SegmentCell> cells(contents.cells.size());
-    auto trial = contents.trials.begin();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      cells[i].stats = std::move(contents.cells[i]);
-      const auto end = std::find_if(trial, contents.trials.end(),
-                                    [&](const TrialRecord& t) {
-                                      return t.cell_index !=
-                                             cells[i].stats.index;
-                                    });
-      cells[i].trials.assign(std::make_move_iterator(trial),
-                             std::make_move_iterator(end));
-      trial = end;
-    }
-    contents = {};
-
     SegmentRef& ref = out.segments.emplace_back();  // level 0
     ref.sequence = 1;
     if (levels.has_value()) {
@@ -568,8 +553,9 @@ CompactionResult compact_store(const std::string& path) {
     }
     ref.file = segment_file_name(path, ref.sequence);
     const std::string segment = segment_path(path, ref);
-    const SegmentInfo info = write_segment(segment, ref.level, ref.sequence,
-                                           out.identity, std::move(cells));
+    const SegmentInfo info =
+        write_segment(segment, ref.level, ref.sequence, out.identity,
+                      contents.cells, contents.trials);
     ref.bytes = file_size_or_zero(segment);
     ref.trials = info.trial_count;
     ref.cells = info.cell_count;
@@ -589,11 +575,12 @@ CompactionResult compact_store(const std::string& path) {
     {
       RecordWriter writer{tmp, RecordWriter::Mode::kTruncate};
       writer.append(kRecManifest, encode_store_manifest(out.identity));
-      for (const Record& rec : unknown) {
+      for (const RecordView& rec : reader->unknown_records()) {
         writer.append(rec.type, rec.payload);
       }
       writer.sync();
     }
+    reader.reset();  // closes the superseded segments before they go
     std::filesystem::rename(tmp, path);
     fsync_parent_dir(path);
   }

@@ -23,6 +23,7 @@
 
 #include "campaign/report.h"
 #include "persist/record_io.h"
+#include "util/bytes.h"
 
 namespace msa::attack {
 struct ScenarioResult;
@@ -157,6 +158,7 @@ class CampaignStore {
   StoreOptions options_;
   std::unordered_map<std::uint64_t, campaign::CellStats> completed_;
   unsigned cells_since_sync_ = 0;  ///< fsync batching counter
+  util::ByteWriter trial_bytes_;   ///< append_trial's encoding buffer
   bool resuming_ = false;
   bool manifest_on_disk_ = false;  ///< set by scan_existing()
   // Shared lock on the log for the store's lifetime, taken before the

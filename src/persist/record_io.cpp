@@ -1,9 +1,11 @@
 #include "persist/record_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -13,6 +15,7 @@
 #endif
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/monotime.h"
@@ -61,6 +64,22 @@ bool read_exact(std::FILE* f, const std::string& path, std::uint8_t* out,
   return r == n;
 }
 
+/// The frame checks both readers share: a body holds at least its type
+/// byte, and a length prefix beyond the cap is a torn one.
+bool body_len_ok(std::uint32_t body_len) {
+  return body_len != 0 && body_len <= kMaxRecordBody;
+}
+
+/// CRC-32 of a frame body: its type byte, then the payload.
+std::uint32_t body_crc(std::uint8_t type, std::span<const std::uint8_t> head,
+                       std::span<const std::uint8_t> tail = {}) {
+  util::Crc32 crc;
+  crc.update(std::span<const std::uint8_t>{&type, 1});
+  crc.update(head);
+  crc.update(tail);
+  return crc.value();
+}
+
 }  // namespace
 
 void fsync_parent_dir(const std::string& file_path) {
@@ -69,6 +88,7 @@ void fsync_parent_dir(const std::string& file_path) {
 #else
   std::filesystem::path dir = std::filesystem::path(file_path).parent_path();
   if (dir.empty()) dir = ".";
+  TRACE_SPAN("persist", "fsync");
   const int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd < 0) io_error("cannot open directory for fsync", dir.string());
   const std::uint64_t start_ns = util::monotonic_ns();
@@ -174,43 +194,145 @@ RecordReader::~RecordReader() {
 
 std::optional<Record> RecordReader::next() {
   if (done_) return std::nullopt;
-
-  std::array<std::uint8_t, 8> header{};
-  std::size_t got = 0;
-  if (!read_exact(file_, path_, header.data(), header.size(), &got)) {
+  const auto torn = [&] {
     done_ = true;
-    truncated_ = got != 0;  // a partial header is a torn frame
-    if (truncated_) crc_failure_counter().add();
+    truncated_ = true;
+    crc_failure_counter().add();
+    return std::nullopt;
+  };
+
+  // Header and type byte apart from the payload, so the payload lands in
+  // its vector with one copy. A partial frame is a torn one.
+  std::array<std::uint8_t, 9> head{};  // [u32 body_len][u32 crc][u8 type]
+  std::size_t got = 0;
+  if (!read_exact(file_, path_, head.data(), head.size(), &got)) {
+    if (got != 0) return torn();
+    done_ = true;
     return std::nullopt;
   }
-  util::ByteReader hr{header};
+  util::ByteReader hr{head};
   const std::uint32_t body_len = hr.u32();
   const std::uint32_t stored_crc = hr.u32();
-  if (body_len == 0 || body_len > kMaxRecordBody) {
-    done_ = true;
-    truncated_ = true;
-    crc_failure_counter().add();
-    return std::nullopt;
-  }
+  if (!body_len_ok(body_len)) return torn();
 
-  std::vector<std::uint8_t> body(body_len);
-  if (!read_exact(file_, path_, body.data(), body.size())) {
-    done_ = true;
-    truncated_ = true;
-    crc_failure_counter().add();
-    return std::nullopt;
-  }
-  if (util::crc32(std::span<const std::uint8_t>{body}) != stored_crc) {
-    done_ = true;
-    truncated_ = true;
-    crc_failure_counter().add();
-    return std::nullopt;
-  }
-
-  valid_bytes_ += header.size() + body.size();
   Record record;
-  record.type = body[0];
-  record.payload.assign(body.begin() + 1, body.end());
+  record.type = hr.u8();
+  record.payload.resize(body_len - 1);
+  if (!record.payload.empty() &&
+      !read_exact(file_, path_, record.payload.data(),
+                  record.payload.size())) {
+    return torn();
+  }
+  if (body_crc(record.type, record.payload) != stored_crc) return torn();
+  valid_bytes_ += 8 + body_len;
+  return record;
+}
+
+RecordBuffer::RecordBuffer(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) io_error("cannot open store", path);
+  // One read of what the file holds now; a frame still being appended
+  // past that is a torn tail, as it would be to RecordReader.
+  const std::uint64_t size = file_size_or_zero(path);
+  bytes_ = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  size_ = std::fread(bytes_.get(), 1, size, file);
+  const bool failed = std::ferror(file) != 0;
+  const int saved = errno;
+  std::fclose(file);
+  errno = saved;
+  if (failed) io_error("read failed", path);
+  if (size_ < kRecordMagic.size() ||
+      !std::equal(kRecordMagic.begin(), kRecordMagic.end(), bytes_.get())) {
+    throw std::runtime_error("persist: not a record store (bad magic): " +
+                             path);
+  }
+  pos_ = kRecordMagic.size();
+}
+
+std::optional<RecordView> RecordBuffer::next() {
+  const std::size_t left = size_ - pos_;
+  if (truncated_ || left == 0) return std::nullopt;
+  const auto torn = [&] {
+    truncated_ = true;
+    crc_failure_counter().add();
+    return std::nullopt;
+  };
+  if (left < 9) return torn();
+  util::ByteReader hr{std::span<const std::uint8_t>{bytes_.get() + pos_, 8}};
+  const std::uint32_t body_len = hr.u32();
+  const std::uint32_t stored_crc = hr.u32();
+  if (!body_len_ok(body_len) || body_len > left - 8) return torn();
+  const std::span<const std::uint8_t> body{bytes_.get() + pos_ + 8, body_len};
+  if (util::crc32(body) != stored_crc) return torn();
+  pos_ += 8 + body_len;
+  return RecordView{body[0], body.subspan(1)};
+}
+
+RecordFile::RecordFile(std::string path) : path_{std::move(path)} {
+#if !defined(_WIN32)
+  fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) io_error("cannot open store", path_);
+#endif
+  std::array<std::uint8_t, kRecordMagic.size()> magic{};
+  if (!read_exact_at(0, magic) || magic != kRecordMagic) {
+#if !defined(_WIN32)
+    ::close(fd_);
+#endif
+    throw std::runtime_error("persist: not a record store (bad magic): " +
+                             path_);
+  }
+}
+
+RecordFile::~RecordFile() {
+#if !defined(_WIN32)
+  ::close(fd_);
+#endif
+}
+
+bool RecordFile::read_exact_at(std::uint64_t offset,
+                               std::span<std::uint8_t> out) const {
+#if defined(_WIN32)
+  std::FILE* file = std::fopen(path_.c_str(), "rb");
+  if (file == nullptr) io_error("cannot open store", path_);
+  const bool ok =
+      _fseeki64(file, static_cast<long long>(offset), SEEK_SET) == 0 &&
+      std::fread(out.data(), 1, out.size(), file) == out.size();
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) io_error("read failed", path_);
+  return ok;
+#else
+  while (!out.empty()) {
+    const ssize_t got = ::pread(fd_, out.data(), out.size(),
+                                static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) io_error("read failed", path_);
+    if (got == 0) return false;
+    out = out.subspan(static_cast<std::size_t>(got));
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
+#endif
+}
+
+std::optional<Record> RecordFile::read_at(std::uint64_t offset) const {
+  const auto torn = [] {
+    crc_failure_counter().add();
+    return std::nullopt;
+  };
+  std::array<std::uint8_t, 9> head{};  // [u32 body_len][u32 crc][u8 type]
+  if (!read_exact_at(offset, head)) return torn();
+  util::ByteReader hr{head};
+  const std::uint32_t body_len = hr.u32();
+  const std::uint32_t stored_crc = hr.u32();
+  if (!body_len_ok(body_len)) return torn();
+  Record record;
+  record.type = hr.u8();
+  record.payload.resize(body_len - 1);
+  if (!read_exact_at(offset + head.size(), record.payload) ||
+      body_crc(record.type, record.payload) != stored_crc) {
+    return torn();
+  }
   return record;
 }
 
@@ -261,29 +383,27 @@ RecordWriter::~RecordWriter() {
 }
 
 void RecordWriter::append(std::uint8_t type,
-                          std::span<const std::uint8_t> payload) {
-  if (payload.size() >= kMaxRecordBody) {
+                          std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail) {
+  const std::size_t payload = head.size() + tail.size();
+  if (payload >= kMaxRecordBody) {
     throw std::length_error("persist: record payload too large");
   }
-  util::Crc32 crc;
-  crc.update(std::span<const std::uint8_t>{&type, 1});
-  crc.update(payload);
-
   util::ByteWriter header;
-  header.u32(static_cast<std::uint32_t>(payload.size() + 1));
-  header.u32(crc.value());
-  if (std::fwrite(header.bytes().data(), 1, header.size(), file_) !=
-          header.size() ||
-      std::fwrite(&type, 1, 1, file_) != 1 ||
-      // payload.data() may be null for an empty payload; fwrite's pointer
-      // argument must not be.
-      (!payload.empty() &&
-       std::fwrite(payload.data(), 1, payload.size(), file_) !=
-           payload.size())) {
+  header.u32(static_cast<std::uint32_t>(payload + 1));
+  header.u32(body_crc(type, head, tail));
+  header.u8(type);
+  // An empty part's data() may be null; fwrite's pointer argument must
+  // not be.
+  const auto put = [&](std::span<const std::uint8_t> part) {
+    return part.empty() ||
+           std::fwrite(part.data(), 1, part.size(), file_) == part.size();
+  };
+  if (!put(header.bytes()) || !put(head) || !put(tail)) {
     io_error("short write", path_);
   }
   records_written_counter().add();
-  bytes_written_counter().add(header.size() + 1 + payload.size());
+  bytes_written_counter().add(header.size() + payload);
 }
 
 void RecordWriter::flush() {
@@ -291,6 +411,7 @@ void RecordWriter::flush() {
 }
 
 void RecordWriter::sync() {
+  TRACE_SPAN("persist", "fsync");
   flush();
   const std::uint64_t start_ns = util::monotonic_ns();
 #if defined(_WIN32)

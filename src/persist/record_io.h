@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,6 +33,12 @@ inline constexpr std::uint32_t kMaxRecordBody = 1u << 28;
 struct Record {
   std::uint8_t type = 0;
   std::vector<std::uint8_t> payload;
+};
+
+/// A frame's type and payload, viewed in place in a RecordBuffer.
+struct RecordView {
+  std::uint8_t type = 0;
+  std::span<const std::uint8_t> payload;
 };
 
 /// fsync(2) the directory containing `file_path`, making a just-created
@@ -118,6 +125,54 @@ class RecordReader {
   bool done_ = false;
 };
 
+/// A whole record file loaded with one read, its frames walked in place
+/// with RecordReader's checks: the first short, oversized or
+/// CRC-mismatched frame ends the stream as a torn tail. The views next()
+/// returns stay valid for the buffer's lifetime, a move included.
+class RecordBuffer {
+ public:
+  RecordBuffer() = default;  ///< an empty stream
+  /// Throws std::runtime_error as RecordReader's constructor does.
+  explicit RecordBuffer(const std::string& path);
+
+  /// Next intact frame, or nullopt at end of stream (clean or torn).
+  [[nodiscard]] std::optional<RecordView> next();
+
+  [[nodiscard]] bool truncated() const noexcept { return truncated_; }
+  [[nodiscard]] std::uint64_t valid_bytes() const noexcept { return pos_; }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::size_t size_ = 0;
+  std::size_t pos_ = 0;  ///< just past the last intact frame
+  bool truncated_ = false;
+};
+
+/// Random access to single frames of an immutable record file by
+/// offset, on one descriptor held for the object's lifetime. Reads use
+/// pread(2), so one const reader serves concurrent callers.
+class RecordFile {
+ public:
+  /// Throws std::runtime_error as RecordReader's constructor does.
+  explicit RecordFile(std::string path);
+  ~RecordFile();
+
+  RecordFile(const RecordFile&) = delete;
+  RecordFile& operator=(const RecordFile&) = delete;
+
+  /// The frame starting at `offset`, read straight into its payload;
+  /// nullopt when it is short, oversized or fails its CRC. Throws
+  /// std::runtime_error on a genuine I/O error.
+  [[nodiscard]] std::optional<Record> read_at(std::uint64_t offset) const;
+
+ private:
+  /// True when all of `out` was read; false only at end of file.
+  bool read_exact_at(std::uint64_t offset, std::span<std::uint8_t> out) const;
+
+  std::string path_;
+  int fd_ = -1;  ///< unused on Windows, which reopens per read
+};
+
 /// Append-only writer.
 class RecordWriter {
  public:
@@ -142,7 +197,13 @@ class RecordWriter {
   RecordWriter& operator=(const RecordWriter&) = delete;
 
   /// Appends one frame. Buffered; call flush() to push to the OS.
-  void append(std::uint8_t type, std::span<const std::uint8_t> payload);
+  void append(std::uint8_t type, std::span<const std::uint8_t> payload) {
+    append(type, payload, {});
+  }
+  /// Appends one frame whose payload is `head` followed by `tail`: a
+  /// block whose entry count is known only once its entries are encoded.
+  void append(std::uint8_t type, std::span<const std::uint8_t> head,
+              std::span<const std::uint8_t> tail);
 
   /// Flushes stdio buffers so a subsequent process kill cannot tear
   /// already-appended frames.

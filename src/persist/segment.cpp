@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "persist/record_io.h"
-#include "persist/store_codec.h"
+#include "obs/trace.h"
 #include "util/bytes.h"
 
 namespace msa::persist {
@@ -44,18 +44,33 @@ obs::Counter& segment_blocks_read_counter() {
 SegmentInfo write_segment(const std::string& path, std::uint32_t level,
                           std::uint64_t sequence,
                           const StoreManifest& identity,
-                          std::vector<SegmentCell> cells,
+                          std::span<const campaign::CellStats> cells,
+                          std::span<const TrialBytes> trials,
                           const SegmentWriteOptions& options) {
-  std::sort(cells.begin(), cells.end(),
-            [](const SegmentCell& a, const SegmentCell& b) {
-              return cell_key_less(a.stats.coords, b.stats.coords);
-            });
-  for (SegmentCell& cell : cells) {
-    std::sort(cell.trials.begin(), cell.trials.end(),
-              [](const TrialRecord& a, const TrialRecord& b) {
-                return a.trial < b.trial;
-              });
+  TRACE_SPAN("persist", "write_segment");
+  // Both lists ascend by cell index, so cell i's trials are the run
+  // [ends[i - 1], ends[i]) of `trials`.
+  std::vector<std::size_t> ends(cells.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0 && cells[i].index <= cells[i - 1].index) {
+      throw std::invalid_argument("persist: segment cells out of order");
+    }
+    while (next < trials.size() &&
+           decode_trial_key(trials[next]).first == cells[i].index) {
+      ++next;
+    }
+    ends[i] = next;
   }
+  if (next != trials.size()) {
+    throw std::invalid_argument(
+        "persist: segment trial out of order or of no given cell");
+  }
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    return cell_key_less(cells[a].coords, cells[b].coords);
+  });
 
   SegmentInfo info;
   info.level = level;
@@ -63,12 +78,6 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   info.identity = identity;
   info.cell_count = cells.size();
 
-  struct PendingBlock {
-    std::vector<std::uint8_t> first_key;
-    std::vector<std::vector<std::uint8_t>> entries;  ///< encoded groups/cells
-    std::uint64_t count = 0;                         ///< trials or cells
-    std::size_t bytes = 0;
-  };
   struct WrittenBlock {
     std::vector<std::uint8_t> first_key;
     std::uint64_t offset = 0;
@@ -83,10 +92,10 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   // compaction that never published its manifest — clobber it.
   RecordWriter writer{path, RecordWriter::Mode::kTruncate};
   std::uint64_t offset = kRecordMagic.size();
-  const auto append = [&](std::uint8_t type,
-                          std::span<const std::uint8_t> payload) {
-    writer.append(type, payload);
-    const std::uint64_t frame_len = 8 + 1 + payload.size();
+  const auto append = [&](std::uint8_t type, std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail = {}) {
+    writer.append(type, head, tail);
+    const std::uint64_t frame_len = 8 + 1 + head.size() + tail.size();
     const std::uint64_t at = offset;
     offset += frame_len;
     return std::pair{at, frame_len};
@@ -101,59 +110,58 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
     append(kSegHeader, h.bytes());
   }
 
-  const auto flush_block = [&](std::uint8_t type, PendingBlock& block,
+  // The open block: its entries encoded in place, framed behind their
+  // count when the block closes.
+  util::ByteWriter block;
+  util::ByteWriter block_head;
+  std::vector<std::uint8_t> first_key;
+  std::uint64_t entries = 0;
+  std::uint64_t count = 0;  ///< trials or cells
+  const auto flush_block = [&](std::uint8_t type,
                                std::vector<WrittenBlock>& out) {
-    if (block.entries.empty()) return;
-    util::ByteWriter w;
-    w.varint(block.entries.size());
-    for (const std::vector<std::uint8_t>& entry : block.entries) {
-      w.raw(entry);
-    }
-    const auto [at, frame_len] = append(type, w.bytes());
-    out.push_back({std::move(block.first_key), at, frame_len, block.count});
-    block = {};
+    if (entries == 0) return;
+    block_head.clear();
+    block_head.varint(entries);
+    const auto [at, frame_len] = append(type, block_head.bytes(), block.bytes());
+    out.push_back({std::move(first_key), at, frame_len, count});
+    block.clear();
+    entries = count = 0;
+  };
+  const auto add_entry = [&](std::uint8_t type,
+                             std::span<const std::uint8_t> key,
+                             std::uint64_t records,
+                             std::vector<WrittenBlock>& out) {
+    if (entries++ == 0) first_key.assign(key.begin(), key.end());
+    count += records;
+    if (block.size() >= options.block_bytes) flush_block(type, out);
   };
 
   // Trial blocks: whole-cell groups, a block closing at the first cell
   // that reaches the target size. Group entry:
   //   blob(cell key) varint(trial count) { blob(trial record) }...
-  PendingBlock trial_block;
-  for (const SegmentCell& cell : cells) {
-    std::vector<std::uint8_t> key = encode_cell_key(cell.stats.coords);
-    util::ByteWriter g;
-    g.blob(key);
-    g.varint(cell.trials.size());
-    for (const TrialRecord& trial : cell.trials) {
-      g.blob(encode_trial(trial));
+  util::ByteWriter trial;
+  for (const std::size_t i : order) {
+    const std::size_t first = i == 0 ? 0 : ends[i - 1];
+    const std::vector<std::uint8_t> key = encode_cell_key(cells[i].coords);
+    block.blob(key);
+    block.varint(ends[i] - first);
+    for (std::size_t t = first; t < ends[i]; ++t) {
+      trial.clear();
+      encode_trial(decode_trial(trials[t]), trial);
+      block.blob(trial.bytes());
     }
-    if (trial_block.entries.empty()) trial_block.first_key = key;
-    trial_block.bytes += g.size();
-    trial_block.count += cell.trials.size();
-    info.trial_count += cell.trials.size();
-    trial_block.entries.push_back(g.take());
-    if (trial_block.bytes >= options.block_bytes) {
-      flush_block(kSegTrialBlock, trial_block, trial_blocks);
-    }
+    info.trial_count += ends[i] - first;
+    add_entry(kSegTrialBlock, key, ends[i] - first, trial_blocks);
   }
-  flush_block(kSegTrialBlock, trial_block, trial_blocks);
+  flush_block(kSegTrialBlock, trial_blocks);
 
   // Cell blocks: the aggregate records (coords embedded — the key is
   // derivable, so entries are plain cell payloads).
-  PendingBlock cell_block;
-  for (const SegmentCell& cell : cells) {
-    util::ByteWriter e;
-    e.blob(encode_cell(cell.stats));
-    if (cell_block.entries.empty()) {
-      cell_block.first_key = encode_cell_key(cell.stats.coords);
-    }
-    cell_block.bytes += e.size();
-    cell_block.count += 1;
-    cell_block.entries.push_back(e.take());
-    if (cell_block.bytes >= options.block_bytes) {
-      flush_block(kSegCellBlock, cell_block, cell_blocks);
-    }
+  for (const std::size_t i : order) {
+    block.blob(encode_cell(cells[i]));
+    add_entry(kSegCellBlock, encode_cell_key(cells[i].coords), 1, cell_blocks);
   }
-  flush_block(kSegCellBlock, cell_block, cell_blocks);
+  flush_block(kSegCellBlock, cell_blocks);
 
   const std::uint64_t index_offset = offset;
   {
@@ -191,11 +199,8 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
 std::vector<std::uint8_t> SegmentReader::read_frame_at(
     std::uint64_t offset, std::uint8_t expect_type) const {
   std::optional<Record> rec;
-  std::uint64_t frame_bytes = 0;
   try {
-    RecordReader reader{path_, offset};
-    rec = reader.next();
-    frame_bytes = reader.valid_bytes() - offset;
+    rec = file_->read_at(offset);
   } catch (const std::runtime_error& e) {
     seg_error(path_, std::string{"unreadable frame: "} + e.what());
   }
@@ -207,7 +212,7 @@ std::vector<std::uint8_t> SegmentReader::read_frame_at(
     seg_error(path_, "unexpected record type " + std::to_string(rec->type) +
                          " at offset " + std::to_string(offset));
   }
-  segment_bytes_read_counter().add(frame_bytes);
+  segment_bytes_read_counter().add(8 + 1 + rec->payload.size());
   return std::move(rec->payload);
 }
 
@@ -217,6 +222,11 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
   if (ec) seg_error(path_, "cannot stat: " + ec.message());
   if (file_bytes_ < kRecordMagic.size() + kSegmentFooterFrameBytes) {
     seg_error(path_, "too small to hold a footer (truncated?)");
+  }
+  try {
+    file_ = std::make_unique<RecordFile>(path_);
+  } catch (const std::runtime_error& e) {
+    seg_error(path_, std::string{"unreadable frame: "} + e.what());
   }
 
   // Footer first: fixed-size frame at EOF. Truncating the file by even

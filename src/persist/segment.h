@@ -28,12 +28,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "persist/campaign_store.h"
+#include "persist/record_io.h"
+#include "persist/store_codec.h"
 
 namespace msa::persist {
 
@@ -52,26 +55,26 @@ struct SegmentInfo {
   std::uint64_t cell_count = 0;
 };
 
-/// Write unit: one completed cell and its trial stream.
-struct SegmentCell {
-  campaign::CellStats stats;
-  std::vector<TrialRecord> trials;
-};
-
 struct SegmentWriteOptions {
   /// Target block payload size; a block closes at the first whole cell
   /// that reaches it (one oversized cell still becomes one block).
   std::size_t block_bytes = 64 * 1024;
 };
 
-/// Writes `cells` as a fresh segment at `path` (clobbering any stale file
-/// from an interrupted compaction), sorted by cell key, then syncs the
-/// file AND its parent directory — once this returns, the segment exists
-/// after power loss. Returns the totals that go into the levels manifest.
+/// Writes the completed `cells`, ascending by index, and their encoded
+/// `trials`, ascending by (cell, trial) and all of those cells, as a
+/// fresh segment at `path` (clobbering any stale file from an interrupted
+/// compaction), in cell-key order, then syncs the file AND its parent
+/// directory — once this returns, the segment exists after power loss.
+/// Each trial is decoded and re-encoded straight into its block, so the
+/// segment holds canonical encodings whatever bytes the payloads carry.
+/// Returns the totals that go into the levels manifest; throws
+/// std::invalid_argument when `cells` or `trials` break that order.
 SegmentInfo write_segment(const std::string& path, std::uint32_t level,
                           std::uint64_t sequence,
                           const StoreManifest& identity,
-                          std::vector<SegmentCell> cells,
+                          std::span<const campaign::CellStats> cells,
+                          std::span<const TrialBytes> trials,
                           const SegmentWriteOptions& options = {});
 
 /// Random-access reader over one segment. The constructor validates
@@ -79,7 +82,8 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
 /// any damage); block reads happen on demand and feed the
 /// persist.segment_bytes_read / persist.segment_blocks_read counters, so
 /// tests and benches can assert an indexed query touched a small
-/// fraction of the file.
+/// fraction of the file. Blocks are read with pread(2) on one
+/// descriptor, so a const reader serves concurrent callers.
 class SegmentReader {
  public:
   explicit SegmentReader(std::string path);
@@ -132,7 +136,7 @@ class SegmentReader {
   struct BlockRef {
     std::vector<std::uint8_t> first_key;          ///< encoded
     std::vector<campaign::AxisCoordinate> first;  ///< decoded, for ordering
-    std::uint64_t offset = 0;  ///< frame start (RecordReader resume offset)
+    std::uint64_t offset = 0;  ///< frame start
     std::uint64_t frame_len = 0;
     std::uint64_t count = 0;  ///< trials (trial block) or cells (cell block)
   };
@@ -143,6 +147,7 @@ class SegmentReader {
 
   std::string path_;
   std::uint64_t file_bytes_ = 0;
+  std::unique_ptr<RecordFile> file_;
   SegmentInfo info_;
   std::vector<BlockRef> trial_blocks_;
   std::vector<BlockRef> cell_blocks_;

@@ -69,8 +69,7 @@ campaign::AxisValue decode_axis_value(util::ByteReader& r) {
   }
 }
 
-std::vector<std::uint8_t> encode_trial(const TrialRecord& t) {
-  util::ByteWriter w;
+void encode_trial(const TrialRecord& t, util::ByteWriter& w) {
   w.varint(t.cell_index);
   w.varint(t.trial);
   std::uint8_t flags = 0;
@@ -81,7 +80,6 @@ std::vector<std::uint8_t> encode_trial(const TrialRecord& t) {
   w.f64(t.psnr);
   w.f64(t.descriptor_pixel_match);
   w.str(t.denial_reason);
-  return w.take();
 }
 
 TrialRecord decode_trial(std::span<const std::uint8_t> payload) {

@@ -28,7 +28,13 @@ inline constexpr std::uint8_t kRecCell = 4;  ///< ordered axis coordinates
 void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
 [[nodiscard]] campaign::AxisValue decode_axis_value(util::ByteReader& r);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_trial(const TrialRecord& t);
+/// One encoded trial payload, in place in a loaded log or a segment
+/// block.
+using TrialBytes = std::span<const std::uint8_t>;
+
+/// Appends `t`'s encoding to `w`: the one trial encoder, shared by the
+/// log writer and the segment writer.
+void encode_trial(const TrialRecord& t, util::ByteWriter& w);
 [[nodiscard]] TrialRecord decode_trial(std::span<const std::uint8_t> payload);
 /// Just the (cell, trial) key of an encoded trial — its two leading
 /// varints — for merging records before decoding them.

@@ -33,8 +33,10 @@ struct KeyBytesLess {
   }
 };
 
-/// Merge keys: (cell index, position within the cell).
-TrialRecord::Key trial_key(const TrialRecord& t) { return t.key(); }
+/// Merge keys: (cell index, position within the cell), of a record
+/// decoded or still encoded.
+TrialRecord::Key merge_key(const TrialRecord& t) { return t.key(); }
+TrialRecord::Key merge_key(TrialBytes t) { return decode_trial_key(t); }
 TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
 
 /// `count` records from apply-order position `begin` on: one cell's, in
@@ -107,12 +109,25 @@ std::vector<T> merge_runs(const std::vector<Run>& runs, std::size_t records,
 }
 
 /// Trial records adjacent in apply order, from apply-order position
-/// `first` on: a segment group's encoded records, or log trials.
+/// `first` on, still encoded: a segment group's trial blobs, or log
+/// trials in place.
 struct Piece {
   std::size_t first = 0;
   std::size_t count = 0;
-  std::span<const std::uint8_t> encoded;  ///< `count` trial blobs
-  const TrialRecord* log = nullptr;       ///< set for log trials
+  std::span<const std::uint8_t> blobs;  ///< a segment group's records
+  std::span<const TrialBytes> views;    ///< or log payloads in place
+
+  /// Calls `f` with the payload of records [skip, skip + take).
+  template <typename F>
+  void each(std::size_t skip, std::size_t take, F f) const {
+    if (!views.empty()) {
+      for (const TrialBytes t : views.subspan(skip, take)) f(t);
+      return;
+    }
+    util::ByteReader r{blobs};
+    for (std::size_t i = 0; i < skip; ++i) (void)r.blob();
+    for (std::size_t i = 0; i < take; ++i) f(r.blob());
+  }
 };
 
 }  // namespace
@@ -151,36 +166,34 @@ StoreReader::StoreReader(const std::string& path) {
   // Log pass: manifest + the write-ahead tail (the whole store when no
   // sidecar exists), kept in write order for the last-wins merge.
   bool saw_manifest = false;
-  {
-    RecordReader reader{path};
-    for (std::optional<Record> rec = reader.next(); rec.has_value();
-         rec = reader.next()) {
-      switch (rec->type) {
-        case kRecManifest: {
-          StoreManifest m = decode_store_manifest(rec->payload);
-          if (saw_manifest && !(m == manifest_)) {
-            throw std::runtime_error(
-                "persist: conflicting manifest records in " + path);
-          }
-          manifest_ = std::move(m);
-          saw_manifest = true;
-          break;
+  log_ = RecordBuffer{path};
+  for (std::optional<RecordView> rec = log_.next(); rec.has_value();
+       rec = log_.next()) {
+    switch (rec->type) {
+      case kRecManifest: {
+        StoreManifest m = decode_store_manifest(rec->payload);
+        if (saw_manifest && !(m == manifest_)) {
+          throw std::runtime_error(
+              "persist: conflicting manifest records in " + path);
         }
-        case kRecTrial:
-          log_trials_.push_back(decode_trial(rec->payload));
-          break;
-        case kRecCell:
-          log_cells_.push_back(decode_cell(rec->payload));
-          break;
-        default:  // unknown record type: forward-compatible skip
-          log_unknown_.push_back(std::move(*rec));
-          break;
+        manifest_ = std::move(m);
+        saw_manifest = true;
+        break;
       }
+      case kRecTrial:
+        log_trials_.push_back(rec->payload);
+        break;
+      case kRecCell:
+        log_cells_.push_back(decode_cell(rec->payload));
+        break;
+      default:  // unknown record type: forward-compatible skip
+        log_unknown_.push_back(*rec);
+        break;
     }
-    truncated_tail_ = reader.truncated();
-    log_bytes_read_counter().add(reader.valid_bytes());
-    store_bytes_ += file_size_or_zero(path);
   }
+  truncated_tail_ = log_.truncated();
+  log_bytes_read_counter().add(log_.valid_bytes());
+  store_bytes_ += file_size_or_zero(path);
   if (!saw_manifest) {
     throw std::runtime_error("persist: store has no manifest record: " + path);
   }
@@ -228,21 +241,22 @@ std::vector<campaign::CellStats> StoreReader::cells() const {
       });
 }
 
-std::vector<TrialRecord> StoreReader::merged_trials(
-    const std::vector<campaign::CellStats>* cells) const {
+template <typename T, typename Make>
+std::vector<T> StoreReader::merged_trials(
+    const std::vector<campaign::CellStats>* cells,
+    std::vector<SegmentReader::TrialBlock>& blocks, Make make) const {
   // One walk in apply order reads only each record's key and cuts the
-  // runs; records are decoded afterwards, once, in merged order. Block
+  // runs; records are made afterwards, once, in merged order. Block
   // payloads live until then: the encoded form is about half the size
   // of the decoded one.
   std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
-  if (cells != nullptr) {
+  if (cells != nullptr && !segments_.empty()) {
     for (const campaign::CellStats& cell : *cells) {
       keys.insert(encode_cell_key(cell.coords));
     }
   }
   RunCutter cutter;
   std::vector<Piece> pieces;
-  std::vector<SegmentReader::TrialBlock> blocks;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
     // Under a selection, only the blocks that can hold a selected cell,
     // each read once even when it serves several.
@@ -266,7 +280,7 @@ std::vector<TrialRecord> StoreReader::merged_trials(
             (cells != nullptr && !keys.contains(group.key))) {
           continue;
         }
-        pieces.push_back({cutter.records(), group.count, group.trials});
+        pieces.push_back({cutter.records(), group.count, group.trials, {}});
         util::ByteReader r{group.trials};
         for (std::uint64_t i = 0; i < group.count; ++i) {
           cutter.add(decode_trial_key(r.blob()));
@@ -275,29 +289,42 @@ std::vector<TrialRecord> StoreReader::merged_trials(
     }
   }
   // Log trials on top; orphans (no completed cell) only in the full
-  // view. Cells ascend by index, so membership is a binary search.
-  const auto selected_cell = [&](const TrialRecord& t) {
-    return cells == nullptr ||
-           std::ranges::binary_search(*cells, t.cell_index, {},
-                                      &campaign::CellStats::index);
+  // view. Cells ascend by index, so membership is a binary search, made
+  // once per run of one cell's trials.
+  std::optional<std::uint64_t> seen_cell;
+  bool seen_selected = true;
+  const auto selected_cell = [&](std::uint64_t cell) {
+    if (cells != nullptr && seen_cell != cell) {
+      seen_cell = cell;
+      seen_selected = std::ranges::binary_search(*cells, cell, {},
+                                                 &campaign::CellStats::index);
+    }
+    return seen_selected;
   };
-  for (std::size_t i = 0; i < log_trials_.size();) {
-    if (!selected_cell(log_trials_[i])) {
-      ++i;
-      continue;
+  std::size_t piece_begin = 0;  // log trials [piece_begin, i) form a piece
+  const auto close_piece = [&](std::size_t i) {
+    if (i > piece_begin) {
+      pieces.push_back({cutter.records() - (i - piece_begin), i - piece_begin,
+                        {}, std::span{log_trials_}.subspan(piece_begin,
+                                                           i - piece_begin)});
     }
-    std::size_t j = i;
-    for (; j < log_trials_.size() && selected_cell(log_trials_[j]); ++j) {
-      cutter.add(log_trials_[j].key());
+    piece_begin = i + 1;
+  };
+  for (std::size_t i = 0; i < log_trials_.size(); ++i) {
+    const TrialRecord::Key key = decode_trial_key(log_trials_[i]);
+    if (selected_cell(key.first)) {
+      cutter.add(key);
+    } else {
+      close_piece(i);
     }
-    pieces.push_back({cutter.records() - (j - i), j - i, {}, &log_trials_[i]});
-    i = j;
   }
+  close_piece(log_trials_.size());
 
   const std::size_t records = cutter.records();
-  return merge_runs<TrialRecord>(
-      std::move(cutter).by_cell(), records, trial_key,
-      [&](const Run& run, std::vector<TrialRecord>& out) {
+  return merge_runs<T>(
+      std::move(cutter).by_cell(), records,
+      [](const T& t) { return merge_key(t); },
+      [&](const Run& run, std::vector<T>& out) {
         // The piece holding the run's first record; a run continues
         // into the next piece when the cell's keys keep ascending.
         auto piece = std::ranges::upper_bound(pieces, run.begin, {},
@@ -305,18 +332,25 @@ std::vector<TrialRecord> StoreReader::merged_trials(
         std::size_t skip = run.begin - piece->first;
         for (std::size_t left = run.count; left > 0; ++piece, skip = 0) {
           const std::size_t take = std::min(left, piece->count - skip);
-          if (piece->log != nullptr) {
-            out.insert(out.end(), piece->log + skip, piece->log + skip + take);
-          } else {
-            util::ByteReader r{piece->encoded};
-            for (std::size_t i = 0; i < skip; ++i) (void)r.blob();
-            for (std::size_t i = 0; i < take; ++i) {
-              out.push_back(decode_trial(r.blob()));
-            }
-          }
+          piece->each(skip, take,
+                      [&](TrialBytes payload) { out.push_back(make(payload)); });
           left -= take;
         }
       });
+}
+
+std::vector<TrialRecord> StoreReader::decoded_trials(
+    const std::vector<campaign::CellStats>* cells) const {
+  std::vector<SegmentReader::TrialBlock> blocks;
+  return merged_trials<TrialRecord>(cells, blocks, decode_trial);
+}
+
+StoreReader::EncodedContents StoreReader::read_encoded() const {
+  EncodedContents out;
+  out.cells = cells();
+  out.trials = merged_trials<TrialBytes>(&out.cells, out.blocks,
+                                         [](TrialBytes t) { return t; });
+  return out;
 }
 
 std::optional<StoreReader::CellData> StoreReader::read_cell(
@@ -338,7 +372,7 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
 
   CellData out;
   const std::vector<campaign::CellStats> selected{*stats};
-  out.trials = merged_trials(&selected);
+  out.trials = decoded_trials(&selected);
   out.stats = std::move(*stats);
   return out;
 }
@@ -353,12 +387,12 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
   if (filter.empty()) {
     // Full view: every segment trial plus every log trial, orphans
     // included — byte-equivalent to replaying the original flat log.
-    out.trials = merged_trials(nullptr);
+    out.trials = decoded_trials(nullptr);
   } else {
     std::erase_if(out.cells, [&](const campaign::CellStats& cell) {
       return !filter.matches(cell.coords);
     });
-    out.trials = merged_trials(&out.cells);
+    out.trials = decoded_trials(&out.cells);
   }
   return out;
 }

@@ -8,10 +8,12 @@
 //
 // Merge semantics: segments apply in ascending write sequence, then the
 // log tail on top — the same last-wins order as replaying the original
-// flat log. Each segment group and each cell's log trials is a sorted
-// run, so the merge orders runs rather than records: one walk reads
-// only each record's (cell, trial) key and cuts the runs, then every
-// record is decoded once, straight into its merged position, and only a
+// flat log. The log is loaded with one read and its trials kept encoded,
+// as views into that buffer. Each segment group and each cell's log
+// trials is a sorted run, so the merge orders runs rather than records:
+// one walk reads only each record's (cell, trial) key and cuts the runs,
+// then every record lands straight in its merged position — decoded
+// once for the analyses, still encoded for compaction — and only a
 // rewritten cell's runs are sorted. Cell-range queries (`read_cell`, a
 // non-empty CellFilter in `read_matching`) use the segments' first-key
 // block index and read only the blocks that can hold the requested
@@ -29,6 +31,7 @@
 #include "persist/manifest.h"
 #include "persist/record_io.h"
 #include "persist/segment.h"
+#include "persist/store_codec.h"
 
 namespace msa::persist {
 
@@ -78,9 +81,11 @@ class StoreReader {
   [[nodiscard]] bool log_has_data() const noexcept {
     return !log_cells_.empty() || !log_trials_.empty();
   }
-  /// Log records of types this build does not know, in write order —
-  /// compaction carries them verbatim into the trimmed log.
-  [[nodiscard]] const std::vector<Record>& unknown_records() const noexcept {
+  /// Log records of types this build does not know, in write order, as
+  /// views into the loaded log — compaction carries them verbatim into
+  /// the trimmed log.
+  [[nodiscard]] const std::vector<RecordView>& unknown_records()
+      const noexcept {
     return log_unknown_;
   }
 
@@ -109,11 +114,28 @@ class StoreReader {
     return read_matching(CellFilter{});
   }
 
+  /// Compaction's read: every completed cell, ascending by index, and
+  /// the last-wins merge of their trials, ascending by (cell, trial) and
+  /// still encoded — views into this reader's log and into `blocks`.
+  /// Orphan log trials are left out.
+  struct EncodedContents {
+    std::vector<campaign::CellStats> cells;
+    std::vector<TrialBytes> trials;
+    std::vector<SegmentReader::TrialBlock> blocks;  ///< what trials view
+  };
+  [[nodiscard]] EncodedContents read_encoded() const;
+
  private:
   /// The last-wins trial stream of `cells` (ascending by index), or of
   /// the whole store, orphan log trials included, when `cells` is null:
-  /// the one merge every trial read goes through.
-  [[nodiscard]] std::vector<TrialRecord> merged_trials(
+  /// the one merge every trial read goes through. Each record becomes
+  /// `make(payload)`; `blocks` keeps the segment blocks read.
+  template <typename T, typename Make>
+  [[nodiscard]] std::vector<T> merged_trials(
+      const std::vector<campaign::CellStats>* cells,
+      std::vector<SegmentReader::TrialBlock>& blocks, Make make) const;
+  /// merged_trials, each record decoded once.
+  [[nodiscard]] std::vector<TrialRecord> decoded_trials(
       const std::vector<campaign::CellStats>* cells) const;
 
   StoreManifest manifest_;
@@ -121,13 +143,16 @@ class StoreReader {
   std::uint64_t store_bytes_ = 0;
   std::optional<LevelsManifest> levels_;
   std::vector<std::unique_ptr<SegmentReader>> segments_;  ///< ascending seq
-  // Log contents in write order, loaded once at construction (after
-  // compaction the log is just the manifest record — this IS the "offset
-  // past the segments" resume: segment data is never replayed through
-  // the log).
+  // The log, loaded once at construction, and its records in write order
+  // (after compaction the log is just the manifest record — this IS the
+  // "offset past the segments" resume: segment data is never replayed
+  // through the log). Trials and unknown records view `log_`; a trial's
+  // (cell, trial) key is re-read from its payload's leading varints
+  // when needed, which keeps a view at 16 bytes.
+  RecordBuffer log_;
   std::vector<campaign::CellStats> log_cells_;
-  std::vector<TrialRecord> log_trials_;
-  std::vector<Record> log_unknown_;
+  std::vector<TrialBytes> log_trials_;
+  std::vector<RecordView> log_unknown_;
 };
 
 }  // namespace msa::persist

@@ -85,6 +85,8 @@ class ByteWriter {
     return buf_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Empties the writer and keeps its capacity, for reuse.
+  void clear() noexcept { buf_.clear(); }
   /// Moves the encoded buffer out, leaving the writer empty.
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
     return std::move(buf_);

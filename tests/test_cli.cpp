@@ -259,6 +259,50 @@ TEST(CampaignCli, TraceOutOnStoreSubcommandsLeavesOutputUnchanged) {
   obs::Trace::clear();
 }
 
+TEST(CampaignCli, CompactTraceNamesReadWriteAndFsyncUnderCompactStore) {
+  const ScratchDir scratch;
+  const std::string store = (scratch.path / "c.store").string();
+  ASSERT_EQ(run_cli(one_cell({"--delays", "0,5", "--store", store})).code, 0);
+  const std::string trace = (scratch.path / "trace.json").string();
+  const CliRun run = run_cli({"compact", "--trace-out", trace, store});
+  ASSERT_EQ(run.code, 0) << run.err;
+
+  std::ifstream in{trace};
+  const std::string json{std::istreambuf_iterator<char>{in}, {}};
+  const std::vector<std::string> inner{"compact_read", "write_segment",
+                                       "fsync"};
+  for (const std::string& name : inner) {
+    EXPECT_NE(json.find("\"name\":\"" + name + "\""), std::string::npos)
+        << name;
+  }
+  // Every instance of each sits inside the one compact_store span.
+  std::vector<obs::TraceSpan> spans;
+  for (const obs::ThreadTrace& thread : obs::Trace::snapshot()) {
+    spans.insert(spans.end(), thread.spans.begin(), thread.spans.end());
+  }
+  const auto named = [&](const std::string& name) {
+    std::vector<obs::TraceSpan> out;
+    for (const obs::TraceSpan& span : spans) {
+      if (span.name == name) out.push_back(span);
+    }
+    return out;
+  };
+  const std::vector<obs::TraceSpan> outer = named("compact_store");
+  ASSERT_EQ(outer.size(), 1u);
+  for (const std::string& name : inner) {
+    const std::vector<obs::TraceSpan> found = named(name);
+    EXPECT_FALSE(found.empty()) << name;
+    for (const obs::TraceSpan& span : found) {
+      EXPECT_GE(span.start_ns, outer[0].start_ns) << name;
+      EXPECT_LE(span.start_ns + span.dur_ns,
+                outer[0].start_ns + outer[0].dur_ns)
+          << name;
+    }
+  }
+  obs::Trace::disable();
+  obs::Trace::clear();
+}
+
 TEST(CampaignCli, AliasesApplyBeforeEveryAxisFlag) {
   // --axis overrides an alias naming the same axis wherever it appears,
   // so both orders sweep delay 5, as --delays 5 alone does.

@@ -208,7 +208,9 @@ TEST(Encoding, EveryStrictPrefixOfARecordPayloadIsRejected) {
   trial.pixel_match = 0.25;
   trial.psnr = 31.5;
   trial.denial_reason = "firewall";
-  expect_every_prefix_rejected(encode_trial(trial), decode_trial, "trial");
+  util::ByteWriter trial_bytes;
+  encode_trial(trial, trial_bytes);
+  expect_every_prefix_rejected(trial_bytes.take(), decode_trial, "trial");
 
   campaign::CellStats cell;
   cell.index = 5;
@@ -450,6 +452,68 @@ TEST(RecordIo, AppendRecoveryOnMissingFileCreatesFresh) {
   EXPECT_EQ(rec->type, 7);
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_FALSE(reader.truncated());
+}
+
+TEST(RecordIo, BufferAndPositionalReadsMatchRecordReaderOnEveryCut) {
+  // Frames of every shape — an empty payload, a two-part append, a
+  // multi-KB body — then every truncation of the file and a flipped byte
+  // in each frame: the in-place walk must see exactly the records,
+  // truncation flag and valid prefix RecordReader sees, and a
+  // positional read of each intact frame must return its record.
+  const auto path = tmp_file("three_readers.rec");
+  const auto damaged = tmp_file("three_readers_damaged.rec");
+  {
+    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    writer.append(1, std::vector<std::uint8_t>{});
+    writer.append(2, std::vector<std::uint8_t>{1, 2, 3},
+                  std::vector<std::uint8_t>{4, 5});
+    std::vector<std::uint8_t> big(3000);
+    for (std::size_t i = 0; i < big.size(); ++i) {
+      big[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    writer.append(3, big);
+    writer.append(4, std::vector<std::uint8_t>(40, 0x44));
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  const auto expect_same = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    RecordReader stream{damaged.string()};
+    RecordBuffer buffer{damaged.string()};
+    const RecordFile file{damaged.string()};
+    std::uint64_t offset = kRecordMagic.size();
+    while (const std::optional<Record> want = stream.next()) {
+      const std::optional<RecordView> got = buffer.next();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->type, want->type);
+      EXPECT_TRUE(std::ranges::equal(got->payload, want->payload));
+      const std::optional<Record> at = file.read_at(offset);
+      ASSERT_TRUE(at.has_value());
+      EXPECT_EQ(at->type, want->type);
+      EXPECT_EQ(at->payload, want->payload);
+      offset = stream.valid_bytes();
+    }
+    EXPECT_FALSE(buffer.next().has_value());
+    EXPECT_EQ(buffer.truncated(), stream.truncated());
+    EXPECT_EQ(buffer.valid_bytes(), stream.valid_bytes());
+    if (stream.truncated()) {
+      EXPECT_FALSE(file.read_at(stream.valid_bytes()).has_value());
+    }
+  };
+  for (std::uintmax_t cut = kRecordMagic.size(); cut <= size; ++cut) {
+    std::filesystem::copy_file(
+        path, damaged, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(damaged, cut);
+    expect_same("cut at " + std::to_string(cut));
+  }
+  for (const std::uintmax_t at :
+       {std::uintmax_t{8}, std::uintmax_t{12}, std::uintmax_t{16},
+        std::uintmax_t{17}, std::uintmax_t{30}, std::uintmax_t{100},
+        std::uintmax_t{3030}, size - 1}) {
+    std::filesystem::copy_file(
+        path, damaged, std::filesystem::copy_options::overwrite_existing);
+    flip_byte_at_end(damaged, size - 1 - at);
+    expect_same("flip at " + std::to_string(at));
+  }
 }
 
 }  // namespace

@@ -12,11 +12,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <random>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace msa::persist {
 namespace {
@@ -121,13 +125,45 @@ void write_synth_store(const std::string& path, std::uint64_t cells,
   }
 }
 
+/// The bytes encode_trial appends for `t`.
+std::vector<std::uint8_t> trial_bytes(const TrialRecord& t) {
+  util::ByteWriter w;
+  encode_trial(t, w);
+  return w.take();
+}
+
+/// One completed cell and its trials, as a test writes a segment.
+struct CellInput {
+  campaign::CellStats stats;
+  std::vector<TrialRecord> trials;
+};
+
+/// write_segment over `cells` given in any order: they go in by index,
+/// each cell's trials by trial index.
+SegmentInfo write_cells(const std::string& path, std::uint32_t level,
+                        std::uint64_t sequence, const StoreManifest& identity,
+                        std::vector<CellInput> cells,
+                        const SegmentWriteOptions& options = {}) {
+  std::ranges::sort(cells, {}, [](const CellInput& c) { return c.stats.index; });
+  std::vector<campaign::CellStats> stats;
+  std::vector<std::vector<std::uint8_t>> encoded;
+  for (CellInput& cell : cells) {
+    std::ranges::sort(cell.trials, {}, &TrialRecord::trial);
+    for (const TrialRecord& t : cell.trials) encoded.push_back(trial_bytes(t));
+    stats.push_back(std::move(cell.stats));
+  }
+  const std::vector<TrialBytes> trials(encoded.begin(), encoded.end());
+  return write_segment(path, level, sequence, identity, stats, trials,
+                       options);
+}
+
 /// `cells` synthetic cells from index `first` on, as segment input.
-std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
+std::vector<CellInput> synth_segment_cells(std::uint64_t cells,
                                              std::uint32_t trials_per_cell,
                                              std::uint64_t first = 0) {
-  std::vector<SegmentCell> out;
+  std::vector<CellInput> out;
   for (std::uint64_t c = first; c < first + cells; ++c) {
-    SegmentCell cell;
+    CellInput cell;
     cell.stats = synth_stats(c, trials_per_cell);
     for (std::uint32_t t = 0; t < trials_per_cell; ++t) {
       cell.trials.push_back(synth_trial(c, t));
@@ -143,7 +179,7 @@ std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
 /// same key.
 void write_segment_store(const std::string& path,
                          const StoreManifest& manifest,
-                         std::vector<std::vector<SegmentCell>> segments) {
+                         std::vector<std::vector<CellInput>> segments) {
   { CampaignStore log{path, manifest, CampaignStore::Mode::kCreate}; }
   LevelsManifest levels;
   levels.generation = 2;
@@ -154,7 +190,7 @@ void write_segment_store(const std::string& path,
     const std::string file = segment_file_name(path, sequence);
     const std::string segment =
         (std::filesystem::path(path).parent_path() / file).string();
-    const SegmentInfo info = write_segment(segment, level, sequence, manifest,
+    const SegmentInfo info = write_cells(segment, level, sequence, manifest,
                                            std::move(segments[i]));
     levels.segments.push_back({file, level, sequence,
                                std::filesystem::file_size(segment),
@@ -166,9 +202,9 @@ void write_segment_store(const std::string& path,
 /// Two segments: `older` at level 1, then `newer` at level 0.
 void write_two_segment_store(const std::string& path,
                              const StoreManifest& manifest,
-                             std::vector<SegmentCell> older,
-                             std::vector<SegmentCell> newer) {
-  std::vector<std::vector<SegmentCell>> segments;
+                             std::vector<CellInput> older,
+                             std::vector<CellInput> newer) {
+  std::vector<std::vector<CellInput>> segments;
   segments.push_back(std::move(older));
   segments.push_back(std::move(newer));
   write_segment_store(path, manifest, std::move(segments));
@@ -227,7 +263,7 @@ TEST(Segment, RoundTripPreservesEverything) {
   const std::string path = tmp_path("roundtrip.seg");
   const StoreManifest identity = synth_manifest(10, 5);
   const SegmentInfo written =
-      write_segment(path, 2, 7, identity, synth_segment_cells(10, 5));
+      write_cells(path, 2, 7, identity, synth_segment_cells(10, 5));
   EXPECT_EQ(written.trial_count, 50u);
   EXPECT_EQ(written.cell_count, 10u);
 
@@ -270,7 +306,7 @@ TEST(Segment, SingleCellQueryReadsOneBlockOfMany) {
   const std::string path = tmp_path("blocks.seg");
   SegmentWriteOptions options;
   options.block_bytes = 512;  // force many small blocks
-  write_segment(path, 0, 1, synth_manifest(64, 8), synth_segment_cells(64, 8),
+  write_cells(path, 0, 1, synth_manifest(64, 8), synth_segment_cells(64, 8),
                 options);
 
   const SegmentReader reader{path};
@@ -292,7 +328,7 @@ TEST(Segment, TruncationAnywhereIsRejectedNotMisread) {
   const std::string path = tmp_path("torn.seg");
   SegmentWriteOptions options;
   options.block_bytes = 512;
-  write_segment(path, 0, 1, synth_manifest(32, 6), synth_segment_cells(32, 6),
+  write_cells(path, 0, 1, synth_manifest(32, 6), synth_segment_cells(32, 6),
                 options);
   const std::uint64_t size = std::filesystem::file_size(path);
 
@@ -367,7 +403,7 @@ TEST(Segment, HugeIndexAndSidecarCountsAreRejected) {
   // Counts far beyond the payload once reached reserve() and surfaced as
   // std::length_error or std::bad_alloc; both are malformed input.
   const std::string segment = tmp_path("huge_count.seg");
-  write_segment(segment, 0, 1, synth_manifest(4, 2), synth_segment_cells(4, 2));
+  write_cells(segment, 0, 1, synth_manifest(4, 2), synth_segment_cells(4, 2));
   const std::string store = tmp_path("huge_count.store");
   write_synth_store(store, 4, 2);
   ASSERT_GT(compact_store(store).segments_live, 0u);
@@ -563,7 +599,7 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   std::map<std::uint64_t, campaign::CellStats> want_cells;
   const auto cell = [&](std::uint64_t c, std::uint32_t first,
                         std::uint32_t last, int generation) {
-    SegmentCell out;
+    CellInput out;
     for (std::uint32_t t = first; t < last; ++t) {
       out.trials.push_back(generation_trial(c, t, generation));
       want_trials[{c, t}] = out.trials.back();
@@ -573,15 +609,15 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
     want_cells[c] = out.stats;
     return out;
   };
-  std::vector<SegmentCell> older;
+  std::vector<CellInput> older;
   for (std::uint64_t c = 0; c < 40; ++c) older.push_back(cell(c, 0, 6, 0));
   // The newer segment rewrites trials 2..4 of cells 5..14.
-  std::vector<SegmentCell> newer;
+  std::vector<CellInput> newer;
   for (std::uint64_t c = 5; c < 15; ++c) newer.push_back(cell(c, 2, 5, 1));
   write_two_segment_store(path, manifest, std::move(older), std::move(newer));
   {  // the log tail rewrites cells 10..19 on top — cell 12 twice
     CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
-    const auto write = [&](const SegmentCell& rewrite) {
+    const auto write = [&](const CellInput& rewrite) {
       for (const TrialRecord& t : rewrite.trials) store.append_trial(t);
       store.complete_cell(rewrite.stats);
     };
@@ -643,7 +679,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     // Trials [first, last) of cell `c`, as one write of `generation`.
     const auto make_cell = [&](std::uint64_t c, std::uint32_t first,
                                std::uint32_t last) {
-      SegmentCell out;
+      CellInput out;
       for (std::uint32_t t = first; t < last; ++t) {
         out.trials.push_back(generation_trial(c, t, generation));
       }
@@ -651,7 +687,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       out.stats.mean_psnr_db += 1000.0 * generation;
       return out;
     };
-    const auto replay = [&](const SegmentCell& cell, bool completes) {
+    const auto replay = [&](const CellInput& cell, bool completes) {
       for (const TrialRecord& t : cell.trials) want_trials[t.key()] = t;
       if (completes) want_cells[cell.stats.index] = cell.stats;
     };
@@ -663,8 +699,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       return make_cell(c, first, last);
     };
 
-    std::vector<std::vector<SegmentCell>> segments(uniform(1, 3));
-    for (std::vector<SegmentCell>& segment : segments) {
+    std::vector<std::vector<CellInput>> segments(uniform(1, 3));
+    for (std::vector<CellInput>& segment : segments) {
       ++generation;
       for (std::uint64_t c = 0; c < kCells; ++c) {
         if (uniform(0, 2) == 0) continue;  // a cell per segment, or none
@@ -679,7 +715,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
         ++generation;
         // Cells >= kCells - 4 never complete: their trials are orphans.
         const std::uint64_t c = uniform(0, kCells - 1);
-        const SegmentCell cell = random_cell(c);
+        const CellInput cell = random_cell(c);
         // Trials stream in any order; a cell's own writes stay distinct.
         std::vector<TrialRecord> order = cell.trials;
         std::shuffle(order.begin(), order.end(), rng);
@@ -705,7 +741,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       }
       ASSERT_EQ(got.size(), want.size()) << view << " round " << round;
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(encode_trial(got[i]), encode_trial(want[i]))
+        EXPECT_EQ(trial_bytes(got[i]), trial_bytes(want[i]))
             << view << " round " << round << " record " << i;
       }
     };
@@ -780,7 +816,7 @@ TEST(SegmentMerge, FlatAndCompactedStoresOf1e5TrialsGiveEqualStats) {
   ASSERT_EQ(a.trials.size(), 100000u);
   ASSERT_EQ(b.trials.size(), a.trials.size());
   for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    ASSERT_EQ(encode_trial(a.trials[i]), encode_trial(b.trials[i])) << i;
+    ASSERT_EQ(trial_bytes(a.trials[i]), trial_bytes(b.trials[i])) << i;
   }
   EXPECT_EQ(stats_bytes(compacted), stats_bytes(flat));
   const CellFilter filter{{CellFilter::parse_clause("defense=alpha,zeta"),
@@ -801,6 +837,173 @@ TEST(Segment, FreshCreateRefusesStaleSidecar) {
   CampaignStore store{path, synth_manifest(8, 2),
                       CampaignStore::Mode::kCreateOrResume};
   EXPECT_EQ(store.completed_count(), 0u);
+}
+
+
+/// CRC-32 of the file at `path` (zlib's crc32, as the CI drill computes).
+std::uint32_t file_crc(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  EXPECT_TRUE(in.is_open()) << path;
+  const std::string bytes{std::istreambuf_iterator<char>{in}, {}};
+  return util::crc32(std::string_view{bytes});
+}
+
+/// The three files a compaction leaves, by CRC-32: the segment it wrote,
+/// the `.levels` sidecar naming it, and the trimmed log.
+struct CompactedCrcs {
+  std::uint32_t segment = 0;
+  std::uint32_t levels = 0;
+  std::uint32_t log = 0;
+};
+
+CompactedCrcs compacted_crcs(const std::string& store) {
+  const std::optional<LevelsManifest> levels = read_levels_manifest(store);
+  EXPECT_TRUE(levels.has_value() && levels->segments.size() == 1u);
+  if (!levels.has_value() || levels->segments.size() != 1u) return {};
+  return {file_crc(segment_path(store, levels->segments[0])),
+          file_crc(levels_manifest_path(store)), file_crc(store)};
+}
+
+/// A fresh directory for a store whose file names are pinned: segment
+/// file names embed the store's, and the sidecar names the segment.
+std::filesystem::path pinned_dir(const char* name) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "msa_segment_tests" / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(Segment, CompactedBytesArePinned) {
+  {  // The golden store, compacted as a copy that keeps its file name.
+    // The pins live in tests/data/golden_4axis.compacted.crc, which
+    // scripts/ci_compact_sweep.sh checks its own compacted copy against.
+    const std::string data = MSA_TEST_DATA_DIR;
+    const std::string store =
+        (pinned_dir("golden") / "golden_4axis.store").string();
+    std::filesystem::copy_file(data + "/golden_4axis.store", store);
+    ASSERT_EQ(compact_store(store).segments_written, 1u);
+    const CompactedCrcs got = compacted_crcs(store);
+
+    std::ifstream pins{data + "/golden_4axis.compacted.crc"};
+    ASSERT_TRUE(pins.is_open());
+    std::map<std::string, std::uint32_t> want;
+    for (std::string line; std::getline(pins, line);) {
+      if (line.empty() || line.front() == '#') continue;
+      std::istringstream fields{line};
+      std::string file;
+      std::string crc;
+      fields >> file >> crc;
+      want[file] = static_cast<std::uint32_t>(std::stoul(crc, nullptr, 16));
+    }
+    ASSERT_EQ(want.size(), 3u);
+    EXPECT_EQ(got.segment, want["golden_4axis.store.g000001.seg"]);
+    EXPECT_EQ(got.levels, want["golden_4axis.store.levels"]);
+    EXPECT_EQ(got.log, want["golden_4axis.store"]);
+  }
+
+  // A segment of several blocks, its cells' key order not their index
+  // order, with a log tail on top that rewrites trials and cells (cell
+  // 3 twice), streams a resume's duplicates and the orphan trials of
+  // cells that never complete, and carries one unknown record type.
+  const std::string store = (pinned_dir("built") / "built.store").string();
+  const StoreManifest manifest = scrambled_manifest(4);
+  const auto stats = [&](std::uint64_t c, int generation) {
+    campaign::CellStats out = synth_stats(c, 4);
+    out.coords = scrambled_coords(manifest, c);
+    out.mean_psnr_db += 1000.0 * generation;
+    return out;
+  };
+  {
+    CampaignStore log{store, manifest, CampaignStore::Mode::kCreate};
+    for (std::uint64_t c = 0; c < 996; ++c) {
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        log.append_trial(synth_trial(c, t));
+      }
+      log.complete_cell(stats(c, 0));
+    }
+  }
+  ASSERT_EQ(compact_store(store).segments_written, 1u);
+  {
+    CampaignStore log{store, manifest, CampaignStore::Mode::kResume};
+    const auto rewrite = [&](std::uint64_t c, std::uint32_t first,
+                             std::uint32_t last, int generation) {
+      for (std::uint32_t t = first; t < last; ++t) {
+        log.append_trial(generation_trial(c, t, generation));
+      }
+      log.complete_cell(stats(c, generation));
+    };
+    rewrite(3, 0, 4, 1);
+    rewrite(9, 1, 3, 1);
+    rewrite(3, 2, 4, 2);
+    for (std::uint32_t t = 0; t < 4; ++t) {  // a resume's duplicates
+      log.append_trial(synth_trial(996, t));
+      log.append_trial(synth_trial(996, t));
+    }
+    log.complete_cell(stats(996, 0));
+    for (std::uint32_t t = 0; t < 3; ++t) {  // orphans
+      log.append_trial(synth_trial(998, t));
+      log.append_trial(synth_trial(999, t));
+    }
+  }
+  {
+    RecordWriter log{store, RecordWriter::Mode::kAppendRecover};
+    const std::vector<std::uint8_t> future = {0x01, 0x80, 0xfe};
+    log.append(0x6d, future);
+  }
+  const std::optional<LevelsManifest> first = read_levels_manifest(store);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_GE(SegmentReader{segment_path(store, first->segments[0])}
+                .trial_block_count(),
+            3u);
+  const CompactionResult result = compact_store(store);
+  EXPECT_EQ(result.segments_written, 1u);
+  EXPECT_EQ(result.trials_dropped, 4u + 2u + 2u + 4u + 6u);
+  EXPECT_EQ(result.cells_dropped, 3u);
+  const CompactedCrcs got = compacted_crcs(store);
+  EXPECT_EQ(got.segment, 0x4a22dd1au);
+  EXPECT_EQ(got.levels, 0x7fe4b00fu);
+  EXPECT_EQ(got.log, 0x7ad7b2d2u);
+}
+
+TEST(Segment, CompactionReencodesNonCanonicalLogTrials) {
+  // A trial payload with trailing bytes after its last field, under a
+  // valid CRC: it decodes, and compaction writes the canonical encoding
+  // of what it decoded, never the stored bytes.
+  const std::string store = tmp_path("trailing.store");
+  const StoreManifest manifest = synth_manifest(2, 2);
+  {
+    RecordWriter log{store, RecordWriter::Mode::kTruncate};
+    log.append(kRecManifest, encode_store_manifest(manifest));
+    for (std::uint64_t c = 0; c < 2; ++c) {
+      for (std::uint32_t t = 0; t < 2; ++t) {
+        std::vector<std::uint8_t> payload = trial_bytes(synth_trial(c, t));
+        if (c == 1 && t == 0) payload.insert(payload.end(), {0xde, 0xad});
+        log.append(kRecTrial, payload);
+      }
+      log.append(kRecCell, encode_cell(synth_stats(c, 2)));
+    }
+  }
+  ASSERT_EQ(compact_store(store).segments_written, 1u);
+
+  const std::optional<LevelsManifest> levels = read_levels_manifest(store);
+  ASSERT_TRUE(levels.has_value());
+  const SegmentReader segment{segment_path(store, levels->segments[0])};
+  std::vector<std::vector<std::uint8_t>> blobs;
+  for (std::size_t b = 0; b < segment.trial_block_count(); ++b) {
+    for (const SegmentReader::TrialGroup& group :
+         segment.read_trial_block(b).groups) {
+      util::ByteReader r{group.trials};
+      for (std::uint64_t i = 0; i < group.count; ++i) {
+        const std::span<const std::uint8_t> blob = r.blob();
+        blobs.emplace_back(blob.begin(), blob.end());
+      }
+    }
+  }
+  ASSERT_EQ(blobs.size(), 4u);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(blobs[i], trial_bytes(synth_trial(i / 2, i % 2))) << i;
+  }
 }
 
 }  // namespace
