@@ -3,8 +3,9 @@
 # processes lease cells from one shared store directory, one of them is
 # SIGKILLed mid-sweep, and the survivors must finish the whole grid with
 # the merged report byte-identical to an uninterrupted single-process
-# run. Also smoke-tests the `stats` and `compact` subcommands over the
-# surviving stores (compaction must not change the merged report), and
+# run. Also checks the `stats` CSV over the surviving stores against the
+# single-process run's store, smoke-tests `stats` and `compact` over
+# them (compaction must not change the merged report), and
 # the observability surface: one survivor runs with --trace-out and the
 # exported Chrome trace must strict-parse with the complete-event schema
 # (copied to ./trace_lease_sweep.json for artifact upload), and a
@@ -26,9 +27,10 @@ common=(--trials 30 --delays 0,5,60 --quiet)
 # job timeout.
 lease=(--workers-dir "$tmp/wd" --expiry-scans 8 --idle-backoff-ms 50)
 
-# Golden: one process, whole grid.
+# Golden: one process, whole grid, with its own store for the stats
+# comparison below.
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" --threads 2 \
-  --csv "$tmp/single.csv" --json "$tmp/single.json"
+  --store "$tmp/single.store" --csv "$tmp/single.csv" --json "$tmp/single.json"
 
 # Three workers race the same grid; the victim starts first so it holds
 # claims when the kill lands. NO `timeout` wrapper here: $! must be the
@@ -90,6 +92,13 @@ timeout "$SWEEP_TIMEOUT" "$BIN" stats --workers-dir "$tmp/wd" \
   > "$tmp/stats.txt"
 grep -q "per-cell distributions" "$tmp/stats.txt"
 grep -q "per-axis marginals" "$tmp/stats.txt"
+# The CSV carries no orphan count, so the kill's duplicates and orphans
+# must not move a byte of it against the single-process store's.
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/single.store" \
+  > "$tmp/single_stats.csv"
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv --workers-dir "$tmp/wd" \
+  > "$tmp/wd_stats.csv"
+cmp "$tmp/single_stats.csv" "$tmp/wd_stats.csv"
 
 # Structured emitters stay parseable even over the kill's leftovers
 # (orphan trials, duplicated cells), and diffing the directory against

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -44,54 +46,124 @@ std::vector<std::string> schema_of(const StatsReport& r) {
   return axes;
 }
 
-/// Projects a cell onto the shared axes, in shared order. A cell missing
-/// one of them means the store mixes schemas — alignment is impossible.
-AxisKey project(const CellDistribution& c,
-                const std::vector<std::string>& shared, const char* side) {
-  AxisKey key;
-  key.coords.reserve(shared.size());
-  for (const std::string& axis : shared) {
-    const AxisValue* v = find_coord(c.coords, axis);
-    if (v == nullptr) {
-      throw std::runtime_error(std::string("diff: sweep ") + side + " cell " +
-                               std::to_string(c.index) + " lacks axis '" +
-                               axis + "' (store mixes schemas?)");
-    }
-    key.coords.push_back({axis, *v});
+/// Three-way order of two projected keys, value by value: AxisKey's
+/// order, whose axis names always agree here (both keys follow the
+/// shared-axis order).
+int compare_keys(std::span<const AxisValue* const> a,
+                 std::span<const AxisValue* const> b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(*a[i] == *b[i])) return *a[i] < *b[i] ? -1 : (*b[i] < *a[i] ? 1 : 0);
   }
-  return key;
+  return 0;
 }
 
-/// Cells keyed by their shared-axis values; a duplicate key makes the
-/// cross-sweep pairing ambiguous and is rejected outright. Non-finite
-/// numeric axis values are rejected too — the CLI no longer produces
-/// them, but a store written by an older binary can still carry them,
-/// and a NaN key would break the map's strict weak ordering.
-std::map<AxisKey, const CellDistribution*> index_cells(
-    const StatsReport& r, const char* side,
-    const std::vector<std::string>& shared) {
-  std::map<AxisKey, const CellDistribution*> out;
-  for (const CellDistribution& c : r.cells) {
+/// One side's cells projected once onto the shared axes: each cell's
+/// values in shared-axis order, pointing into the report, and the cells
+/// sorted by that key — what the merge-join pairing walks.
+class Projection {
+ public:
+  /// Rejects what would make the pairing ambiguous or unorderable, in
+  /// cell order, with the first fault by cell position winning: a
+  /// non-finite numeric axis value (the CLI no longer produces them, but
+  /// a store written by an older binary can still carry them), a cell
+  /// lacking a shared axis (the store mixes schemas), and a second cell
+  /// with the same projected key.
+  Projection(const StatsReport& r, const char* side,
+             const std::vector<std::string>& shared)
+      : shared_{shared} {
+    std::string fault;  // the first bad cell's error; cells before it
+                        // are projected, so an earlier duplicate wins
+    for (const CellDistribution& c : r.cells) {
+      fault = check(c, side);
+      if (!fault.empty()) break;
+      cells_.push_back(&c);
+    }
+    order_.resize(cells_.size());
+    for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::ranges::sort(order_, [&](std::size_t x, std::size_t y) {
+      const int c = compare_keys(key(x), key(y));
+      return c != 0 ? c < 0 : x < y;
+    });
+    // The duplicate reported is the earliest cell, by position, whose
+    // key an earlier cell holds, named by the holder's key: the first of
+    // its group, as equal keys sort by cell position.
+    std::optional<std::pair<std::size_t, std::size_t>> duplicate;  // (cell,
+                                                                   // holder)
+    for (std::size_t i = 1, group = 0; i < order_.size(); ++i) {
+      if (compare_keys(key(order_[i - 1]), key(order_[i])) != 0) {
+        group = i;
+      } else if (!duplicate || order_[i] < duplicate->first) {
+        duplicate = {order_[i], order_[group]};
+      }
+    }
+    if (duplicate) {
+      throw std::runtime_error(
+          std::string("diff: sweep ") + side +
+          " has two cells with the same axis values (" +
+          axis_key(duplicate->second).label() +
+          ") — alignment by axis is ambiguous");
+    }
+    if (!fault.empty()) throw std::runtime_error(fault);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  /// The cell at sorted position `i`.
+  [[nodiscard]] const CellDistribution& cell(std::size_t i) const {
+    return *cells_[order_[i]];
+  }
+  /// Compares sorted position `i` here with sorted position `j` there.
+  [[nodiscard]] int compare(std::size_t i, const Projection& other,
+                            std::size_t j) const {
+    return compare_keys(key(order_[i]), other.key(other.order_[j]));
+  }
+  /// The key of sorted position `i`, as CellDelta carries it.
+  [[nodiscard]] AxisKey key_at(std::size_t i) const {
+    return axis_key(order_[i]);
+  }
+
+ private:
+  /// "" when cell `c` can be projected, else the error to throw.
+  std::string check(const CellDistribution& c, const char* side) {
     for (const AxisCoordinate& coord : c.coords) {
       if (coord.value.kind == AxisKind::kDouble &&
           !std::isfinite(coord.value.num)) {
-        throw std::runtime_error(
-            std::string("diff: sweep ") + side + " cell " +
-            std::to_string(c.index) +
-            " has a non-finite axis value (store written by a pre-validation "
-            "tool?) — axis alignment needs finite coordinates");
+        return std::string("diff: sweep ") + side + " cell " +
+               std::to_string(c.index) +
+               " has a non-finite axis value (store written by a "
+               "pre-validation tool?) — axis alignment needs finite "
+               "coordinates";
       }
     }
-    const auto [it, inserted] = out.emplace(project(c, shared, side), &c);
-    if (!inserted) {
-      throw std::runtime_error(
-          std::string("diff: sweep ") + side +
-          " has two cells with the same axis values (" + it->first.label() +
-          ") — alignment by axis is ambiguous");
+    const std::size_t row = values_.size();
+    for (const std::string& axis : shared_) {
+      const AxisValue* v = find_coord(c.coords, axis);
+      if (v == nullptr) {
+        values_.resize(row);
+        return std::string("diff: sweep ") + side + " cell " +
+               std::to_string(c.index) + " lacks axis '" + axis +
+               "' (store mixes schemas?)";
+      }
+      values_.push_back(v);
     }
+    return {};
   }
-  return out;
-}
+  [[nodiscard]] std::span<const AxisValue* const> key(std::size_t cell) const {
+    return std::span{values_}.subspan(cell * shared_.size(), shared_.size());
+  }
+  [[nodiscard]] AxisKey axis_key(std::size_t cell) const {
+    AxisKey out;
+    out.coords.reserve(shared_.size());
+    for (std::size_t a = 0; a < shared_.size(); ++a) {
+      out.coords.push_back({shared_[a], *key(cell)[a]});
+    }
+    return out;
+  }
+
+  const std::vector<std::string>& shared_;
+  std::vector<const CellDistribution*> cells_;  ///< in report order
+  std::vector<const AxisValue*> values_;  ///< cells_ x shared_ axes
+  std::vector<std::size_t> order_;  ///< cells_ positions by ascending key
+};
 
 std::map<std::pair<std::string, std::string>, const AxisMarginal*>
 index_marginals(const StatsReport& r, const char* side) {
@@ -218,45 +290,54 @@ DiffReport diff_sweeps(const StatsReport& a, const StatsReport& b) {
     out.only_in_a = a.cells;
     out.only_in_b = b.cells;
   } else {
-    const auto cells_a = index_cells(a, "A", out.shared_axes);
-    const auto cells_b = index_cells(b, "B", out.shared_axes);
-    for (const auto& [key, ca] : cells_a) {
-      const auto it = cells_b.find(key);
-      if (it == cells_b.end()) {
-        out.only_in_a.push_back(*ca);
+    // Both sides sorted by key once, then paired in one merge-join walk.
+    const Projection cells_a{a, "A", out.shared_axes};
+    const Projection cells_b{b, "B", out.shared_axes};
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < cells_a.size() || j < cells_b.size()) {
+      const int order = i == cells_a.size()   ? 1
+                        : j == cells_b.size() ? -1
+                                              : cells_a.compare(i, cells_b, j);
+      if (order < 0) {
+        out.only_in_a.push_back(cells_a.cell(i++));
         continue;
       }
-      const CellDistribution& cb = *it->second;
+      if (order > 0) {
+        out.only_in_b.push_back(cells_b.cell(j++));
+        continue;
+      }
+      const CellDistribution& ca = cells_a.cell(i);
+      const CellDistribution& cb = cells_b.cell(j);
 
       CellDelta d;
-      d.key = key;
-      d.index_a = ca->index;
+      d.key = cells_a.key_at(i);
+      d.index_a = ca.index;
       d.index_b = cb.index;
-      d.trials_a = ca->trials;
+      d.trials_a = ca.trials;
       d.trials_b = cb.trials;
-      d.successes_a = ca->successes;
+      d.successes_a = ca.successes;
       d.successes_b = cb.successes;
-      d.denials_a = ca->denials;
+      d.denials_a = ca.denials;
       d.denials_b = cb.denials;
-      d.success_rate_a = ca->success_rate;
+      d.success_rate_a = ca.success_rate;
       d.success_rate_b = cb.success_rate;
-      d.success_delta = cb.success_rate - ca->success_rate;
-      d.success_delta_ci = newcombe_interval(ca->successes, ca->trials,
-                                             cb.successes, cb.trials);
+      d.success_delta = cb.success_rate - ca.success_rate;
+      d.success_delta_ci =
+          newcombe_interval(ca.successes, ca.trials, cb.successes, cb.trials);
       d.significant = d.success_delta_ci.excludes_zero();
-      d.p_value = newcombe_p_value(ca->successes, ca->trials, cb.successes,
-                                   cb.trials);
-      d.denial_rate_a = rate(ca->denials, ca->trials);
+      d.p_value =
+          newcombe_p_value(ca.successes, ca.trials, cb.successes, cb.trials);
+      d.denial_rate_a = rate(ca.denials, ca.trials);
       d.denial_rate_b = rate(cb.denials, cb.trials);
       d.denial_delta = d.denial_rate_b - d.denial_rate_a;
-      d.p50_shift = cb.p50_psnr - ca->p50_psnr;
-      d.p90_shift = cb.p90_psnr - ca->p90_psnr;
-      d.p99_shift = cb.p99_psnr - ca->p99_psnr;
+      d.p50_shift = cb.p50_psnr - ca.p50_psnr;
+      d.p90_shift = cb.p90_psnr - ca.p90_psnr;
+      d.p99_shift = cb.p99_psnr - ca.p99_psnr;
       if (d.significant) ++out.significant_cells;
       out.cells.push_back(std::move(d));
-    }
-    for (const auto& [key, cb] : cells_b) {
-      if (!cells_a.contains(key)) out.only_in_b.push_back(*cb);
+      ++i;
+      ++j;
     }
   }
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "attack/scenario.h"
 #include "campaign/table.h"
 #include "obs/trace.h"
+#include "persist/store_reader.h"
 
 namespace msa::campaign {
 
@@ -53,14 +54,6 @@ void check_sweep_order(const persist::SweepData& data) {
         "duplicates)");
   }
 }
-
-struct MarginalAccumulator {
-  std::size_t trials = 0;
-  std::size_t successes = 0;
-  std::size_t denials = 0;
-  double psnr_sum = 0.0;
-  std::size_t order = 0;  ///< first-appearance rank, for stable output
-};
 
 }  // namespace
 
@@ -118,86 +111,61 @@ Percentiles select_percentiles(std::vector<double>& sample) {
   return {p50, p90, select(99.0)};
 }
 
-StatsReport analyze_sweep(const persist::SweepData& data) {
-  TRACE_SPAN("campaign", "analyze_sweep");
-  check_sweep_order(data);
-  StatsReport report;
-  std::map<std::pair<std::string, std::string>, MarginalAccumulator> marginals;
-  auto marginal = [&](const std::string& axis,
-                      const std::string& value) -> MarginalAccumulator& {
-    const auto [it, inserted] =
-        marginals.try_emplace({axis, value}, MarginalAccumulator{});
-    if (inserted) it->second.order = marginals.size() - 1;
-    return it->second;
-  };
-  std::vector<std::string> axis_order;  // first-appearance axis order
-
-  // Both streams ascend, so each completed cell's trials are one
-  // contiguous run; trials between runs belong to no completed cell.
-  report.cells.reserve(data.cells.size());
-  auto next = data.trials.begin();
-  std::vector<double> psnrs;
-  for (const CellStats& cell : data.cells) {
-    const auto first = std::find_if(next, data.trials.end(), [&](const auto& t) {
-      return t.cell_index >= cell.index;
-    });
-    const auto last = std::find_if(first, data.trials.end(), [&](const auto& t) {
-      return t.cell_index != cell.index;
-    });
-    report.orphan_trials += static_cast<std::size_t>(first - next);
-    next = last;
-    if (first == last) {
-      throw std::runtime_error(
-          "stats: completed cell " + std::to_string(cell.index) +
-          " has no trial records (incompatible or hand-edited store)");
-    }
-
-    CellDistribution dist;
-    dist.index = cell.index;
-    dist.coords = cell.coords;
-    dist.trials = static_cast<std::size_t>(last - first);
-    report.trials_analyzed += dist.trials;
-
-    psnrs.clear();
-    double psnr_sum = 0.0;
-    for (auto t = first; t != last; ++t) {
-      if (trial_full_success(*t)) ++dist.successes;
-      if (t->denied) ++dist.denials;
-      psnrs.push_back(t->psnr);
-      psnr_sum += t->psnr;
-    }
-    const Percentiles psnr = select_percentiles(psnrs);
-    dist.p50_psnr = psnr.p50;
-    dist.p90_psnr = psnr.p90;
-    dist.p99_psnr = psnr.p99;
-    dist.success_rate =
-        static_cast<double>(dist.successes) / static_cast<double>(dist.trials);
-    dist.success_ci = wilson_interval(dist.successes, dist.trials);
-
-    for (const AxisCoordinate& coord : cell.coords) {
-      if (std::find(axis_order.begin(), axis_order.end(), coord.axis) ==
-          axis_order.end()) {
-        axis_order.push_back(coord.axis);
-      }
-      MarginalAccumulator& acc = marginal(coord.axis, coord.value.label());
-      acc.trials += dist.trials;
-      acc.successes += dist.successes;
-      acc.denials += dist.denials;
-      acc.psnr_sum += psnr_sum;
-    }
-
-    report.cells.push_back(std::move(dist));
+void StatsBuilder::add_cell(const CellStats& cell,
+                            std::span<const persist::TrialRecord> trials) {
+  if (trials.empty()) {
+    throw std::runtime_error(
+        "stats: completed cell " + std::to_string(cell.index) +
+        " has no trial records (incompatible or hand-edited store)");
   }
-  report.orphan_trials += static_cast<std::size_t>(data.trials.end() - next);
+  CellDistribution dist;
+  dist.index = cell.index;
+  dist.coords = cell.coords;
+  dist.trials = trials.size();
+  report_.trials_analyzed += dist.trials;
 
+  psnrs_.clear();
+  double psnr_sum = 0.0;
+  for (const persist::TrialRecord& t : trials) {
+    if (trial_full_success(t)) ++dist.successes;
+    if (t.denied) ++dist.denials;
+    psnrs_.push_back(t.psnr);
+    psnr_sum += t.psnr;
+  }
+  const Percentiles psnr = select_percentiles(psnrs_);
+  dist.p50_psnr = psnr.p50;
+  dist.p90_psnr = psnr.p90;
+  dist.p99_psnr = psnr.p99;
+  dist.success_rate =
+      static_cast<double>(dist.successes) / static_cast<double>(dist.trials);
+  dist.success_ci = wilson_interval(dist.successes, dist.trials);
+
+  for (const AxisCoordinate& coord : cell.coords) {
+    if (std::find(axis_order_.begin(), axis_order_.end(), coord.axis) ==
+        axis_order_.end()) {
+      axis_order_.push_back(coord.axis);
+    }
+    const auto [it, inserted] =
+        marginals_.try_emplace({coord.axis, coord.value.label()});
+    Marginal& acc = it->second;
+    if (inserted) acc.order = marginals_.size() - 1;
+    acc.trials += dist.trials;
+    acc.successes += dist.successes;
+    acc.denials += dist.denials;
+    acc.psnr_sum += psnr_sum;
+  }
+
+  report_.cells.push_back(std::move(dist));
+}
+
+StatsReport StatsBuilder::finish() && {
   // Axis blocks in schema order (first appearance across cells — every
   // cell of one sweep shares the schema); values by first appearance
   // (== grid order, since cells ascend by index).
-  for (const std::string& axis : axis_order) {
-    std::vector<
-        std::pair<std::size_t, std::pair<std::string, MarginalAccumulator>>>
+  for (const std::string& axis : axis_order_) {
+    std::vector<std::pair<std::size_t, std::pair<std::string, Marginal>>>
         entries;
-    for (const auto& [key, acc] : marginals) {
+    for (const auto& [key, acc] : marginals_) {
       if (key.first != axis) continue;
       entries.push_back({acc.order, {key.second, acc}});
     }
@@ -219,11 +187,51 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
       m.mean_psnr = acc.trials == 0
                         ? 0.0
                         : acc.psnr_sum / static_cast<double>(acc.trials);
-      report.marginals.push_back(std::move(m));
+      report_.marginals.push_back(std::move(m));
     }
   }
+  return std::move(report_);
+}
 
-  return report;
+StatsReport analyze_sweep(const persist::SweepData& data) {
+  TRACE_SPAN("campaign", "analyze_sweep");
+  check_sweep_order(data);
+  // Both streams ascend, so each completed cell's trials are one
+  // contiguous run; trials between runs belong to no completed cell.
+  StatsBuilder builder;
+  const std::span<const persist::TrialRecord> trials{data.trials};
+  auto next = trials.begin();
+  for (const CellStats& cell : data.cells) {
+    const auto first = std::find_if(next, trials.end(), [&](const auto& t) {
+      return t.cell_index >= cell.index;
+    });
+    const auto last = std::find_if(first, trials.end(), [&](const auto& t) {
+      return t.cell_index != cell.index;
+    });
+    builder.add_orphans(static_cast<std::size_t>(first - next));
+    builder.add_cell(cell, {first, last});
+    next = last;
+  }
+  builder.add_orphans(static_cast<std::size_t>(trials.end() - next));
+  return std::move(builder).finish();
+}
+
+SweepAnalysis analyze_stores(const std::vector<std::string>& paths,
+                             const persist::CellFilter& filter) {
+  TRACE_SPAN("campaign", "analyze_sweep");
+  persist::SweepWalk walk{paths, filter};
+  StatsBuilder builder;
+  {
+    TRACE_SPAN("persist", "walk_sweep");
+    while (const std::optional<persist::CellTrials> cell = walk.next()) {
+      if (cell->stats == nullptr) {
+        builder.add_orphans(cell->trials.size());
+      } else {
+        builder.add_cell(*cell->stats, cell->trials);
+      }
+    }
+  }
+  return {std::move(builder).finish(), walk.info()};
 }
 
 namespace {

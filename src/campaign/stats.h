@@ -1,5 +1,5 @@
 // Store-backed sweep analysis: distributional statistics computed from
-// the per-trial record stream (persist::load_sweep), not
+// the per-trial record stream (persist::SweepWalk), not
 // from the per-cell means the report carries. This is the `campaign_sweep
 // stats` subcommand's engine — percentiles need every trial, which only
 // the store has. All output is deterministic: cells ascend by global
@@ -9,7 +9,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "persist/campaign_store.h"
@@ -97,6 +100,37 @@ struct StatsReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Builds a StatsReport one cell at a time, cells ascending by index —
+/// the per-cell body of every analysis, so a sweep can be analyzed
+/// straight off a store walk without collecting its trial stream.
+class StatsBuilder {
+ public:
+  /// Folds one completed cell's trials, ascending by trial, into its
+  /// distribution and the marginals. Throws std::runtime_error when
+  /// there are none (a store written by a pre-trial-stream tool).
+  void add_cell(const CellStats& cell,
+                std::span<const persist::TrialRecord> trials);
+  /// Counts trial records whose cell never completed.
+  void add_orphans(std::size_t trials) noexcept {
+    report_.orphan_trials += trials;
+  }
+  /// The report, marginals in axis-schema then first-appearance order.
+  [[nodiscard]] StatsReport finish() &&;
+
+ private:
+  struct Marginal {
+    std::size_t trials = 0;
+    std::size_t successes = 0;
+    std::size_t denials = 0;
+    double psnr_sum = 0.0;
+    std::size_t order = 0;  ///< first-appearance rank, for stable output
+  };
+  StatsReport report_;
+  std::map<std::pair<std::string, std::string>, Marginal> marginals_;
+  std::vector<std::string> axis_order_;  ///< first-appearance axis order
+  std::vector<double> psnrs_;            ///< one cell's sample, reused
+};
+
 /// Computes the report from loaded store data in one pass. Only completed
 /// cells are analyzed; their trial streams are complete by the store's
 /// durability contract. Requires the order load_sweep produces — cells
@@ -105,5 +139,19 @@ struct StatsReport {
 /// out of order. Throws std::runtime_error when a completed cell has no
 /// trial records at all (a store written by a pre-trial-stream tool).
 [[nodiscard]] StatsReport analyze_sweep(const persist::SweepData& data);
+
+/// A sweep analyzed straight off its stores, and what the walk learned
+/// about them (identity, torn tails).
+struct SweepAnalysis {
+  StatsReport report;
+  persist::SweepInfo info;
+};
+
+/// analyze_sweep(load_sweep(paths, filter)), byte for byte, with each
+/// cell's merged trials fed from a persist::SweepWalk into one
+/// StatsBuilder: one cell's trials are held at a time, never the whole
+/// stream. Throws what load_sweep and analyze_sweep throw.
+[[nodiscard]] SweepAnalysis analyze_stores(
+    const std::vector<std::string>& paths, const persist::CellFilter& filter);
 
 }  // namespace msa::campaign

@@ -389,11 +389,12 @@ int stats_main(const char* argv0, Args args) {
     }
     start_trace(trace_out);
     try {
-      const persist::SweepData data =
-          workers_dir.empty() ? persist::load_sweep(stores, filter)
-                              : persist::load_sweep_path(workers_dir, filter);
-      print_report(campaign::analyze_sweep(data), format);
-      if (data.truncated_tail) warn_torn_tail("a store");
+      const campaign::SweepAnalysis analysis = campaign::analyze_stores(
+          workers_dir.empty() ? stores
+                              : persist::sweep_store_paths(workers_dir),
+          filter);
+      print_report(analysis.report, format);
+      if (analysis.info.truncated_tail) warn_torn_tail("a store");
     } catch (const std::exception& e) {
       std::fprintf(stderr, "stats failed: %s\n", e.what());
       return 1;
@@ -459,28 +460,24 @@ int diff_main(const char* argv0, Args args) {
     start_trace(trace_out);
     int rc = 0;
     try {
-      // One side's trial stream in memory at a time: only its analysis,
-      // fingerprint and torn-tail flag outlive the load.
-      struct Side {
-        campaign::StatsReport stats;
-        std::uint64_t fingerprint = 0;
-        bool truncated_tail = false;
-      };
+      // Each side is analyzed straight off its stores, one cell's trials
+      // in memory at a time.
       const auto analyze = [&filter](const std::string& path) {
-        const persist::SweepData data = persist::load_sweep_path(path, filter);
-        return Side{campaign::analyze_sweep(data),
-                    data.manifest.grid_fingerprint, data.truncated_tail};
+        return campaign::analyze_stores(persist::sweep_store_paths(path),
+                                        filter);
       };
-      const Side a = analyze(sides[0]);
-      const Side b = analyze(sides[1]);
-      if (a.truncated_tail) warn_torn_tail(sides[0]);
-      if (b.truncated_tail) warn_torn_tail(sides[1]);
+      const campaign::SweepAnalysis a = analyze(sides[0]);
+      const campaign::SweepAnalysis b = analyze(sides[1]);
+      if (a.info.truncated_tail) warn_torn_tail(sides[0]);
+      if (b.info.truncated_tail) warn_torn_tail(sides[1]);
       const campaign::DiffReport report =
-          campaign::diff_sweeps(a.stats, b.stats);
+          campaign::diff_sweeps(a.report, b.report);
       print_report(report, format);
       if (gate_enabled) {
         const campaign::GateResult gate = campaign::evaluate_gate(
-            report, spec, campaign::gate_seed(a.fingerprint, b.fingerprint));
+            report, spec,
+            campaign::gate_seed(a.info.manifest.grid_fingerprint,
+                                b.info.manifest.grid_fingerprint));
         std::fprintf(stderr, "[campaign] %s\n", gate.verdict_line().c_str());
         if (gate.tripped()) rc = 4;
       }

@@ -1,10 +1,10 @@
 #include "persist/campaign_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <filesystem>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -18,54 +18,6 @@
 #include "util/bytes.h"
 
 namespace msa::persist {
-
-namespace {
-
-/// Field-by-field equality, doubles by bit pattern: true exactly when
-/// the encodings of `a` and `b` are equal, without encoding either.
-bool same_trial_bytes(const TrialRecord& a, const TrialRecord& b) {
-  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
-  return a.cell_index == b.cell_index && a.trial == b.trial &&
-         a.denied == b.denied && a.model_identified == b.model_identified &&
-         bits(a.pixel_match) == bits(b.pixel_match) &&
-         bits(a.psnr) == bits(b.psnr) &&
-         bits(a.descriptor_pixel_match) == bits(b.descriptor_pixel_match) &&
-         a.denial_reason == b.denial_reason;
-}
-
-/// Merges `incoming` into `merged`, both ascending and key-unique by
-/// `key`. A key present in both keeps `merged`'s (earlier) copy: counted
-/// in `duplicates` when `same` holds, handed to `conflict` — which
-/// throws — when it does not.
-template <typename T, typename KeyFn, typename SameFn, typename ConflictFn>
-void merge_unique(std::vector<T>& merged, std::vector<T>& incoming, KeyFn key,
-                  SameFn same, std::size_t& duplicates, ConflictFn conflict) {
-  if (merged.empty()) {  // nothing to merge with: take it whole, no copy
-    merged = std::move(incoming);
-    return;
-  }
-  std::vector<T> out;
-  out.reserve(merged.size() + incoming.size());
-  auto a = merged.begin();
-  auto b = incoming.begin();
-  while (a != merged.end() && b != incoming.end()) {
-    if (key(*a) < key(*b)) {
-      out.push_back(std::move(*a++));
-    } else if (key(*b) < key(*a)) {
-      out.push_back(std::move(*b++));
-    } else {
-      if (!same(*a, *b)) conflict(key(*b));
-      ++duplicates;
-      out.push_back(std::move(*a++));
-      ++b;
-    }
-  }
-  std::move(a, merged.end(), std::back_inserter(out));
-  std::move(b, incoming.end(), std::back_inserter(out));
-  merged = std::move(out);
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_store_manifest(const StoreManifest& m) {
   util::ByteWriter w;
@@ -370,62 +322,15 @@ void CampaignStore::sync() {
 SweepData load_sweep(const std::vector<std::string>& paths,
                      const CellFilter& filter) {
   TRACE_SPAN("persist", "load_sweep");
-  if (paths.empty()) {
-    throw std::runtime_error("persist: load_sweep needs at least one store");
-  }
-
+  SweepWalk walk{paths, filter};
   SweepData out;
-  // Each store's contents arrive ascending and key-unique, so the union
-  // is a merge. A duplicate is accepted only when it is the SAME bytes —
-  // the only duplicates a deterministic sweep can legally produce.
-  bool first = true;
-  for (const std::string& path : paths) {
-    StoreContents contents = StoreReader{path}.read_matching(filter);
-    if (first) {
-      out.manifest = contents.manifest;
-      first = false;
-    } else {
-      StoreManifest identity = contents.manifest;
-      identity.shard_index = out.manifest.shard_index;
-      identity.shard_count = out.manifest.shard_count;
-      if (!(identity == out.manifest)) {
-        throw std::runtime_error(
-            "persist: store is from a different sweep (" +
-            describe_manifest_mismatch(contents.manifest, out.manifest) +
-            "): " + path);
-      }
-    }
-    out.truncated_tail = out.truncated_tail || contents.truncated_tail;
-
-    const auto conflict = [&](const auto& what) {
-      throw std::runtime_error(
-          "persist: " + what +
-          " has conflicting copies (corrupt store or mixed sweeps): " + path);
-    };
-    merge_unique(
-        out.cells, contents.cells,
-        [](const campaign::CellStats& c) { return std::uint64_t{c.index}; },
-        [](const campaign::CellStats& a, const campaign::CellStats& b) {
-          return encode_cell(a) == encode_cell(b);
-        },
-        out.duplicate_cells,
-        [&](std::uint64_t index) {
-          conflict("cell " + std::to_string(index));
-        });
-    // Earlier stores' cells already passed this check, and a conflict
-    // cannot sit beyond the grid, so only this store can trip it.
-    if (!out.cells.empty() &&
-        out.cells.back().index >= contents.manifest.grid_cells) {
-      throw std::runtime_error("persist: cell index beyond grid in " + path);
-    }
-    merge_unique(
-        out.trials, contents.trials,
-        [](const TrialRecord& t) { return t.key(); }, same_trial_bytes,
-        out.duplicate_trials, [&](const TrialRecord::Key& key) {
-          conflict("trial (" + std::to_string(key.first) + ", " +
-                   std::to_string(key.second) + ")");
-        });
+  out.trials.reserve(walk.trial_records());
+  while (const std::optional<CellTrials> cell = walk.next()) {
+    if (cell->stats != nullptr) out.cells.push_back(*cell->stats);
+    out.trials.insert(out.trials.end(), cell->trials.begin(),
+                      cell->trials.end());
   }
+  static_cast<SweepInfo&>(out) = walk.info();
   return out;
 }
 
@@ -485,27 +390,29 @@ std::vector<std::string> list_store_files(const std::string& dir) {
   return stores;
 }
 
-SweepData load_sweep_path(const std::string& path, const CellFilter& filter) {
-  if (std::filesystem::is_directory(path)) {
-    const std::vector<std::string> stores = list_store_files(path);
-    if (stores.empty()) {
-      throw std::runtime_error("persist: no *.store files in " + path);
-    }
-    return load_sweep(stores, filter);
+std::vector<std::string> sweep_store_paths(const std::string& path) {
+  if (!std::filesystem::is_directory(path)) return {path};
+  std::vector<std::string> stores = list_store_files(path);
+  if (stores.empty()) {
+    throw std::runtime_error("persist: no *.store files in " + path);
   }
-  return load_sweep({path}, filter);
+  return stores;
 }
 
 campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
-  SweepData data = load_sweep(paths);
-  if (data.cells.size() != data.manifest.grid_cells) {
+  // Only the cells are kept; the walk still checks every trial copy.
+  SweepWalk walk{paths, {}};
+  campaign::SweepReport report;
+  while (const std::optional<CellTrials> cell = walk.next()) {
+    if (cell->stats != nullptr) report.cells.push_back(*cell->stats);
+  }
+  const SweepInfo& info = walk.info();
+  if (report.cells.size() != info.manifest.grid_cells) {
     throw std::runtime_error(
-        "persist: merged stores cover " + std::to_string(data.cells.size()) +
-        " of " + std::to_string(data.manifest.grid_cells) +
+        "persist: merged stores cover " + std::to_string(report.cells.size()) +
+        " of " + std::to_string(info.manifest.grid_cells) +
         " cells (missing shard or worker store? sweep still in flight?)");
   }
-  campaign::SweepReport report;
-  report.cells = std::move(data.cells);
   return report;
 }
 

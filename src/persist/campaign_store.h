@@ -206,6 +206,26 @@ struct StoreContents {
   bool truncated_tail = false;
 };
 
+/// One cell of a store's last-wins merge, as a per-cell walk hands it
+/// over: the completed cell's record — null for an orphan cell, whose
+/// trial records were streamed but whose cell never completed — and its
+/// trials, ascending by trial. The trials view is valid only until the
+/// walk moves on to the next cell.
+struct CellTrials {
+  std::uint64_t index = 0;
+  const campaign::CellStats* stats = nullptr;
+  std::span<const TrialRecord> trials;
+};
+
+/// What a walk over several stores of ONE sweep reports besides its
+/// cells (see SweepWalk).
+struct SweepInfo {
+  StoreManifest manifest;  ///< identity fields of the first store
+  std::size_t duplicate_cells = 0;   ///< identical copies dropped
+  std::size_t duplicate_trials = 0;  ///< identical copies dropped
+  bool truncated_tail = false;       ///< any store had a torn tail
+};
+
 /// Union of several stores from ONE sweep, with duplicates tolerated —
 /// a reclaimed-then-resurrected lease can leave the same cell
 /// (bit-identical, because trials are deterministic) in two workers'
@@ -214,20 +234,18 @@ struct StoreContents {
 /// so shard stores can be analyzed with the same call); a duplicated
 /// cell or trial whose bytes differ from the first copy throws — that is
 /// data corruption or a mixed-up directory, never a legal lease race.
-struct SweepData {
-  StoreManifest manifest;  ///< identity fields of the first store
+struct SweepData : SweepInfo {
   /// Completed cells, deduplicated, ascending global index.
   std::vector<campaign::CellStats> cells;
   /// Trial stream, deduplicated by (cell, trial), ascending.
   std::vector<TrialRecord> trials;
-  std::size_t duplicate_cells = 0;   ///< identical copies dropped
-  std::size_t duplicate_trials = 0;  ///< identical copies dropped
-  bool truncated_tail = false;       ///< any store had a torn tail
 };
-/// When `filter` is non-empty only matching completed cells (and their
-/// trials) load — on a segmented store via the block index, on a flat
-/// store by scan-and-drop — so filtered flat and segmented views of the
-/// same data are identical. Orphan trials of never-completed cells are
+
+/// A SweepWalk (persist/store_reader.h), collected. When `filter` is
+/// non-empty only matching completed cells (and their trials) load — on
+/// a segmented store via the block index, on a flat store by
+/// scan-and-drop — so filtered flat and segmented views of the same data
+/// are identical. Orphan trials of never-completed cells are
 /// excluded under a filter (their coordinates are unknowable without the
 /// cell record).
 [[nodiscard]] SweepData load_sweep(const std::vector<std::string>& paths,
@@ -268,13 +286,13 @@ class StoreTailer {
 /// worker-store enumeration shared by merge/stats/diff tooling.
 [[nodiscard]] std::vector<std::string> list_store_files(const std::string& dir);
 
-/// Loads one analysis input by path: a directory means "every *.store
+/// The stores of one analysis input: a directory means "every *.store
 /// inside" (a lease-mode workers dir), anything else a single store
-/// file. Throws std::runtime_error when a directory holds no stores —
-/// and this is the loader `campaign_sweep diff` uses per side, so each
-/// side of a comparison can independently be a file or a directory.
-[[nodiscard]] SweepData load_sweep_path(const std::string& path,
-                                        const CellFilter& filter = {});
+/// file. Throws std::runtime_error when a directory holds no stores.
+/// This is how `campaign_sweep diff` resolves each side, so each side of
+/// a comparison can independently be a file or a directory.
+[[nodiscard]] std::vector<std::string> sweep_store_paths(
+    const std::string& path);
 
 /// Reassembles shard or lease-worker stores into the single-process
 /// sweep report, cells in grid order: load_sweep plus the full-coverage

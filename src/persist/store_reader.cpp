@@ -1,11 +1,13 @@
 #include "persist/store_reader.h"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <iterator>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -75,35 +77,43 @@ class RunCutter {
   std::size_t records_ = 0;
 };
 
-/// The last-wins merge: the result of inserting every record, in apply
-/// order, into a map keyed by `key`. Runs of distinct cells never
-/// overlap, so with `runs` ordered by cell, `emit(run, out)` appends each
-/// run's records straight into their merged positions; only a cell with
+/// Appends the last-wins merge of one cell — runs [r, e), every run of
+/// cell `runs[r].cell`, in apply order — to `out`, and returns e: the
+/// result of inserting each record, in apply order, into a map keyed by
+/// `key`. `emit(run, out)` appends a run's records; only a cell with
 /// several runs (a rewritten one) is then stable-sorted, keeping each
 /// key's last-applied copy, within its own range.
+template <typename T, typename KeyFn, typename EmitFn>
+std::size_t merge_cell(const std::vector<Run>& runs, std::size_t r,
+                       std::vector<T>& out, KeyFn key, EmitFn emit) {
+  const std::size_t from = out.size();
+  std::size_t e = r;
+  for (; e < runs.size() && runs[e].cell == runs[r].cell; ++e) {
+    emit(runs[e], out);
+  }
+  if (e - r > 1) {
+    const auto group = out.begin() + static_cast<std::ptrdiff_t>(from);
+    std::stable_sort(group, out.end(), [&](const T& a, const T& b) {
+      return key(a) < key(b);
+    });
+    // Walked backwards, std::unique keeps each key's last-written copy.
+    const auto kept = std::unique(
+        out.rbegin(), std::make_reverse_iterator(group),
+        [&](const T& a, const T& b) { return key(a) == key(b); });
+    out.erase(group, kept.base());
+  }
+  return e;
+}
+
+/// merge_cell over every cell of `runs` (ordered by cell): runs of
+/// distinct cells never overlap, so the cells' merges concatenate.
 template <typename T, typename KeyFn, typename EmitFn>
 std::vector<T> merge_runs(const std::vector<Run>& runs, std::size_t records,
                           KeyFn key, EmitFn emit) {
   std::vector<T> out;
   out.reserve(records);
   for (std::size_t r = 0; r < runs.size();) {
-    const std::size_t from = out.size();
-    std::size_t e = r;
-    for (; e < runs.size() && runs[e].cell == runs[r].cell; ++e) {
-      emit(runs[e], out);
-    }
-    if (e - r > 1) {
-      const auto group = out.begin() + static_cast<std::ptrdiff_t>(from);
-      std::stable_sort(group, out.end(), [&](const T& a, const T& b) {
-        return key(a) < key(b);
-      });
-      // Walked backwards, std::unique keeps each key's last-written copy.
-      const auto kept = std::unique(
-          out.rbegin(), std::make_reverse_iterator(group),
-          [&](const T& a, const T& b) { return key(a) == key(b); });
-      out.erase(group, kept.base());
-    }
-    r = e;
+    r = merge_cell(runs, r, out, key, emit);
   }
   return out;
 }
@@ -129,6 +139,45 @@ struct Piece {
     for (std::size_t i = 0; i < take; ++i) f(r.blob());
   }
 };
+
+/// Field-by-field equality, doubles by bit pattern: true exactly when
+/// the encodings of `a` and `b` are equal, without encoding either.
+bool same_trial_bytes(const TrialRecord& a, const TrialRecord& b) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return a.cell_index == b.cell_index && a.trial == b.trial &&
+         a.denied == b.denied && a.model_identified == b.model_identified &&
+         bits(a.pixel_match) == bits(b.pixel_match) &&
+         bits(a.psnr) == bits(b.psnr) &&
+         bits(a.descriptor_pixel_match) == bits(b.descriptor_pixel_match) &&
+         a.denial_reason == b.denial_reason;
+}
+
+/// Appends the union of `a` and `b`, both ascending and key-unique by
+/// (cell, trial), to `out`. A key present in both keeps `a`'s (earlier)
+/// copy: counted in `duplicates` when the bytes are the same, handed to
+/// `conflict` — which throws — when they are not.
+template <typename ConflictFn>
+void merge_unique(std::span<const TrialRecord> a,
+                  std::span<const TrialRecord> b,
+                  std::vector<TrialRecord>& out, std::size_t& duplicates,
+                  ConflictFn conflict) {
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() && y != b.end()) {
+    if (x->key() < y->key()) {
+      out.push_back(*x++);
+    } else if (y->key() < x->key()) {
+      out.push_back(*y++);
+    } else {
+      if (!same_trial_bytes(*x, *y)) conflict(y->key());
+      ++duplicates;
+      out.push_back(*x++);
+      ++y;
+    }
+  }
+  out.insert(out.end(), x, a.end());
+  out.insert(out.end(), y, b.end());
+}
 
 }  // namespace
 
@@ -241,14 +290,41 @@ std::vector<campaign::CellStats> StoreReader::cells() const {
       });
 }
 
-template <typename T, typename Make>
-std::vector<T> StoreReader::merged_trials(
-    const std::vector<campaign::CellStats>* cells,
-    std::vector<SegmentReader::TrialBlock>& blocks, Make make) const {
+/// A trial read's key walk: the segment blocks read, the apply-order
+/// pieces of encoded records viewing them and the log, and the runs
+/// those records were cut into, ordered by cell.
+struct StoreReader::CellWalk::Plan {
+  std::vector<SegmentReader::TrialBlock> blocks;
+  std::vector<Piece> pieces;
+  std::vector<Run> runs;
+  std::size_t records = 0;
+
+  /// merge_cell's emitter: each record of a run becomes `make(payload)`.
+  template <typename T, typename Make>
+  [[nodiscard]] auto emitter(Make make) const {
+    return [this, make](const Run& run, std::vector<T>& out) {
+      // The piece holding the run's first record; a run continues
+      // into the next piece when the cell's keys keep ascending.
+      auto piece =
+          std::ranges::upper_bound(pieces, run.begin, {}, &Piece::first) - 1;
+      std::size_t skip = run.begin - piece->first;
+      for (std::size_t left = run.count; left > 0; ++piece, skip = 0) {
+        const std::size_t take = std::min(left, piece->count - skip);
+        piece->each(skip, take,
+                    [&](TrialBytes payload) { out.push_back(make(payload)); });
+        left -= take;
+      }
+    };
+  }
+};
+
+std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
+    const std::vector<campaign::CellStats>* cells) const {
   // One walk in apply order reads only each record's key and cuts the
   // runs; records are made afterwards, once, in merged order. Block
   // payloads live until then: the encoded form is about half the size
   // of the decoded one.
+  auto out = std::make_unique<CellWalk::Plan>();
   std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
   if (cells != nullptr && !segments_.empty()) {
     for (const campaign::CellStats& cell : *cells) {
@@ -256,7 +332,6 @@ std::vector<T> StoreReader::merged_trials(
     }
   }
   RunCutter cutter;
-  std::vector<Piece> pieces;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
     // Under a selection, only the blocks that can hold a selected cell,
     // each read once even when it serves several.
@@ -274,13 +349,14 @@ std::vector<T> StoreReader::merged_trials(
     }
     for (const std::size_t b : selected) {
       SegmentReader::TrialBlock& block =
-          blocks.emplace_back(seg->read_trial_block(b));
+          out->blocks.emplace_back(seg->read_trial_block(b));
       for (const SegmentReader::TrialGroup& group : block.groups) {
         if (group.count == 0 ||
             (cells != nullptr && !keys.contains(group.key))) {
           continue;
         }
-        pieces.push_back({cutter.records(), group.count, group.trials, {}});
+        out->pieces.push_back(
+            {cutter.records(), group.count, group.trials, {}});
         util::ByteReader r{group.trials};
         for (std::uint64_t i = 0; i < group.count; ++i) {
           cutter.add(decode_trial_key(r.blob()));
@@ -304,9 +380,9 @@ std::vector<T> StoreReader::merged_trials(
   std::size_t piece_begin = 0;  // log trials [piece_begin, i) form a piece
   const auto close_piece = [&](std::size_t i) {
     if (i > piece_begin) {
-      pieces.push_back({cutter.records() - (i - piece_begin), i - piece_begin,
-                        {}, std::span{log_trials_}.subspan(piece_begin,
-                                                           i - piece_begin)});
+      out->pieces.push_back(
+          {cutter.records() - (i - piece_begin), i - piece_begin, {},
+           std::span{log_trials_}.subspan(piece_begin, i - piece_begin)});
     }
     piece_begin = i + 1;
   };
@@ -319,42 +395,71 @@ std::vector<T> StoreReader::merged_trials(
     }
   }
   close_piece(log_trials_.size());
-
-  const std::size_t records = cutter.records();
-  return merge_runs<T>(
-      std::move(cutter).by_cell(), records,
-      [](const T& t) { return merge_key(t); },
-      [&](const Run& run, std::vector<T>& out) {
-        // The piece holding the run's first record; a run continues
-        // into the next piece when the cell's keys keep ascending.
-        auto piece = std::ranges::upper_bound(pieces, run.begin, {},
-                                              &Piece::first) - 1;
-        std::size_t skip = run.begin - piece->first;
-        for (std::size_t left = run.count; left > 0; ++piece, skip = 0) {
-          const std::size_t take = std::min(left, piece->count - skip);
-          piece->each(skip, take,
-                      [&](TrialBytes payload) { out.push_back(make(payload)); });
-          left -= take;
-        }
-      });
+  out->records = cutter.records();
+  out->runs = std::move(cutter).by_cell();
+  return out;
 }
 
-std::vector<TrialRecord> StoreReader::decoded_trials(
-    const std::vector<campaign::CellStats>* cells) const {
-  std::vector<SegmentReader::TrialBlock> blocks;
-  return merged_trials<TrialRecord>(cells, blocks, decode_trial);
+StoreReader::CellWalk::CellWalk(std::unique_ptr<Plan> plan,
+                                std::vector<campaign::CellStats> cells)
+    : plan_{std::move(plan)}, cells_{std::move(cells)} {}
+StoreReader::CellWalk::CellWalk(CellWalk&&) noexcept = default;
+StoreReader::CellWalk& StoreReader::CellWalk::operator=(CellWalk&&) noexcept =
+    default;
+StoreReader::CellWalk::~CellWalk() = default;
+
+std::size_t StoreReader::CellWalk::records() const noexcept {
+  return plan_->records;
+}
+
+std::optional<CellTrials> StoreReader::CellWalk::next() {
+  const std::vector<Run>& runs = plan_->runs;
+  const bool completed = cell_ < cells_.size();
+  const bool streamed = run_ < runs.size();
+  if (!completed && !streamed) return std::nullopt;
+  CellTrials out;
+  out.index = !streamed    ? cells_[cell_].index
+              : !completed ? runs[run_].cell
+                           : std::min<std::uint64_t>(cells_[cell_].index,
+                                                     runs[run_].cell);
+  if (completed && cells_[cell_].index == out.index) {
+    out.stats = &cells_[cell_++];
+  }
+  trials_.clear();
+  if (streamed && runs[run_].cell == out.index) {
+    run_ = merge_cell(
+        runs, run_, trials_, [](const auto& t) { return merge_key(t); },
+        plan_->emitter<TrialRecord>(decode_trial));
+  }
+  out.trials = trials_;
+  return out;
+}
+
+StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
+  TRACE_SPAN("persist", "walk_cells");
+  std::vector<campaign::CellStats> selected = cells();
+  if (filter.empty()) return CellWalk{plan(nullptr), std::move(selected)};
+  std::erase_if(selected, [&](const campaign::CellStats& cell) {
+    return !filter.matches(cell.coords);
+  });
+  std::unique_ptr<CellWalk::Plan> p = plan(&selected);
+  return CellWalk{std::move(p), std::move(selected)};
 }
 
 StoreReader::EncodedContents StoreReader::read_encoded() const {
   EncodedContents out;
   out.cells = cells();
-  out.trials = merged_trials<TrialBytes>(&out.cells, out.blocks,
-                                         [](TrialBytes t) { return t; });
+  std::unique_ptr<CellWalk::Plan> p = plan(&out.cells);
+  out.trials = merge_runs<TrialBytes>(
+      p->runs, p->records, [](const auto& t) { return merge_key(t); },
+      p->emitter<TrialBytes>([](TrialBytes t) { return t; }));
+  out.blocks = std::move(p->blocks);
   return out;
 }
 
 std::optional<StoreReader::CellData> StoreReader::read_cell(
     const std::vector<campaign::AxisCoordinate>& coords) const {
+  TRACE_SPAN("persist", "read_cell");
   const std::vector<std::uint8_t> key = encode_cell_key(coords);
   // Indexed lookup: one cell block per segment that can hold the key,
   // later segments winning, the in-memory log tail on top — never a
@@ -370,31 +475,113 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
   }
   if (!stats.has_value()) return std::nullopt;
 
+  std::vector<campaign::CellStats> selected{*stats};
+  std::unique_ptr<CellWalk::Plan> p = plan(&selected);
+  CellWalk walk{std::move(p), std::move(selected)};
   CellData out;
-  const std::vector<campaign::CellStats> selected{*stats};
-  out.trials = decoded_trials(&selected);
+  while (const std::optional<CellTrials> cell = walk.next()) {
+    out.trials.assign(cell->trials.begin(), cell->trials.end());
+  }
   out.stats = std::move(*stats);
   return out;
 }
 
 StoreContents StoreReader::read_matching(const CellFilter& filter) const {
-  TRACE_SPAN("persist", "read_matching");
   StoreContents out;
   out.manifest = manifest_;
   out.truncated_tail = truncated_tail_;
-  out.cells = cells();
-
-  if (filter.empty()) {
-    // Full view: every segment trial plus every log trial, orphans
-    // included — byte-equivalent to replaying the original flat log.
-    out.trials = decoded_trials(nullptr);
-  } else {
-    std::erase_if(out.cells, [&](const campaign::CellStats& cell) {
-      return !filter.matches(cell.coords);
-    });
-    out.trials = decoded_trials(&out.cells);
+  CellWalk walk = this->walk(filter);
+  out.trials.reserve(walk.records());
+  while (const std::optional<CellTrials> cell = walk.next()) {
+    out.trials.insert(out.trials.end(), cell->trials.begin(),
+                      cell->trials.end());
   }
+  out.cells = std::move(walk.cells_);
   return out;
+}
+
+SweepWalk::SweepWalk(const std::vector<std::string>& paths,
+                     const CellFilter& filter)
+    : paths_{paths} {
+  if (paths.empty()) {
+    throw std::runtime_error("persist: load_sweep needs at least one store");
+  }
+  for (const std::string& path : paths) {
+    const StoreReader& reader =
+        *readers_.emplace_back(std::make_unique<StoreReader>(path));
+    if (readers_.size() == 1) {
+      info_.manifest = reader.manifest();
+    } else {
+      StoreManifest identity = reader.manifest();
+      identity.shard_index = info_.manifest.shard_index;
+      identity.shard_count = info_.manifest.shard_count;
+      if (!(identity == info_.manifest)) {
+        throw std::runtime_error(
+            "persist: store is from a different sweep (" +
+            describe_manifest_mismatch(reader.manifest(), info_.manifest) +
+            "): " + path);
+      }
+    }
+    info_.truncated_tail = info_.truncated_tail || reader.truncated_tail();
+    StoreReader::CellWalk& walk = walks_.emplace_back(reader.walk(filter));
+    if (!walk.cells().empty() &&
+        walk.cells().back().index >= info_.manifest.grid_cells) {
+      throw std::runtime_error("persist: cell index beyond grid in " + path);
+    }
+    trial_records_ += walk.records();
+  }
+  heads_.reserve(walks_.size());
+  for (StoreReader::CellWalk& walk : walks_) heads_.push_back(walk.next());
+}
+
+std::optional<CellTrials> SweepWalk::next() {
+  // The walks that held the cell handed over last move on only now,
+  // keeping its views valid until this call.
+  for (std::size_t s = 0; handed_ && s < heads_.size(); ++s) {
+    if (heads_[s] && heads_[s]->index == *handed_) heads_[s] = walks_[s].next();
+  }
+  handed_.reset();
+  // Each walk ascends by cell, so the union is a merge of their heads.
+  for (const std::optional<CellTrials>& head : heads_) {
+    if (head && (!handed_ || head->index < *handed_)) handed_ = head->index;
+  }
+  if (!handed_) return std::nullopt;
+  const auto conflict = [&](std::size_t store, const std::string& what) {
+    throw std::runtime_error(
+        "persist: " + what +
+        " has conflicting copies (corrupt store or mixed sweeps): " +
+        paths_[store]);
+  };
+  CellTrials cell{*handed_, nullptr, {}};
+  bool held = false;
+  for (std::size_t s = 0; s < heads_.size(); ++s) {
+    const std::optional<CellTrials>& head = heads_[s];
+    if (!head || head->index != cell.index) continue;
+    if (head->stats != nullptr) {
+      if (cell.stats == nullptr) {
+        cell.stats = head->stats;
+      } else {
+        if (encode_cell(*cell.stats) != encode_cell(*head->stats)) {
+          conflict(s, "cell " + std::to_string(cell.index));
+        }
+        ++info_.duplicate_cells;
+      }
+    }
+    if (!held) {  // the first store holding the cell: its trials as-is
+      cell.trials = head->trials;
+      held = true;
+      continue;
+    }
+    merging_.clear();
+    merge_unique(cell.trials, head->trials, merging_, info_.duplicate_trials,
+                 [&](const TrialRecord::Key& key) {
+                   conflict(s, "trial (" + std::to_string(key.first) + ", " +
+                                   std::to_string(key.second) + ")");
+                 });
+    merged_.swap(merging_);
+    cell.trials = merged_;
+  }
+  return cell;
 }
 
 }  // namespace msa::persist

@@ -12,15 +12,16 @@
 // as views into that buffer. Each segment group and each cell's log
 // trials is a sorted run, so the merge orders runs rather than records:
 // one walk reads only each record's (cell, trial) key and cuts the runs,
-// then every record lands straight in its merged position — decoded
-// once for the analyses, still encoded for compaction — and only a
-// rewritten cell's runs are sorted. Cell-range queries (`read_cell`, a
-// non-empty CellFilter in `read_matching`) use the segments' first-key
-// block index and read only the blocks that can hold the requested
-// cells; the log tail is always scanned in full, but after compaction it
-// is just the manifest record.
+// then each cell's records are made from its runs — decoded once, into a
+// buffer reused from cell to cell, for the analyses (CellWalk); still
+// encoded, into one vector, for compaction — and only a rewritten cell's
+// runs are sorted. Cell-range queries (`read_cell`, a non-empty
+// CellFilter) use the segments' first-key block index and read only the
+// blocks that can hold the requested cells; the log tail is always
+// scanned in full, but after compaction it is just the manifest record.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -94,6 +95,46 @@ class StoreReader {
   /// never trial data — which is the resume and progress fast path.
   [[nodiscard]] std::vector<campaign::CellStats> cells() const;
 
+  /// The store's last-wins merge restricted to `filter` (empty = every
+  /// cell, orphans included), one cell at a time, ascending by index:
+  /// every selected completed cell, with its trials (possibly none), and
+  /// — in the full view only — every orphan cell. Making the walk reads
+  /// the cell records, every segment block the selection needs and each
+  /// record's key; next() then decodes one cell's records, once each,
+  /// into a buffer it reuses. The walk views this reader's log and must
+  /// not outlive it.
+  class CellWalk {
+   public:
+    CellWalk(CellWalk&&) noexcept;
+    CellWalk& operator=(CellWalk&&) noexcept;
+    ~CellWalk();
+
+    /// The selected completed cells, ascending by index.
+    [[nodiscard]] const std::vector<campaign::CellStats>& cells()
+        const noexcept {
+      return cells_;
+    }
+    /// Trial records the walk will merge, before deduplication — an
+    /// upper bound on the trials it hands over.
+    [[nodiscard]] std::size_t records() const noexcept;
+    /// The next cell, nullopt past the last. Its trials view and stats
+    /// pointer are valid until the next call.
+    [[nodiscard]] std::optional<CellTrials> next();
+
+   private:
+    friend class StoreReader;
+    struct Plan;
+    CellWalk(std::unique_ptr<Plan> plan,
+             std::vector<campaign::CellStats> cells);
+
+    std::unique_ptr<Plan> plan_;
+    std::vector<campaign::CellStats> cells_;
+    std::size_t cell_ = 0;  ///< next completed cell
+    std::size_t run_ = 0;   ///< first run of the next cell with trials
+    std::vector<TrialRecord> trials_;  ///< the current cell's, reused
+  };
+  [[nodiscard]] CellWalk walk(const CellFilter& filter) const;
+
   /// One cell looked up by its axis coordinates: the aggregate plus the
   /// deduplicated trial stream, or nullopt when no such cell completed.
   /// Segmented: one indexed block read per segment that can hold the
@@ -105,10 +146,9 @@ class StoreReader {
   [[nodiscard]] std::optional<CellData> read_cell(
       const std::vector<campaign::AxisCoordinate>& coords) const;
 
-  /// The store restricted to cells matching `filter` (empty filter =
-  /// everything, including orphan log trials — byte-equivalent to the
-  /// historical full read). Cells ascend by index, trials by
-  /// (cell, trial).
+  /// walk(filter), collected: cells ascend by index, trials by
+  /// (cell, trial). An empty filter gives every cell and trial, orphans
+  /// included — byte-equivalent to replaying the original flat log.
   [[nodiscard]] StoreContents read_matching(const CellFilter& filter) const;
   [[nodiscard]] StoreContents read_all() const {
     return read_matching(CellFilter{});
@@ -126,16 +166,10 @@ class StoreReader {
   [[nodiscard]] EncodedContents read_encoded() const;
 
  private:
-  /// The last-wins trial stream of `cells` (ascending by index), or of
-  /// the whole store, orphan log trials included, when `cells` is null:
-  /// the one merge every trial read goes through. Each record becomes
-  /// `make(payload)`; `blocks` keeps the segment blocks read.
-  template <typename T, typename Make>
-  [[nodiscard]] std::vector<T> merged_trials(
-      const std::vector<campaign::CellStats>* cells,
-      std::vector<SegmentReader::TrialBlock>& blocks, Make make) const;
-  /// merged_trials, each record decoded once.
-  [[nodiscard]] std::vector<TrialRecord> decoded_trials(
+  /// The key walk under every trial read: the segment blocks that can
+  /// hold `cells` (ascending by index) — or every block and every log
+  /// trial, orphans included, when `cells` is null — cut into runs.
+  [[nodiscard]] std::unique_ptr<CellWalk::Plan> plan(
       const std::vector<campaign::CellStats>* cells) const;
 
   StoreManifest manifest_;
@@ -153,6 +187,46 @@ class StoreReader {
   std::vector<campaign::CellStats> log_cells_;
   std::vector<TrialBytes> log_trials_;
   std::vector<RecordView> log_unknown_;
+};
+
+/// The cell-ordered merge of every store's per-cell walk — the one read
+/// under load_sweep, merge_stores and the store analyses, so a sweep can
+/// be consumed holding one cell's trials at a time. Each cell of the
+/// union comes once, ascending by index: its record the first store's
+/// copy, its trials the union of every store's, deduplicated by trial.
+/// A duplicate is accepted only when it is the same bytes — the only
+/// duplicates a deterministic sweep can legally produce.
+class SweepWalk {
+ public:
+  /// Opens every store, in order, and makes its walk under `filter`
+  /// (see StoreReader::walk). Throws std::runtime_error for no stores, a
+  /// store that fails to open, a store of a different sweep (shard
+  /// coordinates are not compared) and a completed cell beyond the grid.
+  SweepWalk(const std::vector<std::string>& paths, const CellFilter& filter);
+
+  /// The first store's identity and whether any store had a torn tail;
+  /// the duplicate counters cover the cells handed over so far.
+  [[nodiscard]] const SweepInfo& info() const noexcept { return info_; }
+  /// Trial records the walk will merge, before deduplication — an upper
+  /// bound on the trials it hands over.
+  [[nodiscard]] std::size_t trial_records() const noexcept {
+    return trial_records_;
+  }
+  /// The next cell, nullopt past the last; its views are valid until the
+  /// next call. Throws std::runtime_error naming the cell or trial and
+  /// the later store when two copies differ ("has conflicting copies").
+  [[nodiscard]] std::optional<CellTrials> next();
+
+ private:
+  std::vector<std::string> paths_;
+  SweepInfo info_;
+  std::size_t trial_records_ = 0;
+  std::vector<std::unique_ptr<StoreReader>> readers_;
+  std::vector<StoreReader::CellWalk> walks_;
+  std::vector<std::optional<CellTrials>> heads_;  ///< each walk's next cell
+  std::optional<std::uint64_t> handed_;  ///< the cell handed over last
+  std::vector<TrialRecord> merged_;   ///< a cell's trials over two+ stores
+  std::vector<TrialRecord> merging_;  ///< the next merged_, built from it
 };
 
 }  // namespace msa::persist

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -18,6 +23,7 @@
 #include "obs/trace.h"
 #include "persist/campaign_store.h"
 #include "persist/store_reader.h"
+#include "util/crc32.h"
 
 namespace msa::cli {
 namespace {
@@ -225,9 +231,9 @@ TEST(CampaignCli, TraceOutOnStoreSubcommandsLeavesOutputUnchanged) {
       {"diff", "--format", "json", "--exit-on-significant", a, b},
       {"compact", a}};
   const std::vector<std::vector<std::string>> spans{
-      {"store_open", "read_matching", "load_sweep", "analyze_sweep",
+      {"store_open", "walk_cells", "walk_sweep", "analyze_sweep",
        "render"},
-      {"load_sweep", "analyze_sweep", "diff_sweeps", "render",
+      {"walk_sweep", "analyze_sweep", "diff_sweeps", "render",
        "evaluate_gate"},
       {"store_open", "compact_store"}};
   for (std::size_t i = 0; i < commands.size(); ++i) {
@@ -316,6 +322,151 @@ TEST(CampaignCli, AliasesApplyBeforeEveryAxisFlag) {
     ASSERT_EQ(run.code, 0) << run.err;
     EXPECT_EQ(run.out, alone.out);
   }
+}
+
+/// A 1000-cell sweep whose cell-key order is not its index order (labels
+/// listed out of lexicographic order, delays descending), 6 trials per
+/// cell drawn from `seed` by raw mt19937_64 words (the engine is exactly
+/// specified; the distributions are not). The log also carries a
+/// resume's duplicates, a rewritten cell and orphan trials of two cells
+/// that never complete. `shift` raises cells' success odds in defense
+/// "mid", so a diff against seed-mate stores has something to find.
+void write_pinned_store(const std::string& path, std::uint64_t seed,
+                        bool shift) {
+  persist::StoreManifest m;
+  m.grid_fingerprint = 0xd1ffu + seed;
+  m.trials_per_cell = 6;
+  m.trial_salt = seed;
+  campaign::AxisSpec defense{"defense", campaign::AxisKind::kString, {}};
+  for (const char* d : {"zeta", "alpha", "mid", "beta"}) {
+    defense.values.push_back(campaign::AxisValue::of_string(d));
+  }
+  campaign::AxisSpec delay{"delay_s", campaign::AxisKind::kDouble, {}};
+  for (int i = 24; i >= 0; --i) {
+    delay.values.push_back(campaign::AxisValue::of_number(2.5 * i));
+  }
+  campaign::AxisSpec model{"model", campaign::AxisKind::kString, {}};
+  for (const char* name : {"m9", "m1", "m5", "m0", "m7", "m2", "m8", "m3",
+                           "m6", "m4"}) {
+    model.values.push_back(campaign::AxisValue::of_string(name));
+  }
+  m.axes = {defense, delay, model};
+  m.grid_cells = 4 * 25 * 10;
+
+  std::mt19937_64 rng{seed};
+  const auto trial = [&](std::uint64_t cell, std::uint32_t t) {
+    persist::TrialRecord r;
+    r.cell_index = cell;
+    r.trial = t;
+    const std::uint64_t bits = rng();
+    const bool mid = (cell / 250) == 2;
+    r.denied = bits % 11 == 0;
+    if (r.denied) {
+      r.denial_reason = bits % 2 ? "firewall" : "debugger refused the attach";
+    }
+    r.model_identified = !r.denied && (bits >> 8) % 4 < (shift && mid ? 3u : 2u);
+    r.pixel_match = (bits >> 16) % 3 == 0 ? 0.5 : 1.0;
+    r.psnr = 10.0 + static_cast<double>((bits >> 24) % 40000) / 1000.0;
+    r.descriptor_pixel_match = static_cast<double>((bits >> 40) % 8) / 8.0;
+    return r;
+  };
+  const auto stats = [&](std::uint64_t cell) {
+    campaign::CellStats s;
+    s.index = cell;
+    std::uint64_t rest = cell;
+    s.coords.resize(m.axes.size());
+    for (std::size_t a = m.axes.size(); a-- > 0;) {
+      const auto& values = m.axes[a].values;
+      s.coords[a] = {m.axes[a].name, values[rest % values.size()]};
+      rest /= values.size();
+    }
+    s.trials = 6;
+    return s;
+  };
+  persist::CampaignStore store{path, m, persist::CampaignStore::Mode::kCreate};
+  for (std::uint64_t k = 0; k < m.grid_cells; ++k) {
+    const std::uint64_t c = (k * 379) % m.grid_cells;  // threaded order
+    if (c == 998 || c == 999) continue;  // never completes
+    std::vector<persist::TrialRecord> trials;
+    for (std::uint32_t t = 0; t < 6; ++t) trials.push_back(trial(c, t));
+    for (const persist::TrialRecord& t : trials) store.append_trial(t);
+    if (c % 97 == 0) {  // a resume's bit-identical duplicates
+      for (const persist::TrialRecord& t : trials) store.append_trial(t);
+    }
+    store.complete_cell(stats(c));
+  }
+  for (std::uint32_t t = 0; t < 3; ++t) {  // cell 7 rewritten, last wins
+    store.append_trial(trial(7, t));
+  }
+  store.complete_cell(stats(7));
+  for (std::uint32_t t = 0; t < 4; ++t) {  // orphans
+    store.append_trial(trial(998, t));
+    store.append_trial(trial(999, t));
+  }
+}
+
+TEST(CampaignCli, StatsAndDiffBytesArePinned) {
+  // CRC-32s of every rendering of `stats` and of a gated `diff`, over a
+  // store of several segment blocks and its flat twin: a refactor of the
+  // read or analysis path must not move a byte of either. The pins were
+  // computed by the read path that decoded every trial into one vector.
+  const ScratchDir scratch;
+  const std::string flat_a = (scratch.path / "a.store").string();
+  const std::string flat_b = (scratch.path / "b.store").string();
+  write_pinned_store(flat_a, 1, false);
+  write_pinned_store(flat_b, 2, true);
+  {  // a torn tail on B: the diff warns about it
+    std::ofstream log{flat_b, std::ios::binary | std::ios::app};
+    log.write("\x7f\x7f\x7f", 3);
+  }
+  const std::string packed_a = (scratch.path / "ca.store").string();
+  const std::string packed_b = (scratch.path / "cb.store").string();
+  std::filesystem::copy_file(flat_a, packed_a);
+  std::filesystem::copy_file(flat_b, packed_b);
+  ASSERT_EQ(run_cli({"compact", packed_a, packed_b}).code, 0);
+  {
+    const persist::StoreReader reader{packed_a};
+    ASSERT_TRUE(reader.segmented());
+    const persist::SegmentReader segment{persist::segment_path(
+        packed_a, reader.levels()->segments.at(0))};
+    ASSERT_GE(segment.trial_block_count(), 2u);
+  }
+
+  const auto crc = [](const std::string& bytes) {
+    char hex[9];
+    std::snprintf(hex, sizeof hex, "%08x", util::crc32(std::string_view{bytes}));
+    return std::string{hex};
+  };
+  std::vector<std::string> got;
+  for (const std::string& store : {flat_a, packed_a}) {
+    for (const char* format : {"text", "csv", "json"}) {
+      const CliRun run = run_cli({"stats", "--format", format, store});
+      ASSERT_EQ(run.code, 0) << run.err;
+      got.push_back(crc(run.out));
+    }
+  }
+  for (const auto& [a, b] : {std::pair{flat_a, flat_b},
+                             std::pair{packed_a, packed_b}}) {
+    const CliRun run = run_cli(
+        {"diff", "--format", "csv", "--exit-on-significant", a, b});
+    got.push_back(std::to_string(run.code));
+    got.push_back(crc(run.out));
+    // Stderr names the stores; pin it with the scratch directory cut.
+    std::string err = run.err;
+    for (std::size_t at; (at = err.find(scratch.path.string())) !=
+                         std::string::npos;) {
+      err.erase(at, scratch.path.string().size());
+    }
+    got.push_back(crc(err));
+  }
+  // stats text, CSV, JSON of flat A, then of compacted A (the CSV
+  // carries no orphan count, so it matches across the two); then per
+  // diff pair the exit code, stdout and stderr (only the flat B has a
+  // torn tail to warn about).
+  const std::vector<std::string> want{
+      "6f106f02", "9b574108", "40e3b252", "99e4cfae", "9b574108", "09b0c5b5",
+      "4",        "2b779343", "7d24b637", "4",        "2b779343", "cb15cdc5"};
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -11,8 +11,11 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/grid.h"
@@ -402,6 +405,138 @@ TEST(DiffSweeps, DuplicateAxisKeyIsRejected) {
   a.cells.back().index = 99;
   EXPECT_THROW((void)diff_sweeps(a, two_cell_report()), std::runtime_error);
   EXPECT_THROW((void)diff_sweeps(two_cell_report(), a), std::runtime_error);
+}
+
+/// diff_sweeps' error text, "" when it does not throw.
+std::string diff_error(const StatsReport& a, const StatsReport& b) {
+  try {
+    (void)diff_sweeps(a, b);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DiffSweeps, PairingErrorsNameTheFirstFaultInCellOrder) {
+  // Each fault's text, and which of two wins: the one at the earlier
+  // cell, with a duplicate counted at its second cell; side A first.
+  StatsReport dup = two_cell_report();
+  dup.cells.push_back(dup.cells[0]);
+  dup.cells.back().index = 99;
+  const std::string dup_text =
+      "diff: sweep A has two cells with the same axis values "
+      "(defense=baseline/model=m/delay_s=0/scrubber_Bps=0) — alignment by "
+      "axis is ambiguous";
+  EXPECT_EQ(diff_error(dup, two_cell_report()), dup_text);
+  EXPECT_EQ(diff_error(two_cell_report(), dup),
+            "diff: sweep B" + dup_text.substr(std::string("diff: sweep A").size()));
+  EXPECT_EQ(diff_error(dup, dup), dup_text);
+
+  StatsReport nan = two_cell_report();
+  nan.cells[1].coords[2].value = AxisValue::of_number(std::nan(""));
+  const std::string nan_text =
+      "diff: sweep A cell 1 has a non-finite axis value (store written by a "
+      "pre-validation tool?) — axis alignment needs finite coordinates";
+  EXPECT_EQ(diff_error(nan, two_cell_report()), nan_text);
+
+  StatsReport mixed = two_cell_report();
+  mixed.cells[1].coords.pop_back();  // lacks scrubber_Bps
+  EXPECT_EQ(diff_error(mixed, two_cell_report()),
+            "diff: sweep A cell 1 lacks axis 'scrubber_Bps' (store mixes "
+            "schemas?)");
+
+  // Duplicate at cell position 2, NaN at position 3: the duplicate wins.
+  StatsReport dup_then_nan = dup;
+  dup_then_nan.cells.push_back(nan.cells[1]);
+  dup_then_nan.cells.back().index = 100;
+  EXPECT_EQ(diff_error(dup_then_nan, two_cell_report()), dup_text);
+  // NaN at position 1, its duplicate only after: the NaN wins.
+  StatsReport nan_then_dup = nan;
+  nan_then_dup.cells.push_back(nan.cells[0]);
+  nan_then_dup.cells.back().index = 99;
+  EXPECT_EQ(diff_error(nan_then_dup, two_cell_report()), nan_text);
+}
+
+TEST(DiffSweeps, MergeJoinPairsLikeAMapOfEverySidesKeys) {
+  // Random partial grids over a shared 3-axis schema in random cell
+  // order, B's with an extra one-value axis: the pairing must match a
+  // std::map keyed by the projected AxisKey, in every output list.
+  std::mt19937_64 rng{0xd1ff};
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  for (int round = 0; round < 20; ++round) {
+    const auto report = [&](bool extra) {
+      StatsReport r;
+      std::uint64_t index = 0;
+      for (const char* defense : {"zeta", "alpha", "mid"}) {
+        for (int delay = 4; delay >= -1; --delay) {
+          for (const bool flag : {true, false}) {
+            if (pick(3) == 0) continue;
+            CellDistribution c = make_cell(index++, defense, "m", 0.0, 0.0,
+                                           5, pick(6), pick(3), 1.0, 2.0, 3.0);
+            c.coords = {{"defense", AxisValue::of_string(defense)},
+                        {"delay_s", AxisValue::of_number(2.5 * delay)},
+                        {"flag", AxisValue::of_bool(flag)}};
+            if (extra) {
+              c.coords.insert(c.coords.begin() + 1,
+                              {"model", AxisValue::of_string("m")});
+            }
+            r.cells.push_back(std::move(c));
+          }
+        }
+      }
+      std::shuffle(r.cells.begin(), r.cells.end(), rng);
+      return r;
+    };
+    const StatsReport a = report(false);
+    const StatsReport b = report(true);
+    const DiffReport diff = diff_sweeps(a, b);
+    ASSERT_EQ(diff.shared_axes,
+              (std::vector<std::string>{"defense", "delay_s", "flag"}));
+
+    const auto keyed = [&](const StatsReport& r) {
+      std::map<AxisKey, const CellDistribution*> out;
+      for (const CellDistribution& c : r.cells) {
+        AxisKey key;
+        for (const std::string& axis : diff.shared_axes) {
+          key.coords.push_back({axis, *find_coord(c.coords, axis)});
+        }
+        out.emplace(std::move(key), &c);
+      }
+      return out;
+    };
+    const auto map_a = keyed(a);
+    const auto map_b = keyed(b);
+    std::vector<std::uint64_t> want_only_a;
+    std::vector<std::uint64_t> want_only_b;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> want_pairs;
+    std::vector<AxisKey> want_keys;
+    for (const auto& [key, c] : map_a) {
+      const auto it = map_b.find(key);
+      if (it == map_b.end()) {
+        want_only_a.push_back(c->index);
+      } else {
+        want_pairs.push_back({c->index, it->second->index});
+        want_keys.push_back(key);
+      }
+    }
+    for (const auto& [key, c] : map_b) {
+      if (!map_a.contains(key)) want_only_b.push_back(c->index);
+    }
+    std::vector<std::uint64_t> only_a;
+    for (const CellDistribution& c : diff.only_in_a) only_a.push_back(c.index);
+    std::vector<std::uint64_t> only_b;
+    for (const CellDistribution& c : diff.only_in_b) only_b.push_back(c.index);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    std::vector<AxisKey> keys;
+    for (const CellDelta& d : diff.cells) {
+      pairs.push_back({d.index_a, d.index_b});
+      keys.push_back(d.key);
+    }
+    EXPECT_EQ(only_a, want_only_a) << "round " << round;
+    EXPECT_EQ(only_b, want_only_b) << "round " << round;
+    EXPECT_EQ(pairs, want_pairs) << "round " << round;
+    EXPECT_EQ(keys, want_keys) << "round " << round;
+  }
 }
 
 TEST(DiffSweeps, FdrFlagsAreASubsetOfRawSignificance) {

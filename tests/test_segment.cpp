@@ -14,8 +14,10 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -212,12 +214,15 @@ void write_two_segment_store(const std::string& path,
 
 /// The three stats renderings at once — "byte-identical" means all of
 /// text, CSV and JSON.
-std::string stats_bytes(const std::string& path,
-                        const CellFilter& filter = {}) {
-  const campaign::StatsReport report =
-      campaign::analyze_sweep(load_sweep({path}, filter));
+std::string renderings(const campaign::StatsReport& report) {
   return report.to_text() + "\x1e" + report.to_csv() + "\x1e" +
          report.to_json();
+}
+
+/// renderings of a store's stats.
+std::string stats_bytes(const std::string& path,
+                        const CellFilter& filter = {}) {
+  return renderings(campaign::analyze_sweep(load_sweep({path}, filter)));
 }
 
 /// The decoded trials of every group in trial block `block` whose key
@@ -660,10 +665,44 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   }
 }
 
+/// The SweepData a last-wins replay of every write gives: the replay's
+/// completed cells and trials, restricted to the cells `keep` accepts
+/// (orphans count as cells that are not completed).
+template <typename Keep>
+SweepData replay_sweep(const std::map<std::uint64_t, campaign::CellStats>& cells,
+                       const std::map<TrialRecord::Key, TrialRecord>& trials,
+                       Keep keep) {
+  SweepData out;
+  for (const auto& [index, cell] : cells) {
+    if (keep(index)) out.cells.push_back(cell);
+  }
+  for (const auto& [key, trial] : trials) {
+    if (keep(key.first)) out.trials.push_back(trial);
+  }
+  return out;
+}
+
+/// Checks `got` against `want` record for record, by encoded bytes.
+void expect_same_sweep(const SweepData& got, const SweepData& want,
+                       const std::string& view) {
+  ASSERT_EQ(got.cells.size(), want.cells.size()) << view;
+  for (std::size_t i = 0; i < want.cells.size(); ++i) {
+    EXPECT_EQ(encode_cell(got.cells[i]), encode_cell(want.cells[i]))
+        << view << " cell " << i;
+  }
+  ASSERT_EQ(got.trials.size(), want.trials.size()) << view;
+  for (std::size_t i = 0; i < want.trials.size(); ++i) {
+    EXPECT_EQ(trial_bytes(got.trials[i]), trial_bytes(want.trials[i]))
+        << view << " record " << i;
+  }
+}
+
 TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   // 1-3 segments, then a log tail that rewrites cells (some twice),
-  // streams orphan trials of cells that never complete, and ends torn.
-  // Every read path must equal a last-wins map replay of the writes.
+  // streams a resume's duplicates and orphan trials of cells that never
+  // complete, and ends torn. Every read path — the collected reads,
+  // load_sweep, and the statistics analyzed off the per-cell walk — must
+  // equal a last-wins map replay of the writes.
   constexpr std::uint64_t kCells = 24;
   constexpr std::uint32_t kTrials = 6;
   const StoreManifest manifest = synth_manifest(kCells, kTrials);
@@ -720,6 +759,9 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
         std::vector<TrialRecord> order = cell.trials;
         std::shuffle(order.begin(), order.end(), rng);
         for (const TrialRecord& t : order) store.append_trial(t);
+        if (uniform(0, 3) == 0) {  // a resume re-streams the same bytes
+          for (const TrialRecord& t : cell.trials) store.append_trial(t);
+        }
         const bool completes = c < kCells - 4;
         if (completes) store.complete_cell(cell.stats);
         replay(cell, completes);
@@ -775,6 +817,28 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
                   want_cells,
                   [&](const auto& kv) { return in_filter(kv.first); })));
 
+    const auto everything = [](std::uint64_t) { return true; };
+    const SweepData want_all = replay_sweep(want_cells, want_trials, everything);
+    const SweepData loaded = load_sweep({path});
+    expect_same_sweep(loaded, want_all, "load_sweep round " +
+                                            std::to_string(round));
+    EXPECT_TRUE(loaded.truncated_tail);
+    EXPECT_EQ(loaded.duplicate_cells + loaded.duplicate_trials, 0u);
+    const CellFilter cell_filter{{CellFilter::parse_clause(clause)}};
+    const campaign::SweepAnalysis walked =
+        campaign::analyze_stores({path}, {});
+    EXPECT_EQ(renderings(walked.report),
+              renderings(campaign::analyze_sweep(want_all)))
+        << "round " << round;
+    EXPECT_TRUE(walked.info.truncated_tail);
+    EXPECT_EQ(renderings(campaign::analyze_stores({path}, cell_filter).report),
+              renderings(campaign::analyze_sweep(
+                  replay_sweep(want_cells, want_trials, in_filter))))
+        << "round " << round;
+    expect_same_sweep(load_sweep({path}, cell_filter),
+                      replay_sweep(want_cells, want_trials, in_filter),
+                      "filtered load_sweep round " + std::to_string(round));
+
     for (std::uint64_t c = 0; c < kCells; ++c) {
       const std::optional<StoreReader::CellData> cell =
           reader.read_cell(synth_coords(c));
@@ -783,6 +847,136 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       EXPECT_EQ(encode_cell(cell->stats), encode_cell(want_cells[c]));
       expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
                     "read_cell");
+    }
+  }
+}
+
+TEST(SegmentMerge, WorkersDirWalkMatchesAReplayAndRefusesAConflictingCopy) {
+  // One sweep's cells spread over 2-3 worker stores, flat or compacted:
+  // a cell may be completed in several (byte-identical copies), and a
+  // killed worker's partial trials of a cell another worker completed
+  // may sit beside it. The union — load_sweep's SweepData, its duplicate
+  // counters, and the stats analyzed off the walk, with and without a
+  // filter — must equal the replay; one altered copy must be refused.
+  constexpr std::uint64_t kCells = 30;
+  constexpr std::uint32_t kTrials = 5;
+  const StoreManifest manifest = synth_manifest(kCells, kTrials);
+  std::mt19937_64 rng{0x3a11};
+  const auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>{lo, hi}(rng);
+  };
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "msa_segment_tests" / "workers";
+  for (int round = 0; round < 8; ++round) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::size_t stores = uniform(2, 3);
+    std::vector<std::string> paths;
+    for (std::size_t s = 0; s < stores; ++s) {
+      paths.push_back((dir / ("w" + std::to_string(s) + ".store")).string());
+    }
+    std::map<TrialRecord::Key, TrialRecord> want_trials;
+    std::map<std::uint64_t, campaign::CellStats> want_cells;
+    std::size_t want_duplicate_cells = 0;
+    std::size_t want_duplicate_trials = 0;
+    // Per store, the keys it was written and the cells it completed.
+    std::vector<std::set<TrialRecord::Key>> held(stores);
+    std::vector<std::set<std::uint64_t>> completed(stores);
+    {
+      std::vector<std::unique_ptr<CampaignStore>> writers;
+      for (const std::string& path : paths) {
+        writers.push_back(std::make_unique<CampaignStore>(
+            path, manifest, CampaignStore::Mode::kCreate));
+      }
+      for (std::uint64_t c = 0; c < kCells; ++c) {
+        // Trials of cells >= kCells - 3 are orphans in every store.
+        const bool completes = c < kCells - 3;
+        std::size_t cell_copies = 0;
+        for (std::size_t s = 0; s < stores; ++s) {
+          const std::uint64_t role = uniform(0, 3);  // 0: none, 1: partial
+          if (role == 0) continue;
+          const std::uint32_t count =
+              role == 1 ? static_cast<std::uint32_t>(uniform(1, kTrials))
+                        : kTrials;
+          for (std::uint32_t t = 0; t < count; ++t) {
+            writers[s]->append_trial(synth_trial(c, t));
+            held[s].insert({c, t});
+          }
+          if (role >= 2 && completes) {
+            writers[s]->complete_cell(synth_stats(c, kTrials));
+            completed[s].insert(c);
+            want_cells[c] = synth_stats(c, kTrials);
+            ++cell_copies;
+          }
+        }
+        want_duplicate_cells += cell_copies > 0 ? cell_copies - 1 : 0;
+      }
+    }
+    if (uniform(0, 1) == 1) {  // one worker's store compacted, which
+      ASSERT_EQ(compact_store(paths[0]).segments_live, 1u);
+      std::erase_if(held[0], [&](const TrialRecord::Key& key) {
+        return !completed[0].contains(key.first);  // drops its orphans
+      });
+    }
+    // The trials: the union by key of what every store holds, a key
+    // held by k stores counting k - 1 duplicates.
+    std::map<TrialRecord::Key, std::size_t> copies;
+    for (const std::set<TrialRecord::Key>& keys : held) {
+      for (const TrialRecord::Key& key : keys) {
+        want_trials[key] = synth_trial(key.first, key.second);
+        ++copies[key];
+      }
+    }
+    for (const auto& [key, k] : copies) want_duplicate_trials += k - 1;
+
+    const auto everything = [](std::uint64_t) { return true; };
+    const SweepData want_all = replay_sweep(want_cells, want_trials, everything);
+    const SweepData loaded = load_sweep(sweep_store_paths(dir.string()));
+    const std::string view = "workers round " + std::to_string(round);
+    expect_same_sweep(loaded, want_all, view);
+    EXPECT_EQ(loaded.duplicate_cells, want_duplicate_cells) << view;
+    EXPECT_EQ(loaded.duplicate_trials, want_duplicate_trials) << view;
+    EXPECT_EQ(renderings(campaign::analyze_stores(paths, {}).report),
+              renderings(campaign::analyze_sweep(want_all)))
+        << view;
+    const CellFilter filter{{CellFilter::parse_clause("delay_s=1,4,9,27")}};
+    const auto in_filter = [&](std::uint64_t c) {
+      return want_cells.contains(c) && (c == 1 || c == 4 || c == 9 || c == 27);
+    };
+    EXPECT_EQ(renderings(campaign::analyze_stores(paths, filter).report),
+              renderings(campaign::analyze_sweep(
+                  replay_sweep(want_cells, want_trials, in_filter))))
+        << view;
+    expect_same_sweep(load_sweep(paths, filter),
+                      replay_sweep(want_cells, want_trials, in_filter),
+                      "filtered " + view);
+
+    // One more store holding an altered copy of a trial the sweep has.
+    const TrialRecord victim = std::next(want_trials.begin(),
+        static_cast<std::ptrdiff_t>(uniform(0, want_trials.size() - 1)))->second;
+    {
+      const std::string rogue = (dir / "w9.store").string();
+      CampaignStore store{rogue, manifest, CampaignStore::Mode::kCreate};
+      TrialRecord altered = victim;
+      altered.psnr += 0.5;
+      store.append_trial(altered);
+    }
+    for (const bool walk : {false, true}) {
+      try {
+        if (walk) {
+          (void)campaign::analyze_stores(sweep_store_paths(dir.string()), {});
+        } else {
+          (void)load_sweep(sweep_store_paths(dir.string()));
+        }
+        ADD_FAILURE() << view << ": conflicting copy accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string want =
+            "persist: trial (" + std::to_string(victim.cell_index) + ", " +
+            std::to_string(victim.trial) +
+            ") has conflicting copies (corrupt store or mixed sweeps): " +
+            (dir / "w9.store").string();
+        EXPECT_EQ(e.what(), want) << view;
+      }
     }
   }
 }
