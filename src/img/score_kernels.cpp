@@ -6,9 +6,6 @@
 #if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
 #define MSA_SIMD_SSE2 1
 #include <emmintrin.h>
-#elif defined(MSA_ENABLE_SIMD) && defined(__aarch64__) && defined(__ARM_NEON)
-#define MSA_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace msa::img {
@@ -105,43 +102,10 @@ std::uint64_t squared_error_sse2(const std::uint8_t* a, const std::uint8_t* b,
   return sum + squared_error_scalar(a + i, b + i, n_bytes - i);
 }
 
-#elif defined(MSA_SIMD_NEON)
-
-std::size_t match_count_neon(const std::uint8_t* a, const std::uint8_t* b,
-                             std::size_t n_pixels) noexcept {
-  std::size_t same = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n_pixels; i += 16) {
-    // De-interleaving loads put each channel in its own lane vector, so
-    // pixel equality is a three-way AND of per-channel compares.
-    const uint8x16x3_t va = vld3q_u8(a + 3 * i);
-    const uint8x16x3_t vb = vld3q_u8(b + 3 * i);
-    const uint8x16_t eq = vandq_u8(
-        vandq_u8(vceqq_u8(va.val[0], vb.val[0]),
-                 vceqq_u8(va.val[1], vb.val[1])),
-        vceqq_u8(va.val[2], vb.val[2]));
-    same += vaddvq_u8(vandq_u8(eq, vdupq_n_u8(1)));
-  }
-  return same + match_count_scalar(a + 3 * i, b + 3 * i, n_pixels - i);
-}
-
-std::uint64_t squared_error_neon(const std::uint8_t* a, const std::uint8_t* b,
-                                 std::size_t n_bytes) noexcept {
-  std::uint64_t sum = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n_bytes; i += 16) {
-    const uint8x16_t d = vabdq_u8(vld1q_u8(a + i), vld1q_u8(b + i));
-    const uint16x8_t lo = vmull_u8(vget_low_u8(d), vget_low_u8(d));
-    const uint16x8_t hi = vmull_u8(vget_high_u8(d), vget_high_u8(d));
-    sum += vaddlvq_u16(lo) + vaddlvq_u16(hi);
-  }
-  return sum + squared_error_scalar(a + i, b + i, n_bytes - i);
-}
-
 #endif
 
 bool use_simd() noexcept {
-#if defined(MSA_SIMD_SSE2) || defined(MSA_SIMD_NEON)
+#if defined(MSA_SIMD_SSE2)
   return g_simd_enabled.load(std::memory_order_relaxed);
 #else
   return false;
@@ -159,8 +123,6 @@ bool simd_enabled() noexcept { return use_simd(); }
 const char* simd_backend() noexcept {
 #if defined(MSA_SIMD_SSE2)
   if (use_simd()) return "sse2";
-#elif defined(MSA_SIMD_NEON)
-  if (use_simd()) return "neon";
 #endif
   return "scalar";
 }
@@ -171,8 +133,6 @@ std::size_t match_count(const std::uint8_t* a, const std::uint8_t* b,
                         std::size_t n_pixels) noexcept {
 #if defined(MSA_SIMD_SSE2)
   if (use_simd()) return match_count_sse2(a, b, n_pixels);
-#elif defined(MSA_SIMD_NEON)
-  if (use_simd()) return match_count_neon(a, b, n_pixels);
 #endif
   return match_count_scalar(a, b, n_pixels);
 }
@@ -181,8 +141,6 @@ std::uint64_t squared_error(const std::uint8_t* a, const std::uint8_t* b,
                             std::size_t n_bytes) noexcept {
 #if defined(MSA_SIMD_SSE2)
   if (use_simd()) return squared_error_sse2(a, b, n_bytes);
-#elif defined(MSA_SIMD_NEON)
-  if (use_simd()) return squared_error_neon(a, b, n_bytes);
 #endif
   return squared_error_scalar(a, b, n_bytes);
 }

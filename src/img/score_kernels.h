@@ -2,16 +2,16 @@
 //
 // Both metrics reduce to exact integer folds over the contiguous RGB
 // byte span (a pixel-equality popcount and a u64 sum of squared byte
-// differences), so the scalar, SSE2, and NEON implementations produce
+// differences), so the scalar and SSE2 implementations produce
 // bit-identical results — the squared-error total for any image this
 // simulator handles stays far below 2^53, so converting the u64 sum to
 // double loses nothing and the reduction order cannot matter.
 //
-// SIMD paths compile in under the MSA_ENABLE_SIMD CMake option (on
-// x86-64/SSE2 or AArch64/NEON) and dispatch at runtime through
-// set_simd_enabled(), so a single binary can exercise and byte-compare
-// both paths; scalar is always compiled and is the fallback everywhere
-// else.
+// The SSE2 path compiles in under the MSA_ENABLE_SIMD CMake option on
+// x86-64 and dispatches at runtime through set_simd_enabled(), so a
+// single binary can exercise and byte-compare both paths; scalar is
+// always compiled and is the only path everywhere else (AArch64
+// included).
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,7 @@ namespace msa::img {
 void set_simd_enabled(bool on) noexcept;
 [[nodiscard]] bool simd_enabled() noexcept;
 
-/// Backend the next scoring call will use: "sse2", "neon", or "scalar".
+/// Backend the next scoring call will use: "sse2" or "scalar".
 [[nodiscard]] const char* simd_backend() noexcept;
 
 namespace detail {

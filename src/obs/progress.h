@@ -3,7 +3,8 @@
 // coordinator daemon. Discovers the sweep manifest from the first lease
 // log, then polls incrementally — lease logs through the same
 // offset-resuming LeaseDirScanner the scheduler uses, worker stores
-// through persist::StoreTailer — so each poll reads only newly appended
+// through persist::StoreTailer, each file one persist::RecordBuffer read
+// from its last intact frame — so each poll reads only newly appended
 // bytes no matter how large the directory has grown. Purely an
 // observer: never writes into the directory, never blocks a worker.
 #pragma once

@@ -169,93 +169,48 @@ TrialRecord TrialRecord::from_result(std::uint64_t cell_index,
   return t;
 }
 
+namespace {
+
+/// The open mode's checks on `path`, made before the store's lock
+/// creates the file; returns `path`. A file shorter than the magic is
+/// the debris of a kill between create and the magic write — not a
+/// resumable store. Only explicit kCreate refuses to clobber it.
+const std::string& checked_store_path(const std::string& path,
+                                      CampaignStore::Mode mode) {
+  const bool usable = record_file_usable(path);
+  if (mode == CampaignStore::Mode::kCreate && std::filesystem::exists(path)) {
+    throw std::runtime_error(
+        "persist: store already exists (resume instead?): " + path);
+  }
+  if (mode == CampaignStore::Mode::kResume && !usable) {
+    throw std::runtime_error("persist: no store to resume: " + path);
+  }
+  if (!usable && std::filesystem::exists(levels_manifest_path(path))) {
+    // A sidecar without its log is a half-deleted store; writing a fresh
+    // log under it would attach the old segments to a new sweep. Refuse
+    // until the debris is cleared.
+    throw std::runtime_error(
+        "persist: stale levels manifest without its store log (remove " +
+        levels_manifest_path(path) + " and its segments): " + path);
+  }
+  return path;
+}
+
+}  // namespace
+
 CampaignStore::CampaignStore(const std::string& path,
                              const StoreManifest& manifest, Mode mode,
                              StoreOptions options)
     : path_{path},
       manifest_{manifest},
       options_{options},
-      resuming_{[&] {
-        // A file shorter than the magic is the debris of a kill between
-        // create and the magic write — not a resumable store. Only
-        // explicit kCreate refuses to clobber it.
-        const bool usable = record_file_usable(path);
-        if (mode == Mode::kCreate && std::filesystem::exists(path)) {
-          throw std::runtime_error(
-              "persist: store already exists (resume instead?): " + path);
-        }
-        if (mode == Mode::kResume && !usable) {
-          throw std::runtime_error("persist: no store to resume: " + path);
-        }
-        if (!usable &&
-            std::filesystem::exists(levels_manifest_path(path))) {
-          // A sidecar without its log is a half-deleted store; writing a
-          // fresh log under it would attach the old segments to a new
-          // sweep. Refuse until the debris is cleared.
-          throw std::runtime_error(
-              "persist: stale levels manifest without its store log "
-              "(remove " +
-              levels_manifest_path(path) + " and its segments): " + path);
-        }
-        return usable;
-      }()},
-      lock_{path, FileLock::Kind::kShared},
-      writer_{path, [&] {
-                if (!resuming_) return RecordWriter::Mode::kTruncate;
-                // One pass: validate manifest, reload completed cells,
-                // find the torn-tail truncation point — all before the
-                // writer opens (and without rejecting the file by
-                // mutating it first).
-                const std::uint64_t keep = scan_existing();
-                std::error_code ec;
-                std::filesystem::resize_file(path, keep, ec);
-                if (ec) {
-                  throw std::runtime_error(
-                      "persist: cannot truncate torn tail: " + path + ": " +
-                      ec.message());
-                }
-                return RecordWriter::Mode::kAppendClean;
-              }()} {
-  if (!resuming_ || !manifest_on_disk_) {
-    // Fresh store — or an existing file whose every record was torn off.
-    writer_.append(kRecManifest, encode_store_manifest(manifest_));
-    writer_.flush();
-  }
-}
-
-std::uint64_t CampaignStore::scan_existing() {
-  bool any_records = false;
-  RecordReader reader{path_};
-  for (std::optional<Record> rec = reader.next(); rec.has_value();
-       rec = reader.next()) {
-    any_records = true;
-    if (rec->type == kRecManifest) {
-      manifest_on_disk_ = true;
-      const StoreManifest on_disk = decode_store_manifest(rec->payload);
-      if (!(on_disk == manifest_)) {
-        throw std::runtime_error(
-            "persist: store belongs to a different sweep (" +
-            describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
-      }
-    } else if (rec->type == kRecCell) {
-      campaign::CellStats cell = decode_cell(rec->payload);
-      const std::uint64_t index = cell.index;
-      completed_[index] = std::move(cell);
-    }
-    // Trial records are not replayed here: resume re-runs incomplete
-    // cells from scratch, and deterministic reseeding reproduces the
-    // identical trials.
-  }
-  if (any_records && !manifest_on_disk_) {
-    throw std::runtime_error("persist: store has no manifest record: " +
-                             path_);
-  }
-
+      lock_{checked_store_path(path, mode), FileLock::Kind::kShared},
+      writer_{path, [this](const RecordView& rec) { visit_existing(rec); }} {
   // Segmented store: the completed-cell map continues in the segments'
   // cell blocks — the log was trimmed at the last compaction. Only the
   // small cell blocks are read; resume never replays segment trial data,
   // so seeking to the incomplete cells costs O(completed cells), not
-  // O(trials).
+  // O(trials). Log records win over segment ones: they are newer.
   if (const std::optional<LevelsManifest> levels =
           read_levels_manifest(path_)) {
     for (const auto& segment : open_segments(path_, *levels, manifest_)) {
@@ -265,7 +220,32 @@ std::uint64_t CampaignStore::scan_existing() {
       }
     }
   }
-  return reader.valid_bytes();
+  if (!manifest_on_disk_) {
+    // Fresh store — or an existing file whose every record was torn off.
+    writer_.append(kRecManifest, encode_store_manifest(manifest_));
+    writer_.flush();
+  }
+}
+
+void CampaignStore::visit_existing(const RecordView& rec) {
+  if (rec.type == kRecManifest) {
+    const StoreManifest on_disk = decode_store_manifest(rec.payload);
+    if (!(on_disk == manifest_)) {
+      throw std::runtime_error(
+          "persist: store belongs to a different sweep (" +
+          describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
+    }
+    manifest_on_disk_ = true;
+  } else if (!manifest_on_disk_) {
+    throw std::runtime_error("persist: store has no manifest record: " +
+                             path_);
+  } else if (rec.type == kRecCell) {
+    campaign::CellStats cell = decode_cell(rec.payload);
+    const std::uint64_t index = cell.index;
+    completed_[index] = std::move(cell);
+  }
+  // Trial records are not replayed: resume re-runs incomplete cells from
+  // scratch, and deterministic reseeding reproduces the identical trials.
 }
 
 void CampaignStore::append_trial(const TrialRecord& trial) {
@@ -358,21 +338,19 @@ StoreTailer::Counts StoreTailer::poll() {
     // Sidecar mid-replacement: keep the previous view, retry next poll.
   }
 
-  if (record_file_usable(path_)) {
-    try {
-      RecordReader reader{path_, offset_};
-      while (const auto rec = reader.next()) {
-        switch (rec->type) {
-          case kRecTrial: ++log_counts_.trials; break;
-          case kRecCell: ++log_counts_.cells; break;
-          default: break;  // manifest / future record types
-        }
+  try {
+    RecordBuffer log{path_, offset_};
+    while (const std::optional<RecordView> rec = log.next()) {
+      switch (rec->type) {
+        case kRecTrial: ++log_counts_.trials; break;
+        case kRecCell: ++log_counts_.cells; break;
+        default: break;  // manifest / future record types
       }
-      offset_ = reader.valid_bytes();
-    } catch (const std::runtime_error&) {
-      // Mid-creation file (magic in flight) or transient I/O hiccup: a
-      // progress view reports nothing new and retries next poll.
     }
+    offset_ = log.valid_bytes();
+  } catch (const std::runtime_error&) {
+    // No store yet, its magic still in flight, or a transient I/O
+    // hiccup: a progress view reports nothing new and retries next poll.
   }
   return {segment_counts_.trials + log_counts_.trials,
           segment_counts_.cells + log_counts_.cells};
@@ -480,7 +458,7 @@ CompactionResult compact_store(const std::string& path) {
   {
     const std::string tmp = path + ".compact";
     {
-      RecordWriter writer{tmp, RecordWriter::Mode::kTruncate};
+      RecordWriter writer{tmp};
       writer.append(kRecManifest, encode_store_manifest(out.identity));
       for (const RecordView& rec : reader->unknown_records()) {
         writer.append(rec.type, rec.payload);

@@ -146,11 +146,10 @@ class CampaignStore {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  /// Resume path: single pass over the existing file that validates the
-  /// on-disk manifest, reloads completed_, and returns the byte offset
-  /// of the last intact frame (the truncation point for the torn tail).
-  /// Must run before writer_ opens — declaration order matters below.
-  [[nodiscard]] std::uint64_t scan_existing();
+  /// Resume path, one record of the existing log at a time before the
+  /// writer opens for append: validates the on-disk manifest (the first
+  /// record) and reloads completed_ from the cell records.
+  void visit_existing(const RecordView& rec);
 
   mutable std::mutex mutex_;
   std::string path_;
@@ -159,15 +158,13 @@ class CampaignStore {
   std::unordered_map<std::uint64_t, campaign::CellStats> completed_;
   unsigned cells_since_sync_ = 0;  ///< fsync batching counter
   util::ByteWriter trial_bytes_;   ///< append_trial's encoding buffer
-  bool resuming_ = false;
-  bool manifest_on_disk_ = false;  ///< set by scan_existing()
+  bool manifest_on_disk_ = false;  ///< set by visit_existing()
   // Shared lock on the log for the store's lifetime, taken before the
   // resume scan reads it: compaction, which takes it exclusively, then
   // cannot trim the log under a live writer.
   FileLock lock_;
-  // Writer last: constructed after the resume scan decided the append
-  // point (kAppendClean skips RecordWriter's own recovery pass, so the
-  // file is read exactly once on resume).
+  // Writer last: its resume constructor runs visit_existing over the log
+  // and needs every member above, the lock included.
   RecordWriter writer_;
 };
 
@@ -252,11 +249,12 @@ struct SweepData : SweepInfo {
                                    const CellFilter& filter = {});
 
 /// Incremental tail reader over one store file for progress views: each
-/// poll() parses only the bytes appended since the previous poll and
-/// counts trial / completed-cell records. Tolerates a file that does not
-/// exist yet and torn tails (both simply yield no new records until the
-/// writer catches up — the same heal-on-reparse strategy as
-/// LeaseDirScanner). Segment-aware: on a segmented store the per-segment
+/// poll() reads only the bytes appended since the previous poll — one
+/// RecordBuffer from the last intact frame — and counts trial /
+/// completed-cell records. Tolerates a file that does not exist yet and
+/// torn tails (both simply yield no new records until the writer catches
+/// up: the next poll re-parses from the last intact frame, as
+/// LeaseDirScanner does). Segment-aware: on a segmented store the per-segment
 /// totals come from the levels manifest (no block reads at all), the log
 /// tail is followed by offset as before, and a generation bump — a
 /// compaction trimming the log under the poller — rebases the counts

@@ -86,22 +86,8 @@ std::string prepare_lease_path(const std::string& dir,
 LeaseLog::LeaseLog(const std::string& path, const StoreManifest& manifest)
     : path_{path},
       manifest_{manifest},
-      // Shorter than the magic = killed between create and magic write;
-      // start fresh instead of throwing bad-magic on every restart.
-      resuming_{record_file_usable(path)},
-      writer_{path, [&] {
-                if (!resuming_) return RecordWriter::Mode::kTruncate;
-                const std::uint64_t keep = scan_existing();
-                std::error_code ec;
-                std::filesystem::resize_file(path, keep, ec);
-                if (ec) {
-                  throw std::runtime_error(
-                      "persist: cannot truncate torn lease tail: " + path +
-                      ": " + ec.message());
-                }
-                return RecordWriter::Mode::kAppendClean;
-              }()} {
-  if (!resuming_ || !manifest_on_disk_) {
+      writer_{path, [this](const RecordView& rec) { visit_existing(rec); }} {
+  if (!manifest_on_disk_) {
     writer_.append(kRecLeaseManifest, encode_store_manifest(manifest_));
   } else {
     // Worker restart: the previous life's unfinished claims are void;
@@ -111,35 +97,22 @@ LeaseLog::LeaseLog(const std::string& path, const StoreManifest& manifest)
   writer_.flush();
 }
 
-std::uint64_t LeaseLog::scan_existing() {
-  bool any_records = false;
-  RecordReader reader{path_};
-  for (std::optional<Record> rec = reader.next(); rec.has_value();
-       rec = reader.next()) {
-    any_records = true;
-    switch (rec->type) {
-      case kRecLeaseManifest: {
-        const StoreManifest on_disk = decode_store_manifest(rec->payload);
-        if (!(on_disk == manifest_)) {
-          throw std::runtime_error(
-              "persist: lease log belongs to a different sweep (" +
-              describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
-        }
-        manifest_on_disk_ = true;
-        break;
-      }
-      case kRecLeaseComplete:
-        completed_.insert(decode_cell_index(rec->payload));
-        break;
-      default:
-        break;  // claims/renews of the previous life: voided by the reset
+void LeaseLog::visit_existing(const RecordView& rec) {
+  if (rec.type == kRecLeaseManifest) {
+    const StoreManifest on_disk = decode_store_manifest(rec.payload);
+    if (!(on_disk == manifest_)) {
+      throw std::runtime_error(
+          "persist: lease log belongs to a different sweep (" +
+          describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
     }
-  }
-  if (any_records && !manifest_on_disk_) {
+    manifest_on_disk_ = true;
+  } else if (!manifest_on_disk_) {
     throw std::runtime_error("persist: lease log has no manifest record: " +
                              path_);
+  } else if (rec.type == kRecLeaseComplete) {
+    completed_.insert(decode_cell_index(rec.payload));
   }
-  return reader.valid_bytes();
+  // Claims and renews of the previous life are voided by the reset.
 }
 
 void LeaseLog::claim(std::uint64_t cell_index) {
@@ -159,14 +132,13 @@ void LeaseLog::complete(std::uint64_t cell_index) {
 }
 
 std::optional<StoreManifest> read_lease_manifest(const std::string& path) {
-  if (!record_file_usable(path)) return std::nullopt;
   try {
-    RecordReader reader{path};
-    const std::optional<Record> rec = reader.next();
+    const std::optional<Record> rec =
+        RecordFile{path}.read_at(kRecordMagic.size());
     if (!rec.has_value() || rec->type != kRecLeaseManifest) return std::nullopt;
     return decode_store_manifest(rec->payload);
   } catch (const std::exception&) {
-    return std::nullopt;  // bad magic, torn manifest, unreadable file
+    return std::nullopt;  // missing, bad magic, unreadable, bad manifest
   }
 }
 
@@ -200,9 +172,9 @@ void LeaseDirScanner::scan_file(const std::string& name,
                                 const std::string& path, bool idle) {
   WorkerLeaseState& state = workers_[name];
 
-  std::optional<RecordReader> reader;
+  RecordBuffer log;
   try {
-    reader.emplace(path, state.valid_bytes);
+    log = RecordBuffer{path, state.valid_bytes};
   } catch (const std::runtime_error&) {
     // Unopenable or bad magic. A file we have never read may simply be
     // mid-creation (the peer's magic write is in flight) — check again
@@ -215,8 +187,7 @@ void LeaseDirScanner::scan_file(const std::string& name,
   }
 
   std::size_t parsed = 0;
-  for (std::optional<Record> rec = reader->next(); rec.has_value();
-       rec = reader->next()) {
+  while (const std::optional<RecordView> rec = log.next()) {
     if (!state.manifest_checked) {
       // The first record of a lease log is always its manifest; anything
       // else is a foreign or corrupt file polluting the directory.
@@ -254,7 +225,7 @@ void LeaseDirScanner::scan_file(const std::string& name,
     }
     ++parsed;
   }
-  state.valid_bytes = reader->valid_bytes();
+  state.valid_bytes = log.valid_bytes();
   state.frames += parsed;
   if (parsed > 0) {
     state.stale_scans = 0;

@@ -83,16 +83,16 @@ class LeaseLog {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  /// Resume scan (same declaration-order trick as CampaignStore: runs
-  /// before writer_ opens). Returns the torn-tail truncation point.
-  [[nodiscard]] std::uint64_t scan_existing();
+  /// Resume path, one record of the existing log at a time before the
+  /// writer opens for append (as in CampaignStore): validates the
+  /// manifest (the first record) and reloads completions.
+  void visit_existing(const RecordView& rec);
 
   std::string path_;
   StoreManifest manifest_;
   std::set<std::uint64_t> completed_;
-  bool resuming_ = false;
   bool manifest_on_disk_ = false;
-  RecordWriter writer_;  // last: see scan_existing()
+  RecordWriter writer_;  // last: its resume scan calls visit_existing()
 };
 
 /// Decodes the manifest record a lease log opens with, without loading

@@ -50,15 +50,12 @@ std::optional<LevelsManifest> read_levels_manifest(
   if (!std::filesystem::exists(path)) return std::nullopt;
 
   std::optional<Record> rec;
-  bool truncated = false;
   try {
-    RecordReader reader{path};
-    rec = reader.next();
-    truncated = reader.truncated();
+    rec = RecordFile{path}.read_at(kRecordMagic.size());
   } catch (const std::runtime_error& e) {
     levels_error(path, e.what());
   }
-  if (!rec.has_value() || truncated || rec->type != kRecLevels) {
+  if (!rec.has_value() || rec->type != kRecLevels) {
     levels_error(path, "missing or corrupt levels record");
   }
 
@@ -110,7 +107,7 @@ void write_levels_manifest(const std::string& store_path,
   const std::string path = levels_manifest_path(store_path);
   const std::string tmp = path + ".tmp";
   {
-    RecordWriter writer{tmp, RecordWriter::Mode::kTruncate};
+    RecordWriter writer{tmp};
     writer.append(kRecLevels, w.bytes());
     writer.sync();
   }

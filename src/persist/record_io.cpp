@@ -52,18 +52,6 @@ obs::Counter& crc_failure_counter() {
                            std::strerror(errno));
 }
 
-/// True when all n bytes arrived; false only at end-of-data. A genuine
-/// stream error (EIO, ...) throws instead — conflating it with EOF would
-/// make append recovery "truncate" intact records behind a transient
-/// read failure.
-bool read_exact(std::FILE* f, const std::string& path, std::uint8_t* out,
-                std::size_t n, std::size_t* got = nullptr) {
-  const std::size_t r = std::fread(out, 1, n, f);
-  if (got != nullptr) *got = r;
-  if (r != n && std::ferror(f) != 0) io_error("read failed", path);
-  return r == n;
-}
-
 /// The frame checks both readers share: a body holds at least its type
 /// byte, and a length prefix beyond the cap is a torn one.
 bool body_len_ok(std::uint32_t body_len) {
@@ -155,98 +143,15 @@ FileLock::~FileLock() {
 #endif
 }
 
-RecordReader::RecordReader(const std::string& path,
-                           std::uint64_t resume_offset)
-    : path_{path} {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) io_error("cannot open store", path);
-  std::array<std::uint8_t, kRecordMagic.size()> magic{};
-  if (!read_exact(file_, path_, magic.data(), magic.size()) ||
-      magic != kRecordMagic) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw std::runtime_error("persist: not a record store (bad magic): " +
-                             path);
-  }
-  valid_bytes_ = kRecordMagic.size();
-  if (resume_offset > kRecordMagic.size()) {
-    // 64-bit seek: plain fseek takes a long, which is 32 bits on
-    // Windows — a >2 GiB log (one renew record per trial adds up) must
-    // still resume.
-#if defined(_WIN32)
-    const int rc =
-        _fseeki64(file_, static_cast<long long>(resume_offset), SEEK_SET);
-#else
-    const int rc = fseeko(file_, static_cast<off_t>(resume_offset), SEEK_SET);
-#endif
-    if (rc != 0) {
-      std::fclose(file_);
-      file_ = nullptr;
-      io_error("cannot seek to resume offset", path);
-    }
-    valid_bytes_ = resume_offset;
-  }
-}
-
-RecordReader::~RecordReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-std::optional<Record> RecordReader::next() {
-  if (done_) return std::nullopt;
-  const auto torn = [&] {
-    done_ = true;
-    truncated_ = true;
-    crc_failure_counter().add();
-    return std::nullopt;
-  };
-
-  // Header and type byte apart from the payload, so the payload lands in
-  // its vector with one copy. A partial frame is a torn one.
-  std::array<std::uint8_t, 9> head{};  // [u32 body_len][u32 crc][u8 type]
-  std::size_t got = 0;
-  if (!read_exact(file_, path_, head.data(), head.size(), &got)) {
-    if (got != 0) return torn();
-    done_ = true;
-    return std::nullopt;
-  }
-  util::ByteReader hr{head};
-  const std::uint32_t body_len = hr.u32();
-  const std::uint32_t stored_crc = hr.u32();
-  if (!body_len_ok(body_len)) return torn();
-
-  Record record;
-  record.type = hr.u8();
-  record.payload.resize(body_len - 1);
-  if (!record.payload.empty() &&
-      !read_exact(file_, path_, record.payload.data(),
-                  record.payload.size())) {
-    return torn();
-  }
-  if (body_crc(record.type, record.payload) != stored_crc) return torn();
-  valid_bytes_ += 8 + body_len;
-  return record;
-}
-
-RecordBuffer::RecordBuffer(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) io_error("cannot open store", path);
+RecordBuffer::RecordBuffer(const std::string& path, std::uint64_t offset)
+    : start_{std::max<std::uint64_t>(offset, kRecordMagic.size())} {
+  const RecordFile file{path};  // checks the magic
   // One read of what the file holds now; a frame still being appended
-  // past that is a torn tail, as it would be to RecordReader.
+  // past that is a torn tail until the next read.
   const std::uint64_t size = file_size_or_zero(path);
-  bytes_ = std::make_unique_for_overwrite<std::uint8_t[]>(size);
-  size_ = std::fread(bytes_.get(), 1, size, file);
-  const bool failed = std::ferror(file) != 0;
-  const int saved = errno;
-  std::fclose(file);
-  errno = saved;
-  if (failed) io_error("read failed", path);
-  if (size_ < kRecordMagic.size() ||
-      !std::equal(kRecordMagic.begin(), kRecordMagic.end(), bytes_.get())) {
-    throw std::runtime_error("persist: not a record store (bad magic): " +
-                             path);
-  }
-  pos_ = kRecordMagic.size();
+  if (size <= start_) return;
+  bytes_ = std::make_unique_for_overwrite<std::uint8_t[]>(size - start_);
+  size_ = file.read_upto(start_, {bytes_.get(), size - start_});
 }
 
 std::optional<RecordView> RecordBuffer::next() {
@@ -274,7 +179,7 @@ RecordFile::RecordFile(std::string path) : path_{std::move(path)} {
   if (fd_ < 0) io_error("cannot open store", path_);
 #endif
   std::array<std::uint8_t, kRecordMagic.size()> magic{};
-  if (!read_exact_at(0, magic) || magic != kRecordMagic) {
+  if (read_upto(0, magic) != magic.size() || magic != kRecordMagic) {
 #if !defined(_WIN32)
     ::close(fd_);
 #endif
@@ -289,29 +194,30 @@ RecordFile::~RecordFile() {
 #endif
 }
 
-bool RecordFile::read_exact_at(std::uint64_t offset,
-                               std::span<std::uint8_t> out) const {
+std::size_t RecordFile::read_upto(std::uint64_t offset,
+                                  std::span<std::uint8_t> out) const {
 #if defined(_WIN32)
   std::FILE* file = std::fopen(path_.c_str(), "rb");
   if (file == nullptr) io_error("cannot open store", path_);
-  const bool ok =
-      _fseeki64(file, static_cast<long long>(offset), SEEK_SET) == 0 &&
-      std::fread(out.data(), 1, out.size(), file) == out.size();
+  std::size_t got = 0;
+  if (_fseeki64(file, static_cast<long long>(offset), SEEK_SET) == 0) {
+    got = std::fread(out.data(), 1, out.size(), file);
+  }
   const bool failed = std::ferror(file) != 0;
   std::fclose(file);
   if (failed) io_error("read failed", path_);
-  return ok;
+  return got;
 #else
-  while (!out.empty()) {
-    const ssize_t got = ::pread(fd_, out.data(), out.size(),
-                                static_cast<off_t>(offset));
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0) io_error("read failed", path_);
-    if (got == 0) return false;
-    out = out.subspan(static_cast<std::size_t>(got));
-    offset += static_cast<std::uint64_t>(got);
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd_, out.data() + got, out.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) io_error("read failed", path_);
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
   }
-  return true;
+  return got;
 #endif
 }
 
@@ -321,7 +227,7 @@ std::optional<Record> RecordFile::read_at(std::uint64_t offset) const {
     return std::nullopt;
   };
   std::array<std::uint8_t, 9> head{};  // [u32 body_len][u32 crc][u8 type]
-  if (!read_exact_at(offset, head)) return torn();
+  if (read_upto(offset, head) != head.size()) return torn();
   util::ByteReader hr{head};
   const std::uint32_t body_len = hr.u32();
   const std::uint32_t stored_crc = hr.u32();
@@ -329,50 +235,51 @@ std::optional<Record> RecordFile::read_at(std::uint64_t offset) const {
   Record record;
   record.type = hr.u8();
   record.payload.resize(body_len - 1);
-  if (!read_exact_at(offset + head.size(), record.payload) ||
+  if (read_upto(offset + head.size(), record.payload) !=
+          record.payload.size() ||
       body_crc(record.type, record.payload) != stored_crc) {
     return torn();
   }
   return record;
 }
 
-RecordWriter::RecordWriter(const std::string& path, Mode mode) : path_{path} {
-  const bool exists = std::filesystem::exists(path);
-  if (mode == Mode::kTruncate || !exists) {
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr) io_error("cannot create store", path);
-    if (std::fwrite(kRecordMagic.data(), 1, kRecordMagic.size(), file_) !=
-        kRecordMagic.size()) {
-      std::fclose(file_);
-      file_ = nullptr;
-      io_error("cannot write store magic", path);
-    }
+RecordWriter::RecordWriter(const std::string& path) : path_{path} {
+  create();
+}
+
+RecordWriter::RecordWriter(
+    const std::string& path,
+    const std::function<void(const RecordView&)>& visit)
+    : path_{path} {
+  if (!record_file_usable(path)) {
+    create();
     return;
   }
-
-  if (mode == Mode::kAppendRecover) {
-    // Append recovery: find the end of the last intact frame, drop any
-    // torn tail so new frames land on a clean boundary.
-    std::uint64_t keep = 0;
-    {
-      RecordReader reader{path};  // throws on bad magic — never clobber
-      while (reader.next().has_value()) {
-      }
-      keep = reader.valid_bytes();
-    }
-    std::error_code ec;
-    std::filesystem::resize_file(path, keep, ec);
-    if (ec) {
-      throw std::runtime_error("persist: cannot truncate torn tail: " + path +
-                               ": " + ec.message());
-    }
-  } else {
-    // kAppendClean: the caller scanned and truncated already; just make
-    // sure this really is a record store before appending to it.
-    RecordReader magic_check{path};
+  std::uint64_t keep = 0;
+  {
+    RecordBuffer log{path};  // throws on bad magic — never clobber
+    while (const std::optional<RecordView> rec = log.next()) visit(*rec);
+    keep = log.valid_bytes();
+  }
+  std::error_code ec;
+  std::filesystem::resize_file(path, keep, ec);
+  if (ec) {
+    throw std::runtime_error("persist: cannot truncate torn tail: " + path +
+                             ": " + ec.message());
   }
   file_ = std::fopen(path.c_str(), "ab");
   if (file_ == nullptr) io_error("cannot open store for append", path);
+}
+
+void RecordWriter::create() {
+  file_ = std::fopen(path_.c_str(), "wb");
+  if (file_ == nullptr) io_error("cannot create store", path_);
+  if (std::fwrite(kRecordMagic.data(), 1, kRecordMagic.size(), file_) !=
+      kRecordMagic.size()) {
+    std::fclose(file_);
+    file_ = nullptr;
+    io_error("cannot write store magic", path_);
+  }
 }
 
 RecordWriter::~RecordWriter() {

@@ -10,11 +10,17 @@
 // chop the garbage off and keep appending. Corruption is never "skipped":
 // the first bad frame ends the stream, because in an append-only log
 // everything after a bad length prefix is unframed noise.
+//
+// There are two readers, with one set of frame checks: RecordBuffer walks
+// a file's frames in order (store opens, resume scans, progress and lease
+// tails), and RecordFile reads single frames by offset (segment blocks,
+// one-frame sidecars, a lease log's manifest).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -84,67 +90,42 @@ class FileLock {
   int fd_ = -1;
 };
 
-/// Sequential reader. Construct, call next() until it returns nullopt,
-/// then check truncated() to distinguish a clean EOF from a torn tail.
-class RecordReader {
- public:
-  /// Throws std::runtime_error if the file cannot be opened or does not
-  /// start with the record magic. `resume_offset`, when nonzero, must be
-  /// a frame boundary previously obtained from valid_bytes(): reading
-  /// continues from there instead of the first frame — the incremental
-  /// path for pollers (lease-log scans) that re-read a growing file.
-  /// Note a tail that looked torn on the previous pass may have been an
-  /// in-flight append that has since completed, so resuming at the LAST
-  /// INTACT offset and re-parsing is exactly right: the "tear" heals.
-  explicit RecordReader(const std::string& path,
-                        std::uint64_t resume_offset = 0);
-  ~RecordReader();
-
-  RecordReader(const RecordReader&) = delete;
-  RecordReader& operator=(const RecordReader&) = delete;
-
-  /// Next intact record, or nullopt at end of stream (clean or torn).
-  /// Throws std::runtime_error on a genuine stream error (EIO etc.) —
-  /// an I/O fault is not a torn tail and must not trigger truncation.
-  [[nodiscard]] std::optional<Record> next();
-
-  /// True once next() has hit a short or CRC-mismatched frame.
-  [[nodiscard]] bool truncated() const noexcept { return truncated_; }
-
-  /// Byte offset just past the last intact frame (>= magic size); the
-  /// safe truncation point for append recovery.
-  [[nodiscard]] std::uint64_t valid_bytes() const noexcept {
-    return valid_bytes_;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;  ///< for error messages
-  std::uint64_t valid_bytes_ = 0;
-  bool truncated_ = false;
-  bool done_ = false;
-};
-
-/// A whole record file loaded with one read, its frames walked in place
-/// with RecordReader's checks: the first short, oversized or
-/// CRC-mismatched frame ends the stream as a torn tail. The views next()
-/// returns stay valid for the buffer's lifetime, a move included.
+/// The one sequential reader: the frames of a record file from a start
+/// offset to its end, loaded with one read and walked in place. The
+/// first short, oversized or CRC-mismatched frame ends the stream as a
+/// torn tail. Tailing a growing file is a new RecordBuffer at the last
+/// valid_bytes(): a tail that looked torn may have been an append still
+/// in flight, so re-parsing from the last intact frame heals it. The
+/// views next() returns stay valid for the buffer's lifetime, a move
+/// included.
 class RecordBuffer {
  public:
   RecordBuffer() = default;  ///< an empty stream
-  /// Throws std::runtime_error as RecordReader's constructor does.
-  explicit RecordBuffer(const std::string& path);
+  /// Checks the magic, then reads [offset, EOF) — from the first frame
+  /// when `offset` is at most the magic size, otherwise from `offset`,
+  /// which must be a frame boundary an earlier valid_bytes() returned.
+  /// An offset at or past EOF (a log trimmed since) gives an empty,
+  /// untorn stream. Throws std::runtime_error if the file cannot be
+  /// opened or read, or does not start with the record magic.
+  explicit RecordBuffer(const std::string& path, std::uint64_t offset = 0);
 
   /// Next intact frame, or nullopt at end of stream (clean or torn).
   [[nodiscard]] std::optional<RecordView> next();
 
+  /// True once next() has hit a short, oversized or CRC-mismatched frame.
   [[nodiscard]] bool truncated() const noexcept { return truncated_; }
-  [[nodiscard]] std::uint64_t valid_bytes() const noexcept { return pos_; }
+  /// File offset just past the last intact frame (at least the start
+  /// offset): where the next tail read starts, and the truncation point
+  /// for a torn tail.
+  [[nodiscard]] std::uint64_t valid_bytes() const noexcept {
+    return start_ + pos_;
+  }
 
  private:
-  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::unique_ptr<std::uint8_t[]> bytes_;  ///< [start_, start_ + size_)
   std::size_t size_ = 0;
-  std::size_t pos_ = 0;  ///< just past the last intact frame
+  std::size_t pos_ = 0;  ///< just past the last intact frame, from start_
+  std::uint64_t start_ = 0;
   bool truncated_ = false;
 };
 
@@ -153,7 +134,7 @@ class RecordBuffer {
 /// pread(2), so one const reader serves concurrent callers.
 class RecordFile {
  public:
-  /// Throws std::runtime_error as RecordReader's constructor does.
+  /// Throws std::runtime_error as RecordBuffer's constructor does.
   explicit RecordFile(std::string path);
   ~RecordFile();
 
@@ -166,8 +147,13 @@ class RecordFile {
   [[nodiscard]] std::optional<Record> read_at(std::uint64_t offset) const;
 
  private:
-  /// True when all of `out` was read; false only at end of file.
-  bool read_exact_at(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  friend class RecordBuffer;  // reads its tail through read_upto
+
+  /// Reads into `out` from `offset`; fewer bytes only at end of file.
+  /// A genuine I/O error throws: taken for end of file, it would let a
+  /// resume chop intact records as a torn tail.
+  std::size_t read_upto(std::uint64_t offset,
+                        std::span<std::uint8_t> out) const;
 
   std::string path_;
   int fd_ = -1;  ///< unused on Windows, which reopens per read
@@ -176,21 +162,18 @@ class RecordFile {
 /// Append-only writer.
 class RecordWriter {
  public:
-  enum class Mode {
-    kTruncate,        ///< start a fresh file (magic + nothing)
-    kAppendRecover,   ///< keep existing records, chop any torn tail
-    kAppendClean,     ///< append as-is: caller already scanned/truncated
-  };
+  /// Creates `path`, or truncates it, and writes the magic.
+  explicit RecordWriter(const std::string& path);
 
-  /// kTruncate creates/overwrites `path`. kAppendRecover scans an
-  /// existing file with RecordReader, truncates it to the last intact
-  /// frame, and positions for append (a missing file is created fresh).
-  /// kAppendClean skips the recovery scan — only the magic is checked —
-  /// for callers that just read the file themselves and already chopped
-  /// any torn tail (CampaignStore resume, which needs the records anyway
-  /// and should not pay a second full pass).
-  /// Throws std::runtime_error on I/O failure or bad magic.
-  RecordWriter(const std::string& path, Mode mode);
+  /// Resumes `path`: hands every intact record to `visit`, in order,
+  /// then chops the torn tail (if any) and opens for append. A record
+  /// the visitor rejects by throwing leaves the file untouched. A file
+  /// absent or shorter than the magic — the debris of a kill between
+  /// create and the magic write — starts fresh rather than failing on
+  /// every restart.
+  RecordWriter(const std::string& path,
+               const std::function<void(const RecordView&)>& visit);
+
   ~RecordWriter();
 
   RecordWriter(const RecordWriter&) = delete;
@@ -215,6 +198,8 @@ class RecordWriter {
   void sync();
 
  private:
+  void create();  ///< a fresh file at path_: the magic, no frames
+
   std::FILE* file_ = nullptr;
   std::string path_;
 };

@@ -87,10 +87,10 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   std::vector<WrittenBlock> trial_blocks;
   std::vector<WrittenBlock> cell_blocks;
 
-  // kTruncate: segment file names embed the compaction sequence, so an
+  // Truncating: segment file names embed the compaction sequence, so an
   // existing file at `path` can only be debris from an interrupted
   // compaction that never published its manifest — clobber it.
-  RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+  RecordWriter writer{path};
   std::uint64_t offset = kRecordMagic.size();
   const auto append = [&](std::uint8_t type, std::span<const std::uint8_t> head,
                           std::span<const std::uint8_t> tail = {}) {

@@ -11,9 +11,6 @@
 #if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
 #define MSA_SIMD_SSE2 1
 #include <emmintrin.h>
-#elif defined(MSA_ENABLE_SIMD) && defined(__aarch64__) && defined(__ARM_NEON)
-#define MSA_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace msa::vitis {
@@ -27,7 +24,7 @@ namespace {
 // zero past the patch and past out_c. The column of one 8-pixel block is
 // [q][pixel][2], the same pairs of the pixel's patch. Each pair product
 // w0*x0 + w1*x1 of int8-range values fits int32, and every backend adds
-// the pairs with int32 wrap-around, so all three produce identical sums.
+// the pairs with int32 wrap-around, so both produce identical sums.
 
 constexpr std::size_t kBlockOc = 4;
 constexpr std::size_t kBlockPx = 8;
@@ -127,36 +124,6 @@ void conv_block_sse2(const std::int16_t* w, const std::int16_t* col,
   requant_store(a3, b3, bias[3], sh, relu, out[3]);
 }
 
-#elif defined(MSA_SIMD_NEON)
-
-void conv_block_neon(const std::int16_t* w, const std::int16_t* col,
-                     std::size_t pairs, const std::int32_t* bias,
-                     std::uint32_t shift, bool relu,
-                     std::int8_t (*out)[kBlockPx]) noexcept {
-  int32x4_t lo[kBlockOc];
-  int32x4_t hi[kBlockOc];
-  for (std::size_t j = 0; j < kBlockOc; ++j) lo[j] = hi[j] = vdupq_n_s32(0);
-  for (std::size_t q = 0; q < pairs; ++q, w += kPackedPair, col += 2 * kBlockPx) {
-    // val[0] holds the first tap of each pixel's pair, val[1] the second.
-    const int16x8x2_t x = vld2q_s16(col);
-    for (std::size_t j = 0; j < kBlockOc; ++j) {
-      const std::int16_t* wj = w + 2 * j;
-      lo[j] = vmlal_n_s16(lo[j], vget_low_s16(x.val[0]), wj[0]);
-      lo[j] = vmlal_n_s16(lo[j], vget_low_s16(x.val[1]), wj[1]);
-      hi[j] = vmlal_n_s16(hi[j], vget_high_s16(x.val[0]), wj[0]);
-      hi[j] = vmlal_n_s16(hi[j], vget_high_s16(x.val[1]), wj[1]);
-    }
-  }
-  const int32x4_t sh = vdupq_n_s32(-static_cast<std::int32_t>(shift));
-  for (std::size_t j = 0; j < kBlockOc; ++j) {
-    const int32x4_t b = vdupq_n_s32(bias[j]);
-    int16x8_t v = vcombine_s16(vqmovn_s32(vshlq_s32(vaddq_s32(lo[j], b), sh)),
-                               vqmovn_s32(vshlq_s32(vaddq_s32(hi[j], b), sh)));
-    if (relu) v = vmaxq_s16(v, vdupq_n_s16(0));
-    vst1_s8(out[j], vqmovn_s16(v));
-  }
-}
-
 #endif
 
 using ConvBlockFn = void (*)(const std::int16_t* w, const std::int16_t* col,
@@ -170,8 +137,6 @@ using ConvBlockFn = void (*)(const std::int16_t* w, const std::int16_t* col,
 ConvBlockFn conv_block_for(bool simd) noexcept {
 #if defined(MSA_SIMD_SSE2)
   if (simd) return conv_block_sse2;
-#elif defined(MSA_SIMD_NEON)
-  if (simd) return conv_block_neon;
 #else
   (void)simd;
 #endif
@@ -221,23 +186,6 @@ void gather_row_sse2(const std::int16_t* src, const std::size_t* taps,
   }
 }
 
-#elif defined(MSA_SIMD_NEON)
-
-/// gather_scalar for windows at src + p * stride, stride 1 or 2.
-void gather_row_neon(const std::int16_t* src, const std::size_t* taps,
-                     std::size_t pairs, std::size_t stride,
-                     std::int16_t* col) noexcept {
-  for (std::size_t q = 0; q < pairs; ++q, col += 2 * kBlockPx) {
-    const std::int16_t* a = src + taps[2 * q];
-    const std::int16_t* b = src + taps[2 * q + 1];
-    const int16x8x2_t ab =
-        stride == 1 ? vzipq_s16(vld1q_s16(a), vld1q_s16(b))
-                    : vzipq_s16(vld2q_s16(a).val[0], vld2q_s16(b).val[0]);
-    vst1q_s16(col, ab.val[0]);
-    vst1q_s16(col + kBlockPx, ab.val[1]);
-  }
-}
-
 #endif
 
 /// Fills the column of a block of `n` pixels. A full block whose windows
@@ -249,14 +197,10 @@ void gather_block(bool simd, const std::int16_t* padded,
                   const std::size_t* taps, std::size_t pairs,
                   const std::size_t* window, std::size_t n, std::size_t stride,
                   std::int16_t* col) noexcept {
-#if defined(MSA_SIMD_SSE2) || defined(MSA_SIMD_NEON)
+#if defined(MSA_SIMD_SSE2)
   if (simd && n == kBlockPx && stride <= 2 &&
       window[kBlockPx - 1] - window[0] == (kBlockPx - 1) * stride) {
-#if defined(MSA_SIMD_SSE2)
     gather_row_sse2(padded + window[0], taps, pairs, stride, col);
-#else
-    gather_row_neon(padded + window[0], taps, pairs, stride, col);
-#endif
     return;
   }
 #else
@@ -287,12 +231,6 @@ void max_into(std::int8_t* dst, const std::int8_t* src, std::size_t n) noexcept 
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i)), flip);
       _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
                        _mm_xor_si128(_mm_max_epu8(d, s), flip));
-    }
-  }
-#elif defined(MSA_SIMD_NEON)
-  if (img::simd_enabled()) {
-    for (; i + 16 <= n; i += 16) {
-      vst1q_s8(dst + i, vmaxq_s8(vld1q_s8(dst + i), vld1q_s8(src + i)));
     }
   }
 #endif

@@ -12,10 +12,11 @@
 // threads at once. Dense is a 1x1 Conv2d on its input viewed as [in,1,1]
 // and runs through the same packing and block kernel: there is no second
 // GEMM. MaxPool2d takes column then row maxima with a vector byte max.
-// Every kernel runs on SSE2 or NEON under the MSA_ENABLE_SIMD build
-// option and the img::set_simd_enabled() runtime switch, with a scalar
-// loop as the fallback; integer arithmetic is exact in any order, so
-// every path yields bit-identical outputs.
+// Every kernel runs on SSE2 under the MSA_ENABLE_SIMD build option and
+// the img::set_simd_enabled() runtime switch, with a scalar loop as the
+// fallback (and the only path elsewhere, AArch64 included); integer
+// arithmetic is exact in any order, so every path yields bit-identical
+// outputs.
 #pragma once
 
 #include <cstdint>

@@ -542,7 +542,7 @@ TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
   StoreManifest other = manifest;
   other.trial_salt += 1;
   {
-    RecordWriter writer{path, RecordWriter::Mode::kAppendRecover};
+    RecordWriter writer{path, [](const RecordView&) {}};
     writer.append(kRecManifest, encode_store_manifest(other));
   }
   const std::map<std::string, std::string> before = store_files(path);
@@ -580,23 +580,23 @@ TEST(CampaignStore, CompactionKeepsUnknownRecordTypesVerbatim) {
     (void)runner.run(grid, store);
   }
   {
-    RecordWriter writer{path, RecordWriter::Mode::kAppendRecover};
+    RecordWriter writer{path, [](const RecordView&) {}};
     writer.append(0x7e, first);
     writer.append(0x7f, second);
   }
   const std::string stats = campaign::analyze_sweep(load_sweep({path})).to_csv();
 
   ASSERT_EQ(compact_store(path).segments_written, 1u);
-  std::vector<Record> log;
-  RecordReader reader{path};
-  while (std::optional<Record> rec = reader.next()) log.push_back(*rec);
+  std::vector<RecordView> log;
+  RecordBuffer reader{path};
+  while (std::optional<RecordView> rec = reader.next()) log.push_back(*rec);
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0].type, kRecManifest);
   EXPECT_EQ(decode_store_manifest(log[0].payload), manifest);
   EXPECT_EQ(log[1].type, 0x7e);
-  EXPECT_EQ(log[1].payload, first);
+  EXPECT_TRUE(std::ranges::equal(log[1].payload, first));
   EXPECT_EQ(log[2].type, 0x7f);
-  EXPECT_EQ(log[2].payload, second);
+  EXPECT_TRUE(std::ranges::equal(log[2].payload, second));
   EXPECT_EQ(campaign::analyze_sweep(load_sweep({path})).to_csv(), stats);
 }
 

@@ -222,8 +222,8 @@ double reference_match(const img::Image& a, const img::Image& b) {
 }
 
 TEST(ScoreKernels, SimdAndScalarAgreeBitForBitWithReference) {
-  // Widths hit every SSE2 tail (16-pixel blocks) and NEON tail; heights
-  // include 1 so tiny totals are covered too.
+  // Widths hit every SSE2 tail (16-pixel blocks); heights include 1 so
+  // tiny totals are covered too.
   const std::uint32_t sizes[][2] = {{1, 1},   {3, 1},  {15, 1}, {16, 1},
                                     {17, 1},  {31, 3}, {33, 2}, {48, 5},
                                     {96, 96}, {97, 7}};
@@ -278,11 +278,10 @@ TEST(ScoreKernels, BackendReportsToggleState) {
   }
   // With the toggle restored the backend is whatever the build compiled
   // in; scalar (with simd_enabled() false, since set_simd_enabled is a
-  // no-op there) is the answer on non-SSE2/NEON targets or
+  // no-op there) is the answer on non-SSE2 targets or
   // -DMSA_ENABLE_SIMD=OFF.
   const std::string backend = img::simd_backend();
-  EXPECT_TRUE(backend == "sse2" || backend == "neon" || backend == "scalar")
-      << backend;
+  EXPECT_TRUE(backend == "sse2" || backend == "scalar") << backend;
   EXPECT_EQ(img::simd_enabled(), backend != "scalar");
 }
 

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <span>
@@ -161,6 +163,82 @@ TEST(LeaseLog, TornTailIsDroppedOnReopenAndByScanner) {
   EXPECT_TRUE(scanner.workers().at("w0.lease").claimed.contains(3));
 }
 
+/// The bytes of the file at `path`.
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, {}};
+}
+
+/// Writes `bytes` to `path`, replacing the file or appending to it.
+void write_bytes(const std::string& path, std::span<const std::uint8_t> bytes,
+                 bool append) {
+  std::ofstream out{path, std::ios::binary |
+                              (append ? std::ios::app : std::ios::trunc)};
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(LeaseLog, TornTailHealsOnReparseAndEachFrameCountsOnce) {
+  // A peer's log read while an append is in flight: the scanner sees a
+  // file absent, then every prefix of a real log (shorter than the magic,
+  // cut mid-header or mid-body), then the rest of the bytes arriving. The
+  // frame that was torn on the first pass must count exactly once.
+  const std::string ref_dir = tmp_dir("heal_ref");
+  const std::string dir = tmp_dir("heal");
+  const StoreManifest manifest = manifest_for(small_grid());
+  const std::string ref = LeaseScheduler::lease_path(ref_dir, "w0");
+  // Offsets just past each frame: the file size after each flushed append.
+  std::vector<std::size_t> ends;
+  {
+    LeaseLog log{ref, manifest};
+    ends.push_back(std::filesystem::file_size(ref));
+    log.claim(0);
+    ends.push_back(std::filesystem::file_size(ref));
+    log.complete(0);
+    ends.push_back(std::filesystem::file_size(ref));
+    log.claim(300);  // a two-byte varint payload
+    ends.push_back(std::filesystem::file_size(ref));
+    log.renew(300);
+    ends.push_back(std::filesystem::file_size(ref));
+  }
+  const std::vector<std::uint8_t> bytes = file_bytes(ref);
+  ASSERT_EQ(bytes.size(), ends.back());
+  const std::string path = LeaseScheduler::lease_path(dir, "w0");
+
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    std::filesystem::remove(path);
+    LeaseDirScanner scanner{dir, "me.lease", manifest};
+    scanner.refresh(/*idle=*/false);  // no log yet
+    EXPECT_TRUE(scanner.workers().empty());
+
+    write_bytes(path, std::span{bytes}.first(cut), /*append=*/false);
+    scanner.refresh(/*idle=*/false);
+    const WorkerLeaseState& w0 = scanner.workers().at("w0.lease");
+    const std::size_t intact =
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin();
+    EXPECT_EQ(w0.frames, intact);
+    EXPECT_EQ(w0.valid_bytes, intact == 0 ? (cut < kRecordMagic.size()
+                                                 ? 0
+                                                 : kRecordMagic.size())
+                                          : ends[intact - 1]);
+    EXPECT_EQ(w0.stale_scans, 0u);
+
+    write_bytes(path, std::span{bytes}.subspan(cut), /*append=*/true);
+    scanner.refresh(/*idle=*/true);
+    EXPECT_EQ(w0.frames, ends.size());
+    EXPECT_EQ(w0.valid_bytes, bytes.size());
+    EXPECT_EQ(w0.claimed, (std::set<std::uint64_t>{300}));
+    EXPECT_EQ(w0.completed, (std::set<std::uint64_t>{0}));
+    EXPECT_EQ(w0.stale_scans, cut == bytes.size() ? 1u : 0u);
+
+    // Nothing new: the healed frame is not parsed a second time.
+    scanner.refresh(/*idle=*/true);
+    EXPECT_EQ(w0.frames, ends.size());
+    EXPECT_EQ(w0.stale_scans, cut == bytes.size() ? 2u : 1u);
+  }
+}
+
 TEST(LeaseLog, ResetVoidsPreviousLifeClaims) {
   const std::string dir = tmp_dir("reset");
   const GridBuilder grid = small_grid();
@@ -231,9 +309,10 @@ TEST(LeaseLog, CutShortPayloadsAreRejectedAsMalformed) {
   }
   std::vector<Record> records;
   {
-    RecordReader reader{path};
-    while (std::optional<Record> rec = reader.next()) {
-      records.push_back(std::move(*rec));
+    RecordBuffer reader{path};
+    while (const std::optional<RecordView> rec = reader.next()) {
+      records.push_back(
+          {rec->type, {rec->payload.begin(), rec->payload.end()}});
     }
   }
   ASSERT_EQ(records.size(), 3u);  // manifest, claim, complete
@@ -241,7 +320,7 @@ TEST(LeaseLog, CutShortPayloadsAreRejectedAsMalformed) {
     const std::span<const std::uint8_t> payload = records[i].payload;
     for (std::size_t len = 0; len < payload.size(); ++len) {
       {
-        RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+        RecordWriter writer{path};
         for (std::size_t j = 0; j < i; ++j) {
           writer.append(records[j].type, records[j].payload);
         }

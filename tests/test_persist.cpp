@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "persist/campaign_store.h"
@@ -305,10 +307,29 @@ TEST(Encoding, ManifestDecodeRejectsInvalidFieldsByName) {
   }
 }
 
+/// A resume visitor that only records the types it was handed.
+std::function<void(const RecordView&)> collect_types(
+    std::vector<std::uint8_t>& types) {
+  return [&types](const RecordView& rec) { types.push_back(rec.type); };
+}
+
+/// Every record type of the file at `path`, read to its end; `torn`
+/// receives the truncation flag.
+std::vector<std::uint8_t> read_types(const std::filesystem::path& path,
+                                     bool* torn = nullptr) {
+  RecordBuffer buffer{path.string()};
+  std::vector<std::uint8_t> types;
+  while (const std::optional<RecordView> rec = buffer.next()) {
+    types.push_back(rec->type);
+  }
+  if (torn != nullptr) *torn = buffer.truncated();
+  return types;
+}
+
 TEST(RecordIo, RoundTripManyRecords) {
   const auto path = tmp_file("roundtrip.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     for (std::uint8_t i = 0; i < 10; ++i) {
       std::vector<std::uint8_t> payload(i * 37u);
       for (std::size_t j = 0; j < payload.size(); ++j) {
@@ -317,7 +338,7 @@ TEST(RecordIo, RoundTripManyRecords) {
       writer.append(i, payload);
     }
   }
-  RecordReader reader{path.string()};
+  RecordBuffer reader{path.string()};
   for (std::uint8_t i = 0; i < 10; ++i) {
     const auto rec = reader.next();
     ASSERT_TRUE(rec.has_value()) << unsigned{i};
@@ -334,18 +355,22 @@ TEST(RecordIo, RoundTripManyRecords) {
 
 TEST(RecordIo, RejectsBadMagic) {
   const auto path = tmp_file("badmagic.rec");
-  std::ofstream{path, std::ios::binary} << "this is not a record store";
-  EXPECT_THROW(RecordReader{path.string()}, std::runtime_error);
-  // Append recovery must refuse too rather than clobber a foreign file.
-  EXPECT_THROW(
-      (RecordWriter{path.string(), RecordWriter::Mode::kAppendRecover}),
-      std::runtime_error);
+  const std::string foreign = "this is not a record store";
+  std::ofstream{path, std::ios::binary} << foreign;
+  EXPECT_THROW(RecordBuffer{path.string()}, std::runtime_error);
+  EXPECT_THROW(RecordFile{path.string()}, std::runtime_error);
+  // Resuming must refuse too rather than clobber a foreign file.
+  std::vector<std::uint8_t> visited;
+  EXPECT_THROW((RecordWriter{path.string(), collect_types(visited)}),
+               std::runtime_error);
+  EXPECT_TRUE(visited.empty());
+  EXPECT_EQ(std::filesystem::file_size(path), foreign.size());
 }
 
 TEST(RecordIo, TornHeaderStopsCleanly) {
   const auto path = tmp_file("tornheader.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     writer.append(1, std::vector<std::uint8_t>{1, 2, 3});
     writer.append(2, std::vector<std::uint8_t>{4, 5});
   }
@@ -353,7 +378,7 @@ TEST(RecordIo, TornHeaderStopsCleanly) {
   // Simulate a crash mid-header: 3 stray bytes after the last record.
   std::ofstream{path, std::ios::binary | std::ios::app} << "xyz";
 
-  RecordReader reader{path.string()};
+  RecordBuffer reader{path.string()};
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_FALSE(reader.next().has_value());
@@ -364,13 +389,13 @@ TEST(RecordIo, TornHeaderStopsCleanly) {
 TEST(RecordIo, TornBodyStopsCleanly) {
   const auto path = tmp_file("tornbody.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     writer.append(1, std::vector<std::uint8_t>(64, 0xaa));
     writer.append(2, std::vector<std::uint8_t>(64, 0xbb));
   }
   truncate_by(path, 10);  // last frame loses 10 body bytes
 
-  RecordReader reader{path.string()};
+  RecordBuffer reader{path.string()};
   const auto first = reader.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, 1);
@@ -381,13 +406,13 @@ TEST(RecordIo, TornBodyStopsCleanly) {
 TEST(RecordIo, CrcMismatchStopsCleanly) {
   const auto path = tmp_file("badcrc.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     writer.append(1, std::vector<std::uint8_t>(32, 0x11));
     writer.append(2, std::vector<std::uint8_t>(32, 0x22));
   }
   flip_byte_at_end(path, 4);  // corrupt the last record's body
 
-  RecordReader reader{path.string()};
+  RecordBuffer reader{path.string()};
   const auto first = reader.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, 1);
@@ -398,7 +423,7 @@ TEST(RecordIo, CrcMismatchStopsCleanly) {
 TEST(RecordIo, InsaneLengthPrefixIsCorruption) {
   const auto path = tmp_file("insanelen.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     writer.append(1, std::vector<std::uint8_t>{9});
   }
   // Hand-craft a frame whose length prefix claims ~4 GB.
@@ -410,7 +435,7 @@ TEST(RecordIo, InsaneLengthPrefixIsCorruption) {
             static_cast<std::streamsize>(bogus.size()));
   app.close();
 
-  RecordReader reader{path.string()};
+  RecordBuffer reader{path.string()};
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_TRUE(reader.truncated());
@@ -419,91 +444,155 @@ TEST(RecordIo, InsaneLengthPrefixIsCorruption) {
 TEST(RecordIo, AppendRecoveryChopsTornTailAndContinues) {
   const auto path = tmp_file("recover.rec");
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path.string()};
     writer.append(1, std::vector<std::uint8_t>(16, 0x01));
     writer.append(2, std::vector<std::uint8_t>(16, 0x02));
     writer.append(3, std::vector<std::uint8_t>(16, 0x03));
   }
   truncate_by(path, 7);  // tear record 3
 
+  std::vector<std::uint8_t> visited;
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kAppendRecover};
+    RecordWriter writer{path.string(), collect_types(visited)};
     writer.append(4, std::vector<std::uint8_t>(16, 0x04));
   }
+  EXPECT_EQ(visited, (std::vector<std::uint8_t>{1, 2}));
 
-  RecordReader reader{path.string()};
-  std::vector<std::uint8_t> types;
-  for (auto rec = reader.next(); rec.has_value(); rec = reader.next()) {
-    types.push_back(rec->type);
-  }
-  EXPECT_FALSE(reader.truncated());
-  EXPECT_EQ(types, (std::vector<std::uint8_t>{1, 2, 4}));
+  bool torn = true;
+  EXPECT_EQ(read_types(path, &torn), (std::vector<std::uint8_t>{1, 2, 4}));
+  EXPECT_FALSE(torn);
 }
 
 TEST(RecordIo, AppendRecoveryOnMissingFileCreatesFresh) {
+  // Absent, empty, and shorter than the magic (a kill between create and
+  // the magic write) all start a fresh file.
   const auto path = tmp_file("freshappend.rec");
-  {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kAppendRecover};
-    writer.append(7, std::vector<std::uint8_t>{42});
+  for (const std::string debris : {"", "MS", "MSAREC0"}) {
+    SCOPED_TRACE("debris of " + std::to_string(debris.size()) + " bytes");
+    std::filesystem::remove(path);
+    if (!debris.empty()) std::ofstream{path, std::ios::binary} << debris;
+    std::vector<std::uint8_t> visited;
+    {
+      RecordWriter writer{path.string(), collect_types(visited)};
+      writer.append(7, std::vector<std::uint8_t>{42});
+    }
+    EXPECT_TRUE(visited.empty());
+    bool torn = true;
+    EXPECT_EQ(read_types(path, &torn), (std::vector<std::uint8_t>{7}));
+    EXPECT_FALSE(torn);
   }
-  RecordReader reader{path.string()};
-  const auto rec = reader.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->type, 7);
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_FALSE(reader.truncated());
 }
 
-TEST(RecordIo, BufferAndPositionalReadsMatchRecordReaderOnEveryCut) {
+TEST(RecordIo, AppendRecoveryLeavesAFileItsVisitorRejectsUntouched) {
+  const auto path = tmp_file("rejected.rec");
+  {
+    RecordWriter writer{path.string()};
+    writer.append(1, std::vector<std::uint8_t>(16, 0x01));
+    writer.append(2, std::vector<std::uint8_t>(16, 0x02));
+  }
+  truncate_by(path, 3);  // a torn tail the resume would chop
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  EXPECT_THROW((RecordWriter{path.string(),
+                             [](const RecordView& rec) {
+                               if (rec.type == 1) {
+                                 throw std::runtime_error("wrong sweep");
+                               }
+                             }}),
+               std::runtime_error);
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+}
+
+TEST(RecordIo, BufferAndPositionalReadsMatchTheWrittenFramesOnEveryCut) {
   // Frames of every shape — an empty payload, a two-part append, a
   // multi-KB body — then every truncation of the file and a flipped byte
-  // in each frame: the in-place walk must see exactly the records,
-  // truncation flag and valid prefix RecordReader sees, and a
-  // positional read of each intact frame must return its record.
-  const auto path = tmp_file("three_readers.rec");
-  const auto damaged = tmp_file("three_readers_damaged.rec");
+  // in each frame. Against the frame table written here: a RecordBuffer
+  // from the start and from every intact frame boundary sees exactly the
+  // intact frames from there, the torn flag and the valid prefix; a
+  // positional read of each intact frame returns its record; an offset
+  // past the end is an empty, untorn stream.
+  const auto path = tmp_file("two_readers.rec");
+  const auto damaged = tmp_file("two_readers_damaged.rec");
+  struct Frame {
+    std::uint8_t type = 0;
+    std::vector<std::uint8_t> payload;
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+  };
+  std::vector<Frame> frames;
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kTruncate};
-    writer.append(1, std::vector<std::uint8_t>{});
-    writer.append(2, std::vector<std::uint8_t>{1, 2, 3},
-                  std::vector<std::uint8_t>{4, 5});
+    RecordWriter writer{path.string()};
+    const auto put = [&](std::uint8_t type, std::vector<std::uint8_t> head,
+                         std::vector<std::uint8_t> tail = {}) {
+      writer.append(type, head, tail);
+      Frame& f = frames.emplace_back();
+      f.type = type;
+      f.payload = std::move(head);
+      f.payload.insert(f.payload.end(), tail.begin(), tail.end());
+      f.start = frames.size() == 1 ? kRecordMagic.size()
+                                   : frames[frames.size() - 2].end;
+      f.end = f.start + 8 + 1 + f.payload.size();
+    };
+    put(1, {});
+    put(2, {1, 2, 3}, {4, 5});
     std::vector<std::uint8_t> big(3000);
     for (std::size_t i = 0; i < big.size(); ++i) {
       big[i] = static_cast<std::uint8_t>(i * 7);
     }
-    writer.append(3, big);
-    writer.append(4, std::vector<std::uint8_t>(40, 0x44));
+    put(3, big);
+    put(4, std::vector<std::uint8_t>(40, 0x44));
   }
   const std::uintmax_t size = std::filesystem::file_size(path);
-  const auto expect_same = [&](const std::string& what) {
+  ASSERT_EQ(size, frames.back().end);
+
+  // The first `intact` frames are whole; `torn` when bytes follow them.
+  const auto expect_frames = [&](const std::string& what, std::size_t intact,
+                                 bool torn) {
     SCOPED_TRACE(what);
-    RecordReader stream{damaged.string()};
-    RecordBuffer buffer{damaged.string()};
+    const std::uint64_t valid =
+        intact == 0 ? kRecordMagic.size() : frames[intact - 1].end;
+    std::vector<std::uint64_t> offsets = {0};
+    for (std::size_t k = 0; k <= intact; ++k) {
+      offsets.push_back(k == 0 ? kRecordMagic.size() : frames[k - 1].end);
+    }
+    for (const std::uint64_t offset : offsets) {
+      SCOPED_TRACE("from offset " + std::to_string(offset));
+      RecordBuffer buffer{damaged.string(), offset};
+      for (const Frame& want : frames) {
+        if (want.start < offset || want.end > valid) continue;
+        const std::optional<RecordView> got = buffer.next();
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->type, want.type);
+        EXPECT_TRUE(std::ranges::equal(got->payload, want.payload));
+      }
+      EXPECT_FALSE(buffer.next().has_value());
+      EXPECT_EQ(buffer.truncated(), torn);
+      EXPECT_EQ(buffer.valid_bytes(), valid);
+    }
     const RecordFile file{damaged.string()};
-    std::uint64_t offset = kRecordMagic.size();
-    while (const std::optional<Record> want = stream.next()) {
-      const std::optional<RecordView> got = buffer.next();
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(got->type, want->type);
-      EXPECT_TRUE(std::ranges::equal(got->payload, want->payload));
-      const std::optional<Record> at = file.read_at(offset);
+    for (std::size_t k = 0; k < intact; ++k) {
+      const std::optional<Record> at = file.read_at(frames[k].start);
       ASSERT_TRUE(at.has_value());
-      EXPECT_EQ(at->type, want->type);
-      EXPECT_EQ(at->payload, want->payload);
-      offset = stream.valid_bytes();
+      EXPECT_EQ(at->type, frames[k].type);
+      EXPECT_EQ(at->payload, frames[k].payload);
     }
-    EXPECT_FALSE(buffer.next().has_value());
-    EXPECT_EQ(buffer.truncated(), stream.truncated());
-    EXPECT_EQ(buffer.valid_bytes(), stream.valid_bytes());
-    if (stream.truncated()) {
-      EXPECT_FALSE(file.read_at(stream.valid_bytes()).has_value());
+    if (torn) {
+      EXPECT_FALSE(file.read_at(valid).has_value());
     }
+    const std::uint64_t past = std::filesystem::file_size(damaged) + 5;
+    RecordBuffer beyond{damaged.string(), past};
+    EXPECT_FALSE(beyond.next().has_value());
+    EXPECT_FALSE(beyond.truncated());
+    EXPECT_EQ(beyond.valid_bytes(), past);
   };
   for (std::uintmax_t cut = kRecordMagic.size(); cut <= size; ++cut) {
     std::filesystem::copy_file(
         path, damaged, std::filesystem::copy_options::overwrite_existing);
     std::filesystem::resize_file(damaged, cut);
-    expect_same("cut at " + std::to_string(cut));
+    std::size_t intact = 0;
+    while (intact < frames.size() && frames[intact].end <= cut) ++intact;
+    const std::uint64_t valid =
+        intact == 0 ? kRecordMagic.size() : frames[intact - 1].end;
+    expect_frames("cut at " + std::to_string(cut), intact, cut > valid);
   }
   for (const std::uintmax_t at :
        {std::uintmax_t{8}, std::uintmax_t{12}, std::uintmax_t{16},
@@ -512,7 +601,9 @@ TEST(RecordIo, BufferAndPositionalReadsMatchRecordReaderOnEveryCut) {
     std::filesystem::copy_file(
         path, damaged, std::filesystem::copy_options::overwrite_existing);
     flip_byte_at_end(damaged, size - 1 - at);
-    expect_same("flip at " + std::to_string(at));
+    std::size_t hit = 0;  // the frame holding the flipped byte
+    while (frames[hit].end <= at) ++hit;
+    expect_frames("flip at " + std::to_string(at), hit, true);
   }
 }
 

@@ -392,15 +392,16 @@ void replace_record_payload(const std::string& path, std::size_t from_end,
                             std::span<const std::uint8_t> payload) {
   std::vector<Record> records;
   {
-    RecordReader reader{path};
-    while (std::optional<Record> rec = reader.next()) {
-      records.push_back(std::move(*rec));
+    RecordBuffer reader{path};
+    while (const std::optional<RecordView> rec = reader.next()) {
+      records.push_back(
+          {rec->type, {rec->payload.begin(), rec->payload.end()}});
     }
   }
   ASSERT_LT(from_end, records.size());
   records[records.size() - 1 - from_end].payload.assign(payload.begin(),
                                                        payload.end());
-  RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+  RecordWriter writer{path};
   for (const Record& rec : records) writer.append(rec.type, rec.payload);
 }
 
@@ -544,6 +545,67 @@ TEST(Segment, TailerCountsSurviveCompaction) {
   const StoreTailer::Counts resumed = tailer.poll();
   EXPECT_EQ(resumed.trials, 300u);
   EXPECT_EQ(resumed.cells, 50u);
+}
+
+TEST(Segment, TailerHealsATornTailAndCountsEachRecordOnce) {
+  // A live store read while an append is in flight: the tailer sees the
+  // file absent, then every prefix of a real log (shorter than the magic,
+  // cut mid-header or mid-body), then the rest of the bytes arriving. The
+  // record that was torn on the first poll must count exactly once.
+  const std::string ref = tmp_path("tailer_heal_ref.store");
+  write_synth_store(ref, 3, 2);
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in{ref, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{in}, {});
+  }
+  // Each frame's end and record type, walked by the length prefixes.
+  std::vector<std::pair<std::size_t, std::uint8_t>> frames;
+  for (std::size_t at = kRecordMagic.size(); at < bytes.size();) {
+    const std::uint8_t type = bytes[at + 8];
+    at += 8 + util::ByteReader{std::span{bytes}.subspan(at, 4)}.u32();
+    frames.emplace_back(at, type);
+  }
+  ASSERT_EQ(frames.back().first, bytes.size());
+  const auto counts_within = [&](std::size_t size) {
+    StoreTailer::Counts want;
+    for (const auto& [end, type] : frames) {
+      if (end > size) break;
+      want.trials += type == kRecTrial;
+      want.cells += type == kRecCell;
+    }
+    return want;
+  };
+  const auto write = [](const std::string& path,
+                        std::span<const std::uint8_t> part, bool append) {
+    std::ofstream out{path, std::ios::binary |
+                                (append ? std::ios::app : std::ios::trunc)};
+    out.write(reinterpret_cast<const char*>(part.data()),
+              static_cast<std::streamsize>(part.size()));
+  };
+
+  const std::string path = tmp_path("tailer_heal.store");
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    std::filesystem::remove(path);
+    StoreTailer tailer{path};
+    StoreTailer::Counts got = tailer.poll();  // no store yet
+    EXPECT_EQ(got.trials, 0u);
+    EXPECT_EQ(got.cells, 0u);
+
+    write(path, std::span{bytes}.first(cut), /*append=*/false);
+    got = tailer.poll();
+    const StoreTailer::Counts intact = counts_within(cut);
+    EXPECT_EQ(got.trials, intact.trials);
+    EXPECT_EQ(got.cells, intact.cells);
+
+    write(path, std::span{bytes}.subspan(cut), /*append=*/true);
+    for (int poll = 0; poll < 2; ++poll) {
+      got = tailer.poll();
+      EXPECT_EQ(got.trials, 6u);
+      EXPECT_EQ(got.cells, 3u);
+    }
+  }
 }
 
 /// 4 defenses x 25 delays x 10 models = 1000 cells whose key order is
@@ -1141,7 +1203,7 @@ TEST(Segment, CompactedBytesArePinned) {
     }
   }
   {
-    RecordWriter log{store, RecordWriter::Mode::kAppendRecover};
+    RecordWriter log{store, [](const RecordView&) {}};
     const std::vector<std::uint8_t> future = {0x01, 0x80, 0xfe};
     log.append(0x6d, future);
   }
@@ -1167,7 +1229,7 @@ TEST(Segment, CompactionReencodesNonCanonicalLogTrials) {
   const std::string store = tmp_path("trailing.store");
   const StoreManifest manifest = synth_manifest(2, 2);
   {
-    RecordWriter log{store, RecordWriter::Mode::kTruncate};
+    RecordWriter log{store};
     log.append(kRecManifest, encode_store_manifest(manifest));
     for (std::uint64_t c = 0; c < 2; ++c) {
       for (std::uint32_t t = 0; t < 2; ++t) {

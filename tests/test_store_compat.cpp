@@ -78,9 +78,9 @@ campaign::GridBuilder golden_grid() {
 
 TEST(StoreCompat, GoldenStoreLoadsWithLegacyFourAxisSchema) {
   // Only today's record types: one manifest, trials, cells.
-  RecordReader records{data_path("golden_4axis.store")};
+  RecordBuffer records{data_path("golden_4axis.store")};
   std::size_t counts[3] = {0, 0, 0};
-  while (const std::optional<Record> rec = records.next()) {
+  while (const std::optional<RecordView> rec = records.next()) {
     if (rec->type == kRecManifest) ++counts[0];
     if (rec->type == kRecTrial) ++counts[1];
     if (rec->type == kRecCell) ++counts[2];
@@ -189,7 +189,7 @@ TEST(StoreCompat, VersionOneManifestIsRefusedByName) {
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "version_one.store").string();
   {
-    RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+    RecordWriter writer{path};
     writer.append(kRecManifest, v1.bytes());
   }
 
