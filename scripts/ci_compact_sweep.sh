@@ -13,10 +13,11 @@
 #    byte.
 #  - the regression gate replays against the segmented stores with the
 #    same exit code, verdict line, and diff JSON as the flat originals.
-#  - a budgeted sweep compacted mid-campaign and resumed to completion
-#    renders the exact single-process stats from segment + log tail;
-#    compacted again, it folds back into exactly one live segment AND
-#    still renders them.
+#  - a budgeted sweep, its log torn by a few bytes, compacted
+#    mid-campaign (dropping the torn cell's orphan trials) and resumed
+#    to completion renders the exact single-process stats from segment +
+#    log tail; compacted again, it folds back into exactly one live
+#    segment, drops nothing AND still renders them.
 #  - a copy of the checked-in golden store compacted into a segment
 #    still emits the pre-refactor golden stats bytes, its segment,
 #    .levels sidecar and trimmed log match the CRC-32 pins in
@@ -90,10 +91,13 @@ echo "compact byte-identity: 11/11 artifacts identical after compaction"
 
 # --- mid-campaign compaction ----------------------------------------
 # The first half of the grid (--cell-budget, exit 3 = incomplete) is
-# swept and compacted (segment #1), the sweep resumes to completion on
-# top of it, and a second compact folds segment and log into one new
-# segment. Both the mixed store before that compact and the one
-# segment after it must render the exact single-process stats.
+# swept, its log torn by 5 bytes as a crash mid-append leaves it, and
+# compacted (segment #1): the torn tail goes, and the trials of the cell
+# whose record it tore are dropped as orphans. The sweep resumes to
+# completion on top of it, and a second compact folds segment and log
+# into one new segment with nothing left to drop. Both the mixed store
+# before that compact and the one segment after it must render the
+# exact single-process stats.
 rc=0
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
   --cell-budget 6 --store "$tmp/resumed.store" > /dev/null || rc=$?
@@ -101,7 +105,11 @@ if [ "$rc" -ne 3 ]; then
   echo "budgeted sweep exited $rc, expected incomplete 3" >&2
   exit 1
 fi
-timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" 2> /dev/null
+truncate -s -5 "$tmp/resumed.store"
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" \
+  2> "$tmp/torn_compact.txt"
+grep -Eq '\([1-9][0-9]* trial record\(s\), [0-9]+ cell record\(s\) dropped\)' \
+  "$tmp/torn_compact.txt"
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
   --store "$tmp/resumed.store" --resume > /dev/null
 # Segment #1 with the resumed half in the log on top: the mixed store
@@ -111,11 +119,12 @@ timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
 cmp "$tmp/before/stats.csv" "$tmp/mixed_stats.csv"
 timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" \
   2> "$tmp/resumed_compact.txt"
-grep -q " 1 segment(s)" "$tmp/resumed_compact.txt"
+grep -q " 1 segment(s) (0 trial record(s), 0 cell record(s) dropped)" \
+  "$tmp/resumed_compact.txt"
 timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
   > "$tmp/resumed_stats.csv"
 cmp "$tmp/before/stats.csv" "$tmp/resumed_stats.csv"
-echo "compact -> resume -> compact: segment+log and 1 live segment, stats byte-identical to flat sweep"
+echo "torn compact -> resume -> compact: segment+log and 1 live segment, stats byte-identical to flat sweep"
 
 # --- golden store through compaction ----------------------------------
 # The oldest sweep on record must ride through the segmented rewrite and

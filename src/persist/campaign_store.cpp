@@ -399,10 +399,10 @@ CompactionResult compact_store(const std::string& path) {
   const FileLock lock{path, FileLock::Kind::kExclusive};
 
   CompactionResult result;
-  // The reader stays open until the new files are written: the merged
-  // trials and the unknown records are views into its log and blocks.
+  // The reader stays open until the new files are written: the cells'
+  // merged trials and the unknown records are views into its log.
   std::optional<StoreReader> reader;
-  StoreReader::EncodedContents contents;
+  StoreReader::KeyedCells cells;
   {
     TRACE_SPAN("persist", "compact_read");
     reader.emplace(path);
@@ -418,9 +418,7 @@ CompactionResult compact_store(const std::string& path) {
     }
     // Orphan trials (their cell never completed) are left out: a resume
     // re-runs and re-streams them.
-    contents = reader->read_encoded();
-    result.trials_dropped = reader->trial_records() - contents.trials.size();
-    result.cells_dropped = reader->cell_records() - contents.cells.size();
+    cells = reader->keyed_cells();
   }
   const std::optional<LevelsManifest>& levels = reader->levels();
   LevelsManifest out;  // the sidecar this compaction writes
@@ -428,7 +426,8 @@ CompactionResult compact_store(const std::string& path) {
 
   // ---- One segment holding every completed cell and its trials.
   out.generation = (levels ? levels->generation : 0) + 1;
-  if (!contents.cells.empty()) {
+  SegmentInfo info;  // what the segment holds; the rest is dropped
+  if (!cells.cells.empty()) {
     SegmentRef& ref = out.segments.emplace_back();  // level 0
     ref.sequence = 1;
     if (levels.has_value()) {
@@ -438,13 +437,14 @@ CompactionResult compact_store(const std::string& path) {
     }
     ref.file = segment_file_name(path, ref.sequence);
     const std::string segment = segment_path(path, ref);
-    const SegmentInfo info =
-        write_segment(segment, ref.level, ref.sequence, out.identity,
-                      contents.cells, contents.trials);
+    info = write_segment(segment, ref.level, ref.sequence, out.identity,
+                         cells.cells, cells.trials);
     ref.bytes = file_size_or_zero(segment);
     ref.trials = info.trial_count;
     ref.cells = info.cell_count;
   }
+  result.trials_dropped = reader->trial_records() - info.trial_count;
+  result.cells_dropped = reader->cell_records() - info.cell_count;
   result.segments_written = result.segments_live = out.segments.size();
   if (!out.segments.empty() || levels.has_value()) {
     result.generation = out.generation;

@@ -191,18 +191,6 @@ struct CellFilter {
   static Clause parse_clause(const std::string& spec);
 };
 
-/// Read-only snapshot of a store file.
-struct StoreContents {
-  StoreManifest manifest;
-  /// Completed cells sorted by global index (duplicates last-wins).
-  std::vector<campaign::CellStats> cells;
-  /// Trial stream sorted by (cell index, trial), deduplicated last-wins.
-  std::vector<TrialRecord> trials;
-  /// True when a torn/corrupt tail was dropped while reading the LOG
-  /// (segments are immutable and reject damage instead of healing).
-  bool truncated_tail = false;
-};
-
 /// One cell of a store's last-wins merge, as a per-cell walk hands it
 /// over: the completed cell's record — null for an orphan cell, whose
 /// trial records were streamed but whose cell never completed — and its
@@ -308,7 +296,10 @@ class StoreTailer {
 /// resume re-runs and re-streams them), and the torn log tail if any.
 /// The store is read through one StoreReader — the same last-wins merge
 /// every analysis sees — so a store with several segments (written by an
-/// older tiered compaction) also folds down to one. The log is trimmed
+/// older tiered compaction) also folds down to one. The merge streams
+/// into the segment writer one cell at a time, in the segment's key
+/// order — no vector of the store's trials is built — and whatever
+/// records the segment does not hold count as dropped. The log is trimmed
 /// to its manifest record (it stays the write-ahead tier for future
 /// appends); unknown record types are preserved verbatim in it for
 /// forward compatibility.

@@ -15,7 +15,7 @@
 // The protocol is optimistic, not mutually exclusive: two workers CAN
 // claim the same cell in a tight race. That is safe because every trial
 // is a deterministic function of (cell, trial, salt) — duplicated work
-// produces bit-identical stats, and merge_stores (through load_sweep)
+// produces bit-identical stats, and merge_stores (through SweepWalk)
 // deduplicates identical copies. The scheduler's job is to make duplicates rare
 // (claims are advertised before work starts, scans are cheap and
 // incremental) and crashes cheap (leases expire).

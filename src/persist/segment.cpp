@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -45,33 +44,9 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
                           std::uint64_t sequence,
                           const StoreManifest& identity,
                           std::span<const campaign::CellStats> cells,
-                          std::span<const TrialBytes> trials,
+                          const SegmentTrials& trials_of,
                           const SegmentWriteOptions& options) {
   TRACE_SPAN("persist", "write_segment");
-  // Both lists ascend by cell index, so cell i's trials are the run
-  // [ends[i - 1], ends[i]) of `trials`.
-  std::vector<std::size_t> ends(cells.size());
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0 && cells[i].index <= cells[i - 1].index) {
-      throw std::invalid_argument("persist: segment cells out of order");
-    }
-    while (next < trials.size() &&
-           decode_trial_key(trials[next]).first == cells[i].index) {
-      ++next;
-    }
-    ends[i] = next;
-  }
-  if (next != trials.size()) {
-    throw std::invalid_argument(
-        "persist: segment trial out of order or of no given cell");
-  }
-  std::vector<std::size_t> order(cells.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
-    return cell_key_less(cells[a].coords, cells[b].coords);
-  });
-
   SegmentInfo info;
   info.level = level;
   info.sequence = sequence;
@@ -140,26 +115,35 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
   // that reaches the target size. Group entry:
   //   blob(cell key) varint(trial count) { blob(trial record) }...
   util::ByteWriter trial;
-  for (const std::size_t i : order) {
-    const std::size_t first = i == 0 ? 0 : ends[i - 1];
-    const std::vector<std::uint8_t> key = encode_cell_key(cells[i].coords);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const campaign::CellStats& cell = cells[i];
+    if (i > 0 && !cell_key_less(cells[i - 1].coords, cell.coords)) {
+      throw std::invalid_argument(
+          "persist: segment cells out of key order or repeated");
+    }
+    const std::span<const TrialBytes> trials = trials_of(cell);
+    const std::vector<std::uint8_t> key = encode_cell_key(cell.coords);
     block.blob(key);
-    block.varint(ends[i] - first);
-    for (std::size_t t = first; t < ends[i]; ++t) {
+    block.varint(trials.size());
+    for (const TrialBytes payload : trials) {
+      const TrialRecord record = decode_trial(payload);
+      if (record.cell_index != cell.index) {
+        throw std::invalid_argument("persist: segment trial of another cell");
+      }
       trial.clear();
-      encode_trial(decode_trial(trials[t]), trial);
+      encode_trial(record, trial);
       block.blob(trial.bytes());
     }
-    info.trial_count += ends[i] - first;
-    add_entry(kSegTrialBlock, key, ends[i] - first, trial_blocks);
+    info.trial_count += trials.size();
+    add_entry(kSegTrialBlock, key, trials.size(), trial_blocks);
   }
   flush_block(kSegTrialBlock, trial_blocks);
 
   // Cell blocks: the aggregate records (coords embedded — the key is
   // derivable, so entries are plain cell payloads).
-  for (const std::size_t i : order) {
-    block.blob(encode_cell(cells[i]));
-    add_entry(kSegCellBlock, encode_cell_key(cells[i].coords), 1, cell_blocks);
+  for (const campaign::CellStats& cell : cells) {
+    block.blob(encode_cell(cell));
+    add_entry(kSegCellBlock, encode_cell_key(cell.coords), 1, cell_blocks);
   }
   flush_block(kSegCellBlock, cell_blocks);
 

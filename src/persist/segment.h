@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -61,20 +62,27 @@ struct SegmentWriteOptions {
   std::size_t block_bytes = 64 * 1024;
 };
 
-/// Writes the completed `cells`, ascending by index, and their encoded
-/// `trials`, ascending by (cell, trial) and all of those cells, as a
-/// fresh segment at `path` (clobbering any stale file from an interrupted
-/// compaction), in cell-key order, then syncs the file AND its parent
-/// directory — once this returns, the segment exists after power loss.
-/// Each trial is decoded and re-encoded straight into its block, so the
-/// segment holds canonical encodings whatever bytes the payloads carry.
-/// Returns the totals that go into the levels manifest; throws
-/// std::invalid_argument when `cells` or `trials` break that order.
+/// One cell's trials as write_segment pulls them: the encoded records of
+/// `cell`, ascending by trial, valid until the next call.
+using SegmentTrials =
+    std::function<std::span<const TrialBytes>(const campaign::CellStats& cell)>;
+
+/// Writes the completed `cells`, ascending by cell_key_less, as a fresh
+/// segment at `path` (clobbering any stale file from an interrupted
+/// compaction), then syncs the file AND its parent directory — once this
+/// returns, the segment exists after power loss. Each cell's trials are
+/// pulled from `trials_of` as the open block fills, so the caller holds
+/// one cell's at a time; each is decoded and re-encoded straight into its
+/// block, so the segment holds canonical encodings whatever bytes the
+/// payloads carry. Returns the totals that go into the levels manifest.
+/// Throws std::invalid_argument when the cells do not strictly ascend
+/// by key or a trial is of another cell than the one it came with,
+/// leaving at `path` debris that no levels manifest names.
 SegmentInfo write_segment(const std::string& path, std::uint32_t level,
                           std::uint64_t sequence,
                           const StoreManifest& identity,
                           std::span<const campaign::CellStats> cells,
-                          std::span<const TrialBytes> trials,
+                          const SegmentTrials& trials_of,
                           const SegmentWriteOptions& options = {});
 
 /// Random-access reader over one segment. The constructor validates

@@ -105,19 +105,6 @@ std::size_t merge_cell(const std::vector<Run>& runs, std::size_t r,
   return e;
 }
 
-/// merge_cell over every cell of `runs` (ordered by cell): runs of
-/// distinct cells never overlap, so the cells' merges concatenate.
-template <typename T, typename KeyFn, typename EmitFn>
-std::vector<T> merge_runs(const std::vector<Run>& runs, std::size_t records,
-                          KeyFn key, EmitFn emit) {
-  std::vector<T> out;
-  out.reserve(records);
-  for (std::size_t r = 0; r < runs.size();) {
-    r = merge_cell(runs, r, out, key, emit);
-  }
-  return out;
-}
-
 /// Trial records adjacent in apply order, from apply-order position
 /// `first` on, still encoded: a segment group's trial blobs, or log
 /// trials in place.
@@ -279,15 +266,21 @@ std::vector<campaign::CellStats> StoreReader::cells() const {
   merged.insert(merged.end(), log_cells_.begin(), log_cells_.end());
   RunCutter cutter;
   for (const campaign::CellStats& cell : merged) cutter.add(cell_key(cell));
-  return merge_runs<campaign::CellStats>(
-      std::move(cutter).by_cell(), merged.size(), cell_key,
-      [&](const Run& run, std::vector<campaign::CellStats>& out) {
-        const auto first =
-            merged.begin() + static_cast<std::ptrdiff_t>(run.begin);
-        out.insert(out.end(), std::make_move_iterator(first),
-                   std::make_move_iterator(
-                       first + static_cast<std::ptrdiff_t>(run.count)));
-      });
+  const std::vector<Run> runs = std::move(cutter).by_cell();
+  const auto emit = [&](const Run& run,
+                        std::vector<campaign::CellStats>& out) {
+    const auto first = merged.begin() + static_cast<std::ptrdiff_t>(run.begin);
+    out.insert(out.end(), std::make_move_iterator(first),
+               std::make_move_iterator(
+                   first + static_cast<std::ptrdiff_t>(run.count)));
+  };
+  // Runs of distinct cells never overlap, so the cells' merges concatenate.
+  std::vector<campaign::CellStats> out;
+  out.reserve(merged.size());
+  for (std::size_t r = 0; r < runs.size();) {
+    r = merge_cell(runs, r, out, cell_key, emit);
+  }
+  return out;
 }
 
 /// A trial read's key walk: the segment blocks read, the apply-order
@@ -446,14 +439,27 @@ StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
   return CellWalk{std::move(p), std::move(selected)};
 }
 
-StoreReader::EncodedContents StoreReader::read_encoded() const {
-  EncodedContents out;
-  out.cells = cells();
-  std::unique_ptr<CellWalk::Plan> p = plan(&out.cells);
-  out.trials = merge_runs<TrialBytes>(
-      p->runs, p->records, [](const auto& t) { return merge_key(t); },
-      p->emitter<TrialBytes>([](TrialBytes t) { return t; }));
-  out.blocks = std::move(p->blocks);
+StoreReader::KeyedCells StoreReader::keyed_cells() const {
+  KeyedCells out{cells(), {}};
+  std::shared_ptr<const CellWalk::Plan> p = plan(&out.cells);
+  std::ranges::sort(out.cells, [](const campaign::CellStats& a,
+                                  const campaign::CellStats& b) {
+    return cell_key_less(a.coords, b.coords);
+  });
+  auto merged = std::make_shared<std::vector<TrialBytes>>();
+  out.trials = [p, merged](const campaign::CellStats& cell) {
+    // The plan's runs are grouped by cell: the cell's are one search away.
+    const auto first =
+        std::ranges::lower_bound(p->runs, cell.index, {}, &Run::cell);
+    merged->clear();
+    if (first != p->runs.end() && first->cell == cell.index) {
+      merge_cell(
+          p->runs, static_cast<std::size_t>(first - p->runs.begin()), *merged,
+          [](const auto& t) { return merge_key(t); },
+          p->emitter<TrialBytes>([](TrialBytes t) { return t; }));
+    }
+    return std::span<const TrialBytes>{*merged};
+  };
   return out;
 }
 
@@ -486,25 +492,11 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
   return out;
 }
 
-StoreContents StoreReader::read_matching(const CellFilter& filter) const {
-  StoreContents out;
-  out.manifest = manifest_;
-  out.truncated_tail = truncated_tail_;
-  CellWalk walk = this->walk(filter);
-  out.trials.reserve(walk.records());
-  while (const std::optional<CellTrials> cell = walk.next()) {
-    out.trials.insert(out.trials.end(), cell->trials.begin(),
-                      cell->trials.end());
-  }
-  out.cells = std::move(walk.cells_);
-  return out;
-}
-
 SweepWalk::SweepWalk(const std::vector<std::string>& paths,
                      const CellFilter& filter)
     : paths_{paths} {
   if (paths.empty()) {
-    throw std::runtime_error("persist: load_sweep needs at least one store");
+    throw std::runtime_error("persist: a sweep walk needs at least one store");
   }
   for (const std::string& path : paths) {
     const StoreReader& reader =

@@ -12,13 +12,15 @@
 // as views into that buffer. Each segment group and each cell's log
 // trials is a sorted run, so the merge orders runs rather than records:
 // one walk reads only each record's (cell, trial) key and cuts the runs,
-// then each cell's records are made from its runs — decoded once, into a
-// buffer reused from cell to cell, for the analyses (CellWalk); still
-// encoded, into one vector, for compaction — and only a rewritten cell's
-// runs are sorted. Cell-range queries (`read_cell`, a non-empty
-// CellFilter) use the segments' first-key block index and read only the
-// blocks that can hold the requested cells; the log tail is always
-// scanned in full, but after compaction it is just the manifest record.
+// then each cell's records are made from its runs into a buffer reused
+// from cell to cell — decoded once, in index order, for the analyses
+// (CellWalk); still encoded, in cell-key order, for compaction
+// (KeyedCells) — and only a rewritten cell's runs are sorted, so a read
+// holds one cell's trials, never the store's. Cell-range queries
+// (`read_cell`, a non-empty CellFilter) use the segments' first-key
+// block index and read only the blocks that can hold the requested
+// cells; the log tail is always scanned in full, but after compaction
+// it is just the manifest record.
 #pragma once
 
 #include <cstddef>
@@ -146,24 +148,16 @@ class StoreReader {
   [[nodiscard]] std::optional<CellData> read_cell(
       const std::vector<campaign::AxisCoordinate>& coords) const;
 
-  /// walk(filter), collected: cells ascend by index, trials by
-  /// (cell, trial). An empty filter gives every cell and trial, orphans
-  /// included — byte-equivalent to replaying the original flat log.
-  [[nodiscard]] StoreContents read_matching(const CellFilter& filter) const;
-  [[nodiscard]] StoreContents read_all() const {
-    return read_matching(CellFilter{});
-  }
-
-  /// Compaction's read: every completed cell, ascending by index, and
-  /// the last-wins merge of their trials, ascending by (cell, trial) and
-  /// still encoded — views into this reader's log and into `blocks`.
-  /// Orphan log trials are left out.
-  struct EncodedContents {
+  /// Compaction's read, in the order a segment lays cells out: every
+  /// completed cell, ascending by cell_key_less, and the write_segment
+  /// source of each one's last-wins merged trials, still encoded, made
+  /// from the cell's runs into one reused buffer. Orphan log trials are
+  /// left out. The source views this reader's log and must not outlive it.
+  struct KeyedCells {
     std::vector<campaign::CellStats> cells;
-    std::vector<TrialBytes> trials;
-    std::vector<SegmentReader::TrialBlock> blocks;  ///< what trials view
+    SegmentTrials trials;
   };
-  [[nodiscard]] EncodedContents read_encoded() const;
+  [[nodiscard]] KeyedCells keyed_cells() const;
 
  private:
   /// The key walk under every trial read: the segment blocks that can

@@ -4,6 +4,7 @@
 // crash recovery: a torn tail costs only the incomplete cell.
 #include "persist/campaign_store.h"
 #include "persist/store_reader.h"
+#include "store_contents.h"
 
 #include <gtest/gtest.h>
 
@@ -168,7 +169,7 @@ TEST(CampaignStore, TrialStreamReconstructsCellAggregates) {
     (void)runner.run(grid, store);
   }
 
-  const StoreContents contents = StoreReader{path}.read_all();
+  const StoreContents contents = read_all(StoreReader{path});
   EXPECT_FALSE(contents.truncated_tail);
   ASSERT_EQ(contents.cells.size(), 8u);
   ASSERT_EQ(contents.trials.size(), 8u * 3u);
@@ -423,7 +424,7 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
                         CampaignStore::Mode::kResume};
     (void)resumer.run(grid, store);
   }
-  const StoreContents before = StoreReader{path}.read_all();
+  const StoreContents before = read_all(StoreReader{path});
   ASSERT_EQ(before.cells.size(), 8u);
 
   const CompactionResult result = compact_store(path);
@@ -437,7 +438,7 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
   EXPECT_TRUE(StoreReader{path}.segmented());
 
   // Identical view after compaction, and still a valid mergeable store.
-  const StoreContents after = StoreReader{path}.read_all();
+  const StoreContents after = read_all(StoreReader{path});
   EXPECT_FALSE(after.truncated_tail);
   ASSERT_EQ(after.cells.size(), before.cells.size());
   ASSERT_EQ(after.trials.size(), before.trials.size());
@@ -468,12 +469,12 @@ TEST(CampaignStore, CompactionDropsOrphanTrialsAndTornTail) {
   // Tear the last cell's completion record mid-frame: its trials become
   // orphans and the file ends in garbage.
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
-  ASSERT_TRUE(StoreReader{path}.read_all().truncated_tail);
+  ASSERT_TRUE(read_all(StoreReader{path}).truncated_tail);
 
   const CompactionResult result = compact_store(path);
   EXPECT_EQ(result.cells_dropped, 0u);
   EXPECT_EQ(result.trials_dropped, 2u);  // the incomplete cell's 2 trials
-  const StoreContents after = StoreReader{path}.read_all();
+  const StoreContents after = read_all(StoreReader{path});
   EXPECT_FALSE(after.truncated_tail);
   EXPECT_EQ(after.cells.size(), 7u);
   EXPECT_EQ(after.trials.size(), 14u);  // only completed cells' trials
@@ -526,7 +527,7 @@ TEST(CampaignStore, CompactionRefusesAStoreALiveWriterHasOpen) {
   }
   const CompactionResult result = compact_store(path);
   EXPECT_EQ(result.segments_written, 1u);
-  EXPECT_EQ(StoreReader{path}.read_all().cells.size(), 8u);
+  EXPECT_EQ(read_all(StoreReader{path}).cells.size(), 8u);
 }
 
 TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
@@ -557,7 +558,7 @@ TEST(CampaignStore, ConflictingManifestRecordsAreRejectedOnEveryReadPath) {
           << e.what();
     }
   };
-  expect_named([&] { (void)StoreReader{path}.read_all(); });
+  expect_named([&] { (void)read_all(StoreReader{path}); });
   expect_named([&] { (void)load_sweep({path}); });
   expect_named([&] { (void)merge_stores({path}); });
   expect_named([&] { (void)compact_store(path); });

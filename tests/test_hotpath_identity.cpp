@@ -31,6 +31,7 @@
 #include "img/score_kernels.h"
 #include "persist/campaign_store.h"
 #include "persist/store_reader.h"
+#include "store_contents.h"
 #include "util/prng.h"
 
 namespace msa {
@@ -101,10 +102,10 @@ void expect_bits_eq(double a, double b, const std::string& what) {
 /// by (cell, trial), so record-arrival order (thread-dependent) never
 /// leaks into the comparison.
 void expect_stores_identical(const std::string& fresh_path) {
-  const persist::StoreContents golden =
-      persist::StoreReader{data_path("golden_hotpath_vec.store")}.read_all();
+  const persist::StoreContents golden = persist::read_all(
+      persist::StoreReader{data_path("golden_hotpath_vec.store")});
   const persist::StoreContents fresh =
-      persist::StoreReader{fresh_path}.read_all();
+      persist::read_all(persist::StoreReader{fresh_path});
 
   EXPECT_FALSE(golden.truncated_tail);
   EXPECT_FALSE(fresh.truncated_tail);

@@ -33,6 +33,7 @@
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
+#include "store_contents.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
 
@@ -46,6 +47,32 @@ std::string tmp_path(const char* name) {
   std::filesystem::remove(path);
   remove_segment_files(path.string());
   return path.string();
+}
+
+/// A fresh directory for a store whose file names are pinned: segment
+/// file names embed the store's, and the sidecar names the segment.
+std::filesystem::path pinned_dir(const char* name) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "msa_segment_tests" / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// A copy of the store at `path` — its log, sidecar and segment files —
+/// in the fresh directory `dir`, under the same file name, so the copy's
+/// sidecar names the copy's segments.
+std::string copy_store(const std::string& path, const char* dir) {
+  const std::filesystem::path from{path};
+  const std::filesystem::path to = pinned_dir(dir);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(from.parent_path())) {
+    if (entry.path().filename().string().starts_with(
+            from.filename().string())) {
+      std::filesystem::copy_file(entry.path(), to / entry.path().filename());
+    }
+  }
+  return (to / from.filename()).string();
 }
 
 /// Synthetic single-axis sweep identity: `cells` values of "delay_s".
@@ -140,23 +167,41 @@ struct CellInput {
   std::vector<TrialRecord> trials;
 };
 
-/// write_segment over `cells` given in any order: they go in by index,
+/// A write_segment trial source over `trials`: each cell's encoded
+/// records, by cell index.
+SegmentTrials serve_trials(
+    const std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>>&
+        trials) {
+  auto views = std::make_shared<std::vector<TrialBytes>>();
+  return [&trials, views](const campaign::CellStats& cell) {
+    views->clear();
+    if (const auto it = trials.find(cell.index); it != trials.end()) {
+      views->assign(it->second.begin(), it->second.end());
+    }
+    return std::span<const TrialBytes>{*views};
+  };
+}
+
+/// write_segment over `cells` given in any order: they go in by key,
 /// each cell's trials by trial index.
 SegmentInfo write_cells(const std::string& path, std::uint32_t level,
                         std::uint64_t sequence, const StoreManifest& identity,
                         std::vector<CellInput> cells,
                         const SegmentWriteOptions& options = {}) {
-  std::ranges::sort(cells, {}, [](const CellInput& c) { return c.stats.index; });
+  std::ranges::sort(cells, [](const CellInput& a, const CellInput& b) {
+    return cell_key_less(a.stats.coords, b.stats.coords);
+  });
   std::vector<campaign::CellStats> stats;
-  std::vector<std::vector<std::uint8_t>> encoded;
+  std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>> encoded;
   for (CellInput& cell : cells) {
     std::ranges::sort(cell.trials, {}, &TrialRecord::trial);
-    for (const TrialRecord& t : cell.trials) encoded.push_back(trial_bytes(t));
+    for (const TrialRecord& t : cell.trials) {
+      encoded[cell.stats.index].push_back(trial_bytes(t));
+    }
     stats.push_back(std::move(cell.stats));
   }
-  const std::vector<TrialBytes> trials(encoded.begin(), encoded.end());
-  return write_segment(path, level, sequence, identity, stats, trials,
-                       options);
+  return write_segment(path, level, sequence, identity, stats,
+                       serve_trials(encoded), options);
 }
 
 /// `cells` synthetic cells from index `first` on, as segment input.
@@ -305,6 +350,48 @@ TEST(Segment, RoundTripPreservesEverything) {
     EXPECT_EQ(streamed[i].cell_index, i / 5);
     EXPECT_EQ(streamed[i].trial, i % 5);
   }
+}
+
+TEST(Segment, WriterPullsCellsInKeyOrderAndRefusesBrokenInput) {
+  // The writer's contract: cells strictly ascend by cell_key_less, each
+  // cell's trials are pulled once, in that order, and every trial pulled
+  // for a cell is of that cell.
+  const std::string path = tmp_path("contract.seg");
+  const StoreManifest identity = synth_manifest(4, 2);
+  std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>> encoded;
+  for (std::uint64_t c = 0; c < 4; ++c) {
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      encoded[c].push_back(trial_bytes(synth_trial(c, t)));
+    }
+  }
+  std::vector<std::uint64_t> pulled;
+  const SegmentTrials serve = serve_trials(encoded);
+  const auto write = [&](const std::vector<std::uint64_t>& order,
+                         const SegmentTrials& trials_of) {
+    std::vector<campaign::CellStats> cells;
+    for (const std::uint64_t c : order) cells.push_back(synth_stats(c, 2));
+    pulled.clear();
+    return write_segment(path, 0, 1, identity, cells,
+                         [&](const campaign::CellStats& cell) {
+                           pulled.push_back(cell.index);
+                           return trials_of(cell);
+                         });
+  };
+
+  // Key order is index order on the single "delay_s" axis.
+  EXPECT_EQ(write({0, 1, 2, 3}, serve).trial_count, 8u);
+  EXPECT_EQ(pulled, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(all_trials(SegmentReader{path}).size(), 8u);
+
+  EXPECT_THROW((void)write({0, 2, 1, 3}, serve), std::invalid_argument);
+  EXPECT_THROW((void)write({0, 1, 1, 3}, serve), std::invalid_argument);
+  // Cell 1's trials handed over as cell 2's.
+  const SegmentTrials foreign = [&](const campaign::CellStats& cell) {
+    campaign::CellStats as = cell;
+    if (cell.index == 2) as.index = 1;
+    return serve(as);
+  };
+  EXPECT_THROW((void)write({0, 1, 2, 3}, foreign), std::invalid_argument);
 }
 
 TEST(Segment, SingleCellQueryReadsOneBlockOfMany) {
@@ -694,7 +781,7 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
 
   const StoreReader reader{path};
   EXPECT_TRUE(reader.segmented());
-  const StoreContents contents = reader.read_all();
+  const StoreContents contents = read_all(reader);
   ASSERT_EQ(contents.trials.size(), want_trials.size());
   std::size_t i = 0;
   for (const auto& [key, want] : want_trials) {
@@ -720,7 +807,7 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
     EXPECT_EQ(cell12->trials[t].psnr, (want_trials[{12, t}].psnr));
   }
   const CellFilter filter{{CellFilter::parse_clause("delay_s=3,7,12,17")}};
-  const StoreContents filtered = reader.read_matching(filter);
+  const StoreContents filtered = read_matching(reader, filter);
   ASSERT_EQ(filtered.trials.size(), 4u * 6u);
   for (const TrialRecord& t : filtered.trials) {
     EXPECT_EQ(t.psnr, (want_trials[{t.cell_index, t.trial}].psnr));
@@ -744,8 +831,10 @@ SweepData replay_sweep(const std::map<std::uint64_t, campaign::CellStats>& cells
   return out;
 }
 
-/// Checks `got` against `want` record for record, by encoded bytes.
-void expect_same_sweep(const SweepData& got, const SweepData& want,
+/// Checks `got` — anything with cells and trials — against `want`
+/// record for record, by encoded bytes.
+template <typename Got>
+void expect_same_sweep(const Got& got, const SweepData& want,
                        const std::string& view) {
   ASSERT_EQ(got.cells.size(), want.cells.size()) << view;
   for (std::size_t i = 0; i < want.cells.size(); ++i) {
@@ -764,7 +853,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   // streams a resume's duplicates and orphan trials of cells that never
   // complete, and ends torn. Every read path — the collected reads,
   // load_sweep, and the statistics analyzed off the per-cell walk — must
-  // equal a last-wins map replay of the writes.
+  // equal a last-wins map replay of the writes, and so must a compacted
+  // copy of the store, restricted to the completed cells.
   constexpr std::uint64_t kCells = 24;
   constexpr std::uint32_t kTrials = 6;
   const StoreManifest manifest = synth_manifest(kCells, kTrials);
@@ -776,6 +866,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     const std::string path = tmp_path("random_merge.store");
     std::map<TrialRecord::Key, TrialRecord> want_trials;
     std::map<std::uint64_t, campaign::CellStats> want_cells;
+    std::size_t trial_records = 0;  // every trial and cell record written
+    std::size_t cell_records = 0;
     int generation = 0;
     // Trials [first, last) of cell `c`, as one write of `generation`.
     const auto make_cell = [&](std::uint64_t c, std::uint32_t first,
@@ -790,7 +882,9 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     };
     const auto replay = [&](const CellInput& cell, bool completes) {
       for (const TrialRecord& t : cell.trials) want_trials[t.key()] = t;
+      trial_records += cell.trials.size();
       if (completes) want_cells[cell.stats.index] = cell.stats;
+      cell_records += completes;
     };
     // Cell `c` in a random trial range, never empty.
     const auto random_cell = [&](std::uint64_t c) {
@@ -823,6 +917,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
         for (const TrialRecord& t : order) store.append_trial(t);
         if (uniform(0, 3) == 0) {  // a resume re-streams the same bytes
           for (const TrialRecord& t : cell.trials) store.append_trial(t);
+          trial_records += cell.trials.size();
         }
         const bool completes = c < kCells - 4;
         if (completes) store.complete_cell(cell.stats);
@@ -849,7 +944,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
             << view << " round " << round << " record " << i;
       }
     };
-    const StoreContents all = reader.read_all();
+    const StoreContents all = read_all(reader);
     ASSERT_EQ(all.cells.size(), want_cells.size());
     std::size_t i = 0;
     for (const auto& [index, want] : want_cells) {
@@ -869,7 +964,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       clause += "0";
     }
     const StoreContents filtered =
-        reader.read_matching(CellFilter{{CellFilter::parse_clause(clause)}});
+        read_matching(reader, CellFilter{{CellFilter::parse_clause(clause)}});
     const auto in_filter = [&](std::uint64_t c) {
       return want_cells.contains(c) && std::ranges::count(picked, c) > 0;
     };
@@ -910,6 +1005,32 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
                     "read_cell");
     }
+
+    // Compacting a copy drops the torn tail, the orphans and every
+    // superseded copy, and keeps the replay of the completed cells.
+    const std::string copy = copy_store(path, "random_compact");
+    const CompactionResult compacted = compact_store(copy);
+    const auto completed = [&](std::uint64_t c) {
+      return want_cells.contains(c);
+    };
+    const SweepData want_completed =
+        replay_sweep(want_cells, want_trials, completed);
+    const std::string view = "compacted round " + std::to_string(round);
+    EXPECT_EQ(compacted.segments_live, 1u) << view;
+    EXPECT_EQ(compacted.trials_dropped,
+              trial_records - want_completed.trials.size())
+        << view;
+    EXPECT_EQ(compacted.cells_dropped, cell_records - want_cells.size())
+        << view;
+    const StoreContents folded = read_all(StoreReader{copy});
+    EXPECT_FALSE(folded.truncated_tail) << view;
+    expect_same_sweep(folded, want_completed, view);
+    // Nothing is left to drop: a second compaction is a no-op.
+    const CompactionResult again = compact_store(copy);
+    EXPECT_EQ(again.bytes_after, again.bytes_before) << view;
+    EXPECT_EQ(again.trials_dropped + again.cells_dropped, 0u) << view;
+    EXPECT_EQ(again.segments_written, 0u) << view;
+    EXPECT_EQ(again.generation, compacted.generation) << view;
   }
 }
 
@@ -935,7 +1056,11 @@ TEST(SegmentMerge, WorkersDirWalkMatchesAReplayAndRefusesAConflictingCopy) {
     const std::size_t stores = uniform(2, 3);
     std::vector<std::string> paths;
     for (std::size_t s = 0; s < stores; ++s) {
-      paths.push_back((dir / ("w" + std::to_string(s) + ".store")).string());
+      // append(), not "w" + std::string: g++ 12 -O3 misreports the latter
+      // under -Wrestrict.
+      paths.push_back(
+          (dir / std::string{"w"}.append(std::to_string(s)).append(".store"))
+              .string());
     }
     std::map<TrialRecord::Key, TrialRecord> want_trials;
     std::map<std::uint64_t, campaign::CellStats> want_cells;
@@ -1067,8 +1192,8 @@ TEST(SegmentMerge, FlatAndCompactedStoresOf1e5TrialsGiveEqualStats) {
   std::filesystem::copy_file(flat, compacted);
   ASSERT_EQ(compact_store(compacted).segments_live, 1u);
 
-  const StoreContents a = StoreReader{flat}.read_all();
-  const StoreContents b = StoreReader{compacted}.read_all();
+  const StoreContents a = read_all(StoreReader{flat});
+  const StoreContents b = read_all(StoreReader{compacted});
   ASSERT_EQ(a.trials.size(), 100000u);
   ASSERT_EQ(b.trials.size(), a.trials.size());
   for (std::size_t i = 0; i < a.trials.size(); ++i) {
@@ -1118,16 +1243,6 @@ CompactedCrcs compacted_crcs(const std::string& store) {
   if (!levels.has_value() || levels->segments.size() != 1u) return {};
   return {file_crc(segment_path(store, levels->segments[0])),
           file_crc(levels_manifest_path(store)), file_crc(store)};
-}
-
-/// A fresh directory for a store whose file names are pinned: segment
-/// file names embed the store's, and the sidecar names the segment.
-std::filesystem::path pinned_dir(const char* name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "msa_segment_tests" / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 TEST(Segment, CompactedBytesArePinned) {

@@ -326,6 +326,15 @@ TEST(AnalyzeSweep, OrphanOnlyStoreYieldsEmptyReport) {
   EXPECT_NE(report.to_json().find("\"cells\":[]"), std::string::npos);
 }
 
+TEST(AnalyzeStores, NoStoresIsRefusedNamingTheSweepWalk) {
+  try {
+    (void)analyze_stores({}, {});
+    FAIL() << "no stores accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "persist: a sweep walk needs at least one store");
+  }
+}
+
 TEST(StatsReport, CsvAndJsonAreByteStableAndStrict) {
   SweepData data;
   data.manifest.grid_cells = 2;

@@ -35,6 +35,7 @@
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
+#include "store_contents.h"
 #include "util/bytes.h"
 
 namespace msa::persist {
@@ -90,7 +91,7 @@ TEST(StoreCompat, GoldenStoreLoadsWithLegacyFourAxisSchema) {
   EXPECT_EQ(counts[2], 4u);
 
   const StoreContents contents =
-      StoreReader{data_path("golden_4axis.store")}.read_all();
+      read_all(StoreReader{data_path("golden_4axis.store")});
   EXPECT_FALSE(contents.truncated_tail);
   ASSERT_EQ(contents.manifest.axes.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -227,7 +228,7 @@ TEST(StoreCompat, CompactedGoldenReproducesStatsGoldens) {
 
   const StoreReader reader{path};
   EXPECT_TRUE(reader.segmented());
-  EXPECT_EQ(reader.read_all().cells.size(), 4u);
+  EXPECT_EQ(read_all(reader).cells.size(), 4u);
   // The compacted store reads back to the same report bytes — the
   // checked-in goldens included.
   const campaign::StatsReport report =
