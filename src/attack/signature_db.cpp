@@ -4,12 +4,11 @@
 #include <bit>
 #include <cstring>
 
-#include "img/score_kernels.h"
+#include "util/simd.h"
 #include "util/strings.h"
 #include "vitis/model_zoo.h"
 
-#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
-#define MSA_SIMD_SSE2 1
+#if defined(MSA_SIMD_SSE2)
 #include <emmintrin.h>
 #endif
 
@@ -82,7 +81,7 @@ std::vector<SignatureMatch> SignatureDb::scan(
   // in the needles' first-byte range and the next byte in their
   // second-byte range. Each step reads 17 bytes, so the last 16
   // positions are left to the scalar loop.
-  if (img::simd_enabled() && !ix.needles.empty()) {
+  if (util::simd_level() >= util::SimdLevel::kSse2 && !ix.needles.empty()) {
     const __m128i first_lo = _mm_set1_epi8(static_cast<char>(ix.first_lo));
     const __m128i first_span =
         _mm_set1_epi8(static_cast<char>(ix.first_hi - ix.first_lo));

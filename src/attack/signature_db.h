@@ -8,10 +8,10 @@
 // scraped bytes and ranks candidates. A scan visits the bytes once for
 // every needle of every model: add() indexes the distinct needles by
 // their first byte, and a position is compared only with the needles
-// that begin with its byte. Under MSA_ENABLE_SIMD and
-// img::simd_enabled() an SSE2 prefilter first drops, 16 positions at a
-// time, every position whose two bytes fall outside the needles' first-
-// and second-byte ranges. Both paths find the same offsets.
+// that begin with its byte. At util::simd_level() sse2 and above an SSE2
+// prefilter first drops, 16 positions at a time, every position whose two
+// bytes fall outside the needles' first- and second-byte ranges. Every
+// level finds the same offsets.
 //
 // Beyond strings, identify_deep() hunts for a serialized xmodel container
 // in the residue and parses it outright — recovering not just the model's

@@ -1,6 +1,7 @@
 #include "campaign/compare.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -32,6 +33,26 @@ double rate(std::size_t numerator, std::size_t denominator) {
                           : static_cast<double>(numerator) /
                                 static_cast<double>(denominator);
 }
+
+/// newcombe_p_value memoized on its four counts. It is pure, and the
+/// matched cells of one diff repeat few count tuples: with t trials a
+/// side, at most (t + 1)^2 of them.
+class PValueMemo {
+ public:
+  double operator()(std::size_t successes_a, std::size_t trials_a,
+                    std::size_t successes_b, std::size_t trials_b) {
+    const auto [it, fresh] = memo_.try_emplace(
+        {successes_a, trials_a, successes_b, trials_b}, 0.0);
+    if (fresh) {
+      it->second =
+          newcombe_p_value(successes_a, trials_a, successes_b, trials_b);
+    }
+    return it->second;
+  }
+
+ private:
+  std::map<std::array<std::size_t, 4>, double> memo_;
+};
 
 /// Ordered axis names of an analyzed sweep — the first cell's coordinate
 /// order (every cell of one sweep shares the schema); empty for an empty
@@ -293,6 +314,7 @@ DiffReport diff_sweeps(const StatsReport& a, const StatsReport& b) {
     // Both sides sorted by key once, then paired in one merge-join walk.
     const Projection cells_a{a, "A", out.shared_axes};
     const Projection cells_b{b, "B", out.shared_axes};
+    PValueMemo p_value;
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < cells_a.size() || j < cells_b.size()) {
@@ -326,8 +348,7 @@ DiffReport diff_sweeps(const StatsReport& a, const StatsReport& b) {
       d.success_delta_ci =
           newcombe_interval(ca.successes, ca.trials, cb.successes, cb.trials);
       d.significant = d.success_delta_ci.excludes_zero();
-      d.p_value =
-          newcombe_p_value(ca.successes, ca.trials, cb.successes, cb.trials);
+      d.p_value = p_value(ca.successes, ca.trials, cb.successes, cb.trials);
       d.denial_rate_a = rate(ca.denials, ca.trials);
       d.denial_rate_b = rate(cb.denials, cb.trials);
       d.denial_delta = d.denial_rate_b - d.denial_rate_a;

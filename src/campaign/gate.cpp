@@ -7,15 +7,14 @@
 #include <span>
 #include <vector>
 
-#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
-#define MSA_SIMD_SSE2 1
-#include <emmintrin.h>
-#endif
-
 #include "campaign/table.h"
-#include "img/score_kernels.h"
 #include "obs/trace.h"
 #include "util/prng.h"
+#include "util/simd.h"
+
+#if defined(MSA_SIMD_SSE2)
+#include <emmintrin.h>
+#endif
 
 namespace msa::campaign {
 
@@ -137,7 +136,7 @@ PermutationResult paired_permutation_test(const std::vector<double>& deltas,
   });
   auto* lane_sums = &lane_sums_scalar;
 #if defined(MSA_SIMD_SSE2)
-  if (img::simd_enabled()) lane_sums = &lane_sums_sse2;
+  if (util::simd_level() >= util::SimdLevel::kSse2) lane_sums = &lane_sums_sse2;
 #endif
   // Batches of kLanes consecutive resamples: their words are drawn in
   // stream order (resample by resample), so resample k sees the same

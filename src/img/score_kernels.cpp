@@ -1,18 +1,16 @@
 #include "img/score_kernels.h"
 
-#include <atomic>
 #include <bit>
 
-#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
-#define MSA_SIMD_SSE2 1
+#include "util/simd.h"
+
+#if defined(MSA_SIMD_SSE2)
 #include <emmintrin.h>
 #endif
 
 namespace msa::img {
 
 namespace {
-
-std::atomic<bool> g_simd_enabled{true};
 
 std::size_t match_count_scalar(const std::uint8_t* a, const std::uint8_t* b,
                                std::size_t n_pixels) noexcept {
@@ -105,27 +103,12 @@ std::uint64_t squared_error_sse2(const std::uint8_t* a, const std::uint8_t* b,
 #endif
 
 bool use_simd() noexcept {
-#if defined(MSA_SIMD_SSE2)
-  return g_simd_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
+  return util::simd_level() >= util::SimdLevel::kSse2;
 }
 
 }  // namespace
 
-void set_simd_enabled(bool on) noexcept {
-  g_simd_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool simd_enabled() noexcept { return use_simd(); }
-
-const char* simd_backend() noexcept {
-#if defined(MSA_SIMD_SSE2)
-  if (use_simd()) return "sse2";
-#endif
-  return "scalar";
-}
+const char* simd_backend() noexcept { return use_simd() ? "sse2" : "scalar"; }
 
 namespace detail {
 

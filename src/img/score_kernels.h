@@ -8,10 +8,10 @@
 // double loses nothing and the reduction order cannot matter.
 //
 // The SSE2 path compiles in under the MSA_ENABLE_SIMD CMake option on
-// x86-64 and dispatches at runtime through set_simd_enabled(), so a
-// single binary can exercise and byte-compare both paths; scalar is
-// always compiled and is the only path everywhere else (AArch64
-// included).
+// x86-64 and runs at util::simd_level() kSse2 and above (these folds have
+// no AVX2 backend), so a test that caps the level can exercise and
+// byte-compare both paths in one binary; scalar is always compiled and is
+// the only path everywhere else (AArch64 included).
 #pragma once
 
 #include <cstddef>
@@ -19,12 +19,8 @@
 
 namespace msa::img {
 
-/// Runtime toggle for the SIMD scoring paths. No-op (stays scalar) when
-/// SIMD support was not compiled in.
-void set_simd_enabled(bool on) noexcept;
-[[nodiscard]] bool simd_enabled() noexcept;
-
-/// Backend the next scoring call will use: "sse2" or "scalar".
+/// Backend the next scoring call will use: "sse2" at util::simd_level()
+/// kSse2 and above, "scalar" below.
 [[nodiscard]] const char* simd_backend() noexcept;
 
 namespace detail {

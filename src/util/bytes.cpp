@@ -4,15 +4,8 @@
 
 namespace msa::util {
 
-void ByteReader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n) {
-    throw std::invalid_argument("bytes: read past the end of the buffer");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
+void ByteReader::throw_past_end() {
+  throw std::invalid_argument("bytes: read past the end of the buffer");
 }
 
 std::uint16_t ByteReader::u16() {
@@ -34,16 +27,7 @@ std::uint32_t ByteReader::u32() {
   return v;
 }
 
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-  }
-  return v;
-}
-
-std::uint64_t ByteReader::varint() {
+std::uint64_t ByteReader::varint_long() {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     need(1);
@@ -56,21 +40,6 @@ std::uint64_t ByteReader::varint() {
     if ((byte & 0x80) == 0) return v;
   }
   throw std::invalid_argument("bytes: unterminated varint");
-}
-
-std::span<const std::uint8_t> ByteReader::blob() {
-  const std::uint64_t len = varint();
-  need(len);
-  const std::span<const std::uint8_t> bytes = data_.subspan(pos_, len);
-  pos_ += len;
-  return bytes;
-}
-
-std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
-  need(n);
-  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
 }
 
 std::uint64_t ByteReader::count() {

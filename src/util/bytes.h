@@ -19,6 +19,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -97,25 +98,44 @@ class ByteWriter {
 };
 
 /// Bounds-checked deserializer over a byte span; see the error contract
-/// above.
+/// above. The per-record primitives (u8, u64/f64, a one-byte varint, blob)
+/// are inline; the throws and multi-byte varints are out of line.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) noexcept
       : data_{bytes} {}
 
-  [[nodiscard]] std::uint8_t u8();
+  [[nodiscard]] std::uint8_t u8() {
+    need(1);
+    return data_[pos_++];
+  }
   [[nodiscard]] std::uint16_t u16();
   [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint64_t u64() {
+    need(8);
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, sizeof v);
+    } else {
+      for (int i = 7; i >= 0; --i) v = v << 8 | data_[pos_ + i];
+    }
+    pos_ += sizeof v;
+    return v;
+  }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::uint64_t varint();
+  [[nodiscard]] std::uint64_t varint() {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) return data_[pos_++];
+    return varint_long();
+  }
   /// Varint byte length followed by that many bytes, returned as a view
   /// into the reader's buffer (valid as long as that buffer is) — the
   /// zero-copy counterpart of ByteWriter::str.
-  [[nodiscard]] std::span<const std::uint8_t> blob();
+  [[nodiscard]] std::span<const std::uint8_t> blob() { return take(varint()); }
   [[nodiscard]] std::string str();
   /// The next `n` bytes, as a view into the reader's buffer.
-  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n);
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
+    return take(n);
+  }
   /// Varint element count. Every element takes at least one byte, so a
   /// count above remaining() is corrupt and is rejected before a caller
   /// can reserve() it.
@@ -129,7 +149,20 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::uint64_t n) const {
+    if (remaining() < n) throw_past_end();
+  }
+  [[noreturn]] static void throw_past_end();
+  /// varint() past its one-byte fast path: longer encodings and the
+  /// malformed or truncated ones it rejects.
+  [[nodiscard]] std::uint64_t varint_long();
+  std::span<const std::uint8_t> take(std::uint64_t n) {
+    need(n);
+    const std::span<const std::uint8_t> out =
+        data_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
+    return out;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -1,6 +1,14 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used to checksum xmodel
 // payloads and scraped memory regions so tests can assert byte-exact
-// residue recovery without storing full golden buffers.
+// residue recovery without storing full golden buffers, and to frame
+// every record and block of the campaign store.
+//
+// update() runs slice-by-8 (eight table lookups per 8 bytes), which is
+// also the reference. At util::simd_level() avx2 an input of 64 bytes or
+// more takes slice-by-8 up to a 16-byte boundary, a PCLMULQDQ fold-by-4
+// over the whole 16-byte blocks after it, and slice-by-8 again for the
+// tail. The fold computes the same register, so the value never depends
+// on the level or on how the input was split across update() calls.
 #pragma once
 
 #include <cstdint>

@@ -5,11 +5,12 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "img/score_kernels.h"
 #include "obs/trace.h"
+#include "util/simd.h"
 
-#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
-#define MSA_SIMD_SSE2 1
+#if defined(MSA_SIMD_AVX2)
+#include <immintrin.h>
+#elif defined(MSA_SIMD_SSE2)
 #include <emmintrin.h>
 #endif
 
@@ -124,6 +125,50 @@ void conv_block_sse2(const std::int16_t* w, const std::int16_t* col,
   requant_store(a3, b3, bias[3], sh, relu, out[3]);
 }
 
+#if defined(MSA_SIMD_AVX2)
+
+#define MSA_AVX2_TARGET __attribute__((target("avx2")))
+
+/// requant_store on the two 4-pixel halves of one channel's accumulator.
+MSA_AVX2_TARGET inline void requant_store_avx2(__m256i acc, std::int32_t bias,
+                                               __m128i shift, bool relu,
+                                               std::int8_t* out) noexcept {
+  requant_store(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1),
+                bias, shift, relu, out);
+}
+
+/// The int16 pair at `w` in every 32-bit lane: one broadcast load.
+MSA_AVX2_TARGET inline __m256i broadcast_pair(const std::int16_t* w) noexcept {
+  return _mm256_broadcastd_epi32(_mm_loadu_si32(w));
+}
+
+/// conv_block_sse2 with one 256-bit accumulator per channel: each k-pair
+/// is one load of the 8-pixel column and one vpmaddwd per channel, against
+/// that channel's weight pair broadcast to every lane.
+MSA_AVX2_TARGET void conv_block_avx2(const std::int16_t* w,
+                                     const std::int16_t* col, std::size_t pairs,
+                                     const std::int32_t* bias,
+                                     std::uint32_t shift, bool relu,
+                                     std::int8_t (*out)[kBlockPx]) noexcept {
+  __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+  for (std::size_t q = 0; q < pairs; ++q, w += kPackedPair, col += 2 * kBlockPx) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col));
+    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(x, broadcast_pair(w)));
+    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(x, broadcast_pair(w + 2)));
+    a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(x, broadcast_pair(w + 4)));
+    a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(x, broadcast_pair(w + 6)));
+  }
+  const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
+  requant_store_avx2(a0, bias[0], sh, relu, out[0]);
+  requant_store_avx2(a1, bias[1], sh, relu, out[1]);
+  requant_store_avx2(a2, bias[2], sh, relu, out[2]);
+  requant_store_avx2(a3, bias[3], sh, relu, out[3]);
+}
+
+#undef MSA_AVX2_TARGET
+
+#endif
+
 #endif
 
 using ConvBlockFn = void (*)(const std::int16_t* w, const std::int16_t* col,
@@ -134,11 +179,14 @@ using ConvBlockFn = void (*)(const std::int16_t* w, const std::int16_t* col,
 /// The block kernel for this forward pass, called through a pointer: the
 /// backend is chosen once, and the kernel keeps its registers to itself
 /// rather than being inlined into the gather loop.
-ConvBlockFn conv_block_for(bool simd) noexcept {
+ConvBlockFn conv_block_for(util::SimdLevel level) noexcept {
+#if defined(MSA_SIMD_AVX2)
+  if (level >= util::SimdLevel::kAvx2) return conv_block_avx2;
+#endif
 #if defined(MSA_SIMD_SSE2)
-  if (simd) return conv_block_sse2;
+  if (level >= util::SimdLevel::kSse2) return conv_block_sse2;
 #else
-  (void)simd;
+  (void)level;
 #endif
   return conv_block_scalar;
 }
@@ -220,7 +268,7 @@ thread_local std::vector<std::int8_t> t_pool_row;
 void max_into(std::int8_t* dst, const std::int8_t* src, std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(MSA_SIMD_SSE2)
-  if (img::simd_enabled()) {
+  if (util::simd_level() >= util::SimdLevel::kSse2) {
     // SSE2 has only an unsigned byte max: flipping the sign bit maps
     // signed order onto unsigned order.
     const __m128i flip = _mm_set1_epi8(static_cast<char>(0x80));
@@ -393,8 +441,9 @@ Tensor Conv2d::run(const std::int8_t* src, const TensorShape& ish) const {
   std::int8_t* dst = out.data().data();
   const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
   ConvScratch& s = t_conv;
-  const bool simd = img::simd_enabled();
-  const ConvBlockFn kernel = conv_block_for(simd);
+  const util::SimdLevel level = util::simd_level();
+  const bool simd = level >= util::SimdLevel::kSse2;
+  const ConvBlockFn kernel = conv_block_for(level);
   // A zero-bordered int16 copy of the input: every tap of every window
   // is then an in-bounds read, and padding reads as zero.
   const std::size_t ph = ish.h + 2 * static_cast<std::size_t>(pad_);

@@ -12,11 +12,13 @@
 // threads at once. Dense is a 1x1 Conv2d on its input viewed as [in,1,1]
 // and runs through the same packing and block kernel: there is no second
 // GEMM. MaxPool2d takes column then row maxima with a vector byte max.
-// Every kernel runs on SSE2 under the MSA_ENABLE_SIMD build option and
-// the img::set_simd_enabled() runtime switch, with a scalar loop as the
-// fallback (and the only path elsewhere, AArch64 included); integer
-// arithmetic is exact in any order, so every path yields bit-identical
-// outputs.
+// The kernels dispatch on util::simd_level(): every one has an SSE2 form
+// at the sse2 level and above, and the conv block kernel also an AVX2
+// form at avx2 (one 256-bit column load and four vpmaddwd per tap pair,
+// one 8-lane accumulator per channel). A scalar loop is the fallback
+// (and the only path elsewhere, AArch64 and -DMSA_ENABLE_SIMD=OFF
+// included); integer arithmetic is exact in any order, so every level
+// yields bit-identical outputs.
 #pragma once
 
 #include <cstdint>

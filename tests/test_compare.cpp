@@ -460,7 +460,10 @@ TEST(DiffSweeps, PairingErrorsNameTheFirstFaultInCellOrder) {
 TEST(DiffSweeps, MergeJoinPairsLikeAMapOfEverySidesKeys) {
   // Random partial grids over a shared 3-axis schema in random cell
   // order, B's with an extra one-value axis: the pairing must match a
-  // std::map keyed by the projected AxisKey, in every output list.
+  // std::map keyed by the projected AxisKey, in every output list. Trial
+  // counts vary too, so count tuples repeat and also differ in any one
+  // count, and every matched cell's p-value must be newcombe_p_value of
+  // its own counts (diff_sweeps memoizes it).
   std::mt19937_64 rng{0xd1ff};
   const auto pick = [&](std::uint64_t n) { return rng() % n; };
   for (int round = 0; round < 20; ++round) {
@@ -471,8 +474,10 @@ TEST(DiffSweeps, MergeJoinPairsLikeAMapOfEverySidesKeys) {
         for (int delay = 4; delay >= -1; --delay) {
           for (const bool flag : {true, false}) {
             if (pick(3) == 0) continue;
-            CellDistribution c = make_cell(index++, defense, "m", 0.0, 0.0,
-                                           5, pick(6), pick(3), 1.0, 2.0, 3.0);
+            const std::size_t trials = 1 + pick(6);
+            CellDistribution c =
+                make_cell(index++, defense, "m", 0.0, 0.0, trials,
+                          pick(trials + 1), pick(3), 1.0, 2.0, 3.0);
             c.coords = {{"defense", AxisValue::of_string(defense)},
                         {"delay_s", AxisValue::of_number(2.5 * delay)},
                         {"flag", AxisValue::of_bool(flag)}};
@@ -531,6 +536,11 @@ TEST(DiffSweeps, MergeJoinPairsLikeAMapOfEverySidesKeys) {
     for (const CellDelta& d : diff.cells) {
       pairs.push_back({d.index_a, d.index_b});
       keys.push_back(d.key);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.p_value),
+                std::bit_cast<std::uint64_t>(newcombe_p_value(
+                    d.successes_a, d.trials_a, d.successes_b, d.trials_b)))
+          << "round " << round << " " << d.successes_a << "/" << d.trials_a
+          << " vs " << d.successes_b << "/" << d.trials_b;
     }
     EXPECT_EQ(only_a, want_only_a) << "round " << round;
     EXPECT_EQ(only_b, want_only_b) << "round " << round;

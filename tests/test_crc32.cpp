@@ -6,6 +6,8 @@
 #include <span>
 #include <vector>
 
+#include "simd_levels.h"
+
 namespace msa::util {
 namespace {
 
@@ -54,31 +56,49 @@ std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
   return ~c;
 }
 
+// Lengths 0-300 cover the slice-by-8 head and tail alone (below 64
+// bytes), every 16-byte block count of the PCLMUL fold's loops, and
+// every tail length; offsets 0-15 move the data across every alignment
+// of the fold's 16-byte boundary. Each runs at every level this host has.
 TEST(Crc32, SliceBy8MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  std::vector<std::uint8_t> data(8 + 67);
+  std::vector<std::uint8_t> data(16 + 300);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 151 + 7);
   }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 67; ++len) {
-      const std::span<const std::uint8_t> bytes{data.data() + offset, len};
-      EXPECT_EQ(crc32(bytes), reference_crc32(bytes))
-          << "offset " << offset << " length " << len;
+  std::vector<std::uint8_t> big(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  const std::uint32_t big_crc = reference_crc32(big);
+  for (const SimdLevel level : simd_levels_up_to_detected()) {
+    const SimdCapGuard cap{level};
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::span<const std::uint8_t> bytes{data.data() + offset, len};
+        EXPECT_EQ(crc32(bytes), reference_crc32(bytes))
+            << simd_level_name(level) << " offset " << offset << " length "
+            << len;
+      }
     }
+    EXPECT_EQ(crc32(big), big_crc) << simd_level_name(level) << " 1 MiB";
   }
 }
 
 TEST(Crc32, UpdateSplitAtEveryPointMatchesOneShot) {
-  std::vector<std::uint8_t> data(67);
+  std::vector<std::uint8_t> data(300);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(0xA5 ^ (i * 29));
   }
   const std::uint32_t whole = reference_crc32(data);
-  for (std::size_t split = 0; split <= data.size(); ++split) {
-    Crc32 c;
-    c.update(std::span{data.data(), split});
-    c.update(std::span{data.data() + split, data.size() - split});
-    EXPECT_EQ(c.value(), whole) << "split at " << split;
+  for (const SimdLevel level : simd_levels_up_to_detected()) {
+    const SimdCapGuard cap{level};
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+      Crc32 c;
+      c.update(std::span{data.data(), split});
+      c.update(std::span{data.data() + split, data.size() - split});
+      EXPECT_EQ(c.value(), whole)
+          << simd_level_name(level) << " split at " << split;
+    }
   }
 }
 

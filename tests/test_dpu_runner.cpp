@@ -4,8 +4,8 @@
 
 #include <cstring>
 
-#include "img/score_kernels.h"
 #include "obs/metrics.h"
+#include "simd_levels.h"
 #include "util/crc32.h"
 #include "util/strings.h"
 #include "vitis/model_zoo.h"
@@ -142,8 +142,8 @@ TEST(DpuRunner, StagedHeapBytesArePinned) {
   };
   ASSERT_EQ(expected.size(), zoo_model_names().size());
   for (const auto& [name, crc] : expected) {
-    for (const bool simd : {true, false}) {
-      img::set_simd_enabled(simd);
+    for (const util::SimdLevel level : util::simd_levels_up_to_detected()) {
+      const util::SimdCapGuard cap{level};
       os::SystemConfig cfg = os::SystemConfig::test_small();
       cfg.seed = 0x5EED;
       os::PetaLinuxSystem sys{cfg};
@@ -154,10 +154,10 @@ TEST(DpuRunner, StagedHeapBytesArePinned) {
       const os::Process& proc = sys.process(pid);
       std::vector<std::uint8_t> heap(proc.brk() - proc.heap_base());
       sys.read_virt(pid, proc.heap_base(), heap);
-      EXPECT_EQ(util::crc32(heap), crc) << name << " simd=" << simd;
+      EXPECT_EQ(util::crc32(heap), crc)
+          << name << " " << util::simd_level_name(level);
     }
   }
-  img::set_simd_enabled(true);
 }
 
 TEST(Runtime, LaunchCreatesProcessWithPaperArgv) {

@@ -18,8 +18,8 @@
 #include "campaign/grid.h"
 #include "campaign/runner.h"
 #include "campaign/stats.h"
-#include "img/score_kernels.h"
 #include "persist/campaign_store.h"
+#include "simd_levels.h"
 #include "util/prng.h"
 
 namespace msa::campaign {
@@ -131,7 +131,6 @@ PermutationResult reference_permutation_test(const std::vector<double>& deltas,
 }
 
 TEST(PairedPermutation, BranchFreeKernelMatchesReferenceLoop) {
-  const bool simd_default = img::simd_enabled();
   std::mt19937_64 rng{0x9a7e};
   std::uniform_real_distribution<double> delta{-0.3, 0.32};
   for (const std::size_t n : {1u, 63u, 64u, 65u, 10000u}) {
@@ -156,20 +155,20 @@ TEST(PairedPermutation, BranchFreeKernelMatchesReferenceLoop) {
         for (const std::uint64_t seed : {1ULL, 0xfeedULL}) {
           const PermutationResult want =
               reference_permutation_test(deltas, seed, iterations, two_sided);
-          for (const bool simd : {true, false}) {
-            img::set_simd_enabled(simd);
+          for (const util::SimdLevel level :
+               util::simd_levels_up_to_detected()) {
+            const util::SimdCapGuard cap{level};
             const PermutationResult got =
                 paired_permutation_test(deltas, seed, iterations, two_sided);
             EXPECT_EQ(got.at_least_as_extreme, want.at_least_as_extreme)
                 << "n=" << n << " iterations=" << iterations
                 << " two_sided=" << two_sided << " seed=" << seed
-                << " simd=" << simd;
+                << " " << util::simd_level_name(level);
             EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_value),
                       std::bit_cast<std::uint64_t>(want.p_value));
             EXPECT_EQ(std::bit_cast<std::uint64_t>(got.observed_stat),
                       std::bit_cast<std::uint64_t>(want.observed_stat));
           }
-          img::set_simd_enabled(simd_default);
         }
       }
     }

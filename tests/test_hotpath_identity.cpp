@@ -31,6 +31,7 @@
 #include "img/score_kernels.h"
 #include "persist/campaign_store.h"
 #include "persist/store_reader.h"
+#include "simd_levels.h"
 #include "store_contents.h"
 #include "util/prng.h"
 
@@ -41,11 +42,18 @@ std::string data_path(const char* name) {
   return std::string{MSA_TEST_DATA_DIR} + "/" + name;
 }
 
-/// Restores the process-wide SIMD toggle even when an assertion fails.
-struct SimdGuard {
-  explicit SimdGuard(bool enabled) { img::set_simd_enabled(enabled); }
-  ~SimdGuard() { img::set_simd_enabled(true); }
-};
+using util::SimdCapGuard;
+using util::SimdLevel;
+using util::simd_level_name;
+using util::simd_levels_up_to_detected;
+
+/// The levels above scalar this host runs, or scalar alone when the build
+/// or the CPU has no vector level.
+std::vector<SimdLevel> vector_levels() {
+  std::vector<SimdLevel> levels = simd_levels_up_to_detected();
+  if (levels.size() > 1) levels.erase(levels.begin());
+  return levels;
+}
 
 /// The grid the golden store was swept over, axes in the CLI order the
 /// fixture command used (legacy flags first, --axis flags after).
@@ -66,8 +74,8 @@ campaign::GridBuilder golden_grid() {
 }
 
 /// Sweeps the golden grid into a fresh store and returns its path.
-std::string run_sweep(unsigned threads, bool simd, const char* tag) {
-  const SimdGuard guard{simd};
+std::string run_sweep(unsigned threads, SimdLevel level, const char* tag) {
+  const SimdCapGuard cap{level};
   const campaign::GridBuilder grid = golden_grid();
   campaign::CampaignOptions options;
   options.threads = threads;
@@ -83,7 +91,9 @@ std::string run_sweep(unsigned threads, bool simd, const char* tag) {
   const auto dir =
       std::filesystem::temp_directory_path() / "msa_hotpath_identity";
   std::filesystem::create_directories(dir);
-  const std::string path = (dir / (std::string{tag} + ".store")).string();
+  const std::string path =
+      (dir / (std::string{tag} + "_" + simd_level_name(level) + ".store"))
+          .string();
   std::filesystem::remove(path);
   campaign::CampaignRunner runner{options};
   persist::CampaignStore store{path, manifest,
@@ -162,19 +172,25 @@ void expect_stores_identical(const std::string& fresh_path) {
 }
 
 TEST(HotpathIdentity, SingleThreadSimdMatchesGolden) {
-  expect_stores_identical(run_sweep(1, true, "t1_simd"));
+  for (const SimdLevel level : vector_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    expect_stores_identical(run_sweep(1, level, "t1_simd"));
+  }
 }
 
 TEST(HotpathIdentity, EightThreadsSimdMatchesGolden) {
-  expect_stores_identical(run_sweep(8, true, "t8_simd"));
+  for (const SimdLevel level : vector_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    expect_stores_identical(run_sweep(8, level, "t8_simd"));
+  }
 }
 
 TEST(HotpathIdentity, SingleThreadScalarMatchesGolden) {
-  expect_stores_identical(run_sweep(1, false, "t1_scalar"));
+  expect_stores_identical(run_sweep(1, SimdLevel::kScalar, "t1_scalar"));
 }
 
 TEST(HotpathIdentity, EightThreadsScalarMatchesGolden) {
-  expect_stores_identical(run_sweep(8, false, "t8_scalar"));
+  expect_stores_identical(run_sweep(8, SimdLevel::kScalar, "t8_scalar"));
 }
 
 // ---- kernel-level SIMD/scalar equivalence ------------------------------
@@ -239,12 +255,12 @@ TEST(ScoreKernels, SimdAndScalarAgreeBitForBitWithReference) {
     }
     const double want_match = reference_match(a, b);
     const double want_psnr = reference_psnr(a, b);
-    for (const bool simd : {true, false}) {
-      const SimdGuard guard{simd};
+    for (const SimdLevel level : simd_levels_up_to_detected()) {
+      const SimdCapGuard cap{level};
       const std::string at = std::string{"size "} +
                              std::to_string(wh[0]) + "x" +
-                             std::to_string(wh[1]) +
-                             (simd ? " simd" : " scalar") + " (backend " +
+                             std::to_string(wh[1]) + " " +
+                             simd_level_name(level) + " (backend " +
                              img::simd_backend() + ")";
       expect_bits_eq(img::pixel_match_fraction(a, b), want_match,
                      at + " pixel_match");
@@ -261,8 +277,9 @@ TEST(ScoreKernels, IdenticalAndDisjointImagesScoreExactly) {
     px.g = static_cast<std::uint8_t>(~px.g);
     px.b = static_cast<std::uint8_t>(~px.b);
   }
-  for (const bool simd : {true, false}) {
-    const SimdGuard guard{simd};
+  for (const SimdLevel level : simd_levels_up_to_detected()) {
+    const SimdCapGuard cap{level};
+    SCOPED_TRACE(simd_level_name(level));
     EXPECT_EQ(img::pixel_match_fraction(a, a), 1.0);
     EXPECT_EQ(img::psnr_db(a, a), 99.0);
     EXPECT_EQ(img::pixel_match_fraction(a, inverted), 0.0);
@@ -272,18 +289,18 @@ TEST(ScoreKernels, IdenticalAndDisjointImagesScoreExactly) {
 }
 
 TEST(ScoreKernels, BackendReportsToggleState) {
-  {
-    const SimdGuard guard{false};
-    EXPECT_FALSE(img::simd_enabled());
-    EXPECT_STREQ(img::simd_backend(), "scalar");
+  // The scoring folds have no AVX2 backend: every level from sse2 up runs
+  // SSE2, and a build or CPU without a vector level reports scalar.
+  for (const SimdLevel level : simd_levels_up_to_detected()) {
+    const SimdCapGuard cap{level};
+    EXPECT_STREQ(img::simd_backend(),
+                 level == SimdLevel::kScalar ? "scalar" : "sse2")
+        << simd_level_name(level);
   }
-  // With the toggle restored the backend is whatever the build compiled
-  // in; scalar (with simd_enabled() false, since set_simd_enabled is a
-  // no-op there) is the answer on non-SSE2 targets or
-  // -DMSA_ENABLE_SIMD=OFF.
   const std::string backend = img::simd_backend();
-  EXPECT_TRUE(backend == "sse2" || backend == "scalar") << backend;
-  EXPECT_EQ(img::simd_enabled(), backend != "scalar");
+  EXPECT_EQ(backend, util::detected_simd_level() == SimdLevel::kScalar
+                         ? "scalar"
+                         : "sse2");
 }
 
 }  // namespace

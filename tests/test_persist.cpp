@@ -146,6 +146,73 @@ TEST(Encoding, ReaderThrowsOnOverrun) {
   EXPECT_THROW((void)r4.count(), std::invalid_argument);
 }
 
+/// The message of the std::invalid_argument `read` throws, or "(none)".
+template <typename Read>
+std::string rejection(Read&& read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(none)";
+}
+
+TEST(Encoding, InlineReadsRoundTripAndRejectEveryTruncationByMessage) {
+  constexpr const char* kPastEnd = "bytes: read past the end of the buffer";
+  // Varints of every encoded length, at both ends of each length's range.
+  for (std::size_t len = 1; len <= 10; ++len) {
+    const std::uint64_t lo = len == 1 ? 0 : std::uint64_t{1} << (7 * (len - 1));
+    const std::uint64_t hi = len == 10 ? std::numeric_limits<std::uint64_t>::max()
+                                       : (std::uint64_t{1} << (7 * len)) - 1;
+    for (const std::uint64_t v : {lo, hi}) {
+      util::ByteWriter w;
+      w.varint(v);
+      ASSERT_EQ(w.size(), len) << v;
+      util::ByteReader r{w.bytes()};
+      EXPECT_EQ(r.varint(), v) << "length " << len;
+      EXPECT_TRUE(r.done());
+      // Cut anywhere, the varint is a read past the end.
+      for (std::size_t cut = 0; cut < len; ++cut) {
+        util::ByteReader cut_reader{w.bytes().first(cut)};
+        EXPECT_EQ(rejection([&] { (void)cut_reader.varint(); }), kPastEnd)
+            << v << " cut at " << cut;
+      }
+    }
+  }
+  // The 10th byte carries bit 63 alone: 0x01 is accepted, 0x02 is not.
+  std::uint8_t tenth[10] = {0x80, 0x80, 0x80, 0x80, 0x80,
+                            0x80, 0x80, 0x80, 0x80, 0x01};
+  EXPECT_EQ(util::ByteReader{tenth}.varint(), std::uint64_t{1} << 63);
+  tenth[9] = 0x02;
+  EXPECT_EQ(rejection([&] { (void)util::ByteReader{tenth}.varint(); }),
+            "bytes: varint exceeds 64 bits");
+  // u64 and f64 at every cut.
+  util::ByteWriter fixed;
+  fixed.u64(0x0123456789abcdefULL);
+  EXPECT_EQ(util::ByteReader{fixed.bytes()}.u64(), 0x0123456789abcdefULL);
+  for (std::size_t cut = 0; cut < 8; ++cut) {
+    util::ByteReader r{fixed.bytes().first(cut)};
+    EXPECT_EQ(rejection([&] { (void)r.u64(); }), kPastEnd) << "cut at " << cut;
+    util::ByteReader rf{fixed.bytes().first(cut)};
+    EXPECT_EQ(rejection([&] { (void)rf.f64(); }), kPastEnd) << "cut at " << cut;
+  }
+  EXPECT_EQ(rejection([] { (void)util::ByteReader{{}}.u8(); }), kPastEnd);
+  // Blobs with a one- and a two-byte length prefix, at every cut.
+  for (const std::size_t size : {std::size_t{5}, std::size_t{200}}) {
+    const std::vector<std::uint8_t> payload(size, 0x5a);
+    util::ByteWriter w;
+    w.blob(payload);
+    util::ByteReader whole{w.bytes()};
+    EXPECT_TRUE(std::ranges::equal(whole.blob(), payload));
+    EXPECT_TRUE(whole.done());
+    for (std::size_t cut = 0; cut < w.size(); ++cut) {
+      util::ByteReader r{w.bytes().first(cut)};
+      EXPECT_EQ(rejection([&] { (void)r.blob(); }), kPastEnd)
+          << size << "-byte blob cut at " << cut;
+    }
+  }
+}
+
 TEST(Encoding, WriterBlobMirrorsReaderBlobAndTakeEmptiesTheWriter) {
   const std::uint8_t raw[] = {0, 1, 2, 0xff};
   util::ByteWriter w;

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <string_view>
 
-#include "img/score_kernels.h"
+#include "simd_levels.h"
 #include "util/prng.h"
 #include "util/strings.h"
 #include "vitis/dpu_runner.h"
@@ -207,25 +207,25 @@ TEST(SignatureDb, SinglePassScanMatchesPerNeedleFindSimdOnAndOff) {
         plant(bytes, size - 1 - prng.below(std::min<std::size_t>(size, 16)),
               pick());
       }
-      for (const bool simd : {true, false}) {
-        img::set_simd_enabled(simd);
+      for (const util::SimdLevel level : util::simd_levels_up_to_detected()) {
+        const util::SimdCapGuard cap{level};
         expect_same_matches(db.scan(dump), reference_scan(dbs[d], dump),
                             "db " + std::to_string(d) + " trial " +
-                                std::to_string(trial) +
-                                " simd=" + std::to_string(simd));
+                                std::to_string(trial) + " " +
+                                util::simd_level_name(level));
       }
     }
     // Overlapping zoo needles: "models/mobilenet_v2_tf/" holds the name.
     std::vector<std::uint8_t> dump(64, 0);
     plant(dump, 10, "models/mobilenet_v2_tf/mobilenet_v2_tf");
     plant(dump, 60, "abab");
-    for (const bool simd : {true, false}) {
-      img::set_simd_enabled(simd);
+    for (const util::SimdLevel level : util::simd_levels_up_to_detected()) {
+      const util::SimdCapGuard cap{level};
       expect_same_matches(db.scan(dump), reference_scan(dbs[d], dump),
-                          "overlap db " + std::to_string(d));
+                          "overlap db " + std::to_string(d) + " " +
+                              util::simd_level_name(level));
     }
   }
-  img::set_simd_enabled(true);
 }
 
 TEST(IdentifyDeep, ParsesFullContainerFromResidue) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <thread>
 
-#include "img/score_kernels.h"
+#include "simd_levels.h"
 #include "util/prng.h"
 
 namespace msa::vitis {
@@ -280,11 +280,10 @@ TEST(LayerSerialization, RoundTripsEveryKind) {
 
 // ---- kernel equality against a naive gather ------------------------------
 
-/// Restores the process-wide SIMD toggle even when an assertion fails.
-struct SimdGuard {
-  explicit SimdGuard(bool enabled) { img::set_simd_enabled(enabled); }
-  ~SimdGuard() { img::set_simd_enabled(true); }
-};
+using util::SimdCapGuard;
+using util::SimdLevel;
+using util::simd_level_name;
+using util::simd_levels_up_to_detected;
 
 std::int8_t reference_requantize(std::int32_t acc, std::uint32_t shift,
                                  bool relu) {
@@ -361,14 +360,14 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
         reference_conv(in, out_c, k, stride, pad, relu, shift, weights, bias);
     one_by_one += want.shape().h * want.shape().w == 1;
     unaligned += (in_c * k * k) % 8 != 0;
-    for (const bool simd : {true, false}) {
-      const SimdGuard guard{simd};
+    for (const SimdLevel level : simd_levels_up_to_detected()) {
+      const SimdCapGuard cap{level};
       const Tensor got = conv.forward(in);
       ASSERT_EQ(got.shape(), want.shape());
       EXPECT_EQ(got.data(), want.data())
           << "k=" << k << " stride=" << stride << " pad=" << pad
           << " in_c=" << in_c << " out_c=" << out_c << " " << h << "x" << w
-          << (simd ? " simd" : " scalar");
+          << " " << simd_level_name(level);
     }
   }
   EXPECT_GT(one_by_one, 0);
@@ -424,11 +423,12 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
                         bias};
       const Tensor want = reference_conv(in, c.out_c, c.k, c.stride, c.pad,
                                          relu, c.shift, weights, bias);
-      for (const bool simd : {true, false}) {
-        const SimdGuard guard{simd};
+      for (const SimdLevel level : simd_levels_up_to_detected()) {
+        const SimdCapGuard cap{level};
         EXPECT_EQ(conv.forward(in).data(), want.data())
             << conv.name() << " on " << c.h << "x" << c.w << " shift "
-            << c.shift << (relu ? " relu" : "") << (simd ? " simd" : " scalar");
+            << c.shift << (relu ? " relu" : "") << " "
+            << simd_level_name(level);
       }
     }
   }
@@ -477,14 +477,14 @@ TEST(LayerKernels, MaxPoolMatchesNaiveSimdOnAndOff) {
 
     const MaxPool2d pool{k, stride};
     const Tensor want = reference_pool(in, k, stride);
-    for (const bool simd : {true, false}) {
-      const SimdGuard guard{simd};
+    for (const SimdLevel level : simd_levels_up_to_detected()) {
+      const SimdCapGuard cap{level};
       const Tensor got = pool.forward(in);
       ASSERT_EQ(got.shape(), want.shape());
       EXPECT_EQ(got.data(), want.data())
           << "k=" << k << " stride=" << stride << " " << in.shape().c << "x"
           << in.shape().h << "x" << in.shape().w
-          << (simd ? " simd" : " scalar");
+          << " " << simd_level_name(level);
     }
   }
   EXPECT_GT(overlapping, 0);
@@ -609,12 +609,12 @@ TEST(LayerKernels, DenseMatchesNaiveDotSimdOnAndOff) {
     }
     const Dense dense{in_n, c.out_n, c.relu, c.shift, weights, bias};
     const Tensor want = reference_dense(in, c.out_n, c.relu, c.shift, weights, bias);
-    for (const bool simd : {true, false}) {
-      const SimdGuard guard{simd};
+    for (const SimdLevel level : simd_levels_up_to_detected()) {
+      const SimdCapGuard cap{level};
       EXPECT_EQ(dense.forward(in).data(), want.data())
           << dense.name() << " on " << c.in.c << "x" << c.in.h << "x" << c.in.w
           << " shift " << c.shift << (c.relu ? " relu" : "")
-          << (c.extremes ? " extremes" : "") << (simd ? " simd" : " scalar");
+          << (c.extremes ? " extremes" : "") << " " << simd_level_name(level);
     }
   }
 
