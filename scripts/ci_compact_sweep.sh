@@ -15,9 +15,9 @@
 #    same exit code, verdict line, and diff JSON as the flat originals.
 #  - a budgeted sweep, its log torn by a few bytes, compacted
 #    mid-campaign (dropping the torn cell's orphan trials) and resumed
-#    to completion renders the exact single-process stats from segment +
-#    log tail; compacted again, it folds back into exactly one live
-#    segment, drops nothing AND still renders them.
+#    to completion renders the exact single-process stats and --cells
+#    slice from segment + log tail; compacted again, it folds back into
+#    exactly one live segment, drops nothing AND still renders the stats.
 #  - a copy of the checked-in golden store compacted into a segment
 #    still emits the pre-refactor golden stats bytes, its segment,
 #    .levels sidecar and trimmed log match the CRC-32 pins in
@@ -97,7 +97,7 @@ echo "compact byte-identity: 11/11 artifacts identical after compaction"
 # completion on top of it, and a second compact folds segment and log
 # into one new segment with nothing left to drop. Both the mixed store
 # before that compact and the one segment after it must render the
-# exact single-process stats.
+# exact single-process stats; the mixed store also its --cells slice.
 rc=0
 timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
   --cell-budget 6 --store "$tmp/resumed.store" > /dev/null || rc=$?
@@ -117,6 +117,10 @@ timeout "$SWEEP_TIMEOUT" "$BIN" "${common[@]}" "${axes[@]}" \
 timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/resumed.store" \
   > "$tmp/mixed_stats.csv"
 cmp "$tmp/before/stats.csv" "$tmp/mixed_stats.csv"
+# The --cells slice selects among segment and log cell records alike.
+timeout "$SWEEP_TIMEOUT" "$BIN" stats --cells delay_s=5,10 \
+  --cells defense=baseline "$tmp/resumed.store" > "$tmp/mixed_cells.txt"
+cmp "$tmp/before/stats_cells.txt" "$tmp/mixed_cells.txt"
 timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/resumed.store" \
   2> "$tmp/resumed_compact.txt"
 grep -q " 1 segment(s) (0 trial record(s), 0 cell record(s) dropped)" \

@@ -6,10 +6,12 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "attack/scenario.h"
 #include "campaign/axis.h"
+#include "campaign/table.h"
 #include "obs/trace.h"
 #include "persist/manifest.h"
 #include "persist/segment.h"
@@ -114,15 +116,39 @@ std::string describe_manifest_mismatch(const StoreManifest& have,
   return out;
 }
 
-bool CellFilter::matches(
-    const std::vector<campaign::AxisCoordinate>& coords) const {
+bool CellFilter::matches(std::span<const std::uint8_t> key) const {
+  const auto text = [](std::span<const std::uint8_t> bytes) {
+    return std::string_view{reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size()};
+  };
   for (const Clause& clause : clauses) {
-    const campaign::AxisValue* value =
-        campaign::find_coord(coords, clause.axis);
-    if (value == nullptr) return false;
-    const std::string label = value->label();
-    if (std::find(clause.labels.begin(), clause.labels.end(), label) ==
-        clause.labels.end()) {
+    // The first coordinate on the clause's axis decides, as in find_coord.
+    util::ByteReader r{key};
+    std::optional<AxisValueBytes> value;
+    for (std::uint64_t coords = r.count(); coords > 0 && !value; --coords) {
+      const bool on_axis = text(r.blob()) == clause.axis;
+      const AxisValueBytes v = read_axis_value(r);
+      if (on_axis) value = v;
+    }
+    if (!value) return false;
+    // The value's canonical label, as AxisValue::label() spells it.
+    std::string number;
+    std::string_view label;
+    switch (value->kind) {
+      case campaign::AxisKind::kString:
+      case campaign::AxisKind::kEnum:
+        label = text(value->bytes);
+        break;
+      case campaign::AxisKind::kDouble:
+        number = campaign::table::format_double(
+            util::ByteReader{value->bytes}.f64());
+        label = number;
+        break;
+      case campaign::AxisKind::kBool:
+        label = value->bytes.front() != 0 ? "1" : "0";
+        break;
+    }
+    if (std::ranges::find(clause.labels, label) == clause.labels.end()) {
       return false;
     }
   }

@@ -182,8 +182,12 @@ struct CellFilter {
   std::vector<Clause> clauses;
 
   [[nodiscard]] bool empty() const noexcept { return clauses.empty(); }
-  [[nodiscard]] bool matches(
-      const std::vector<campaign::AxisCoordinate>& coords) const;
+  /// Evaluated on a cell's encoded key (encode_cell_key's bytes), so a
+  /// store selects its cells before decoding any: strings and enums are
+  /// compared as bytes, doubles by their format_double label, bools as
+  /// "0"/"1", and the first coordinate on a clause's axis decides. Throws
+  /// decode_axis_value's error for a value of unknown kind.
+  [[nodiscard]] bool matches(std::span<const std::uint8_t> key) const;
 
   /// Parses one "AXIS=V1[,V2...]" spec into a clause; throws
   /// std::invalid_argument on a malformed spec (no '=', empty axis or

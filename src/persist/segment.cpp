@@ -293,18 +293,25 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
   }
 }
 
+SegmentReader::CellBlock SegmentReader::read_cell_block(
+    std::size_t block) const {
+  const BlockRef& ref = cell_blocks_.at(block);
+  CellBlock out;
+  out.payload = read_frame_at(ref.offset, kSegCellBlock);
+  segment_blocks_read_counter().add();
+  util::ByteReader r{out.payload};
+  const std::uint64_t n = r.varint();
+  if (n != ref.count) seg_error(path_, "cell block count mismatch");
+  for (std::uint64_t i = 0; i < n; ++i) out.cells.push_back(r.blob());
+  return out;
+}
+
 std::vector<campaign::CellStats> SegmentReader::cells() const {
   std::vector<campaign::CellStats> out;
   out.reserve(info_.cell_count);
-  for (const BlockRef& block : cell_blocks_) {
-    const std::vector<std::uint8_t> payload =
-        read_frame_at(block.offset, kSegCellBlock);
-    segment_blocks_read_counter().add();
-    util::ByteReader r{payload};
-    const std::uint64_t n = r.varint();
-    if (n != block.count) seg_error(path_, "cell block count mismatch");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      out.push_back(decode_cell(r.blob()));
+  for (std::size_t b = 0; b < cell_blocks_.size(); ++b) {
+    for (const CellBytes cell : read_cell_block(b).cells) {
+      out.push_back(decode_cell(cell));
     }
   }
   return out;
@@ -359,19 +366,11 @@ std::optional<campaign::CellStats> SegmentReader::cell_for_key(
         return cell_key_less(w, b.first);
       });
   if (it == cell_blocks_.begin()) return std::nullopt;
-  const BlockRef& block = *std::prev(it);
-  const std::vector<std::uint8_t> payload =
-      read_frame_at(block.offset, kSegCellBlock);
-  segment_blocks_read_counter().add();
-  util::ByteReader r{payload};
-  const std::uint64_t n = r.varint();
-  if (n != block.count) seg_error(path_, "cell block count mismatch");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    campaign::CellStats cell = decode_cell(r.blob());
-    const std::vector<std::uint8_t> cell_key = encode_cell_key(cell.coords);
-    if (cell_key.size() == key.size() &&
-        std::equal(cell_key.begin(), cell_key.end(), key.begin())) {
-      return cell;
+  const CellBlock block = read_cell_block(
+      static_cast<std::size_t>(std::distance(cell_blocks_.begin(), it)) - 1);
+  for (const CellBytes cell : block.cells) {
+    if (std::ranges::equal(read_cell_key(cell).key, key)) {
+      return decode_cell(cell);
     }
   }
   return std::nullopt;

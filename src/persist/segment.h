@@ -101,12 +101,28 @@ class SegmentReader {
     return file_bytes_;
   }
 
-  /// Every completed cell, in key order (decoded from the cell blocks —
-  /// no trial bytes are touched).
+  /// A cell block's payload with its records located: views of the
+  /// encoded cell records, in key order. The views stay valid when the
+  /// block is moved (the payload's buffer moves with it).
+  struct CellBlock {
+    std::vector<std::uint8_t> payload;
+    std::vector<CellBytes> cells;
+  };
+  [[nodiscard]] std::size_t cell_block_count() const noexcept {
+    return cell_blocks_.size();
+  }
+  /// Reads cell block `block` (CRC-checked), locates its records and
+  /// checks their count against the index — no record is decoded. No
+  /// trial bytes are touched.
+  [[nodiscard]] CellBlock read_cell_block(std::size_t block) const;
+
+  /// Every completed cell, in key order, decoded from the cell blocks:
+  /// the resume path's map of completed cells.
   [[nodiscard]] std::vector<campaign::CellStats> cells() const;
 
   /// One cell's aggregate via the cell-block index: reads exactly one
-  /// (small) cell block, nullopt when the segment holds no such cell.
+  /// (small) cell block, compares each record's key bytes with `key` and
+  /// decodes only the hit; nullopt when the segment holds no such cell.
   [[nodiscard]] std::optional<campaign::CellStats> cell_for_key(
       std::span<const std::uint8_t> key) const;
 

@@ -52,21 +52,35 @@ void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v) {
   }
 }
 
-campaign::AxisValue decode_axis_value(util::ByteReader& r) {
+AxisValueBytes read_axis_value(util::ByteReader& r) {
   const std::uint8_t kind = r.u8();
   switch (kind) {
     case static_cast<std::uint8_t>(campaign::AxisKind::kString):
-      return campaign::AxisValue::of_string(r.str());
     case static_cast<std::uint8_t>(campaign::AxisKind::kEnum):
-      return campaign::AxisValue::of_enum(r.str());
+      return {static_cast<campaign::AxisKind>(kind), r.blob()};
     case static_cast<std::uint8_t>(campaign::AxisKind::kDouble):
-      return campaign::AxisValue::of_number(r.f64());
+      return {campaign::AxisKind::kDouble, r.bytes(8)};
     case static_cast<std::uint8_t>(campaign::AxisKind::kBool):
-      return campaign::AxisValue::of_bool(r.u8() != 0);
+      return {campaign::AxisKind::kBool, r.bytes(1)};
     default:
       throw std::runtime_error("persist: unknown axis-value kind " +
                                std::to_string(kind));
   }
+}
+
+campaign::AxisValue decode_axis_value(util::ByteReader& r) {
+  const AxisValueBytes v = read_axis_value(r);
+  switch (v.kind) {
+    case campaign::AxisKind::kString:
+      return campaign::AxisValue::of_string({v.bytes.begin(), v.bytes.end()});
+    case campaign::AxisKind::kEnum:
+      return campaign::AxisValue::of_enum({v.bytes.begin(), v.bytes.end()});
+    case campaign::AxisKind::kDouble:
+      return campaign::AxisValue::of_number(util::ByteReader{v.bytes}.f64());
+    case campaign::AxisKind::kBool:
+      break;
+  }
+  return campaign::AxisValue::of_bool(v.bytes.front() != 0);
 }
 
 void encode_trial(const TrialRecord& t, util::ByteWriter& w) {
@@ -115,7 +129,7 @@ std::vector<std::uint8_t> encode_cell(const campaign::CellStats& c) {
   return w.take();
 }
 
-campaign::CellStats decode_cell(std::span<const std::uint8_t> payload) {
+campaign::CellStats decode_cell(CellBytes payload) {
   util::ByteReader r{payload};
   campaign::CellStats c;
   c.index = static_cast<std::size_t>(r.varint());
@@ -128,6 +142,23 @@ campaign::CellStats decode_cell(std::span<const std::uint8_t> payload) {
   }
   decode_cell_counters(r, c);
   return c;
+}
+
+CellKeyView read_cell_key(CellBytes payload) {
+  util::ByteReader r{payload};
+  CellKeyView out;
+  out.index = r.varint();
+  const std::size_t key = r.position();
+  for (std::uint64_t coords = r.count(); coords > 0; --coords) {
+    (void)r.blob();
+    (void)read_axis_value(r);
+  }
+  out.key = payload.subspan(key, r.position() - key);
+  // The counters, as decode_cell_counters reads them.
+  for (int i = 0; i < 4; ++i) (void)r.varint();
+  for (int i = 0; i < 3; ++i) (void)r.u64();
+  (void)r.blob();
+  return out;
 }
 
 std::vector<std::uint8_t> encode_cell_key(

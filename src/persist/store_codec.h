@@ -28,6 +28,15 @@ inline constexpr std::uint8_t kRecCell = 4;  ///< ordered axis coordinates
 void encode_axis_value(util::ByteWriter& w, const campaign::AxisValue& v);
 [[nodiscard]] campaign::AxisValue decode_axis_value(util::ByteReader& r);
 
+/// An encoded axis value read without decoding: its kind and its bytes —
+/// the string, the double's eight bytes or the flag byte. Makes the reads
+/// decode_axis_value makes, so the same bytes fail with the same error.
+struct AxisValueBytes {
+  campaign::AxisKind kind = campaign::AxisKind::kString;
+  std::span<const std::uint8_t> bytes;
+};
+[[nodiscard]] AxisValueBytes read_axis_value(util::ByteReader& r);
+
 /// One encoded trial payload, in place in a loaded log or a segment
 /// block.
 using TrialBytes = std::span<const std::uint8_t>;
@@ -41,11 +50,25 @@ void encode_trial(const TrialRecord& t, util::ByteWriter& w);
 [[nodiscard]] TrialRecord::Key decode_trial_key(
     std::span<const std::uint8_t> payload);
 
-/// Cell record: ordered (axis, value) coordinates, then the counters.
+/// One encoded cell record, in place in a loaded log or a segment block.
+using CellBytes = std::span<const std::uint8_t>;
+
+/// Cell record: varint(index), the cell's key (encode_cell_key's exact
+/// bytes), then the counters.
 [[nodiscard]] std::vector<std::uint8_t> encode_cell(
     const campaign::CellStats& c);
-[[nodiscard]] campaign::CellStats decode_cell(
-    std::span<const std::uint8_t> payload);
+[[nodiscard]] campaign::CellStats decode_cell(CellBytes payload);
+
+/// A cell record located but not decoded: its index and a view of its
+/// key, for selecting and merging records before decoding them.
+struct CellKeyView {
+  std::uint64_t index = 0;
+  std::span<const std::uint8_t> key;
+};
+/// Reads `payload`'s index and key and skips its counters: the reads
+/// decode_cell makes, in its order, so a malformed record fails here with
+/// the error decode_cell gives.
+[[nodiscard]] CellKeyView read_cell_key(CellBytes payload);
 
 /// Encoded sort key of a cell: its ordered (axis, value) coordinates.
 /// Encoding is deterministic, so equal keys are equal bytes — segment

@@ -25,21 +25,20 @@ obs::Counter& log_bytes_read_counter() {
   return c;
 }
 
-/// Byte order over encoded cell keys that also takes a span, so a set
-/// of keys is probed without copying the probe into a vector.
-struct KeyBytesLess {
-  using is_transparent = void;
-  bool operator()(std::span<const std::uint8_t> a,
-                  std::span<const std::uint8_t> b) const {
-    return std::ranges::lexicographical_compare(a, b);
-  }
-};
-
 /// Merge keys: (cell index, position within the cell), of a record
 /// decoded or still encoded.
 TrialRecord::Key merge_key(const TrialRecord& t) { return t.key(); }
 TrialRecord::Key merge_key(TrialBytes t) { return decode_trial_key(t); }
-TrialRecord::Key cell_key(const campaign::CellStats& c) { return {c.index, 0}; }
+
+/// A cell record in apply order, still encoded, and whether the filter
+/// of the read selects it.
+struct CellCopy {
+  std::uint64_t index = 0;
+  std::span<const std::uint8_t> key;
+  CellBytes payload;
+  bool selected = false;
+};
+TrialRecord::Key cell_key(const CellCopy& c) { return {c.index, 0}; }
 
 /// `count` records from apply-order position `begin` on: one cell's, in
 /// strictly ascending key order.
@@ -220,7 +219,7 @@ StoreReader::StoreReader(const std::string& path) {
         log_trials_.push_back(rec->payload);
         break;
       case kRecCell:
-        log_cells_.push_back(decode_cell(rec->payload));
+        log_cells_.push_back(rec->payload);
         break;
       default:  // unknown record type: forward-compatible skip
         log_unknown_.push_back(*rec);
@@ -257,28 +256,65 @@ std::uint64_t StoreReader::cell_records() const noexcept {
   return total;
 }
 
-std::vector<campaign::CellStats> StoreReader::cells() const {
-  std::vector<campaign::CellStats> merged;
+std::vector<campaign::CellStats> StoreReader::select(const CellFilter& filter,
+                                                     CellKeys* keys) const {
+  // Every cell record in apply order, still encoded: the segments' cell
+  // blocks by ascending sequence, then the log's. Each record is read to
+  // its end, so a malformed one fails every view alike, selected or not.
+  std::vector<SegmentReader::CellBlock> blocks;
+  std::vector<CellCopy> copies;
+  copies.reserve(cell_records());
+  const auto add = [&](CellBytes payload) {
+    const CellKeyView cell = read_cell_key(payload);
+    copies.push_back({cell.index, cell.key, payload,
+                      filter.empty() || filter.matches(cell.key)});
+  };
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    std::vector<campaign::CellStats> cells = seg->cells();
-    std::move(cells.begin(), cells.end(), std::back_inserter(merged));
+    for (std::size_t b = 0; b < seg->cell_block_count(); ++b) {
+      for (const CellBytes payload :
+           blocks.emplace_back(seg->read_cell_block(b)).cells) {
+        add(payload);
+      }
+    }
   }
-  merged.insert(merged.end(), log_cells_.begin(), log_cells_.end());
+  for (const CellBytes payload : log_cells_) add(payload);
+  // A cell with a selected copy merges every copy, selected or not, so
+  // the filter sees the same winner the full view does.
+  if (!filter.empty()) {
+    std::vector<std::uint64_t> candidates;
+    for (const CellCopy& copy : copies) {
+      if (copy.selected) candidates.push_back(copy.index);
+    }
+    std::ranges::sort(candidates);
+    std::erase_if(copies, [&](const CellCopy& copy) {
+      return !std::ranges::binary_search(candidates, copy.index);
+    });
+  }
   RunCutter cutter;
-  for (const campaign::CellStats& cell : merged) cutter.add(cell_key(cell));
+  for (const CellCopy& copy : copies) cutter.add(cell_key(copy));
   const std::vector<Run> runs = std::move(cutter).by_cell();
-  const auto emit = [&](const Run& run,
-                        std::vector<campaign::CellStats>& out) {
-    const auto first = merged.begin() + static_cast<std::ptrdiff_t>(run.begin);
-    out.insert(out.end(), std::make_move_iterator(first),
-               std::make_move_iterator(
-                   first + static_cast<std::ptrdiff_t>(run.count)));
+  const auto emit = [&](const Run& run, std::vector<CellCopy>& out) {
+    const auto first = copies.begin() + static_cast<std::ptrdiff_t>(run.begin);
+    out.insert(out.end(), first,
+               first + static_cast<std::ptrdiff_t>(run.count));
   };
   // Runs of distinct cells never overlap, so the cells' merges concatenate.
-  std::vector<campaign::CellStats> out;
-  out.reserve(merged.size());
+  std::vector<CellCopy> winners;
   for (std::size_t r = 0; r < runs.size();) {
-    r = merge_cell(runs, r, out, cell_key, emit);
+    r = merge_cell(runs, r, winners, cell_key, emit);
+  }
+  std::vector<campaign::CellStats> out;
+  out.reserve(winners.size());
+  for (const CellCopy& winner : winners) {
+    if (winner.selected) out.push_back(decode_cell(winner.payload));
+  }
+  if (keys != nullptr) {
+    for (const CellCopy& copy : copies) {
+      if (std::ranges::binary_search(out, copy.index, {},
+                                     &campaign::CellStats::index)) {
+        keys->emplace(copy.key.begin(), copy.key.end());
+      }
+    }
   }
   return out;
 }
@@ -312,29 +348,35 @@ struct StoreReader::CellWalk::Plan {
 };
 
 std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
-    const std::vector<campaign::CellStats>* cells) const {
+    const std::vector<campaign::CellStats>* cells, const CellKeys* keys) const {
   // One walk in apply order reads only each record's key and cuts the
   // runs; records are made afterwards, once, in merged order. Block
   // payloads live until then: the encoded form is about half the size
   // of the decoded one.
   auto out = std::make_unique<CellWalk::Plan>();
-  std::set<std::vector<std::uint8_t>, KeyBytesLess> keys;
-  if (cells != nullptr && !segments_.empty()) {
-    for (const campaign::CellStats& cell : *cells) {
-      keys.insert(encode_cell_key(cell.coords));
+  // Cells ascend by index, so membership is a binary search, made once
+  // per run of one cell's trials.
+  std::optional<std::uint64_t> seen_cell;
+  bool seen_selected = true;
+  const auto selected_cell = [&](std::uint64_t cell) {
+    if (cells != nullptr && seen_cell != cell) {
+      seen_cell = cell;
+      seen_selected = std::ranges::binary_search(*cells, cell, {},
+                                                 &campaign::CellStats::index);
     }
-  }
+    return seen_selected;
+  };
   RunCutter cutter;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    // Under a selection, only the blocks that can hold a selected cell,
-    // each read once even when it serves several.
+    // Under `keys`, only the blocks that can hold one of them, each read
+    // once even when it serves several.
     std::set<std::size_t> selected;
-    if (cells == nullptr) {
+    if (keys == nullptr) {
       for (std::size_t b = 0; b < seg->trial_block_count(); ++b) {
         selected.insert(selected.end(), b);
       }
     } else {
-      for (const std::vector<std::uint8_t>& key : keys) {
+      for (const std::vector<std::uint8_t>& key : *keys) {
         if (const std::optional<std::size_t> b = seg->trial_block_for(key)) {
           selected.insert(*b);
         }
@@ -344,8 +386,11 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
       SegmentReader::TrialBlock& block =
           out->blocks.emplace_back(seg->read_trial_block(b));
       for (const SegmentReader::TrialGroup& group : block.groups) {
+        // A group is one cell's trials: its first record names the cell.
         if (group.count == 0 ||
-            (cells != nullptr && !keys.contains(group.key))) {
+            !selected_cell(
+                decode_trial_key(util::ByteReader{group.trials}.blob())
+                    .first)) {
           continue;
         }
         out->pieces.push_back(
@@ -357,19 +402,7 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
       }
     }
   }
-  // Log trials on top; orphans (no completed cell) only in the full
-  // view. Cells ascend by index, so membership is a binary search, made
-  // once per run of one cell's trials.
-  std::optional<std::uint64_t> seen_cell;
-  bool seen_selected = true;
-  const auto selected_cell = [&](std::uint64_t cell) {
-    if (cells != nullptr && seen_cell != cell) {
-      seen_cell = cell;
-      seen_selected = std::ranges::binary_search(*cells, cell, {},
-                                                 &campaign::CellStats::index);
-    }
-    return seen_selected;
-  };
+  // Log trials on top; orphans (no completed cell) only in the full view.
   std::size_t piece_begin = 0;  // log trials [piece_begin, i) form a piece
   const auto close_piece = [&](std::size_t i) {
     if (i > piece_begin) {
@@ -430,18 +463,18 @@ std::optional<CellTrials> StoreReader::CellWalk::next() {
 
 StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
   TRACE_SPAN("persist", "walk_cells");
-  std::vector<campaign::CellStats> selected = cells();
-  if (filter.empty()) return CellWalk{plan(nullptr), std::move(selected)};
-  std::erase_if(selected, [&](const campaign::CellStats& cell) {
-    return !filter.matches(cell.coords);
-  });
-  std::unique_ptr<CellWalk::Plan> p = plan(&selected);
+  const bool all = filter.empty();
+  CellKeys keys;
+  std::vector<campaign::CellStats> selected =
+      select(filter, all ? nullptr : &keys);
+  std::unique_ptr<CellWalk::Plan> p =
+      all ? plan(nullptr, nullptr) : plan(&selected, &keys);
   return CellWalk{std::move(p), std::move(selected)};
 }
 
 StoreReader::KeyedCells StoreReader::keyed_cells() const {
   KeyedCells out{cells(), {}};
-  std::shared_ptr<const CellWalk::Plan> p = plan(&out.cells);
+  std::shared_ptr<const CellWalk::Plan> p = plan(&out.cells, nullptr);
   std::ranges::sort(out.cells, [](const campaign::CellStats& a,
                                   const campaign::CellStats& b) {
     return cell_key_less(a.coords, b.coords);
@@ -476,13 +509,16 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
       stats = std::move(cell);
     }
   }
-  for (const campaign::CellStats& cell : log_cells_) {
-    if (cell.coords == coords) stats = cell;
+  for (const CellBytes cell : log_cells_) {
+    if (std::ranges::equal(read_cell_key(cell).key, key)) {
+      stats = decode_cell(cell);
+    }
   }
   if (!stats.has_value()) return std::nullopt;
 
   std::vector<campaign::CellStats> selected{*stats};
-  std::unique_ptr<CellWalk::Plan> p = plan(&selected);
+  const CellKeys keys{key};
+  std::unique_ptr<CellWalk::Plan> p = plan(&selected, &keys);
   CellWalk walk{std::move(p), std::move(selected)};
   CellData out;
   while (const std::optional<CellTrials> cell = walk.next()) {

@@ -16,17 +16,22 @@
 // from cell to cell — decoded once, in index order, for the analyses
 // (CellWalk); still encoded, in cell-key order, for compaction
 // (KeyedCells) — and only a rewritten cell's runs are sorted, so a read
-// holds one cell's trials, never the store's. Cell-range queries
-// (`read_cell`, a non-empty CellFilter) use the segments' first-key
-// block index and read only the blocks that can hold the requested
-// cells; the log tail is always scanned in full, but after compaction
-// it is just the manifest record.
+// holds one cell's trials, never the store's. Cell records stay encoded
+// until a read selects them: a CellFilter runs on each record's key
+// bytes, and only the selected cells' records are decoded. Cell-range
+// queries (`read_cell`, a non-empty CellFilter) then use the segments'
+// first-key block index and read only the trial blocks that can hold
+// the selected cells; the log tail is always scanned in full, but after
+// compaction it is just the manifest record.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,7 +100,9 @@ class StoreReader {
   /// Every completed cell, ascending global index, duplicates last-wins.
   /// On a segmented store this touches only the (small) cell blocks —
   /// never trial data — which is the resume and progress fast path.
-  [[nodiscard]] std::vector<campaign::CellStats> cells() const;
+  [[nodiscard]] std::vector<campaign::CellStats> cells() const {
+    return select({}, nullptr);
+  }
 
   /// The store's last-wins merge restricted to `filter` (empty = every
   /// cell, orphans included), one cell at a time, ascending by index:
@@ -137,10 +144,11 @@ class StoreReader {
   };
   [[nodiscard]] CellWalk walk(const CellFilter& filter) const;
 
-  /// One cell looked up by its axis coordinates: the aggregate plus the
-  /// deduplicated trial stream, or nullopt when no such cell completed.
-  /// Segmented: one indexed block read per segment that can hold the
-  /// key, plus the log tail.
+  /// One cell looked up by its axis coordinates: the last cell record
+  /// carrying them plus the deduplicated trial stream of its index, or
+  /// nullopt when no such cell completed. Segmented: one indexed block
+  /// read per segment that can hold the key, plus the log tail — so a
+  /// segment's trials are found only under `coords`.
   struct CellData {
     campaign::CellStats stats;
     std::vector<TrialRecord> trials;
@@ -160,11 +168,34 @@ class StoreReader {
   [[nodiscard]] KeyedCells keyed_cells() const;
 
  private:
-  /// The key walk under every trial read: the segment blocks that can
-  /// hold `cells` (ascending by index) — or every block and every log
-  /// trial, orphans included, when `cells` is null — cut into runs.
+  /// Encoded cell keys, in byte order.
+  struct KeyBytesLess {
+    bool operator()(std::span<const std::uint8_t> a,
+                    std::span<const std::uint8_t> b) const {
+      return std::ranges::lexicographical_compare(a, b);
+    }
+  };
+  using CellKeys = std::set<std::vector<std::uint8_t>, KeyBytesLess>;
+
+  /// The completed cells `filter` selects (empty = every one), ascending
+  /// global index, duplicates last-wins — the same cells as merging every
+  /// record and then filtering. Every cell record is read as bytes, its
+  /// index and key, and parsed to its end; the filter runs on the key.
+  /// Only the copies of a cell with a selected copy go through the merge,
+  /// and only a winner that is selected is decoded. Into `keys` (unless
+  /// null) goes every key a selected cell's records carry: a segment
+  /// files a cell's trials under the key of its own copy of the cell,
+  /// which need not be the winner's.
+  [[nodiscard]] std::vector<campaign::CellStats> select(
+      const CellFilter& filter, CellKeys* keys) const;
+
+  /// The key walk under every trial read: the trials of `cells`
+  /// (ascending by index) — or every trial, orphans included, when
+  /// `cells` is null — cut into runs. Only the segment blocks that can
+  /// hold one of `keys` are read, or every block when `keys` is null.
   [[nodiscard]] std::unique_ptr<CellWalk::Plan> plan(
-      const std::vector<campaign::CellStats>* cells) const;
+      const std::vector<campaign::CellStats>* cells,
+      const CellKeys* keys) const;
 
   StoreManifest manifest_;
   bool truncated_tail_ = false;
@@ -174,11 +205,12 @@ class StoreReader {
   // The log, loaded once at construction, and its records in write order
   // (after compaction the log is just the manifest record — this IS the
   // "offset past the segments" resume: segment data is never replayed
-  // through the log). Trials and unknown records view `log_`; a trial's
-  // (cell, trial) key is re-read from its payload's leading varints
-  // when needed, which keeps a view at 16 bytes.
+  // through the log). Every record views `log_`; a trial's (cell, trial)
+  // key is re-read from its payload's leading varints when needed, which
+  // keeps a view at 16 bytes, and a cell record is decoded only once a
+  // read selects it.
   RecordBuffer log_;
-  std::vector<campaign::CellStats> log_cells_;
+  std::vector<CellBytes> log_cells_;
   std::vector<TrialBytes> log_trials_;
   std::vector<RecordView> log_unknown_;
 };

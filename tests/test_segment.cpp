@@ -27,6 +27,7 @@
 
 #include "campaign/axis.h"
 #include "campaign/stats.h"
+#include "campaign/table.h"
 #include "obs/metrics.h"
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
@@ -848,13 +849,84 @@ void expect_same_sweep(const Got& got, const SweepData& want,
   }
 }
 
+/// Cell `c`'s coordinates in the random merge test: a string, an enum, a
+/// double and a bool axis, then a second "defense" coordinate that no
+/// clause may see (the first coordinate on an axis decides). Each write
+/// of a cell draws a variant, so a cell's copies can disagree on every
+/// axis but delay_s, which keeps keys unique per cell.
+std::vector<campaign::AxisCoordinate> mixed_coords(std::uint64_t c,
+                                                   std::uint64_t variant) {
+  static constexpr const char* kDefenses[] = {"none", "scrub", "zero"};
+  using campaign::AxisValue;
+  return {{"defense", AxisValue::of_string(kDefenses[(c + variant) % 3])},
+          {"mode", AxisValue::of_enum((c + variant / 2) % 2 == 0 ? "lax"
+                                                                 : "strict")},
+          {"delay_s", AxisValue::of_number(2.5 * double(c))},
+          {"flag", AxisValue::of_bool((c / 2 + variant) % 2 == 1)},
+          {"defense", AxisValue::of_string(kDefenses[(c + 1) % 3])}};
+}
+
+/// The filter's verdict on decoded coordinates, by AxisValue::label() of
+/// each clause axis's first coordinate: the oracle the encoded-key
+/// matcher is checked against.
+bool decoded_match(const CellFilter& filter,
+                   const std::vector<campaign::AxisCoordinate>& coords) {
+  return std::ranges::all_of(filter.clauses, [&](const CellFilter::Clause& c) {
+    const campaign::AxisValue* value = campaign::find_coord(coords, c.axis);
+    return value != nullptr && std::ranges::count(c.labels, value->label()) > 0;
+  });
+}
+
+/// 1-3 random clauses over mixed_coords' axes, each with 1-3 labels, and
+/// now and then one on an axis no cell has.
+template <typename Uniform>
+CellFilter random_filter(Uniform& uniform, std::uint64_t cells) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> axes{
+      {"defense", {"none", "scrub", "zero"}},
+      {"mode", {"lax", "strict"}},
+      {"delay_s", {}},
+      {"flag", {"0", "1"}}};
+  CellFilter filter;
+  for (std::uint64_t n = uniform(1, 3); n > 0; --n) {
+    const auto& [axis, labels] = axes[uniform(0, axes.size() - 1)];
+    std::string spec = axis + "=";
+    for (std::uint64_t k = uniform(1, 3); k > 0; --k) {
+      spec += labels.empty()
+                  ? campaign::table::format_double(
+                        2.5 * double(uniform(0, cells - 1)))
+                  : labels[uniform(0, labels.size() - 1)];
+      spec += k > 1 ? "," : "";
+    }
+    filter.clauses.push_back(CellFilter::parse_clause(spec));
+  }
+  if (uniform(0, 7) == 0) {
+    filter.clauses.push_back(CellFilter::parse_clause("scrubber_Bps=0"));
+  }
+  return filter;
+}
+
+/// What `read` throws, "" when it returns.
+template <typename Read>
+std::string thrown_by(Read read) {
+  try {
+    read();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   // 1-3 segments, then a log tail that rewrites cells (some twice),
   // streams a resume's duplicates and orphan trials of cells that never
-  // complete, and ends torn. Every read path — the collected reads,
-  // load_sweep, and the statistics analyzed off the per-cell walk — must
-  // equal a last-wins map replay of the writes, and so must a compacted
-  // copy of the store, restricted to the completed cells.
+  // complete, and ends torn. A cell's copies may disagree on their
+  // coordinates. Every read path — the collected reads, load_sweep, and
+  // the statistics analyzed off the per-cell walk, whole and under random
+  // filters — must equal a last-wins map replay of the writes (filtered
+  // after the merge, on the winners' decoded coordinates), and so must a
+  // compacted copy of the store, restricted to the completed cells. A
+  // malformed cell record outside a filter's selection fails the filtered
+  // walk as it fails the full one.
   constexpr std::uint64_t kCells = 24;
   constexpr std::uint32_t kTrials = 6;
   const StoreManifest manifest = synth_manifest(kCells, kTrials);
@@ -877,6 +949,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
         out.trials.push_back(generation_trial(c, t, generation));
       }
       out.stats = synth_stats(c, kTrials);
+      out.stats.coords = mixed_coords(c, uniform(0, 2));
       out.stats.mean_psnr_db += 1000.0 * generation;
       return out;
     };
@@ -894,12 +967,17 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       return make_cell(c, first, last);
     };
 
+    // The keys each cell's segment trials are filed under.
+    std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>>
+        segment_keys;
     std::vector<std::vector<CellInput>> segments(uniform(1, 3));
     for (std::vector<CellInput>& segment : segments) {
       ++generation;
       for (std::uint64_t c = 0; c < kCells; ++c) {
         if (uniform(0, 2) == 0) continue;  // a cell per segment, or none
         segment.push_back(random_cell(c));
+        segment_keys[c].push_back(
+            encode_cell_key(segment.back().stats.coords));
         replay(segment.back(), true);
       }
     }
@@ -952,28 +1030,6 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     }
     expect_trials(all.trials, [](std::uint64_t) { return true; }, "read_all");
 
-    std::vector<std::uint64_t> picked;
-    std::string clause = "delay_s=";
-    for (std::uint64_t c = 0; c < kCells; ++c) {
-      if (uniform(0, 2) != 0) continue;
-      picked.push_back(c);
-      clause += (picked.size() > 1 ? "," : "") + std::to_string(c);
-    }
-    if (picked.empty()) {
-      picked.push_back(0);
-      clause += "0";
-    }
-    const StoreContents filtered =
-        read_matching(reader, CellFilter{{CellFilter::parse_clause(clause)}});
-    const auto in_filter = [&](std::uint64_t c) {
-      return want_cells.contains(c) && std::ranges::count(picked, c) > 0;
-    };
-    expect_trials(filtered.trials, in_filter, "read_matching");
-    EXPECT_EQ(filtered.cells.size(),
-              static_cast<std::size_t>(std::ranges::count_if(
-                  want_cells,
-                  [&](const auto& kv) { return in_filter(kv.first); })));
-
     const auto everything = [](std::uint64_t) { return true; };
     const SweepData want_all = replay_sweep(want_cells, want_trials, everything);
     const SweepData loaded = load_sweep({path});
@@ -981,29 +1037,94 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
                                             std::to_string(round));
     EXPECT_TRUE(loaded.truncated_tail);
     EXPECT_EQ(loaded.duplicate_cells + loaded.duplicate_trials, 0u);
-    const CellFilter cell_filter{{CellFilter::parse_clause(clause)}};
     const campaign::SweepAnalysis walked =
         campaign::analyze_stores({path}, {});
     EXPECT_EQ(renderings(walked.report),
               renderings(campaign::analyze_sweep(want_all)))
         << "round " << round;
     EXPECT_TRUE(walked.info.truncated_tail);
-    EXPECT_EQ(renderings(campaign::analyze_stores({path}, cell_filter).report),
-              renderings(campaign::analyze_sweep(
-                  replay_sweep(want_cells, want_trials, in_filter))))
-        << "round " << round;
-    expect_same_sweep(load_sweep({path}, cell_filter),
-                      replay_sweep(want_cells, want_trials, in_filter),
-                      "filtered load_sweep round " + std::to_string(round));
+
+    for (int f = 0; f < 4; ++f) {
+      const CellFilter filter = random_filter(uniform, kCells);
+      const auto in_filter = [&](std::uint64_t c) {
+        return want_cells.contains(c) &&
+               decoded_match(filter, want_cells.at(c).coords);
+      };
+      const SweepData want = replay_sweep(want_cells, want_trials, in_filter);
+      const std::string view =
+          "filter " + std::to_string(f) + " round " + std::to_string(round);
+      // The full view decoded, then filtered: the same cells.
+      std::vector<campaign::CellStats> decoded = reader.cells();
+      std::erase_if(decoded, [&](const campaign::CellStats& cell) {
+        return !decoded_match(filter, cell.coords);
+      });
+      ASSERT_EQ(decoded.size(), want.cells.size()) << view;
+      for (std::size_t k = 0; k < decoded.size(); ++k) {
+        EXPECT_EQ(encode_cell(decoded[k]), encode_cell(want.cells[k])) << view;
+      }
+      expect_same_sweep(read_matching(reader, filter), want,
+                        "read_matching " + view);
+      expect_same_sweep(load_sweep({path}, filter), want,
+                        "filtered load_sweep " + view);
+      EXPECT_EQ(renderings(campaign::analyze_stores({path}, filter).report),
+                renderings(campaign::analyze_sweep(want)))
+          << view;
+    }
 
     for (std::uint64_t c = 0; c < kCells; ++c) {
+      if (!want_cells.contains(c)) {
+        for (std::uint64_t variant = 0; variant < 3; ++variant) {
+          EXPECT_FALSE(reader.read_cell(mixed_coords(c, variant)).has_value())
+              << "cell " << c;
+        }
+        continue;
+      }
       const std::optional<StoreReader::CellData> cell =
-          reader.read_cell(synth_coords(c));
-      ASSERT_EQ(cell.has_value(), want_cells.contains(c)) << "cell " << c;
-      if (!cell.has_value()) continue;
+          reader.read_cell(want_cells[c].coords);
+      ASSERT_TRUE(cell.has_value()) << "cell " << c;
       EXPECT_EQ(encode_cell(cell->stats), encode_cell(want_cells[c]));
-      expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
-                    "read_cell");
+      // read_cell finds a segment's trials under the probed key only.
+      if (std::ranges::all_of(segment_keys[c], [&](const auto& key) {
+            return key == encode_cell_key(want_cells[c].coords);
+          })) {
+        expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
+                      "read_cell");
+      }
+    }
+
+    {  // a CRC-valid cell record that cannot be decoded, outside the filter
+      const std::string broken = copy_store(path, "random_malformed");
+      const std::uint64_t c = uniform(0, kCells - 1);
+      campaign::CellStats stats = synth_stats(c, kTrials);
+      stats.coords = mixed_coords(c, 0);
+      std::vector<std::uint8_t> payload = encode_cell(stats);
+      if (round % 2 == 0) {
+        payload.pop_back();  // the counters cut short
+      } else {
+        util::ByteWriter w;  // a coordinate of unknown kind
+        w.varint(c);
+        w.varint(1);
+        w.str("flag");
+        w.u8(9);
+        w.u8(1);
+        payload = w.take();
+      }
+      {
+        RecordWriter log{broken, [](const RecordView&) {}};
+        log.append(kRecCell, payload);
+      }
+      const std::string full =
+          thrown_by([&] { (void)read_all(StoreReader{broken}); });
+      EXPECT_FALSE(full.empty()) << "round " << round;
+      const CellFilter other{{CellFilter::parse_clause(
+          "delay_s=" +
+          campaign::table::format_double(2.5 * double((c + 1) % kCells)))}};
+      EXPECT_EQ(
+          thrown_by([&] { (void)read_matching(StoreReader{broken}, other); }),
+          full)
+          << "round " << round;
+      EXPECT_EQ(thrown_by([&] { (void)load_sweep({broken}, other); }), full)
+          << "round " << round;
     }
 
     // Compacting a copy drops the torn tail, the orphans and every

@@ -389,6 +389,12 @@ TEST(LayerKernels, ConvMatchesNaiveGatherSimdOnAndOff) {
            {16, 24, 8}, {24, 32, 8}, {24, 48, 8}, {32, 64, 8}}) {
     cases.push_back({in_c, out_c, 3, 2, 1, side, side, 6, false});
   }
+  // 1x1 convs: 16->64 (8 k-pairs per block) and the fewest k-pairs a
+  // conv can have, one (in_c 1 and 2), where the avx2 and sse2 kernels
+  // time alike.
+  cases.push_back({16, 64, 1, 1, 0, 28, 28, 6, false});
+  cases.push_back({1, 8, 1, 1, 0, 9, 9, 4, false});
+  cases.push_back({2, 8, 1, 1, 0, 9, 9, 4, true});
   for (const std::uint32_t shift : {0u, 8u, 16u, 31u}) {
     cases.push_back({7, 9, 3, 1, 1, 11, 11, shift, true});
     cases.push_back({3, 5, 5, 2, 2, 13, 13, shift, true});
