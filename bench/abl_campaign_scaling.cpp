@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -38,26 +39,6 @@ campaign::GridBuilder bench_grid() {
   grid.defenses({"baseline", "zero_on_free"})
       .attack_delays_s({0.0, 5.0})
       .scrubber_rates({0.0, 512.0 * 1024});
-  return grid;
-}
-
-/// Defense-matrix-shaped grid for the profile-cache series: 5 defenses x
-/// 2 delays = 10 cells over one (model, dims, placement) profile key, so
-/// a multi-trial sweep reuses the key heavily — the campaign shape the
-/// cross-cell cache exists for.
-campaign::GridBuilder cache_grid() {
-  // The production sweep shape, not the test_small fixture: the
-  // campaign_sweep default board (zcu104) and image geometry, over the
-  // paper's access-control defense family plus the vulnerable baseline.
-  // On this board the uncached offline phase pays for a full twin
-  // PetaLinuxSystem + model build + marker scrape per trial.
-  attack::ScenarioConfig cfg;
-  cfg.image_width = 96;
-  cfg.image_height = 96;
-  campaign::GridBuilder grid{cfg};
-  grid.defenses({"baseline", "proc_owner_only", "dbg_owner_only",
-                 "dbg_disabled", "fw_owner_residue"})
-      .attack_delays_s({0.0, 5.0});
   return grid;
 }
 
@@ -96,25 +77,36 @@ campaign::CampaignOptions one_thread_two_trials() {
   campaign::CampaignOptions options;
   options.threads = 1;
   options.trials_per_cell = 2;
-  // Per-trial re-profiling keeps a cell's cost proportional to its trial
-  // count wherever it runs. (A shared profile cache would make a heavy
-  // cell's cost depend on which worker runs it — profiling is per
-  // (worker, model-key) — muddying a scheduler A/B into a cache A/B.)
-  options.share_profiles = false;
   return options;
+}
+
+/// One single-thread runner per worker, each warmed by an untimed run
+/// over `cells`: its cache already holds every profile key and a parked
+/// victim board of each shape, so a cell then costs its trials alone,
+/// wherever it runs. (A cold cache would charge a model's profiling to
+/// whichever worker meets it first, muddying a scheduler A/B into a
+/// cache A/B.)
+std::vector<std::unique_ptr<campaign::CampaignRunner>> warm_runners(
+    const std::vector<campaign::CampaignCell>& cells, std::size_t workers) {
+  std::vector<std::unique_ptr<campaign::CampaignRunner>> runners;
+  for (std::size_t w = 0; w < workers; ++w) {
+    runners.push_back(
+        std::make_unique<campaign::CampaignRunner>(one_thread_two_trials()));
+    benchmark::DoNotOptimize(runners.back()->run(cells));
+  }
+  return runners;
 }
 
 void print_intro() {
   bench::print_header("Abl. campaign scaling",
-                      "cells/second vs threads; store & profiling overhead");
+                      "cells/second vs threads; store overhead; scheduling");
   std::puts("SweepThreads/N: one 8-cell sweep on N workers (items = cells).");
   std::puts("SweepInMemory vs SweepWithStore: identical sweep, the latter");
   std::puts("streaming per-trial + per-cell records to an on-disk store.");
-  std::puts("SweepProfileCache/1 vs /0: 4-trial defense-matrix sweep with the");
-  std::puts("shared profile cache on vs re-profiling a twin board per trial.");
   std::puts("SweepStaticShards vs SweepWorkStealing: 3 single-thread workers");
   std::puts("over a 9-cell skewed-cost grid whose heavy cells all land in one");
-  std::puts("static shard; the lease scheduler redistributes them (makespan).\n");
+  std::puts("static shard; the lease scheduler redistributes them (makespan).");
+  std::puts("Each worker keeps one runner, warmed over the grid before timing.\n");
 }
 
 void BM_SweepThreads(benchmark::State& state) {
@@ -147,27 +139,6 @@ void BM_SweepInMemory(benchmark::State& state) {
                           static_cast<std::int64_t>(cells.size()));
 }
 BENCHMARK(BM_SweepInMemory)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// The ROADMAP's cross-board-batching item, measured: cells/second with
-/// the cross-cell profile cache (Arg 1) vs per-trial re-profiling (Arg 0)
-/// on a grid whose 40 trials share one profile key. The cached runner
-/// keeps its cache across iterations, so this reports the steady-state
-/// win of a long campaign, not the cold first cell.
-void BM_SweepProfileCache(benchmark::State& state) {
-  campaign::CampaignOptions options;
-  options.threads = 4;
-  options.trials_per_cell = 4;
-  options.share_profiles = state.range(0) != 0;
-  campaign::CampaignRunner runner{options};
-  const auto cells = cache_grid().build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(cells));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_SweepProfileCache)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SweepWithStore(benchmark::State& state) {
   campaign::CampaignOptions options;
@@ -209,7 +180,8 @@ struct SkewWeights {
 const SkewWeights& skew_weights() {
   static const SkewWeights weights = [] {
     const auto cells = skewed_cells();
-    campaign::CampaignRunner runner{one_thread_two_trials()};
+    const auto runners = warm_runners(cells, 1);
+    campaign::CampaignRunner& runner = *runners.front();
     SkewWeights w;
     const auto time_one = [&](const campaign::CampaignCell& cell) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -266,16 +238,14 @@ void BM_SweepStaticShards(benchmark::State& state) {
   for (const campaign::CampaignCell& cell : cells) {
     shards[cell.index % 3].push_back(cell);
   }
+  const auto runners = warm_runners(cells, shards.size());
   double share = 0.0;
   for (auto _ : state) {
     std::vector<campaign::SweepReport> reports(shards.size());
     std::vector<std::thread> workers;
     workers.reserve(shards.size());
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      workers.emplace_back([&, s] {
-        campaign::CampaignRunner runner{one_thread_two_trials()};
-        reports[s] = runner.run(shards[s]);
-      });
+      workers.emplace_back([&, s] { reports[s] = runners[s]->run(shards[s]); });
     }
     for (std::thread& t : workers) t.join();
     share = straggler_share(reports);
@@ -307,6 +277,7 @@ void BM_SweepWorkStealing(benchmark::State& state) {
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "abl_campaign_worksteal";
+  const auto runners = warm_runners(cells, 3);
   double share = 0.0;
   for (auto _ : state) {
     std::filesystem::remove_all(dir);
@@ -316,14 +287,13 @@ void BM_SweepWorkStealing(benchmark::State& state) {
     workers.reserve(3);
     for (int w = 0; w < 3; ++w) {
       workers.emplace_back([&, w] {
-        campaign::CampaignRunner runner{options};
         persist::LeaseScheduler scheduler{dir.string(),
                                           "bench-w" + std::to_string(w),
                                           cells,
                                           manifest,
                                           nullptr,
                                           lease_options};
-        reports[w] = runner.run(scheduler);
+        reports[w] = runners[w]->run(scheduler);
       });
     }
     for (std::thread& t : workers) t.join();

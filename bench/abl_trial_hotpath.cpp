@@ -15,9 +15,9 @@
 // gmacs_per_s and ns_per_output (per output byte).
 //
 // Iterations cycle reseeded trials exactly as CampaignRunner::score_cell
-// does, so every trial gets a fresh board seed and input image and the
-// victim-input memo cannot turn the loop into replays of one trial. The
-// power_cycled variant adds DRAM decay to residue_decay.
+// does, so every trial gets a fresh board seed and input image rather
+// than replaying one trial. The power_cycled variant adds DRAM decay to
+// residue_decay.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -81,7 +81,7 @@ void print_intro() {
 void BM_TrialTraced(benchmark::State& state, bool power_cycled) {
   attack::ProfileCache cache;
   const attack::ScenarioConfig cfg = hotpath_config(power_cycled);
-  (void)attack::run_scenario(cfg, &cache);  // warm the profile cache
+  (void)attack::run_scenario(cfg, cache);  // warm the profile cache
 
   obs::Trace::enable(/*per_thread_capacity=*/std::size_t{1} << 20);
   obs::Trace::clear();
@@ -89,7 +89,7 @@ void BM_TrialTraced(benchmark::State& state, bool power_cycled) {
   const std::uint64_t loop_start_ns = util::monotonic_ns();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        attack::run_scenario(reseeded(cfg, ++trial), &cache));
+        attack::run_scenario(reseeded(cfg, ++trial), cache));
   }
   const std::uint64_t loop_ns = util::monotonic_ns() - loop_start_ns;
   obs::Trace::disable();
@@ -135,11 +135,11 @@ BENCHMARK_CAPTURE(BM_TrialTraced, power_cycled, true)
 void BM_TrialUntraced(benchmark::State& state) {
   attack::ProfileCache cache;
   const attack::ScenarioConfig cfg = hotpath_config(false);
-  (void)attack::run_scenario(cfg, &cache);
+  (void)attack::run_scenario(cfg, cache);
   std::uint64_t trial = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        attack::run_scenario(reseeded(cfg, ++trial), &cache));
+        attack::run_scenario(reseeded(cfg, ++trial), cache));
   }
 }
 BENCHMARK(BM_TrialUntraced)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -24,7 +24,7 @@ BENCH=${3:-abl_campaign_scaling}
 shift $(( $# > 3 ? 3 : $# ))
 EXPECT=("$@")
 if [ "${#EXPECT[@]}" -eq 0 ] && [ "$BENCH" = "abl_campaign_scaling" ]; then
-  EXPECT=(BM_SweepProfileCache BM_SweepThreads)
+  EXPECT=(BM_SweepThreads BM_SweepWorkStealing)
 fi
 
 BIN="$BUILD_DIR/bench/$BENCH"

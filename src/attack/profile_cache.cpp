@@ -34,15 +34,6 @@ obs::Counter& victim_reused_metric() {
   static obs::Counter& c = obs::counter("cache.victim_boards_reused");
   return c;
 }
-obs::Counter& input_built_metric() {
-  static obs::Counter& c = obs::counter("cache.victim_inputs_built");
-  return c;
-}
-obs::Counter& input_reused_metric() {
-  static obs::Counter& c = obs::counter("cache.victim_inputs_reused");
-  return c;
-}
-
 }  // namespace
 
 TwinBoardKey TwinBoardKey::from_config(const ScenarioConfig& config) {
@@ -154,35 +145,8 @@ void VictimBoardPool::release(const ScenarioConfig& config,
 }
 
 std::shared_ptr<const img::Image> ProfileCache::victim_input(
-    const ScenarioConfig& config) {
-  // corrupt_fraction only matters when corruption is on; normalize it out
-  // of the key so uncorrupted lookups share one entry per geometry/seed.
-  const InputKey key{config.image_width, config.image_height,
-                     config.image_seed, config.corrupt_image,
-                     config.corrupt_image ? config.corrupt_fraction : 0.0};
-  {
-    const std::lock_guard lock{input_mutex_};
-    const auto it = input_index_.find(key);
-    if (it != input_index_.end()) {
-      input_lru_.splice(input_lru_.begin(), input_lru_, it->second);
-      input_reused_metric().add();
-      return it->second->second;
-    }
-  }
-  // Generate outside the lock; a racing duplicate generation is harmless
-  // because both threads produce the identical image.
-  auto image = std::make_shared<const img::Image>(make_victim_input(config));
-  input_built_metric().add();
-  const std::lock_guard lock{input_mutex_};
-  auto [it, inserted] = input_index_.try_emplace(key);
-  if (!inserted) return it->second->second;
-  input_lru_.emplace_front(key, image);
-  it->second = input_lru_.begin();
-  if (input_lru_.size() > kInputCacheCap) {
-    input_index_.erase(input_lru_.back().first);
-    input_lru_.pop_back();
-  }
-  return image;
+    const ScenarioConfig& config) const {
+  return std::make_shared<const img::Image>(make_victim_input(config));
 }
 
 ModelProfile ProfileCache::get_or_profile(const ScenarioConfig& config) {

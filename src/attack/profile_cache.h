@@ -32,7 +32,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -154,8 +153,8 @@ class VictimBoardPool {
 
 /// Thread-safe memo of profile_on_twin_board. One instance is shared
 /// across every cell and trial of a campaign sweep; it also carries the
-/// victim-side trial caches (board pool + input memo) so everything the
-/// runner shares across trials lives behind one pointer.
+/// victim-board pool, so everything the runner shares across trials
+/// lives behind one reference.
 class ProfileCache {
  public:
   /// Returns the profile for this config's key, profiling it on a pooled
@@ -163,13 +162,11 @@ class ProfileCache {
   /// every lookup of the failed key.
   [[nodiscard]] ModelProfile get_or_profile(const ScenarioConfig& config);
 
-  /// Memoized victim input (make_test_image + optional corruption) keyed
-  /// by (width, height, seed, corrupt knobs). Bounded LRU: trial
-  /// reseeding makes most image seeds unique, so the memo pays off on
-  /// the repeated trial-0 / same-cell lookups without growing with the
-  /// grid.
+  /// make_victim_input(config) behind a shared pointer, for the
+  /// benchmark's trial replay, which rebuilds run_scenario stage by stage
+  /// (run_scenario calls make_victim_input itself).
   [[nodiscard]] std::shared_ptr<const img::Image> victim_input(
-      const ScenarioConfig& config);
+      const ScenarioConfig& config) const;
 
   /// Pooled victim-board allocations shared across trials.
   [[nodiscard]] VictimBoardPool& victim_boards() noexcept {
@@ -189,29 +186,10 @@ class ProfileCache {
     std::exception_ptr error;
   };
 
-  struct InputKey {
-    std::uint32_t width = 0;
-    std::uint32_t height = 0;
-    std::uint64_t seed = 0;
-    bool corrupt = false;
-    double corrupt_fraction = 0.0;
-
-    auto operator<=>(const InputKey&) const = default;
-  };
-  static constexpr std::size_t kInputCacheCap = 64;
-
   TwinBoardPool pool_;
   VictimBoardPool victim_pool_;
   mutable std::mutex mutex_;
   std::map<ProfileKey, std::shared_ptr<Entry>> entries_;
-
-  std::mutex input_mutex_;
-  /// LRU list (front = most recent) + index into it.
-  std::list<std::pair<InputKey, std::shared_ptr<const img::Image>>> input_lru_;
-  std::map<InputKey,
-           std::list<std::pair<InputKey,
-                               std::shared_ptr<const img::Image>>>::iterator>
-      input_index_;
 };
 
 }  // namespace msa::attack

@@ -1,7 +1,6 @@
 #include "attack/scenario.h"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "attack/profile_cache.h"
@@ -79,11 +78,12 @@ ModelProfile profile_on_twin_board(const ScenarioConfig& config) {
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
-  return run_scenario(config, nullptr);
+  ProfileCache fresh;
+  return run_scenario(config, fresh);
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config,
-                            ProfileCache* profile_cache) {
+                            ProfileCache& profile_cache) {
   ScenarioResult result;
   obs::counter("trial.runs").add();
 
@@ -91,39 +91,27 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   ProfileDb profiles;
   {
     TRACE_SPAN("trial", "profile");
-    profiles.add(profile_cache != nullptr
-                     ? profile_cache->get_or_profile(config)
-                     : profile_on_twin_board(config));
+    profiles.add(profile_cache.get_or_profile(config));
   }
 
   // ---- victim board -------------------------------------------------------
-  // Campaign runs (profile_cache set) draw the board from the shared pool:
-  // acquire() reboots a parked board to the exact state the fresh
-  // construction below would produce, reusing its DRAM-block, frame-table
-  // and XModel-cache storage across trials.
+  // acquire() reboots a parked board to the exact state a fresh
+  // construction would produce, reusing its DRAM-block, frame-table and
+  // XModel-cache storage across trials; an empty pool builds one.
   std::unique_ptr<VictimBoardPool::Board> pooled;
-  std::optional<os::PetaLinuxSystem> local_board;
-  std::optional<vitis::VitisAiRuntime> local_runtime;
   {
     TRACE_SPAN("trial", "board_acquire");
-    if (profile_cache != nullptr) {
-      pooled = profile_cache->victim_boards().acquire(config);
-    } else {
-      local_board.emplace(config.system);
-      local_runtime.emplace(*local_board);
-    }
+    pooled = profile_cache.victim_boards().acquire(config);
   }
-  os::PetaLinuxSystem& board = pooled ? pooled->system : *local_board;
-  vitis::VitisAiRuntime& runtime = pooled ? pooled->runtime : *local_runtime;
-  // Park the pooled board on every exit path — early denial returns and
+  os::PetaLinuxSystem& board = pooled->system;
+  vitis::VitisAiRuntime& runtime = pooled->runtime;
+  // Park the board on every exit path — early denial returns and
   // exceptions included. Any parked state is fine; acquire() reboots.
   struct ParkBoard {
-    ProfileCache* cache;
+    ProfileCache& cache;
     const ScenarioConfig& config;
     std::unique_ptr<VictimBoardPool::Board>& board;
-    ~ParkBoard() {
-      if (board) cache->victim_boards().release(config, std::move(board));
-    }
+    ~ParkBoard() { cache.victim_boards().release(config, std::move(board)); }
   } park{profile_cache, config, pooled};
 
   board.add_user(config.victim_uid, "victim");
@@ -131,9 +119,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
 
   {
     TRACE_SPAN("trial", "victim_input");
-    result.victim_input = profile_cache != nullptr
-                              ? *profile_cache->victim_input(config)
-                              : make_victim_input(config);
+    result.victim_input = make_victim_input(config);
   }
 
   board.advance_time(8 * 3600 + 43 * 60);  // paper: victim starts at 12:33

@@ -95,12 +95,14 @@ class ProfileCache;
 
 /// Runs the complete scenario. Never throws on defense interference —
 /// blocked steps surface as denied/denial_reason; infrastructure faults
-/// (bugs) still throw. When `profiles` is non-null the offline phase is
-/// served from (and populates) the shared cache instead of profiling a
-/// fresh twin board per call; results are identical either way — the
-/// campaign engine's byte-identity tests pin this down.
+/// (bugs) still throw. The offline phase is served from (and populates)
+/// `profiles`, and the victim board comes from its pool; a fresh cache
+/// profiles on a new twin board and builds a new victim board, and a
+/// reused one gives the same result byte for byte (pinned by the
+/// profile-cache and campaign tests).
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
-                                          ProfileCache* profiles);
+                                          ProfileCache& profiles);
+/// run_scenario on a fresh ProfileCache of its own.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// The attacker's own board derived from `config`: identical hardware and
@@ -115,8 +117,7 @@ class ProfileCache;
 
 /// The victim's ground-truth input for this config: the deterministic test
 /// image, optionally corrupted per the corrupt knobs. Pure in
-/// (image_width, image_height, image_seed, corrupt_image, corrupt_fraction),
-/// which is what lets ProfileCache memoize it across trials.
+/// (image_width, image_height, image_seed, corrupt_image, corrupt_fraction).
 [[nodiscard]] img::Image make_victim_input(const ScenarioConfig& config);
 
 }  // namespace msa::attack

@@ -73,6 +73,9 @@ CellStats CampaignRunner::score_cell(const CampaignCell& cell, unsigned trials,
                                      std::uint64_t trial_salt,
                                      const TrialHook& on_trial,
                                      attack::ProfileCache* profiles) {
+  if (profiles == nullptr) {
+    throw std::invalid_argument("score_cell: null profile cache");
+  }
   CellStats stats;
   stats.index = cell.index;
   stats.coords = cell.coords;
@@ -89,7 +92,7 @@ CellStats CampaignRunner::score_cell(const CampaignCell& cell, unsigned trials,
       cfg.system.seed ^= util::splitmix64(stream);
       cfg.image_seed ^= util::splitmix64(stream);
     }
-    const attack::ScenarioResult result = attack::run_scenario(cfg, profiles);
+    const attack::ScenarioResult result = attack::run_scenario(cfg, *profiles);
     TRACE_SPAN("campaign", "record");
     if (on_trial) on_trial(trial, result);
     stats.accumulate(result);
@@ -257,8 +260,6 @@ void CampaignRunner::worker_loop() {
         if (claim.has_value()) {
           TRACE_SPAN("campaign", "cell");
           const std::uint64_t cell_start = util::monotonic_ns();
-          attack::ProfileCache* profiles =
-              options_.share_profiles ? &profile_cache_ : nullptr;
           const CampaignCell& cell = claim->cell;
           // Stream every trial as it finishes (a store I/O failure
           // aborts the batch like any other infrastructure error) and
@@ -272,7 +273,7 @@ void CampaignRunner::worker_loop() {
                 }
                 source->renew(*claim);
               },
-              profiles);
+              &profile_cache_);
           // The source arbitrates ownership; the persist callback runs
           // between the decision and the source's own completion record
           // so durable stats always precede the "done" marker. A false

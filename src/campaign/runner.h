@@ -3,8 +3,9 @@
 //
 // Determinism contract: the report produced by run() is byte-identical
 // for any thread count, because
-//   * cells are scored independently (run_scenario shares no mutable
-//     state between boards; util::Log, the one process-wide global, is
+//   * cells are scored independently (the runner's shared ProfileCache
+//     hands every trial the profile and the rebooted board a fresh one
+//     would build; util::Log, the one process-wide global, is
 //     thread-safe and not part of the result),
 //   * each trial's seeds derive only from (cell, trial index), and
 //   * per-cell accumulation happens serially in trial order on whichever
@@ -38,13 +39,6 @@ struct CampaignOptions {
   /// Salt folded into the per-trial reseeding (vary to get a fresh
   /// family of trials over the same grid).
   std::uint64_t trial_salt = 0xca3face0ULL;
-  /// Share one attack::ProfileCache (and its twin-board pool) across
-  /// every cell and trial of this runner's sweeps, so the offline
-  /// profiling phase runs once per distinct (model, dims, layout) key
-  /// instead of once per trial. Reports are byte-identical with the
-  /// cache on or off; only the cells/second changes. The cache persists
-  /// across run() calls on the same runner.
-  bool share_profiles = true;
   /// Optional progress hook, invoked after each finished cell with
   /// (cells_done, cells_total). Called from worker threads, serialized
   /// by a dedicated mutex (outside the pool lock, so a slow hook does
@@ -117,14 +111,14 @@ class CampaignRunner {
 
   /// Scores one cell exactly as a pool worker would — the unit the
   /// determinism tests pin down. `on_trial`, when set, observes every
-  /// trial in order (the store streaming path); `profiles`, when set,
-  /// serves the offline phase of every trial from the shared cache.
+  /// trial in order (the store streaming path); every trial runs through
+  /// `profiles` (run_scenario's cache). Throws std::invalid_argument for
+  /// a null `profiles`.
   [[nodiscard]] static CellStats score_cell(const CampaignCell& cell,
                                             unsigned trials,
                                             std::uint64_t trial_salt,
-                                            const TrialHook& on_trial = {},
-                                            attack::ProfileCache* profiles =
-                                                nullptr);
+                                            const TrialHook& on_trial,
+                                            attack::ProfileCache* profiles);
 
  private:
   /// Pool execution over `source` into a stats vector indexed by claim
@@ -136,8 +130,8 @@ class CampaignRunner {
 
   unsigned threads_;
   CampaignOptions options_;
-  /// Shared across all cells/trials when options_.share_profiles is set;
-  /// lives as long as the runner so back-to-back sweeps reuse profiles.
+  /// Shared across all cells and trials; lives as long as the runner so
+  /// back-to-back sweeps reuse profiles and boards.
   attack::ProfileCache profile_cache_;
   std::vector<std::thread> pool_;
 

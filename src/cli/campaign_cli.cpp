@@ -592,7 +592,6 @@ struct SweepFlags {
   unsigned idle_backoff_ms = 25;
   bool resume = false;
   bool quiet = false;
-  bool no_profile_cache = false;
   std::string trace_out;
   std::string store_path;
   std::string workers_dir;
@@ -638,7 +637,6 @@ int run_sweep(const SweepFlags& f) {
   campaign::CampaignOptions options;
   options.threads = f.threads;
   options.trials_per_cell = f.trials;
-  options.share_profiles = !f.no_profile_cache;
   if (!f.quiet) {
     options.on_cell_done = [](std::size_t done, std::size_t total) {
       std::fprintf(stderr, "\r[campaign] %zu/%zu cells", done, total);
@@ -738,7 +736,7 @@ int run_sweep(const SweepFlags& f) {
 
   // In lease mode the report is the merged cross-worker one; this
   // process's cache traffic would not describe it.
-  if (!f.quiet && !f.no_profile_cache && f.workers_dir.empty()) {
+  if (!f.quiet && f.workers_dir.empty()) {
     const std::array<std::uint64_t, 4> now = cache_counters();
     std::fprintf(stderr,
                  "[campaign] profile cache: %llu hits, %llu misses "
@@ -800,8 +798,6 @@ int sweep_main(const char* argv0, Args args, bool metrics_mode) {
              "want NAME=V1,V2,...");
         f.axes.push_back(axis_values(v.substr(0, eq), v.substr(eq + 1)));
       }},
-     {"--no-profile-cache", nullptr,
-      "re-profile a fresh twin board per trial", enable(f.no_profile_cache)},
      {"--store", "PATH", "stream trials and cells to a crash-safe store",
       text(f.store_path)},
      {"--resume", nullptr, "continue the interrupted --store sweep",

@@ -236,13 +236,19 @@ CampaignStore::CampaignStore(const std::string& path,
   // cell blocks — the log was trimmed at the last compaction. Only the
   // small cell blocks are read; resume never replays segment trial data,
   // so seeking to the incomplete cells costs O(completed cells), not
-  // O(trials). Log records win over segment ones: they are newer.
+  // O(trials). Newer records win, as in StoreReader::cells(): the log's
+  // (already in the map) over any segment's, a later segment's over an
+  // earlier one's, so the segments go in newest record first and never
+  // overwrite.
   if (const std::optional<LevelsManifest> levels =
           read_levels_manifest(path_)) {
-    for (const auto& segment : open_segments(path_, *levels, manifest_)) {
-      for (campaign::CellStats& cell : segment->cells()) {
-        const std::uint64_t index = cell.index;
-        completed_.emplace(index, std::move(cell));
+    const auto segments = open_segments(path_, *levels, manifest_);
+    for (auto segment = segments.rbegin(); segment != segments.rend();
+         ++segment) {
+      std::vector<campaign::CellStats> cells = (*segment)->cells();
+      for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
+        const std::uint64_t index = cell->index;
+        completed_.emplace(index, std::move(*cell));
       }
     }
   }

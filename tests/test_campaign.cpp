@@ -182,38 +182,36 @@ TEST(CampaignRunner, ReportInvariantUnderThreadCount) {
 }
 
 TEST(CampaignRunner, CachedAndUncachedReportsAreByteIdentical) {
-  // The PR-3 acceptance property: the shared profile cache may only
-  // change cells/second, never a byte of the report — at 1 thread and
-  // at 8.
+  // Reusing the runner's shared cache — its profiles, twin boards and
+  // rebooted victim boards — may only change cells/second, never a byte
+  // of the report: at 1 thread and at 8 it matches a reference scored
+  // cell by cell, each on a fresh ProfileCache that builds everything
+  // anew.
   const GridBuilder grid = small_grid();
-  std::string csv[2][2];
-  std::string json[2][2];
-  for (const bool cache : {false, true}) {
-    for (const unsigned threads : {1u, 8u}) {
-      CampaignOptions options = make_options(threads, 2);
-      options.share_profiles = cache;
-      CampaignRunner runner{options};
-      CacheDelta delta;
-      const SweepReport report = run_counting(runner, grid, &delta);
-      csv[cache][threads == 8] = report.to_csv();
-      json[cache][threads == 8] = report.to_json();
-      // Cache traffic reflects the mode: 8 cells x 2 trials = 16 lookups
-      // over 2 models x 1 board shape = 2 profile keys.
-      if (cache) {
-        EXPECT_EQ(delta.misses, 2u);
-        EXPECT_EQ(delta.hits, 14u);
-      } else {
-        EXPECT_EQ(delta.misses, 0u);
-        EXPECT_EQ(delta.hits, 0u);
-      }
-    }
+  SweepReport fresh;
+  for (const CampaignCell& cell : grid.build()) {
+    attack::ProfileCache cache;
+    fresh.cells.push_back(
+        CampaignRunner::score_cell(cell, 2, CampaignOptions{}.trial_salt, {},
+                                   &cache));
   }
-  EXPECT_EQ(csv[0][0], csv[0][1]);
-  EXPECT_EQ(csv[0][0], csv[1][0]);
-  EXPECT_EQ(csv[0][0], csv[1][1]);
-  EXPECT_EQ(json[0][0], json[0][1]);
-  EXPECT_EQ(json[0][0], json[1][0]);
-  EXPECT_EQ(json[0][0], json[1][1]);
+  for (const unsigned threads : {1u, 8u}) {
+    CampaignRunner runner{make_options(threads, 2)};
+    CacheDelta delta;
+    const SweepReport report = run_counting(runner, grid, &delta);
+    EXPECT_EQ(report.to_csv(), fresh.to_csv()) << threads << " threads";
+    EXPECT_EQ(report.to_json(), fresh.to_json()) << threads << " threads";
+    // 8 cells x 2 trials = 16 lookups over 2 models x 1 board shape =
+    // 2 profile keys.
+    EXPECT_EQ(delta.misses, 2u) << threads << " threads";
+    EXPECT_EQ(delta.hits, 14u) << threads << " threads";
+  }
+}
+
+TEST(CampaignRunner, ScoreCellRefusesANullCache) {
+  const auto cells = GridBuilder{small_base()}.build();
+  EXPECT_THROW((void)CampaignRunner::score_cell(cells[0], 1, 0, {}, nullptr),
+               std::invalid_argument);
 }
 
 TEST(CampaignRunner, CacheCountersMatchGridShapeAndPersistAcrossRuns) {
@@ -262,7 +260,8 @@ TEST(CampaignRunner, TrialZeroMatchesDirectScenarioRun) {
   const auto cells = GridBuilder{small_base()}.build();
   ASSERT_EQ(cells.size(), 1u);
   const attack::ScenarioResult direct = attack::run_scenario(cells[0].config);
-  const CellStats stats = CampaignRunner::score_cell(cells[0], 1, 0);
+  attack::ProfileCache cache;
+  const CellStats stats = CampaignRunner::score_cell(cells[0], 1, 0, {}, &cache);
   EXPECT_EQ(stats.full_successes, direct.full_success() ? 1u : 0u);
   EXPECT_DOUBLE_EQ(stats.mean_pixel_match, direct.pixel_match);
   EXPECT_DOUBLE_EQ(stats.mean_psnr_db, direct.psnr);

@@ -510,6 +510,7 @@ TEST(LeaseScheduler, RestartResumesOwnStoreAndRepairsLog) {
   const GridBuilder grid = small_grid();
   const StoreManifest manifest = manifest_for(grid);
   const std::string store_path = LeaseScheduler::store_path(dir, "w0");
+  attack::ProfileCache cache;
 
   // First life: completes 2 of 4 cells through a real store, then the
   // lease log "loses" the second completion (simulating a kill between
@@ -521,7 +522,8 @@ TEST(LeaseScheduler, RestartResumesOwnStoreAndRepairsLog) {
       std::optional<ClaimedCell> claim = s.acquire();
       ASSERT_TRUE(claim.has_value());
       CellStats stats = CampaignRunner::score_cell(
-          claim->cell, manifest.trials_per_cell, manifest.trial_salt);
+          claim->cell, manifest.trials_per_cell, manifest.trial_salt, {},
+          &cache);
       ASSERT_TRUE(s.commit(*claim, stats, [&] { store.complete_cell(stats); }));
     }
   }
@@ -542,7 +544,8 @@ TEST(LeaseScheduler, RestartResumesOwnStoreAndRepairsLog) {
     ASSERT_TRUE(claim.has_value());
     EXPECT_FALSE(done.contains(claim->cell.index)) << "re-ran a done cell";
     CellStats stats = CampaignRunner::score_cell(
-        claim->cell, manifest.trials_per_cell, manifest.trial_salt);
+        claim->cell, manifest.trials_per_cell, manifest.trial_salt, {},
+        &cache);
     ASSERT_TRUE(s.commit(*claim, stats, [&] { store.complete_cell(stats); }));
   }
   EXPECT_FALSE(s.acquire().has_value());

@@ -178,11 +178,13 @@ TEST(LeaseSweep, RestartedWorkerResumesAndFinishes) {
                         CampaignStore::Mode::kCreate};
     LeaseScheduler scheduler{dir, "w0", grid.build(), manifest, &store,
                              fast_expiry()};
+    attack::ProfileCache cache;
     for (int i = 0; i < 3; ++i) {
       auto claim = scheduler.acquire();
       ASSERT_TRUE(claim.has_value());
       CellStats stats = CampaignRunner::score_cell(
-          claim->cell, options.trials_per_cell, options.trial_salt);
+          claim->cell, options.trials_per_cell, options.trial_salt, {},
+          &cache);
       ASSERT_TRUE(
           scheduler.commit(*claim, stats, [&] { store.complete_cell(stats); }));
     }

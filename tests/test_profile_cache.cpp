@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attack/profiler.h"
@@ -244,26 +247,75 @@ TEST(ProfileCache, ProfilingFailureIsCachedAndRethrown) {
                       profile_on_twin_board(good));
 }
 
-TEST(ProfileCache, RunScenarioWithCacheMatchesWithout) {
-  // The integration seam run_scenario(config, cache): identical result
-  // fields with and without the cache, for a success and a denial cell.
-  ProfileCache cache;
-  for (const char* preset : {"baseline", "dbg_disabled"}) {
-    const ScenarioConfig cfg =
-        defense::preset(preset).apply(small_config());
-    const ScenarioResult with = run_scenario(cfg, &cache);
-    const ScenarioResult without = run_scenario(cfg);
-    EXPECT_EQ(with.denied, without.denied) << preset;
-    EXPECT_EQ(with.denial_reason, without.denial_reason) << preset;
-    EXPECT_EQ(with.model_identified_correctly,
-              without.model_identified_correctly)
-        << preset;
-    EXPECT_DOUBLE_EQ(with.pixel_match, without.pixel_match) << preset;
-    EXPECT_DOUBLE_EQ(with.psnr, without.psnr) << preset;
-    EXPECT_DOUBLE_EQ(with.descriptor_pixel_match,
-                     without.descriptor_pixel_match)
-        << preset;
+/// Every ScenarioResult field, the images byte for byte.
+void expect_same_result(const ScenarioResult& a, const ScenarioResult& b,
+                        const std::string& label) {
+  const auto bytes = [](const std::optional<img::Image>& image) {
+    return image ? image->to_rgb_bytes() : std::vector<std::uint8_t>{};
+  };
+  EXPECT_EQ(a.victim_input.to_rgb_bytes(), b.victim_input.to_rgb_bytes())
+      << label;
+  EXPECT_EQ(a.victim_top_class, b.victim_top_class) << label;
+  EXPECT_EQ(a.denied, b.denied) << label;
+  EXPECT_EQ(a.denial_reason, b.denial_reason) << label;
+  EXPECT_EQ(a.model_identified_correctly, b.model_identified_correctly)
+      << label;
+  EXPECT_EQ(a.pixel_match, b.pixel_match) << label;
+  EXPECT_EQ(a.psnr, b.psnr) << label;
+  EXPECT_EQ(a.descriptor_pixel_match, b.descriptor_pixel_match) << label;
+  const AttackReport& ra = a.report;
+  const AttackReport& rb = b.report;
+  EXPECT_EQ(ra.victim_pid, rb.victim_pid) << label;
+  EXPECT_EQ(ra.identified_model, rb.identified_model) << label;
+  EXPECT_EQ(ra.signature_hits, rb.signature_hits) << label;
+  ASSERT_EQ(ra.deep_match.has_value(), rb.deep_match.has_value()) << label;
+  if (ra.deep_match) {
+    EXPECT_EQ(ra.deep_match->model_name, rb.deep_match->model_name) << label;
+    EXPECT_EQ(ra.deep_match->container_offset, rb.deep_match->container_offset)
+        << label;
+    EXPECT_EQ(ra.deep_match->param_bytes, rb.deep_match->param_bytes) << label;
   }
+  EXPECT_EQ(ra.reconstructed_image.has_value(),
+            rb.reconstructed_image.has_value())
+      << label;
+  EXPECT_EQ(bytes(ra.reconstructed_image), bytes(rb.reconstructed_image))
+      << label;
+  EXPECT_EQ(ra.descriptor_image.has_value(), rb.descriptor_image.has_value())
+      << label;
+  EXPECT_EQ(bytes(ra.descriptor_image), bytes(rb.descriptor_image)) << label;
+  EXPECT_EQ(ra.recovered_scores, rb.recovered_scores) << label;
+  EXPECT_EQ(ra.devmem_reads, rb.devmem_reads) << label;
+  EXPECT_EQ(ra.residue_bytes, rb.residue_bytes) << label;
+  EXPECT_EQ(ra.pages_unmapped, rb.pages_unmapped) << label;
+  EXPECT_EQ(ra.transcript, rb.transcript) << label;
+}
+
+TEST(ProfileCache, RunScenarioWithCacheMatchesWithout) {
+  // run_scenario(config) runs on a fresh cache: a new twin board and a
+  // new victim board. One cache reused across trials of different seeds,
+  // a post-mortem sweep and a denied attack — each trial rebooting the
+  // board the previous one parked — must give every field the same.
+  std::vector<std::pair<std::string, ScenarioConfig>> trials;
+  for (const std::uint64_t reseed : {0u, 1u, 2u}) {
+    ScenarioConfig cfg = small_config();
+    cfg.system.seed ^= 0x9e3779b97f4a7c15ULL * reseed;
+    cfg.image_seed += reseed;
+    trials.emplace_back("reseed " + std::to_string(reseed), cfg);
+  }
+  ScenarioConfig post_mortem = small_config();
+  post_mortem.post_mortem_scan = true;
+  trials.emplace_back("post_mortem_scan", post_mortem);
+  trials.emplace_back("dbg_disabled",
+                      defense::preset("dbg_disabled").apply(small_config()));
+
+  ProfileCache cache;
+  for (const auto& [label, cfg] : trials) {
+    const ScenarioResult with = run_scenario(cfg, cache);
+    const ScenarioResult without = run_scenario(cfg);
+    expect_same_result(with, without, label);
+  }
+  EXPECT_TRUE(run_scenario(trials.back().second, cache).denied);
+  EXPECT_TRUE(run_scenario(trials.front().second, cache).full_success());
 }
 
 }  // namespace

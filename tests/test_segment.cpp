@@ -815,6 +815,36 @@ TEST(SegmentMerge, LastCopyWinsAcrossTwoSegmentsAndTheLogTail) {
   }
 }
 
+TEST(SegmentMerge, ResumeTakesTheNewestCopyOfACell) {
+  // Two segments hold different copies of cell 3, and the log a third
+  // of cell 5: resume's completed map must be the reader's last-wins
+  // merge — the newer segment's copy, the log's over both.
+  const std::string path = tmp_path("resume_newest.store");
+  const StoreManifest manifest = synth_manifest(8, 4);
+  std::vector<CellInput> newer = synth_segment_cells(3, 4, 3);
+  for (CellInput& cell : newer) cell.stats.mean_psnr_db += 1000.0;
+  write_two_segment_store(path, manifest, synth_segment_cells(8, 4),
+                          std::move(newer));
+  {
+    CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+    campaign::CellStats rewrite = synth_stats(5, 4);
+    rewrite.mean_psnr_db += 2000.0;
+    store.complete_cell(rewrite);
+  }
+
+  const std::vector<campaign::CellStats> cells = StoreReader{path}.cells();
+  ASSERT_EQ(cells.size(), 8u);
+  EXPECT_EQ(cells[3].mean_psnr_db, synth_stats(3, 4).mean_psnr_db + 1000.0);
+  EXPECT_EQ(cells[5].mean_psnr_db, synth_stats(5, 4).mean_psnr_db + 2000.0);
+  const CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+  ASSERT_EQ(store.completed_count(), cells.size());
+  for (const campaign::CellStats& want : cells) {
+    const campaign::CellStats* got = store.completed_stats(want.index);
+    ASSERT_NE(got, nullptr) << "cell " << want.index;
+    EXPECT_EQ(encode_cell(*got), encode_cell(want)) << "cell " << want.index;
+  }
+}
+
 /// The SweepData a last-wins replay of every write gives: the replay's
 /// completed cells and trials, restricted to the cells `keep` accepts
 /// (orphans count as cells that are not completed).
