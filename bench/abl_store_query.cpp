@@ -10,7 +10,8 @@
 // iteration) pins WHY the segmented numbers stay flat as the store
 // grows — the JSON artifact (BENCH_store_query.json) carries both the
 // latency and the touched-byte series. BM_LoadSweepFull and
-// BM_AnalyzeSweep time the two halves of a whole-store `stats`, and
+// BM_AnalyzeSweep time the two halves of a whole-store `stats`,
+// BM_AnalyzeStores the whole of it at one worker and at every core, and
 // BM_PermutationGate the grid-level test behind `diff` gating.
 #include <benchmark/benchmark.h>
 
@@ -232,6 +233,28 @@ void BM_AnalyzeSweep(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+/// The whole of `stats` (and of each side of `diff`) on the compacted
+/// store: analyze_stores at `workers` workers, 0 being the CLI's auto
+/// choice (every core at this size).
+void BM_AnalyzeStores(benchmark::State& state) {
+  const std::string& path =
+      stores_for(std::uint64_t(state.range(0))).segmented;
+  const auto workers = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    campaign::SweepAnalysis analysis =
+        campaign::analyze_stores({path}, {}, workers);
+    if (analysis.report.trials_analyzed != std::uint64_t(state.range(0))) {
+      state.SkipWithError("analyze_stores analyzed the wrong trial count");
+      return;
+    }
+    benchmark::DoNotOptimize(analysis);
+  }
+  state.counters["trials_per_s"] = benchmark::Counter(
+      static_cast<double>(state.range(0)) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 /// The grid-level gate of `diff --exit-on-significant`: a paired
 /// sign-flip permutation test over 10^4 cell deltas, 10^4 resamples.
 void BM_PermutationGate(benchmark::State& state) {
@@ -263,6 +286,10 @@ BENCHMARK(BM_LoadSweepFull)
 BENCHMARK(BM_AnalyzeSweep)
     ->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeStores)
+    ->ArgNames({"trials", "workers"})
+    ->Args({1000000, 1})->Args({1000000, 0})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_PermutationGate)->Unit(benchmark::kMillisecond);
 
 void print_intro() {
@@ -276,8 +303,10 @@ void print_intro() {
   std::puts("query; store_bytes is the on-disk footprint — flat queries");
   std::puts("scale with the store, segmented queries with the answer.");
   std::puts("LoadSweepFull/AnalyzeSweep time the two halves of a whole-");
-  std::puts("store `stats` on the compacted copy; PermutationGate is the");
-  std::puts("10^4-cell x 10^4-resample grid test of `diff` gating.\n");
+  std::puts("store `stats` on the compacted copy, and AnalyzeStores the");
+  std::puts("whole of it at 1 worker and at every core (workers:0);");
+  std::puts("PermutationGate is the 10^4-cell x 10^4-resample grid test");
+  std::puts("of `diff` gating.\n");
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 #include "util/prng.h"
 #include "util/simd.h"
 
-#if defined(MSA_SIMD_SSE2)
+#if defined(MSA_SIMD_AVX2)
+#include <immintrin.h>
+#elif defined(MSA_SIMD_SSE2)
 #include <emmintrin.h>
 #endif
 
@@ -106,6 +108,42 @@ void lane_sums_sse2(const std::vector<std::uint64_t>& delta_bits,
 }
 #endif
 
+#if defined(MSA_SIMD_AVX2)
+/// lane_sums_scalar as 2 x 4 doubles: lanes 4k..4k+3 live in register k,
+/// lowest lane first. _mm256_add_pd rounds each lane exactly as the
+/// scalar add does.
+__attribute__((target("avx2"))) void lane_sums_avx2(
+    const std::vector<std::uint64_t>& delta_bits, const std::uint64_t* words,
+    std::size_t n_words, double* sums) {
+  constexpr std::size_t kQuads = kLanes / 4;
+  __m256d s[kQuads];
+  for (__m256d& acc : s) acc = _mm256_setzero_pd();
+  for (std::size_t word = 0; word < n_words; ++word) {
+    __m256i negate[kQuads];
+    for (std::size_t k = 0; k < kQuads; ++k) {
+      const auto lane = [&](std::size_t l) {
+        return static_cast<long long>(~words[(4 * k + l) * n_words + word]);
+      };
+      negate[k] = _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
+    }
+    const std::size_t end = std::min(delta_bits.size(), (word + 1) * 64);
+    for (std::size_t i = word * 64; i < end; ++i) {
+      const __m256i d =
+          _mm256_set1_epi64x(static_cast<long long>(delta_bits[i]));
+      for (std::size_t k = 0; k < kQuads; ++k) {
+        const __m256i flipped =
+            _mm256_xor_si256(d, _mm256_slli_epi64(negate[k], 63));
+        s[k] = _mm256_add_pd(s[k], _mm256_castsi256_pd(flipped));
+        negate[k] = _mm256_srli_epi64(negate[k], 1);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kQuads; ++k) {
+    _mm256_storeu_pd(sums + 4 * k, s[k]);
+  }
+}
+#endif
+
 }  // namespace
 
 PermutationResult paired_permutation_test(const std::vector<double>& deltas,
@@ -137,6 +175,9 @@ PermutationResult paired_permutation_test(const std::vector<double>& deltas,
   auto* lane_sums = &lane_sums_scalar;
 #if defined(MSA_SIMD_SSE2)
   if (util::simd_level() >= util::SimdLevel::kSse2) lane_sums = &lane_sums_sse2;
+#endif
+#if defined(MSA_SIMD_AVX2)
+  if (util::simd_level() >= util::SimdLevel::kAvx2) lane_sums = &lane_sums_avx2;
 #endif
   // Batches of kLanes consecutive resamples: their words are drawn in
   // stream order (resample by resample), so resample k sees the same

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "attack/scenario.h"
 #include "campaign/table.h"
 #include "obs/trace.h"
 #include "persist/store_reader.h"
+#include "util/parallel.h"
 
 namespace msa::campaign {
 
@@ -86,6 +89,60 @@ std::size_t nearest_rank_index(std::size_t size, double q) {
   return std::min(size - 1, rank == 0 ? 0 : rank - 1);
 }
 
+/// Ranges this short are insertion-sorted rather than partitioned.
+constexpr std::size_t kInsertionSortMax = 12;
+
+/// Moves the k-th smallest value of a[lo, hi) to a[k], with no larger
+/// value before it and no smaller one after it in [lo, hi). Each round
+/// partitions around the median of three with Lomuto passes that do not
+/// branch on the data: every step swaps, and the comparison only moves
+/// the boundary. The first pass gathers the values below the pivot, the
+/// pivot goes to the boundary, and a second pass gathers the values
+/// equal to it, so a run of ties ends the search in one round. The
+/// pivot itself always settles, so the loop ends even when every
+/// comparison is false (NaNs).
+void select_rank(double* a, std::size_t lo, std::size_t hi, std::size_t k) {
+  while (hi - lo > kInsertionSortMax) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (a[mid] < a[lo]) std::swap(a[mid], a[lo]);
+    if (a[hi - 1] < a[lo]) std::swap(a[hi - 1], a[lo]);
+    if (a[hi - 1] < a[mid]) std::swap(a[hi - 1], a[mid]);
+    std::swap(a[mid], a[hi - 1]);
+    const double pivot = a[hi - 1];
+    std::size_t below = lo;  // a[lo, below) < pivot
+    for (std::size_t i = lo; i + 1 < hi; ++i) {
+      const double x = a[i];
+      const bool less = x < pivot;
+      a[i] = a[below];
+      a[below] = x;
+      below += less;
+    }
+    a[hi - 1] = a[below];
+    a[below] = pivot;
+    std::size_t equal = below + 1;  // a[below, equal) == pivot
+    for (std::size_t i = equal; i < hi; ++i) {
+      const double x = a[i];
+      const bool same = x == pivot;
+      a[i] = a[equal];
+      a[equal] = x;
+      equal += same;
+    }
+    if (k < below) {
+      hi = below;
+    } else if (k < equal) {
+      return;
+    } else {
+      lo = equal;
+    }
+  }
+  for (std::size_t i = lo + 1; i < hi; ++i) {
+    const double x = a[i];
+    std::size_t j = i;
+    for (; j > lo && x < a[j - 1]; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
+
 }  // namespace
 
 double percentile_sorted(const std::vector<double>& sorted, double q) {
@@ -99,9 +156,7 @@ Percentiles select_percentiles(std::vector<double>& sample) {
   const auto select = [&](double q) {
     const std::size_t k = nearest_rank_index(sample.size(), q);
     if (k >= from) {
-      std::nth_element(sample.begin() + static_cast<std::ptrdiff_t>(from),
-                       sample.begin() + static_cast<std::ptrdiff_t>(k),
-                       sample.end());
+      select_rank(sample.data(), from, sample.size(), k);
       from = k + 1;
     }
     return sample[k];
@@ -111,36 +166,41 @@ Percentiles select_percentiles(std::vector<double>& sample) {
   return {p50, p90, select(99.0)};
 }
 
-void StatsBuilder::add_cell(const CellStats& cell,
-                            std::span<const persist::TrialRecord> trials) {
+CellSummary StatsBuilder::summarize(
+    const CellStats& cell, std::span<const persist::TrialRecord> trials) {
   if (trials.empty()) {
     throw std::runtime_error(
         "stats: completed cell " + std::to_string(cell.index) +
         " has no trial records (incompatible or hand-edited store)");
   }
-  CellDistribution dist;
+  CellSummary out;
+  CellDistribution& dist = out.dist;
   dist.index = cell.index;
   dist.coords = cell.coords;
   dist.trials = trials.size();
-  report_.trials_analyzed += dist.trials;
 
-  psnrs_.clear();
-  double psnr_sum = 0.0;
+  std::vector<double> psnrs;
+  psnrs.reserve(trials.size());
   for (const persist::TrialRecord& t : trials) {
     if (trial_full_success(t)) ++dist.successes;
     if (t.denied) ++dist.denials;
-    psnrs_.push_back(t.psnr);
-    psnr_sum += t.psnr;
+    psnrs.push_back(t.psnr);
+    out.psnr_sum += t.psnr;
   }
-  const Percentiles psnr = select_percentiles(psnrs_);
+  const Percentiles psnr = select_percentiles(psnrs);
   dist.p50_psnr = psnr.p50;
   dist.p90_psnr = psnr.p90;
   dist.p99_psnr = psnr.p99;
   dist.success_rate =
       static_cast<double>(dist.successes) / static_cast<double>(dist.trials);
   dist.success_ci = wilson_interval(dist.successes, dist.trials);
+  return out;
+}
 
-  for (const AxisCoordinate& coord : cell.coords) {
+void StatsBuilder::fold(CellSummary summary) {
+  CellDistribution& dist = summary.dist;
+  report_.trials_analyzed += dist.trials;
+  for (const AxisCoordinate& coord : dist.coords) {
     if (std::find(axis_order_.begin(), axis_order_.end(), coord.axis) ==
         axis_order_.end()) {
       axis_order_.push_back(coord.axis);
@@ -152,7 +212,7 @@ void StatsBuilder::add_cell(const CellStats& cell,
     acc.trials += dist.trials;
     acc.successes += dist.successes;
     acc.denials += dist.denials;
-    acc.psnr_sum += psnr_sum;
+    acc.psnr_sum += summary.psnr_sum;
   }
 
   report_.cells.push_back(std::move(dist));
@@ -216,22 +276,69 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
   return std::move(builder).finish();
 }
 
+namespace {
+
+/// Chunks per worker when there are several: enough that a worker the
+/// machine slows down leaves most of its share to the others. One
+/// worker walks the whole range as one chunk.
+constexpr std::size_t kChunksPerWorker = 8;
+
+/// One chunk of a walk summarized: its cells in index order, its
+/// orphan trials, and the duplicates its slice of the walk dropped.
+struct ChunkSummary {
+  std::vector<CellSummary> cells;
+  std::size_t orphans = 0;
+  std::size_t duplicate_cells = 0;
+  std::size_t duplicate_trials = 0;
+};
+
+}  // namespace
+
 SweepAnalysis analyze_stores(const std::vector<std::string>& paths,
-                             const persist::CellFilter& filter) {
+                             const persist::CellFilter& filter,
+                             unsigned threads) {
   TRACE_SPAN("campaign", "analyze_sweep");
-  persist::SweepWalk walk{paths, filter};
-  StatsBuilder builder;
+  const persist::SweepWalk walk{paths, filter};
+  const unsigned workers = util::workers_for(walk.trial_records(), threads);
+  // Chunk c covers an even share of the grid's index range; the last one
+  // also takes any cell past it (orphan trials of a damaged store).
+  const std::uint64_t grid = walk.info().manifest.grid_cells;
+  const std::size_t chunks =
+      workers == 1 ? 1 : std::size_t{workers} * kChunksPerWorker;
+  const auto bound = [&](std::size_t c) -> std::uint64_t {
+    if (c == chunks) return std::numeric_limits<std::uint64_t>::max();
+    return grid / chunks * c + std::min<std::uint64_t>(c, grid % chunks);
+  };
+  std::vector<ChunkSummary> summaries(chunks);
   {
     TRACE_SPAN("persist", "walk_sweep");
-    while (const std::optional<persist::CellTrials> cell = walk.next()) {
-      if (cell->stats == nullptr) {
-        builder.add_orphans(cell->trials.size());
-      } else {
-        builder.add_cell(*cell->stats, cell->trials);
+    util::parallel_for(workers, chunks, [&](std::size_t c) {
+      persist::SweepWalk slice = walk.slice(bound(c), bound(c + 1));
+      ChunkSummary& chunk = summaries[c];
+      while (const std::optional<persist::CellTrials> cell = slice.next()) {
+        if (cell->stats == nullptr) {
+          chunk.orphans += cell->trials.size();
+        } else {
+          chunk.cells.push_back(
+              StatsBuilder::summarize(*cell->stats, cell->trials));
+        }
       }
-    }
+      chunk.duplicate_cells = slice.info().duplicate_cells;
+      chunk.duplicate_trials = slice.info().duplicate_trials;
+    });
   }
-  return {std::move(builder).finish(), walk.info()};
+  // Folded here in index order, so every double is added in the order a
+  // serial walk adds it.
+  StatsBuilder builder;
+  SweepAnalysis out{{}, walk.info()};
+  for (ChunkSummary& chunk : summaries) {
+    for (CellSummary& cell : chunk.cells) builder.fold(std::move(cell));
+    builder.add_orphans(chunk.orphans);
+    out.info.duplicate_cells += chunk.duplicate_cells;
+    out.info.duplicate_trials += chunk.duplicate_trials;
+  }
+  out.report = std::move(builder).finish();
+  return out;
 }
 
 namespace {

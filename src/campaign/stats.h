@@ -46,9 +46,10 @@ struct Percentiles {
 };
 
 /// Nearest-rank p50/p90/p99 of a non-empty sample by selection — three
-/// std::nth_element calls on increasing ranks, each over the part of the
-/// sample the previous one left above its rank — instead of a sort.
-/// Equal to percentile_sorted at 50/90/99 over the sorted sample.
+/// quickselects on increasing ranks, each over the part of the sample
+/// the previous one left above its rank — instead of a sort. Equal to
+/// percentile_sorted at 50/90/99 over the sorted sample. A sample with
+/// NaNs has no order; selection still ends and returns values from it.
 /// Reorders `sample`.
 [[nodiscard]] Percentiles select_percentiles(std::vector<double>& sample);
 
@@ -100,16 +101,34 @@ struct StatsReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// One completed cell summarized: its distribution, and the sum of its
+/// trials' PSNRs, which the marginals' mean needs.
+struct CellSummary {
+  CellDistribution dist;
+  double psnr_sum = 0.0;
+};
+
 /// Builds a StatsReport one cell at a time, cells ascending by index —
 /// the per-cell body of every analysis, so a sweep can be analyzed
-/// straight off a store walk without collecting its trial stream.
+/// straight off a store walk without collecting its trial stream. The
+/// per-cell work is pure (summarize), so cells may be summarized on any
+/// thread; only the fold, which adds into the marginals, must see the
+/// cells in index order for the report to be byte-identical.
 class StatsBuilder {
  public:
-  /// Folds one completed cell's trials, ascending by trial, into its
-  /// distribution and the marginals. Throws std::runtime_error when
-  /// there are none (a store written by a pre-trial-stream tool).
+  /// One completed cell's trials, ascending by trial, summarized. Throws
+  /// std::runtime_error when there are none (a store written by a
+  /// pre-trial-stream tool).
+  [[nodiscard]] static CellSummary summarize(
+      const CellStats& cell, std::span<const persist::TrialRecord> trials);
+  /// Adds a summarized cell to the marginals and appends its
+  /// distribution; cells must come ascending by index.
+  void fold(CellSummary summary);
+  /// fold(summarize(cell, trials)).
   void add_cell(const CellStats& cell,
-                std::span<const persist::TrialRecord> trials);
+                std::span<const persist::TrialRecord> trials) {
+    fold(summarize(cell, trials));
+  }
   /// Counts trial records whose cell never completed.
   void add_orphans(std::size_t trials) noexcept {
     report_.orphan_trials += trials;
@@ -128,7 +147,6 @@ class StatsBuilder {
   StatsReport report_;
   std::map<std::pair<std::string, std::string>, Marginal> marginals_;
   std::vector<std::string> axis_order_;  ///< first-appearance axis order
-  std::vector<double> psnrs_;            ///< one cell's sample, reused
 };
 
 /// Computes the report from loaded store data in one pass. Only completed
@@ -147,11 +165,17 @@ struct SweepAnalysis {
   persist::SweepInfo info;
 };
 
-/// analyze_sweep(load_sweep(paths, filter)), byte for byte, with each
-/// cell's merged trials fed from a persist::SweepWalk into one
-/// StatsBuilder: one cell's trials are held at a time, never the whole
-/// stream. Throws what load_sweep and analyze_sweep throw.
+/// analyze_sweep(load_sweep(paths, filter)), byte for byte, off a
+/// persist::SweepWalk on `threads` workers (0: one below
+/// util::kParallelMinItems trial records, every core above). The grid's
+/// index range is cut into contiguous chunks; the workers summarize
+/// each chunk off a slice of the walk, holding one cell's trials at a
+/// time, and the calling thread folds the summaries in index order, so
+/// every double is added in the same order at any worker count. Throws
+/// what load_sweep and analyze_sweep throw; when several chunks fail,
+/// the error of the lowest one.
 [[nodiscard]] SweepAnalysis analyze_stores(
-    const std::vector<std::string>& paths, const persist::CellFilter& filter);
+    const std::vector<std::string>& paths, const persist::CellFilter& filter,
+    unsigned threads = 0);
 
 }  // namespace msa::campaign

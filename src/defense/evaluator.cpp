@@ -18,7 +18,7 @@ DefenseOutcome DefenseEvaluator::evaluate(const DefensePreset& preset,
     attack::ScenarioConfig cfg = preset.apply(base_);
     cfg.image_seed = base_.image_seed + t * 7919;  // vary the victim input
     cfg.system.seed = base_.system.seed + t;       // vary board entropy
-    const attack::ScenarioResult r = attack::run_scenario(cfg);
+    const attack::ScenarioResult r = attack::run_scenario(cfg, profiles_);
     if (r.denied) {
       ++out.denied;
       continue;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/profile_cache.h"
 #include "attack/scenario.h"
 #include "defense/presets.h"
 
@@ -38,6 +39,9 @@ class DefenseEvaluator {
   explicit DefenseEvaluator(attack::ScenarioConfig base) : base_{base} {}
 
   /// Evaluates one preset over `trials` runs with varying image seeds.
+  /// Every trial runs through one ProfileCache held for the evaluator's
+  /// lifetime, so boards are reused across trials and presets; results
+  /// are the same as on a fresh cache per trial.
   [[nodiscard]] DefenseOutcome evaluate(const DefensePreset& preset,
                                         std::size_t trials);
 
@@ -50,6 +54,7 @@ class DefenseEvaluator {
 
  private:
   attack::ScenarioConfig base_;
+  attack::ProfileCache profiles_;
 };
 
 }  // namespace msa::defense

@@ -58,6 +58,24 @@ bool body_len_ok(std::uint32_t body_len) {
   return body_len != 0 && body_len <= kMaxRecordBody;
 }
 
+/// The frame at the start of `bytes`, checked and viewed in place:
+/// nullopt, counted as a CRC frame failure, when it is short, oversized
+/// or fails its CRC. Its length is 9 + the view's payload size.
+std::optional<RecordView> view_frame(std::span<const std::uint8_t> bytes) {
+  const auto torn = [] {
+    crc_failure_counter().add();
+    return std::nullopt;
+  };
+  if (bytes.size() < 9) return torn();
+  util::ByteReader hr{bytes.first(8)};
+  const std::uint32_t body_len = hr.u32();
+  const std::uint32_t stored_crc = hr.u32();
+  if (!body_len_ok(body_len) || body_len > bytes.size() - 8) return torn();
+  const std::span<const std::uint8_t> body = bytes.subspan(8, body_len);
+  if (util::crc32(body) != stored_crc) return torn();
+  return RecordView{body[0], body.subspan(1)};
+}
+
 /// CRC-32 of a frame body: its type byte, then the payload.
 std::uint32_t body_crc(std::uint8_t type, std::span<const std::uint8_t> head,
                        std::span<const std::uint8_t> tail = {}) {
@@ -155,22 +173,15 @@ RecordBuffer::RecordBuffer(const std::string& path, std::uint64_t offset)
 }
 
 std::optional<RecordView> RecordBuffer::next() {
-  const std::size_t left = size_ - pos_;
-  if (truncated_ || left == 0) return std::nullopt;
-  const auto torn = [&] {
+  if (truncated_ || pos_ == size_) return std::nullopt;
+  const std::optional<RecordView> rec =
+      view_frame({bytes_.get() + pos_, size_ - pos_});
+  if (!rec.has_value()) {
     truncated_ = true;
-    crc_failure_counter().add();
     return std::nullopt;
-  };
-  if (left < 9) return torn();
-  util::ByteReader hr{std::span<const std::uint8_t>{bytes_.get() + pos_, 8}};
-  const std::uint32_t body_len = hr.u32();
-  const std::uint32_t stored_crc = hr.u32();
-  if (!body_len_ok(body_len) || body_len > left - 8) return torn();
-  const std::span<const std::uint8_t> body{bytes_.get() + pos_ + 8, body_len};
-  if (util::crc32(body) != stored_crc) return torn();
-  pos_ += 8 + body_len;
-  return RecordView{body[0], body.subspan(1)};
+  }
+  pos_ += 9 + rec->payload.size();
+  return rec;
 }
 
 RecordFile::RecordFile(std::string path) : path_{std::move(path)} {
@@ -241,6 +252,20 @@ std::optional<Record> RecordFile::read_at(std::uint64_t offset) const {
     return torn();
   }
   return record;
+}
+
+std::optional<RecordView> RecordFile::read_frame(
+    std::uint64_t offset, std::span<std::uint8_t> frame) const {
+  if (read_upto(offset, frame) != frame.size()) {
+    crc_failure_counter().add();
+    return std::nullopt;
+  }
+  const std::optional<RecordView> rec = view_frame(frame);
+  if (rec.has_value() && 9 + rec->payload.size() != frame.size()) {
+    crc_failure_counter().add();
+    return std::nullopt;
+  }
+  return rec;
 }
 
 RecordWriter::RecordWriter(const std::string& path) : path_{path} {

@@ -145,6 +145,12 @@ class RecordFile {
   /// nullopt when it is short, oversized or fails its CRC. Throws
   /// std::runtime_error on a genuine I/O error.
   [[nodiscard]] std::optional<Record> read_at(std::uint64_t offset) const;
+  /// The frame of exactly frame.size() bytes starting at `offset`, read
+  /// with one pread into `frame` and viewed there; nullopt under the
+  /// same conditions as read_at, or when the frame's length field does
+  /// not fill `frame`. Calls into disjoint buffers may run concurrently.
+  [[nodiscard]] std::optional<RecordView> read_frame(
+      std::uint64_t offset, std::span<std::uint8_t> frame) const;
 
  private:
   friend class RecordBuffer;  // reads its tail through read_upto

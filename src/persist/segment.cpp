@@ -38,6 +38,29 @@ obs::Counter& segment_blocks_read_counter() {
   throw std::runtime_error("persist: segment " + path + ": " + what);
 }
 
+/// The frame `read()` returns from `offset` of segment `path` — a Record
+/// or a RecordView — checked: an I/O error, a torn frame and a frame of
+/// another type than `expect_type` throw named errors.
+template <typename Read>
+auto checked_frame(const std::string& path, std::uint64_t offset,
+                   std::uint8_t expect_type, Read read) {
+  decltype(read()) rec;
+  try {
+    rec = read();
+  } catch (const std::runtime_error& e) {
+    seg_error(path, std::string{"unreadable frame: "} + e.what());
+  }
+  if (!rec.has_value()) {
+    seg_error(path, "truncated or corrupt frame at offset " +
+                        std::to_string(offset));
+  }
+  if (rec->type != expect_type) {
+    seg_error(path, "unexpected record type " + std::to_string(rec->type) +
+                        " at offset " + std::to_string(offset));
+  }
+  return *std::move(rec);
+}
+
 }  // namespace
 
 SegmentInfo write_segment(const std::string& path, std::uint32_t level,
@@ -182,22 +205,10 @@ SegmentInfo write_segment(const std::string& path, std::uint32_t level,
 
 std::vector<std::uint8_t> SegmentReader::read_frame_at(
     std::uint64_t offset, std::uint8_t expect_type) const {
-  std::optional<Record> rec;
-  try {
-    rec = file_->read_at(offset);
-  } catch (const std::runtime_error& e) {
-    seg_error(path_, std::string{"unreadable frame: "} + e.what());
-  }
-  if (!rec.has_value()) {
-    seg_error(path_, "truncated or corrupt frame at offset " +
-                         std::to_string(offset));
-  }
-  if (rec->type != expect_type) {
-    seg_error(path_, "unexpected record type " + std::to_string(rec->type) +
-                         " at offset " + std::to_string(offset));
-  }
-  segment_bytes_read_counter().add(8 + 1 + rec->payload.size());
-  return std::move(rec->payload);
+  Record rec = checked_frame(path_, offset, expect_type,
+                             [&] { return file_->read_at(offset); });
+  segment_bytes_read_counter().add(8 + 1 + rec.payload.size());
+  return std::move(rec.payload);
 }
 
 SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
@@ -332,28 +343,37 @@ std::optional<std::size_t> SegmentReader::trial_block_for(
          1;
 }
 
-SegmentReader::TrialBlock SegmentReader::read_trial_block(
-    std::size_t block) const {
+std::vector<SegmentReader::TrialGroup> SegmentReader::read_trial_block(
+    std::size_t block, std::span<std::uint8_t> frame) const {
   const BlockRef& ref = trial_blocks_.at(block);
-  TrialBlock out;
-  out.payload = read_frame_at(ref.offset, kSegTrialBlock);
+  if (frame.size() != ref.frame_len) {
+    throw std::invalid_argument("persist: trial block buffer of " +
+                                std::to_string(frame.size()) +
+                                " bytes for a frame of " +
+                                std::to_string(ref.frame_len));
+  }
+  const RecordView rec =
+      checked_frame(path_, ref.offset, kSegTrialBlock,
+                    [&] { return file_->read_frame(ref.offset, frame); });
+  segment_bytes_read_counter().add(ref.frame_len);
   segment_blocks_read_counter().add();
   // Group entry: blob(cell key) varint(trial count) { blob(trial) }...
-  util::ByteReader r{out.payload};
-  const std::uint64_t groups = r.count();
-  out.groups.reserve(groups);
+  util::ByteReader r{rec.payload};
+  const std::uint64_t count = r.count();
+  std::vector<TrialGroup> groups;
+  groups.reserve(count);
   std::uint64_t trials = 0;
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    TrialGroup& group = out.groups.emplace_back();
+  for (std::uint64_t g = 0; g < count; ++g) {
+    TrialGroup& group = groups.emplace_back();
     group.key = r.blob();
     group.count = r.varint();
     const std::size_t begin = r.position();
     for (std::uint64_t i = 0; i < group.count; ++i) (void)r.blob();
-    group.trials = std::span{out.payload}.subspan(begin, r.position() - begin);
+    group.trials = rec.payload.subspan(begin, r.position() - begin);
     trials += group.count;
   }
   if (trials != ref.count) seg_error(path_, "trial block count mismatch");
-  return out;
+  return groups;
 }
 
 std::optional<campaign::CellStats> SegmentReader::cell_for_key(

@@ -135,26 +135,33 @@ class SegmentReader {
     return trial_blocks_.size();
   }
 
+  /// Trial block `block`'s frame length in bytes and trial count, as the
+  /// index records them.
+  [[nodiscard]] std::uint64_t trial_frame_bytes(std::size_t block) const {
+    return trial_blocks_.at(block).frame_len;
+  }
+  [[nodiscard]] std::uint64_t trial_block_trials(std::size_t block) const {
+    return trial_blocks_.at(block).count;
+  }
+
   /// One cell's trials inside a trial block: its encoded cell key and
   /// `count` encoded trial records (each a blob: varint length + bytes),
-  /// in stored trial order. Views into the owning TrialBlock's payload.
+  /// in stored trial order. Views into the frame the block was read into.
   struct TrialGroup {
     std::span<const std::uint8_t> key;
     std::uint64_t count = 0;
     std::span<const std::uint8_t> trials;
   };
-  /// A trial block's payload with its groups located. The views stay
-  /// valid when the block is moved (the payload's buffer moves with it).
-  struct TrialBlock {
-    std::vector<std::uint8_t> payload;
-    std::vector<TrialGroup> groups;
-  };
 
-  /// Reads trial block `block` (CRC-checked), locates its groups and
-  /// checks their trial total against the index — no record is decoded.
-  /// StoreReader decodes each selected record once, straight into its
-  /// merged position.
-  [[nodiscard]] TrialBlock read_trial_block(std::size_t block) const;
+  /// Reads trial block `block`'s whole frame into `frame`, which must be
+  /// trial_frame_bytes(block) long, checks its type and CRC, and locates
+  /// its groups, checking their trial total against the index — no
+  /// record is decoded. The groups view `frame`. Calls for disjoint
+  /// frames may run concurrently; StoreReader reads a segment's selected
+  /// blocks that way, into one buffer, and decodes each selected record
+  /// once, straight into its merged position.
+  [[nodiscard]] std::vector<TrialGroup> read_trial_block(
+      std::size_t block, std::span<std::uint8_t> frame) const;
 
  private:
   struct BlockRef {

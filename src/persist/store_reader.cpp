@@ -4,6 +4,8 @@
 #include <bit>
 #include <filesystem>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include "persist/record_io.h"
 #include "persist/store_codec.h"
 #include "util/bytes.h"
+#include "util/parallel.h"
 
 namespace msa::persist {
 
@@ -319,11 +322,11 @@ std::vector<campaign::CellStats> StoreReader::select(const CellFilter& filter,
   return out;
 }
 
-/// A trial read's key walk: the segment blocks read, the apply-order
-/// pieces of encoded records viewing them and the log, and the runs
-/// those records were cut into, ordered by cell.
+/// A trial read's key walk: the segment blocks read (one buffer per
+/// segment), the apply-order pieces of encoded records viewing them and
+/// the log, and the runs those records were cut into, ordered by cell.
 struct StoreReader::CellWalk::Plan {
-  std::vector<SegmentReader::TrialBlock> blocks;
+  std::vector<std::unique_ptr<std::uint8_t[]>> frames;
   std::vector<Piece> pieces;
   std::vector<Run> runs;
   std::size_t records = 0;
@@ -366,7 +369,17 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
     }
     return seen_selected;
   };
-  RunCutter cutter;
+  // The selected trial blocks in apply order, each with its frame's
+  // place in its segment's buffer — allocated here, left uninitialised,
+  // and filled by the reads.
+  struct BlockRead {
+    const SegmentReader* segment = nullptr;
+    std::size_t block = 0;
+    std::span<std::uint8_t> frame;
+    std::vector<SegmentReader::TrialGroup> groups;
+  };
+  std::vector<BlockRead> reads;
+  std::uint64_t trials = 0;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
     // Under `keys`, only the blocks that can hold one of them, each read
     // once even when it serves several.
@@ -382,23 +395,40 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
         }
       }
     }
+    std::uint64_t bytes = 0;
+    for (const std::size_t b : selected) bytes += seg->trial_frame_bytes(b);
+    std::uint8_t* at =
+        out->frames
+            .emplace_back(std::make_unique_for_overwrite<std::uint8_t[]>(
+                static_cast<std::size_t>(bytes)))
+            .get();
     for (const std::size_t b : selected) {
-      SegmentReader::TrialBlock& block =
-          out->blocks.emplace_back(seg->read_trial_block(b));
-      for (const SegmentReader::TrialGroup& group : block.groups) {
-        // A group is one cell's trials: its first record names the cell.
-        if (group.count == 0 ||
-            !selected_cell(
-                decode_trial_key(util::ByteReader{group.trials}.blob())
-                    .first)) {
-          continue;
-        }
-        out->pieces.push_back(
-            {cutter.records(), group.count, group.trials, {}});
-        util::ByteReader r{group.trials};
-        for (std::uint64_t i = 0; i < group.count; ++i) {
-          cutter.add(decode_trial_key(r.blob()));
-        }
+      const auto len = static_cast<std::size_t>(seg->trial_frame_bytes(b));
+      reads.push_back({seg.get(), b, {at, len}, {}});
+      at += len;
+      trials += seg->trial_block_trials(b);
+    }
+  }
+  // The frames are disjoint, so blocks are read and CRC-checked side by
+  // side; then this thread walks their keys in apply order to cut runs.
+  util::parallel_for(util::workers_for(trials, 0), reads.size(),
+                     [&](std::size_t i) {
+                       reads[i].groups = reads[i].segment->read_trial_block(
+                           reads[i].block, reads[i].frame);
+                     });
+  RunCutter cutter;
+  for (const BlockRead& read : reads) {
+    for (const SegmentReader::TrialGroup& group : read.groups) {
+      // A group is one cell's trials: its first record names the cell.
+      if (group.count == 0 ||
+          !selected_cell(
+              decode_trial_key(util::ByteReader{group.trials}.blob()).first)) {
+        continue;
+      }
+      out->pieces.push_back({cutter.records(), group.count, group.trials, {}});
+      util::ByteReader r{group.trials};
+      for (std::uint64_t i = 0; i < group.count; ++i) {
+        cutter.add(decode_trial_key(r.blob()));
       }
     }
   }
@@ -426,9 +456,13 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
   return out;
 }
 
-StoreReader::CellWalk::CellWalk(std::unique_ptr<Plan> plan,
-                                std::vector<campaign::CellStats> cells)
-    : plan_{std::move(plan)}, cells_{std::move(cells)} {}
+StoreReader::CellWalk::CellWalk(
+    std::shared_ptr<const Plan> plan,
+    std::shared_ptr<const std::vector<campaign::CellStats>> cells)
+    : plan_{std::move(plan)},
+      cells_{std::move(cells)},
+      cell_end_{cells_->size()},
+      run_end_{plan_->runs.size()} {}
 StoreReader::CellWalk::CellWalk(CellWalk&&) noexcept = default;
 StoreReader::CellWalk& StoreReader::CellWalk::operator=(CellWalk&&) noexcept =
     default;
@@ -438,18 +472,44 @@ std::size_t StoreReader::CellWalk::records() const noexcept {
   return plan_->records;
 }
 
+StoreReader::CellWalk StoreReader::CellWalk::slice(std::uint64_t lo,
+                                                  std::uint64_t hi) const {
+  // The position in items[begin, end), both ascending by cell, of the
+  // first item at or past cell `index`; past every one when unbounded.
+  const auto position = [](const auto& items, std::size_t begin,
+                           std::size_t end, std::uint64_t index, auto cell) {
+    if (index == std::numeric_limits<std::uint64_t>::max()) return end;
+    const auto first = items.begin();
+    return static_cast<std::size_t>(
+        std::ranges::lower_bound(first + static_cast<std::ptrdiff_t>(begin),
+                                 first + static_cast<std::ptrdiff_t>(end),
+                                 index, {}, cell) -
+        first);
+  };
+  CellWalk out{plan_, cells_};
+  const auto index = &campaign::CellStats::index;
+  out.cell_begin_ = out.cell_ =
+      position(*cells_, cell_begin_, cell_end_, lo, index);
+  out.cell_end_ = position(*cells_, cell_begin_, cell_end_, hi, index);
+  out.run_begin_ = out.run_ =
+      position(plan_->runs, run_begin_, run_end_, lo, &Run::cell);
+  out.run_end_ = position(plan_->runs, run_begin_, run_end_, hi, &Run::cell);
+  return out;
+}
+
 std::optional<CellTrials> StoreReader::CellWalk::next() {
   const std::vector<Run>& runs = plan_->runs;
-  const bool completed = cell_ < cells_.size();
-  const bool streamed = run_ < runs.size();
+  const std::vector<campaign::CellStats>& cells = *cells_;
+  const bool completed = cell_ < cell_end_;
+  const bool streamed = run_ < run_end_;
   if (!completed && !streamed) return std::nullopt;
   CellTrials out;
-  out.index = !streamed    ? cells_[cell_].index
+  out.index = !streamed    ? cells[cell_].index
               : !completed ? runs[run_].cell
-                           : std::min<std::uint64_t>(cells_[cell_].index,
+                           : std::min<std::uint64_t>(cells[cell_].index,
                                                      runs[run_].cell);
-  if (completed && cells_[cell_].index == out.index) {
-    out.stats = &cells_[cell_++];
+  if (completed && cells[cell_].index == out.index) {
+    out.stats = &cells[cell_++];
   }
   trials_.clear();
   if (streamed && runs[run_].cell == out.index) {
@@ -469,7 +529,9 @@ StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
       select(filter, all ? nullptr : &keys);
   std::unique_ptr<CellWalk::Plan> p =
       all ? plan(nullptr, nullptr) : plan(&selected, &keys);
-  return CellWalk{std::move(p), std::move(selected)};
+  return CellWalk{std::move(p),
+                  std::make_shared<const std::vector<campaign::CellStats>>(
+                      std::move(selected))};
 }
 
 StoreReader::KeyedCells StoreReader::keyed_cells() const {
@@ -516,10 +578,10 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
   }
   if (!stats.has_value()) return std::nullopt;
 
-  std::vector<campaign::CellStats> selected{*stats};
+  auto selected =
+      std::make_shared<const std::vector<campaign::CellStats>>(1, *stats);
   const CellKeys keys{key};
-  std::unique_ptr<CellWalk::Plan> p = plan(&selected, &keys);
-  CellWalk walk{std::move(p), std::move(selected)};
+  CellWalk walk{plan(selected.get(), &keys), selected};
   CellData out;
   while (const std::optional<CellTrials> cell = walk.next()) {
     out.trials.assign(cell->trials.begin(), cell->trials.end());
@@ -558,11 +620,24 @@ SweepWalk::SweepWalk(const std::vector<std::string>& paths,
     }
     trial_records_ += walk.records();
   }
-  heads_.reserve(walks_.size());
-  for (StoreReader::CellWalk& walk : walks_) heads_.push_back(walk.next());
+}
+
+SweepWalk SweepWalk::slice(std::uint64_t lo, std::uint64_t hi) const {
+  SweepWalk out;
+  out.paths_ = paths_;
+  out.trial_records_ = trial_records_;
+  out.walks_.reserve(walks_.size());
+  for (const StoreReader::CellWalk& walk : walks_) {
+    out.walks_.push_back(walk.slice(lo, hi));
+  }
+  return out;
 }
 
 std::optional<CellTrials> SweepWalk::next() {
+  if (heads_.size() != walks_.size()) {
+    heads_.reserve(walks_.size());
+    for (StoreReader::CellWalk& walk : walks_) heads_.push_back(walk.next());
+  }
   // The walks that held the cell handed over last move on only now,
   // keeping its views valid until this call.
   for (std::size_t s = 0; handed_ && s < heads_.size(); ++s) {

@@ -23,6 +23,18 @@
 // first-key block index and read only the trial blocks that can hold
 // the selected cells; the log tail is always scanned in full, but after
 // compaction it is just the manifest record.
+//
+// Walk slices: a walk's plan (the blocks read, the runs cut) is
+// read-only once made, so CellWalk::slice and SweepWalk::slice hand out
+// walks over a cell-index range [lo, hi) that share it. Each slice
+// hands over exactly the cells, trials and errors the whole walk would
+// in that range, so slices of disjoint ranges can be walked on
+// different threads and their results put back together in index
+// order. Every trial read (a walk, read_cell, keyed_cells) reads its
+// selected segment trial blocks, CRC checks included, on
+// util::workers_for(their trials, 0) threads: one below
+// util::kParallelMinItems trials, so point queries stay serial. The key
+// walk that cuts runs is serial.
 #pragma once
 
 #include <algorithm>
@@ -118,14 +130,20 @@ class StoreReader {
     CellWalk& operator=(CellWalk&&) noexcept;
     ~CellWalk();
 
-    /// The selected completed cells, ascending by index.
-    [[nodiscard]] const std::vector<campaign::CellStats>& cells()
+    /// The selected completed cells in this walk's range, ascending by
+    /// index.
+    [[nodiscard]] std::span<const campaign::CellStats> cells()
         const noexcept {
-      return cells_;
+      return std::span{*cells_}.subspan(cell_begin_, cell_end_ - cell_begin_);
     }
-    /// Trial records the walk will merge, before deduplication — an
-    /// upper bound on the trials it hands over.
+    /// Trial records the whole walk will merge, before deduplication —
+    /// an upper bound on the trials it (or any slice) hands over.
     [[nodiscard]] std::size_t records() const noexcept;
+    /// The part of this walk over cells [lo, hi), from where the walk
+    /// started; hi = UINT64_MAX has no upper bound. It shares this
+    /// walk's plan, so it may be walked on another thread while this
+    /// walk or other slices are, but must not outlive the reader.
+    [[nodiscard]] CellWalk slice(std::uint64_t lo, std::uint64_t hi) const;
     /// The next cell, nullopt past the last. Its trials view and stats
     /// pointer are valid until the next call.
     [[nodiscard]] std::optional<CellTrials> next();
@@ -133,13 +151,17 @@ class StoreReader {
    private:
     friend class StoreReader;
     struct Plan;
-    CellWalk(std::unique_ptr<Plan> plan,
-             std::vector<campaign::CellStats> cells);
+    CellWalk(std::shared_ptr<const Plan> plan,
+             std::shared_ptr<const std::vector<campaign::CellStats>> cells);
 
-    std::unique_ptr<Plan> plan_;
-    std::vector<campaign::CellStats> cells_;
+    std::shared_ptr<const Plan> plan_;
+    std::shared_ptr<const std::vector<campaign::CellStats>> cells_;
+    std::size_t cell_begin_ = 0;  ///< this walk's cells: [begin, end)
+    std::size_t cell_end_ = 0;
     std::size_t cell_ = 0;  ///< next completed cell
-    std::size_t run_ = 0;   ///< first run of the next cell with trials
+    std::size_t run_begin_ = 0;  ///< this walk's runs: [begin, end)
+    std::size_t run_end_ = 0;
+    std::size_t run_ = 0;  ///< first run of the next cell with trials
     std::vector<TrialRecord> trials_;  ///< the current cell's, reused
   };
   [[nodiscard]] CellWalk walk(const CellFilter& filter) const;
@@ -192,7 +214,9 @@ class StoreReader {
   /// The key walk under every trial read: the trials of `cells`
   /// (ascending by index) — or every trial, orphans included, when
   /// `cells` is null — cut into runs. Only the segment blocks that can
-  /// hold one of `keys` are read, or every block when `keys` is null.
+  /// hold one of `keys` are read, or every block when `keys` is null, on
+  /// util::workers_for(their trials, 0) threads; the key walk itself is
+  /// serial.
   [[nodiscard]] std::unique_ptr<CellWalk::Plan> plan(
       const std::vector<campaign::CellStats>* cells,
       const CellKeys* keys) const;
@@ -231,8 +255,15 @@ class SweepWalk {
   SweepWalk(const std::vector<std::string>& paths, const CellFilter& filter);
 
   /// The first store's identity and whether any store had a torn tail;
-  /// the duplicate counters cover the cells handed over so far.
+  /// the duplicate counters cover the cells this walk handed over so far.
   [[nodiscard]] const SweepInfo& info() const noexcept { return info_; }
+  /// Every store's walk sliced to cells [lo, hi) (see CellWalk::slice)
+  /// and merged as next() merges: the cells, trials, conflict errors and
+  /// duplicates this walk would hand over in that range. The slice's
+  /// info() counts its own duplicates and holds nothing else. Slices of
+  /// disjoint ranges may be walked on different threads; none may
+  /// outlive this walk.
+  [[nodiscard]] SweepWalk slice(std::uint64_t lo, std::uint64_t hi) const;
   /// Trial records the walk will merge, before deduplication — an upper
   /// bound on the trials it hands over.
   [[nodiscard]] std::size_t trial_records() const noexcept {
@@ -244,12 +275,15 @@ class SweepWalk {
   [[nodiscard]] std::optional<CellTrials> next();
 
  private:
+  SweepWalk() = default;  ///< a slice, filled in by slice()
+
   std::vector<std::string> paths_;
   SweepInfo info_;
   std::size_t trial_records_ = 0;
   std::vector<std::unique_ptr<StoreReader>> readers_;
   std::vector<StoreReader::CellWalk> walks_;
-  std::vector<std::optional<CellTrials>> heads_;  ///< each walk's next cell
+  /// Each walk's next cell, read by the first next() call.
+  std::vector<std::optional<CellTrials>> heads_;
   std::optional<std::uint64_t> handed_;  ///< the cell handed over last
   std::vector<TrialRecord> merged_;   ///< a cell's trials over two+ stores
   std::vector<TrialRecord> merging_;  ///< the next merged_, built from it

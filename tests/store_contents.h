@@ -32,7 +32,7 @@ inline StoreContents read_matching(const StoreReader& reader,
   out.manifest = reader.manifest();
   out.truncated_tail = reader.truncated_tail();
   StoreReader::CellWalk walk = reader.walk(filter);
-  out.cells = walk.cells();
+  out.cells.assign(walk.cells().begin(), walk.cells().end());
   while (const std::optional<CellTrials> cell = walk.next()) {
     out.trials.insert(out.trials.end(), cell->trials.begin(),
                       cell->trials.end());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace msa::defense {
 namespace {
 
@@ -63,6 +66,53 @@ TEST(DefenseEvaluator, TableFormatsAllRows) {
     EXPECT_NE(table.find(p.name), std::string::npos) << p.name;
   }
   EXPECT_NE(table.find("pixel-match"), std::string::npos);
+}
+
+TEST(DefenseEvaluator, SharedCacheMatchesFreshCachePerTrial) {
+  // The evaluator runs every trial of every preset through one cache;
+  // the reference runs each trial on a fresh one, as a one-shot
+  // run_scenario does. Outcomes must agree field by field, doubles bit
+  // for bit, whatever the cache already holds from earlier presets.
+  constexpr std::size_t kTrials = 3;
+  DefenseEvaluator ev{small_base()};
+  for (const DefensePreset& p : all_presets()) {
+    const DefenseOutcome got = ev.evaluate(p, kTrials);
+    DefenseOutcome want;
+    double match_sum = 0.0;
+    double psnr_sum = 0.0;
+    std::size_t scored = 0;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      attack::ScenarioConfig cfg = p.apply(small_base());
+      cfg.image_seed = small_base().image_seed + t * 7919;
+      cfg.system.seed = small_base().system.seed + t;
+      const attack::ScenarioResult r = attack::run_scenario(cfg);
+      if (r.denied) {
+        ++want.denied;
+        continue;
+      }
+      want.model_identified += r.model_identified_correctly ? 1 : 0;
+      want.image_recovered +=
+          r.pixel_match > attack::kFullSuccessPixelMatch ? 1 : 0;
+      match_sum += r.pixel_match;
+      psnr_sum += r.psnr > 0 ? r.psnr : 0.0;
+      ++scored;
+    }
+    if (scored > 0) {
+      want.mean_pixel_match = match_sum / static_cast<double>(scored);
+      want.mean_psnr = psnr_sum / static_cast<double>(scored);
+    }
+    EXPECT_EQ(got.preset_name, p.name);
+    EXPECT_EQ(got.trials, kTrials) << p.name;
+    EXPECT_EQ(got.denied, want.denied) << p.name;
+    EXPECT_EQ(got.model_identified, want.model_identified) << p.name;
+    EXPECT_EQ(got.image_recovered, want.image_recovered) << p.name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_pixel_match),
+              std::bit_cast<std::uint64_t>(want.mean_pixel_match))
+        << p.name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_psnr),
+              std::bit_cast<std::uint64_t>(want.mean_psnr))
+        << p.name;
+  }
 }
 
 TEST(DefenseEvaluator, RatesWithZeroTrials) {

@@ -265,10 +265,46 @@ std::string renderings(const campaign::StatsReport& report) {
          report.to_json();
 }
 
+/// The worker counts analyze_stores is pinned at: one, a power of two,
+/// a count that cuts the grid unevenly, and more workers than most
+/// machines running the tests have cores.
+constexpr unsigned kWorkerCounts[] = {1, 2, 3, 8};
+
+/// analyze_stores of `paths` under `filter` at every kWorkerCounts
+/// count: each must render `want` and count the same duplicates and torn
+/// tails. Returns what the walks learned.
+SweepInfo expect_stats_at_every_worker_count(
+    const std::vector<std::string>& paths, const CellFilter& filter,
+    const std::string& want, const std::string& view) {
+  std::optional<SweepInfo> first;
+  for (const unsigned workers : kWorkerCounts) {
+    const campaign::SweepAnalysis got =
+        campaign::analyze_stores(paths, filter, workers);
+    EXPECT_EQ(renderings(got.report), want)
+        << view << " at " << workers << " workers";
+    if (!first) {
+      first = got.info;
+      continue;
+    }
+    EXPECT_EQ(got.info.duplicate_cells, first->duplicate_cells) << view;
+    EXPECT_EQ(got.info.duplicate_trials, first->duplicate_trials) << view;
+    EXPECT_EQ(got.info.truncated_tail, first->truncated_tail) << view;
+  }
+  return *first;
+}
+
 /// renderings of a store's stats.
 std::string stats_bytes(const std::string& path,
                         const CellFilter& filter = {}) {
   return renderings(campaign::analyze_sweep(load_sweep({path}, filter)));
+}
+
+/// Trial block `block`'s groups, read into `frame`, which they view.
+std::vector<SegmentReader::TrialGroup> read_block(
+    const SegmentReader& reader, std::size_t block,
+    std::vector<std::uint8_t>& frame) {
+  frame.resize(reader.trial_frame_bytes(block));
+  return reader.read_trial_block(block, frame);
 }
 
 /// The decoded trials of every group in trial block `block` whose key
@@ -276,8 +312,9 @@ std::string stats_bytes(const std::string& path,
 template <typename KeyPred>
 void append_block(const SegmentReader& reader, std::size_t block,
                   std::vector<TrialRecord>& out, KeyPred want) {
+  std::vector<std::uint8_t> frame;
   for (const SegmentReader::TrialGroup& group :
-       reader.read_trial_block(block).groups) {
+       read_block(reader, block, frame)) {
     if (!want(group.key)) continue;
     util::ByteReader r{group.trials};
     for (std::uint64_t i = 0; i < group.count; ++i) {
@@ -1067,12 +1104,10 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
                                             std::to_string(round));
     EXPECT_TRUE(loaded.truncated_tail);
     EXPECT_EQ(loaded.duplicate_cells + loaded.duplicate_trials, 0u);
-    const campaign::SweepAnalysis walked =
-        campaign::analyze_stores({path}, {});
-    EXPECT_EQ(renderings(walked.report),
-              renderings(campaign::analyze_sweep(want_all)))
-        << "round " << round;
-    EXPECT_TRUE(walked.info.truncated_tail);
+    EXPECT_TRUE(expect_stats_at_every_worker_count(
+                    {path}, {}, renderings(campaign::analyze_sweep(want_all)),
+                    "round " + std::to_string(round))
+                    .truncated_tail);
 
     for (int f = 0; f < 4; ++f) {
       const CellFilter filter = random_filter(uniform, kCells);
@@ -1096,9 +1131,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
                         "read_matching " + view);
       expect_same_sweep(load_sweep({path}, filter), want,
                         "filtered load_sweep " + view);
-      EXPECT_EQ(renderings(campaign::analyze_stores({path}, filter).report),
-                renderings(campaign::analyze_sweep(want)))
-          << view;
+      expect_stats_at_every_worker_count(
+          {path}, filter, renderings(campaign::analyze_sweep(want)), view);
     }
 
     for (std::uint64_t c = 0; c < kCells; ++c) {
@@ -1274,17 +1308,19 @@ TEST(SegmentMerge, WorkersDirWalkMatchesAReplayAndRefusesAConflictingCopy) {
     expect_same_sweep(loaded, want_all, view);
     EXPECT_EQ(loaded.duplicate_cells, want_duplicate_cells) << view;
     EXPECT_EQ(loaded.duplicate_trials, want_duplicate_trials) << view;
-    EXPECT_EQ(renderings(campaign::analyze_stores(paths, {}).report),
-              renderings(campaign::analyze_sweep(want_all)))
-        << view;
+    const SweepInfo walked = expect_stats_at_every_worker_count(
+        paths, {}, renderings(campaign::analyze_sweep(want_all)), view);
+    EXPECT_EQ(walked.duplicate_cells, want_duplicate_cells) << view;
+    EXPECT_EQ(walked.duplicate_trials, want_duplicate_trials) << view;
     const CellFilter filter{{CellFilter::parse_clause("delay_s=1,4,9,27")}};
     const auto in_filter = [&](std::uint64_t c) {
       return want_cells.contains(c) && (c == 1 || c == 4 || c == 9 || c == 27);
     };
-    EXPECT_EQ(renderings(campaign::analyze_stores(paths, filter).report),
-              renderings(campaign::analyze_sweep(
-                  replay_sweep(want_cells, want_trials, in_filter))))
-        << view;
+    expect_stats_at_every_worker_count(
+        paths, filter,
+        renderings(campaign::analyze_sweep(
+            replay_sweep(want_cells, want_trials, in_filter))),
+        "filtered " + view);
     expect_same_sweep(load_sweep(paths, filter),
                       replay_sweep(want_cells, want_trials, in_filter),
                       "filtered " + view);
@@ -1299,22 +1335,23 @@ TEST(SegmentMerge, WorkersDirWalkMatchesAReplayAndRefusesAConflictingCopy) {
       altered.psnr += 0.5;
       store.append_trial(altered);
     }
-    for (const bool walk : {false, true}) {
-      try {
-        if (walk) {
-          (void)campaign::analyze_stores(sweep_store_paths(dir.string()), {});
-        } else {
-          (void)load_sweep(sweep_store_paths(dir.string()));
-        }
-        ADD_FAILURE() << view << ": conflicting copy accepted";
-      } catch (const std::runtime_error& e) {
-        const std::string want =
-            "persist: trial (" + std::to_string(victim.cell_index) + ", " +
-            std::to_string(victim.trial) +
-            ") has conflicting copies (corrupt store or mixed sweeps): " +
-            (dir / "w9.store").string();
-        EXPECT_EQ(e.what(), want) << view;
-      }
+    const std::string want =
+        "persist: trial (" + std::to_string(victim.cell_index) + ", " +
+        std::to_string(victim.trial) +
+        ") has conflicting copies (corrupt store or mixed sweeps): " +
+        (dir / "w9.store").string();
+    EXPECT_EQ(thrown_by([&] {
+                (void)load_sweep(sweep_store_paths(dir.string()));
+              }),
+              want)
+        << view;
+    for (const unsigned workers : kWorkerCounts) {
+      EXPECT_EQ(thrown_by([&] {
+                  (void)campaign::analyze_stores(
+                      sweep_store_paths(dir.string()), {}, workers);
+                }),
+                want)
+          << view << " at " << workers << " workers";
     }
   }
 }
@@ -1354,6 +1391,78 @@ TEST(SegmentMerge, FlatAndCompactedStoresOf1e5TrialsGiveEqualStats) {
   const CellFilter filter{{CellFilter::parse_clause("defense=alpha,zeta"),
                            CellFilter::parse_clause("model=m0,m9")}};
   EXPECT_EQ(stats_bytes(compacted, filter), stats_bytes(flat, filter));
+  // Above the parallel threshold: the compacted walk reads its blocks
+  // on several threads too.
+  for (const std::string& path : {flat, compacted}) {
+    expect_stats_at_every_worker_count({path}, {}, stats_bytes(flat), path);
+    expect_stats_at_every_worker_count({path}, filter,
+                                       stats_bytes(flat, filter), path);
+  }
+}
+
+TEST(AnalyzeStores, EveryWorkerCountAddsInTheSerialOrder) {
+  // Fractional PSNRs pooled over many cells: the marginals' sums round
+  // differently if any cell is added out of index order or any chunk is
+  // summed on its own first, and format_double prints every bit.
+  const StoreManifest manifest = scrambled_manifest(20);
+  const std::string flat = tmp_path("fractional.store");
+  std::mt19937_64 rng{0xf7ac};
+  std::uniform_real_distribution<double> psnr{5.0, 30.0};
+  {
+    CampaignStore store{flat, manifest, CampaignStore::Mode::kCreate};
+    for (std::uint64_t c = 0; c < manifest.grid_cells; ++c) {
+      for (std::uint32_t t = 0; t < 20; ++t) {
+        TrialRecord trial = synth_trial(c, t);
+        trial.psnr = psnr(rng);
+        store.append_trial(trial);
+      }
+      campaign::CellStats stats = synth_stats(c, 20);
+      stats.coords = scrambled_coords(manifest, c);
+      store.complete_cell(stats);
+    }
+  }
+  const std::string compacted = tmp_path("fractional_compacted.store");
+  std::filesystem::copy_file(flat, compacted);
+  ASSERT_EQ(compact_store(compacted).segments_live, 1u);
+  const CellFilter filter{{CellFilter::parse_clause("model=m1,m4,m7")}};
+  for (const std::string& path : {flat, compacted}) {
+    expect_stats_at_every_worker_count({path}, {}, stats_bytes(path), path);
+    expect_stats_at_every_worker_count({path}, filter,
+                                       stats_bytes(path, filter), path);
+  }
+}
+
+TEST(AnalyzeStores, TheLowestFailingChunksErrorIsThrown) {
+  // Cells 9 and 10 completed without trials. At 2 workers the grid's
+  // 160 cells are cut into 16 chunks of 10, so the two sit in chunks 0
+  // and 1: chunk 1 fails at its first cell while chunk 0 is still
+  // summarizing nine heavy cells, but cell 9's error is the one a serial
+  // walk throws, and the one thrown at every count.
+  const std::string path = tmp_path("two_bad_cells.store");
+  {
+    CampaignStore store{path, synth_manifest(160, 2),
+                        CampaignStore::Mode::kCreate};
+    for (std::uint64_t c = 0; c < 160; ++c) {
+      const std::uint32_t trials = c < 9 ? 5000 : c < 11 ? 0 : 2;
+      for (std::uint32_t t = 0; t < trials; ++t) {
+        store.append_trial(synth_trial(c, t));
+      }
+      store.complete_cell(synth_stats(c, 2));
+    }
+  }
+  const std::string want =
+      "stats: completed cell 9 has no trial records (incompatible or "
+      "hand-edited store)";
+  EXPECT_EQ(thrown_by([&] { (void)stats_bytes(path); }), want);
+  for (int round = 0; round < 3; ++round) {
+    for (const unsigned workers : kWorkerCounts) {
+      EXPECT_EQ(thrown_by([&] {
+                  (void)campaign::analyze_stores({path}, {}, workers);
+                }),
+                want)
+          << workers << " workers";
+    }
+  }
 }
 
 TEST(Segment, FreshCreateRefusesStaleSidecar) {
@@ -1512,9 +1621,10 @@ TEST(Segment, CompactionReencodesNonCanonicalLogTrials) {
   ASSERT_TRUE(levels.has_value());
   const SegmentReader segment{segment_path(store, levels->segments[0])};
   std::vector<std::vector<std::uint8_t>> blobs;
+  std::vector<std::uint8_t> frame;
   for (std::size_t b = 0; b < segment.trial_block_count(); ++b) {
     for (const SegmentReader::TrialGroup& group :
-         segment.read_trial_block(b).groups) {
+         read_block(segment, b, frame)) {
       util::ByteReader r{group.trials};
       for (std::uint64_t i = 0; i < group.count; ++i) {
         const std::span<const std::uint8_t> blob = r.blob();

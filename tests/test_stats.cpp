@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -100,6 +101,69 @@ TEST(Percentile, SelectionEqualsSortedReference) {
   }
   std::vector<double> empty;
   EXPECT_THROW((void)select_percentiles(empty), std::invalid_argument);
+}
+
+TEST(Percentile, SelectionEqualsSortedReferenceOnSyntheticCells) {
+  // The shape of a sweep's cells: 100 PSNRs each, mixing a tie block at
+  // 99 (pixel-exact recoveries), uniform 5-30 dB and zeros (denials),
+  // in proportions that vary from cell to cell. Bit-equal to the sorted
+  // reference: no cell holds both zeros.
+  std::mt19937_64 rng{0x51ce};
+  std::uniform_real_distribution<double> psnr{5.0, 30.0};
+  for (int cell = 0; cell < 2000; ++cell) {
+    const auto ties = rng() % 101;
+    const auto zeros = rng() % (101 - ties);
+    std::vector<double> sample;
+    for (std::size_t i = 0; i < 100; ++i) {
+      sample.push_back(i < ties ? 99.0 : i < ties + zeros ? 0.0 : psnr(rng));
+    }
+    std::shuffle(sample.begin(), sample.end(), rng);
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    const Percentiles got = select_percentiles(sample);
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    EXPECT_EQ(bits(got.p50), bits(percentile_sorted(sorted, 50.0)))
+        << "cell " << cell;
+    EXPECT_EQ(bits(got.p90), bits(percentile_sorted(sorted, 90.0)))
+        << "cell " << cell;
+    EXPECT_EQ(bits(got.p99), bits(percentile_sorted(sorted, 99.0)))
+        << "cell " << cell;
+  }
+}
+
+TEST(Percentile, SelectionOfASampleWithNaNsEndsOnASampleValue) {
+  // NaN compares false both ways, so it has no rank; a partition that
+  // waits for a comparison to come out true would never end. Selection
+  // must end, and return values the sample holds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::mt19937_64 rng{0x7a7a};
+  for (std::size_t n = 1; n <= 200; n += 7) {
+    for (int nans : {1, 2, 50, 100}) {
+      std::vector<double> sample(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sample[i] = static_cast<int>(rng() % 100) < nans
+                        ? nan
+                        : static_cast<double>(rng() % 5);
+      }
+      // The sample as bit patterns, which order NaNs too.
+      const auto bits_of = [](const std::vector<double>& values) {
+        std::vector<std::uint64_t> out;
+        for (const double v : values) {
+          out.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+        std::ranges::sort(out);
+        return out;
+      };
+      const std::vector<std::uint64_t> before = bits_of(sample);
+      const Percentiles got = select_percentiles(sample);
+      for (const double p : {got.p50, got.p90, got.p99}) {
+        EXPECT_TRUE(std::ranges::binary_search(before,
+                                               std::bit_cast<std::uint64_t>(p)))
+            << "n=" << n << " nans=" << nans;
+      }
+      EXPECT_EQ(bits_of(sample), before) << "selection only reorders";
+    }
+  }
 }
 
 TEST(AnalyzeSweep, CellsAndMarginalsFromRealStore) {
