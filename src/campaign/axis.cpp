@@ -75,6 +75,15 @@ bool AxisValue::operator<(const AxisValue& other) const {
   return false;
 }
 
+void grid_digits(std::span<const AxisSpec> axes, std::uint64_t index,
+                 std::span<std::size_t> digits) {
+  for (std::size_t a = axes.size(); a-- > 0;) {
+    const std::uint64_t values = axes[a].values.size();
+    digits[a] = static_cast<std::size_t>(index % values);
+    index /= values;
+  }
+}
+
 const AxisValue* find_coord(const std::vector<AxisCoordinate>& coords,
                             std::string_view axis) {
   for (const AxisCoordinate& c : coords) {

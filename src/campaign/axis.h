@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,6 +95,14 @@ struct AxisSpec {
 
   friend bool operator==(const AxisSpec&, const AxisSpec&) = default;
 };
+
+/// The value position on each axis of grid cell `index`, into `digits`
+/// (one per axis): row-major over `axes`, first axis outermost. This is
+/// the order GridBuilder::build enumerates, and so the coordinates a
+/// store's cell record must carry at that index. Every axis needs at
+/// least one value.
+void grid_digits(std::span<const AxisSpec> axes, std::uint64_t index,
+                 std::span<std::size_t> digits);
 
 /// Behavior of one registered axis: how to validate a value and how to
 /// fold it into a scenario config.

@@ -188,27 +188,19 @@ std::vector<CampaignCell> GridBuilder::build() const {
   std::vector<CampaignCell> cells;
   cells.reserve(size());
   const std::size_t full = full_size();
-  // Odometer over the axis value lists, last axis fastest — the same
-  // nested-loop order (first axis outermost) the four-loop code used, so
-  // cell indices are stable across the refactor.
-  std::vector<std::size_t> odo(axes_.size(), 0);
-  for (std::size_t index = 0; index < full; ++index) {
-    if (index % shard_count_ == shard_index_) {
-      CampaignCell cell;
-      cell.index = index;
-      cell.config = base_;
-      cell.coords.reserve(axes_.size());
-      for (std::size_t a = 0; a < axes_.size(); ++a) {
-        const AxisValue& value = axes_[a].values[odo[a]];
-        descriptors[a]->apply(cell.config, value);
-        cell.coords.push_back({axes_[a].name, value});
-      }
-      cells.push_back(std::move(cell));
+  std::vector<std::size_t> digits(axes_.size());
+  for (std::size_t index = shard_index_; index < full; index += shard_count_) {
+    grid_digits(axes_, index, digits);
+    CampaignCell cell;
+    cell.index = index;
+    cell.config = base_;
+    cell.coords.reserve(axes_.size());
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      const AxisValue& value = axes_[a].values[digits[a]];
+      descriptors[a]->apply(cell.config, value);
+      cell.coords.push_back({axes_[a].name, value});
     }
-    for (std::size_t a = axes_.size(); a-- > 0;) {
-      if (++odo[a] < axes_[a].values.size()) break;
-      odo[a] = 0;
-    }
+    cells.push_back(std::move(cell));
   }
   return cells;
 }

@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "persist/campaign_store.h"
 #include "util/monotime.h"
+#include "util/parallel.h"
 #include "util/prng.h"
 
 namespace msa::campaign {
@@ -37,9 +38,7 @@ obs::Histogram& cell_duration_metric() {
 }  // namespace
 
 CampaignRunner::CampaignRunner(CampaignOptions options)
-    : threads_{options.threads != 0 ? options.threads
-                                    : std::max(1u,
-                                               std::thread::hardware_concurrency())},
+    : threads_{options.threads != 0 ? options.threads : util::cpu_count()},
       options_{std::move(options)} {
   pool_.reserve(threads_);
   try {

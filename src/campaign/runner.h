@@ -31,7 +31,8 @@ class CampaignStore;
 namespace msa::campaign {
 
 struct CampaignOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = util::cpu_count(), the CPUs the process may run
+  /// on.
   unsigned threads = 0;
   /// Independent scenario runs per cell. Trial 0 runs the cell's config
   /// verbatim; later trials re-seed the board and input image.

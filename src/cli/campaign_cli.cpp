@@ -582,7 +582,7 @@ int progress_main(const char* argv0, Args args) {
 struct SweepFlags {
   bool metrics_mode = false;
   OutputFormat metrics_format = OutputFormat::kText;
-  unsigned threads = 0;  // 0 = hardware concurrency (the flag rejects 0)
+  unsigned threads = 0;  // 0 = util::cpu_count() (the flag rejects 0)
   unsigned trials = 1;
   unsigned shard_index = 0;
   unsigned shard_count = 1;

@@ -84,22 +84,25 @@ class Trace {
 };
 
 /// RAII span guard. Captures the start timestamp on construction when
-/// tracing is enabled, records the closed span on destruction. The gate
-/// is re-checked at close so a span that straddles disable() is simply
-/// dropped rather than recorded half-timed.
+/// tracing is enabled, records the closed span on destruction. The
+/// thread's ring is fetched before the clock is read, so the one-time
+/// allocation of a thread's first ring never lands inside a span. The
+/// gate is re-checked at close so a span that straddles disable() is
+/// simply dropped rather than recorded half-timed.
 class SpanGuard {
  public:
   SpanGuard(const char* category, const char* name) noexcept {
     if (!internal::g_enabled.load(std::memory_order_relaxed)) return;
+    ring_ = internal::ring_for_this_thread();
     category_ = category;
     name_ = name;
     start_ns_ = util::monotonic_ns();
-    open_ = true;
   }
   ~SpanGuard() {
-    if (open_ && internal::g_enabled.load(std::memory_order_relaxed)) {
-      internal::record(internal::ring_for_this_thread(), category_, name_,
-                       start_ns_, util::monotonic_ns() - start_ns_);
+    if (ring_ != nullptr &&
+        internal::g_enabled.load(std::memory_order_relaxed)) {
+      internal::record(ring_, category_, name_, start_ns_,
+                       util::monotonic_ns() - start_ns_);
     }
   }
   SpanGuard(const SpanGuard&) = delete;
@@ -109,7 +112,7 @@ class SpanGuard {
   const char* category_ = nullptr;
   const char* name_ = nullptr;
   std::uint64_t start_ns_ = 0;
-  bool open_ = false;
+  internal::ThreadRing* ring_ = nullptr;  ///< null when not recording
 };
 
 #define MSA_OBS_CONCAT2(a, b) a##b

@@ -33,15 +33,85 @@ obs::Counter& log_bytes_read_counter() {
 TrialRecord::Key merge_key(const TrialRecord& t) { return t.key(); }
 TrialRecord::Key merge_key(TrialBytes t) { return decode_trial_key(t); }
 
-/// A cell record in apply order, still encoded, and whether the filter
-/// of the read selects it.
+[[noreturn]] void conflicting_copies(const std::string& what,
+                                    const std::string& path) {
+  throw std::runtime_error(
+      "persist: " + what +
+      " has conflicting copies (corrupt store or mixed sweeps): " + path);
+}
+
+/// The row-major rule of a store's grid (see store_reader.h), checked on
+/// one cell record at a time. The key's pieces — its varint(n) head and
+/// each axis value's str(name)+value bytes — are encoded once, so a check
+/// compares the key in place, piece by piece, and allocates nothing.
+class GridKeys {
+ public:
+  GridKeys(const StoreManifest& manifest, const std::string& path)
+      : manifest_{manifest}, path_{path} {
+    // The product wraps as GridBuilder::full_size does; an axis without
+    // values makes it 0, and then no index is inside the grid.
+    std::uint64_t cells = 1;
+    for (const campaign::AxisSpec& axis : manifest.axes) {
+      cells *= axis.values.size();
+    }
+    if (cells != manifest.grid_cells) return;
+    util::ByteWriter head;
+    head.varint(manifest.axes.size());
+    head_ = head.take();
+    for (const campaign::AxisSpec& axis : manifest.axes) {
+      std::vector<std::vector<std::uint8_t>>& pieces = pieces_.emplace_back();
+      for (const campaign::AxisValue& value : axis.values) {
+        util::ByteWriter w;
+        w.str(axis.name);
+        encode_axis_value(w, value);
+        pieces.push_back(w.take());
+      }
+    }
+    digits_.resize(manifest.axes.size());
+  }
+
+  /// Throws std::runtime_error naming the store for an index beyond the
+  /// grid, and naming the cell for a key other than its index's.
+  void check(std::uint64_t index, std::span<const std::uint8_t> key) {
+    if (index >= manifest_.grid_cells) {
+      throw std::runtime_error("persist: cell index beyond grid in " + path_);
+    }
+    if (head_.empty()) return;
+    campaign::grid_digits(manifest_.axes, index, digits_);
+    const auto take = [&](std::span<const std::uint8_t> piece) {
+      const bool same = key.size() >= piece.size() &&
+                        std::ranges::equal(key.first(piece.size()), piece);
+      if (same) key = key.subspan(piece.size());
+      return same;
+    };
+    bool same = take(head_);
+    for (std::size_t a = 0; same && a < digits_.size(); ++a) {
+      same = take(pieces_[a][digits_[a]]);
+    }
+    if (!same || !key.empty()) {
+      throw std::runtime_error("persist: cell " + std::to_string(index) +
+                               " key does not match its grid index "
+                               "(corrupt store): " +
+                               path_);
+    }
+  }
+
+ private:
+  const StoreManifest& manifest_;
+  const std::string& path_;
+  /// The key's pieces, empty when keys are not checked: varint(axis
+  /// count), and per axis and value str(name)+value.
+  std::vector<std::uint8_t> head_;
+  std::vector<std::vector<std::vector<std::uint8_t>>> pieces_;
+  std::vector<std::size_t> digits_;  ///< the checked index's, reused
+};
+
+/// A selected cell record in apply order, still encoded.
 struct CellCopy {
   std::uint64_t index = 0;
   std::span<const std::uint8_t> key;
   CellBytes payload;
-  bool selected = false;
 };
-TrialRecord::Key cell_key(const CellCopy& c) { return {c.index, 0}; }
 
 /// `count` records from apply-order position `begin` on: one cell's, in
 /// strictly ascending key order.
@@ -199,7 +269,7 @@ std::vector<std::unique_ptr<SegmentReader>> open_segments(
   return segments;
 }
 
-StoreReader::StoreReader(const std::string& path) {
+StoreReader::StoreReader(const std::string& path) : path_{path} {
   TRACE_SPAN("persist", "store_open");
   // Log pass: manifest + the write-ahead tail (the whole store when no
   // sidecar exists), kept in write order for the last-wins merge.
@@ -259,64 +329,42 @@ std::uint64_t StoreReader::cell_records() const noexcept {
   return total;
 }
 
-std::vector<campaign::CellStats> StoreReader::select(const CellFilter& filter,
-                                                     CellKeys* keys) const {
-  // Every cell record in apply order, still encoded: the segments' cell
-  // blocks by ascending sequence, then the log's. Each record is read to
-  // its end, so a malformed one fails every view alike, selected or not.
+std::vector<campaign::CellStats> StoreReader::select(
+    const CellFilter& filter) const {
+  // The selected cell records in apply order, still encoded: the
+  // segments' cell blocks by ascending sequence, then the log's. Every
+  // record is read to its end and held to the grid's row-major keys, so a
+  // malformed or misplaced one fails every view alike, selected or not.
+  // A block is kept only while it holds a selected record.
+  GridKeys grid{manifest_, path_};
   std::vector<SegmentReader::CellBlock> blocks;
   std::vector<CellCopy> copies;
-  copies.reserve(cell_records());
+  if (filter.empty()) copies.reserve(cell_records());
   const auto add = [&](CellBytes payload) {
     const CellKeyView cell = read_cell_key(payload);
-    copies.push_back({cell.index, cell.key, payload,
-                      filter.empty() || filter.matches(cell.key)});
+    grid.check(cell.index, cell.key);
+    const bool selected = filter.empty() || filter.matches(cell.key);
+    if (selected) copies.push_back({cell.index, cell.key, payload});
+    return selected;
   };
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
     for (std::size_t b = 0; b < seg->cell_block_count(); ++b) {
-      for (const CellBytes payload :
-           blocks.emplace_back(seg->read_cell_block(b)).cells) {
-        add(payload);
-      }
+      SegmentReader::CellBlock block = seg->read_cell_block(b);
+      bool kept = false;
+      for (const CellBytes payload : block.cells) kept = add(payload) || kept;
+      if (kept) blocks.push_back(std::move(block));
     }
   }
   for (const CellBytes payload : log_cells_) add(payload);
-  // A cell with a selected copy merges every copy, selected or not, so
-  // the filter sees the same winner the full view does.
-  if (!filter.empty()) {
-    std::vector<std::uint64_t> candidates;
-    for (const CellCopy& copy : copies) {
-      if (copy.selected) candidates.push_back(copy.index);
-    }
-    std::ranges::sort(candidates);
-    std::erase_if(copies, [&](const CellCopy& copy) {
-      return !std::ranges::binary_search(candidates, copy.index);
-    });
-  }
-  RunCutter cutter;
-  for (const CellCopy& copy : copies) cutter.add(cell_key(copy));
-  const std::vector<Run> runs = std::move(cutter).by_cell();
-  const auto emit = [&](const Run& run, std::vector<CellCopy>& out) {
-    const auto first = copies.begin() + static_cast<std::ptrdiff_t>(run.begin);
-    out.insert(out.end(), first,
-               first + static_cast<std::ptrdiff_t>(run.count));
-  };
-  // Runs of distinct cells never overlap, so the cells' merges concatenate.
-  std::vector<CellCopy> winners;
-  for (std::size_t r = 0; r < runs.size();) {
-    r = merge_cell(runs, r, winners, cell_key, emit);
-  }
+  // Copies of one index share one key, so the filter selects all of them
+  // or none; the last in apply order wins.
+  std::ranges::stable_sort(copies, {}, &CellCopy::index);
   std::vector<campaign::CellStats> out;
-  out.reserve(winners.size());
-  for (const CellCopy& winner : winners) {
-    if (winner.selected) out.push_back(decode_cell(winner.payload));
-  }
-  if (keys != nullptr) {
-    for (const CellCopy& copy : copies) {
-      if (std::ranges::binary_search(out, copy.index, {},
-                                     &campaign::CellStats::index)) {
-        keys->emplace(copy.key.begin(), copy.key.end());
-      }
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    if (i + 1 == copies.size() || copies[i + 1].index != copies[i].index) {
+      out.push_back(decode_cell(copies[i].payload));
+    } else if (!std::ranges::equal(copies[i + 1].key, copies[i].key)) {
+      conflicting_copies("cell " + std::to_string(copies[i].index), path_);
     }
   }
   return out;
@@ -351,7 +399,7 @@ struct StoreReader::CellWalk::Plan {
 };
 
 std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
-    const std::vector<campaign::CellStats>* cells, const CellKeys* keys) const {
+    const std::vector<campaign::CellStats>* cells) const {
   // One walk in apply order reads only each record's key and cuts the
   // runs; records are made afterwards, once, in merged order. Block
   // payloads live until then: the encoded form is about half the size
@@ -381,16 +429,17 @@ std::unique_ptr<StoreReader::CellWalk::Plan> StoreReader::plan(
   std::vector<BlockRead> reads;
   std::uint64_t trials = 0;
   for (const std::unique_ptr<SegmentReader>& seg : segments_) {
-    // Under `keys`, only the blocks that can hold one of them, each read
-    // once even when it serves several.
+    // Under `cells`, only the blocks that can hold one of their keys,
+    // each read once even when it serves several.
     std::set<std::size_t> selected;
-    if (keys == nullptr) {
+    if (cells == nullptr) {
       for (std::size_t b = 0; b < seg->trial_block_count(); ++b) {
         selected.insert(selected.end(), b);
       }
     } else {
-      for (const std::vector<std::uint8_t>& key : *keys) {
-        if (const std::optional<std::size_t> b = seg->trial_block_for(key)) {
+      for (const campaign::CellStats& cell : *cells) {
+        if (const std::optional<std::size_t> b =
+                seg->trial_block_for(encode_cell_key(cell.coords))) {
           selected.insert(*b);
         }
       }
@@ -523,12 +572,9 @@ std::optional<CellTrials> StoreReader::CellWalk::next() {
 
 StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
   TRACE_SPAN("persist", "walk_cells");
-  const bool all = filter.empty();
-  CellKeys keys;
-  std::vector<campaign::CellStats> selected =
-      select(filter, all ? nullptr : &keys);
+  std::vector<campaign::CellStats> selected = select(filter);
   std::unique_ptr<CellWalk::Plan> p =
-      all ? plan(nullptr, nullptr) : plan(&selected, &keys);
+      plan(filter.empty() ? nullptr : &selected);
   return CellWalk{std::move(p),
                   std::make_shared<const std::vector<campaign::CellStats>>(
                       std::move(selected))};
@@ -536,7 +582,7 @@ StoreReader::CellWalk StoreReader::walk(const CellFilter& filter) const {
 
 StoreReader::KeyedCells StoreReader::keyed_cells() const {
   KeyedCells out{cells(), {}};
-  std::shared_ptr<const CellWalk::Plan> p = plan(&out.cells, nullptr);
+  std::shared_ptr<const CellWalk::Plan> p = plan(nullptr);
   std::ranges::sort(out.cells, [](const campaign::CellStats& a,
                                   const campaign::CellStats& b) {
     return cell_key_less(a.coords, b.coords);
@@ -577,16 +623,15 @@ std::optional<StoreReader::CellData> StoreReader::read_cell(
     }
   }
   if (!stats.has_value()) return std::nullopt;
+  GridKeys{manifest_, path_}.check(stats->index, key);
 
-  auto selected =
-      std::make_shared<const std::vector<campaign::CellStats>>(1, *stats);
-  const CellKeys keys{key};
-  CellWalk walk{plan(selected.get(), &keys), selected};
-  CellData out;
+  auto selected = std::make_shared<const std::vector<campaign::CellStats>>(
+      1, std::move(*stats));
+  CellWalk walk{plan(selected.get()), selected};
+  CellData out{selected->front(), {}};
   while (const std::optional<CellTrials> cell = walk.next()) {
     out.trials.assign(cell->trials.begin(), cell->trials.end());
   }
-  out.stats = std::move(*stats);
   return out;
 }
 
@@ -613,12 +658,7 @@ SweepWalk::SweepWalk(const std::vector<std::string>& paths,
       }
     }
     info_.truncated_tail = info_.truncated_tail || reader.truncated_tail();
-    StoreReader::CellWalk& walk = walks_.emplace_back(reader.walk(filter));
-    if (!walk.cells().empty() &&
-        walk.cells().back().index >= info_.manifest.grid_cells) {
-      throw std::runtime_error("persist: cell index beyond grid in " + path);
-    }
-    trial_records_ += walk.records();
+    trial_records_ += walks_.emplace_back(reader.walk(filter)).records();
   }
 }
 
@@ -649,12 +689,6 @@ std::optional<CellTrials> SweepWalk::next() {
     if (head && (!handed_ || head->index < *handed_)) handed_ = head->index;
   }
   if (!handed_) return std::nullopt;
-  const auto conflict = [&](std::size_t store, const std::string& what) {
-    throw std::runtime_error(
-        "persist: " + what +
-        " has conflicting copies (corrupt store or mixed sweeps): " +
-        paths_[store]);
-  };
   CellTrials cell{*handed_, nullptr, {}};
   bool held = false;
   for (std::size_t s = 0; s < heads_.size(); ++s) {
@@ -665,7 +699,7 @@ std::optional<CellTrials> SweepWalk::next() {
         cell.stats = head->stats;
       } else {
         if (encode_cell(*cell.stats) != encode_cell(*head->stats)) {
-          conflict(s, "cell " + std::to_string(cell.index));
+          conflicting_copies("cell " + std::to_string(cell.index), paths_[s]);
         }
         ++info_.duplicate_cells;
       }
@@ -678,8 +712,10 @@ std::optional<CellTrials> SweepWalk::next() {
     merging_.clear();
     merge_unique(cell.trials, head->trials, merging_, info_.duplicate_trials,
                  [&](const TrialRecord::Key& key) {
-                   conflict(s, "trial (" + std::to_string(key.first) + ", " +
-                                   std::to_string(key.second) + ")");
+                   conflicting_copies("trial (" + std::to_string(key.first) +
+                                          ", " + std::to_string(key.second) +
+                                          ")",
+                                      paths_[s]);
                  });
     merged_.swap(merging_);
     cell.trials = merged_;

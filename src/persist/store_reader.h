@@ -21,8 +21,15 @@
 // bytes, and only the selected cells' records are decoded. Cell-range
 // queries (`read_cell`, a non-empty CellFilter) then use the segments'
 // first-key block index and read only the trial blocks that can hold
-// the selected cells; the log tail is always scanned in full, but after
-// compaction it is just the manifest record.
+// the selected cells' keys; the log tail is always scanned in full, but
+// after compaction it is just the manifest record.
+//
+// One key per cell index: every cell record a read meets must have an
+// index inside the grid and, when the manifest's value lists multiply to
+// grid_cells, the key campaign::grid_digits gives its index (row-major,
+// first axis outermost). Copies of one index under different keys are a
+// "has conflicting copies" error in every store. So a filter's verdict
+// and a segment's trial key are the same for every copy of a cell.
 //
 // Walk slices: a walk's plan (the blocks read, the runs cut) is
 // read-only once made, so CellWalk::slice and SweepWalk::slice hand out
@@ -37,12 +44,10 @@
 // walk that cuts runs is serial.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -113,7 +118,7 @@ class StoreReader {
   /// On a segmented store this touches only the (small) cell blocks —
   /// never trial data — which is the resume and progress fast path.
   [[nodiscard]] std::vector<campaign::CellStats> cells() const {
-    return select({}, nullptr);
+    return select({});
   }
 
   /// The store's last-wins merge restricted to `filter` (empty = every
@@ -168,9 +173,10 @@ class StoreReader {
 
   /// One cell looked up by its axis coordinates: the last cell record
   /// carrying them plus the deduplicated trial stream of its index, or
-  /// nullopt when no such cell completed. Segmented: one indexed block
-  /// read per segment that can hold the key, plus the log tail — so a
-  /// segment's trials are found only under `coords`.
+  /// nullopt when no such cell completed. Segmented: one indexed cell
+  /// block and one trial block per segment that can hold the key, plus
+  /// the log tail. The hit is held to the grid's keys as select() holds
+  /// every record; the other copies of its index are not read.
   struct CellData {
     campaign::CellStats stats;
     std::vector<TrialRecord> trials;
@@ -190,37 +196,31 @@ class StoreReader {
   [[nodiscard]] KeyedCells keyed_cells() const;
 
  private:
-  /// Encoded cell keys, in byte order.
-  struct KeyBytesLess {
-    bool operator()(std::span<const std::uint8_t> a,
-                    std::span<const std::uint8_t> b) const {
-      return std::ranges::lexicographical_compare(a, b);
-    }
-  };
-  using CellKeys = std::set<std::vector<std::uint8_t>, KeyBytesLess>;
-
   /// The completed cells `filter` selects (empty = every one), ascending
   /// global index, duplicates last-wins — the same cells as merging every
   /// record and then filtering. Every cell record is read as bytes, its
-  /// index and key, and parsed to its end; the filter runs on the key.
-  /// Only the copies of a cell with a selected copy go through the merge,
-  /// and only a winner that is selected is decoded. Into `keys` (unless
-  /// null) goes every key a selected cell's records carry: a segment
-  /// files a cell's trials under the key of its own copy of the cell,
-  /// which need not be the winner's.
+  /// index and key, parsed to its end and checked against the grid's keys
+  /// (see the top of this file); the filter runs on the key. Only
+  /// selected copies are kept, with the cell blocks holding them, and
+  /// only the winners are decoded. A store whose manifest lists no values
+  /// can hold copies of one index under different keys: selecting
+  /// several of them throws "has conflicting copies", and a filter that
+  /// selects one of them gets that copy as the cell, whether or not it
+  /// is the last, with the trials of its index that the log and the
+  /// segment blocks its key looks up hold.
   [[nodiscard]] std::vector<campaign::CellStats> select(
-      const CellFilter& filter, CellKeys* keys) const;
+      const CellFilter& filter) const;
 
   /// The key walk under every trial read: the trials of `cells`
   /// (ascending by index) — or every trial, orphans included, when
-  /// `cells` is null — cut into runs. Only the segment blocks that can
-  /// hold one of `keys` are read, or every block when `keys` is null, on
-  /// util::workers_for(their trials, 0) threads; the key walk itself is
-  /// serial.
+  /// `cells` is null — cut into runs. Under `cells` only the segment
+  /// blocks that can hold one of their keys are read, else every block;
+  /// either way on util::workers_for(their trials, 0) threads. The key
+  /// walk itself is serial.
   [[nodiscard]] std::unique_ptr<CellWalk::Plan> plan(
-      const std::vector<campaign::CellStats>* cells,
-      const CellKeys* keys) const;
+      const std::vector<campaign::CellStats>* cells) const;
 
+  std::string path_;
   StoreManifest manifest_;
   bool truncated_tail_ = false;
   std::uint64_t store_bytes_ = 0;
@@ -251,7 +251,8 @@ class SweepWalk {
   /// Opens every store, in order, and makes its walk under `filter`
   /// (see StoreReader::walk). Throws std::runtime_error for no stores, a
   /// store that fails to open, a store of a different sweep (shard
-  /// coordinates are not compared) and a completed cell beyond the grid.
+  /// coordinates are not compared) and a cell record that breaks the
+  /// grid's keys (see StoreReader).
   SweepWalk(const std::vector<std::string>& paths, const CellFilter& filter);
 
   /// The first store's identity and whether any store had a torn tail;

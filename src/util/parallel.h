@@ -2,7 +2,8 @@
 // iterations of a loop, each writing only its own index's results, and
 // the caller puts the results together in index order after the join,
 // so they do not depend on the thread count. Errors come back as a
-// serial loop would raise them.
+// serial loop would raise them. Worker counts, here and in the campaign
+// runner, start from cpu_count().
 #pragma once
 
 #include <algorithm>
@@ -12,7 +13,21 @@
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 namespace msa::util {
+
+/// The CPUs the calling thread may run on: the count of its affinity mask
+/// (at least one), or std::thread::hardware_concurrency() (at least one)
+/// when the mask cannot be read. A process confined by taskset or a
+/// cpuset gets no more workers than it has CPUs.
+[[nodiscard]] inline unsigned cpu_count() noexcept {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&mask)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// Below this many items (trial records) a loop runs on the calling
 /// thread alone: starting threads costs more than they would save.
@@ -20,12 +35,12 @@ inline constexpr std::size_t kParallelMinItems = std::size_t{1} << 16;
 
 /// The worker count for a loop over `items` records: `requested` when
 /// it is not 0, otherwise one under kParallelMinItems items and
-/// std::thread::hardware_concurrency() (at least one) above it.
+/// cpu_count() above it.
 [[nodiscard]] inline unsigned workers_for(std::size_t items,
                                           unsigned requested) noexcept {
   if (requested != 0) return requested;
   if (items < kParallelMinItems) return 1;
-  return std::max(1u, std::thread::hardware_concurrency());
+  return cpu_count();
 }
 
 /// Runs body(i) for i = 0, 1, ..., n - 1 on min(workers, n) threads, the

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "campaign/grid.h"
 
@@ -190,6 +191,41 @@ TEST(GridBuilder, GenericAxisSweepEnumeratesAndApplies) {
   ASSERT_EQ(schema.size(), 6u);
   EXPECT_EQ(schema[4].name, "power_cycled");
   EXPECT_EQ(schema[5].name, "corrupt_fraction");
+}
+
+TEST(GridBuilder, ShardedCellsCarryTheRowMajorDigitsOfTheirIndex) {
+  attack::ScenarioConfig base;
+  base.system = os::SystemConfig::test_small();
+  GridBuilder grid{base};
+  grid.attack_delays_s({0.0, 2.5, 5.0})
+      .scrubber_rates({0.0, 1e6})
+      .axis("power_cycled",
+            {AxisValue::of_bool(false), AxisValue::of_bool(true)})
+      .shard(1, 5);
+  const std::vector<AxisSpec>& axes = grid.axis_schema();
+  ASSERT_EQ(grid.full_size(), 12u);
+
+  // Every cell of the shard, 1, 6 and 11, carries the coordinates of
+  // grid_digits(axes, index).
+  const std::vector<CampaignCell> cells = grid.build();
+  ASSERT_EQ(cells.size(), 3u);
+  std::vector<std::size_t> digits(axes.size());
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const CampaignCell& cell = cells[k];
+    EXPECT_EQ(cell.index, 1 + 5 * k);
+    grid_digits(axes, cell.index, digits);
+    ASSERT_EQ(cell.coords.size(), axes.size());
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      EXPECT_EQ(cell.coords[a].axis, axes[a].name) << "cell " << cell.index;
+      EXPECT_EQ(cell.coords[a].value, axes[a].values[digits[a]])
+          << "cell " << cell.index << " axis " << axes[a].name;
+    }
+  }
+  // Row-major over 1 x 1 x 3 x 2 x 2 values, first axis outermost.
+  grid_digits(axes, 6, digits);
+  EXPECT_EQ(digits, (std::vector<std::size_t>{0, 0, 1, 1, 0}));
+  grid_digits(axes, 11, digits);
+  EXPECT_EQ(digits, (std::vector<std::size_t>{0, 0, 2, 1, 1}));
 }
 
 TEST(GridBuilder, DuplicateAxisValuesRejectedByName) {

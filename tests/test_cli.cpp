@@ -309,6 +309,42 @@ TEST(CampaignCli, CompactTraceNamesReadWriteAndFsyncUnderCompactStore) {
   obs::Trace::clear();
 }
 
+TEST(CampaignCli, StatsRefusesACellRecordOffItsGridKey) {
+  // A one-cell sweep's store, with a second record of cell 0 under other
+  // coordinates, or a record of cell 1, beyond the grid.
+  const ScratchDir scratch;
+  const std::string full = (scratch.path / "full.store").string();
+  ASSERT_EQ(run_cli(one_cell({"--store", full})).code, 0);
+  const persist::StoreReader reader{full};
+  campaign::CellStats misplaced = reader.cells().front();
+  for (campaign::AxisCoordinate& coord : misplaced.coords) {
+    if (coord.axis == "delay_s") {
+      coord.value = campaign::AxisValue::of_number(5.0);
+    }
+  }
+  campaign::CellStats beyond = reader.cells().front();
+  beyond.index = 1;
+  const std::vector<std::pair<campaign::CellStats, std::string>> bads{
+      {misplaced,
+       "stats failed: persist: cell 0 key does not match its grid index "
+       "(corrupt store): "},
+      {beyond, "stats failed: persist: cell index beyond grid in "}};
+  for (const auto& [cell, error] : bads) {
+    const std::string bad =
+        (scratch.path / ("bad" + std::to_string(cell.index) + ".store"))
+            .string();
+    std::filesystem::copy_file(full, bad);
+    {
+      persist::CampaignStore rewrite{bad, reader.manifest(),
+                                     persist::CampaignStore::Mode::kResume};
+      rewrite.complete_cell(cell);
+    }
+    const CliRun run = run_cli({"stats", bad});
+    EXPECT_EQ(run.code, 1) << error;
+    EXPECT_EQ(run.first_err_line(), error + bad);
+  }
+}
+
 TEST(CampaignCli, AliasesApplyBeforeEveryAxisFlag) {
   // --axis overrides an alias naming the same axis wherever it appears,
   // so both orders sweep delay 5, as --delays 5 alone does.

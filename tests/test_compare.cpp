@@ -663,7 +663,8 @@ TEST(DiffSweeps, IndexPermutedStoreCopyDiffsToAllZero) {
   // The acceptance contract at store level: write a sweep, copy its
   // records into a second store under permuted cell indices, and the
   // diff must align every cell by axis values with every delta exactly
-  // zero — index order never enters the pairing.
+  // zero — index order never enters the pairing. The copy is the same
+  // grid with both value lists reversed, which maps cell i to top - i.
   attack::ScenarioConfig cfg;
   cfg.system = os::SystemConfig::test_small();
   cfg.image_width = 48;
@@ -697,8 +698,13 @@ TEST(DiffSweeps, IndexPermutedStoreCopyDiffsToAllZero) {
   const SweepData data_a = persist::load_sweep({path_a});
   ASSERT_EQ(data_a.cells.size(), 4u);
   const std::uint64_t top = manifest.grid_cells - 1;
+  GridBuilder reversed{cfg};
+  reversed.defenses({"zero_on_free", "baseline"}).attack_delays_s({5.0, 0.0});
+  StoreManifest manifest_b = manifest;
+  manifest_b.grid_fingerprint = reversed.fingerprint();
+  manifest_b.axes = reversed.axis_schema();
   {
-    CampaignStore store{path_b, manifest, CampaignStore::Mode::kCreate};
+    CampaignStore store{path_b, manifest_b, CampaignStore::Mode::kCreate};
     // Reverse the index space; axis labels travel with their cells.
     for (const CellStats& cell : data_a.cells) {
       for (const TrialRecord& t : data_a.trials) {

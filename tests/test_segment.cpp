@@ -918,9 +918,9 @@ void expect_same_sweep(const Got& got, const SweepData& want,
 
 /// Cell `c`'s coordinates in the random merge test: a string, an enum, a
 /// double and a bool axis, then a second "defense" coordinate that no
-/// clause may see (the first coordinate on an axis decides). Each write
-/// of a cell draws a variant, so a cell's copies can disagree on every
-/// axis but delay_s, which keeps keys unique per cell.
+/// clause may see (the first coordinate on an axis decides). Each round
+/// draws a variant per cell, so one round's cells vary on every axis but
+/// delay_s, which keeps keys unique per cell.
 std::vector<campaign::AxisCoordinate> mixed_coords(std::uint64_t c,
                                                    std::uint64_t variant) {
   static constexpr const char* kDefenses[] = {"none", "scrub", "zero"};
@@ -986,8 +986,10 @@ std::string thrown_by(Read read) {
 TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   // 1-3 segments, then a log tail that rewrites cells (some twice),
   // streams a resume's duplicates and orphan trials of cells that never
-  // complete, and ends torn. A cell's copies may disagree on their
-  // coordinates. Every read path — the collected reads, load_sweep, and
+  // complete, and ends torn. Every copy of a cell carries the
+  // coordinates drawn for it that round, under a manifest that lists the
+  // axes without values (so mixed kinds and a repeated axis are legal).
+  // Every read path — the collected reads, load_sweep, and
   // the statistics analyzed off the per-cell walk, whole and under random
   // filters — must equal a last-wins map replay of the writes (filtered
   // after the merge, on the winners' decoded coordinates), and so must a
@@ -996,7 +998,11 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   // walk as it fails the full one.
   constexpr std::uint64_t kCells = 24;
   constexpr std::uint32_t kTrials = 6;
-  const StoreManifest manifest = synth_manifest(kCells, kTrials);
+  StoreManifest manifest = synth_manifest(kCells, kTrials);
+  manifest.axes.clear();
+  for (const campaign::AxisCoordinate& coord : mixed_coords(0, 0)) {
+    manifest.axes.push_back({coord.axis, coord.value.kind, {}});
+  }
   std::mt19937_64 rng{0x5e9};
   const auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
     return std::uniform_int_distribution<std::uint64_t>{lo, hi}(rng);
@@ -1008,6 +1014,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     std::size_t trial_records = 0;  // every trial and cell record written
     std::size_t cell_records = 0;
     int generation = 0;
+    std::vector<std::uint64_t> variant(kCells);
+    for (std::uint64_t& v : variant) v = uniform(0, 2);
     // Trials [first, last) of cell `c`, as one write of `generation`.
     const auto make_cell = [&](std::uint64_t c, std::uint32_t first,
                                std::uint32_t last) {
@@ -1016,7 +1024,7 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
         out.trials.push_back(generation_trial(c, t, generation));
       }
       out.stats = synth_stats(c, kTrials);
-      out.stats.coords = mixed_coords(c, uniform(0, 2));
+      out.stats.coords = mixed_coords(c, variant[c]);
       out.stats.mean_psnr_db += 1000.0 * generation;
       return out;
     };
@@ -1034,17 +1042,12 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
       return make_cell(c, first, last);
     };
 
-    // The keys each cell's segment trials are filed under.
-    std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>>
-        segment_keys;
     std::vector<std::vector<CellInput>> segments(uniform(1, 3));
     for (std::vector<CellInput>& segment : segments) {
       ++generation;
       for (std::uint64_t c = 0; c < kCells; ++c) {
         if (uniform(0, 2) == 0) continue;  // a cell per segment, or none
         segment.push_back(random_cell(c));
-        segment_keys[c].push_back(
-            encode_cell_key(segment.back().stats.coords));
         replay(segment.back(), true);
       }
     }
@@ -1137,8 +1140,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
 
     for (std::uint64_t c = 0; c < kCells; ++c) {
       if (!want_cells.contains(c)) {
-        for (std::uint64_t variant = 0; variant < 3; ++variant) {
-          EXPECT_FALSE(reader.read_cell(mixed_coords(c, variant)).has_value())
+        for (std::uint64_t v = 0; v < 3; ++v) {
+          EXPECT_FALSE(reader.read_cell(mixed_coords(c, v)).has_value())
               << "cell " << c;
         }
         continue;
@@ -1147,13 +1150,8 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
           reader.read_cell(want_cells[c].coords);
       ASSERT_TRUE(cell.has_value()) << "cell " << c;
       EXPECT_EQ(encode_cell(cell->stats), encode_cell(want_cells[c]));
-      // read_cell finds a segment's trials under the probed key only.
-      if (std::ranges::all_of(segment_keys[c], [&](const auto& key) {
-            return key == encode_cell_key(want_cells[c].coords);
-          })) {
-        expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
-                      "read_cell");
-      }
+      expect_trials(cell->trials, [&](std::uint64_t k) { return k == c; },
+                    "read_cell");
     }
 
     {  // a CRC-valid cell record that cannot be decoded, outside the filter
@@ -1216,6 +1214,59 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
     EXPECT_EQ(again.trials_dropped + again.cells_dropped, 0u) << view;
     EXPECT_EQ(again.segments_written, 0u) << view;
     EXPECT_EQ(again.generation, compacted.generation) << view;
+  }
+}
+
+TEST(GridKeys, ACellRecordOffItsGridKeyFailsEveryRead) {
+  // On a full-grid store (its manifest lists every value, so cell i's key
+  // is delay_s=i), a CRC-valid cell record appended to the log, flat or
+  // compacted, fails every read with a named error: whether a filter
+  // selects it or not, and whether the lookup hits it.
+  constexpr std::uint64_t kCells = 8;
+  const std::string flat = tmp_path("grid_keys.store");
+  write_synth_store(flat, kCells, 3);
+  const std::string packed = copy_store(flat, "grid_keys_packed");
+  ASSERT_GT(compact_store(packed).segments_live, 0u);
+
+  struct Bad {
+    const char* name;
+    campaign::CellStats cell;
+    std::string error;     ///< the message, before the store's path
+    const char* selected;  ///< a filter that selects the record
+  };
+  campaign::CellStats misplaced = synth_stats(2, 3);
+  misplaced.coords = synth_coords(5);
+  const std::vector<Bad> bads{
+      {"misplaced", misplaced,
+       "persist: cell 2 key does not match its grid index (corrupt store): ",
+       "delay_s=5"},
+      {"beyond", synth_stats(kCells, 3),
+       "persist: cell index beyond grid in ", "delay_s=8"}};
+  const CellFilter other{{CellFilter::parse_clause("delay_s=1")}};
+  for (const std::string& base : {flat, packed}) {
+    for (const Bad& bad : bads) {
+      const std::string path =
+          copy_store(base, base == flat ? "grid_keys_flat_bad"
+                                        : "grid_keys_packed_bad");
+      {
+        RecordWriter log{path, [](const RecordView&) {}};
+        log.append(kRecCell, encode_cell(bad.cell));
+      }
+      const std::string want = bad.error + path;
+      const std::string view = std::string{bad.name} + " in " + base;
+      const StoreReader reader{path};
+      const CellFilter selected{{CellFilter::parse_clause(bad.selected)}};
+      EXPECT_EQ(thrown_by([&] { (void)reader.cells(); }), want) << view;
+      EXPECT_EQ(thrown_by([&] { (void)reader.walk({}); }), want) << view;
+      EXPECT_EQ(thrown_by([&] { (void)reader.walk(selected); }), want)
+          << view;
+      EXPECT_EQ(thrown_by([&] { (void)reader.walk(other); }), want) << view;
+      EXPECT_EQ(thrown_by([&] { (void)reader.read_cell(bad.cell.coords); }),
+                want)
+          << view;
+      EXPECT_EQ(thrown_by([&] { (void)load_sweep({path}); }), want) << view;
+      EXPECT_EQ(thrown_by([&] { (void)compact_store(path); }), want) << view;
+    }
   }
 }
 

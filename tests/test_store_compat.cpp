@@ -217,6 +217,86 @@ TEST(StoreCompat, VersionOneManifestIsRefusedByName) {
   expect_refused([&] { (void)merge_stores({path}); });
 }
 
+TEST(StoreCompat, TwoKeysForOneCellIndexAreConflictingCopies) {
+  // The golden manifest lists no values, so no key can be checked against
+  // its index; but a second copy of cell 1 under other coordinates is
+  // refused by every read that meets both copies. A filter that selects
+  // one copy alone gets that copy, with the trials of its index.
+  const std::string path = tmp_copy_of_golden("conflict.store");
+  const std::vector<campaign::CellStats> golden = StoreReader{path}.cells();
+  ASSERT_EQ(golden.size(), 4u);
+  campaign::CellStats moved = golden[1];
+  for (campaign::AxisCoordinate& coord : moved.coords) {
+    if (coord.axis == "delay_s") {
+      coord.value = campaign::AxisValue::of_number(7.5);
+    }
+  }
+  moved.mean_psnr_db += 1.0;
+  {
+    RecordWriter log{path, [](const RecordView&) {}};
+    log.append(kRecCell, encode_cell(moved));
+  }
+  const StoreReader reader{path};
+  const auto thrown = [](const std::function<void()>& read) {
+    try {
+      read();
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  const std::string conflict =
+      "persist: cell 1 has conflicting copies (corrupt store or mixed "
+      "sweeps): " +
+      path;
+  const auto filter = [](const std::string& spec) {
+    return CellFilter{{CellFilter::parse_clause(spec)}};
+  };
+  EXPECT_EQ(thrown([&] { (void)reader.cells(); }), conflict);
+  EXPECT_EQ(thrown([&] { (void)reader.walk({}); }), conflict);
+  EXPECT_EQ(thrown([&] { (void)reader.walk(filter("model=resnet50_pt")); }),
+            conflict);
+
+  const auto trial_bytes = [](const TrialRecord& t) {
+    util::ByteWriter w;
+    encode_trial(t, w);
+    return w.take();
+  };
+  const StoreContents original =
+      read_all(StoreReader{data_path("golden_4axis.store")});
+  std::vector<std::vector<std::uint8_t>> cell_1_trials;
+  for (const TrialRecord& t : original.trials) {
+    if (t.cell_index == 1) cell_1_trials.push_back(trial_bytes(t));
+  }
+  ASSERT_EQ(cell_1_trials.size(), 2u);
+  const auto expect_cell = [&](StoreReader::CellWalk& walk,
+                               const campaign::CellStats& want) {
+    const std::optional<CellTrials> cell = walk.next();
+    ASSERT_TRUE(cell.has_value());
+    ASSERT_NE(cell->stats, nullptr);
+    EXPECT_EQ(encode_cell(*cell->stats), encode_cell(want));
+    if (cell->index != 1) return;
+    ASSERT_EQ(cell->trials.size(), cell_1_trials.size());
+    for (std::size_t i = 0; i < cell_1_trials.size(); ++i) {
+      EXPECT_EQ(trial_bytes(cell->trials[i]), cell_1_trials[i]);
+    }
+  };
+  StoreReader::CellWalk moved_alone = reader.walk(filter("delay_s=7.5"));
+  expect_cell(moved_alone, moved);
+  EXPECT_FALSE(moved_alone.next().has_value());
+
+  const std::string delay =
+      campaign::find_coord(golden[1].coords, "delay_s")->label();
+  StoreReader::CellWalk original_alone =
+      reader.walk(filter("delay_s=" + delay));
+  for (const campaign::CellStats& cell : golden) {
+    if (campaign::find_coord(cell.coords, "delay_s")->label() == delay) {
+      expect_cell(original_alone, cell);
+    }
+  }
+  EXPECT_FALSE(original_alone.next().has_value());
+}
+
 TEST(StoreCompat, CompactedGoldenReproducesStatsGoldens) {
   const std::string path = tmp_copy_of_golden("compacted.store");
   const std::string stats_before = campaign::analyze_sweep(
