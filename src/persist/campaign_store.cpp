@@ -116,6 +116,30 @@ std::string describe_manifest_mismatch(const StoreManifest& have,
   return out;
 }
 
+GridKeys::GridKeys(const StoreManifest& manifest, const std::string& path)
+    : manifest_{manifest}, path_{path} {
+  // The product wraps as GridBuilder::full_size does; an axis without
+  // values makes it 0, and then no index is inside the grid.
+  std::uint64_t cells = 1;
+  for (const campaign::AxisSpec& axis : manifest.axes) {
+    cells *= axis.values.size();
+  }
+  if (cells != manifest.grid_cells) return;
+  util::ByteWriter head;
+  head.varint(manifest.axes.size());
+  head_ = head.take();
+  for (const campaign::AxisSpec& axis : manifest.axes) {
+    std::vector<std::vector<std::uint8_t>>& pieces = pieces_.emplace_back();
+    for (const campaign::AxisValue& value : axis.values) {
+      util::ByteWriter w;
+      w.str(axis.name);
+      encode_axis_value(w, value);
+      pieces.push_back(w.take());
+    }
+  }
+  digits_.resize(manifest.axes.size());
+}
+
 bool CellFilter::matches(std::span<const std::uint8_t> key) const {
   const auto text = [](std::span<const std::uint8_t> bytes) {
     return std::string_view{reinterpret_cast<const char*>(bytes.data()),
@@ -229,33 +253,23 @@ CampaignStore::CampaignStore(const std::string& path,
                              StoreOptions options)
     : path_{path},
       manifest_{manifest},
+      grid_keys_{manifest_, path_},
       options_{options},
       lock_{checked_store_path(path, mode), FileLock::Kind::kShared},
       writer_{path, [this](const RecordView& rec) { visit_existing(rec); }} {
-  // Segmented store: the completed-cell map continues in the segments'
-  // cell blocks — the log was trimmed at the last compaction. Only the
-  // small cell blocks are read; resume never replays segment trial data,
-  // so seeking to the incomplete cells costs O(completed cells), not
-  // O(trials). Newer records win, as in StoreReader::cells(): the log's
-  // (already in the map) over any segment's, a later segment's over an
-  // earlier one's, so the segments go in newest record first and never
-  // overwrite.
-  if (const std::optional<LevelsManifest> levels =
-          read_levels_manifest(path_)) {
-    const auto segments = open_segments(path_, *levels, manifest_);
-    for (auto segment = segments.rbegin(); segment != segments.rend();
-         ++segment) {
-      std::vector<campaign::CellStats> cells = (*segment)->cells();
-      for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
-        const std::uint64_t index = cell->index;
-        completed_.emplace(index, std::move(*cell));
-      }
-    }
-  }
   if (!manifest_on_disk_) {
     // Fresh store — or an existing file whose every record was torn off.
     writer_.append(kRecManifest, encode_store_manifest(manifest_));
     writer_.flush();
+    return;
+  }
+  // The completed cells as every read sees them: the log's and any
+  // segments' cell records, last copy wins, each held to the grid's
+  // keys. Only the small cell blocks of a segment are read, never its
+  // trial data.
+  for (campaign::CellStats& cell : StoreReader{path_}.cells()) {
+    const std::uint64_t index = cell.index;
+    completed_.emplace(index, std::move(cell));
   }
 }
 
@@ -271,13 +285,11 @@ void CampaignStore::visit_existing(const RecordView& rec) {
   } else if (!manifest_on_disk_) {
     throw std::runtime_error("persist: store has no manifest record: " +
                              path_);
-  } else if (rec.type == kRecCell) {
-    campaign::CellStats cell = decode_cell(rec.payload);
-    const std::uint64_t index = cell.index;
-    completed_[index] = std::move(cell);
   }
-  // Trial records are not replayed: resume re-runs incomplete cells from
-  // scratch, and deterministic reseeding reproduces the identical trials.
+  // Cell records are StoreReader's to read once the torn tail is gone.
+  // Trial records are never replayed: resume re-runs incomplete cells
+  // from scratch, and deterministic reseeding reproduces the identical
+  // trials.
 }
 
 void CampaignStore::append_trial(const TrialRecord& trial) {
@@ -288,8 +300,11 @@ void CampaignStore::append_trial(const TrialRecord& trial) {
 }
 
 void CampaignStore::complete_cell(const campaign::CellStats& stats) {
+  const std::vector<std::uint8_t> payload = encode_cell(stats);
+  const CellKeyView cell = read_cell_key(payload);
   const std::lock_guard lock{mutex_};
-  writer_.append(kRecCell, encode_cell(stats));
+  grid_keys_.check(cell.index, cell.key);
+  writer_.append(kRecCell, payload);
   if (options_.fsync_every != 0 && ++cells_since_sync_ >= options_.fsync_every) {
     writer_.sync();
     cells_since_sync_ = 0;
@@ -297,11 +312,6 @@ void CampaignStore::complete_cell(const campaign::CellStats& stats) {
     writer_.flush();
   }
   completed_[stats.index] = stats;
-}
-
-bool CampaignStore::cell_complete(std::uint64_t cell_index) const {
-  const std::lock_guard lock{mutex_};
-  return completed_.contains(cell_index);
 }
 
 const campaign::CellStats* CampaignStore::completed_stats(

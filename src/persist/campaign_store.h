@@ -13,14 +13,18 @@
 // (cell, trial, salt).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "campaign/axis.h"
 #include "campaign/report.h"
 #include "persist/record_io.h"
 #include "util/bytes.h"
@@ -68,6 +72,55 @@ struct StoreManifest {
 [[nodiscard]] std::string describe_manifest_mismatch(const StoreManifest& have,
                                                      const StoreManifest& want);
 
+/// One key per cell index, the rule of a store's grid: a cell record's
+/// index must be inside the grid and, when the manifest's value lists
+/// multiply to grid_cells, its key must be the one campaign::grid_digits
+/// gives the index (row-major, first axis outermost). StoreReader holds
+/// every record it reads to it, CampaignStore every record it writes.
+/// The key's pieces — its varint(n) head and each axis value's
+/// str(name)+value bytes — are encoded once, so a check compares the key
+/// in place, piece by piece, and allocates nothing. Keeps references to
+/// `manifest` and `path`, which must outlive it.
+class GridKeys {
+ public:
+  GridKeys(const StoreManifest& manifest, const std::string& path);
+
+  /// Throws std::runtime_error naming the store for an index beyond the
+  /// grid, and naming the cell for a key other than its index's.
+  void check(std::uint64_t index, std::span<const std::uint8_t> key) {
+    if (index >= manifest_.grid_cells) {
+      throw std::runtime_error("persist: cell index beyond grid in " + path_);
+    }
+    if (head_.empty()) return;
+    campaign::grid_digits(manifest_.axes, index, digits_);
+    const auto take = [&](std::span<const std::uint8_t> piece) {
+      const bool same = key.size() >= piece.size() &&
+                        std::ranges::equal(key.first(piece.size()), piece);
+      if (same) key = key.subspan(piece.size());
+      return same;
+    };
+    bool same = take(head_);
+    for (std::size_t a = 0; same && a < digits_.size(); ++a) {
+      same = take(pieces_[a][digits_[a]]);
+    }
+    if (!same || !key.empty()) {
+      throw std::runtime_error("persist: cell " + std::to_string(index) +
+                               " key does not match its grid index "
+                               "(corrupt store): " +
+                               path_);
+    }
+  }
+
+ private:
+  const StoreManifest& manifest_;
+  const std::string& path_;
+  /// The key's pieces, empty when keys are not checked: varint(axis
+  /// count), and per axis and value str(name)+value.
+  std::vector<std::uint8_t> head_;
+  std::vector<std::vector<std::vector<std::uint8_t>>> pieces_;
+  std::vector<std::size_t> digits_;  ///< the checked index's, reused
+};
+
 /// One scenario run, keyed by (global cell index, trial index). Carries
 /// every field CellStats::accumulate consumes, with doubles bit-exact, so
 /// per-cell aggregates rebuilt from the trial stream match the in-memory
@@ -112,8 +165,11 @@ class CampaignStore {
   };
 
   /// Opens `path`. On resume the torn tail (if any) is truncated and the
-  /// completed-cell map reloaded; a manifest that does not equal
-  /// `manifest` throws std::runtime_error (wrong grid / trials / shard).
+  /// completed-cell map reloaded through StoreReader::cells() — the
+  /// last-wins merge, grid-key check and conflicting-copy check every
+  /// read applies — so a store every read refuses is refused here too,
+  /// with the same message. A manifest that does not equal `manifest`
+  /// throws std::runtime_error (wrong grid / trials / shard).
   CampaignStore(const std::string& path, const StoreManifest& manifest,
                 Mode mode, StoreOptions options = {});
 
@@ -124,10 +180,11 @@ class CampaignStore {
   void append_trial(const TrialRecord& trial);
 
   /// Marks a cell done: writes its aggregate stats and flushes, making
-  /// the cell (and every buffered trial before it) durable.
+  /// the cell (and every buffered trial before it) durable. A cell whose
+  /// index or key breaks the grid's keys (see GridKeys) throws the
+  /// reader's std::runtime_error and writes nothing.
   void complete_cell(const campaign::CellStats& stats);
 
-  [[nodiscard]] bool cell_complete(std::uint64_t cell_index) const;
   /// Stored aggregate for a completed cell, nullptr when incomplete.
   [[nodiscard]] const campaign::CellStats* completed_stats(
       std::uint64_t cell_index) const;
@@ -147,13 +204,15 @@ class CampaignStore {
 
  private:
   /// Resume path, one record of the existing log at a time before the
-  /// writer opens for append: validates the on-disk manifest (the first
-  /// record) and reloads completed_ from the cell records.
+  /// writer chops its torn tail and opens for append: validates the
+  /// on-disk manifest (the first record) and notes that it is there.
+  /// Cell records are left to the StoreReader the constructor opens.
   void visit_existing(const RecordView& rec);
 
   mutable std::mutex mutex_;
   std::string path_;
   StoreManifest manifest_;
+  GridKeys grid_keys_;  ///< complete_cell's check, under mutex_
   StoreOptions options_;
   std::unordered_map<std::uint64_t, campaign::CellStats> completed_;
   unsigned cells_since_sync_ = 0;  ///< fsync batching counter

@@ -317,17 +317,6 @@ SegmentReader::CellBlock SegmentReader::read_cell_block(
   return out;
 }
 
-std::vector<campaign::CellStats> SegmentReader::cells() const {
-  std::vector<campaign::CellStats> out;
-  out.reserve(info_.cell_count);
-  for (std::size_t b = 0; b < cell_blocks_.size(); ++b) {
-    for (const CellBytes cell : read_cell_block(b).cells) {
-      out.push_back(decode_cell(cell));
-    }
-  }
-  return out;
-}
-
 std::optional<std::size_t> SegmentReader::trial_block_for(
     std::span<const std::uint8_t> key) const {
   if (trial_blocks_.empty()) return std::nullopt;

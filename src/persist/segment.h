@@ -21,8 +21,10 @@
 //    across blocks, so the block whose first key is the greatest key
 //    <= K is the ONLY block that can hold cell K.
 //  - cell blocks: the per-cell aggregate records, separately from the
-//    (much larger) trial data, so `cells()` — the resume path and every
-//    progress poll — reads a few small blocks and no trial bytes.
+//    (much larger) trial data, so reading a store's completed cells —
+//    StoreReader::cells(), which a resume reloads from — reads a few
+//    small blocks and no trial bytes. (Progress polls read the levels
+//    manifest's totals and no segment at all.)
 //  - the header pins the owning store's identity manifest; readers refuse
 //    a segment from a different sweep.
 #pragma once
@@ -115,10 +117,6 @@ class SegmentReader {
   /// checks their count against the index — no record is decoded. No
   /// trial bytes are touched.
   [[nodiscard]] CellBlock read_cell_block(std::size_t block) const;
-
-  /// Every completed cell, in key order, decoded from the cell blocks:
-  /// the resume path's map of completed cells.
-  [[nodiscard]] std::vector<campaign::CellStats> cells() const;
 
   /// One cell's aggregate via the cell-block index: reads exactly one
   /// (small) cell block, compares each record's key bytes with `key` and

@@ -40,72 +40,6 @@ TrialRecord::Key merge_key(TrialBytes t) { return decode_trial_key(t); }
       " has conflicting copies (corrupt store or mixed sweeps): " + path);
 }
 
-/// The row-major rule of a store's grid (see store_reader.h), checked on
-/// one cell record at a time. The key's pieces — its varint(n) head and
-/// each axis value's str(name)+value bytes — are encoded once, so a check
-/// compares the key in place, piece by piece, and allocates nothing.
-class GridKeys {
- public:
-  GridKeys(const StoreManifest& manifest, const std::string& path)
-      : manifest_{manifest}, path_{path} {
-    // The product wraps as GridBuilder::full_size does; an axis without
-    // values makes it 0, and then no index is inside the grid.
-    std::uint64_t cells = 1;
-    for (const campaign::AxisSpec& axis : manifest.axes) {
-      cells *= axis.values.size();
-    }
-    if (cells != manifest.grid_cells) return;
-    util::ByteWriter head;
-    head.varint(manifest.axes.size());
-    head_ = head.take();
-    for (const campaign::AxisSpec& axis : manifest.axes) {
-      std::vector<std::vector<std::uint8_t>>& pieces = pieces_.emplace_back();
-      for (const campaign::AxisValue& value : axis.values) {
-        util::ByteWriter w;
-        w.str(axis.name);
-        encode_axis_value(w, value);
-        pieces.push_back(w.take());
-      }
-    }
-    digits_.resize(manifest.axes.size());
-  }
-
-  /// Throws std::runtime_error naming the store for an index beyond the
-  /// grid, and naming the cell for a key other than its index's.
-  void check(std::uint64_t index, std::span<const std::uint8_t> key) {
-    if (index >= manifest_.grid_cells) {
-      throw std::runtime_error("persist: cell index beyond grid in " + path_);
-    }
-    if (head_.empty()) return;
-    campaign::grid_digits(manifest_.axes, index, digits_);
-    const auto take = [&](std::span<const std::uint8_t> piece) {
-      const bool same = key.size() >= piece.size() &&
-                        std::ranges::equal(key.first(piece.size()), piece);
-      if (same) key = key.subspan(piece.size());
-      return same;
-    };
-    bool same = take(head_);
-    for (std::size_t a = 0; same && a < digits_.size(); ++a) {
-      same = take(pieces_[a][digits_[a]]);
-    }
-    if (!same || !key.empty()) {
-      throw std::runtime_error("persist: cell " + std::to_string(index) +
-                               " key does not match its grid index "
-                               "(corrupt store): " +
-                               path_);
-    }
-  }
-
- private:
-  const StoreManifest& manifest_;
-  const std::string& path_;
-  /// The key's pieces, empty when keys are not checked: varint(axis
-  /// count), and per axis and value str(name)+value.
-  std::vector<std::uint8_t> head_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> pieces_;
-  std::vector<std::size_t> digits_;  ///< the checked index's, reused
-};
-
 /// A selected cell record in apply order, still encoded.
 struct CellCopy {
   std::uint64_t index = 0;
@@ -238,8 +172,10 @@ void merge_unique(std::span<const TrialRecord> a,
   out.insert(out.end(), y, b.end());
 }
 
-}  // namespace
-
+/// The segments `levels` names, in its (ascending sequence) order, each
+/// opened at footer + index and checked against the store: the sidecar
+/// and every segment must carry `identity`, and each segment its
+/// manifest sequence. Throws std::runtime_error naming the mismatch.
 std::vector<std::unique_ptr<SegmentReader>> open_segments(
     const std::string& store_path, const LevelsManifest& levels,
     const StoreManifest& identity) {
@@ -268,6 +204,8 @@ std::vector<std::unique_ptr<SegmentReader>> open_segments(
   }
   return segments;
 }
+
+}  // namespace
 
 StoreReader::StoreReader(const std::string& path) : path_{path} {
   TRACE_SPAN("persist", "store_open");

@@ -1,7 +1,7 @@
 // Unified read path over a campaign store, flat (the log alone) or
 // segmented (log + levels sidecar + sorted segments), behind one
-// interface. Every consumer — stats, diff/gate, merge,
-// progress, compaction — reads through this class, so the flat and
+// interface. Every consumer — stats, diff/gate, merge, compaction and
+// a resumed CampaignStore — reads through this class, so the flat and
 // segmented views of the same data are identical by construction, which
 // is what keeps `stats`/`diff`/`gate` byte-identical before and after
 // compaction.
@@ -27,9 +27,11 @@
 // One key per cell index: every cell record a read meets must have an
 // index inside the grid and, when the manifest's value lists multiply to
 // grid_cells, the key campaign::grid_digits gives its index (row-major,
-// first axis outermost). Copies of one index under different keys are a
-// "has conflicting copies" error in every store. So a filter's verdict
-// and a segment's trial key are the same for every copy of a cell.
+// first axis outermost); GridKeys (persist/campaign_store.h) checks it,
+// and CampaignStore refuses to write a record that breaks it. Copies of
+// one index under different keys are a "has conflicting copies" error
+// in every store. So a filter's verdict and a segment's trial key are
+// the same for every copy of a cell.
 //
 // Walk slices: a walk's plan (the blocks read, the runs cut) is
 // read-only once made, so CellWalk::slice and SweepWalk::slice hand out
@@ -59,14 +61,6 @@
 #include "persist/store_codec.h"
 
 namespace msa::persist {
-
-/// The segments `levels` names, in its (ascending sequence) order, each
-/// opened at footer + index and checked against the store: the sidecar
-/// and every segment must carry `identity`, and each segment its
-/// manifest sequence. Throws std::runtime_error naming the mismatch.
-[[nodiscard]] std::vector<std::unique_ptr<SegmentReader>> open_segments(
-    const std::string& store_path, const LevelsManifest& levels,
-    const StoreManifest& identity);
 
 class StoreReader {
  public:
@@ -116,7 +110,7 @@ class StoreReader {
 
   /// Every completed cell, ascending global index, duplicates last-wins.
   /// On a segmented store this touches only the (small) cell blocks —
-  /// never trial data — which is the resume and progress fast path.
+  /// never trial data — which is what CampaignStore's resume reloads.
   [[nodiscard]] std::vector<campaign::CellStats> cells() const {
     return select({});
   }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -266,6 +267,76 @@ TEST(CampaignStore, TornTailRedoesOnlyIncompleteCell) {
   const SweepReport finished = resumer.run(grid, store);
   EXPECT_EQ(redone, 1u);
   EXPECT_EQ(finished.to_csv(), golden.to_csv());
+}
+
+TEST(CampaignStore, ResumesFromEveryPrefixOfAStore) {
+  // A store cut at any byte resumes. A cut inside the magic is no store:
+  // kResume refuses it and kCreateOrResume starts over. A cut inside the
+  // manifest frame starts over with a new manifest. Any later cut keeps
+  // exactly the cell records it holds whole. Either way, finishing the
+  // sweep gives the uninterrupted report byte for byte.
+  GridBuilder grid{small_base()};
+  grid.attack_delays_s({0.0, 5.0, 60.0});
+  ASSERT_EQ(grid.full_size(), 3u);
+  const CampaignOptions options = make_options(1, 1);
+  const StoreManifest manifest = manifest_for(grid, options);
+  CampaignRunner runner{options};
+  const SweepReport golden = runner.run(grid);
+
+  const std::string full = tmp_store("prefix_full.store");
+  {
+    CampaignStore store{full, manifest, CampaignStore::Mode::kCreate};
+    (void)runner.run(grid, store);
+  }
+  const auto read = [](const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    return std::string{std::istreambuf_iterator<char>{in}, {}};
+  };
+  const std::string bytes = read(full);
+  // Where the manifest frame and each cell record end.
+  std::uint64_t manifest_end = 0;
+  std::vector<std::uint64_t> cell_ends;
+  {
+    RecordBuffer log{full};
+    while (const std::optional<RecordView> rec = log.next()) {
+      if (rec->type == kRecManifest && manifest_end == 0) {
+        manifest_end = log.valid_bytes();
+      } else if (rec->type == kRecCell) {
+        cell_ends.push_back(log.valid_bytes());
+      }
+    }
+  }
+  ASSERT_EQ(cell_ends.size(), 3u);
+
+  const std::string path = tmp_store("prefix.store");
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    {
+      std::ofstream out{path, std::ios::binary | std::ios::trunc};
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    CampaignStore::Mode mode = CampaignStore::Mode::kResume;
+    if (cut < kRecordMagic.size()) {
+      try {
+        CampaignStore refused{path, manifest, mode};
+        ADD_FAILURE() << "kResume opened a cut inside the magic";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string{e.what()},
+                  "persist: no store to resume: " + path);
+      }
+      mode = CampaignStore::Mode::kCreateOrResume;
+    }
+    CampaignStore store{path, manifest, mode};
+    if (cut < manifest_end) {
+      EXPECT_EQ(read(path), bytes.substr(0, manifest_end));
+    }
+    EXPECT_EQ(store.completed_count(),
+              static_cast<std::size_t>(std::ranges::count_if(
+                  cell_ends, [&](std::uint64_t end) { return end <= cut; })));
+    const SweepReport finished = runner.run(grid, store);
+    EXPECT_EQ(finished.to_csv(), golden.to_csv());
+    EXPECT_EQ(finished.to_json(), golden.to_json());
+  }
 }
 
 TEST(CampaignStore, ManifestMismatchAndModeErrors) {
@@ -631,12 +702,10 @@ TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {
   {
     CampaignStore store{c, manifest_for(grid, options),
                         CampaignStore::Mode::kCreate};
-    // Hand-write a conflicting completed cell for index 0.
-    CellStats fake;
-    fake.index = 0;
-    fake.coords = {{"defense", campaign::AxisValue::of_string("baseline")},
-                   {"model", campaign::AxisValue::of_string("resnet50_pt")}};
-    fake.trials = 1;
+    // Hand-write a conflicting completed cell for index 0: its grid
+    // key, other counters.
+    CellStats fake = StoreReader{a}.cells().front();
+    ASSERT_EQ(fake.index, 0u);
     fake.mean_psnr_db = -1.0;  // cannot match the real cell
     store.complete_cell(fake);
   }

@@ -22,6 +22,8 @@
 
 #include "obs/trace.h"
 #include "persist/campaign_store.h"
+#include "persist/record_io.h"
+#include "persist/store_codec.h"
 #include "persist/store_reader.h"
 #include "util/crc32.h"
 
@@ -335,9 +337,8 @@ TEST(CampaignCli, StatsRefusesACellRecordOffItsGridKey) {
             .string();
     std::filesystem::copy_file(full, bad);
     {
-      persist::CampaignStore rewrite{bad, reader.manifest(),
-                                     persist::CampaignStore::Mode::kResume};
-      rewrite.complete_cell(cell);
+      persist::RecordWriter log{bad, [](const persist::RecordView&) {}};
+      log.append(persist::kRecCell, persist::encode_cell(cell));
     }
     const CliRun run = run_cli({"stats", bad});
     EXPECT_EQ(run.code, 1) << error;

@@ -325,6 +325,17 @@ void append_block(const SegmentReader& reader, std::size_t block,
 }
 
 /// Every trial of the segment, key order.
+/// Every cell record of a segment, decoded, in key order.
+std::vector<campaign::CellStats> all_cells(const SegmentReader& reader) {
+  std::vector<campaign::CellStats> out;
+  for (std::size_t b = 0; b < reader.cell_block_count(); ++b) {
+    for (const CellBytes cell : reader.read_cell_block(b).cells) {
+      out.push_back(decode_cell(cell));
+    }
+  }
+  return out;
+}
+
 std::vector<TrialRecord> all_trials(const SegmentReader& reader) {
   std::vector<TrialRecord> out;
   for (std::size_t b = 0; b < reader.trial_block_count(); ++b) {
@@ -362,7 +373,7 @@ TEST(Segment, RoundTripPreservesEverything) {
   EXPECT_EQ(reader.info().cell_count, 10u);
   EXPECT_EQ(reader.info().identity, identity);
 
-  const std::vector<campaign::CellStats> cells = reader.cells();
+  const std::vector<campaign::CellStats> cells = all_cells(reader);
   ASSERT_EQ(cells.size(), 10u);
   for (std::uint64_t c = 0; c < 10; ++c) {
     // Key order == numeric axis order for a single double axis.
@@ -479,7 +490,7 @@ TEST(Segment, TruncationAnywhereIsRejectedNotMisread) {
       const SegmentReader reader{torn};
       // The constructor only validates footer + index; force every
       // block read too. Any damage must throw — never partial data.
-      (void)reader.cells();
+      (void)all_cells(reader);
       (void)all_trials(reader);
       FAIL() << "truncation at " << cut << " of " << size
              << " was not detected";
@@ -1217,12 +1228,30 @@ TEST(SegmentMerge, RandomStoresMatchALastWinsReplayOfEveryWrite) {
   }
 }
 
+/// Every file of the store at `path` by name, bytes included: copy_store
+/// gives each copy a directory of its own.
+std::map<std::string, std::string> dir_files(const std::string& path) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path{path}.parent_path())) {
+    std::ifstream in{entry.path(), std::ios::binary};
+    files[entry.path().filename().string()] = {
+        std::istreambuf_iterator<char>{in}, {}};
+  }
+  return files;
+}
+
 TEST(GridKeys, ACellRecordOffItsGridKeyFailsEveryRead) {
   // On a full-grid store (its manifest lists every value, so cell i's key
   // is delay_s=i), a CRC-valid cell record appended to the log, flat or
   // compacted, fails every read with a named error: whether a filter
-  // selects it or not, and whether the lookup hits it.
+  // selects it or not, and whether the lookup hits it. Resuming the
+  // store is one more read: it is refused with the same error and
+  // leaves every byte as it was. The writer holds itself to the same
+  // rule: complete_cell of the record throws that error and writes
+  // nothing.
   constexpr std::uint64_t kCells = 8;
+  const StoreManifest manifest = synth_manifest(kCells, 3);
   const std::string flat = tmp_path("grid_keys.store");
   write_synth_store(flat, kCells, 3);
   const std::string packed = copy_store(flat, "grid_keys_packed");
@@ -1248,12 +1277,19 @@ TEST(GridKeys, ACellRecordOffItsGridKeyFailsEveryRead) {
       const std::string path =
           copy_store(base, base == flat ? "grid_keys_flat_bad"
                                         : "grid_keys_packed_bad");
+      const std::string want = bad.error + path;
+      const std::string view = std::string{bad.name} + " in " + base;
+      const std::uint64_t size = std::filesystem::file_size(path);
+      {
+        CampaignStore store{path, manifest, CampaignStore::Mode::kResume};
+        EXPECT_EQ(thrown_by([&] { store.complete_cell(bad.cell); }), want)
+            << view;
+      }
+      EXPECT_EQ(std::filesystem::file_size(path), size) << view;
       {
         RecordWriter log{path, [](const RecordView&) {}};
         log.append(kRecCell, encode_cell(bad.cell));
       }
-      const std::string want = bad.error + path;
-      const std::string view = std::string{bad.name} + " in " + base;
       const StoreReader reader{path};
       const CellFilter selected{{CellFilter::parse_clause(bad.selected)}};
       EXPECT_EQ(thrown_by([&] { (void)reader.cells(); }), want) << view;
@@ -1266,6 +1302,15 @@ TEST(GridKeys, ACellRecordOffItsGridKeyFailsEveryRead) {
           << view;
       EXPECT_EQ(thrown_by([&] { (void)load_sweep({path}); }), want) << view;
       EXPECT_EQ(thrown_by([&] { (void)compact_store(path); }), want) << view;
+      const std::map<std::string, std::string> before = dir_files(path);
+      for (const CampaignStore::Mode mode :
+           {CampaignStore::Mode::kResume,
+            CampaignStore::Mode::kCreateOrResume}) {
+        EXPECT_EQ(thrown_by([&] { CampaignStore{path, manifest, mode}; }),
+                  want)
+            << view;
+      }
+      EXPECT_EQ(dir_files(path), before) << view;
     }
   }
 }
